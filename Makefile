@@ -25,6 +25,7 @@ tier2:
 # not timing noise. Run manually with -benchtime=2s for real numbers.
 bench:
 	go test ./internal/memory/ -run xxx -bench . -benchtime=100x -count=1
+	go test ./internal/hlrc/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/wal/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/arena/ -run xxx -bench . -benchtime=100x -count=1
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
-
 	"sdsm/internal/hlrc"
 	"sdsm/internal/obsv"
 	"sdsm/internal/simtime"
@@ -70,22 +67,10 @@ func (p *Proc) WriteBytes(addr int, src []byte) { p.nd.WriteAt(addr, src) }
 // ReadF64s bulk-reads len(dst) float64s starting at byte address addr.
 // One bulk transfer faults each covered page at most once, like a real
 // SDSM touching a range.
-func (p *Proc) ReadF64s(addr int, dst []float64) {
-	buf := make([]byte, 8*len(dst))
-	p.nd.ReadAt(addr, buf)
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-}
+func (p *Proc) ReadF64s(addr int, dst []float64) { p.nd.ReadF64s(addr, dst) }
 
 // WriteF64s bulk-writes src starting at byte address addr.
-func (p *Proc) WriteF64s(addr int, src []float64) {
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	p.nd.WriteAt(addr, buf)
-}
+func (p *Proc) WriteF64s(addr int, src []float64) { p.nd.WriteF64s(addr, src) }
 
 // Observe records one value in this node's histogram registry (a no-op
 // when tracing is disabled). Workloads use it to report application-level

@@ -17,20 +17,28 @@ func (nd *Node) Compute(flops float64) {
 	nd.trc.Seg(obsv.EvCompute, obsv.CatCompute, t0, t1, int64(flops), 0)
 }
 
-// ensureReadable makes page p valid for reading, fetching the home copy
-// on a miss (one round trip — the HLRC property).
-func (nd *Node) ensureReadable(p memory.PageID) {
+// lockReadable returns the frame of page p, valid for reading, with
+// nd.mu held: on a valid page the state check and the caller's copy
+// share one critical section. Only a miss drops the lock, to fetch the
+// home copy (one round trip — the HLRC property).
+func (nd *Node) lockReadable(p memory.PageID) []byte {
 	nd.mu.Lock()
-	st := nd.pt.State(p)
-	nd.mu.Unlock()
-	if st != memory.Invalid {
-		return
+	if nd.pt.State(p) == memory.Invalid {
+		nd.mu.Unlock()
+		nd.validate(p)
+		nd.mu.Lock()
 	}
+	return nd.pt.Page(p)
+}
+
+// validate resolves an Invalid page: through the recovery delegate during
+// replay, by a fetch from the home otherwise.
+func (nd *Node) validate(p memory.PageID) {
 	if d := nd.delegate; d != nil {
-		if d.Validate(nd, p) {
-			return
+		if !d.Validate(nd, p) {
+			panic(fmt.Sprintf("hlrc: node %d: recovery delegate left page %d invalid", nd.cfg.ID, p))
 		}
-		panic(fmt.Sprintf("hlrc: node %d: recovery delegate left page %d invalid", nd.cfg.ID, p))
+		return
 	}
 	nd.fetchPage(p)
 }
@@ -96,33 +104,32 @@ func (nd *Node) fetchPage(p memory.PageID) {
 	nd.trc.Observe(obsv.HistFetchLatency, int64(end-t0))
 }
 
-// ensureWritable makes page p writable in the current interval: on the
-// first write to a non-home page a software fault fires, the page is
-// fetched if invalid, and a twin is created for later diffing. Home-page
-// writes take no fault and create no twin (unless HomeUndo needs the
-// before-image), matching the paper's home-node advantages.
-func (nd *Node) ensureWritable(p memory.PageID) {
+// lockWritable returns the frame of page p, writable in the current
+// interval, with nd.mu held. A page already dirty costs one critical
+// section; the first write of the interval takes the write fault.
+func (nd *Node) lockWritable(p memory.PageID) []byte {
 	nd.mu.Lock()
-	if nd.pt.IsDirty(p) {
-		nd.mu.Unlock()
-		return
+	if !nd.pt.IsDirty(p) {
+		nd.writeFaultLocked(p)
 	}
-	st := nd.pt.State(p)
-	nd.mu.Unlock()
+	return nd.pt.Page(p)
+}
 
+// writeFaultLocked is the first write to page p in the current interval:
+// on a non-home page a software fault fires, the page is fetched if
+// invalid, and a twin is created for later diffing. Home-page writes take
+// no fault and create no twin (unless HomeUndo needs the before-image),
+// matching the paper's home-node advantages. It is entered and left with
+// nd.mu held and drops it around every clock charge and the fetch.
+func (nd *Node) writeFaultLocked(p memory.PageID) {
 	isHome := nd.ownsHome(p)
-	if st == memory.Invalid {
-		if d := nd.delegate; d != nil {
-			if !d.Validate(nd, p) {
-				panic(fmt.Sprintf("hlrc: node %d: recovery delegate left page %d invalid", nd.cfg.ID, p))
-			}
-		} else {
-			nd.fetchPage(p)
-		}
+	if nd.pt.State(p) == memory.Invalid {
+		nd.mu.Unlock()
+		nd.validate(p)
+		nd.mu.Lock()
 	}
 
 	inRecovery := nd.delegate != nil
-	nd.mu.Lock()
 	if !nd.pt.IsDirty(p) {
 		// Most replayed writes need no twin (the homes already have the
 		// diffs), but two cases must recompute and re-flush them: the
@@ -169,13 +176,12 @@ func (nd *Node) ensureWritable(p memory.PageID) {
 		}
 		nd.pt.MarkDirty(p)
 	}
-	nd.mu.Unlock()
 }
 
 // checkRange panics on out-of-bounds shared-memory accesses.
 func (nd *Node) checkRange(addr, n int) {
-	if addr < 0 || n < 0 || addr+n > nd.pt.Bytes() {
-		panic(fmt.Sprintf("hlrc: access [%d,%d) outside shared space of %d bytes", addr, addr+n, nd.pt.Bytes()))
+	if addr < 0 || n < 0 || n > nd.pt.Bytes()-addr {
+		panic(fmt.Sprintf("hlrc: access of %d bytes at %d outside shared space of %d bytes", n, addr, nd.pt.Bytes()))
 	}
 }
 
@@ -185,13 +191,7 @@ func (nd *Node) ReadAt(addr int, dst []byte) {
 	nd.checkRange(addr, len(dst))
 	for len(dst) > 0 {
 		p, off := nd.pt.PageOf(addr)
-		n := nd.cfg.PageSize - off
-		if n > len(dst) {
-			n = len(dst)
-		}
-		nd.ensureReadable(p)
-		nd.mu.Lock()
-		copy(dst[:n], nd.pt.Page(p)[off:off+n])
+		n := copy(dst, nd.lockReadable(p)[off:])
 		nd.mu.Unlock()
 		dst = dst[n:]
 		addr += n
@@ -204,16 +204,55 @@ func (nd *Node) WriteAt(addr int, src []byte) {
 	nd.checkRange(addr, len(src))
 	for len(src) > 0 {
 		p, off := nd.pt.PageOf(addr)
-		n := nd.cfg.PageSize - off
-		if n > len(src) {
-			n = len(src)
-		}
-		nd.ensureWritable(p)
-		nd.mu.Lock()
-		copy(nd.pt.Page(p)[off:off+n], src[:n])
+		n := copy(nd.lockWritable(p)[off:], src)
 		nd.mu.Unlock()
 		src = src[n:]
 		addr += n
+	}
+}
+
+// ReadF64s bulk-reads len(dst) float64s starting at byte address addr,
+// decoding straight out of the page frames. One bulk transfer faults each
+// covered page at most once, like a real SDSM touching a range.
+func (nd *Node) ReadF64s(addr int, dst []float64) {
+	nd.checkRange(addr, 8*len(dst))
+	for len(dst) > 0 {
+		p, off := nd.pt.PageOf(addr)
+		n := min((nd.cfg.PageSize-off)/8, len(dst))
+		if n == 0 {
+			// The word straddles a page boundary: the byte path reads it.
+			dst[0] = nd.ReadF64(addr)
+			dst, addr = dst[1:], addr+8
+			continue
+		}
+		src := nd.lockReadable(p)[off : off+8*n]
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		}
+		nd.mu.Unlock()
+		dst, addr = dst[n:], addr+8*n
+	}
+}
+
+// WriteF64s bulk-writes src starting at byte address addr, encoding
+// straight into the page frames.
+func (nd *Node) WriteF64s(addr int, src []float64) {
+	nd.checkRange(addr, 8*len(src))
+	for len(src) > 0 {
+		p, off := nd.pt.PageOf(addr)
+		n := min((nd.cfg.PageSize-off)/8, len(src))
+		if n == 0 {
+			// The word straddles a page boundary: the byte path writes it.
+			nd.WriteF64(addr, src[0])
+			src, addr = src[1:], addr+8
+			continue
+		}
+		dst := nd.lockWritable(p)[off : off+8*n]
+		for i, v := range src[:n] {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+		}
+		nd.mu.Unlock()
+		src, addr = src[n:], addr+8*n
 	}
 }
 

@@ -100,3 +100,39 @@ func BenchmarkReleaseWithDiffs(b *testing.B) {
 		nd.ReleaseLock(3)
 	}
 }
+
+// benchRow is the kernels' usual bulk transfer: one 72-double grid row.
+const benchRow = 72
+
+// bulkBenchNode returns node 0 of a 2-node cluster with every page valid
+// and already written in the open interval, so the benchmarks below time
+// the steady-state access path (home and cached pages alike), not faults.
+func bulkBenchNode(b *testing.B) (*Node, []float64) {
+	nodes := benchCluster(2, 8, 4096)
+	b.Cleanup(func() { stopAll(nodes) })
+	nd := nodes[0]
+	all := make([]float64, nd.PageTable().Bytes()/8)
+	nd.WriteF64s(0, all)
+	b.ReportAllocs()
+	b.ResetTimer()
+	return nd, all[:benchRow]
+}
+
+// BenchmarkBulkReadF64s measures a row read that crosses a page boundary
+// every few rows (row stride 576 bytes over 4096-byte pages).
+func BenchmarkBulkReadF64s(b *testing.B) {
+	nd, row := bulkBenchNode(b)
+	rows := nd.PageTable().Bytes() / (8 * benchRow)
+	for i := 0; i < b.N; i++ {
+		nd.ReadF64s((i%rows)*8*benchRow, row)
+	}
+}
+
+// BenchmarkBulkWriteF64s is the write-side counterpart.
+func BenchmarkBulkWriteF64s(b *testing.B) {
+	nd, row := bulkBenchNode(b)
+	rows := nd.PageTable().Bytes() / (8 * benchRow)
+	for i := 0; i < b.N; i++ {
+		nd.WriteF64s((i%rows)*8*benchRow, row)
+	}
+}

@@ -211,8 +211,9 @@ func (nd *Node) AnyDirty(ns []Notice) bool {
 	return nd.anyDirtyLocked(ns)
 }
 
-// InstallPage overwrites a local page copy with fetched or logged
-// contents and marks it ReadOnly (recovery prefetch / log replay).
+// InstallPage makes fetched or logged contents the local copy of page p
+// and marks it ReadOnly (recovery prefetch / log replay). The node takes
+// ownership of data, as memory.PageTable.Install does.
 func (nd *Node) InstallPage(p memory.PageID, data []byte) {
 	nd.mu.Lock()
 	nd.pt.Install(p, data)

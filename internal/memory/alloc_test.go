@@ -33,6 +33,24 @@ func TestMakeDiffCleanPageZeroAllocs(t *testing.T) {
 	}
 }
 
+// Every release and barrier walks the dirty set and ends the interval:
+// the cycle reuses the table's own list.
+func TestDirtyCycleZeroAllocs(t *testing.T) {
+	pt := NewPageTable(64, 64)
+	cycle := func() {
+		pt.MarkDirty(9)
+		pt.MarkDirty(3)
+		if got := pt.DirtyPages(); len(got) != 2 || got[0] != 3 || got[1] != 9 {
+			t.Fatalf("DirtyPages = %v", got)
+		}
+		pt.EndInterval()
+	}
+	cycle() // sizes the list
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("MarkDirty/DirtyPages/EndInterval cycle: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func TestEncodePooledBufferAtMostOneAlloc(t *testing.T) {
 	twin, cur := benchPage(0.1)
 	d := MakeDiff(0, twin, cur)

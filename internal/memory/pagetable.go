@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"slices"
 
 	"sdsm/internal/arena"
 )
@@ -39,13 +40,20 @@ func (s State) String() string {
 
 // PageTable holds one node's copies of every shared page together with the
 // per-page access state, twins, and the current interval's dirty set.
+//
+// A page's frame is allocated on first touch: a node that never reads or
+// writes a page holds no memory for it, and a nil frame stands for the
+// all-zero initial image. Page therefore writes to the table; like every
+// other mutator it needs the owner's lock.
 type PageTable struct {
 	pageSize int
 	numPages int
-	data     []byte // contiguous backing store, numPages*pageSize bytes
+	frames   [][]byte // nil until first touch (the page is all zeros)
 	state    []State
 	twin     [][]byte // nil when no twin exists
+	twins    int      // live twins, so EndInterval knows when it has dropped them all
 	dirty    []bool   // written during the current interval
+	dirtyIDs []PageID // the pages whose dirty bit is set; DirtyPages sorts it
 }
 
 // NewPageTable returns a table of numPages pages of pageSize bytes each,
@@ -58,7 +66,7 @@ func NewPageTable(numPages, pageSize int) *PageTable {
 	pt := &PageTable{
 		pageSize: pageSize,
 		numPages: numPages,
-		data:     make([]byte, numPages*pageSize),
+		frames:   make([][]byte, numPages),
 		state:    make([]State, numPages),
 		twin:     make([][]byte, numPages),
 		dirty:    make([]bool, numPages),
@@ -78,10 +86,15 @@ func (pt *PageTable) NumPages() int { return pt.numPages }
 // Bytes returns the total size of the shared space in bytes.
 func (pt *PageTable) Bytes() int { return pt.numPages * pt.pageSize }
 
-// Page returns the backing slice of page id (len == pageSize).
+// Page returns the frame of page id (len == pageSize), allocating it
+// zero-filled on first touch.
 func (pt *PageTable) Page(id PageID) []byte {
-	off := int(id) * pt.pageSize
-	return pt.data[off : off+pt.pageSize : off+pt.pageSize]
+	f := pt.frames[id]
+	if f == nil {
+		f = make([]byte, pt.pageSize)
+		pt.frames[id] = f
+	}
+	return f
 }
 
 // State returns page id's access state.
@@ -110,6 +123,7 @@ func (pt *PageTable) MakeTwin(id PageID) {
 	t := arena.Get(pt.pageSize)
 	copy(t, pt.Page(id))
 	pt.twin[id] = t
+	pt.twins++
 }
 
 // Twin returns the twin of page id, or nil. The slice is only valid
@@ -121,42 +135,56 @@ func (pt *PageTable) Twin(id PageID) []byte { return pt.twin[id] }
 func (pt *PageTable) DropTwin(id PageID) {
 	if t := pt.twin[id]; t != nil {
 		pt.twin[id] = nil
+		pt.twins--
 		arena.Put(t)
 	}
 }
 
 // MarkDirty records that page id was written during the current interval.
-func (pt *PageTable) MarkDirty(id PageID) { pt.dirty[id] = true }
+func (pt *PageTable) MarkDirty(id PageID) {
+	if pt.dirty[id] {
+		return
+	}
+	pt.dirty[id] = true
+	pt.dirtyIDs = append(pt.dirtyIDs, id)
+}
 
 // IsDirty reports whether page id was written during the current interval.
 func (pt *PageTable) IsDirty(id PageID) bool { return pt.dirty[id] }
 
 // DirtyPages returns the ids of all pages written during the current
-// interval, in ascending order.
+// interval, in ascending order. The slice is the table's own: it is valid
+// until the next MarkDirty, ClearDirty, EndInterval or Restore, and
+// callers must not modify it.
 func (pt *PageTable) DirtyPages() []PageID {
-	var out []PageID
-	for i, d := range pt.dirty {
-		if d {
-			out = append(out, PageID(i))
-		}
-	}
-	return out
+	slices.Sort(pt.dirtyIDs)
+	return pt.dirtyIDs
 }
 
 // ClearDirty resets the dirty bit of one page (used when a page's diff is
 // flushed early at an acquire because the page is being invalidated).
-func (pt *PageTable) ClearDirty(id PageID) { pt.dirty[id] = false }
+func (pt *PageTable) ClearDirty(id PageID) {
+	if !pt.dirty[id] {
+		return
+	}
+	pt.dirty[id] = false
+	i := slices.Index(pt.dirtyIDs, id)
+	pt.dirtyIDs = slices.Delete(pt.dirtyIDs, i, i+1)
+}
 
 // EndInterval clears all dirty bits and drops all twins (returning their
 // buffers to the arena); called once the interval's diffs have been
-// produced.
+// produced. It walks the dirty list, which covers every twin the
+// protocol creates; a twin on a page that is not dirty (made directly, or
+// left behind by ClearDirty) costs one scan of the table.
 func (pt *PageTable) EndInterval() {
-	for i := range pt.dirty {
-		pt.dirty[i] = false
-		if t := pt.twin[i]; t != nil {
-			pt.twin[i] = nil
-			arena.Put(t)
-		}
+	for _, id := range pt.dirtyIDs {
+		pt.dirty[id] = false
+		pt.DropTwin(id)
+	}
+	pt.dirtyIDs = pt.dirtyIDs[:0]
+	for id := 0; pt.twins > 0; id++ {
+		pt.DropTwin(PageID(id))
 	}
 }
 
@@ -172,39 +200,51 @@ func (pt *PageTable) MakeDiff(id PageID) Diff {
 // ApplyDiff applies d to the local copy of its page.
 func (pt *PageTable) ApplyDiff(d Diff) { d.Apply(pt.Page(d.Page)) }
 
-// Install overwrites page id with data (a fetched home copy) and marks it
-// ReadOnly.
+// Install makes data (a fetched home copy) the frame of page id and marks
+// the page ReadOnly. The table takes ownership of data: the caller must
+// not read or write it afterwards, and nothing else may alias it.
 func (pt *PageTable) Install(id PageID, data []byte) {
 	if len(data) != pt.pageSize {
 		panic(fmt.Sprintf("memory: install of %d bytes into %d-byte page", len(data), pt.pageSize))
 	}
-	copy(pt.Page(id), data)
+	pt.frames[id] = data
 	pt.state[id] = ReadOnly
 }
 
 // Snapshot returns a copy of the entire shared space; used by checkpoints
 // and by tests comparing final memory images.
 func (pt *PageTable) Snapshot() []byte {
-	s := make([]byte, len(pt.data))
-	copy(s, pt.data)
+	s := make([]byte, pt.Bytes())
+	for i, f := range pt.frames {
+		copy(s[i*pt.pageSize:], f)
+	}
 	return s
 }
 
 // Restore overwrites the entire space from a snapshot and resets all
-// per-page protocol state (ReadOnly, no twins, clean).
+// per-page protocol state (ReadOnly, no twins, clean). Pages that are
+// zero in the snapshot and untouched in the table stay untouched.
 func (pt *PageTable) Restore(snapshot []byte) {
-	if len(snapshot) != len(pt.data) {
-		panic(fmt.Sprintf("memory: restore of %d bytes into %d-byte space", len(snapshot), len(pt.data)))
+	if len(snapshot) != pt.Bytes() {
+		panic(fmt.Sprintf("memory: restore of %d bytes into %d-byte space", len(snapshot), pt.Bytes()))
 	}
-	copy(pt.data, snapshot)
-	for i := range pt.state {
-		pt.state[i] = ReadOnly
-		if t := pt.twin[i]; t != nil {
-			pt.twin[i] = nil
-			arena.Put(t)
+	pt.EndInterval()
+	for i := range pt.frames {
+		src := snapshot[i*pt.pageSize : (i+1)*pt.pageSize]
+		if pt.frames[i] != nil || !allZero(src) {
+			copy(pt.Page(PageID(i)), src)
 		}
-		pt.dirty[i] = false
+		pt.state[i] = ReadOnly
 	}
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // PageOf returns the page containing byte address addr and the offset

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -213,5 +214,98 @@ func TestPageSliceBounds(t *testing.T) {
 	}
 	if !bytes.Equal(pt.Page(1), p) {
 		t.Fatal("Page not stable")
+	}
+}
+
+// framesTouched counts the pages that hold a frame.
+func framesTouched(pt *PageTable) int {
+	n := 0
+	for _, f := range pt.frames {
+		if f != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestUntouchedTableSnapshotIsZeros(t *testing.T) {
+	pt := newPT(t)
+	snap := pt.Snapshot()
+	if len(snap) != pt.Bytes() || !allZero(snap) {
+		t.Fatal("snapshot of an untouched table must be all zeros")
+	}
+	if framesTouched(pt) != 0 {
+		t.Fatal("Snapshot must not touch pages")
+	}
+}
+
+func TestRestoreSnapshotRoundTripKeepsZeroPagesUntouched(t *testing.T) {
+	src := newPT(t)
+	src.Page(1)[5] = 9
+	src.Page(3)[63] = 22
+	snap := src.Snapshot()
+
+	pt := newPT(t)
+	pt.Restore(snap)
+	if framesTouched(pt) != 2 {
+		t.Fatalf("restore touched %d pages, want the 2 that are not zero", framesTouched(pt))
+	}
+	if !bytes.Equal(pt.Snapshot(), snap) {
+		t.Fatal("Restore then Snapshot does not round-trip")
+	}
+	// A page touched before the restore is overwritten, zeros included.
+	pt.Page(0)[0] = 7
+	pt.Restore(snap)
+	if pt.Page(0)[0] != 0 || !bytes.Equal(pt.Snapshot(), snap) {
+		t.Fatal("Restore left stale bytes in a touched page")
+	}
+}
+
+func TestInstallFirstTouchThenTwinAndDiff(t *testing.T) {
+	pt := newPT(t)
+	data := make([]byte, 64)
+	data[8] = 5
+	pt.Install(2, data) // first touch of page 2 is the install itself
+	pt.MakeTwin(2)
+	pt.Page(2)[8] = 6
+	pt.Page(2)[40] = 1
+	d := pt.MakeDiff(2)
+	if len(d.Runs) != 2 || d.Runs[0].Off != 8 || d.Runs[0].Data[0] != 6 || d.Runs[1].Off != 40 {
+		t.Fatalf("diff against the installed image = %+v", d)
+	}
+	if pt.Twin(2)[8] != 5 {
+		t.Fatal("twin does not hold the installed image")
+	}
+	// Twin and diff of a page nobody touched: the image is zeros.
+	pt.MakeTwin(1)
+	if !pt.MakeDiff(1).Empty() || !allZero(pt.Twin(1)) {
+		t.Fatal("untouched page must twin as zeros")
+	}
+}
+
+func TestDirtyPagesAscendingAcrossIntervals(t *testing.T) {
+	pt := NewPageTable(8, 64)
+	for _, id := range []PageID{5, 1, 7, 1, 3} {
+		pt.MarkDirty(id)
+	}
+	if got := pt.DirtyPages(); !slices.Equal(got, []PageID{1, 3, 5, 7}) {
+		t.Fatalf("DirtyPages = %v", got)
+	}
+	pt.MarkDirty(0) // after a sort, a smaller id must still come out first
+	pt.ClearDirty(5)
+	pt.ClearDirty(6) // not dirty: nothing to patch
+	if got := pt.DirtyPages(); !slices.Equal(got, []PageID{0, 1, 3, 7}) {
+		t.Fatalf("DirtyPages after patching = %v", got)
+	}
+	pt.EndInterval()
+	pt.MarkDirty(4)
+	pt.MarkDirty(2)
+	if got := pt.DirtyPages(); !slices.Equal(got, []PageID{2, 4}) {
+		t.Fatalf("DirtyPages in the next interval = %v", got)
+	}
+	for id := 0; id < 8; id++ {
+		if pt.IsDirty(PageID(id)) != (id == 2 || id == 4) {
+			t.Fatalf("dirty bit of page %d disagrees with the list", id)
+		}
 	}
 }

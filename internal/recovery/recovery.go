@@ -24,6 +24,7 @@
 package recovery
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -517,7 +518,9 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 		t0, t1 := nd.Clock().AdvanceSpan(r.model.DiskTime(n))
 		nd.Tracer().Seg(obsv.EvReplayOp, obsv.CatRecovery, t0, t1, int64(page), int64(n))
 		r.phases.note(PhaseLogRead, t0, t1, int64(n))
-		nd.InstallPage(page, data)
+		// data aliases the log record, which later reads and audits of the
+		// store still need: the node gets its own copy.
+		nd.InstallPage(page, bytes.Clone(data))
 		return true
 	case CCLRecovery:
 		// Prefetch should have validated everything; as a safety net,
