@@ -5,7 +5,7 @@
 # tier2 adds the race detector; -short skips the heavier fault-soak and
 # crash sweeps so the race run stays fast.
 
-.PHONY: all tier1 tier2 bench bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke telemetry-smoke wal-smoke bench-gate
+.PHONY: all tier1 tier2 bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke telemetry-smoke wal-smoke bench-gate
 
 all: tier1 tier2
 
@@ -28,6 +28,23 @@ bench:
 	go test ./internal/hlrc/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/wal/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/arena/ -run xxx -bench . -benchtime=100x -count=1
+	go test ./internal/transport/tcp/ -run xxx -bench . -benchtime=100x -count=1
+
+# Every fuzz target of the packages that decode bytes they did not write
+# (frames and payloads off a socket, diffs, log records), 10 s each: long
+# enough to replay the seed corpus and mutate past it, short enough for
+# CI. go test takes one -fuzz target per run, hence the loop. (memory has
+# no target of its own: its diff decoder is fuzzed from wal, next to the
+# records that embed diffs.)
+FUZZ_PKGS = ./internal/transport/tcp ./internal/hlrc ./internal/memory ./internal/stable ./internal/wal
+fuzz-smoke:
+	@set -e; for pkg in $(FUZZ_PKGS); do \
+		for target in $$(go test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			go test $$pkg -run xxx -fuzz "^$$target$$" -fuzztime 10s; \
+		done; \
+	done
+	@echo "fuzz-smoke: OK"
 
 bench-faults:
 	go run ./cmd/sdsmbench -nodes 8 -faults

@@ -75,9 +75,11 @@ type Config struct {
 	// TransportSim (the default, also the empty string) delivers copies by
 	// direct channel send and is byte-deterministic for a given seed;
 	// TransportTCP moves every non-self copy over a loopback TCP socket
-	// (internal/transport/tcp) — virtual-time costs and the protocol are
-	// identical, but goroutine interleavings differ, so only the final
-	// memory image and the log audits are comparable across backends.
+	// (internal/transport/tcp), each payload in the binary encoding whose
+	// length is the size the cost model charges — virtual-time costs and
+	// the protocol are identical, but goroutine interleavings differ, so
+	// only the final memory image and the log audits are comparable
+	// across backends.
 	Transport Transport
 	// NetBudgetBytesPerSec, with TransportTCP, bounds the fabric's
 	// physical send rate with a token bucket (coalescing packs queued

@@ -74,7 +74,8 @@ func init() {
 // WirePayloads returns one exemplar of every concrete payload type the
 // protocol puts on the wire, exactly as the senders construct them
 // (pointers everywhere except the empty DiffAck value). An
-// out-of-process transport fabric registers these with its codec so a
+// out-of-process transport fabric builds its tag → decoder table from
+// them (each exemplar's WireTag and DecodeWire, see wire.go) so a
 // Message's `any` payload round-trips; the in-process fabric never needs
 // them.
 func WirePayloads() []any {

@@ -192,7 +192,7 @@ func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	// barrier (anything it sends after the release is past their cutoffs).
 	// The tag names the barrier round so a fencing peer that still owes
 	// its own check-in to this round recognizes the park as gated by
-	// itself and never spins on it (the wake is behind the fencer).
+	// itself and never waits on it (the wake is behind the fencer).
 	nd.ep.BeginSyncWait(nd.clock.Now(), transport.BarrierTag(int64(b), round))
 	resp := nd.ep.Call(nd.cfg.BarrierManagerNode, KindBarrierCheckin, ci.WireSize(), ci)
 	nd.ep.EndSyncWait()
@@ -282,7 +282,7 @@ func (nd *Node) partitionOnset(op int32) {
 // whether a peer's sync park waits on a resource this node itself gates —
 // a lock this node currently holds, or a barrier round this node has not
 // yet checked into. Such a park's wake is causally behind the fencing
-// node's own next release/check-in, so the fence must skip it (spinning
+// node's own next release/check-in, so the fence must skip it (waiting
 // would deadlock) and soundly can: nothing the peer sends after that wake
 // can arrive at or before a cutoff stamped strictly earlier.
 func (nd *Node) gatesPeerPark(peer int, tag int64) bool {

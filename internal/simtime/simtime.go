@@ -13,6 +13,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -35,16 +36,91 @@ func (t Time) String() string { return fmt.Sprintf("%.3fms", float64(t)/1e6) }
 type Clock struct {
 	mu  sync.Mutex
 	now Time
+
+	// Threshold watches (see NotifyPast). watchAt is the lowest threshold
+	// any watch waits for, noWatch when there is none, so a clock nobody
+	// watches pays one compare per mutation.
+	watchAt Time
+	watches []watch
 }
 
+// watch is one NotifyPast registration.
+type watch struct {
+	past Time
+	ch   chan<- struct{}
+}
+
+const noWatch = Time(math.MaxInt64)
+
 // NewClock returns a clock set to the given start time.
-func NewClock(start Time) *Clock { return &Clock{now: start} }
+func NewClock(start Time) *Clock { return &Clock{now: start, watchAt: noWatch} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
+}
+
+// NotifyPast arranges for one non-blocking send on ch as soon as the
+// clock reads later than t — the "wait until a peer's clock passes T"
+// primitive of the arrival fence. It reports false, registering nothing,
+// if the clock already does. ch should have capacity one: the send never
+// blocks the goroutine advancing the clock, and a full buffer already
+// holds the wake-up. A watch fires at most once; StopNotify removes one
+// that has not.
+func (c *Clock) NotifyPast(t Time, ch chan<- struct{}) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.now > t {
+		return false
+	}
+	c.watches = append(c.watches, watch{past: t, ch: ch})
+	if t < c.watchAt {
+		c.watchAt = t
+	}
+	return true
+}
+
+// StopNotify removes every watch registered for ch that has not fired.
+func (c *Clock) StopNotify(ch chan<- struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sweep(func(w watch) bool { return w.ch != ch })
+}
+
+// moved runs after every mutation, with c.mu held: the one compare an
+// unwatched clock pays.
+func (c *Clock) moved() {
+	if c.now > c.watchAt {
+		c.sweep(func(w watch) bool {
+			if c.now <= w.past {
+				return true
+			}
+			select {
+			case w.ch <- struct{}{}:
+			default:
+			}
+			return false
+		})
+	}
+}
+
+// sweep keeps the watches keep accepts and recomputes watchAt.
+func (c *Clock) sweep(keep func(watch) bool) {
+	kept := c.watches[:0]
+	c.watchAt = noWatch
+	for _, w := range c.watches {
+		if !keep(w) {
+			continue
+		}
+		kept = append(kept, w)
+		if w.past < c.watchAt {
+			c.watchAt = w.past
+		}
+	}
+	clear(c.watches[len(kept):])
+	c.watches = kept
 }
 
 // Advance moves the clock forward by d (clamped to be non-negative) and
@@ -54,6 +130,7 @@ func (c *Clock) Advance(d Duration) Time {
 	defer c.mu.Unlock()
 	if d > 0 {
 		c.now += Time(d)
+		c.moved()
 	}
 	return c.now
 }
@@ -67,6 +144,7 @@ func (c *Clock) AdvanceSpan(d Duration) (Time, Time) {
 	t0 := c.now
 	if d > 0 {
 		c.now += Time(d)
+		c.moved()
 	}
 	return t0, c.now
 }
@@ -78,6 +156,7 @@ func (c *Clock) MergePlus(t Time, d Duration) Time {
 	defer c.mu.Unlock()
 	if nt := t + Time(d); nt > c.now {
 		c.now = nt
+		c.moved()
 	}
 	return c.now
 }
@@ -90,6 +169,7 @@ func (c *Clock) MergePlusSpan(t Time, d Duration) (Time, Time) {
 	t0 := c.now
 	if nt := t + Time(d); nt > c.now {
 		c.now = nt
+		c.moved()
 	}
 	return t0, c.now
 }
@@ -103,6 +183,7 @@ func (c *Clock) AdvanceTo(t Time) Time { return c.MergePlus(t, 0) }
 func (c *Clock) Set(t Time) {
 	c.mu.Lock()
 	c.now = t
+	c.moved()
 	c.mu.Unlock()
 }
 

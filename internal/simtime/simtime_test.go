@@ -170,3 +170,106 @@ func TestTimeFormatting(t *testing.T) {
 		t.Fatalf("Seconds: %v", Time(2e9).Seconds())
 	}
 }
+
+// woken reports whether a NotifyPast wake-up is waiting in ch.
+func woken(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+func TestNotifyPast(t *testing.T) {
+	c := NewClock(Time(100))
+	ch := make(chan struct{}, 1)
+	if c.NotifyPast(Time(99), ch) {
+		t.Fatal("registered a watch the clock is already past")
+	}
+	if !c.NotifyPast(Time(100), ch) {
+		t.Fatal("a clock at t is not past t")
+	}
+	// Every way the clock moves checks the watch; only passing t fires it.
+	c.Advance(0)
+	c.MergePlus(Time(50), 50)
+	if woken(ch) {
+		t.Fatal("fired without the clock moving past the threshold")
+	}
+	c.Advance(1)
+	if !woken(ch) {
+		t.Fatal("did not fire when Advance moved the clock past the threshold")
+	}
+	c.Advance(10)
+	if woken(ch) {
+		t.Fatal("a watch fired twice")
+	}
+
+	for name, move := range map[string]func(){
+		"AdvanceSpan":   func() { c.AdvanceSpan(1000) },
+		"MergePlus":     func() { c.MergePlus(c.Now(), 1000) },
+		"MergePlusSpan": func() { c.MergePlusSpan(c.Now(), 1000) },
+		"AdvanceTo":     func() { c.AdvanceTo(c.Now() + 1000) },
+		"Set":           func() { c.Set(c.Now() + 1000) },
+	} {
+		if !c.NotifyPast(c.Now()+500, ch) {
+			t.Fatalf("%s: watch not registered", name)
+		}
+		move()
+		if !woken(ch) {
+			t.Errorf("%s past the threshold did not fire the watch", name)
+		}
+	}
+}
+
+func TestNotifyPastSeveralWatchers(t *testing.T) {
+	c := NewClock(0)
+	near, far, gone := make(chan struct{}, 1), make(chan struct{}, 1), make(chan struct{}, 1)
+	c.NotifyPast(Time(10), near)
+	c.NotifyPast(Time(100), far)
+	c.NotifyPast(Time(10), gone)
+	c.StopNotify(gone)
+	c.Advance(50)
+	if !woken(near) || woken(far) || woken(gone) {
+		t.Fatal("at 50: want only the watch at 10 fired, and not the stopped one")
+	}
+	c.Advance(50) // exactly 100: not past it
+	if woken(far) {
+		t.Fatal("the watch at 100 fired at 100")
+	}
+	// A full channel already holds a wake-up; the send must not block the
+	// goroutine advancing the clock.
+	far <- struct{}{}
+	c.Advance(1)
+	if !woken(far) || woken(far) {
+		t.Fatal("want exactly the one buffered wake-up")
+	}
+	// The zero Clock has no watches either.
+	var z Clock
+	z.Advance(5)
+	if !z.NotifyPast(Time(5), near) {
+		t.Fatal("zero-value clock refused a watch")
+	}
+	z.Advance(1)
+	if !woken(near) {
+		t.Fatal("zero-value clock did not fire its watch")
+	}
+}
+
+// TestNotifyPastNoLostWakeup races registration against the advance that
+// satisfies it: either NotifyPast reports the clock already past, or the
+// wake-up arrives.
+func TestNotifyPastNoLostWakeup(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		c := NewClock(0)
+		ch := make(chan struct{}, 1)
+		go c.Advance(10)
+		if c.NotifyPast(Time(5), ch) {
+			select {
+			case <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatal("registered before the advance but never woken")
+			}
+		}
+	}
+}

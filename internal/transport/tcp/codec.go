@@ -8,7 +8,9 @@
 // carries already-stamped copies. Each ordered node pair owns one
 // outbound link (a queue, a writer goroutine, and a TCP connection with
 // reconnect + exponential backoff); frames are length-prefixed and
-// CRC-framed, with a fixed binary header and a gob-encoded payload.
+// CRC-framed: a fixed binary header, then the payload in the protocol's
+// own binary encoding (see Payload), whose length is the size the cost
+// model charged for the message.
 // Requests travel with a pending id; the receiving side binds a local
 // reply channel and a forwarder goroutine ships the handler's reply back
 // as a reply frame, which the sending side resolves against its pending
@@ -16,12 +18,14 @@
 package tcp
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"reflect"
+	"sync"
+	"sync/atomic"
 )
 
 // Frame types.
@@ -32,8 +36,7 @@ const (
 
 // Header flag bits.
 const (
-	flagDropReply  = 1 << 0 // fault plan: the reply to this copy is lost
-	flagHasPayload = 1 << 1 // gob payload bytes follow the header
+	flagDropReply = 1 << 0 // fault plan: the reply to this copy is lost
 )
 
 const (
@@ -41,14 +44,19 @@ const (
 	// Version 2 extended the fixed header with the piggybacked trace
 	// context (trace id, parent span id, origin tag). Version 3 appended
 	// the sender's membership-epoch view, so epoch fencing works
-	// identically over real sockets.
-	frameVersion = 3
+	// identically over real sockets. Version 4 carries the payload's type
+	// tag beside the kind (0: no payload; it replaces the has-payload
+	// flag) and the payload in the protocol's binary encoding.
+	frameVersion = 4
 
 	// prefixLen is the length-prefix + CRC preamble: u32 body length,
 	// u32 IEEE CRC over the body.
 	prefixLen = 8
-	// headerLen is the fixed body header.
-	headerLen = 2 + 1 + 1 + 1 + 1 + 4 + 4 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 1 + 8
+	// headerLen is the fixed body header: magic u16, version, type,
+	// flags, kind, payload tag, from u32, to u32, seq, req id, sent-at
+	// (i64 each), size u32, extra delay i64, pending u64, trace id u64,
+	// span id u64, trace tag u8, epoch i64.
+	headerLen = 2 + 1 + 1 + 1 + 1 + 1 + 4 + 4 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 1 + 8
 )
 
 // DefaultMaxFrame bounds a frame's body length. It must exceed the
@@ -56,6 +64,63 @@ const (
 // node's whole page range); decoders reject longer frames before
 // allocating, so a corrupted length prefix cannot OOM the process.
 const DefaultMaxFrame = 16 << 20
+
+// Payload is what the codec needs of a message payload. The protocol
+// layer's message types implement it (internal/hlrc/wire.go); this
+// package never learns their layouts.
+type Payload interface {
+	// WireTag names the payload's Go type on the wire, 1..255. It is
+	// carried in the frame header beside the message kind, so decoding
+	// never has to trust the kind.
+	WireTag() uint8
+	// AppendWire appends the payload's encoding to dst. Its length is the
+	// message's accounted size (the fabric checks that on every send).
+	AppendWire(dst []byte) []byte
+	// DecodeWire decodes b — one whole encoding — into a fresh value of
+	// the receiver's type. The receiver is only an exemplar; the result
+	// owns its bytes (b is a connection buffer about to be reused).
+	DecodeWire(b []byte) (any, error)
+}
+
+// ErrUnknownTag reports a frame whose payload tag no registered payload
+// type claims.
+var ErrUnknownTag = errors.New("tcp: unknown payload tag")
+
+// The tag → exemplar table behind DecodeFrame, filled at start-up by
+// RegisterPayloads (New calls it with Options.Payloads) and read on
+// every frame; writers copy it.
+var (
+	payloadMu    sync.Mutex
+	payloadTypes atomic.Pointer[[256]Payload]
+)
+
+// RegisterPayloads adds one exemplar per payload type to the decode
+// table. Registering a type again is a no-op; an exemplar that is not a
+// Payload, tag 0, or a tag another type already holds is an error.
+func RegisterPayloads(exemplars []any) error {
+	payloadMu.Lock()
+	defer payloadMu.Unlock()
+	var table [256]Payload
+	if old := payloadTypes.Load(); old != nil {
+		table = *old
+	}
+	for _, ex := range exemplars {
+		p, ok := ex.(Payload)
+		if !ok {
+			return fmt.Errorf("tcp: payload exemplar %T has no wire codec (tcp.Payload)", ex)
+		}
+		tag := p.WireTag()
+		if tag == 0 {
+			return fmt.Errorf("tcp: payload exemplar %T claims tag 0, which means no payload", ex)
+		}
+		if have := table[tag]; have != nil && reflect.TypeOf(have) != reflect.TypeOf(p) {
+			return fmt.Errorf("tcp: payload tag %d claimed by both %T and %T", tag, have, ex)
+		}
+		table[tag] = p
+	}
+	payloadTypes.Store(&table)
+	return nil
+}
 
 // Frame is one wire frame: the backend-independent parts of a
 // transport.Message plus the fabric's routing state.
@@ -76,115 +141,136 @@ type Frame struct {
 	SpanID   uint64
 	TraceTag uint8
 	// Epoch is the sender's membership-epoch view (transport fencing).
-	Epoch   int64
+	Epoch int64
+	// Payload is nil or a Payload. The codec does not compare its encoded
+	// length with Size; the fabric's send path does.
 	Payload any
 }
 
-// payloadBox wraps the message payload so gob encodes the interface
-// value (concrete types must be registered; see Options.Payloads).
-type payloadBox struct{ V any }
-
 // AppendFrame appends the encoded frame (prefix + body) to dst and
-// returns the extended slice.
+// returns the extended slice. It allocates only to grow dst.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+	var p Payload
+	var tag uint8
+	if f.Payload != nil {
+		var ok bool
+		if p, ok = f.Payload.(Payload); !ok {
+			return nil, fmt.Errorf("tcp: payload %T of kind %d has no wire codec (tcp.Payload)", f.Payload, f.Kind)
+		}
+		if tag = p.WireTag(); tag == 0 {
+			return nil, fmt.Errorf("tcp: payload %T of kind %d claims tag 0, which means no payload", f.Payload, f.Kind)
+		}
+	}
 	base := len(dst)
-	dst = append(dst, make([]byte, prefixLen)...)
-	body := len(dst)
-	var h [headerLen]byte
-	binary.LittleEndian.PutUint16(h[0:], frameMagic)
-	h[2] = frameVersion
-	h[3] = f.Type
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // the prefix, filled in below
 	var flags uint8
 	if f.DropReply {
 		flags |= flagDropReply
 	}
-	if f.Payload != nil {
-		flags |= flagHasPayload
+	dst = binary.LittleEndian.AppendUint16(dst, frameMagic)
+	dst = append(dst, frameVersion, f.Type, flags, f.Kind, tag)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.From))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.To))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Seq))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.ReqID))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.SentAt))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Size))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.ExtraDelay))
+	dst = binary.LittleEndian.AppendUint64(dst, f.Pending)
+	dst = binary.LittleEndian.AppendUint64(dst, f.TraceID)
+	dst = binary.LittleEndian.AppendUint64(dst, f.SpanID)
+	dst = append(dst, f.TraceTag)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Epoch))
+	if p != nil {
+		dst = p.AppendWire(dst)
 	}
-	h[4] = flags
-	h[5] = f.Kind
-	binary.LittleEndian.PutUint32(h[6:], uint32(f.From))
-	binary.LittleEndian.PutUint32(h[10:], uint32(f.To))
-	binary.LittleEndian.PutUint64(h[14:], uint64(f.Seq))
-	binary.LittleEndian.PutUint64(h[22:], uint64(f.ReqID))
-	binary.LittleEndian.PutUint64(h[30:], uint64(f.SentAt))
-	binary.LittleEndian.PutUint32(h[38:], uint32(f.Size))
-	binary.LittleEndian.PutUint64(h[42:], uint64(f.ExtraDelay))
-	binary.LittleEndian.PutUint64(h[50:], f.Pending)
-	binary.LittleEndian.PutUint64(h[58:], f.TraceID)
-	binary.LittleEndian.PutUint64(h[66:], f.SpanID)
-	h[74] = f.TraceTag
-	binary.LittleEndian.PutUint64(h[75:], uint64(f.Epoch))
-	dst = append(dst, h[:]...)
-	if f.Payload != nil {
-		var pb bytes.Buffer
-		if err := gob.NewEncoder(&pb).Encode(payloadBox{f.Payload}); err != nil {
-			return nil, fmt.Errorf("tcp: encoding payload of kind %d: %w", f.Kind, err)
-		}
-		dst = append(dst, pb.Bytes()...)
-	}
-	bodyBytes := dst[body:]
-	binary.LittleEndian.PutUint32(dst[base:], uint32(len(bodyBytes)))
-	binary.LittleEndian.PutUint32(dst[base+4:], crc32.ChecksumIEEE(bodyBytes))
+	body := dst[base+prefixLen:]
+	binary.LittleEndian.PutUint32(dst[base:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[base+4:], crc32.ChecksumIEEE(body))
 	return dst, nil
 }
 
 // DecodeBody parses one frame body (the bytes the length prefix covers,
-// CRC already verified). It rejects malformed input with an error, never
-// a panic: the body is attacker-controlled from the decoder's point of
-// view (a corrupted stream must not take the process down).
-func DecodeBody(body []byte) (*Frame, error) {
+// CRC already verified) into f, overwriting every field. It rejects
+// malformed input with an error, never a panic: the body is
+// attacker-controlled from the decoder's point of view (a corrupted
+// stream must not take the process down). The decoded payload does not
+// alias body.
+func DecodeBody(f *Frame, body []byte) error {
 	if len(body) < headerLen {
-		return nil, fmt.Errorf("tcp: frame body %d bytes, header needs %d", len(body), headerLen)
+		return fmt.Errorf("tcp: frame body %d bytes, header needs %d", len(body), headerLen)
 	}
 	if m := binary.LittleEndian.Uint16(body[0:]); m != frameMagic {
-		return nil, fmt.Errorf("tcp: bad frame magic %#x", m)
+		return fmt.Errorf("tcp: bad frame magic %#x", m)
 	}
 	if v := body[2]; v != frameVersion {
-		return nil, fmt.Errorf("tcp: unsupported frame version %d", v)
+		return fmt.Errorf("tcp: unsupported frame version %d", v)
 	}
-	f := &Frame{Type: body[3], Kind: body[5]}
+	*f = Frame{Type: body[3], Kind: body[5]}
 	if f.Type != frameMsg && f.Type != frameReply {
-		return nil, fmt.Errorf("tcp: unknown frame type %d", f.Type)
+		return fmt.Errorf("tcp: unknown frame type %d", f.Type)
 	}
 	flags := body[4]
-	if flags&^uint8(flagDropReply|flagHasPayload) != 0 {
-		return nil, fmt.Errorf("tcp: unknown frame flags %#x", flags)
+	if flags&^uint8(flagDropReply) != 0 {
+		return fmt.Errorf("tcp: unknown frame flags %#x", flags)
 	}
 	f.DropReply = flags&flagDropReply != 0
-	f.From = int32(binary.LittleEndian.Uint32(body[6:]))
-	f.To = int32(binary.LittleEndian.Uint32(body[10:]))
-	f.Seq = int64(binary.LittleEndian.Uint64(body[14:]))
-	f.ReqID = int64(binary.LittleEndian.Uint64(body[22:]))
-	f.SentAt = int64(binary.LittleEndian.Uint64(body[30:]))
-	f.Size = int32(binary.LittleEndian.Uint32(body[38:]))
-	f.ExtraDelay = int64(binary.LittleEndian.Uint64(body[42:]))
-	f.Pending = binary.LittleEndian.Uint64(body[50:])
-	f.TraceID = binary.LittleEndian.Uint64(body[58:])
-	f.SpanID = binary.LittleEndian.Uint64(body[66:])
-	f.TraceTag = body[74]
-	f.Epoch = int64(binary.LittleEndian.Uint64(body[75:]))
+	tag := body[6]
+	f.From = int32(binary.LittleEndian.Uint32(body[7:]))
+	f.To = int32(binary.LittleEndian.Uint32(body[11:]))
+	f.Seq = int64(binary.LittleEndian.Uint64(body[15:]))
+	f.ReqID = int64(binary.LittleEndian.Uint64(body[23:]))
+	f.SentAt = int64(binary.LittleEndian.Uint64(body[31:]))
+	f.Size = int32(binary.LittleEndian.Uint32(body[39:]))
+	f.ExtraDelay = int64(binary.LittleEndian.Uint64(body[43:]))
+	f.Pending = binary.LittleEndian.Uint64(body[51:])
+	f.TraceID = binary.LittleEndian.Uint64(body[59:])
+	f.SpanID = binary.LittleEndian.Uint64(body[67:])
+	f.TraceTag = body[75]
+	f.Epoch = int64(binary.LittleEndian.Uint64(body[76:]))
 	rest := body[headerLen:]
-	if flags&flagHasPayload == 0 {
+	if tag == 0 {
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("tcp: %d trailing bytes on payload-less frame", len(rest))
+			return fmt.Errorf("tcp: %d trailing bytes on payload-less frame", len(rest))
 		}
-		return f, nil
+		return nil
 	}
-	if len(rest) == 0 {
-		return nil, fmt.Errorf("tcp: payload flag set on empty payload")
+	var ex Payload
+	if table := payloadTypes.Load(); table != nil {
+		ex = table[tag]
 	}
-	var box payloadBox
-	if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("tcp: decoding payload of kind %d: %w", f.Kind, err)
+	if ex == nil {
+		return fmt.Errorf("%w %d on a frame of kind %d", ErrUnknownTag, tag, f.Kind)
 	}
-	f.Payload = box.V
-	return f, nil
+	p, err := ex.DecodeWire(rest)
+	if err != nil {
+		return fmt.Errorf("tcp: payload of kind %d: %w", f.Kind, err)
+	}
+	f.Payload = p
+	return nil
+}
+
+// checkPrefix validates a frame's preamble against the length bound and
+// returns the body length.
+func checkPrefix(prefix []byte, maxFrame int) (int, error) {
+	n := int(binary.LittleEndian.Uint32(prefix[0:]))
+	if n < headerLen || n > maxFrame {
+		return 0, fmt.Errorf("tcp: frame length %d outside [%d, %d]", n, headerLen, maxFrame)
+	}
+	return n, nil
+}
+
+// checkCRC verifies a body against the CRC its preamble stored.
+func checkCRC(prefix, body []byte) error {
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(prefix[4:]); got != want {
+		return fmt.Errorf("tcp: frame CRC mismatch: computed %#x, stored %#x", got, want)
+	}
+	return nil
 }
 
 // DecodeFrame parses one complete frame (prefix + body) from b,
 // returning the frame and the bytes consumed. Used by tests and the
-// fuzzer; the connection path streams via ReadFrame instead.
+// fuzzer; the connection path streams through a FrameReader instead.
 func DecodeFrame(b []byte, maxFrame int) (*Frame, int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
@@ -192,46 +278,65 @@ func DecodeFrame(b []byte, maxFrame int) (*Frame, int, error) {
 	if len(b) < prefixLen {
 		return nil, 0, fmt.Errorf("tcp: short frame prefix: %d bytes", len(b))
 	}
-	n := int(binary.LittleEndian.Uint32(b[0:]))
-	if n < headerLen || n > maxFrame {
-		return nil, 0, fmt.Errorf("tcp: frame length %d outside [%d, %d]", n, headerLen, maxFrame)
+	n, err := checkPrefix(b, maxFrame)
+	if err != nil {
+		return nil, 0, err
 	}
 	if len(b) < prefixLen+n {
 		return nil, 0, fmt.Errorf("tcp: truncated frame: have %d of %d body bytes", len(b)-prefixLen, n)
 	}
 	body := b[prefixLen : prefixLen+n]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return nil, 0, fmt.Errorf("tcp: frame CRC mismatch: computed %#x, stored %#x", got, want)
+	if err := checkCRC(b, body); err != nil {
+		return nil, 0, err
 	}
-	f, err := DecodeBody(body)
-	if err != nil {
+	f := new(Frame)
+	if err := DecodeBody(f, body); err != nil {
 		return nil, 0, err
 	}
 	return f, prefixLen + n, nil
 }
 
-// ReadFrame reads one frame from a connection stream. The length bound
-// is enforced before the body allocation, so a corrupted prefix cannot
-// cause an OOM; a CRC mismatch poisons the connection (the caller tears
-// it down and the link-level retransmission recovers).
-func ReadFrame(r io.Reader, maxFrame int) (*Frame, error) {
+// FrameReader reads the frames of one connection stream through one body
+// buffer, grown to the largest frame the stream has carried (decoded
+// payloads never alias it, see Payload.DecodeWire).
+type FrameReader struct {
+	r        io.Reader
+	maxFrame int
+	prefix   [prefixLen]byte
+	body     []byte
+}
+
+// NewFrameReader returns a reader over r. maxFrame bounds a frame's body
+// length (0 = DefaultMaxFrame).
+func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var prefix [prefixLen]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return nil, err
+	return &FrameReader{r: r, maxFrame: maxFrame}
+}
+
+// ReadFrame reads the next frame into f. The length bound is enforced
+// before the buffer grows, so a corrupted prefix cannot cause an OOM; a
+// CRC mismatch poisons the connection (the caller tears it down and the
+// link-level retransmission recovers).
+func (fr *FrameReader) ReadFrame(f *Frame) error {
+	prefix := fr.prefix[:]
+	if _, err := io.ReadFull(fr.r, prefix); err != nil {
+		return err
 	}
-	n := int(binary.LittleEndian.Uint32(prefix[0:]))
-	if n < headerLen || n > maxFrame {
-		return nil, fmt.Errorf("tcp: frame length %d outside [%d, %d]", n, headerLen, maxFrame)
+	n, err := checkPrefix(prefix, fr.maxFrame)
+	if err != nil {
+		return err
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	if cap(fr.body) < n {
+		fr.body = make([]byte, n)
 	}
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(prefix[4:]); got != want {
-		return nil, fmt.Errorf("tcp: frame CRC mismatch: computed %#x, stored %#x", got, want)
+	body := fr.body[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
+		return err
 	}
-	return DecodeBody(body)
+	if err := checkCRC(prefix, body); err != nil {
+		return err
+	}
+	return DecodeBody(f, body)
 }

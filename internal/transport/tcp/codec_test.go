@@ -3,22 +3,68 @@ package tcp
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 func crcOf(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
-// testPayload stands in for a protocol payload struct.
+// testPayload stands in for a protocol payload struct: A u32 | len(B) u16
+// | B | Data to the end of the body.
 type testPayload struct {
 	A    int32
 	B    string
 	Data []byte
 }
 
-func init() { gob.Register(&testPayload{}) }
+const testPayloadTag = 200 // far from the protocol's tags
+
+func (*testPayload) WireTag() uint8 { return testPayloadTag }
+
+func (p *testPayload) WireSize() int { return 6 + len(p.B) + len(p.Data) }
+
+func (p *testPayload) AppendWire(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.A))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.B)))
+	dst = append(dst, p.B...)
+	return append(dst, p.Data...)
+}
+
+func (*testPayload) DecodeWire(b []byte) (any, error) {
+	if len(b) < 6 {
+		return nil, fmt.Errorf("testPayload: %d-byte body", len(b))
+	}
+	p := &testPayload{A: int32(binary.LittleEndian.Uint32(b))}
+	n := int(binary.LittleEndian.Uint16(b[4:]))
+	b = b[6:]
+	if len(b) < n {
+		return nil, fmt.Errorf("testPayload: string of %d bytes in %d", n, len(b))
+	}
+	p.B = string(b[:n])
+	if len(b) > n {
+		p.Data = append([]byte(nil), b[n:]...)
+	}
+	return p, nil
+}
+
+func init() {
+	if err := RegisterPayloads([]any{&testPayload{}}); err != nil {
+		panic(err)
+	}
+}
+
+// readOne decodes the first frame of a stream through a fresh FrameReader.
+func readOne(b []byte, maxFrame int) (*Frame, error) {
+	var f Frame
+	if err := NewFrameReader(bytes.NewReader(b), maxFrame).ReadFrame(&f); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []*Frame{
@@ -36,7 +82,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			TraceID: 0xdeadbeefcafef00d, SpanID: 0x0123456789abcdef, TraceTag: 2,
 		},
 		{Type: frameReply, From: 0, To: 3, Kind: 8, Size: 8,
-			TraceID: 1, SpanID: ^uint64(0), TraceTag: 255},
+			TraceID: 1, SpanID: ^uint64(0), TraceTag: 255, Epoch: -3},
 	}
 	var buf []byte
 	var err error
@@ -61,36 +107,65 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFrameStream(t *testing.T) {
-	want := &Frame{Type: frameMsg, From: 5, To: 6, Kind: 2, Seq: 11, Size: 100,
-		Payload: &testPayload{B: "stream"}}
-	buf, err := AppendFrame(nil, want)
-	if err != nil {
-		t.Fatal(err)
+// TestFrameReaderStream reads frames of very different sizes through one
+// FrameReader: the shared body buffer must neither leak one frame's
+// bytes into the next nor be aliased by a decoded payload.
+func TestFrameReaderStream(t *testing.T) {
+	want := []*Frame{
+		{Type: frameMsg, From: 5, To: 6, Kind: 2, Seq: 11, Size: 100, Payload: &testPayload{B: "stream"}},
+		{Type: frameMsg, From: 5, To: 6, Kind: 2, Seq: 12, Payload: &testPayload{A: 1, Data: bytes.Repeat([]byte{0xab}, 5000)}},
+		{Type: frameReply, From: 6, To: 5, Kind: 9, Pending: 3},
+		{Type: frameMsg, From: 5, To: 6, Kind: 2, Seq: 13, Payload: &testPayload{A: 2, Data: []byte{1, 2, 3}}},
 	}
-	got, err := ReadFrame(bytes.NewReader(buf), 0)
-	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+	var stream []byte
+	for _, f := range want {
+		var err error
+		if stream, err = AppendFrame(stream, f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadFrame round trip: got %+v want %+v", got, want)
+	fr := NewFrameReader(bytes.NewReader(stream), 0)
+	var got []Frame
+	for range want {
+		var f Frame
+		if err := fr.ReadFrame(&f); err != nil {
+			t.Fatalf("ReadFrame: %v", err)
+		}
+		got = append(got, f)
+	}
+	// Compared only now: a payload aliasing the reader's buffer would
+	// have been overwritten by the frames read after it.
+	for i := range want {
+		if !reflect.DeepEqual(&got[i], want[i]) {
+			t.Fatalf("frame %d: got %+v want %+v", i, got[i], want[i])
+		}
+	}
+	var f Frame
+	if err := fr.ReadFrame(&f); err == nil {
+		t.Fatal("ReadFrame past the end of the stream succeeded")
 	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
 	valid, err := AppendFrame(nil, &Frame{Type: frameMsg, From: 1, To: 0, Kind: 2, Seq: 1, Size: 10,
-		Payload: &testPayload{A: 7}})
+		Payload: &testPayload{A: 7, B: "xy"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(mut func(b []byte)) []byte {
-		b := append([]byte(nil), valid...)
-		mut(b)
+	noPayload, err := AppendFrame(nil, &Frame{Type: frameReply, From: 0, To: 1, Kind: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tagAt = prefixLen + 6
+	fix := func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[0:], uint32(len(b)-prefixLen))
+		binary.LittleEndian.PutUint32(b[4:], crcOf(b[prefixLen:]))
 		return b
 	}
-	fixCRC := func(b []byte) {
-		body := b[prefixLen:]
-		binary.LittleEndian.PutUint32(b[4:], crcOf(body))
+	corrupt := func(src []byte, mut func(b []byte)) []byte {
+		b := append([]byte(nil), src...)
+		mut(b)
+		return b
 	}
 	cases := []struct {
 		name string
@@ -99,82 +174,93 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}{
 		{"short prefix", valid[:prefixLen-1], 0},
 		{"truncated body", valid[:len(valid)-1], 0},
-		{"oversized length", corrupt(func(b []byte) {
+		{"oversized length", corrupt(valid, func(b []byte) {
 			binary.LittleEndian.PutUint32(b[0:], 0xffffff00)
 		}), 0},
 		{"length above maxFrame", valid, headerLen + 1},
-		{"length below header", corrupt(func(b []byte) {
+		{"length below header", corrupt(valid, func(b []byte) {
 			binary.LittleEndian.PutUint32(b[0:], headerLen-1)
 		}), 0},
-		{"bad CRC", corrupt(func(b []byte) { b[len(b)-1] ^= 0xff }), 0},
-		{"bad magic", corrupt(func(b []byte) {
-			b[prefixLen] ^= 0xff
-			fixCRC(b)
-		}), 0},
-		{"bad version", corrupt(func(b []byte) {
-			b[prefixLen+2] = 99
-			fixCRC(b)
-		}), 0},
-		{"unknown type", corrupt(func(b []byte) {
-			b[prefixLen+3] = 9
-			fixCRC(b)
-		}), 0},
-		{"unknown flags", corrupt(func(b []byte) {
-			b[prefixLen+4] |= 0x80
-			fixCRC(b)
-		}), 0},
-		{"garbage payload", corrupt(func(b []byte) {
-			for i := prefixLen + headerLen; i < len(b); i++ {
-				b[i] = 0xff
-			}
-			fixCRC(b)
-		}), 0},
+		{"bad CRC", corrupt(valid, func(b []byte) { b[len(b)-1] ^= 0xff }), 0},
+		{"bad magic", fix(corrupt(valid, func(b []byte) { b[prefixLen] ^= 0xff })), 0},
+		{"version 3", fix(corrupt(valid, func(b []byte) { b[prefixLen+2] = 3 })), 0},
+		{"unknown type", fix(corrupt(valid, func(b []byte) { b[prefixLen+3] = 9 })), 0},
+		{"unknown flags", fix(corrupt(valid, func(b []byte) { b[prefixLen+4] |= 0x80 })), 0},
+		// v3's has-payload bit is no longer a flag.
+		{"retired payload flag", fix(corrupt(valid, func(b []byte) { b[prefixLen+4] |= 1 << 1 })), 0},
+		{"unknown tag", fix(corrupt(valid, func(b []byte) { b[tagAt] = 199 })), 0},
+		{"tag 0 with payload bytes", fix(corrupt(valid, func(b []byte) { b[tagAt] = 0 })), 0},
+		{"tag without payload bytes", fix(corrupt(noPayload, func(b []byte) { b[tagAt] = testPayloadTag })), 0},
+		{"trailing byte on payload-less frame", fix(append(append([]byte(nil), noPayload...), 0xaa)), 0},
+		{"payload the type rejects", fix(corrupt(valid, func(b []byte) {
+			b[prefixLen+headerLen+4] = 0xff // string longer than the body
+		})), 0},
 	}
 	for _, tc := range cases {
 		if _, _, err := DecodeFrame(tc.b, tc.max); err == nil {
 			t.Errorf("%s: DecodeFrame accepted malformed input", tc.name)
 		}
-		if _, err := ReadFrame(bytes.NewReader(tc.b), tc.max); err == nil {
-			t.Errorf("%s: ReadFrame accepted malformed input", tc.name)
+		if _, err := readOne(tc.b, tc.max); err == nil {
+			t.Errorf("%s: FrameReader accepted malformed input", tc.name)
 		}
 	}
+	if _, _, err := DecodeFrame(cases[11].b, 0); !errors.Is(err, ErrUnknownTag) {
+		t.Errorf("unknown tag: error %v is not ErrUnknownTag", err)
+	}
+}
 
-	// Flag/payload mismatches need hand-built bodies.
-	noPayload, err := AppendFrame(nil, &Frame{Type: frameReply, From: 0, To: 1, Kind: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestAppendFrameRejectsUncodedPayload: a payload without a codec is an
+// encode error naming the type, not a silent drop.
+func TestAppendFrameRejectsUncodedPayload(t *testing.T) {
+	type plain struct{ X int }
+	_, err := AppendFrame(nil, &Frame{Type: frameMsg, Kind: 5, Payload: &plain{1}})
+	if err == nil || !strings.Contains(err.Error(), "plain") {
+		t.Fatalf("AppendFrame of an uncoded payload: %v", err)
 	}
-	trailing := append(append([]byte(nil), noPayload...), 0xaa)
-	binary.LittleEndian.PutUint32(trailing[0:], uint32(len(trailing)-prefixLen))
-	binary.LittleEndian.PutUint32(trailing[4:], crcOf(trailing[prefixLen:]))
-	if _, _, err := DecodeFrame(trailing, 0); err == nil {
-		t.Error("trailing bytes on payload-less frame accepted")
+}
+
+func TestRegisterPayloads(t *testing.T) {
+	if err := RegisterPayloads([]any{&testPayload{}}); err != nil {
+		t.Fatalf("re-registering a type: %v", err)
 	}
-	flagOnly := append([]byte(nil), noPayload...)
-	flagOnly[prefixLen+4] |= flagHasPayload
-	binary.LittleEndian.PutUint32(flagOnly[4:], crcOf(flagOnly[prefixLen:]))
-	if _, _, err := DecodeFrame(flagOnly, 0); err == nil {
-		t.Error("payload flag without payload bytes accepted")
+	if err := RegisterPayloads([]any{42}); err == nil {
+		t.Error("an exemplar without a codec was registered")
 	}
+	if err := RegisterPayloads([]any{&tagThief{}}); err == nil {
+		t.Error("a second type took a held tag")
+	}
+	if err := RegisterPayloads([]any{&tagZero{}}); err == nil {
+		t.Error("tag 0 was registered")
+	}
+}
+
+type tagThief struct{ testPayload }
+type tagZero struct{ testPayload }
+
+func (*tagZero) WireTag() uint8 { return 0 }
+
+// fuzzSeeds are valid v4 encodings plus the classic corruptions.
+func fuzzSeeds() [][]byte {
+	valid, _ := AppendFrame(nil, &Frame{Type: frameMsg, From: 1, To: 0, Kind: 2, Seq: 3, Size: 12,
+		Payload: &testPayload{A: 1, B: "seed", Data: []byte{9, 9}}})
+	crcFlip := append([]byte(nil), valid...)
+	crcFlip[len(crcFlip)-1] ^= 0xff
+	huge := make([]byte, prefixLen+4)
+	binary.LittleEndian.PutUint32(huge, 0xfffffff0)
+	two, _ := AppendFrame(append([]byte(nil), valid...), &Frame{Type: frameReply, From: 0, To: 1, Kind: 4, Pending: 12})
+	bare, _ := AppendFrame(nil, &Frame{Type: frameReply, From: 0, To: 1, Kind: 4, Pending: 12, DropReply: true, Epoch: 7})
+	return [][]byte{valid, valid[:len(valid)/2], crcFlip, huge, two, bare}
 }
 
 // FuzzDecodeFrame drives the two decode entry points with arbitrary
 // bytes: malformed input must come back as an error — never a panic, and
 // never an allocation sized by a corrupted length prefix (the maxFrame
-// bound is checked first).
+// bound is checked first). An accepted frame re-encodes to the bytes it
+// was decoded from.
 func FuzzDecodeFrame(f *testing.F) {
-	valid, _ := AppendFrame(nil, &Frame{Type: frameMsg, From: 1, To: 0, Kind: 2, Seq: 3, Size: 10,
-		Payload: &testPayload{A: 1, B: "seed", Data: []byte{9}}})
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	crcFlip := append([]byte(nil), valid...)
-	crcFlip[len(crcFlip)-1] ^= 0xff
-	f.Add(crcFlip)
-	huge := make([]byte, prefixLen+4)
-	binary.LittleEndian.PutUint32(huge, 0xfffffff0)
-	f.Add(huge)
-	two, _ := AppendFrame(valid, &Frame{Type: frameReply, From: 0, To: 1, Kind: 4, Pending: 12})
-	f.Add(two)
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		const maxFrame = 1 << 16
 		fr, n, err := DecodeFrame(b, maxFrame)
@@ -188,11 +274,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			if fr.Type != frameMsg && fr.Type != frameReply {
 				t.Fatalf("accepted frame type %d", fr.Type)
 			}
+			// testPayload's string length is a u16, so its encoding is
+			// canonical like the protocol's: one byte string per value.
+			re, rerr := AppendFrame(nil, fr)
+			if rerr != nil || !bytes.Equal(re, b[:n]) {
+				t.Fatalf("accepted frame re-encodes differently (err %v):\n in %x\nout %x", rerr, b[:n], re)
+			}
 		}
 		// The streaming path must agree on accept/reject for a
 		// single-frame prefix.
-		if _, rerr := ReadFrame(bytes.NewReader(b), maxFrame); (rerr == nil) != (err == nil) && n == len(b) {
-			t.Fatalf("DecodeFrame err=%v but ReadFrame err=%v", err, rerr)
+		if _, rerr := readOne(b, maxFrame); (rerr == nil) != (err == nil) && n == len(b) {
+			t.Fatalf("DecodeFrame err=%v but FrameReader err=%v", err, rerr)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -26,8 +25,9 @@ type Options struct {
 	// allocating. 0 = DefaultMaxFrame.
 	MaxFrame int
 	// Payloads lists one exemplar of every concrete payload type that
-	// crosses the wire (e.g. hlrc.WirePayloads()); they are registered
-	// with the gob codec.
+	// crosses the wire (e.g. hlrc.WirePayloads()); each must be a
+	// Payload, and together they are the tag → decoder table (see
+	// RegisterPayloads).
 	Payloads []any
 	// DialAttempts bounds connect retries per write; 0 = 40. Exceeding
 	// it fails the run loudly (peer unreachable), mirroring the ARQ
@@ -40,8 +40,8 @@ type Options struct {
 
 // Stats counts the fabric's physical wire activity. Frames/Batches
 // quantify coalescing (frames per batch write); WireBytes is physical
-// bytes including headers and gob framing, distinct from the Network's
-// virtual accounted bytes.
+// bytes: the Network's accounted bytes (every payload is as long as its
+// accounted size) plus prefixLen+headerLen per frame.
 type Stats struct {
 	Frames      int64 `json:"frames"`
 	Batches     int64 `json:"batches"`
@@ -112,8 +112,8 @@ const (
 // New starts the fabric for a network: listeners bound to loopback,
 // links dialed lazily on first traffic. Call Close after the run.
 func New(nw *transport.Network, opts Options) (*Fabric, error) {
-	for _, p := range opts.Payloads {
-		gob.Register(p)
+	if err := RegisterPayloads(opts.Payloads); err != nil {
+		return nil, err
 	}
 	fab := &Fabric{
 		nw:           nw,
@@ -306,28 +306,37 @@ func (l *link) run() {
 			}
 		}
 		l.fab.budget.Take(len(buf))
-		if !l.write(buf) {
-			return
-		}
+		// Counted before the write, so whoever has seen a frame arrive
+		// also sees it in the counters.
 		l.fab.frames.Add(int64(nFrames))
 		l.fab.batches.Add(1)
 		l.fab.wireBytes.Add(int64(len(buf)))
 		l.frames.Add(int64(nFrames))
 		l.batches.Add(1)
 		l.wireBytes.Add(int64(len(buf)))
+		if !l.write(buf) {
+			return
+		}
 	}
 }
 
 // appendChecked encodes one frame onto the batch, failing loudly on
-// encoding errors (an unregistered payload type is a wiring bug, not a
-// runtime condition) and on frames above the decoder's bound.
+// encoding errors (a payload type without a codec is a wiring bug, not a
+// runtime condition), on a payload whose encoded length is not the size
+// the cost model charged for the message (the two halves of a payload's
+// codec disagree), and on frames above the decoder's bound.
 func (l *link) appendChecked(buf []byte, f *Frame) []byte {
 	start := len(buf)
 	out, err := AppendFrame(buf, f)
 	if err != nil {
 		panic(fmt.Sprintf("tcp: link %d→%d: %v", l.from, l.to, err))
 	}
-	if body := len(out) - start - prefixLen; body > l.fab.maxFrame {
+	body := len(out) - start - prefixLen
+	if payload := body - headerLen; payload != int(f.Size) {
+		panic(fmt.Sprintf("tcp: link %d→%d: kind %d payload %T encodes to %d bytes but was accounted as %d",
+			l.from, l.to, f.Kind, f.Payload, payload, f.Size))
+	}
+	if body > l.fab.maxFrame {
 		panic(fmt.Sprintf("tcp: link %d→%d: frame body %d bytes exceeds MaxFrame %d (kind %d)",
 			l.from, l.to, body, l.fab.maxFrame, f.Kind))
 	}
@@ -424,20 +433,25 @@ func (fab *Fabric) readLoop(c net.Conn) {
 		fab.cmu.Unlock()
 		c.Close()
 	}()
-	r := bufio.NewReaderSize(c, 64<<10)
+	fr := NewFrameReader(bufio.NewReaderSize(c, 64<<10), fab.maxFrame)
+	var f Frame // injectMsg and resolve copy out what they keep
 	for {
-		f, err := ReadFrame(r, fab.maxFrame)
-		if err != nil {
+		if err := fr.ReadFrame(&f); err != nil {
 			return
+		}
+		if !fab.hasNode(f.From) || !fab.hasNode(f.To) {
+			return // addressed outside the network: as corrupt as a bad CRC
 		}
 		switch f.Type {
 		case frameMsg:
-			fab.injectMsg(f)
+			fab.injectMsg(&f)
 		case frameReply:
-			fab.resolve(f)
+			fab.resolve(&f)
 		}
 	}
 }
+
+func (fab *Fabric) hasNode(id int32) bool { return id >= 0 && int(id) < fab.n }
 
 // injectMsg reconstructs a message copy and ends its flight in the
 // destination inbox. Request copies get a local reply binding whose

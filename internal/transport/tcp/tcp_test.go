@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,7 +32,8 @@ func TestFabricSendReceive(t *testing.T) {
 	a := nw.NewEndpoint(0, simtime.NewClock(0))
 	b := nw.NewEndpoint(1, simtime.NewClock(0))
 	a.Clock().Advance(time.Millisecond)
-	a.Send(1, transport.Kind(7), 1000, &testPayload{A: 42, B: "over the wire"})
+	sent := &testPayload{A: 42, B: "over the wire"}
+	a.Send(1, transport.Kind(7), sent.WireSize(), sent)
 	m := <-b.Inbox()
 	if m.From != 0 || m.To != 1 || m.Kind != 7 {
 		t.Fatalf("message = %+v", m)
@@ -43,7 +46,7 @@ func TestFabricSendReceive(t *testing.T) {
 		t.Fatalf("SentAt lost in transit: %v", m.SentAt)
 	}
 	b.Arrive(m)
-	min := m.SentAt + simtime.Time(nw.Model().MsgTime(1000))
+	min := m.SentAt + simtime.Time(nw.Model().MsgTime(sent.WireSize()))
 	if b.Clock().Now() < min {
 		t.Fatalf("receiver clock %v < causal minimum %v", b.Clock().Now(), min)
 	}
@@ -55,8 +58,8 @@ func TestFabricSendReceive(t *testing.T) {
 func TestFabricSelfSendBypasses(t *testing.T) {
 	nw, fab := newFabricNet(t, 2, Options{})
 	a := nw.NewEndpoint(0, simtime.NewClock(0))
-	// A self payload type deliberately NOT gob-registered: it must never
-	// touch the codec.
+	// A self payload type deliberately without a wire codec: it must
+	// never touch one.
 	type local struct{ ch chan int }
 	a.Send(0, transport.Kind(1), 10, &local{ch: make(chan int)})
 	m := <-a.Inbox()
@@ -72,6 +75,7 @@ func TestFabricCallReply(t *testing.T) {
 	nw, _ := newFabricNet(t, 2, Options{})
 	a := nw.NewEndpoint(0, simtime.NewClock(0))
 	b := nw.NewEndpoint(1, simtime.NewClock(0))
+	req, page := &testPayload{A: 1}, &testPayload{Data: []byte("page")}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -81,15 +85,15 @@ func TestFabricCallReply(t *testing.T) {
 			t.Error("request lost its reply binding in transit")
 			return
 		}
-		b.Reply(m, transport.Kind(2), 4096, &testPayload{Data: []byte("page")})
+		b.Reply(m, transport.Kind(2), page.WireSize(), page)
 	}()
-	resp := a.Call(1, transport.Kind(1), 64, &testPayload{A: 1})
+	resp := a.Call(1, transport.Kind(1), req.WireSize(), req)
 	<-done
 	p, ok := resp.Payload.(*testPayload)
 	if resp.Kind != 2 || !ok || string(p.Data) != "page" {
 		t.Fatalf("resp = %+v", resp)
 	}
-	min := simtime.Time(nw.Model().RoundTrip(64, 4096))
+	min := simtime.Time(nw.Model().RoundTrip(req.WireSize(), page.WireSize()))
 	if a.Clock().Now() < min {
 		t.Fatalf("caller clock %v < round trip %v", a.Clock().Now(), min)
 	}
@@ -113,7 +117,8 @@ func TestFabricFence(t *testing.T) {
 		}
 	}()
 	for i := 0; i < burst; i++ {
-		a.Send(1, transport.Kind(3), 64, &testPayload{A: int32(i)})
+		p := &testPayload{A: int32(i)}
+		a.Send(1, transport.Kind(3), p.WireSize(), p)
 	}
 	b.FenceArrivalsBefore(1, nil)
 	if got := handled.Load(); got != burst {
@@ -127,7 +132,8 @@ func TestFabricReconnect(t *testing.T) {
 	nw, fab := newFabricNet(t, 2, Options{})
 	a := nw.NewEndpoint(0, simtime.NewClock(0))
 	b := nw.NewEndpoint(1, simtime.NewClock(0))
-	a.Send(1, transport.Kind(1), 10, &testPayload{A: 1})
+	send := func(p *testPayload) { a.Send(1, transport.Kind(1), p.WireSize(), p) }
+	send(&testPayload{A: 1})
 	<-b.Inbox()
 	// Sever both sides of the established link.
 	fab.link(0, 1).closeConn()
@@ -136,7 +142,7 @@ func TestFabricReconnect(t *testing.T) {
 		c.Close()
 	}
 	fab.cmu.Unlock()
-	a.Send(1, transport.Kind(1), 10, &testPayload{A: 2})
+	send(&testPayload{A: 2})
 	m := <-b.Inbox()
 	if p := m.Payload.(*testPayload); p.A != 2 {
 		t.Fatalf("payload after reconnect = %+v", p)
@@ -148,7 +154,11 @@ func TestFabricReconnect(t *testing.T) {
 
 // TestFabricBudget runs traffic under a tiny bandwidth budget: all
 // messages still arrive, some batch writes had to wait, and coalescing
-// packs queued frames into fewer batches.
+// packs queued frames into fewer batches. The burst is queued while the
+// test holds the link's connection mutex, so the writer's first batch
+// cannot reach the wire (its dial blocks) until every later frame is
+// already waiting in the queue: coalescing does not depend on who wins a
+// race.
 func TestFabricBudget(t *testing.T) {
 	const burst = 60
 	nw, fab := newFabricNet(t, 2, Options{
@@ -163,9 +173,13 @@ func TestFabricBudget(t *testing.T) {
 			got <- m
 		}
 	}()
+	l := fab.link(0, 1)
+	l.mu.Lock()
 	for i := 0; i < burst; i++ {
-		a.Send(1, transport.Kind(5), 4096, &testPayload{A: int32(i), Data: make([]byte, 4096)})
+		p := &testPayload{A: int32(i), Data: make([]byte, 4096)}
+		a.Send(1, transport.Kind(5), p.WireSize(), p)
 	}
+	l.mu.Unlock()
 	for i := 0; i < burst; i++ {
 		select {
 		case <-got:
@@ -180,8 +194,35 @@ func TestFabricBudget(t *testing.T) {
 	if s.BudgetWaits == 0 {
 		t.Fatalf("budget never throttled: %+v", s)
 	}
-	if s.Batches >= s.Frames {
-		t.Fatalf("no coalescing under back-pressure: %+v", s)
+	// At most the first batch was composed before the burst was queued;
+	// from the second on, a batch takes every queued frame up to the
+	// coalescing bounds (15 of these frames fill coalesceBytes).
+	if maxBatches := int64(1 + (burst-1+14)/15); s.Batches > maxBatches {
+		t.Fatalf("no coalescing under back-pressure: %d batches for %d frames, want <= %d", s.Batches, s.Frames, maxBatches)
+	}
+}
+
+// TestFabricSizeMismatchFailsLoudly: the send path refuses a frame whose
+// payload does not encode to the size the cost model charged, naming the
+// kind — the two halves of a payload's codec have come apart.
+func TestFabricSizeMismatchFailsLoudly(t *testing.T) {
+	_, fab := newFabricNet(t, 2, Options{})
+	p := &testPayload{A: 1, B: "abc"}
+	l := fab.link(0, 1)
+	l.appendChecked(nil, &Frame{Type: frameMsg, To: 1, Kind: 9, Size: int32(p.WireSize()), Payload: p})
+	for _, f := range []*Frame{
+		{Type: frameMsg, To: 1, Kind: 9, Size: int32(p.WireSize() + 1), Payload: p},
+		{Type: frameMsg, To: 1, Kind: 9, Size: 8}, // accounted bytes, nothing encoded
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "kind 9") || !strings.Contains(msg, "accounted") {
+					t.Errorf("size mismatch (size %d): panic %q does not name the kind", f.Size, msg)
+				}
+			}()
+			l.appendChecked(nil, f)
+		}()
 	}
 }
 
@@ -223,7 +264,8 @@ func TestFabricWireDupAfterRetransmit(t *testing.T) {
 	nw, fab := newFabricNet(t, 2, Options{})
 	a := nw.NewEndpoint(0, simtime.NewClock(0))
 	b := nw.NewEndpoint(1, simtime.NewClock(0))
-	a.Send(1, transport.Kind(1), 10, &testPayload{A: 5})
+	p := &testPayload{A: 5}
+	a.Send(1, transport.Kind(1), p.WireSize(), p)
 	m1 := <-b.Inbox()
 	// Re-inject the decoded copy as a redelivery would.
 	f := &Frame{Type: frameMsg, From: 0, To: 1, Kind: 1, Seq: m1.Seq, SentAt: int64(m1.SentAt),

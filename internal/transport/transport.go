@@ -93,6 +93,7 @@ type Network struct {
 	faults  fault.Plan
 	inboxes []chan Message
 	linkSeq []atomic.Int64 // wire sequence numbers, one counter per link
+	linkMu  []sync.Mutex   // per-link send locks, see lockLink
 	reqSeq  []atomic.Int64 // logical request ids, one counter per link
 
 	msgCount  atomic.Int64
@@ -110,6 +111,15 @@ type Network struct {
 	delivered []atomic.Int64 // messages enqueued into each inbox
 	handled   []atomic.Int64 // inbox messages the service loop finished
 	syncWait  []atomic.Pointer[SyncPark]
+
+	// Fence wake-ups: fencing[i] is set while node i's application
+	// goroutine is inside FenceArrivalsBefore, and fenceWake[i] (capacity
+	// one) is where it parks. Every writer of state the fence's
+	// predicates read pokes the fencing nodes after its store (see
+	// wakeFencers); clock values reach the same channel through
+	// simtime.Clock.NotifyPast.
+	fencing   []atomic.Bool
+	fenceWake []chan struct{}
 
 	// Liveness registry (online recovery): crashed[i] holds the victim's
 	// fail-stop virtual time + 1 while node i is down, 0 while it is up.
@@ -219,11 +229,14 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 		n: n, model: model,
 		inboxes:    make([]chan Message, n),
 		linkSeq:    make([]atomic.Int64, n*n),
+		linkMu:     make([]sync.Mutex, n*n),
 		reqSeq:     make([]atomic.Int64, n*n),
 		clocks:     make([]atomic.Pointer[simtime.Clock], n),
 		delivered:  make([]atomic.Int64, n),
 		handled:    make([]atomic.Int64, n),
 		syncWait:   make([]atomic.Pointer[SyncPark], n),
+		fencing:    make([]atomic.Bool, n),
+		fenceWake:  make([]chan struct{}, n),
 		crashed:    make([]atomic.Int64, n),
 		failedAt:   make([]atomic.Int64, n),
 		deathEpoch: make([]atomic.Int64, n),
@@ -235,6 +248,7 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 	}
 	for i := range nw.inboxes {
 		nw.inboxes[i] = make(chan Message, DefaultInboxCap)
+		nw.fenceWake[i] = make(chan struct{}, 1)
 	}
 	nw.fabric = procFabric{nw}
 	return nw
@@ -335,12 +349,14 @@ func (nw *Network) KindCounts() []obsv.KindCount {
 func (nw *Network) MarkCrashed(id int, at simtime.Time) {
 	nw.crashed[id].Store(int64(at) + 1)
 	nw.failedAt[id].CompareAndSwap(0, int64(at)+1)
+	nw.wakeFencers()
 }
 
 // MarkRejoined clears a node's crashed mark: its recovered incarnation
 // is live again and will answer its inbox.
 func (nw *Network) MarkRejoined(id int) {
 	nw.crashed[id].Store(0)
+	nw.wakeFencers()
 }
 
 // CrashedAt reports whether a node is currently down and, if so, the
@@ -412,6 +428,18 @@ func (nw *Network) adoptView(id int, e int64) {
 // across incarnations.
 func (nw *Network) nextSeq(from, to int) int64 { return nw.linkSeq[from*nw.n+to].Add(1) }
 
+// lockLink takes the send lock of the link from→to. A copy is numbered
+// (nextSeq) and injected (deliver) inside one hold of it: a node sends
+// from two goroutines — its application, and its service loop's
+// sub-requests (CallAsyncAt) and obituaries — and a copy that took its
+// number first but reached the inbox second would be discarded by
+// WireDup as a duplicate of a number it never duplicated.
+func (nw *Network) lockLink(from, to int) *sync.Mutex {
+	mu := &nw.linkMu[from*nw.n+to]
+	mu.Lock()
+	return mu
+}
+
 // nextReqID issues the next logical request id for the link from→to.
 func (nw *Network) nextReqID(from, to int) int64 { return nw.reqSeq[from*nw.n+to].Add(1) }
 
@@ -462,6 +490,7 @@ func (nw *Network) NewEndpoint(id int, clock *simtime.Clock) *Endpoint {
 		panic(fmt.Sprintf("transport: invalid endpoint id %d", id))
 	}
 	nw.clocks[id].Store(clock)
+	nw.wakeFencers() // a reincarnation replaces the clock a fence may be watching
 	return &Endpoint{id: id, nw: nw, clock: clock, seen: make(map[int]int64)}
 }
 
@@ -483,9 +512,9 @@ func (e *Endpoint) Inbox() <-chan Message { return e.nw.inboxes[e.id] }
 // WireDup reports whether m is a wire-level duplicate (a copy whose
 // sequence number was already received from that sender) and must be
 // discarded without dispatching. Service loops call it once per inbox
-// message. Per-link sends originate from a single goroutine, so sequence
-// numbers arrive monotonically and a lagging number is always a
-// fault-injected duplicate.
+// message. A link's copies are numbered and injected under its send lock
+// (see Network.lockLink), so sequence numbers arrive monotonically and a
+// lagging number is always a fault-injected or re-sent duplicate.
 func (e *Endpoint) WireDup(m Message) bool {
 	if m.From == e.id || m.Seq == 0 {
 		return false
@@ -501,7 +530,12 @@ func (e *Endpoint) WireDup(m Message) bool {
 // message (including wire-duplicate discards). The counter pairs with the
 // delivery counter to let FenceArrivalsBefore detect a drained inbox; it
 // lives in the network, so it survives a node's crash and reincarnation.
-func (e *Endpoint) MarkHandled() { e.nw.handled[e.id].Add(1) }
+func (e *Endpoint) MarkHandled() {
+	nw := e.nw
+	if nw.handled[e.id].Add(1) >= nw.delivered[e.id].Load() {
+		nw.wakeFencer(e.id) // drained: the fence's second phase may end
+	}
+}
 
 // BeginSyncWait marks this node's application goroutine as blocked in a
 // synchronization reply wait (lock grant, barrier release). at is the
@@ -511,22 +545,32 @@ func (e *Endpoint) MarkHandled() { e.nw.handled[e.id].Add(1) }
 // sends can land below their cutoffs.
 func (e *Endpoint) BeginSyncWait(at simtime.Time, tag int64) {
 	e.nw.syncWait[e.id].Store(&SyncPark{At: at, Tag: tag})
+	e.nw.wakeFencers()
 }
 
 // EndSyncWait clears the BeginSyncWait mark.
-func (e *Endpoint) EndSyncWait() { e.nw.syncWait[e.id].Store(nil) }
+func (e *Endpoint) EndSyncWait() {
+	e.nw.syncWait[e.id].Store(nil)
+	e.nw.wakeFencers()
+}
 
 // PublishLockHeld records this node as the current holder of a lock in
 // the network-wide holder registry. The protocol layer calls it after a
 // grant completes; the entry lets peers' arrival fences bound the wake
 // of a node parked on the lock by this holder's clock.
-func (e *Endpoint) PublishLockHeld(lock int64) { e.nw.lockHolders.Store(lock, int32(e.id)) }
+func (e *Endpoint) PublishLockHeld(lock int64) {
+	e.nw.lockHolders.Store(lock, int32(e.id))
+	e.nw.wakeFencers()
+}
 
 // ClearLockHeld removes this node's holder-registry entry for a lock.
 // It MUST be called strictly before the release message is sent: the
 // fence's soundness needs "entry visible ⇒ release still in the
 // holder's future".
-func (e *Endpoint) ClearLockHeld(lock int64) { e.nw.lockHolders.Delete(lock) }
+func (e *Endpoint) ClearLockHeld(lock int64) {
+	e.nw.lockHolders.Delete(lock)
+	e.nw.wakeFencers()
+}
 
 // FenceArrivalsBefore blocks (in real time only — no virtual cost) until
 // every message whose virtual arrival at this node is <= cutoff has been
@@ -545,7 +589,7 @@ func (e *Endpoint) ClearLockHeld(lock int64) { e.nw.lockHolders.Delete(lock) }
 // causally precedes, and it is stable across retransmissions because
 // managers replay cached grants/releases at the original stamp.
 //
-// Two phases. First, for every peer, spin until one of:
+// Two phases. First, for every peer, wait until one of:
 //
 //   - the peer's clock is close enough to the cutoff that any *future*
 //     send must arrive after it (clocks are monotone and a message needs
@@ -582,30 +626,44 @@ func (e *Endpoint) ClearLockHeld(lock int64) { e.nw.lockHolders.Delete(lock) }
 //
 // A peer parked on an independent lock that satisfies none of these may
 // genuinely wake below the cutoff (its grant can already be in flight
-// with an early stamp), so this node spins. The spin terminates in real
+// with an early stamp), so this node waits. The wait terminates in real
 // time: barrier wake chains never block on a fencing node (a fence runs
 // before its own check-in, so every peer parked on a round this node
 // still owes a check-in to is skipped as gated; a round this node has
 // already checked into either released — the wake is in flight — or
 // waits on a third node that is itself live), and a hypothetical ring of
-// fencing nodes each spinning on a peer parked on the next fencer's lock
-// cannot close: fencer i spins on a holder-bound peer only while the
+// fencing nodes each waiting on a peer parked on the next fencer's lock
+// cannot close: fencer i waits on a holder-bound peer only while the
 // holder's clock <= cutoff_i - 3*transit, and a fencing holder's clock
 // is at least its own cutoff + transit, so cutoff_{i+1} + 4*transit <=
-// cutoff_i strictly decreases around the ring — impossible. Every spin
+// cutoff_i strictly decreases around the ring — impossible. Every wait
 // therefore sits above a peer making real progress, which eventually
 // wakes, re-parks with a later stamp, or passes the clock predicate.
 //
-// Second, spin until the inbox is drained (handled catches up with
+// Second, wait until the inbox is drained (handled catches up with
 // delivered).
+//
+// Waiting parks the goroutine (after fenceYields yields): a fence that
+// stayed runnable would keep its processor out of the scheduler's idle
+// path, and on the TCP backend that path is where socket readiness is
+// noticed. The park is woken by exactly the writers of what the
+// predicates read — BeginSyncWait/EndSyncWait, PublishLockHeld/
+// ClearLockHeld, MarkCrashed/MarkRejoined, NewEndpoint replacing a
+// clock, MarkHandled, and the watched clock passing its threshold
+// (simtime.Clock.NotifyPast). Each stores first and pokes second, the
+// fence raises its fencing flag before it reads, and the wake channel
+// holds one token, so a change between the read and the park is never
+// lost; a stale token costs one re-read.
 func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer int, tag int64) bool) {
 	nw := e.nw
 	minTransit := simtime.Time(nw.model.NetLatency)
+	nw.fencing[e.id].Store(true)
+	defer nw.fencing[e.id].Store(false)
 	for i := 0; i < nw.n; i++ {
 		if i == e.id {
 			continue
 		}
-		for {
+		for tries := 0; ; tries++ {
 			if _, down := nw.CrashedAt(i); down {
 				break
 			}
@@ -616,21 +674,70 @@ func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer 
 				if gatedByMe != nil && gatedByMe(i, p.Tag) {
 					break
 				}
-				if e.holderBoundsPark(p, cutoff, minTransit) {
+				bounded, holder := e.holderBoundsPark(p, cutoff, minTransit)
+				if bounded {
 					break
 				}
-				runtime.Gosched()
+				e.fenceWait(tries, holder, cutoff-3*minTransit)
 				continue
 			}
 			c := nw.clocks[i].Load()
 			if c == nil || c.Now()+minTransit > cutoff {
 				break
 			}
-			runtime.Gosched()
+			e.fenceWait(tries, c, cutoff-minTransit)
 		}
 	}
-	for nw.handled[e.id].Load() < nw.delivered[e.id].Load() {
+	for tries := 0; nw.handled[e.id].Load() < nw.delivered[e.id].Load(); tries++ {
+		e.fenceWait(tries, nil, 0)
+	}
+}
+
+// fenceYields is how many times a waiting fence yields the processor and
+// re-reads its predicate before it parks. Most waits are for a goroutine
+// that is runnable right now (this node's own service loop, a peer about
+// to advance its clock); yielding to it is cheaper than a park and a
+// wake-up.
+const fenceYields = 4
+
+// fenceWait is one wait step of FenceArrivalsBefore after a predicate
+// read came back false: yield for the first fenceYields tries, then park
+// until something the predicates read has changed. watch, when non-nil,
+// is the clock whose passing of past would satisfy the predicate.
+func (e *Endpoint) fenceWait(tries int, watch *simtime.Clock, past simtime.Time) {
+	if tries < fenceYields {
 		runtime.Gosched()
+		return
+	}
+	wake := e.nw.fenceWake[e.id]
+	if watch == nil {
+		<-wake
+		return
+	}
+	if !watch.NotifyPast(past, wake) {
+		return // passed since the predicate read it
+	}
+	<-wake
+	watch.StopNotify(wake)
+}
+
+// wakeFencers pokes every node currently inside FenceArrivalsBefore.
+// Writers of fence-visible network state call it after their store.
+func (nw *Network) wakeFencers() {
+	for id := range nw.fencing {
+		nw.wakeFencer(id)
+	}
+}
+
+// wakeFencer pokes node id if it is fencing. The send never blocks: a
+// full channel already holds the wake-up.
+func (nw *Network) wakeFencer(id int) {
+	if !nw.fencing[id].Load() {
+		return
+	}
+	select {
+	case nw.fenceWake[id] <- struct{}{}:
+	default:
 	}
 }
 
@@ -638,30 +745,32 @@ func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer 
 // past the cutoff because the lock's current holder's clock is already
 // close enough to it (see FenceArrivalsBefore). The holder registry is
 // re-read after the clock read: only an entry that stayed visible across
-// the read proves the holder's release had not left yet.
-func (e *Endpoint) holderBoundsPark(p *SyncPark, cutoff, minTransit simtime.Time) bool {
+// the read proves the holder's release had not left yet. When the bound
+// fails only because the holder's clock is not there yet, holder is that
+// clock — the one whose passing cutoff - 3*minTransit a fence waits for.
+func (e *Endpoint) holderBoundsPark(p *SyncPark, cutoff, minTransit simtime.Time) (bounded bool, holder *simtime.Clock) {
 	l, isLock := TagLock(p.Tag)
 	if !isLock {
-		return false
+		return false, nil
 	}
 	nw := e.nw
 	h, ok := nw.lockHolders.Load(l)
 	if !ok {
-		return false
+		return false, nil
 	}
 	hid := int(h.(int32))
 	if hid == e.id || hid < 0 || hid >= nw.n {
-		return false
+		return false, nil
 	}
 	hc := nw.clocks[hid].Load()
 	if hc == nil {
-		return false
+		return false, nil
 	}
 	now := hc.Now()
 	if h2, ok2 := nw.lockHolders.Load(l); !ok2 || h2 != h {
-		return false
+		return false, nil
 	}
-	return now+3*minTransit > cutoff
+	return now+3*minTransit > cutoff, hc
 }
 
 // Send delivers a one-way message. Under a fault plan, lost copies are
@@ -682,12 +791,15 @@ func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
 	// so a zero plan must still route through the fate checks once any
 	// window exists (the zero plan's drop/dup/delay rolls all miss).
 	if to == e.id || (!f.Enabled() && !nw.partitionsActive()) {
+		link := nw.lockLink(e.id, to)
 		m.Seq = nw.nextSeq(e.id, to)
 		nw.deliver(m)
+		link.Unlock()
 		return
 	}
 	var extra simtime.Duration
 	for attempt := 1; ; attempt++ {
+		link := nw.lockLink(e.id, to)
 		seq := nw.nextSeq(e.id, to)
 		// A copy departing inside a partition window is lost exactly like
 		// a drop fault: the background ARQ keeps retransmitting, each
@@ -695,6 +807,7 @@ func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
 		// heals and a copy gets through.
 		cut := nw.cutAt(e.id, to, m.SentAt+simtime.Time(extra))
 		if cut || f.DropCopy(e.id, to, seq) {
+			link.Unlock()
 			nw.countWire(kind, size)
 			if attempt >= f.Attempts() {
 				panic(fmt.Sprintf(
@@ -710,6 +823,7 @@ func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
 		if f.DuplicateCopy(e.id, to, seq) {
 			nw.deliver(m)
 		}
+		link.Unlock()
 		return
 	}
 }
@@ -728,8 +842,10 @@ func (e *Endpoint) SendDetector(to int, kind Kind, size int, payload any) {
 		Trace: e.trc.Trace(),
 		Epoch: nw.view[e.id].Load(),
 	}
+	link := nw.lockLink(e.id, to)
 	m.Seq = nw.nextSeq(e.id, to)
 	nw.deliver(m)
+	link.Unlock()
 }
 
 // Pending is an outstanding request; the reply arrives on a dedicated
@@ -807,6 +923,8 @@ func (e *Endpoint) attemptSend(p *Pending) {
 		Trace: p.trace, ReqID: p.reqID, reply: p.ch,
 		Epoch: nw.view[e.id].Load(),
 	}
+	link := nw.lockLink(e.id, p.to)
+	defer link.Unlock()
 	m.Seq = nw.nextSeq(e.id, p.to)
 	f := nw.faults
 	// See Send: installed partition windows cut links even under a zero

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,5 +240,56 @@ func TestRetryBackoffCaps(t *testing.T) {
 	capped := p.RTO(19)
 	if p.RTO(18) != capped {
 		t.Errorf("backoff keeps growing past the cap: %v then %v", p.RTO(18), capped)
+	}
+}
+
+// TestTwoSendersOneLink drives one link from two goroutines, the shape
+// of an application thread and its node's service loop both calling a
+// peer. A copy is numbered and injected under the link's send lock, so
+// numbers arrive in order and every request is answered; numbered first
+// but injected second, a copy would be discarded as a duplicate and its
+// caller would wait forever.
+func TestTwoSendersOneLink(t *testing.T) {
+	const perSender = 2000
+	nw := NewNetwork(2, simtime.DefaultCostModel())
+	a := nw.NewEndpoint(0, simtime.NewClock(0))
+	b := nw.NewEndpoint(1, simtime.NewClock(0))
+	quit := make(chan struct{})
+	defer close(quit)
+	go func() {
+		for {
+			select {
+			case <-quit:
+				return
+			case m := <-b.Inbox():
+				if !b.WireDup(m) {
+					b.ReplyAt(b.ArrivalOf(m), m, Kind(2), 8, m.Payload)
+				}
+				b.MarkHandled()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			clock := simtime.NewClock(0)
+			for i := 0; i < perSender; i++ {
+				want := s*perSender + i
+				m := a.CallAsyncAt(clock.Now(), 1, Kind(1), 8, want).WaitDetached(clock)
+				if m.Payload.(int) != want {
+					t.Errorf("sender %d call %d answered %v", s, i, m.Payload)
+					return
+				}
+			}
+		}(s)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a request on a link shared by two senders was never answered")
 	}
 }
