@@ -33,9 +33,9 @@ bench:
 # Every fuzz target of the packages that decode bytes they did not write
 # (frames and payloads off a socket, diffs, log records), 10 s each: long
 # enough to replay the seed corpus and mutate past it, short enough for
-# CI. go test takes one -fuzz target per run, hence the loop. (memory has
-# no target of its own: its diff decoder is fuzzed from wal, next to the
-# records that embed diffs.)
+# CI. go test takes one -fuzz target per run, hence the loop. (memory's
+# FuzzDecodeDiff is seeded with diffs a ScaleSmall Shallow/ML run sent;
+# wal fuzzes the same decoder again inside the records that embed diffs.)
 FUZZ_PKGS = ./internal/transport/tcp ./internal/hlrc ./internal/memory ./internal/stable ./internal/wal
 fuzz-smoke:
 	@set -e; for pkg in $(FUZZ_PKGS); do \

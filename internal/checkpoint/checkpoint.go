@@ -6,8 +6,10 @@
 // structures used by home-based SDSM. ... The first checkpoint flushes
 // all shared memory pages to stable storage, and then only those pages
 // that have been modified since the last checkpoint will be included in a
-// subsequent checkpoint." We store the full image for simple restoration
-// but account incremental bytes exactly as described.
+// subsequent checkpoint." The stored image is sparse — per-page frames,
+// none for a page that is all zeros, and a page unchanged since the
+// previous checkpoint shares that checkpoint's frame — so what a store
+// holds grows with what was modified, as the accounted bytes always did.
 package checkpoint
 
 import (
@@ -83,7 +85,8 @@ func DecodeMeta(buf []byte) (*Meta, error) {
 // changed pages only afterwards, per the paper §3.2). The snapshot is
 // atomic with respect to concurrently applied asynchronous updates.
 func Take(nd *hlrc.Node, store *stable.Store) int {
-	fs := nd.Freeze()
+	prev, _ := store.LatestCheckpoint()
+	fs := nd.Freeze(prev.Pages)
 	meta := &Meta{
 		Op:       fs.Op,
 		VT:       fs.VT,
@@ -92,19 +95,7 @@ func Take(nd *hlrc.Node, store *stable.Store) int {
 		Vers:     fs.Vers,
 	}
 	metaBytes := meta.Encode()
-
-	accounted := len(metaBytes)
-	prev, hasPrev := store.LatestCheckpoint()
-	if !hasPrev {
-		accounted += len(fs.Pages)
-	} else {
-		ps := nd.PageTable().PageSize()
-		for off := 0; off < len(fs.Pages); off += ps {
-			if !equalBytes(fs.Pages[off:off+ps], prev.Pages[off:off+ps]) {
-				accounted += ps
-			}
-		}
-	}
+	accounted := len(metaBytes) + fs.ChangedPages*nd.PageTable().PageSize()
 	store.PutCheckpoint(stable.Checkpoint{
 		Op:    meta.Op,
 		Pages: fs.Pages,
@@ -112,15 +103,6 @@ func Take(nd *hlrc.Node, store *stable.Store) int {
 		Bytes: accounted,
 	})
 	return accounted
-}
-
-func equalBytes(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RestoreInitial loads the run's initial (op-0) checkpoint — the one

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdsm/internal/fault"
+	"sdsm/internal/racedetect"
 	"sdsm/internal/recovery"
 	"sdsm/internal/simtime"
 	"sdsm/internal/wal"
@@ -141,8 +142,8 @@ func TestRunWithChurnDeterministic(t *testing.T) {
 	}
 	// The workload contends on lock 1, so grant order — and with it every
 	// virtual timestamp — is only reproducible under the normal scheduler
-	// (see raceDetectorEnabled).
-	if raceDetectorEnabled {
+	// (see racedetect.Enabled).
+	if racedetect.Enabled {
 		return
 	}
 	if a.ExecTime != b.ExecTime {

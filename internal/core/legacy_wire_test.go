@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdsm/internal/logview"
+	"sdsm/internal/racedetect"
 	"sdsm/internal/wal"
 )
 
@@ -67,7 +68,7 @@ func TestBatchedWireMatchesLegacy(t *testing.T) {
 				// not comparable; the memory images and log audits must
 				// still agree, but the count checks only make sense on a
 				// deterministic schedule.
-				countsComparable := !(pc.contended && raceDetectorEnabled)
+				countsComparable := !(pc.contended && racedetect.Enabled)
 
 				if countsComparable {
 					for i := range batched.Stats {

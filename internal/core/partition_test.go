@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdsm/internal/fault"
+	"sdsm/internal/racedetect"
 	"sdsm/internal/simtime"
 )
 
@@ -131,7 +132,7 @@ func TestRunWithChurnPartitionDeterministic(t *testing.T) {
 	// TestRunWithChurnDeterministic). Total exec time is not compared
 	// even then: survivor grant order past the rejoin stays
 	// load-sensitive.
-	if raceDetectorEnabled {
+	if racedetect.Enabled {
 		return
 	}
 	if ra.CrashTime != rb.CrashTime || ra.HealTime != rb.HealTime || ra.FencedTime != rb.FencedTime {

@@ -313,6 +313,11 @@ func Run(cfg Config, prog Program) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.run(prog)
+}
+
+// run executes prog failure-free on an assembled cluster.
+func (c *cluster) run(prog Program) (*Report, error) {
 	defer c.closeFabric()
 	for _, nd := range c.nodes {
 		nd.StartService()

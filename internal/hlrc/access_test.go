@@ -42,7 +42,7 @@ func accessCluster(t *testing.T) []*Node {
 // accessOutcome is everything the two paths must agree on.
 type accessOutcome struct {
 	vals                   []float64
-	image                  []byte
+	image                  [][]byte // sparse: nil for an all-zero page
 	faults, fetches, twins int64
 	clock                  simtime.Time
 }
@@ -50,9 +50,10 @@ type accessOutcome struct {
 func outcome(nd *Node, vals []float64) accessOutcome {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
+	image, _ := nd.pt.Snapshot(nil)
 	return accessOutcome{
 		vals:    vals,
-		image:   nd.pt.Snapshot(),
+		image:   image,
 		faults:  nd.stats.Faults.Load(),
 		fetches: nd.stats.PageFetches.Load(),
 		twins:   nd.stats.TwinsCreated.Load(),
@@ -61,7 +62,7 @@ func outcome(nd *Node, vals []float64) accessOutcome {
 }
 
 func (a accessOutcome) equal(b accessOutcome) bool {
-	return slices.Equal(f64bits(a.vals), f64bits(b.vals)) && bytes.Equal(a.image, b.image) &&
+	return slices.Equal(f64bits(a.vals), f64bits(b.vals)) && slices.EqualFunc(a.image, b.image, bytes.Equal) &&
 		a.faults == b.faults && a.fetches == b.fetches && a.twins == b.twins && a.clock == b.clock
 }
 

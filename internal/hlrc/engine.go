@@ -490,8 +490,7 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 		}
 		panic(fmt.Sprintf("hlrc: node %d asked for page %d homed at %d", nd.cfg.ID, req.Page, nd.HomeOf(req.Page)))
 	}
-	data := make([]byte, nd.cfg.PageSize)
-	copy(data, nd.pt.Page(req.Page))
+	data := nd.pt.CopyPage(req.Page)
 	ver := nd.ver[req.Page].Clone()
 	nd.mu.Unlock()
 	resp := &PageReply{Data: data, Ver: ver}
@@ -604,8 +603,7 @@ func (nd *Node) ApplyDiffAsHome(d memory.Diff, writer, seq int32) bool {
 func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.VC) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	data := make([]byte, nd.cfg.PageSize)
-	copy(data, nd.pt.Page(p))
+	data := nd.pt.CopyPage(p)
 	ver := nd.ver[p].Clone()
 	if !nd.cfg.HomeUndo {
 		return data, ver // documented fallback: current copy
@@ -615,23 +613,17 @@ func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.V
 	// entry until the interval closes, so they must never leak into a
 	// versioned fetch. Every word that is not covered by a post-twin
 	// remote update reverts to the twin (data-race freedom keeps the two
-	// word sets disjoint).
+	// word sets disjoint): start from the twin and lay the current bytes
+	// of the post-twin entries' runs over it.
 	if nd.pt.IsDirty(p) && nd.pt.HasTwin(p) {
-		covered := make([]bool, nd.cfg.PageSize)
+		page := nd.pt.Page(p)
+		copy(data, nd.pt.Twin(p))
 		for _, e := range nd.undo[p] {
 			if !e.postTwin {
 				continue
 			}
-			for _, r := range e.inv.Runs {
-				for b := int(r.Off); b < int(r.Off)+len(r.Data); b++ {
-					covered[b] = true
-				}
-			}
-		}
-		twin := nd.pt.Twin(p)
-		for b := range data {
-			if !covered[b] {
-				data[b] = twin[b]
+			for r := e.inv.Runs(); r.Valid(); r.Next() {
+				copy(data[r.Off():], page[r.Off():r.Off()+len(r.Data())])
 			}
 		}
 	}

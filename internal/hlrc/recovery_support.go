@@ -128,7 +128,7 @@ func (nd *Node) FlushReplayDiffs() {
 			continue
 		}
 		compareBytes += nd.cfg.PageSize
-		d := nd.pt.MakeDiff(p).Clone()
+		d := nd.pt.MakeDiff(p)
 		if d.Empty() {
 			continue
 		}
@@ -172,27 +172,32 @@ func (nd *Node) HoldsLocks() bool {
 
 // FrozenState is an atomic snapshot of everything a checkpoint saves.
 type FrozenState struct {
-	Pages    []byte
-	VT       vclock.VC
-	Op       int32
-	Notices  []Notice
-	VerPages []memory.PageID
-	Vers     []vclock.VC
+	// Pages is the sparse shared-memory image (see
+	// memory.PageTable.Snapshot) and ChangedPages the number of pages
+	// whose bytes differ from the image Freeze was given.
+	Pages        [][]byte
+	ChangedPages int
+	VT           vclock.VC
+	Op           int32
+	Notices      []Notice
+	VerPages     []memory.PageID
+	Vers         []vclock.VC
 }
 
 // Freeze captures the node's checkpointable state under the state mutex,
 // so concurrently applied asynchronous updates are either fully included
 // (their event records tagged with an earlier op) or fully excluded
-// (tagged with a later op and replayed after a restore).
-func (nd *Node) Freeze() *FrozenState {
+// (tagged with a later op and replayed after a restore). prev is the
+// memory image of the previous checkpoint, nil for the first.
+func (nd *Node) Freeze(prev [][]byte) *FrozenState {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	fs := &FrozenState{
-		Pages:   nd.pt.Snapshot(),
 		VT:      nd.vt.Clone(),
 		Op:      nd.opIndex,
 		Notices: nd.notices.Delta(nil),
 	}
+	fs.Pages, fs.ChangedPages = nd.pt.Snapshot(prev)
 	for p := 0; p < nd.cfg.NumPages; p++ {
 		if nd.ver[p] != nil {
 			fs.VerPages = append(fs.VerPages, memory.PageID(p))

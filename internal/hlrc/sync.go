@@ -439,18 +439,16 @@ func (nd *Node) closeAndPropagate(op int32) {
 			// the version vector still advance.
 			nd.ver[p][nd.cfg.ID] = seq
 			if nd.cfg.HomeUndo && nd.pt.HasTwin(p) {
-				d := nd.pt.MakeDiff(p)
-				if !d.Empty() {
-					nd.undo[p] = append(nd.undo[p], undoEntry{
-						writer: int32(nd.cfg.ID), seq: seq,
-						inv: memory.InverseDiff(d, nd.pt.Twin(p)),
-					})
+				// The undo entry of a self-write interval is the diff
+				// taken backwards: what turns the page into its twin.
+				if inv := memory.MakeDiff(p, nd.pt.Page(p), nd.pt.Twin(p)); !inv.Empty() {
+					nd.undo[p] = append(nd.undo[p], undoEntry{writer: int32(nd.cfg.ID), seq: seq, inv: inv})
 				}
 				nd.clearPostTwinLocked(p)
 			}
 			continue
 		}
-		d := nd.pt.MakeDiff(p).Clone()
+		d := nd.pt.MakeDiff(p)
 		compareBytes += nd.cfg.PageSize
 		if d.Empty() {
 			continue // silent rewrite of identical values: nothing to send

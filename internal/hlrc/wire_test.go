@@ -90,17 +90,39 @@ func genNotices(r *rand.Rand) []Notice {
 	return ns
 }
 
+// wireRun is one run of a hand-built diff.
+type wireRun struct {
+	off  int
+	data []byte
+}
+
+// diffOf decodes the diff with exactly the given runs.
+func diffOf(page memory.PageID, runs ...wireRun) memory.Diff {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(page))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(runs)))
+	for _, r := range runs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.off))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.data)))
+		buf = append(buf, r.data...)
+	}
+	d, rest, err := memory.DecodeDiff(buf)
+	if err != nil || len(rest) != 0 {
+		panic(fmt.Sprintf("diffOf: %v, %d bytes left", err, len(rest)))
+	}
+	return d
+}
+
 func genDiff(r *rand.Rand) memory.Diff {
-	d := memory.Diff{Page: memory.PageID(r.Int31n(1 << 20))}
-	off := int32(0)
+	var runs []wireRun
+	off := 0
 	for i, n := 0, r.Intn(4); i < n; i++ {
 		data := make([]byte, memory.WordSize*(1+r.Intn(16)))
 		r.Read(data)
-		off += memory.WordSize * int32(r.Intn(8))
-		d.Runs = append(d.Runs, memory.Run{Off: off, Data: data})
-		off += int32(len(data))
+		off += memory.WordSize * r.Intn(8)
+		runs = append(runs, wireRun{off, data})
+		off += len(data)
 	}
-	return d
+	return diffOf(memory.PageID(r.Int31n(1<<20)), runs...)
 }
 
 func genDiffs(r *rand.Rand) []memory.Diff {
@@ -285,8 +307,8 @@ func fullValues() []struct {
 } {
 	vt := vclock.VC{1, 2, 3, 4}
 	ns := []Notice{{Proc: 1, Seq: 2, Pages: []memory.PageID{7, 8}}, {Proc: 2, Seq: 5}}
-	d1 := memory.Diff{Page: 3, Runs: []memory.Run{{Off: 8, Data: make([]byte, 56)}}}
-	d2 := memory.Diff{Page: 4, Runs: []memory.Run{{Off: 0, Data: []byte{1, 2, 3, 4}}, {Off: 16, Data: []byte{5, 6, 7, 8}}}}
+	d1 := diffOf(3, wireRun{8, make([]byte, 56)})
+	d2 := diffOf(4, wireRun{0, []byte{1, 2, 3, 4}}, wireRun{16, []byte{5, 6, 7, 8}})
 	grant := &LockGrant{VT: vt, Notices: ns, LeaseUntil: 99}
 	rel := &BarrierRelease{VT: vt, Notices: ns, LeaseUntil: 99}
 	never := func(int, int) bool { return false }

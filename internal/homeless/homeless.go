@@ -452,7 +452,7 @@ func (nd *Node) closeInterval() {
 	pages := make([]memory.PageID, 0, len(dirty))
 	compare := 0
 	for _, p := range dirty {
-		d := nd.pt.MakeDiff(p).Clone()
+		d := nd.pt.MakeDiff(p)
 		compare += nd.pageSize
 		if nd.retained[p] == nil {
 			nd.retained[p] = make(map[int32]memory.Diff)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdsm/internal/arena"
+	"sdsm/internal/racedetect"
 )
 
 // Allocation regression tests for the hot-path kernels. MakeDiff on a
@@ -13,7 +14,17 @@ import (
 // sufficiently-sized pooled buffer must stay at zero with at most one
 // allocation tolerated for a cold pool.
 
+// skipUnderRace skips an allocation pin when the race detector is on: it
+// allocates shadow state and makes sync.Pool drop items at random.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+}
+
 func TestMakeDiffCleanPageZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
 	twin := make([]byte, 4096)
 	cur := make([]byte, 4096)
 	for i := range twin {
@@ -30,6 +41,29 @@ func TestMakeDiffCleanPageZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MakeDiff on clean page: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// A dirty page costs exactly its run table: one allocation however many
+// runs it has (Shallow's pages carry dozens of 16-byte runs), and the same
+// for the undo entry derived from a diff.
+func TestMakeDiffAndInverseOneAllocation(t *testing.T) {
+	skipUnderRace(t)
+	for _, density := range []float64{0.001, 0.02, 0.5} {
+		twin, cur := benchPage(density)
+		d := MakeDiff(0, twin, cur) // warms the scratch pool
+		if d.NumRuns() < 2 {
+			t.Fatalf("density %v: only %d runs", density, d.NumRuns())
+		}
+		if a := testing.AllocsPerRun(100, func() { MakeDiff(0, twin, cur) }); a != 1 {
+			t.Errorf("MakeDiff on a dirty page with %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)
+		}
+		if a := testing.AllocsPerRun(100, func() { InverseDiff(d, twin) }); a != 1 {
+			t.Errorf("InverseDiff of %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)
+		}
+		if cap(d.body) != len(d.body) || len(d.body) != d.WireSize()-8 {
+			t.Errorf("body len %d cap %d, want both WireSize-8 = %d", len(d.body), cap(d.body), d.WireSize()-8)
+		}
 	}
 }
 
@@ -95,18 +129,18 @@ func TestValidateRejectsOutOfBoundsRuns(t *testing.T) {
 		name string
 		d    Diff
 	}{
-		{"negative offset", Diff{Page: 1, Runs: []Run{{Off: -4, Data: make([]byte, 8)}}}},
-		{"overruns page", Diff{Page: 1, Runs: []Run{{Off: 4090, Data: make([]byte, 8)}}}},
-		{"offset past end", Diff{Page: 1, Runs: []Run{{Off: 4096, Data: make([]byte, 4)}}}},
+		{"negative offset", diffOf(1, testRun{-4, make([]byte, 8)})},
+		{"overruns page", diffOf(1, testRun{4090, make([]byte, 8)})},
+		{"offset past end", diffOf(1, testRun{4096, make([]byte, 4)})},
 	}
 	for _, c := range cases {
 		if err := c.d.Validate(4096); err == nil {
-			t.Errorf("%s: Validate accepted %+v", c.name, c.d.Runs[0])
+			t.Errorf("%s: Validate accepted %+v", c.name, runsOf(c.d)[0])
 		} else if !strings.Contains(err.Error(), "outside") {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 		}
 	}
-	ok := Diff{Page: 1, Runs: []Run{{Off: 4088, Data: make([]byte, 8)}}}
+	ok := diffOf(1, testRun{4088, make([]byte, 8)})
 	if err := ok.Validate(4096); err != nil {
 		t.Errorf("Validate rejected an in-bounds run: %v", err)
 	}
@@ -115,7 +149,7 @@ func TestValidateRejectsOutOfBoundsRuns(t *testing.T) {
 func TestDecodeDiffRejectsNegativeOffset(t *testing.T) {
 	// Hand-craft an encoding with a run at offset 0x80000000 (negative
 	// as int32).
-	good := Diff{Page: 0, Runs: []Run{{Off: 0, Data: []byte{1, 2, 3, 4}}}}
+	good := diffOf(0, testRun{0, []byte{1, 2, 3, 4}})
 	buf := good.Encode(nil)
 	// Run offset lives at bytes 8..12.
 	buf[11] = 0x80
@@ -127,7 +161,7 @@ func TestDecodeDiffRejectsNegativeOffset(t *testing.T) {
 func TestDecodeDiffRejectsInt32Overflow(t *testing.T) {
 	// Offset + length overflowing int32 must fail even though each field
 	// alone looks plausible.
-	good := Diff{Page: 0, Runs: []Run{{Off: 0, Data: []byte{1, 2, 3, 4}}}}
+	good := diffOf(0, testRun{0, []byte{1, 2, 3, 4}})
 	buf := good.Encode(nil)
 	buf[8], buf[9], buf[10], buf[11] = 0xfc, 0xff, 0xff, 0x7f // off = MaxInt32-3
 	if _, _, err := DecodeDiff(buf); err == nil {

@@ -11,8 +11,10 @@
 package memory
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -23,23 +25,35 @@ const WordSize = 4
 // PageID names one shared page.
 type PageID int32
 
-// Run is one contiguous span of modified bytes within a page.
-type Run struct {
-	Off  int32  // byte offset within the page, WordSize-aligned
-	Data []byte // the new contents of the span
-}
-
 // Diff is a summary of the modifications made to one page during one
 // interval, computed by comparing the page against its twin.
+//
+// A diff is held as its own wire encoding: body is the run table exactly
+// as Encode lays it out — per run a little-endian u32 byte offset
+// (WordSize-aligned when MakeDiff produced it), a u32 length and that many
+// bytes of new contents — in one allocation the diff owns. It never
+// aliases the page it was made from or the buffer it was decoded from, so
+// it stays valid however long it is kept (undo history, custody records,
+// in-flight messages). Copying a Diff value shares the body; nothing
+// writes to a body after its constructor returns. Runs are read through
+// Runs; the zero Diff is the empty diff of page 0.
 type Diff struct {
 	Page PageID
-	Runs []Run
+	runs int32  // number of runs in body
+	body []byte // the run table: (off u32, len u32, data)*
 }
+
+// runHeader is the per-run overhead in the run table: offset and length.
+const runHeader = 8
+
+// span is one modified byte range found by MakeDiff's scan.
+type span struct{ start, end int32 }
 
 // MakeDiff compares cur against twin and returns the diff, scanning at
 // word granularity and coalescing adjacent modified words into runs.
-// The two slices must have equal length. The returned runs alias cur; the
-// caller must copy them (see Clone) if cur will be modified afterwards.
+// The two slices must have equal length. The diff owns a copy of the
+// modified bytes: one exact-size allocation when the page is dirty, none
+// when it is clean.
 //
 // The scan compares 8 bytes (two words) per load where it can: the skip
 // loop strides over clean regions until a 64-bit chunk differs, and the
@@ -51,23 +65,21 @@ func MakeDiff(page PageID, twin, cur []byte) Diff {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("memory: twin/page size mismatch: %d vs %d", len(twin), len(cur)))
 	}
-	d := Diff{Page: page}
 	n := len(cur)
 	// Single-pass state machine over two-word chunks: each chunk is
 	// loaded once, XORed, and its two words classified. runStart tracks
-	// the open run (-1: none); a clean word closes it. Runs accumulate in
+	// the open run (-1: none); a clean word closes it. Spans accumulate in
 	// a pooled scratch slice so repeated append-growth never allocates in
-	// steady state; the result is copied out at its exact final size
-	// (zero allocations when the page is clean).
-	sp := runScratch.Get().(*[]Run)
-	runs := (*sp)[:0]
+	// steady state; the body is then built at its exact final size.
+	sp := spanScratch.Get().(*[]span)
+	spans := (*sp)[:0]
 	runStart := -1
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(cur[i:])
 		if x == 0 {
 			if runStart >= 0 {
-				runs = append(runs, Run{Off: int32(runStart), Data: cur[runStart:i]})
+				spans = append(spans, span{int32(runStart), int32(i)})
 				runStart = -1
 			}
 			continue
@@ -82,11 +94,11 @@ func MakeDiff(page PageID, twin, cur []byte) Diff {
 			if runStart < 0 {
 				runStart = i
 			}
-			runs = append(runs, Run{Off: int32(runStart), Data: cur[runStart : i+4]})
+			spans = append(spans, span{int32(runStart), int32(i + 4)})
 			runStart = -1
 		default: // clean low word, run (re)starts at the high word
 			if runStart >= 0 {
-				runs = append(runs, Run{Off: int32(runStart), Data: cur[runStart:i]})
+				spans = append(spans, span{int32(runStart), int32(i)})
 			}
 			runStart = i + 4
 		}
@@ -95,7 +107,7 @@ func MakeDiff(page PageID, twin, cur []byte) Diff {
 	for ; i < n; i += WordSize {
 		if wordEqual(twin, cur, i) {
 			if runStart >= 0 {
-				runs = append(runs, Run{Off: int32(runStart), Data: cur[runStart:i]})
+				spans = append(spans, span{int32(runStart), int32(i)})
 				runStart = -1
 			}
 		} else if runStart < 0 {
@@ -103,22 +115,31 @@ func MakeDiff(page PageID, twin, cur []byte) Diff {
 		}
 	}
 	if runStart >= 0 {
-		runs = append(runs, Run{Off: int32(runStart), Data: cur[runStart:n]})
+		spans = append(spans, span{int32(runStart), int32(n)})
 	}
-	if len(runs) > 0 {
-		d.Runs = make([]Run, len(runs))
-		copy(d.Runs, runs)
+	d := Diff{Page: page}
+	if len(spans) > 0 {
+		size := runHeader * len(spans)
+		for _, s := range spans {
+			size += int(s.end - s.start)
+		}
+		d.runs = int32(len(spans))
+		d.body = make([]byte, 0, size)
+		for _, s := range spans {
+			d.body = binary.LittleEndian.AppendUint32(d.body, uint32(s.start))
+			d.body = binary.LittleEndian.AppendUint32(d.body, uint32(s.end-s.start))
+			d.body = append(d.body, cur[s.start:s.end]...)
+		}
 	}
-	clear(runs) // drop the page aliases before pooling the scratch
-	*sp = runs[:0]
-	runScratch.Put(sp)
+	*sp = spans[:0]
+	spanScratch.Put(sp)
 	return d
 }
 
-// runScratch pools MakeDiff's scratch run slices across calls (and
+// spanScratch pools MakeDiff's scratch span slices across calls (and
 // goroutines: every node's handlers diff concurrently).
-var runScratch = sync.Pool{New: func() any {
-	s := make([]Run, 0, 64)
+var spanScratch = sync.Pool{New: func() any {
+	s := make([]span, 0, 64)
 	return &s
 }}
 
@@ -135,51 +156,60 @@ func wordEqual(a, b []byte, off int) bool {
 }
 
 // Empty reports whether the diff carries no modifications.
-func (d Diff) Empty() bool { return len(d.Runs) == 0 }
+func (d Diff) Empty() bool { return d.runs == 0 }
+
+// NumRuns is the number of contiguous modified spans the diff carries.
+func (d Diff) NumRuns() int { return int(d.runs) }
+
+// RunIter is a cursor over a diff's runs, in table order:
+//
+//	for r := d.Runs(); r.Valid(); r.Next() {
+//		copy(dst[r.Off():], r.Data())
+//	}
+//
+// Data is a window into the diff's body: read it, never write it. Every
+// constructor leaves the body well formed, so the cursor does not re-check
+// it.
+type RunIter struct{ rest []byte }
+
+// Runs returns a cursor on the first run.
+func (d Diff) Runs() RunIter { return RunIter{d.body} }
+
+// Valid reports whether the cursor is on a run (false past the last).
+func (it RunIter) Valid() bool { return len(it.rest) > 0 }
+
+// Off is the current run's byte offset within the page.
+func (it RunIter) Off() int { return int(binary.LittleEndian.Uint32(it.rest)) }
+
+// Data is the current run's new contents.
+func (it RunIter) Data() []byte { return it.rest[runHeader:it.end()] }
+
+// Next moves to the following run.
+func (it *RunIter) Next() { it.rest = it.rest[it.end():] }
+
+// end is the length of the current run's table entry, header included.
+func (it RunIter) end() int { return runHeader + int(binary.LittleEndian.Uint32(it.rest[4:])) }
 
 // Apply writes the diff's runs into dst, which must be a full page buffer.
 func (d Diff) Apply(dst []byte) {
-	for _, r := range d.Runs {
-		copy(dst[r.Off:int(r.Off)+len(r.Data)], r.Data)
+	for r := d.Runs(); r.Valid(); r.Next() {
+		off, data := r.Off(), r.Data()
+		copy(dst[off:off+len(data)], data)
 	}
-}
-
-// Clone returns a deep copy of the diff that does not alias the source
-// page buffer. All runs share a single backing array (two allocations
-// per clone regardless of run count).
-func (d Diff) Clone() Diff {
-	if len(d.Runs) == 0 {
-		return Diff{Page: d.Page}
-	}
-	c := Diff{Page: d.Page, Runs: make([]Run, len(d.Runs))}
-	backing := make([]byte, d.DataBytes())
-	off := 0
-	for i, r := range d.Runs {
-		end := off + copy(backing[off:off+len(r.Data)], r.Data)
-		c.Runs[i] = Run{Off: r.Off, Data: backing[off:end:end]}
-		off = end
-	}
-	return c
 }
 
 // DataBytes is the number of payload bytes carried by the diff.
-func (d Diff) DataBytes() int {
-	n := 0
-	for _, r := range d.Runs {
-		n += len(r.Data)
-	}
-	return n
-}
+func (d Diff) DataBytes() int { return len(d.body) - runHeader*int(d.runs) }
 
-// WireSize is the serialized size of the diff: page id, run count, and per
-// run an offset, length and the payload. This is what message-size and
-// log-size accounting use.
-func (d Diff) WireSize() int { return 8 + 8*len(d.Runs) + d.DataBytes() }
+// WireSize is the serialized size of the diff: page id, run count, and
+// the run table (per run an offset, length and the payload). This is what
+// message-size and log-size accounting use.
+func (d Diff) WireSize() int { return 8 + len(d.body) }
 
-// Encode appends a portable encoding of the diff to buf. When buf lacks
-// capacity it is grown once, to the exact total size (WireSize plus the
-// existing contents), so encoding into a fresh or pooled buffer costs at
-// most one allocation.
+// Encode appends a portable encoding of the diff to buf: page id, run
+// count, then the body as it stands. When buf lacks capacity it is grown
+// once, to the exact total size (WireSize plus the existing contents), so
+// encoding into a fresh or pooled buffer costs at most one allocation.
 func (d Diff) Encode(buf []byte) []byte {
 	if need := d.WireSize(); cap(buf)-len(buf) < need {
 		grown := make([]byte, len(buf), len(buf)+need)
@@ -187,71 +217,61 @@ func (d Diff) Encode(buf []byte) []byte {
 		buf = grown
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Page))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Runs)))
-	for _, r := range d.Runs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Off))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Data)))
-		buf = append(buf, r.Data...)
-	}
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.runs))
+	return append(buf, d.body...)
 }
 
-// DecodeDiff decodes a diff produced by Encode, returning the diff and the
-// remaining bytes. The decoded runs do not alias buf; they share one
-// backing array (two allocations per diff regardless of run count).
+// PeekDiff checks the encoded diff at the head of buf without copying
+// anything: it returns the diff's page and its encoded length, so a
+// reader scanning a log or a batch for one page can step over the diffs
+// it does not want (buf[size:]) and DecodeDiff only the ones it does.
 // Run offsets must be non-negative and runs must not overflow an int32
 // address space; whether they fit the destination page is the caller's
 // check (Validate), since the wire format does not carry the page size.
-func DecodeDiff(buf []byte) (Diff, []byte, error) {
-	var d Diff
+// The walk follows the run headers, not the claimed run count, so a
+// corrupt count is an error after at most len(buf) bytes.
+func PeekDiff(buf []byte) (page PageID, size int, err error) {
 	if len(buf) < 8 {
-		return d, buf, fmt.Errorf("memory: short diff header")
+		return 0, 0, fmt.Errorf("memory: short diff header")
 	}
-	d.Page = PageID(binary.LittleEndian.Uint32(buf))
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	if n == 0 {
-		return d, buf, nil
-	}
-	// First pass: walk the run headers to validate them and size the
-	// shared backing array. Working from the headers (not the claimed run
-	// count) means a corrupted count yields a decode error, never a
-	// gigantic allocation.
-	rest := buf
-	dataBytes := 0
-	for i := 0; i < n; i++ {
-		if len(rest) < 8 {
-			return d, rest, fmt.Errorf("memory: short run header (run %d)", i)
+	page = PageID(binary.LittleEndian.Uint32(buf))
+	n := binary.LittleEndian.Uint32(buf[4:])
+	size = 8
+	for i := uint32(0); i < n; i++ {
+		rest := buf[size:]
+		if len(rest) < runHeader {
+			return page, 0, fmt.Errorf("memory: short run header (run %d)", i)
 		}
 		off := int32(binary.LittleEndian.Uint32(rest))
-		ln := int(binary.LittleEndian.Uint32(rest[4:]))
-		rest = rest[8:]
+		ln := int64(binary.LittleEndian.Uint32(rest[4:]))
 		if off < 0 {
-			return d, rest, fmt.Errorf("memory: negative run offset %d (run %d)", off, i)
+			return page, 0, fmt.Errorf("memory: negative run offset %d (run %d)", off, i)
 		}
-		if int64(off)+int64(ln) > int64(1)<<31-1 {
-			return d, rest, fmt.Errorf("memory: run %d spans [%d, %d+%d), beyond any page", i, off, off, ln)
+		if int64(off)+ln > math.MaxInt32 {
+			return page, 0, fmt.Errorf("memory: run %d spans [%d, %d+%d), beyond any page", i, off, off, ln)
 		}
-		if len(rest) < ln {
-			return d, rest, fmt.Errorf("memory: truncated run payload (run %d)", i)
+		if int64(len(rest)-runHeader) < ln {
+			return page, 0, fmt.Errorf("memory: truncated run payload (run %d)", i)
 		}
-		rest = rest[ln:]
-		dataBytes += ln
+		size += runHeader + int(ln)
 	}
-	// Second pass: copy the payloads into the backing array.
-	d.Runs = make([]Run, n)
-	backing := make([]byte, dataBytes)
-	used := 0
-	for i := 0; i < n; i++ {
-		off := int32(binary.LittleEndian.Uint32(buf))
-		ln := int(binary.LittleEndian.Uint32(buf[4:]))
-		buf = buf[8:]
-		end := used + copy(backing[used:used+ln], buf[:ln])
-		d.Runs[i] = Run{Off: off, Data: backing[used:end:end]}
-		used = end
-		buf = buf[ln:]
+	return page, size, nil
+}
+
+// DecodeDiff decodes a diff produced by Encode, returning the diff and the
+// remaining bytes: PeekDiff's bounds-checking walk, then one copy of the
+// run table, so the decoded diff does not alias buf.
+func DecodeDiff(buf []byte) (Diff, []byte, error) {
+	page, size, err := PeekDiff(buf)
+	if err != nil {
+		return Diff{Page: page}, buf, err
 	}
-	return d, buf, nil
+	d := Diff{Page: page}
+	if size > 8 {
+		d.runs = int32(binary.LittleEndian.Uint32(buf[4:]))
+		d.body = bytes.Clone(buf[8:size])
+	}
+	return d, buf[size:], nil
 }
 
 // Validate checks that every run lies inside a page of pageSize bytes.
@@ -259,32 +279,34 @@ func DecodeDiff(buf []byte) (Diff, []byte, error) {
 // offsets, and a corrupt or hostile encoding could otherwise write
 // outside the destination page buffer.
 func (d Diff) Validate(pageSize int) error {
-	for i, r := range d.Runs {
-		if r.Off < 0 || int(r.Off)+len(r.Data) > pageSize {
+	i := 0
+	for r := d.Runs(); r.Valid(); r.Next() {
+		if off, end := r.Off(), r.Off()+len(r.Data()); off < 0 || end > pageSize {
 			return fmt.Errorf("memory: page %d run %d spans [%d, %d), outside the %d-byte page",
-				d.Page, i, r.Off, int(r.Off)+len(r.Data), pageSize)
+				d.Page, i, off, end, pageSize)
 		}
+		i++
 	}
 	return nil
 }
 
 // InverseDiff returns the diff that undoes d when applied to a page that
-// currently equals base-with-d-applied: it captures base's bytes at d's
-// runs. It is used by the home-side undo history that lets a live home
-// reconstruct an earlier version of a page during recovery ("home
-// rollback" in the paper).
-// Like Clone, all runs of the inverse share a single backing array.
+// currently equals base-with-d-applied: d's run table with base's bytes
+// in place of d's. It is the home-side undo entry for an incoming diff
+// (the history that lets a live home reconstruct an earlier version of a
+// page during recovery, "home rollback" in the paper); call it before d
+// is applied. For a home's own interval the undo entry needs no forward
+// diff at all: the inverse of (twin → page) is MakeDiff(p, page, twin).
 func InverseDiff(d Diff, base []byte) Diff {
-	if len(d.Runs) == 0 {
-		return Diff{Page: d.Page}
+	inv := Diff{Page: d.Page, runs: d.runs}
+	if d.runs == 0 {
+		return inv
 	}
-	inv := Diff{Page: d.Page, Runs: make([]Run, len(d.Runs))}
-	backing := make([]byte, d.DataBytes())
-	off := 0
-	for i, r := range d.Runs {
-		end := off + copy(backing[off:off+len(r.Data)], base[r.Off:int(r.Off)+len(r.Data)])
-		inv.Runs[i] = Run{Off: r.Off, Data: backing[off:end:end]}
-		off = end
+	inv.body = make([]byte, 0, len(d.body))
+	for r := d.Runs(); r.Valid(); r.Next() {
+		off, n := r.Off(), len(r.Data())
+		inv.body = append(inv.body, r.rest[:runHeader]...)
+		inv.body = append(inv.body, base[off:off+n]...)
 	}
 	return inv
 }

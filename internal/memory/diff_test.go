@@ -2,10 +2,38 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// testRun is one run as the tests spell it out.
+type testRun struct {
+	off  int
+	data []byte
+}
+
+// runsOf collects a diff's runs through the iterator.
+func runsOf(d Diff) []testRun {
+	var out []testRun
+	for r := d.Runs(); r.Valid(); r.Next() {
+		out = append(out, testRun{r.Off(), r.Data()})
+	}
+	return out
+}
+
+// diffOf lays a run table out by hand, offsets unchecked, for the cases
+// MakeDiff and DecodeDiff can never produce.
+func diffOf(page PageID, runs ...testRun) Diff {
+	d := Diff{Page: page, runs: int32(len(runs))}
+	for _, r := range runs {
+		d.body = binary.LittleEndian.AppendUint32(d.body, uint32(r.off))
+		d.body = binary.LittleEndian.AppendUint32(d.body, uint32(len(r.data)))
+		d.body = append(d.body, r.data...)
+	}
+	return d
+}
 
 func TestMakeDiffEmpty(t *testing.T) {
 	twin := make([]byte, 64)
@@ -24,12 +52,12 @@ func TestMakeDiffSingleWord(t *testing.T) {
 	cur := make([]byte, 64)
 	cur[8] = 0xff
 	d := MakeDiff(0, twin, cur)
-	if len(d.Runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(d.Runs))
+	if d.NumRuns() != 1 {
+		t.Fatalf("runs = %d, want 1", d.NumRuns())
 	}
-	r := d.Runs[0]
-	if r.Off != 8 || len(r.Data) != WordSize {
-		t.Fatalf("run = off %d len %d", r.Off, len(r.Data))
+	r := runsOf(d)[0]
+	if r.off != 8 || len(r.data) != WordSize {
+		t.Fatalf("run = off %d len %d", r.off, len(r.data))
 	}
 }
 
@@ -40,11 +68,11 @@ func TestMakeDiffCoalescesAdjacentWords(t *testing.T) {
 		cur[i] = byte(i)
 	}
 	d := MakeDiff(0, twin, cur)
-	if len(d.Runs) != 1 {
-		t.Fatalf("adjacent modified words must coalesce, got %d runs", len(d.Runs))
+	if d.NumRuns() != 1 {
+		t.Fatalf("adjacent modified words must coalesce, got %d runs", d.NumRuns())
 	}
-	if d.Runs[0].Off != 4 || len(d.Runs[0].Data) != 12 {
-		t.Fatalf("run = %+v", d.Runs[0])
+	if r := runsOf(d)[0]; r.off != 4 || len(r.data) != 12 {
+		t.Fatalf("run = %+v", r)
 	}
 }
 
@@ -54,8 +82,8 @@ func TestMakeDiffSeparateRuns(t *testing.T) {
 	cur[0] = 1
 	cur[32] = 2
 	d := MakeDiff(0, twin, cur)
-	if len(d.Runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(d.Runs))
+	if d.NumRuns() != 2 || len(runsOf(d)) != 2 {
+		t.Fatalf("runs = %d (iterator: %d), want 2", d.NumRuns(), len(runsOf(d)))
 	}
 }
 
@@ -108,7 +136,7 @@ func TestDiffEncodeDecodeProperty(t *testing.T) {
 			return false
 		}
 		got, rest, err := DecodeDiff(buf)
-		if err != nil || len(rest) != 0 || got.Page != d.Page || len(got.Runs) != len(d.Runs) {
+		if err != nil || len(rest) != 0 || got.Page != d.Page || got.NumRuns() != d.NumRuns() {
 			return false
 		}
 		rebuilt := make([]byte, size)
@@ -138,15 +166,55 @@ func TestDecodeDiffErrors(t *testing.T) {
 	}
 }
 
-func TestDiffCloneDoesNotAlias(t *testing.T) {
+// A diff owns its bytes: neither the page it was made from nor the
+// buffer it was decoded from can change it afterwards.
+func TestMakeDiffDoesNotAliasPage(t *testing.T) {
 	twin := make([]byte, 16)
 	cur := make([]byte, 16)
 	cur[0] = 5
 	d := MakeDiff(0, twin, cur)
-	c := d.Clone()
 	cur[0] = 99 // mutate the source page
-	if c.Runs[0].Data[0] != 5 {
-		t.Fatal("clone aliases the source page")
+	if runsOf(d)[0].data[0] != 5 {
+		t.Fatal("diff aliases the source page")
+	}
+	buf := d.Encode(nil)
+	dec, _, err := DecodeDiff(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xff // recycle the wire buffer
+	}
+	if got := runsOf(dec); len(got) != 1 || got[0].off != 0 || got[0].data[0] != 5 {
+		t.Fatalf("decoded diff aliases the wire buffer: %+v", got)
+	}
+}
+
+// The backwards diff is the undo entry: MakeDiff(p, cur, twin) applied
+// after MakeDiff(p, twin, cur) restores the twin, and it is byte for byte
+// what InverseDiff derives from the forward diff and the twin.
+func TestBackwardDiffRestoresTwin(t *testing.T) {
+	f := func(seed int64, nMods uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const size = 256
+		twin := make([]byte, size)
+		rng.Read(twin)
+		cur := bytes.Clone(twin)
+		for i := 0; i < int(nMods); i++ {
+			cur[rng.Intn(size)] = byte(rng.Int())
+		}
+		fwd, back := MakeDiff(4, twin, cur), MakeDiff(4, cur, twin)
+		work := bytes.Clone(twin)
+		fwd.Apply(work)
+		if !bytes.Equal(work, cur) {
+			return false
+		}
+		back.Apply(work)
+		return bytes.Equal(work, twin) &&
+			bytes.Equal(back.Encode(nil), InverseDiff(fwd, twin).Encode(nil))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -182,7 +250,7 @@ func TestDiffWireSizeAccountsRuns(t *testing.T) {
 	cur[32] = 1
 	d := MakeDiff(0, twin, cur)
 	want := 8 + 2*8 + d.DataBytes()
-	if d.WireSize() != want {
-		t.Fatalf("WireSize = %d, want %d", d.WireSize(), want)
+	if d.WireSize() != want || d.DataBytes() != 2*WordSize {
+		t.Fatalf("WireSize = %d, want %d (DataBytes %d)", d.WireSize(), want, d.DataBytes())
 	}
 }

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -202,36 +203,85 @@ func (pt *PageTable) ApplyDiff(d Diff) { d.Apply(pt.Page(d.Page)) }
 
 // Install makes data (a fetched home copy) the frame of page id and marks
 // the page ReadOnly. The table takes ownership of data: the caller must
-// not read or write it afterwards, and nothing else may alias it.
+// not read or write it afterwards, and nothing else may alias it. The
+// frame it replaces goes back to the arena, where the homes' page-reply
+// builders draw their buffers — a fetch recycles the stale copy it
+// overwrites instead of leaving it to the collector.
 func (pt *PageTable) Install(id PageID, data []byte) {
 	if len(data) != pt.pageSize {
 		panic(fmt.Sprintf("memory: install of %d bytes into %d-byte page", len(data), pt.pageSize))
+	}
+	if old := pt.frames[id]; old != nil {
+		arena.Put(old)
 	}
 	pt.frames[id] = data
 	pt.state[id] = ReadOnly
 }
 
-// Snapshot returns a copy of the entire shared space; used by checkpoints
-// and by tests comparing final memory images.
-func (pt *PageTable) Snapshot() []byte {
-	s := make([]byte, pt.Bytes())
-	for i, f := range pt.frames {
-		copy(s[i*pt.pageSize:], f)
+// CopyPage returns a copy of page id in a buffer drawn from the arena
+// (fully overwritten), for a reply whose receiver will Install it.
+func (pt *PageTable) CopyPage(id PageID) []byte {
+	buf := arena.Get(pt.pageSize)
+	if f := pt.frames[id]; f != nil {
+		copy(buf, f)
+	} else {
+		clear(buf)
 	}
-	return s
+	return buf
 }
 
-// Restore overwrites the entire space from a snapshot and resets all
-// per-page protocol state (ReadOnly, no twins, clean). Pages that are
-// zero in the snapshot and untouched in the table stay untouched.
-func (pt *PageTable) Restore(snapshot []byte) {
-	if len(snapshot) != pt.Bytes() {
-		panic(fmt.Sprintf("memory: restore of %d bytes into %d-byte space", len(snapshot), pt.Bytes()))
+// Snapshot returns a sparse image of the shared space — one frame per
+// page, nil for a page that is all zeros (never touched, or written back
+// to zero) — and the number of pages whose bytes differ from prev, the
+// image of the previous snapshot (nil: none, every page counts). A page
+// equal to its prev frame shares that frame by reference instead of being
+// copied, so a run of snapshots holds each distinct page version once.
+// Image frames are immutable: nothing may write through them.
+func (pt *PageTable) Snapshot(prev [][]byte) (img [][]byte, changed int) {
+	if prev == nil {
+		changed = pt.numPages
+	} else if len(prev) != pt.numPages {
+		panic(fmt.Sprintf("memory: snapshot against a %d-page image of a %d-page space", len(prev), pt.numPages))
+	}
+	img = make([][]byte, pt.numPages)
+	for i, f := range pt.frames {
+		var old []byte
+		if prev != nil {
+			old = prev[i]
+		}
+		switch {
+		case f == nil || allZero(f):
+			if old != nil {
+				changed++
+			}
+		case old != nil && bytes.Equal(old, f):
+			img[i] = old
+		default:
+			img[i] = bytes.Clone(f)
+			if prev != nil {
+				changed++
+			}
+		}
+	}
+	return img, changed
+}
+
+// Restore overwrites the entire space from a Snapshot image and resets
+// all per-page protocol state (ReadOnly, no twins, clean). The image's
+// frames are copied, never adopted; a page absent from the image (nil)
+// drops its frame and is all zeros again.
+func (pt *PageTable) Restore(img [][]byte) {
+	if len(img) != pt.numPages {
+		panic(fmt.Sprintf("memory: restore of a %d-page image into a %d-page space", len(img), pt.numPages))
 	}
 	pt.EndInterval()
-	for i := range pt.frames {
-		src := snapshot[i*pt.pageSize : (i+1)*pt.pageSize]
-		if pt.frames[i] != nil || !allZero(src) {
+	for i, src := range img {
+		if src == nil {
+			pt.frames[i] = nil
+		} else {
+			if len(src) != pt.pageSize {
+				panic(fmt.Sprintf("memory: restore of a %d-byte frame into a %d-byte page", len(src), pt.pageSize))
+			}
 			copy(pt.Page(PageID(i)), src)
 		}
 		pt.state[i] = ReadOnly

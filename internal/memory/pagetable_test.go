@@ -56,10 +56,10 @@ func TestTwinLifecycle(t *testing.T) {
 	p[0] = 99
 	p[16] = 7 // non-adjacent word: separate run
 	d := pt.MakeDiff(1)
-	if len(d.Runs) != 2 {
-		t.Fatalf("diff runs = %d, want 2", len(d.Runs))
+	if d.NumRuns() != 2 {
+		t.Fatalf("diff runs = %d, want 2", d.NumRuns())
 	}
-	if d.Runs[0].Data[0] != 99 {
+	if runsOf(d)[0].data[0] != 99 {
 		t.Fatal("diff captured twin value, not current")
 	}
 	pt.DropTwin(1)
@@ -136,7 +136,10 @@ func TestSnapshotRestore(t *testing.T) {
 	pt := newPT(t)
 	pt.Page(0)[0] = 11
 	pt.Page(3)[63] = 22
-	snap := pt.Snapshot()
+	snap, changed := pt.Snapshot(nil)
+	if changed != pt.NumPages() {
+		t.Fatalf("first snapshot counts %d changed pages, want all %d", changed, pt.NumPages())
+	}
 	pt.Page(0)[0] = 0
 	pt.MakeTwin(1)
 	pt.MarkDirty(1)
@@ -148,9 +151,10 @@ func TestSnapshotRestore(t *testing.T) {
 	if pt.State(2) != ReadOnly || pt.HasTwin(1) || pt.IsDirty(1) {
 		t.Fatal("restore must reset protocol state")
 	}
-	// Snapshot must be a copy, not an alias.
-	snap[0] = 77
-	if pt.Page(0)[0] == 77 {
+	// The image holds copies, and Restore copies out of it: table and
+	// image never share a frame in either direction.
+	pt.Page(0)[0] = 77
+	if snap[0][0] != 11 {
 		t.Fatal("snapshot aliases the table")
 	}
 }
@@ -162,7 +166,7 @@ func TestRestoreSizeMismatchPanics(t *testing.T) {
 			t.Fatal("Restore with bad size must panic")
 		}
 	}()
-	pt.Restore(make([]byte, 3))
+	pt.Restore(make([][]byte, 3))
 }
 
 func TestApplyDiffToTable(t *testing.T) {
@@ -209,7 +213,7 @@ func TestPageSliceBounds(t *testing.T) {
 	}
 	// Writing through the slice lands in the backing store.
 	p[0] = 9
-	if pt.Snapshot()[64] != 9 {
+	if image(pt)[64] != 9 {
 		t.Fatal("page slice does not alias backing store")
 	}
 	if !bytes.Equal(pt.Page(1), p) {
@@ -228,11 +232,25 @@ func framesTouched(pt *PageTable) int {
 	return n
 }
 
+// image flattens the table into one contiguous copy without touching it.
+func image(pt *PageTable) []byte {
+	s := make([]byte, pt.Bytes())
+	for i, f := range pt.frames {
+		copy(s[i*pt.pageSize:], f)
+	}
+	return s
+}
+
 func TestUntouchedTableSnapshotIsZeros(t *testing.T) {
 	pt := newPT(t)
-	snap := pt.Snapshot()
-	if len(snap) != pt.Bytes() || !allZero(snap) {
-		t.Fatal("snapshot of an untouched table must be all zeros")
+	snap, _ := pt.Snapshot(nil)
+	if len(snap) != pt.NumPages() {
+		t.Fatalf("snapshot has %d frames, want %d", len(snap), pt.NumPages())
+	}
+	for i, f := range snap {
+		if f != nil {
+			t.Fatalf("snapshot of an untouched table holds a frame for page %d", i)
+		}
 	}
 	if framesTouched(pt) != 0 {
 		t.Fatal("Snapshot must not touch pages")
@@ -243,21 +261,95 @@ func TestRestoreSnapshotRoundTripKeepsZeroPagesUntouched(t *testing.T) {
 	src := newPT(t)
 	src.Page(1)[5] = 9
 	src.Page(3)[63] = 22
-	snap := src.Snapshot()
+	snap, _ := src.Snapshot(nil)
 
 	pt := newPT(t)
 	pt.Restore(snap)
 	if framesTouched(pt) != 2 {
 		t.Fatalf("restore touched %d pages, want the 2 that are not zero", framesTouched(pt))
 	}
-	if !bytes.Equal(pt.Snapshot(), snap) {
-		t.Fatal("Restore then Snapshot does not round-trip")
+	if !bytes.Equal(image(pt), image(src)) {
+		t.Fatal("Restore of a Snapshot does not round-trip")
 	}
 	// A page touched before the restore is overwritten, zeros included.
 	pt.Page(0)[0] = 7
 	pt.Restore(snap)
-	if pt.Page(0)[0] != 0 || !bytes.Equal(pt.Snapshot(), snap) {
+	if pt.Page(0)[0] != 0 || !bytes.Equal(image(pt), image(src)) {
 		t.Fatal("Restore left stale bytes in a touched page")
+	}
+}
+
+// fullRestore is the reference the sparse path is checked against: the
+// old contiguous image, copied page by page over every frame.
+func fullRestore(pt *PageTable, img []byte) {
+	pt.EndInterval()
+	for i := 0; i < pt.numPages; i++ {
+		copy(pt.Page(PageID(i)), img[i*pt.pageSize:])
+		pt.state[i] = ReadOnly
+	}
+}
+
+// Restoring from a sparse image equals restoring from the full one on
+// touched, untouched and re-zeroed pages, whatever the target held; the
+// changed-page count is the number of pages whose bytes differ; and a
+// frame two snapshots share is never written through.
+func TestSparseSnapshotMatchesFullImage(t *testing.T) {
+	src := newPT(t) // 4 pages of 64 bytes
+	src.Page(0)[3] = 1
+	src.Page(1)[9] = 2
+	first, changed := src.Snapshot(nil)
+	if changed != 4 {
+		t.Fatalf("first snapshot: %d changed pages, want 4 (the full image)", changed)
+	}
+	if first[0] == nil || first[1] == nil || first[2] != nil || first[3] != nil {
+		t.Fatalf("first image frames = %v, want pages 0 and 1 only", first)
+	}
+
+	src.Page(1)[9] = 0  // re-zeroed
+	src.Page(2)[0] = 0  // touched, still zero
+	src.Page(3)[5] = 44 // first write
+	second, changed := src.Snapshot(first)
+	if changed != 2 {
+		t.Fatalf("second snapshot: %d changed pages, want 2 (page 1 re-zeroed, page 3 written)", changed)
+	}
+	if &second[0][0] != &first[0][0] {
+		t.Fatal("unchanged page 0 must share the previous image's frame")
+	}
+	if second[1] != nil || second[2] != nil || second[3] == nil {
+		t.Fatalf("second image frames = %v, want pages 0 and 3 only", second)
+	}
+	third, changed := src.Snapshot(second)
+	if changed != 0 || &third[3][0] != &second[3][0] {
+		t.Fatalf("snapshot of an unchanged table: %d changed pages, frame shared %v", changed, &third[3][0] == &second[3][0])
+	}
+	full := image(src)
+
+	// Targets: fresh, and one dirty everywhere with protocol state set.
+	busy := newPT(t)
+	for p := 0; p < 4; p++ {
+		for i := range busy.Page(PageID(p)) {
+			busy.Page(PageID(p))[i] = 0xee
+		}
+	}
+	busy.MakeTwin(2)
+	busy.MarkDirty(2)
+	for name, target := range map[string]*PageTable{"fresh": newPT(t), "busy": busy} {
+		ref := newPT(t)
+		fullRestore(ref, full)
+		target.Restore(second)
+		if !bytes.Equal(image(target), image(ref)) {
+			t.Errorf("%s: sparse restore differs from full-image restore", name)
+		}
+		if target.HasTwin(2) || target.IsDirty(2) || target.State(2) != ReadOnly {
+			t.Errorf("%s: restore left protocol state behind", name)
+		}
+		// Writing the restored table must not reach any image.
+		target.Page(0)[3] = 99
+		target.Page(3)[5] = 99
+	}
+	src.Page(0)[3] = 98
+	if first[0][3] != 1 || second[0][3] != 1 || second[3][5] != 44 {
+		t.Fatal("a write to a table went through to a stored image frame")
 	}
 }
 
@@ -270,8 +362,8 @@ func TestInstallFirstTouchThenTwinAndDiff(t *testing.T) {
 	pt.Page(2)[8] = 6
 	pt.Page(2)[40] = 1
 	d := pt.MakeDiff(2)
-	if len(d.Runs) != 2 || d.Runs[0].Off != 8 || d.Runs[0].Data[0] != 6 || d.Runs[1].Off != 40 {
-		t.Fatalf("diff against the installed image = %+v", d)
+	if got := runsOf(d); len(got) != 2 || got[0].off != 8 || got[0].data[0] != 6 || got[1].off != 40 {
+		t.Fatalf("diff against the installed image = %+v", got)
 	}
 	if pt.Twin(2)[8] != 5 {
 		t.Fatal("twin does not hold the installed image")

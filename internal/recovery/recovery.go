@@ -123,48 +123,44 @@ func InstallService(nd *hlrc.Node, store *stable.Store) {
 // readLoggedDiffs scans a writer's log for its own diffs of one page in
 // the interval range (FromSeq, ToSeq]. DiskBytes accounts the log bytes
 // read on the writer's disk; the recovering node charges that time.
+// A record outside the window is passed over on its prefix alone, and
+// inside the window only the wanted page's diffs are copied out.
 func readLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
 	resp := &hlrc.RecDiffsReply{}
 	for _, rec := range store.Records() {
-		switch rec.Kind {
-		case wal.RecDiff:
-			writer, seq, vtSum, d, err := wal.DecodeDiffRecord(rec.Data)
+		if rec.Kind != wal.RecDiff && rec.Kind != wal.RecDiffBatch {
+			continue
+		}
+		writer, seq, vtSum, n, enc, err := wal.SplitDiffRecord(rec.Kind, rec.Data)
+		if err != nil {
+			panic(fmt.Sprintf("recovery: corrupt diff record: %v", err))
+		}
+		// Only diffs this node created itself (CCL log), in the window.
+		if writer != -1 || seq <= req.FromSeq || seq > req.ToSeq {
+			continue
+		}
+		matched := false
+		for i := 0; i < n; i++ {
+			page, size, err := memory.PeekDiff(enc)
 			if err != nil {
-				panic(fmt.Sprintf("recovery: corrupt diff record: %v", err))
+				panic(fmt.Sprintf("recovery: corrupt diff record: diff %d: %v", i, err))
 			}
-			if writer != -1 { // only diffs this node created itself (CCL log)
-				continue
-			}
-			if d.Page != req.Page || seq <= req.FromSeq || seq > req.ToSeq {
-				continue
-			}
-			resp.Seqs = append(resp.Seqs, seq)
-			resp.VTSums = append(resp.VTSums, vtSum)
-			resp.Diffs = append(resp.Diffs, d)
-			resp.DiskBytes += rec.WireSize()
-		case wal.RecDiffBatch:
-			writer, seq, vtSum, diffs, err := wal.DecodeDiffBatchRecord(rec.Data)
-			if err != nil {
-				panic(fmt.Sprintf("recovery: corrupt diff-batch record: %v", err))
-			}
-			if writer != -1 || seq <= req.FromSeq || seq > req.ToSeq {
-				continue
-			}
-			matched := false
-			for _, d := range diffs {
-				if d.Page != req.Page {
-					continue
-				}
+			if page == req.Page {
+				d, _, _ := memory.DecodeDiff(enc[:size]) // PeekDiff accepted these bytes
 				resp.Seqs = append(resp.Seqs, seq)
 				resp.VTSums = append(resp.VTSums, vtSum)
 				resp.Diffs = append(resp.Diffs, d)
 				matched = true
 			}
-			if matched {
-				// The whole batch record is read off the writer's disk even
-				// when only one of its diffs is wanted.
-				resp.DiskBytes += rec.WireSize()
-			}
+			enc = enc[size:]
+		}
+		if len(enc) != 0 {
+			panic(fmt.Sprintf("recovery: corrupt diff record: %d trailing bytes", len(enc)))
+		}
+		if matched {
+			// The whole record is read off the writer's disk even when only
+			// one of a batch's diffs is wanted.
+			resp.DiskBytes += rec.WireSize()
 		}
 	}
 	store.NoteRead(resp.DiskBytes)

@@ -18,6 +18,13 @@ func mkDiff(page memory.PageID, off int, vals ...byte) memory.Diff {
 	return memory.MakeDiff(page, twin, cur)
 }
 
+// pageAfter applies d to a zero page of the given size.
+func pageAfter(d memory.Diff, size int) []byte {
+	page := make([]byte, size)
+	d.Apply(page)
+	return page
+}
+
 func TestKindString(t *testing.T) {
 	if ReExecution.String() != "Re-Execution" ||
 		MLRecovery.String() != "ML-Recovery" ||
@@ -127,6 +134,56 @@ func TestInstallServiceVersionedFetch(t *testing.T) {
 	}
 }
 
+// A batch record is walked in place: only the wanted page's diffs are
+// copied out, the record is charged once however many of its diffs match,
+// the reply owns its bytes, and records outside the window or written for
+// another node's diffs are passed over on their prefix.
+func TestReadLoggedDiffsFromBatches(t *testing.T) {
+	store := stable.NewStore()
+	batch := func(writer, seq int32, vtSum int64, diffs ...memory.Diff) []byte {
+		return wal.EncodeDiffBatchRecord(nil, writer, seq, vtSum, diffs)
+	}
+	recs := []stable.Record{
+		{Kind: wal.RecDiffBatch, Op: 1, Data: batch(-1, 1, 1, mkDiff(1, 0, 9), mkDiff(2, 0, 9))},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: batch(-1, 2, 4, mkDiff(0, 0, 1), mkDiff(1, 4, 8), mkDiff(2, 0, 7))},
+		{Kind: wal.RecDiffBatch, Op: 3, Data: batch(-1, 3, 9, mkDiff(0, 8, 6), mkDiff(2, 8, 6))},
+		{Kind: wal.RecDiffBatch, Op: 3, Data: batch(4, 3, 0, mkDiff(1, 12, 5))},
+		{Kind: wal.RecDiffBatch, Op: 4, Data: batch(-1, 4, 12, mkDiff(1, 16, 3), mkDiff(1, 20, 2))},
+		{Kind: wal.RecDiffBatch, Op: 5, Data: []byte{1, 2, 3}},
+	}
+	store.Flush(recs[:5])
+	resp := readLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 4})
+	if len(resp.Diffs) != 3 || resp.Seqs[0] != 2 || resp.Seqs[1] != 4 || resp.Seqs[2] != 4 ||
+		resp.VTSums[0] != 4 || resp.VTSums[1] != 12 {
+		t.Fatalf("got seqs %v vt sums %v, want [2 4 4] / [4 12 12]", resp.Seqs, resp.VTSums)
+	}
+	if want := recs[1].WireSize() + recs[4].WireSize(); resp.DiskBytes != want {
+		t.Fatalf("disk bytes = %d, want the two matching records = %d", resp.DiskBytes, want)
+	}
+	// Scribble over the log image: the reply must not change.
+	for _, rec := range store.Records() {
+		for i := range rec.Data {
+			rec.Data[i] = 0xff
+		}
+	}
+	if p := pageAfter(resp.Diffs[0], 128); p[4] != 8 {
+		t.Fatal("reply diff aliases the log")
+	}
+	if p := pageAfter(resp.Diffs[2], 128); p[20] != 2 {
+		t.Fatal("second diff of one batch for the same page is wrong")
+	}
+
+	// A record too short for its prefix is corrupt wherever it sits.
+	bad := stable.NewStore()
+	bad.Flush(recs[5:])
+	defer func() {
+		if recover() == nil {
+			t.Fatal("corrupt batch prefix must panic")
+		}
+	}()
+	readLoggedDiffs(bad, &hlrc.RecDiffsReq{Page: 1, FromSeq: 0, ToSeq: 9})
+}
+
 // TestInstallServiceLoggedDiffs drives the RecDiffsReq path end to end.
 func TestInstallServiceLoggedDiffs(t *testing.T) {
 	model := simtime.DefaultCostModel()
@@ -146,7 +203,7 @@ func TestInstallServiceLoggedDiffs(t *testing.T) {
 	req := &hlrc.RecDiffsReq{Page: 1, FromSeq: 3, ToSeq: 4}
 	resp := requester.Call(0, hlrc.KindRecDiffsReq, req.WireSize(), req)
 	dr := resp.Payload.(*hlrc.RecDiffsReply)
-	if len(dr.Diffs) != 1 || dr.Seqs[0] != 4 || dr.Diffs[0].Runs[0].Data[0] != 42 {
+	if len(dr.Diffs) != 1 || dr.Seqs[0] != 4 || pageAfter(dr.Diffs[0], 128)[0] != 42 {
 		t.Fatalf("logged diffs reply: %+v", dr)
 	}
 }

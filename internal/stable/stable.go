@@ -163,15 +163,17 @@ func checksum(kind RecordKind, op int32, vec []uint32, data []byte) uint32 {
 	return crc32.Update(^s, crc32.IEEETable, data)
 }
 
-// Checkpoint is one saved process state. Pages always holds the complete
-// image for simplicity of restoration; Bytes holds the *accounted* size
-// (incremental checkpoints account only pages dirtied since the previous
-// checkpoint, as in the paper).
+// Checkpoint is one saved process state. Pages is the shared-space image
+// as per-page frames: nil for a page that is all zeros, and a page whose
+// bytes equal the previous checkpoint's shares that checkpoint's frame,
+// so frames are immutable once stored. Bytes holds the *accounted* size
+// (the first checkpoint accounts the full image, later ones only the
+// pages modified since the previous checkpoint, as in the paper).
 type Checkpoint struct {
-	Op    int32  // sync-op index at which the checkpoint was taken
-	Pages []byte // full shared-space image
-	Meta  []byte // serialized protocol state (vector time, etc.)
-	Bytes int    // accounted on-disk size
+	Op    int32    // sync-op index at which the checkpoint was taken
+	Pages [][]byte // sparse shared-space image, one frame per page
+	Meta  []byte   // serialized protocol state (vector time, etc.)
+	Bytes int      // accounted on-disk size
 }
 
 // stream is one log stream's disk state: its record sequence, its

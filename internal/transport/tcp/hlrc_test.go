@@ -21,7 +21,11 @@ func init() {
 
 // kvDiff is the diff of one kv write: a single 56-byte run.
 func kvDiff() memory.Diff {
-	return memory.Diff{Page: 3, Runs: []memory.Run{{Off: 64, Data: make([]byte, 56)}}}
+	twin, cur := make([]byte, 128), make([]byte, 128)
+	for i := 64; i < 120; i++ {
+		cur[i] = 1
+	}
+	return memory.MakeDiff(3, twin, cur)
 }
 
 var (
@@ -90,7 +94,7 @@ func TestDecodeFrameAllocations(t *testing.T) {
 		{lockReq, 3, "frame, LockReq, VT"},
 		{lockGrant, 5, "frame, LockGrant, VT, notice list, one page list"},
 		{lockRelease, 5, "frame, LockRelease, VT, notice list, one page list"},
-		{diffUpdate, 5, "frame, DiffUpdate, diff list, run list, run bytes"},
+		{diffUpdate, 4, "frame, DiffUpdate, diff list, run table"},
 	} {
 		enc, err := tcp.AppendFrame(nil, &tcp.Frame{Type: 1, To: 1, Kind: 1, Payload: tc.p})
 		if err != nil {

@@ -191,17 +191,39 @@ func DiffRecordSize(d memory.Diff) int { return 16 + d.WireSize() }
 
 // DecodeDiffRecord unpacks a RecDiff payload.
 func DecodeDiffRecord(buf []byte) (writer, seq int32, vtSum int64, d memory.Diff, err error) {
-	if len(buf) < 16 {
-		return 0, 0, 0, d, fmt.Errorf("wal: short diff record")
+	writer, seq, vtSum, _, enc, err := SplitDiffRecord(RecDiff, buf)
+	if err != nil {
+		return 0, 0, 0, d, err
 	}
-	writer = int32(binary.LittleEndian.Uint32(buf))
-	seq = int32(binary.LittleEndian.Uint32(buf[4:]))
-	vtSum = int64(binary.LittleEndian.Uint64(buf[8:]))
-	d, rest, err := memory.DecodeDiff(buf[16:])
+	d, rest, err := memory.DecodeDiff(enc)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("wal: %d trailing bytes in diff record", len(rest))
 	}
 	return writer, seq, vtSum, d, err
+}
+
+// SplitDiffRecord splits a RecDiff or RecDiffBatch payload, without
+// decoding or copying any diff, into the (writer, seq, vtSum) prefix its
+// diffs share, their claimed count n (1 for RecDiff) and their encodings
+// back to back. A reader after one page steps through diffs with
+// memory.PeekDiff and decodes only what it wants; n comes off the disk,
+// so loop on it only while diffs has bytes left to consume.
+func SplitDiffRecord(kind stable.RecordKind, buf []byte) (writer, seq int32, vtSum int64, n int, diffs []byte, err error) {
+	prefix, what := 16, "diff"
+	if kind == RecDiffBatch {
+		prefix, what = 20, "diff-batch"
+	}
+	if len(buf) < prefix {
+		return 0, 0, 0, 0, nil, fmt.Errorf("wal: short %s record", what)
+	}
+	writer = int32(binary.LittleEndian.Uint32(buf))
+	seq = int32(binary.LittleEndian.Uint32(buf[4:]))
+	vtSum = int64(binary.LittleEndian.Uint64(buf[8:]))
+	n = 1
+	if kind == RecDiffBatch {
+		n = int(binary.LittleEndian.Uint32(buf[16:]))
+	}
+	return writer, seq, vtSum, n, buf[prefix:], nil
 }
 
 // EncodeEventsRecord appends a RecEvents payload packing the
@@ -290,14 +312,10 @@ func DiffBatchRecordSize(diffs []memory.Diff) int {
 // caller's (memory.Diff.Validate — the wire format does not know the
 // page size).
 func DecodeDiffBatchRecord(buf []byte) (writer, seq int32, vtSum int64, diffs []memory.Diff, err error) {
-	if len(buf) < 20 {
-		return 0, 0, 0, nil, fmt.Errorf("wal: short diff-batch record")
+	writer, seq, vtSum, n, buf, err := SplitDiffRecord(RecDiffBatch, buf)
+	if err != nil {
+		return 0, 0, 0, nil, err
 	}
-	writer = int32(binary.LittleEndian.Uint32(buf))
-	seq = int32(binary.LittleEndian.Uint32(buf[4:]))
-	vtSum = int64(binary.LittleEndian.Uint64(buf[8:]))
-	n := int(binary.LittleEndian.Uint32(buf[16:]))
-	buf = buf[20:]
 	capHint := n
 	if max := len(buf) / 8; capHint > max {
 		capHint = max // each diff is at least 8 bytes on the wire

@@ -49,7 +49,7 @@ func TestDiffRecordRoundTrip(t *testing.T) {
 	d := mkDiff(7, 1, 2, 3, 4)
 	buf := EncodeDiffRecord(nil, 3, 11, 42, d)
 	w, s, vs, got, err := DecodeDiffRecord(buf)
-	if err != nil || w != 3 || s != 11 || vs != 42 || got.Page != 7 || len(got.Runs) != len(d.Runs) {
+	if err != nil || w != 3 || s != 11 || vs != 42 || got.Page != 7 || got.NumRuns() != d.NumRuns() {
 		t.Fatalf("round trip: w=%d s=%d vtSum=%d err=%v", w, s, vs, err)
 	}
 	if _, _, _, _, err := DecodeDiffRecord(buf[:4]); err == nil {
