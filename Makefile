@@ -1,11 +1,13 @@
 # Verification tiers.
 #
 # tier1 is the gate every change must pass: full build + formatting +
-# static analysis + full test suite.
+# static analysis + full test suite, then the same for the nested
+# benchmark module (benchmark-test), which `go build ./...` and
+# `go test ./...` at the root never compile.
 # tier2 adds the race detector; -short skips the heavier fault-soak and
 # crash sweeps so the race run stays fast.
 
-.PHONY: all tier1 tier2 bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke telemetry-smoke wal-smoke bench-gate
+.PHONY: all tier1 tier2 benchmark-test bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke telemetry-smoke wal-smoke bench-gate
 
 all: tier1 tier2
 
@@ -15,6 +17,13 @@ tier1:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	go vet ./...
 	go test ./...
+	$(MAKE) benchmark-test
+
+# benchmark/ is a module of its own that imports sdsm/internal/...: an API
+# change that breaks benchmark/probes.go or workloads.go shows here, not
+# when the benchmark next runs. Vet plus the module's own tests, < 5 s.
+benchmark-test:
+	cd benchmark && go vet ./... && go test ./...
 
 tier2:
 	go vet ./...

@@ -300,6 +300,7 @@ func (nd *Node) startService() {
 				return
 			case m := <-nd.ep.Inbox():
 				nd.handle(m)
+				nd.ep.MarkHandled()
 			}
 		}
 	}()

@@ -1,6 +1,7 @@
 package logview_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -118,5 +119,42 @@ func TestAuditPositiveCases(t *testing.T) {
 	}
 	if _, err := logview.Audit(depot, logview.AuditOptions{}); !errors.Is(err, logview.ErrTornLog) {
 		t.Fatalf("audit accepted a torn tail without AllowTorn: %v", err)
+	}
+}
+
+// A rejoin truncation that cuts across a segment boundary of the stable
+// image, followed by the re-executed ops' appends, must leave a log the
+// auditor reconciles to the byte — on one stream and on several.
+func TestAuditReconcilesAfterTruncateAcrossSegments(t *testing.T) {
+	twin := make([]byte, 4096)
+	cur := bytes.Repeat([]byte{7}, 4096)
+	page := wal.EncodeDiffRecord(nil, 1, 1, 0, memory.MakeDiff(4, twin, cur)) // an ML incoming diff, ~4 KB
+	for _, streams := range []int{1, 3} {
+		depot := stable.NewDepotStreams(1, streams)
+		s := depot.Store(0)
+		appendOps := func(from, to int32) {
+			for op := from; op < to; op++ {
+				group := make([]stable.Record, 4)
+				for i := range group {
+					group[i] = stable.Record{Kind: wal.RecDiff, Op: op, Data: page, Stream: (int(op) + i) % streams}
+				}
+				s.FlushGroup(group)
+			}
+		}
+		appendOps(0, 40*int32(streams)) // 160 KB a stream: three segments each
+		if dropped := s.TruncateFromOp(15 * int32(streams)); dropped != 100*streams {
+			t.Fatalf("streams=%d: truncation dropped %d records, want %d", streams, dropped, 100*streams)
+		}
+		if _, err := logview.Audit(depot, logview.AuditOptions{}); err != nil {
+			t.Fatalf("streams=%d: audit after truncation: %v", streams, err)
+		}
+		appendOps(15*int32(streams), 50*int32(streams))
+		rep, err := logview.Audit(depot, logview.AuditOptions{})
+		if err != nil {
+			t.Fatalf("streams=%d: audit after re-appending: %v", streams, err)
+		}
+		if want := int64(200 * streams); rep.Records != want {
+			t.Fatalf("streams=%d: audited %d records, want %d", streams, rep.Records, want)
+		}
 	}
 }

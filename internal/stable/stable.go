@@ -176,19 +176,105 @@ type Checkpoint struct {
 	Bytes int      // accounted on-disk size
 }
 
-// stream is one log stream's disk state: its record sequence, its
-// contiguous on-disk image, and its share of the accounting.
+// segmentSize is the capacity of a log segment. A stream's image grows a
+// segment at a time, so a log costs what it holds plus at most one
+// segment's unused tail — 64 KiB is sixteen of ML's page records, or a
+// few dozen of CCL's release flushes.
+const segmentSize = 64 << 10
+
+// stream is one log stream's disk state: its on-disk image and its share
+// of the accounting.
 type stream struct {
-	log       []Record
+	// segs is the stream's on-disk image: the records' frames — header,
+	// LSN-vector (multi-stream stores only), payload — back to back, in
+	// append order, cut into segments. A frame lies inside one segment,
+	// and a byte once written is never copied or moved: a flush fills the
+	// tail segment's free space or starts a new segment (see room). The
+	// Record.Data slices handed to readers alias the segments, so they
+	// stay intact under every later flush; only a record that
+	// TruncateFromOp dropped can be overwritten, by what is appended in
+	// its place.
+	segs      [][]byte
+	n         int // records on the stream
 	lastFlush int // records this stream received in the most recent group flush that touched it
 	bytes     int64
 	writes    int64
-	// disk is the stream's contiguous on-disk image. Each flush frames
-	// its records into it as one buffered write; the log's Record.Data
-	// slices alias it. It grows geometrically, so steady-state flushes
-	// are amortized allocation-free; growth leaves earlier records
-	// pointing into the old (immutable) array, which stays correct.
-	disk []byte
+}
+
+// room returns the tail segment, with at least need bytes free; when the
+// current tail has less, a new segment becomes the tail. rest is what the
+// flush in progress has yet to write to this stream, need included: a new
+// segment is made to hold all of it when that is more than a standard
+// segment, so a bulk flush costs one allocation of its exact size.
+func (str *stream) room(need, rest int) *[]byte {
+	if k := len(str.segs); k > 0 && cap(str.segs[k-1])-len(str.segs[k-1]) >= need {
+		return &str.segs[k-1]
+	}
+	str.segs = append(str.segs, make([]byte, 0, max(segmentSize, rest)))
+	return &str.segs[len(str.segs)-1]
+}
+
+// each calls fn with every record of the stream, in append order, and
+// with where its frame lies: segs[seg][off:off+size]. It stops when fn
+// returns false.
+func (str *stream) each(id int, multi bool, fn func(r Record, seg, off, size int) bool) {
+	for si, seg := range str.segs {
+		for off := 0; off < len(seg); {
+			r, size := parseFrame(seg[off:], id, multi)
+			if !fn(r, si, off, size) {
+				return
+			}
+			off += size
+		}
+	}
+}
+
+// cutAt drops everything from segs[seg][off:] on: later segments go, and
+// so does this one when nothing of it is left.
+func (str *stream) cutAt(seg, off int) {
+	keep := seg
+	if off > 0 {
+		str.segs[seg] = str.segs[seg][:off]
+		keep++
+	}
+	clear(str.segs[keep:])
+	str.segs = str.segs[:keep]
+}
+
+// putFrame appends one record's frame to b, which must have room for it.
+func putFrame(b []byte, r *Record, vec []uint32, sum uint32) []byte {
+	var hdr [HeaderSize]byte
+	hdr[0] = byte(r.Kind)
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(r.Op))
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(r.Data)))
+	binary.LittleEndian.PutUint32(hdr[9:], sum)
+	b = append(b, hdr[:]...)
+	b = AppendLSNVec(b, vec)
+	return append(b, r.Data...)
+}
+
+// parseFrame decodes the frame at the front of b — one stream's image
+// from some record boundary on — into a Record whose Data aliases b, and
+// returns the frame's length. Only this package writes frames, so one
+// that does not parse is a bug here, not bad input.
+func parseFrame(b []byte, stream int, multi bool) (Record, int) {
+	r := Record{
+		Kind:   RecordKind(b[0]),
+		Op:     int32(binary.LittleEndian.Uint32(b[1:])),
+		Sum:    binary.LittleEndian.Uint32(b[9:]),
+		Stream: stream,
+	}
+	n := int(binary.LittleEndian.Uint32(b[5:]))
+	off := HeaderSize
+	if multi {
+		vec, w, err := DecodeLSNVec(b[off:])
+		if err != nil {
+			panic(fmt.Sprintf("stable: stream %d image: %v", stream, err))
+		}
+		r.Vec, off = vec, off+w
+	}
+	r.Data = b[off : off+n : off+n]
+	return r, off + n
 }
 
 // Store is one node's stable storage: one or more parallel log streams
@@ -202,9 +288,12 @@ type Store struct {
 	readBytes   int64
 	checkpoints []Checkpoint
 	flushHist   *obsv.Hist // per-flush byte sizes; nil when metrics are off
-	// perStream is flush scratch: per-stream byte tallies, reused across
-	// group flushes so the steady state stays allocation-free.
-	perStream []int
+	// Flush scratch, reused so the steady state stays allocation-free:
+	// share is each stream's bytes of the group being flushed; lsn (nil on
+	// a single-stream store) is the LSN-vector of the next record — every
+	// stream's record count.
+	share []int
+	lsn   []uint32
 }
 
 // ObserveFlushes registers h to receive the byte size of every
@@ -224,7 +313,11 @@ func NewStoreStreams(n int) *Store {
 	if n <= 0 {
 		panic(fmt.Sprintf("stable: invalid stream count %d", n))
 	}
-	return &Store{streams: make([]stream, n)}
+	s := &Store{streams: make([]stream, n), share: make([]int, n)}
+	if n > 1 {
+		s.lsn = make([]uint32, n)
+	}
+	return s
 }
 
 // Streams returns the number of parallel log streams.
@@ -250,86 +343,32 @@ func (s *Store) Flush(recs []Record) int {
 // pre-stream format (no LSN-vector is stamped).
 //
 // Callers regain ownership of the record payload slices when FlushGroup
-// returns: the flush copies every payload into the owning stream's
-// contiguous disk image (one buffered write per stream per group), so
-// pooled encode buffers can be recycled immediately.
+// returns: the flush copies every payload into the owning stream's image,
+// so pooled encode buffers can be recycled immediately.
 func (s *Store) FlushGroup(recs []Record) (total, crit int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	multi := len(s.streams) > 1
-	if cap(s.perStream) < len(s.streams) {
-		s.perStream = make([]int, len(s.streams))
-	}
-	// Tally each stream's byte share (and record count, packed into the
-	// same pass via startLen deltas below) so the disk extents can be
-	// reserved up front and the framing loop never reallocates mid-flush.
-	tally := s.perStream[:len(s.streams)]
-	for i := range tally {
-		tally[i] = 0
-	}
-	vecWire := 0
-	if multi {
-		// Every multi-stream record carries a same-shape vector; its
-		// exact wire size varies with the entry values, so reserve the
-		// worst case (count byte + 5 bytes per uvarint entry).
-		vecWire = 1 + 5*len(s.streams)
-	}
+	// Size each stream's share first: the accounting needs it, and so does
+	// room, to give a bulk share one segment.
+	share := s.share
+	clear(share)
+	s.nextLSN()
 	for i := range recs {
 		st := recs[i].Stream
 		if st < 0 || st >= len(s.streams) {
 			panic(fmt.Sprintf("stable: record routed to stream %d of %d", st, len(s.streams)))
 		}
-		tally[st] += HeaderSize + vecWire + len(recs[i].Data)
-	}
-	for i := range s.streams {
-		str := &s.streams[i]
-		if need := len(str.disk) + tally[i]; need > cap(str.disk) {
-			grow := 2 * cap(str.disk)
-			if grow < need {
-				grow = need
-			}
-			fresh := make([]byte, len(str.disk), grow)
-			copy(fresh, str.disk)
-			str.disk = fresh
-		}
-		tally[i] = 0 // reset: refilled with exact wire bytes below
-	}
-	var startLen []int
-	if multi {
-		startLen = make([]int, len(s.streams))
-		for i := range s.streams {
-			startLen[i] = len(s.streams[i].log)
-		}
-	}
-	for _, r := range recs {
-		str := &s.streams[r.Stream]
+		share[st] += HeaderSize + LSNVecSize(s.lsn) + len(recs[i].Data)
 		if multi {
-			vec := make([]uint32, len(s.streams))
-			for j := range s.streams {
-				vec[j] = uint32(len(s.streams[j].log))
-			}
-			r.Vec = vec
+			s.lsn[st]++
 		}
-		r.Sum = checksum(r.Kind, r.Op, r.Vec, r.Data)
-		var hdr [HeaderSize]byte
-		hdr[0] = byte(r.Kind)
-		binary.LittleEndian.PutUint32(hdr[1:], uint32(r.Op))
-		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(r.Data)))
-		binary.LittleEndian.PutUint32(hdr[9:], r.Sum)
-		str.disk = append(str.disk, hdr[:]...)
-		str.disk = AppendLSNVec(str.disk, r.Vec)
-		start := len(str.disk)
-		str.disk = append(str.disk, r.Data...)
-		r.Data = str.disk[start:len(str.disk):len(str.disk)]
-		str.log = append(str.log, r)
-		tally[r.Stream] += r.WireSize()
 	}
 	for i := range s.streams {
 		str := &s.streams[i]
-		n := tally[i]
 		got := len(recs)
 		if multi {
-			got = len(str.log) - startLen[i]
+			got = int(s.lsn[i]) - str.n
 		}
 		if got > 0 || !multi {
 			// Single-stream keeps the historical behavior: even an empty
@@ -340,16 +379,36 @@ func (s *Store) FlushGroup(recs []Record) (total, crit int) {
 		if got > 0 {
 			str.lastFlush = got
 		}
-		str.bytes += int64(n)
-		total += n
-		if n > crit {
-			crit = n
+		str.bytes += int64(share[i])
+		total += share[i]
+		crit = max(crit, share[i])
+	}
+	s.nextLSN()
+	for i := range recs {
+		r := &recs[i]
+		str := &s.streams[r.Stream]
+		need := HeaderSize + LSNVecSize(s.lsn) + len(r.Data)
+		seg := str.room(need, share[r.Stream])
+		*seg = putFrame(*seg, r, s.lsn, checksum(r.Kind, r.Op, s.lsn, r.Data))
+		share[r.Stream] -= need
+		str.n++
+		if multi {
+			s.lsn[r.Stream]++
 		}
 	}
 	s.logBytes += int64(total)
 	s.flushes++
 	s.flushHist.Observe(int64(total))
 	return total, crit
+}
+
+// nextLSN loads s.lsn with the LSN-vector the next appended record gets:
+// lsn[j] is the number of records stream j holds. A single-stream store
+// stamps no vector and s.lsn stays nil.
+func (s *Store) nextLSN() {
+	for j := range s.lsn {
+		s.lsn[j] = uint32(s.streams[j].n)
+	}
 }
 
 // TearTail simulates a torn write: the final (non-empty) flush was in
@@ -371,7 +430,7 @@ func (s *Store) TearTail(r uint64) int {
 		if i > 0 {
 			roll = mixRoll(r, i)
 		}
-		destroyed += s.streams[i].tearTail(roll)
+		destroyed += s.streams[i].tearTail(i, len(s.streams) > 1, roll)
 	}
 	return destroyed
 }
@@ -385,25 +444,34 @@ func mixRoll(r uint64, i int) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (str *stream) tearTail(r uint64) int {
-	if str.lastFlush == 0 || len(str.log) < str.lastFlush {
+func (str *stream) tearTail(id int, multi bool, r uint64) int {
+	if str.lastFlush == 0 || str.n < str.lastFlush {
 		return 0
 	}
 	keep := int(r % uint64(str.lastFlush)) // 0..lastFlush-1 intact records
-	start := len(str.log) - str.lastFlush
-	torn := str.log[start+keep]
-	// Corrupt a copy of the payload (the caller may share the slice), or
-	// the checksum itself when there is no payload to damage.
-	if len(torn.Data) > 0 {
-		d := make([]byte, len(torn.Data))
-		copy(d, torn.Data)
-		d[len(d)/2] ^= 0xff
-		torn.Data = d
+	victim := str.n - str.lastFlush + keep
+	var rec Record
+	var seg, off, size int
+	idx := 0
+	str.each(id, multi, func(r Record, si, o, sz int) bool {
+		rec, seg, off, size = r, si, o, sz
+		idx++
+		return idx <= victim
+	})
+	// The torn record is rewritten as a corrupted copy in a segment of its
+	// own — readers may still hold the intact bytes — with its payload
+	// damaged, or the checksum itself when there is no payload to damage.
+	torn := make([]byte, size)
+	copy(torn, str.segs[seg][off:])
+	if n := len(rec.Data); n > 0 {
+		torn[size-n+n/2] ^= 0xff
 	} else {
-		torn.Sum ^= 0xdeadbeef
+		binary.LittleEndian.PutUint32(torn[9:], rec.Sum^0xdeadbeef)
 	}
+	str.cutAt(seg, off)
+	str.segs = append(str.segs, torn)
 	destroyed := str.lastFlush - keep
-	str.log = append(str.log[:start+keep], torn)
+	str.n = victim + 1
 	str.lastFlush = keep + 1
 	return destroyed
 }
@@ -429,21 +497,34 @@ func (s *Store) TruncateFromOp(op int32) int {
 	dropped := 0
 	for i := range s.streams {
 		str := &s.streams[i]
-		keep := len(str.log)
-		cut := int64(0)
-		for keep > 0 && str.log[keep-1].Op >= op {
-			keep--
-			cut += int64(str.log[keep].WireSize())
-		}
-		dropped += len(str.log) - keep
-		if keep < len(str.log) {
-			str.log = str.log[:keep:keep]
-			str.disk = str.disk[:int64(len(str.disk))-cut]
-			str.bytes -= cut
-			s.logBytes -= cut
-			if str.lastFlush > keep {
-				str.lastFlush = keep
+		// Find the longest suffix of records with Op >= op: it holds keep
+		// records before it and starts at segs[seg][off].
+		keep, seg, off := str.n, 0, 0
+		idx := 0
+		str.each(i, len(s.streams) > 1, func(r Record, si, o, _ int) bool {
+			switch {
+			case r.Op < op:
+				keep = str.n
+			case keep == str.n:
+				keep, seg, off = idx, si, o
 			}
+			idx++
+			return true
+		})
+		if keep == str.n {
+			continue
+		}
+		cut := int64(-off)
+		for _, b := range str.segs[seg:] {
+			cut += int64(len(b))
+		}
+		str.cutAt(seg, off)
+		dropped += str.n - keep
+		str.n = keep
+		str.bytes -= cut
+		s.logBytes -= cut
+		if str.lastFlush > keep {
+			str.lastFlush = keep
 		}
 	}
 	return dropped
@@ -453,20 +534,21 @@ func (s *Store) TruncateFromOp(op int32) int {
 // append order (ascending LSN-vector sum). On a single-stream store
 // this is simply the log.
 func (s *Store) mergedLocked() []Record {
-	if len(s.streams) == 1 {
-		out := make([]Record, len(s.streams[0].log))
-		copy(out, s.streams[0].log)
-		return out
-	}
+	multi := len(s.streams) > 1
 	total := 0
 	for i := range s.streams {
-		total += len(s.streams[i].log)
+		total += s.streams[i].n
 	}
 	out := make([]Record, 0, total)
 	for i := range s.streams {
-		out = append(out, s.streams[i].log...)
+		s.streams[i].each(i, multi, func(r Record, _, _, _ int) bool {
+			out = append(out, r)
+			return true
+		})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].VecSum() < out[b].VecSum() })
+	if multi {
+		sort.Slice(out, func(a, b int) bool { return out[a].VecSum() < out[b].VecSum() })
+	}
 	return out
 }
 
@@ -580,7 +662,7 @@ func (s *Store) Stats() Stats {
 	recs := 0
 	var writes int64
 	for i := range s.streams {
-		recs += len(s.streams[i].log)
+		recs += s.streams[i].n
 		writes += s.streams[i].writes
 	}
 	return Stats{
@@ -602,7 +684,7 @@ func (s *Store) StreamStats() []StreamStats {
 	out := make([]StreamStats, len(s.streams))
 	for i := range s.streams {
 		out[i] = StreamStats{
-			Records: len(s.streams[i].log),
+			Records: s.streams[i].n,
 			Bytes:   s.streams[i].bytes,
 			Writes:  s.streams[i].writes,
 		}

@@ -28,16 +28,18 @@ import (
 // id instead (see ReplyBinding/BindReply).
 type Fabric interface {
 	// Deliver transports one stamped non-self message copy to m.To's
-	// inbox. It must not block on the destination's service loop (the
-	// in-process fabric fails loudly on a full inbox instead).
+	// inbox, handing the copies of one link to Inject one at a time and
+	// in the order it was given them. It must not block on the
+	// destination's service loop: an inbox takes whatever is injected, up
+	// to the DefaultInboxCap diagnostic.
 	Deliver(m Message)
 	// Close tears the fabric down after the run: connections, queues and
 	// helper goroutines. The Network is drained and stopped by then.
 	Close() error
 }
 
-// procFabric is the default in-process fabric: delivery is a direct send
-// into the destination inbox channel on the sender's goroutine, which is
+// procFabric is the default in-process fabric: delivery is a direct
+// Inject into the destination inbox on the sender's goroutine, which is
 // what makes same-seed runs byte-deterministic.
 type procFabric struct{ nw *Network }
 
@@ -58,20 +60,21 @@ func (nw *Network) SetFabric(f Fabric) {
 // service loop has stopped; it is a no-op for the in-process fabric.
 func (nw *Network) CloseFabric() error { return nw.fabric.Close() }
 
-// Inject ends a message copy's flight: it is pushed into the destination
-// inbox exactly as the in-process fabric would. Only fabrics call this
-// (the Network's own send paths go through deliver, which does the wire
-// accounting first).
+// Inject ends a message copy's flight: it is queued in the destination
+// inbox, behind every copy injected there before it. Only fabrics call
+// this (the Network's own send paths go through deliver, which does the
+// wire accounting first); calls for one link must not overlap, which the
+// link's send lock and the TCP backend's one reader per connection give.
+// It never blocks. A queue DefaultInboxCap deep means a service loop is
+// stuck (or the run leaks messages); growing it further would hide that,
+// so Inject fails loudly instead.
 func (nw *Network) Inject(m Message) {
-	select {
-	case nw.inboxes[m.To] <- m:
-	default:
-		// A full inbox means a service loop is stuck (or the run leaks
-		// messages); blocking here would freeze the sender with no
-		// diagnostic, so fail loudly instead.
+	ib := &nw.inboxes[m.To]
+	if !ib.put(m) {
+		window, spill := ib.depth()
 		panic(fmt.Sprintf(
-			"transport: inbox overflow at node %d (%d messages queued, cap %d) delivering kind %d from node %d",
-			m.To, len(nw.inboxes[m.To]), cap(nw.inboxes[m.To]), m.Kind, m.From))
+			"transport: inbox overflow at node %d (%d messages queued: window %d + spill %d) delivering kind %d from node %d",
+			m.To, window+spill, window, spill, m.Kind, m.From))
 	}
 }
 

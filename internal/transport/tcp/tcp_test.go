@@ -171,6 +171,7 @@ func TestFabricBudget(t *testing.T) {
 	go func() {
 		for m := range b.Inbox() {
 			got <- m
+			b.MarkHandled()
 		}
 	}()
 	l := fab.link(0, 1)

@@ -2,11 +2,14 @@
 //
 // The paper's testbed is eight workstations on switched 100 Mbps Ethernet.
 // Here each node is a pair of goroutines (application + protocol service)
-// and the interconnect is a set of buffered channels, one inbox per node.
-// Message timing is charged to the nodes' virtual clocks by the callers
-// using the helpers on Endpoint: a receive merges the sender's timestamp
-// plus the message cost (Lamport rule), so virtual time respects causality
-// without a global event queue.
+// and the interconnect is one inbox per node: a 128-slot channel the
+// service loop receives from, over a FIFO spill that exists only while a
+// backlog is deeper than that (see inbox.go). A delivery is a
+// non-blocking channel send on the sender's goroutine; memory follows the
+// queue's depth, not a worst case. Message timing is charged to the
+// nodes' virtual clocks by the callers using the helpers on Endpoint: a
+// receive merges the sender's timestamp plus the message cost (Lamport
+// rule), so virtual time respects causality without a global event queue.
 //
 // Reliability: the wire may be lossy under a fault.Plan. Every copy put on
 // a link carries a per-link sequence number, and the fault plan decides —
@@ -91,7 +94,7 @@ type Network struct {
 	n       int
 	model   simtime.CostModel
 	faults  fault.Plan
-	inboxes []chan Message
+	inboxes []inbox
 	linkSeq []atomic.Int64 // wire sequence numbers, one counter per link
 	linkMu  []sync.Mutex   // per-link send locks, see lockLink
 	reqSeq  []atomic.Int64 // logical request ids, one counter per link
@@ -214,10 +217,14 @@ func TagBarrier(tag int64) (barrier, round int64, ok bool) {
 	return tag >> barrierTagShift, tag & (1<<barrierTagShift - 1), true
 }
 
-// DefaultInboxCap is the per-node inbox buffer. It is sized far above any
-// realistic in-flight count for the workloads in this repository so that
-// protocol service loops never block on sends (which could deadlock the
-// simulation).
+// DefaultInboxCap is the queued depth (window plus spill) at which a
+// delivery to a node panics with "inbox overflow". It is a diagnostic
+// depth, not an allocation: senders never block on an inbox (that could
+// deadlock the simulation), so a service loop that is stuck, or a run
+// that leaks messages, would otherwise grow its queue without a word.
+// The deepest inboxes measured on the benchmark's workloads are 9
+// messages on table2_sim, 7 on kv_sim and on kv_tcp, and 96 on
+// recovery_sim, behind a crashed node.
 const DefaultInboxCap = 1 << 14
 
 // NewNetwork returns a network of n nodes with the given cost model.
@@ -227,7 +234,7 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 	}
 	nw := &Network{
 		n: n, model: model,
-		inboxes:    make([]chan Message, n),
+		inboxes:    make([]inbox, n),
 		linkSeq:    make([]atomic.Int64, n*n),
 		linkMu:     make([]sync.Mutex, n*n),
 		reqSeq:     make([]atomic.Int64, n*n),
@@ -247,7 +254,7 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 		nw.view[i].Store(1)
 	}
 	for i := range nw.inboxes {
-		nw.inboxes[i] = make(chan Message, DefaultInboxCap)
+		nw.inboxes[i].win = make(chan Message, inboxWindow)
 		nw.fenceWake[i] = make(chan struct{}, 1)
 	}
 	nw.fabric = procFabric{nw}
@@ -506,8 +513,10 @@ func (e *Endpoint) ID() int { return e.id }
 func (e *Endpoint) Clock() *simtime.Clock { return e.clock }
 
 // Inbox returns the node's receive channel, consumed by its protocol
-// service loop.
-func (e *Endpoint) Inbox() <-chan Message { return e.nw.inboxes[e.id] }
+// service loop. The channel is the inbox's window: a consumer must call
+// MarkHandled once per message it takes, which is also what moves a
+// backlog deeper than the window into it.
+func (e *Endpoint) Inbox() <-chan Message { return e.nw.inboxes[e.id].win }
 
 // WireDup reports whether m is a wire-level duplicate (a copy whose
 // sequence number was already received from that sender) and must be
@@ -527,11 +536,13 @@ func (e *Endpoint) WireDup(m Message) bool {
 }
 
 // MarkHandled records that the service loop finished with one inbox
-// message (including wire-duplicate discards). The counter pairs with the
-// delivery counter to let FenceArrivalsBefore detect a drained inbox; it
-// lives in the network, so it survives a node's crash and reincarnation.
+// message (including wire-duplicate discards), and tops the inbox window
+// up from its spill. The counter pairs with the delivery counter to let
+// FenceArrivalsBefore detect a drained inbox; it lives in the network, so
+// it survives a node's crash and reincarnation.
 func (e *Endpoint) MarkHandled() {
 	nw := e.nw
+	nw.inboxes[e.id].topUp()
 	if nw.handled[e.id].Add(1) >= nw.delivered[e.id].Load() {
 		nw.wakeFencer(e.id) // drained: the fence's second phase may end
 	}
@@ -855,16 +866,15 @@ func (e *Endpoint) SendDetector(to int, kind Kind, size int, payload any) {
 type Pending struct {
 	ep      *Endpoint
 	to      int
-	kind    Kind
 	payload any
 	reqID   int64
 	ch      chan Message
 	sentAt  simtime.Time // when the latest attempt left
 	reqSize int
-	model   simtime.CostModel
 	trace   obsv.TraceCtx // stamped onto every attempt, incl. retransmissions
-	local   bool          // request to self: no wire cost, only handling
 	attempt int
+	kind    Kind
+	local   bool // request to self: no wire cost, only handling
 	live    bool // latest attempt's reply will arrive
 }
 
@@ -878,7 +888,6 @@ func (e *Endpoint) CallAsync(to int, kind Kind, size int, payload any) *Pending 
 		ch:      make(chan Message, 1),
 		sentAt:  e.clock.Now(),
 		reqSize: size,
-		model:   e.nw.Model(),
 		trace:   e.trc.Trace(),
 		local:   to == e.id,
 		attempt: 1,
@@ -902,7 +911,6 @@ func (e *Endpoint) CallAsyncAt(at simtime.Time, to int, kind Kind, size int, pay
 		ch:      make(chan Message, 1),
 		sentAt:  at,
 		reqSize: size,
-		model:   e.nw.Model(),
 		local:   to == e.id,
 		attempt: 1,
 	}
@@ -984,7 +992,7 @@ func (p *Pending) Wait(clock *simtime.Clock) Message {
 	if p.local {
 		t0, t1 = clock.MergePlusSpan(m.SentAt, 0)
 	} else {
-		t0, t1 = clock.MergePlusSpan(m.SentAt, p.model.MsgTime(m.Size)+m.extraDelay)
+		t0, t1 = clock.MergePlusSpan(m.SentAt, p.ep.nw.model.MsgTime(m.Size)+m.extraDelay)
 	}
 	p.ep.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
 	return m
@@ -1000,9 +1008,9 @@ func (p *Pending) WaitDetached(clock *simtime.Clock) Message {
 	m := p.await(clock)
 	var t0, t1 simtime.Time
 	if p.local {
-		t0, t1 = clock.MergePlusSpan(p.sentAt, 2*p.model.MsgHandling)
+		t0, t1 = clock.MergePlusSpan(p.sentAt, 2*p.ep.nw.model.MsgHandling)
 	} else {
-		t0, t1 = clock.MergePlusSpan(p.sentAt, p.model.RoundTrip(p.reqSize, m.Size)+m.extraDelay)
+		t0, t1 = clock.MergePlusSpan(p.sentAt, p.ep.nw.model.RoundTrip(p.reqSize, m.Size)+m.extraDelay)
 	}
 	p.ep.trc.RecvDetached(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
 	return m
@@ -1045,7 +1053,7 @@ func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
 			if p.local {
 				t0, t1 = clock.MergePlusSpan(m.SentAt, 0)
 			} else {
-				t0, t1 = clock.MergePlusSpan(m.SentAt, p.model.MsgTime(m.Size)+m.extraDelay)
+				t0, t1 = clock.MergePlusSpan(m.SentAt, p.ep.nw.model.MsgTime(m.Size)+m.extraDelay)
 			}
 			p.ep.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
 			return m, true

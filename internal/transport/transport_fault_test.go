@@ -23,11 +23,10 @@ func echoUntilQuit(b *Endpoint, quit <-chan struct{}) {
 	for {
 		select {
 		case m := <-b.Inbox():
-			if b.WireDup(m) {
-				continue
+			if !b.WireDup(m) {
+				b.ReplyAt(b.ArrivalOf(m), m, m.Kind, 16, m.Payload)
 			}
-			at := b.ArrivalOf(m)
-			b.ReplyAt(at, m, m.Kind, 16, m.Payload)
+			b.MarkHandled()
 		case <-quit:
 			return
 		}

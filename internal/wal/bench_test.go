@@ -11,9 +11,9 @@ import (
 
 // Release-path benchmarks: the hot logging path is AtRelease (stage the
 // interval's diffs, frame them, flush). With the pooled encode buffers,
-// the reusable record scratch and the store's contiguous disk image,
-// steady-state releases should be allocation-free up to the store's
-// amortized geometric growth.
+// the reusable record scratch and the store's segmented disk image,
+// steady-state releases should be allocation-free but for a new log
+// segment every few dozen releases.
 
 func benchDiffs(n int) []memory.Diff {
 	twin := make([]byte, 4096)
@@ -71,7 +71,7 @@ func BenchmarkMLIncomingDiffs(b *testing.B) {
 // TestCCLReleaseFlushSteadyStateAllocs pins the release path's
 // steady-state allocation behaviour: after warmup, a release that logs a
 // multi-diff batch must cost less than one allocation per op on average
-// (only the store's amortized geometric growth remains).
+// (only a new 64 KiB log segment every few dozen releases remains).
 func TestCCLReleaseFlushSteadyStateAllocs(t *testing.T) {
 	s := stable.NewStore()
 	h := New(ProtocolCCL, s, nil)
@@ -82,7 +82,7 @@ func TestCCLReleaseFlushSteadyStateAllocs(t *testing.T) {
 		h.AtRelease(op, op, int64(op), simtime.Time(op), diffs)
 	}
 	for i := 0; i < 64; i++ {
-		release() // warm the arena classes and grow the disk image
+		release() // warm the arena classes
 	}
 	allocs := testing.AllocsPerRun(200, release)
 	if allocs >= 1 {
