@@ -7,7 +7,7 @@
 # tier2 adds the race detector; -short skips the heavier fault-soak and
 # crash sweeps so the race run stays fast.
 
-.PHONY: all tier1 tier2 benchmark-test bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke telemetry-smoke wal-smoke bench-gate
+.PHONY: all tier1 tier2 benchmark-test bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke telemetry-smoke wal-smoke
 
 all: tier1 tier2
 
@@ -131,13 +131,3 @@ wal-smoke:
 	go run ./cmd/sdsminspect -mode volume -app 3d-fft -nodes 4 -scale small -streams 4
 	go run ./cmd/sdsminspect -mode audit -app kv -nodes 4 -transport sim -streams 4 -churn
 	@echo "wal-smoke: OK"
-
-# Throughput regression gate: regenerate the failure-free sweep at the
-# committed baseline's configuration and fail on any app x protocol cell
-# whose ops/s dropped more than 20% from the latest committed sweep
-# artifact (BENCH_*.json with the sweep schema; kv/churn artifacts are
-# skipped automatically).
-bench-gate:
-	go run ./cmd/sdsmbench -nodes 8 -scale medium -json /tmp/sdsm-gate-sweep.json
-	go run ./cmd/sdsmbench -compare -gate 20 /tmp/sdsm-gate-sweep.json
-	@echo "bench-gate: OK"

@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	sdsmbench [-nodes 8] [-scale small|medium|large] [-app all|3d-fft|mg|shallow|water|kv] [-transport both|sim|tcp] [-skip-recovery] [-ablations] [-faults] [-churn] [-streams n] [-json out.json]
-//	sdsmbench -compare [-gate pct] [old.json] new.json
+//	sdsmbench [-nodes 8] [-scale small|medium|large] [-app all|3d-fft|mg|shallow|water|kv] [-transport both|sim|tcp] [-skip-recovery] [-ablations] [-faults] [-churn]
+//
+// The tables are for reading. Whether a change regressed is answered by
+// `bash benchmark/run.sh` and its -compare (see benchmark/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -46,45 +47,9 @@ func main() {
 	skipRecovery := flag.Bool("skip-recovery", false, "skip the Figure 5 recovery experiments")
 	ablations := flag.Bool("ablations", false, "run only the ablation studies (overlap, placement, page size, scaling, checkpoints)")
 	faults := flag.Bool("faults", false, "run only the fault-injection sweep (execution time under seeded message loss)")
-	churn := flag.Bool("churn", false, "run only the online-recovery churn sweep (surviving-cluster throughput, recovering-node catch-up, and the partition/rejoin availability cells); with -json, write the artifact instead")
-	streams := flag.Int("streams", 1, "parallel stable-log streams per node for the -json sweep (1 = classic single-stream WAL)")
-	jsonOut := flag.String("json", "", "run the machine-readable sweep (all apps × protocols with tracing) and write it to this file")
-	compare := flag.Bool("compare", false, "compare two sweep artifacts: sdsmbench -compare old.json new.json (with one file, the baseline is the latest committed BENCH_*.json sweep)")
-	gate := flag.Float64("gate", 0, "with -compare: exit nonzero if any run's ops/s regressed by more than this percentage")
+	churn := flag.Bool("churn", false, "run only the online-recovery churn sweep (surviving-cluster throughput, recovering-node catch-up, and the partition/rejoin availability cells)")
 	flag.Parse()
 
-	if *compare {
-		var oldPath, newPath string
-		switch flag.NArg() {
-		case 1:
-			p, err := bench.LatestSweepArtifact(".")
-			if err != nil {
-				log.Fatal(err)
-			}
-			oldPath, newPath = p, flag.Arg(0)
-			fmt.Fprintf(os.Stderr, "baseline: %s\n", oldPath)
-		case 2:
-			oldPath, newPath = flag.Arg(0), flag.Arg(1)
-		default:
-			log.Fatal("usage: sdsmbench -compare [-gate pct] [old.json] new.json")
-		}
-		oldS, err := bench.LoadSweepJSON(oldPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		newS, err := bench.LoadSweepJSON(newPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatSweepComparison(oldS, newS))
-		if *gate > 0 {
-			if err := bench.GateSweepRegression(oldS, newS, *gate); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "gate OK: no run regressed ops/s by more than %g%%\n", *gate)
-		}
-		return
-	}
 	if *nodes < 1 {
 		log.Fatalf("-nodes %d: need at least one node", *nodes)
 	}
@@ -166,18 +131,6 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, "telemetry self-check OK: live scrape exposed every required metric family")
 		}
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(bench.KVToJSON(*nodes, kvCfg, rows), "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d kv cells)\n", *jsonOut, len(rows))
-			return
-		}
 		fmt.Print(bench.FormatKV(*nodes, kvCfg, rows))
 		return
 	}
@@ -186,35 +139,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(bench.ChurnToJSON(*nodes, rows), "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", *jsonOut, len(rows))
-			return
-		}
 		fmt.Println(bench.FormatChurn(*nodes, rows))
-		return
-	}
-	if *jsonOut != "" {
-		sweep, err := bench.RunSweepJSON(*nodes, scale, *streams)
-		if err != nil {
-			log.Fatal(err)
-		}
-		data, err := json.MarshalIndent(sweep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d runs)\n", *jsonOut, len(sweep.Runs))
 		return
 	}
 	if *faults {

@@ -21,8 +21,6 @@
 //	recovery  crash one app and print the recovery-phase breakdown
 //	          (log-read / diff-fetch / page-fetch / tail-sync /
 //	          home-rebuild / catch-up / replay)
-//	print     pretty-print the log-volume tables of a committed
-//	          machine-readable sweep (-in BENCH_PR3.json)
 //	checkjson validate that -in is well-formed JSON (used by the
 //	          Makefile's trace smoke test)
 //	trace     re-run the kv serving workload (same seed => identical
@@ -34,7 +32,7 @@
 //
 // Usage:
 //
-//	sdsminspect [-mode volume|dump|audit|recovery|print|checkjson|trace]
+//	sdsminspect [-mode volume|dump|audit|recovery|checkjson|trace]
 //	            [-app all|3d-fft|mg|shallow|water|kv] [-protocol ml|ccl]
 //	            [-nodes 8] [-scale small|medium|large] [-transport sim|tcp]
 //	            [-streams N] [-crash] [-churn] [-victim N] [-node N]
@@ -80,7 +78,7 @@ type options struct {
 }
 
 func main() {
-	mode := flag.String("mode", "volume", "volume|dump|audit|recovery|print|checkjson")
+	mode := flag.String("mode", "volume", "volume|dump|audit|recovery|checkjson|trace")
 	appFlag := flag.String("app", "all", "application: all|3d-fft|mg|shallow|water")
 	protoFlag := flag.String("protocol", "ccl", "logging protocol for dump/audit/recovery: ml|ccl")
 	nodes := flag.Int("nodes", 8, "cluster size")
@@ -90,8 +88,8 @@ func main() {
 	victim := flag.Int("victim", -1, "crash victim (default: last node)")
 	nodeFlag := flag.Int("node", -1, "dump mode: only this node's log")
 	max := flag.Int("max", 0, "dump mode: print at most this many records per node (0 = all)")
-	streamsFlag := flag.Int("streams", 1, "parallel stable-log streams per node for volume/dump/audit/recovery runs (1 = classic single-stream WAL)")
-	in := flag.String("in", "", "input file for print/checkjson modes")
+	streamsFlag := flag.Int("streams", 1, "parallel stable-log streams per node for volume/dump/audit/recovery runs (1 = a single stream)")
+	in := flag.String("in", "", "input file for checkjson mode")
 	transportFlag := flag.String("transport", "sim", "kv audit/trace: wire backend, sim|tcp")
 	traceID := flag.String("trace-id", "", "trace mode: resolve this 16-hex-digit trace id into its span tree")
 	kvKeys := flag.Int("kv-keys", 0, "trace mode: kv table size (0 = default 64; match the run that minted the trace ids)")
@@ -134,8 +132,6 @@ func main() {
 		}
 	case "recovery":
 		err = recoveryMode(oneApp(*appFlag, opts), opts)
-	case "print":
-		err = printMode(*in)
 	case "checkjson":
 		err = checkJSON(*in)
 	case "trace":
@@ -658,57 +654,6 @@ func recoveryMode(w *apps.Workload, opts options) error {
 		fmt.Println("the crash tore the victim's final log flush")
 	}
 	fmt.Print(logview.FormatRecoveryBreakdown(&rep.Recovery.Phases))
-	return nil
-}
-
-// printMode renders the log-volume tables of a committed sweep artifact
-// (sdsmbench -json output, e.g. BENCH_PR3.json).
-func printMode(path string) error {
-	if path == "" {
-		return fmt.Errorf("sdsminspect: -mode print needs -in file.json")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var sweep bench.SweepJSON
-	if err := json.Unmarshal(data, &sweep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if sweep.SchemaVersion != bench.SchemaVersion {
-		return fmt.Errorf("%s: schema_version %d, this build reads %d",
-			path, sweep.SchemaVersion, bench.SchemaVersion)
-	}
-	fmt.Printf("%s: %d nodes, %s scale, %d runs\n\n", path, sweep.Nodes, sweep.Scale, len(sweep.Runs))
-	byApp := map[string]map[string]*bench.RunJSONResult{}
-	var order []string
-	for i := range sweep.Runs {
-		r := &sweep.Runs[i]
-		if byApp[r.App] == nil {
-			byApp[r.App] = map[string]*bench.RunJSONResult{}
-			order = append(order, r.App)
-		}
-		byApp[r.App][r.Protocol] = r
-	}
-	bad := false
-	for _, app := range order {
-		ml, ccl := byApp[app]["ML"], byApp[app]["CCL"]
-		if ml == nil || ccl == nil || ml.LogVolume == nil || ccl.LogVolume == nil {
-			continue
-		}
-		fmt.Printf("%s:\n", app)
-		fmt.Print(logview.FormatVolumeComparison([]string{"ML", "CCL"},
-			[]*logview.Volume{ml.LogVolume, ccl.LogVolume}))
-		if ccl.LogVolume.Bytes >= ml.LogVolume.Bytes {
-			fmt.Printf("!! CCL total %d bytes is not below ML's %d\n",
-				ccl.LogVolume.Bytes, ml.LogVolume.Bytes)
-			bad = true
-		}
-		fmt.Println()
-	}
-	if bad {
-		return fmt.Errorf("sdsminspect: CCL did not log less than ML on every app in %s", path)
-	}
 	return nil
 }
 

@@ -10,34 +10,69 @@ import (
 	"testing"
 )
 
+// eachImport calls fn with every import of every Go file under root,
+// test files included only when tests is set. Dot-directories (build
+// caches) are skipped.
+func eachImport(t *testing.T, root string, tests bool, fn func(path, imp string)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			fn(path, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNoGobInProductCode: every message, log record and diff has one
 // hand-laid binary encoding whose length is the size the cost model
 // charges (DESIGN.md §2.10). A reflection codec beside it would be a
 // second encoding with a different size, so no non-test file under
 // internal/ or cmd/ may import encoding/gob.
 func TestNoGobInProductCode(t *testing.T) {
-	fset := token.NewFileSet()
 	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
+		eachImport(t, root, false, func(path, imp string) {
+			if imp == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob", path)
 			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
-					t.Errorf("%s imports encoding/gob", path)
-				}
-			}
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
+}
+
+// TestLayering: internal/bench is a leaf — cmd/, the root tests and
+// benchmark/ drive it, no product package under internal/ builds on it —
+// and nothing imports a second protocol engine (sdsm/internal/homeless,
+// deleted): the logging protocols are layers over the one home-based
+// engine.
+func TestLayering(t *testing.T) {
+	eachImport(t, "internal", false, func(path, imp string) {
+		if imp == "sdsm/internal/bench" {
+			t.Errorf("%s imports sdsm/internal/bench", path)
+		}
+	})
+	eachImport(t, ".", true, func(path, imp string) {
+		if imp == "sdsm/internal/homeless" {
+			t.Errorf("%s imports sdsm/internal/homeless", path)
+		}
+	})
 }

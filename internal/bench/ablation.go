@@ -275,16 +275,5 @@ func FormatAblations(nodes int, scale Scale) (string, error) {
 		fmt.Fprintf(&b, "%10s %10.3f %10.1f %14.2f %8d\n",
 			every, r.ExecSec, r.OverheadPct, r.CheckpointMB, r.Checkpoints)
 	}
-
-	b.WriteString("\n")
-	var hrows []*HomeVsHomeless
-	for _, n := range []int{2, 4, 8} {
-		r, err := RunHomeVsHomeless(n, 16, 4096, 6)
-		if err != nil {
-			return "", err
-		}
-		hrows = append(hrows, r)
-	}
-	b.WriteString(FormatHomeVsHomeless(hrows))
 	return b.String(), nil
 }

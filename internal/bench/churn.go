@@ -315,75 +315,6 @@ func RunChurnBench(nodes int) ([]ChurnRow, error) {
 	return rows, nil
 }
 
-// ChurnRowJSON is the machine-readable form of one churn row.
-type ChurnRowJSON struct {
-	Point           string  `json:"crash_point"`
-	LeaseMs         float64 `json:"lease_ms"`
-	RestartMs       float64 `json:"restart_ms"`
-	PartitionMs     float64 `json:"partition_ms,omitempty"`
-	CrashSec        float64 `json:"crash_sec"`
-	DeclareSec      float64 `json:"declare_sec"`
-	RejoinSec       float64 `json:"rejoin_sec"`
-	CatchUpSec      float64 `json:"catchup_sec"`
-	ExecSec         float64 `json:"exec_sec"`
-	OverheadPct     float64 `json:"overhead_pct"`
-	SurvivorOps     int     `json:"survivor_ops_in_window"`
-	SurvivorOpsRate float64 `json:"survivor_ops_per_sec"`
-	Adoptions       int64   `json:"home_adoptions"`
-	Revocations     int64   `json:"lock_revocations"`
-	Redirects       int64   `json:"redirected_calls"`
-	AdoptedDiffs    int64   `json:"adopted_diffs"`
-	LeaseWaits      int64   `json:"lease_waits_served"`
-	FencedMsgs      int64   `json:"fenced_msgs,omitempty"`
-	EpochBumps      int64   `json:"epoch_bumps,omitempty"`
-	TruncatedRecs   int     `json:"truncated_records,omitempty"`
-	VictimServed    int64   `json:"victim_ops_served,omitempty"`
-	AvailablePct    float64 `json:"victim_availability_pct,omitempty"`
-}
-
-// ChurnJSON is the committed churn artifact.
-type ChurnJSON struct {
-	Nodes       int            `json:"nodes"`
-	Rounds      int            `json:"lock_rounds"`
-	CrashRound  int            `json:"crash_round"`
-	Victim      int            `json:"victim"`
-	BaselineSec float64        `json:"baseline_sec"`
-	Rows        []ChurnRowJSON `json:"rows"`
-}
-
-// ChurnToJSON converts a sweep to its artifact form.
-func ChurnToJSON(nodes int, rows []ChurnRow) *ChurnJSON {
-	out := &ChurnJSON{Nodes: nodes, Rounds: ChurnRounds, CrashRound: churnCrashRound, Victim: nodes - 1}
-	for _, r := range rows {
-		out.BaselineSec = r.BaselineSec
-		out.Rows = append(out.Rows, ChurnRowJSON{
-			Point:           r.Point.String(),
-			LeaseMs:         r.LeaseMs,
-			RestartMs:       r.RestartMs,
-			PartitionMs:     r.PartitionMs,
-			CrashSec:        r.CrashSec,
-			DeclareSec:      r.DeclareSec,
-			RejoinSec:       r.RejoinSec,
-			CatchUpSec:      r.CatchUpSec,
-			ExecSec:         r.ExecSec,
-			OverheadPct:     r.OverheadPct,
-			SurvivorOps:     r.SurvivorOps,
-			SurvivorOpsRate: r.SurvivorRate,
-			Adoptions:       r.Adoptions,
-			Revocations:     r.Revocations,
-			Redirects:       r.Redirects,
-			AdoptedDiffs:    r.AdoptedDiffs,
-			LeaseWaits:      r.LeaseWaits,
-			FencedMsgs:      r.FencedMsgs,
-			EpochBumps:      r.EpochBumps,
-			TruncatedRecs:   r.TruncatedRecs,
-			VictimServed:    r.VictimServed,
-			AvailablePct:    r.AvailablePct,
-		})
-	}
-	return out
-}
-
 // FormatChurn renders the churn sweep.
 func FormatChurn(nodes int, rows []ChurnRow) string {
 	var b strings.Builder

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"sdsm/internal/apps/kv"
@@ -94,7 +92,7 @@ type KVBenchOptions struct {
 	// and (on TCP cells) the per-link wire gauges.
 	Telemetry *telemetry.Registry
 	// OnOp, when non-nil, receives every completed kv transaction (the
-	// slow-op log's feed).
+	// slow-op log's feed). It is called from every node's goroutine.
 	OnOp func(kv.OpRecord)
 	// Collectors, when non-nil, receives each cell's trace collector
 	// after the cell completes (keyed by transport and churn), so
@@ -208,115 +206,6 @@ func RunKVBenchOpts(nodes int, cfg kv.Config, transports []core.Transport, opts 
 		}
 	}
 	return rows, nil
-}
-
-// KVSchemaVersion identifies the JSON layout of KVJSON. The field name
-// is kv_schema_version, distinct from the sweep artifact's
-// schema_version, so LoadSweepJSON rejects kv artifacts (and
-// LoadKVJSON rejects sweeps) instead of silently mixing families.
-const KVSchemaVersion = 1
-
-// KVRowJSON is the machine-readable form of one kv cell.
-type KVRowJSON struct {
-	Transport    string  `json:"transport"`
-	Churn        bool    `json:"churn"`
-	ExecSec      float64 `json:"exec_sec"`
-	Ops          int     `json:"ops"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	Reads        int64   `json:"reads"`
-	Writes       int64   `json:"writes"`
-	ReadMeanUs   float64 `json:"read_mean_us"`
-	ReadP50Us    float64 `json:"read_p50_us"`
-	ReadP90Us    float64 `json:"read_p90_us"`
-	ReadP99Us    float64 `json:"read_p99_us"`
-	WriteMeanUs  float64 `json:"write_mean_us"`
-	WriteP50Us   float64 `json:"write_p50_us"`
-	WriteP90Us   float64 `json:"write_p90_us"`
-	WriteP99Us   float64 `json:"write_p99_us"`
-	NetMsgs      int64   `json:"net_msgs"`
-	NetBytes     int64   `json:"net_bytes"`
-	LogBytes     int64   `json:"log_bytes"`
-	AuditRecords int64   `json:"audit_records"`
-	Frames       int64   `json:"wire_frames,omitempty"`
-	WireBytes    int64   `json:"wire_bytes,omitempty"`
-	RejoinSec    float64 `json:"rejoin_sec,omitempty"`
-	CatchUpSec   float64 `json:"catchup_sec,omitempty"`
-}
-
-// KVJSON is the committed kv serving artifact (BENCH_PR7.json).
-type KVJSON struct {
-	KVSchemaVersion int         `json:"kv_schema_version"`
-	Nodes           int         `json:"nodes"`
-	Keys            int         `json:"keys"`
-	ValueSize       int         `json:"value_size"`
-	OpsPerClient    int         `json:"ops_per_client"`
-	ReadPct         int         `json:"read_pct"`
-	ZipfS           float64     `json:"zipf_s"`
-	Seed            int64       `json:"seed"`
-	LeaseMs         float64     `json:"lease_ms"`
-	Rows            []KVRowJSON `json:"rows"`
-}
-
-// KVToJSON converts a kv bench run to its artifact form. The recorded
-// parameters are the ones the run actually used, defaults applied.
-func KVToJSON(nodes int, cfg kv.Config, rows []KVRow) *KVJSON {
-	cfg = cfg.WithDefaults()
-	out := &KVJSON{
-		KVSchemaVersion: KVSchemaVersion,
-		Nodes:           nodes,
-		Keys:            cfg.Keys,
-		ValueSize:       cfg.ValueSize,
-		OpsPerClient:    cfg.Ops,
-		ReadPct:         cfg.ReadPct,
-		ZipfS:           cfg.ZipfS,
-		Seed:            cfg.Seed,
-		LeaseMs:         KVLeaseMs,
-	}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, KVRowJSON{
-			Transport:    string(r.Transport),
-			Churn:        r.Churn,
-			ExecSec:      r.ExecSec,
-			Ops:          r.Ops,
-			OpsPerSec:    r.OpsPerSec,
-			Reads:        r.Reads,
-			Writes:       r.Writes,
-			ReadMeanUs:   r.ReadMeanUs,
-			ReadP50Us:    r.ReadP50Us,
-			ReadP90Us:    r.ReadP90Us,
-			ReadP99Us:    r.ReadP99Us,
-			WriteMeanUs:  r.WriteMeanUs,
-			WriteP50Us:   r.WriteP50Us,
-			WriteP90Us:   r.WriteP90Us,
-			WriteP99Us:   r.WriteP99Us,
-			NetMsgs:      r.NetMsgs,
-			NetBytes:     r.NetBytes,
-			LogBytes:     r.LogBytes,
-			AuditRecords: r.AuditRecords,
-			Frames:       r.Frames,
-			WireBytes:    r.WireBytes,
-			RejoinSec:    r.RejoinSec,
-			CatchUpSec:   r.CatchUpSec,
-		})
-	}
-	return out
-}
-
-// LoadKVJSON reads a kv artifact and validates its schema marker.
-func LoadKVJSON(path string) (*KVJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
-	}
-	var k KVJSON
-	if err := json.Unmarshal(data, &k); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	if k.KVSchemaVersion != KVSchemaVersion {
-		return nil, fmt.Errorf("bench: %s: kv_schema_version %d, this tool reads %d",
-			path, k.KVSchemaVersion, KVSchemaVersion)
-	}
-	return &k, nil
 }
 
 // FormatKV renders the kv serving matrix.

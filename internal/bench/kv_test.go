@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,16 +42,12 @@ func TestKVBenchMatrix(t *testing.T) {
 			t.Errorf("%s churn=%v: wire frames %d", r.Transport, r.Churn, r.Frames)
 		}
 	}
-	// The formatter and artifact must cover every cell.
+	// The formatter must cover every cell.
 	out := FormatKV(nodes, kvTestCfg, rows)
 	for _, want := range []string{"sim", "tcp", "crash", "p50/p90/p99"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatKV missing %q:\n%s", want, out)
 		}
-	}
-	art := KVToJSON(nodes, kvTestCfg, rows)
-	if len(art.Rows) != 4 || art.KVSchemaVersion != KVSchemaVersion || art.Keys != 16 {
-		t.Fatalf("artifact = %+v", art)
 	}
 }
 
@@ -64,66 +57,5 @@ func TestKVBenchRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := RunKVBench(2, kv.Config{ZipfS: 0.5}, nil); err == nil {
 		t.Fatal("invalid kv config accepted")
-	}
-}
-
-func TestKVArtifactFamilyIsolation(t *testing.T) {
-	dir := t.TempDir()
-	art := &KVJSON{KVSchemaVersion: KVSchemaVersion, Nodes: 4}
-	data, err := json.Marshal(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvPath := filepath.Join(dir, "BENCH_PR99.json")
-	if err := os.WriteFile(kvPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The kv artifact must not load as a sweep, and vice versa.
-	if _, err := LoadSweepJSON(kvPath); err == nil {
-		t.Fatal("LoadSweepJSON accepted a kv artifact")
-	}
-	if got, err := LoadKVJSON(kvPath); err != nil || got.Nodes != 4 {
-		t.Fatalf("LoadKVJSON = %+v, %v", got, err)
-	}
-	sweepPath := writeSweep(t, dir, "BENCH_PR98.json", &SweepJSON{SchemaVersion: SchemaVersion, Nodes: 8})
-	if _, err := LoadKVJSON(sweepPath); err == nil {
-		t.Fatal("LoadKVJSON accepted a sweep artifact")
-	}
-	// LatestSweepArtifact must skip the (newer) kv artifact and find the
-	// sweep behind it.
-	p, err := LatestSweepArtifact(dir)
-	if err != nil || p != sweepPath {
-		t.Fatalf("LatestSweepArtifact = %q, %v; want %q", p, err, sweepPath)
-	}
-}
-
-func TestLatestSweepArtifactEmptyDir(t *testing.T) {
-	if _, err := LatestSweepArtifact(t.TempDir()); err == nil {
-		t.Fatal("empty dir produced a baseline")
-	}
-}
-
-func TestGateSweepRegression(t *testing.T) {
-	oldS := &SweepJSON{SchemaVersion: SchemaVersion, Runs: []RunJSONResult{
-		{App: "water", Protocol: "CCL", ExecSec: 1.0},
-		{App: "mg", Protocol: "ML", ExecSec: 2.0},
-	}}
-	ok := &SweepJSON{SchemaVersion: SchemaVersion, Runs: []RunJSONResult{
-		{App: "water", Protocol: "CCL", ExecSec: 1.1},  // ops/s down ~9%
-		{App: "mg", Protocol: "ML", ExecSec: 1.8},      // faster
-		{App: "3d-fft", Protocol: "CCL", ExecSec: 9.9}, // unmatched: ignored
-	}}
-	if err := GateSweepRegression(oldS, ok, 20); err != nil {
-		t.Fatalf("gate rejected a within-threshold sweep: %v", err)
-	}
-	bad := &SweepJSON{SchemaVersion: SchemaVersion, Runs: []RunJSONResult{
-		{App: "water", Protocol: "CCL", ExecSec: 1.5}, // ops/s down 33%
-	}}
-	err := GateSweepRegression(oldS, bad, 20)
-	if err == nil || !strings.Contains(err.Error(), "water/CCL") {
-		t.Fatalf("gate missed a 33%% regression: %v", err)
-	}
-	if err := GateSweepRegression(oldS, ok, 0); err == nil {
-		t.Fatal("non-positive threshold accepted")
 	}
 }

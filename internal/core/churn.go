@@ -91,9 +91,6 @@ func (p ChurnPlan) validate(cfg Config) error {
 	if p.Victim == cfg.LockManagerNode || p.Victim == cfg.BarrierManagerNode {
 		return fmt.Errorf("core: victim %d hosts a manager (outside the paper's failure model)", p.Victim)
 	}
-	if cfg.DistributedLocks {
-		return fmt.Errorf("core: crash injection requires centralized lock management")
-	}
 	if cfg.Nodes < 2 {
 		return fmt.Errorf("core: online recovery needs a successor to adopt the victim's homes")
 	}

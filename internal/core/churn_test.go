@@ -273,8 +273,7 @@ func TestChurnPlanValidation(t *testing.T) {
 		{"negative op", churnCfg(), func(p ChurnPlan) ChurnPlan { p.AtOp = -1; return p }, "negative"},
 		{"victim range", churnCfg(), func(p ChurnPlan) ChurnPlan { p.Victim = 9; return p }, "invalid victim"},
 		{"manager victim", churnCfg(), func(p ChurnPlan) ChurnPlan { p.Victim = 0; return p }, "manager"},
-		{"distributed locks", func() Config { c := churnCfg(); c.DistributedLocks = true; return c }(), func(p ChurnPlan) ChurnPlan { return p }, "centralized"},
-		{"homeless victim", func() Config {
+		{"victim is home to no page", func() Config {
 			c := churnCfg()
 			c.Homes = make([]int, c.NumPages)
 			for p := range c.Homes {

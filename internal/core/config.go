@@ -53,16 +53,6 @@ type Config struct {
 	// release flush is charged fully on the critical path instead of
 	// overlapping the diff/ack round trip. Ablation only.
 	NoFlushOverlap bool
-	// DistributedLocks statically distributes lock managers (manager of
-	// lock l is node l mod Nodes), as TreadMarks does, instead of the
-	// default centralized manager. Incompatible with RunWithCrash.
-	DistributedLocks bool
-	// LegacyWire reverts the release path to the pre-batching layouts: one
-	// DiffUpdate message per diff on the wire and one RecDiff log record
-	// per diff on disk. Kept for the batched-vs-legacy equivalence tests;
-	// results (memory images, interval/diff counts, reconciliation) must
-	// not differ.
-	LegacyWire bool
 	// LeaseDuration enables lease-based online recovery (see RunWithChurn):
 	// lock grants and barrier releases carry virtual-clock leases, a
 	// crashed node is declared dead only after its lease expires, its home
@@ -87,8 +77,8 @@ type Config struct {
 	// Ignored by TransportSim.
 	NetBudgetBytesPerSec int64
 	// LogStreams is the number of parallel log streams per node's stable
-	// store (0 or 1 = the classic single stream, whose on-disk format is
-	// byte-identical to earlier versions). With more than one stream,
+	// store (0 or 1 = a single stream, whose records carry no
+	// LSN-vector). With more than one stream,
 	// records are routed by page/home hash, each record carries an
 	// LSN-vector deriving the cross-stream total order, CCL group-commits
 	// flushes across diff-less releases behind a durability fence at

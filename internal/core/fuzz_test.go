@@ -168,26 +168,3 @@ func TestFuzzCrashRecoveryAgrees(t *testing.T) {
 		}
 	}
 }
-
-func TestFuzzDistributedLocks(t *testing.T) {
-	const phases = 6
-	prog := fuzzProgram(42, phases)
-	central, err := Run(fuzzCfg(wal.ProtocolCCL), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fuzzCfg(wal.ProtocolCCL)
-	cfg.DistributedLocks = true
-	dist, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFuzzImage(t, dist.MemoryImage(), phases)
-	if !bytes.Equal(central.MemoryImage(), dist.MemoryImage()) {
-		t.Fatal("lock-manager placement changed results")
-	}
-	// Crash injection must be rejected with distributed managers.
-	if _, err := RunWithCrash(cfg, prog, CrashPlan{Victim: 1, AtOp: 5, Recovery: recovery.CCLRecovery}); err == nil {
-		t.Fatal("crash with distributed locks accepted")
-	}
-}

@@ -94,3 +94,60 @@ func TestGoldenLogAndWireContent(t *testing.T) {
 		})
 	}
 }
+
+// multiHomeProg makes every node dirty four pages homed at its right
+// neighbour each round (disjoint writers per page: race-free without
+// locks), so each release closes an interval of four diffs bound for a
+// single home.
+func multiHomeProg(rounds int) core.Program {
+	return func(p *core.Proc) {
+		// 64 pages block-homed over 4 nodes: 16 pages per node.
+		home := (p.ID() + 1) % p.N()
+		for r := 0; r < rounds; r++ {
+			for k := 0; k < 4; k++ {
+				addr := (home*16+k)*512 + (r%32)*8
+				p.WriteI64(addr, int64(100*p.ID()+10*r+k))
+			}
+			p.Barrier(r)
+		}
+	}
+}
+
+// A release sends one DiffUpdate per home and logs one diff-batch record
+// per closed interval, however many diffs the interval holds. What that
+// saves is pinned against the counts of a layout with one message and
+// one record per diff, measured on this program at 25e2adc, the last
+// commit that could write it. The program is barrier-only, so the counts
+// repeat exactly, under -race too.
+func TestBatchingSavesAppends(t *testing.T) {
+	const (
+		msgs, modelBytes               = 128, 8172
+		perDiffMsgs, perDiffModelBytes = 318, 9692
+	)
+	for _, tc := range []struct {
+		proto                   wal.Protocol
+		appends, perDiffAppends int64
+	}{
+		{wal.ProtocolML, 64, 159},
+		{wal.ProtocolCCL, 96, 286},
+	} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			rep, err := core.Run(core.Config{Nodes: 4, PageSize: 512, NumPages: 64, Protocol: tc.proto}, multiHomeProg(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var appends int64
+			for i := range rep.Stats {
+				appends += rep.Stats[i].LogAppends
+			}
+			if appends != tc.appends || rep.NetMsgs != msgs || rep.NetBytes != modelBytes {
+				t.Errorf("got %d appends, %d messages, %d model bytes; want %d, %d, %d",
+					appends, rep.NetMsgs, rep.NetBytes, tc.appends, msgs, modelBytes)
+			}
+			if appends >= tc.perDiffAppends || rep.NetMsgs >= perDiffMsgs || rep.NetBytes >= perDiffModelBytes {
+				t.Errorf("batching saves nothing: %d appends, %d messages, %d model bytes against %d, %d, %d per diff",
+					appends, rep.NetMsgs, rep.NetBytes, tc.perDiffAppends, perDiffMsgs, perDiffModelBytes)
+			}
+		})
+	}
+}

@@ -81,7 +81,7 @@ func buildCluster(cfg Config) (*cluster, error) {
 
 // newIncarnation builds a (fresh or recovered) node attached to slot id.
 func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock) *hlrc.Node {
-	wopts := wal.Options{LegacyDiffRecords: c.cfg.LegacyWire}
+	var wopts wal.Options
 	if c.cfg.LogStreams > 1 && c.cfg.LeaseDuration > 0 {
 		// Online (churn) recovery replays concurrently with the live
 		// cluster and has no tail-mode path to rebuild group-commit
@@ -108,8 +108,6 @@ func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock
 		Model:              *c.cfg.Model,
 		HomeUndo:           c.cfg.HomeUndo,
 		NoFlushOverlap:     c.cfg.NoFlushOverlap,
-		DistributedLocks:   c.cfg.DistributedLocks,
-		LegacyDiffUpdates:  c.cfg.LegacyWire,
 		SenderLogs:         c.cfg.Faults.TornWriteOnCrash || c.cfg.LogStreams > 1,
 		LeaseDuration:      c.cfg.LeaseDuration,
 		Tracer:             trc,
@@ -383,9 +381,6 @@ func (p CrashPlan) validate(cfg Config) error {
 	}
 	if p.Victim == cfg.LockManagerNode || p.Victim == cfg.BarrierManagerNode {
 		return fmt.Errorf("core: victim %d hosts a manager (outside the paper's failure model)", p.Victim)
-	}
-	if cfg.DistributedLocks {
-		return fmt.Errorf("core: crash injection requires centralized lock management")
 	}
 	return nil
 }

@@ -324,8 +324,6 @@ func TestConfigValidation(t *testing.T) {
 // actual problem.
 func TestCrashPlanValidation(t *testing.T) {
 	cfg := testCfg(wal.ProtocolCCL)
-	distLocks := testCfg(wal.ProtocolCCL)
-	distLocks.DistributedLocks = true
 	remoteBarrier := testCfg(wal.ProtocolCCL)
 	remoteBarrier.BarrierManagerNode = 2
 	prog := stencilProg(2)
@@ -351,8 +349,6 @@ func TestCrashPlanValidation(t *testing.T) {
 			CrashPlan{Victim: 0, AtOp: 1, Recovery: recovery.CCLRecovery}, "hosts a manager"},
 		{"victim hosts barrier manager", remoteBarrier,
 			CrashPlan{Victim: 2, AtOp: 1, Recovery: recovery.CCLRecovery}, "hosts a manager"},
-		{"distributed locks", distLocks,
-			CrashPlan{Victim: 1, AtOp: 1, Recovery: recovery.CCLRecovery}, "centralized lock"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,12 +39,7 @@ type Config struct {
 	// experiments fail a worker, not a manager).
 	LockManagerNode    int
 	BarrierManagerNode int
-	// DistributedLocks statically distributes lock managers over the
-	// nodes (manager of lock l is node l mod N), as TreadMarks does.
-	// Incompatible with crash injection: a victim's manager state is
-	// volatile.
-	DistributedLocks bool
-	Model            simtime.CostModel
+	Model              simtime.CostModel
 	// HomeUndo maintains a volatile per-home-page undo history so a live
 	// home can serve an earlier version of a page during a peer's
 	// recovery ("home rollback" in the paper, implemented as in-memory
@@ -53,11 +48,6 @@ type Config struct {
 	// NoFlushOverlap disables CCL's flush/communication overlap
 	// (ablation): the release flush lands fully on the critical path.
 	NoFlushOverlap bool
-	// LegacyDiffUpdates sends one DiffUpdate message per diff at release
-	// instead of one per home. Kept for wire-format comparison tests; the
-	// per-home batch is semantically identical (the home applies diffs
-	// keyed by (writer, seq) either way).
-	LegacyDiffUpdates bool
 	// SenderLogs makes manager nodes keep an in-memory log of every lock
 	// grant and barrier release they issue, per receiver. A victim whose
 	// disk log lost its tail to a torn write replays those operations from

@@ -3,9 +3,8 @@ package hlrc
 import "sdsm/internal/obsv"
 
 // Stats is the node's protocol counter set. It is an alias of the shared
-// obsv registry type so the HLRC engine, the logging layer and the
-// home-less ablation engine all account into one source of truth (the
-// per-engine counter structs this file used to define are gone).
+// obsv registry type so the HLRC engine and the logging layer account
+// into one source of truth.
 type Stats = obsv.Counters
 
 // Snapshot is the plain-value copy of Stats, suitable for summing and

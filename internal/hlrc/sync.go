@@ -31,7 +31,7 @@ func (nd *Node) AcquireLock(lock int) {
 	// safe for flush composition. The tag names the lock so a fence can
 	// bound this node's wake by the published holder's clock.
 	nd.ep.BeginSyncWait(nd.clock.Now(), transport.LockTag(int64(l)))
-	resp := nd.ep.Call(nd.lockManagerFor(l), KindLockReq, req.WireSize(), req)
+	resp := nd.ep.Call(nd.cfg.LockManagerNode, KindLockReq, req.WireSize(), req)
 	nd.ep.EndSyncWait()
 	if resp.Kind == KindFenced {
 		panic(ErrFenced)
@@ -130,20 +130,11 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 	// relies on "registry entry visible ⇒ release still in this node's
 	// future" (see transport.Endpoint.ClearLockHeld).
 	nd.ep.ClearLockHeld(int64(l))
-	nd.ep.Send(nd.lockManagerFor(l), KindLockRelease, rel.WireSize(), rel)
+	nd.ep.Send(nd.cfg.LockManagerNode, KindLockRelease, rel.WireSize(), rel)
 	// lastSyncStamp is NOT advanced here: the release is one-way, so
 	// there is no manager-side stamp to adopt; arrivals after it are
 	// fenced by the next acquire/barrier's grant stamp instead.
 	nd.lastSyncResume = nd.clock.Now()
-}
-
-// lockManagerFor returns the node managing a lock: a fixed node by
-// default, or l mod N with distributed lock management.
-func (nd *Node) lockManagerFor(l int32) int {
-	if nd.cfg.DistributedLocks {
-		return int(l) % nd.cfg.N
-	}
-	return nd.cfg.LockManagerNode
 }
 
 // Barrier enters a global barrier: the interval is closed exactly as at a
@@ -324,9 +315,6 @@ func (nd *Node) crashingAt(op int32) bool {
 	if nd.CrashOp < 0 || op < nd.CrashOp {
 		return false
 	}
-	if nd.cfg.DistributedLocks {
-		panic("hlrc: cannot crash with distributed lock managers (manager state is volatile)")
-	}
 	if nd.cfg.ID == nd.cfg.LockManagerNode || nd.cfg.ID == nd.cfg.BarrierManagerNode {
 		panic("hlrc: cannot crash a manager node (out of the paper's failure model)")
 	}
@@ -503,34 +491,18 @@ func (nd *Node) closeAndPropagate(op int32) {
 	}
 	flights := make([]flight, 0, len(homes))
 	var sentBytes int64
-	send := func(to int, du *DiffUpdate) {
-		sz := du.WireSize()
-		sentBytes += int64(sz)
-		flights = append(flights, flight{to: to, du: du, pd: nd.ep.CallAsync(to, KindDiffUpdate, sz, du)})
-	}
 	for _, h := range homes {
 		dest := h
-		if leases {
-			dest = nd.effectiveNode(h)
-		}
-		if nd.cfg.LegacyDiffUpdates {
-			// Legacy wire layout: one message per diff, in page order.
-			for _, d := range perHome[h] {
-				du := &DiffUpdate{Writer: int32(nd.cfg.ID), Seq: seq, Diffs: []memory.Diff{d}}
-				if leases {
-					du.VTSum = vtSum
-				}
-				send(dest, du)
-			}
-			continue
-		}
 		du := &DiffUpdate{Writer: int32(nd.cfg.ID), Seq: seq, Diffs: perHome[h]}
 		if leases {
+			dest = nd.effectiveNode(h)
 			// The custody-application ordering key, recorded by an adopter
 			// if this batch lands in a migrated home's custody.
 			du.VTSum = vtSum
 		}
-		send(dest, du)
+		sz := du.WireSize()
+		sentBytes += int64(sz)
+		flights = append(flights, flight{to: dest, du: du, pd: nd.ep.CallAsync(dest, KindDiffUpdate, sz, du)})
 	}
 	nd.stats.DiffBytesSent.Add(sentBytes)
 

@@ -127,18 +127,11 @@ func auditStore(node int, s *stable.Store, opts AuditOptions, rep *AuditReport) 
 			}
 			lastOp = d.Op
 		}
-		// Own diffs arrive either as per-diff records (legacy layout) or
-		// as one batch record per closed interval; both carry the same
-		// (seq, vtsum) ordering obligation.
-		ownSeq, ownVT := int32(0), int64(0)
-		isOwn := false
-		switch {
-		case d.Diff != nil && d.Diff.Writer == -1:
-			ownSeq, ownVT, isOwn = d.Diff.Seq, d.Diff.VTSum, true
-		case d.DiffBatch != nil && d.DiffBatch.Writer == -1:
-			ownSeq, ownVT, isOwn = d.DiffBatch.Seq, d.DiffBatch.VTSum, true
-		}
-		if isOwn {
+		// Own diffs: one batch record per closed interval (one per
+		// touched stream on a multi-stream log), under a (seq, vtsum)
+		// ordering obligation.
+		if d.DiffBatch != nil && d.DiffBatch.Writer == -1 {
+			ownSeq, ownVT := d.DiffBatch.Seq, d.DiffBatch.VTSum
 			switch {
 			case ownSeq < lastSeq:
 				return fmt.Errorf("%w: node %d record %d: seq %d after seq %d",

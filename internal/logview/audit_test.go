@@ -20,7 +20,7 @@ func ownDiffData(seq int32, vtSum int64) []byte {
 	twin := make([]byte, 32)
 	cur := make([]byte, 32)
 	cur[0] = byte(seq)
-	return wal.EncodeDiffRecord(nil, -1, seq, vtSum, memory.MakeDiff(1, twin, cur))
+	return wal.EncodeDiffBatchRecord(nil, -1, seq, vtSum, []memory.Diff{memory.MakeDiff(1, twin, cur)})
 }
 
 // The auditor must fail loudly, with the right typed error, on each
@@ -35,7 +35,7 @@ func TestAuditNegativeCases(t *testing.T) {
 		want  error
 	}{
 		{"corrupt-payload-valid-crc", func(s *stable.Store) {
-			s.Flush([]stable.Record{{Kind: wal.RecDiff, Op: 1, Data: []byte{0xde, 0xad}}})
+			s.Flush([]stable.Record{{Kind: wal.RecDiffBatch, Op: 1, Data: []byte{0xde, 0xad}}})
 		}, logview.AuditOptions{}, wal.ErrCorruptPayload},
 		{"unknown-kind", func(s *stable.Store) {
 			s.Flush([]stable.Record{{Kind: 9, Op: 1, Data: []byte{1}}})
@@ -48,20 +48,20 @@ func TestAuditNegativeCases(t *testing.T) {
 		}, logview.AuditOptions{}, logview.ErrOpRegression},
 		{"seq-regression", func(s *stable.Store) {
 			s.Flush([]stable.Record{
-				{Kind: wal.RecDiff, Op: 1, Data: ownDiffData(3, 10)},
-				{Kind: wal.RecDiff, Op: 2, Data: ownDiffData(2, 11)},
+				{Kind: wal.RecDiffBatch, Op: 1, Data: ownDiffData(3, 10)},
+				{Kind: wal.RecDiffBatch, Op: 2, Data: ownDiffData(2, 11)},
 			})
 		}, logview.AuditOptions{}, logview.ErrVTRegression},
 		{"vtsum-stalled", func(s *stable.Store) {
 			s.Flush([]stable.Record{
-				{Kind: wal.RecDiff, Op: 1, Data: ownDiffData(2, 10)},
-				{Kind: wal.RecDiff, Op: 2, Data: ownDiffData(3, 10)},
+				{Kind: wal.RecDiffBatch, Op: 1, Data: ownDiffData(2, 10)},
+				{Kind: wal.RecDiffBatch, Op: 2, Data: ownDiffData(3, 10)},
 			})
 		}, logview.AuditOptions{}, logview.ErrVTRegression},
 		{"vtsum-rewritten", func(s *stable.Store) {
 			s.Flush([]stable.Record{
-				{Kind: wal.RecDiff, Op: 1, Data: ownDiffData(2, 10)},
-				{Kind: wal.RecDiff, Op: 1, Data: ownDiffData(2, 12)},
+				{Kind: wal.RecDiffBatch, Op: 1, Data: ownDiffData(2, 10)},
+				{Kind: wal.RecDiffBatch, Op: 1, Data: ownDiffData(2, 12)},
 			})
 		}, logview.AuditOptions{}, logview.ErrVTRegression},
 		{"torn-not-allowed", func(s *stable.Store) {
@@ -83,17 +83,18 @@ func TestAuditNegativeCases(t *testing.T) {
 	}
 }
 
-// Legitimate logs must pass: same-seq own diffs share a vtsum (two
-// diffs in one release), ML incoming diffs are exempt from interval
-// ordering, and a torn tail passes exactly when the options allow it.
+// Legitimate logs must pass: same-seq own-diff records share a vtsum
+// (one release's batches on two streams), ML incoming diffs are exempt
+// from interval ordering, and a torn tail passes exactly when the
+// options allow it.
 func TestAuditPositiveCases(t *testing.T) {
 	depot := stable.NewDepot(2)
 	s := depot.Store(0)
 	s.Flush([]stable.Record{
 		{Kind: wal.RecNotices, Op: 1, Data: noticesData()},
-		{Kind: wal.RecDiff, Op: 1, Data: ownDiffData(2, 10)},
-		{Kind: wal.RecDiff, Op: 1, Data: ownDiffData(2, 10)},
-		{Kind: wal.RecDiff, Op: 2, Data: ownDiffData(3, 14)},
+		{Kind: wal.RecDiffBatch, Op: 1, Data: ownDiffData(2, 10)},
+		{Kind: wal.RecDiffBatch, Op: 1, Data: ownDiffData(2, 10)},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: ownDiffData(3, 14)},
 	})
 	// ML-style incoming diffs from writer 1, out of writer order.
 	twin := make([]byte, 32)
@@ -101,8 +102,8 @@ func TestAuditPositiveCases(t *testing.T) {
 	cur[1] = 7
 	d := memory.MakeDiff(4, twin, cur)
 	depot.Store(1).Flush([]stable.Record{
-		{Kind: wal.RecDiff, Op: 2, Data: wal.EncodeDiffRecord(nil, 1, 5, 0, d)},
-		{Kind: wal.RecDiff, Op: 2, Data: wal.EncodeDiffRecord(nil, 1, 4, 0, d)},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, 1, 5, 0, []memory.Diff{d})},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, 1, 4, 0, []memory.Diff{d})},
 	})
 	rep, err := logview.Audit(depot, logview.AuditOptions{})
 	if err != nil {
@@ -128,7 +129,7 @@ func TestAuditPositiveCases(t *testing.T) {
 func TestAuditReconcilesAfterTruncateAcrossSegments(t *testing.T) {
 	twin := make([]byte, 4096)
 	cur := bytes.Repeat([]byte{7}, 4096)
-	page := wal.EncodeDiffRecord(nil, 1, 1, 0, memory.MakeDiff(4, twin, cur)) // an ML incoming diff, ~4 KB
+	page := wal.EncodeDiffBatchRecord(nil, 1, 1, 0, []memory.Diff{memory.MakeDiff(4, twin, cur)}) // an ML incoming diff, ~4 KB
 	for _, streams := range []int{1, 3} {
 		depot := stable.NewDepotStreams(1, streams)
 		s := depot.Store(0)
@@ -136,7 +137,7 @@ func TestAuditReconcilesAfterTruncateAcrossSegments(t *testing.T) {
 			for op := from; op < to; op++ {
 				group := make([]stable.Record, 4)
 				for i := range group {
-					group[i] = stable.Record{Kind: wal.RecDiff, Op: op, Data: page, Stream: (int(op) + i) % streams}
+					group[i] = stable.Record{Kind: wal.RecDiffBatch, Op: op, Data: page, Stream: (int(op) + i) % streams}
 				}
 				s.FlushGroup(group)
 			}

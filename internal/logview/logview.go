@@ -1,13 +1,11 @@
 // Package logview dissects and audits the stable logs a run leaves
 // behind. It is the read side of the logging protocols: internal/wal
 // writes records, internal/recovery replays them, and logview decodes
-// them for the introspection tools (cmd/sdsminspect, sdsmbench's
-// log-volume accounting) and for the post-run consistency auditor the
-// fault tests run.
+// them for the introspection tools (cmd/sdsminspect) and for the post-run
+// consistency auditor the fault tests run.
 //
-// logview deliberately does not import internal/core or internal/bench,
-// so both can use it (core's fault tests audit depots; bench embeds
-// Volume in its JSON schema).
+// logview deliberately does not import internal/core, so core's fault
+// tests can audit depots with it.
 package logview
 
 import (
@@ -19,34 +17,34 @@ import (
 
 // KindVolume is the count and byte accounting of one record kind.
 type KindVolume struct {
-	Kind    string `json:"kind"`
-	Records int64  `json:"records"`
-	Bytes   int64  `json:"bytes"`
+	Kind    string
+	Records int64
+	Bytes   int64
 }
 
 // StreamVolume is the count and byte accounting of one log stream of a
 // multi-stream store (dissected valid-prefix records routed there, plus
 // the stream's share of any torn tail).
 type StreamVolume struct {
-	Stream    int   `json:"stream"`
-	Records   int64 `json:"records"`
-	Bytes     int64 `json:"bytes"`
-	TornRecs  int64 `json:"torn_records,omitempty"`
-	TornBytes int64 `json:"torn_bytes,omitempty"`
+	Stream    int
+	Records   int64
+	Bytes     int64
+	TornRecs  int64
+	TornBytes int64
 }
 
 // NodeVolume is one node's log accounting, per kind. Torn records (the
 // invalid tail a mid-flush crash leaves) are counted separately and not
 // dissected: their payloads are untrustworthy. Streams is populated only
-// for multi-stream stores, so single-stream JSON output is unchanged.
+// for multi-stream stores.
 type NodeVolume struct {
-	Node      int            `json:"node"`
-	Records   int64          `json:"records"`
-	Bytes     int64          `json:"bytes"`
-	TornRecs  int64          `json:"torn_records,omitempty"`
-	TornBytes int64          `json:"torn_bytes,omitempty"`
-	Kinds     []KindVolume   `json:"kinds"`
-	Streams   []StreamVolume `json:"streams,omitempty"`
+	Node      int
+	Records   int64
+	Bytes     int64
+	TornRecs  int64
+	TornBytes int64
+	Kinds     []KindVolume
+	Streams   []StreamVolume
 }
 
 // Volume is a whole depot's log accounting: totals, per kind, and per
@@ -55,28 +53,28 @@ type NodeVolume struct {
 // discussion implies (ML logs incoming diffs and fetched pages; CCL
 // logs write notices, own diffs and update-event records).
 type Volume struct {
-	Records   int64        `json:"records"`
-	Bytes     int64        `json:"bytes"`
-	TornRecs  int64        `json:"torn_records,omitempty"`
-	TornBytes int64        `json:"torn_bytes,omitempty"`
-	Kinds     []KindVolume `json:"kinds"`
-	PerNode   []NodeVolume `json:"per_node"`
+	Records   int64
+	Bytes     int64
+	TornRecs  int64
+	TornBytes int64
+	Kinds     []KindVolume
+	PerNode   []NodeVolume
 }
 
-// kindTally accumulates per-kind counters indexed by kind byte - 1.
-type kindTally [wal.NumKinds]KindVolume
+// kindTally accumulates per-kind counters indexed by kind byte.
+type kindTally [wal.RecDiffBatch + 1]KindVolume
 
 func (t *kindTally) add(k stable.RecordKind, bytes int) {
-	i := int(k) - 1
-	t[i].Records++
-	t[i].Bytes += int64(bytes)
+	t[k].Records++
+	t[k].Bytes += int64(bytes)
 }
 
+// slice returns the tally in wal.Kinds order.
 func (t *kindTally) slice() []KindVolume {
-	out := make([]KindVolume, wal.NumKinds)
-	for i := range t {
-		out[i] = t[i]
-		out[i].Kind = wal.KindName(stable.RecordKind(i + 1))
+	out := make([]KindVolume, len(wal.Kinds))
+	for i, k := range wal.Kinds {
+		out[i] = t[k]
+		out[i].Kind = wal.KindName(k)
 	}
 	return out
 }
@@ -130,8 +128,7 @@ func DissectStore(node int, s *stable.Store) (NodeVolume, error) {
 // DissectDepot decodes every node's log and returns the aggregated
 // volume accounting.
 func DissectDepot(d *stable.Depot) (*Volume, error) {
-	v := &Volume{}
-	var kinds kindTally
+	v := &Volume{Kinds: new(kindTally).slice()}
 	for node := 0; node < d.Nodes(); node++ {
 		nv, err := DissectStore(node, d.Store(node))
 		if err != nil {
@@ -142,12 +139,11 @@ func DissectDepot(d *stable.Depot) (*Volume, error) {
 		v.TornRecs += nv.TornRecs
 		v.TornBytes += nv.TornBytes
 		for i, kv := range nv.Kinds {
-			kinds[i].Records += kv.Records
-			kinds[i].Bytes += kv.Bytes
+			v.Kinds[i].Records += kv.Records
+			v.Kinds[i].Bytes += kv.Bytes
 		}
 		v.PerNode = append(v.PerNode, nv)
 	}
-	v.Kinds = kinds.slice()
 	return v, nil
 }
 

@@ -3,11 +3,10 @@ package obsv
 import "sync/atomic"
 
 // Counters is the shared per-node counter registry — the one source of
-// truth for protocol bookkeeping that used to be split between the
-// home-based engine's stats and the home-less ablation engine. All
-// fields are atomics so any goroutine of the node may bump them.
+// truth for protocol bookkeeping. All fields are atomics so any
+// goroutine of the node may bump them.
 type Counters struct {
-	// Home-based (HLRC) protocol counters.
+	// Coherence protocol counters.
 	Faults        atomic.Int64 // access faults taken
 	PageFetches   atomic.Int64 // pages fetched from homes
 	TwinsCreated  atomic.Int64 // twins created on first write
@@ -40,7 +39,9 @@ type Counters struct {
 	RejoinPhases atomic.Int64 // catch-up phases run while re-admitting this node
 	RejoinServed atomic.Int64 // operations this node completed after rejoining
 
-	// Home-less (TreadMarks-style) ablation engine counters.
+	// Always zero: nothing fetches diffs from their writers round by
+	// round. The families stay so the Prometheus exposition and its
+	// golden do not move (ROADMAP item 10b regenerates the golden).
 	FetchRounds   atomic.Int64 // multi-writer diff fetch rounds
 	DiffsFetched  atomic.Int64 // diffs fetched during those rounds
 	BytesRetained atomic.Int64 // diff bytes retained for later fetches

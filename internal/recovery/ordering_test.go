@@ -117,9 +117,9 @@ func TestReplayOrderingLinearExtension(t *testing.T) {
 func TestLoggedDiffsStampsWriter(t *testing.T) {
 	store := stable.NewStore()
 	store.Flush([]stable.Record{
-		{Kind: wal.RecDiff, Op: 1, Data: wal.EncodeDiffRecord(nil, -1, 1, 2, mkDiff(4, 0, 9))},
-		{Kind: wal.RecDiff, Op: 2, Data: wal.EncodeDiffRecord(nil, -1, 2, 5, mkDiff(4, 8, 8))},
-		{Kind: wal.RecDiff, Op: 2, Data: wal.EncodeDiffRecord(nil, -1, 2, 5, mkDiff(6, 0, 7))},
+		{Kind: wal.RecDiffBatch, Op: 1, Data: wal.EncodeDiffBatchRecord(nil, -1, 1, 2, []memory.Diff{mkDiff(4, 0, 9)})},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 5, []memory.Diff{mkDiff(4, 8, 8)})},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 5, []memory.Diff{mkDiff(6, 0, 7)})},
 	})
 	got := LoggedDiffs(store, 3, 4, 0, math.MaxInt32)
 	if len(got) != 2 {

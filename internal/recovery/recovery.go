@@ -128,10 +128,10 @@ func InstallService(nd *hlrc.Node, store *stable.Store) {
 func readLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
 	resp := &hlrc.RecDiffsReply{}
 	for _, rec := range store.Records() {
-		if rec.Kind != wal.RecDiff && rec.Kind != wal.RecDiffBatch {
+		if rec.Kind != wal.RecDiffBatch {
 			continue
 		}
-		writer, seq, vtSum, n, enc, err := wal.SplitDiffRecord(rec.Kind, rec.Data)
+		writer, seq, vtSum, n, enc, err := wal.SplitDiffRecord(rec.Data)
 		if err != nil {
 			panic(fmt.Sprintf("recovery: corrupt diff record: %v", err))
 		}
@@ -606,18 +606,6 @@ func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
 				panic(fmt.Sprintf("recovery: corrupt events record: %v", err))
 			}
 			events = append(events, evs...)
-		case wal.RecDiff:
-			writer, seq, _, d, err := wal.DecodeDiffRecord(rec.Data)
-			if err != nil {
-				panic(fmt.Sprintf("recovery: corrupt diff record: %v", err))
-			}
-			if writer == -1 {
-				// The victim's own outgoing diff (CCL): the home already
-				// has it, and replay recomputes the writes; skip.
-				continue
-			}
-			// ML: an incoming diff applied to a home copy.
-			nd.ApplyDiffAsHome(d, writer, seq)
 		case wal.RecDiffBatch:
 			writer, seq, _, diffs, err := wal.DecodeDiffBatchRecord(rec.Data)
 			if err != nil {

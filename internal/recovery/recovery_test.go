@@ -42,11 +42,11 @@ func TestReadLoggedDiffs(t *testing.T) {
 	// intervals, plus an incoming diff under ML conventions (writer 3)
 	// that must be ignored.
 	store.Flush([]stable.Record{
-		{Kind: wal.RecDiff, Op: 1, Data: wal.EncodeDiffRecord(nil, -1, 1, 1, mkDiff(1, 0, 9))},
-		{Kind: wal.RecDiff, Op: 2, Data: wal.EncodeDiffRecord(nil, -1, 2, 4, mkDiff(1, 4, 8))},
-		{Kind: wal.RecDiff, Op: 2, Data: wal.EncodeDiffRecord(nil, -1, 2, 4, mkDiff(2, 0, 7))},
-		{Kind: wal.RecDiff, Op: 3, Data: wal.EncodeDiffRecord(nil, -1, 3, 9, mkDiff(1, 8, 6))},
-		{Kind: wal.RecDiff, Op: 3, Data: wal.EncodeDiffRecord(nil, 3, 5, 0, mkDiff(1, 12, 5))},
+		{Kind: wal.RecDiffBatch, Op: 1, Data: wal.EncodeDiffBatchRecord(nil, -1, 1, 1, []memory.Diff{mkDiff(1, 0, 9)})},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 4, []memory.Diff{mkDiff(1, 4, 8)})},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 4, []memory.Diff{mkDiff(2, 0, 7)})},
+		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, -1, 3, 9, []memory.Diff{mkDiff(1, 8, 6)})},
+		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, 3, 5, 0, []memory.Diff{mkDiff(1, 12, 5)})},
 	})
 	resp := readLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 3})
 	if len(resp.Diffs) != 2 { // seqs 2 and 3 for page 1, own only
@@ -80,7 +80,7 @@ func TestReplayerIndexesByOp(t *testing.T) {
 	store.Flush([]stable.Record{
 		{Kind: wal.RecNotices, Op: 1, Data: hlrc.EncodeNotices([]hlrc.Notice{{Proc: 0, Seq: 1, Pages: []memory.PageID{1}}}, nil)},
 		{Kind: wal.RecPage, Op: 2, Data: wal.EncodePageRecord(nil, 1, make([]byte, 128))},
-		{Kind: wal.RecDiff, Op: 2, Data: wal.EncodeDiffRecord(nil, 1, 1, 0, mkDiff(0, 0, 1))},
+		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, 1, 1, 0, []memory.Diff{mkDiff(0, 0, 1)})},
 	})
 	r := NewReplayer(MLRecovery, store, 5, simtime.DefaultCostModel())
 	if len(r.byOp[1]) != 1 || len(r.byOp[2]) != 1 {
@@ -193,7 +193,7 @@ func TestInstallServiceLoggedDiffs(t *testing.T) {
 	}, nw, simtime.NewClock(0), nil, nil)
 	store := stable.NewStore()
 	store.Flush([]stable.Record{
-		{Kind: wal.RecDiff, Op: 3, Data: wal.EncodeDiffRecord(nil, -1, 4, 7, mkDiff(1, 0, 42))},
+		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, -1, 4, 7, []memory.Diff{mkDiff(1, 0, 42)})},
 	})
 	InstallService(nd, store)
 	nd.StartService()

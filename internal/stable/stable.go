@@ -53,8 +53,8 @@ type Record struct {
 	// stores: Vec[j] is the number of records stream j held when this
 	// record was appended. The sum of its entries is therefore the
 	// record's unique global append index, which is how readers rebuild
-	// the cross-stream total order. Nil on single-stream stores, keeping
-	// their wire format byte-identical to the pre-stream layout.
+	// the cross-stream total order. Nil on single-stream stores, whose
+	// record frames carry no vector.
 	Vec []uint32
 }
 
@@ -339,8 +339,7 @@ func (s *Store) Flush(recs []Record) int {
 // the whole group counts as ONE flush. Returns the total bytes written
 // and the critical-path bytes — the largest single stream's share, which
 // is what the caller charges its virtual clock with. On a single-stream
-// store the two are equal and the record layout is byte-identical to the
-// pre-stream format (no LSN-vector is stamped).
+// store the two are equal and no LSN-vector is stamped.
 //
 // Callers regain ownership of the record payload slices when FlushGroup
 // returns: the flush copies every payload into the owning stream's image,

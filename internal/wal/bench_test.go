@@ -39,17 +39,6 @@ func BenchmarkCCLReleaseFlush(b *testing.B) {
 	}
 }
 
-func BenchmarkCCLReleaseFlushLegacy(b *testing.B) {
-	s := stable.NewStore()
-	h := NewWithOptions(ProtocolCCL, s, nil, false, Options{LegacyDiffRecords: true})
-	diffs := benchDiffs(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.AtRelease(int32(i), int32(i+1), int64(i+1), simtime.Time(i), diffs)
-	}
-}
-
 func BenchmarkMLIncomingDiffs(b *testing.B) {
 	s := stable.NewStore()
 	h := New(ProtocolML, s, nil)

@@ -25,17 +25,15 @@ var (
 	ErrCorruptPayload = errors.New("wal: corrupt record payload")
 )
 
-// NumKinds is the number of defined record kinds (kind bytes are
-// 1..NumKinds; 0 is never written).
-const NumKinds = int(RecDiffBatch)
+// Kinds lists the defined record kinds in kind-byte order (kind bytes run
+// 1..RecDiffBatch with 2 reserved; 0 is never written).
+var Kinds = [...]stable.RecordKind{RecNotices, RecEvents, RecPage, RecDiffBatch}
 
 // KindName names a record kind as the introspection tables print it.
 func KindName(k stable.RecordKind) string {
 	switch k {
 	case RecNotices:
 		return "notices"
-	case RecDiff:
-		return "diff"
 	case RecEvents:
 		return "events"
 	case RecPage:
@@ -45,14 +43,6 @@ func KindName(k stable.RecordKind) string {
 	default:
 		return fmt.Sprintf("kind-%d", int(k))
 	}
-}
-
-// DiffPayload is the typed form of a RecDiff record.
-type DiffPayload struct {
-	Writer int32 // -1: the log owner's own diff
-	Seq    int32 // writer interval the diff closes
-	VTSum  int64 // closing interval's vector-time sum (own diffs only)
-	Diff   memory.Diff
 }
 
 // PagePayload is the typed form of a RecPage record.
@@ -80,7 +70,6 @@ type Dissected struct {
 	LSNVec []uint32 // multi-stream LSN-vector (nil on a single-stream log)
 
 	Notices   []hlrc.Notice      // RecNotices
-	Diff      *DiffPayload       // RecDiff
 	Events    []hlrc.UpdateEvent // RecEvents
 	Page      *PagePayload       // RecPage
 	DiffBatch *DiffBatchPayload  // RecDiffBatch
@@ -102,12 +91,6 @@ func DissectRecord(r stable.Record) (*Dissected, error) {
 			return nil, fmt.Errorf("%w: notices at op %d: %d trailing bytes", ErrCorruptPayload, r.Op, len(rest))
 		}
 		d.Notices = ns
-	case RecDiff:
-		writer, seq, vtSum, diff, err := DecodeDiffRecord(r.Data)
-		if err != nil {
-			return nil, fmt.Errorf("%w: diff at op %d: %v", ErrCorruptPayload, r.Op, err)
-		}
-		d.Diff = &DiffPayload{Writer: writer, Seq: seq, VTSum: vtSum, Diff: diff}
 	case RecEvents:
 		evs, err := DecodeEventsRecord(r.Data)
 		if err != nil {
@@ -142,13 +125,6 @@ func (d *Dissected) Summary() string {
 			pages += len(n.Pages)
 		}
 		return fmt.Sprintf("%d notices covering %d pages", len(d.Notices), pages)
-	case RecDiff:
-		who := "own"
-		if d.Diff.Writer >= 0 {
-			who = fmt.Sprintf("writer %d", d.Diff.Writer)
-		}
-		return fmt.Sprintf("%s diff page %d seq %d vtsum %d (%d bytes)",
-			who, d.Diff.Diff.Page, d.Diff.Seq, d.Diff.VTSum, d.Diff.Diff.WireSize())
 	case RecEvents:
 		return fmt.Sprintf("%d update events", len(d.Events))
 	case RecPage:

@@ -32,10 +32,11 @@ func TestDissectRecordRoundTrips(t *testing.T) {
 	}{
 		{"notices", stable.Record{Kind: RecNotices, Op: 4, Data: hlrc.EncodeNotices(notices, nil)},
 			func(x *Dissected) bool { return len(x.Notices) == 1 && len(x.Notices[0].Pages) == 2 }},
-		{"own-diff", stable.Record{Kind: RecDiff, Op: 5, Data: EncodeDiffRecord(nil, -1, 3, 17, d)},
+		{"incoming-diff", stable.Record{Kind: RecDiffBatch, Op: 5,
+			Data: EncodeDiffBatchRecord(nil, 2, 3, 0, []memory.Diff{d})},
 			func(x *Dissected) bool {
-				return x.Diff != nil && x.Diff.Writer == -1 && x.Diff.Seq == 3 &&
-					x.Diff.VTSum == 17 && x.Diff.Diff.Page == 5
+				return x.DiffBatch != nil && x.DiffBatch.Writer == 2 && x.DiffBatch.Seq == 3 &&
+					x.DiffBatch.VTSum == 0 && len(x.DiffBatch.Diffs) == 1 && x.DiffBatch.Diffs[0].Page == 5
 			}},
 		{"events", stable.Record{Kind: RecEvents, Op: 6, Data: EncodeEventsRecord(nil, events)},
 			func(x *Dissected) bool { return len(x.Events) == 1 && x.Events[0].Page == 7 }},
@@ -73,12 +74,13 @@ func TestDissectRecordTypedErrors(t *testing.T) {
 	}{
 		{"unknown-kind", stable.Record{Kind: 99, Data: []byte{1, 2, 3}}, ErrUnknownKind},
 		{"zero-kind", stable.Record{Kind: 0}, ErrUnknownKind},
-		{"short-diff", stable.Record{Kind: RecDiff, Data: []byte{1, 2}}, ErrCorruptPayload},
+		{"reserved-kind", stable.Record{Kind: 2,
+			Data: EncodeDiffBatchRecord(nil, -1, 1, 1, []memory.Diff{{Page: 1}})}, ErrUnknownKind},
 		{"short-notices", stable.Record{Kind: RecNotices, Data: []byte{1}}, ErrCorruptPayload},
 		{"short-events", stable.Record{Kind: RecEvents, Data: []byte{0xff, 0xff, 0xff, 0xff}}, ErrCorruptPayload},
 		{"short-page", stable.Record{Kind: RecPage, Data: []byte{9}}, ErrCorruptPayload},
-		{"diff-trailing", stable.Record{Kind: RecDiff,
-			Data: append(EncodeDiffRecord(nil, -1, 1, 1, memory.Diff{Page: 1}), 0xee)}, ErrCorruptPayload},
+		{"one-diff-batch-trailing", stable.Record{Kind: RecDiffBatch,
+			Data: append(EncodeDiffBatchRecord(nil, -1, 1, 1, []memory.Diff{{Page: 1}}), 0xee)}, ErrCorruptPayload},
 		{"short-diff-batch", stable.Record{Kind: RecDiffBatch, Data: []byte{1, 2, 3}}, ErrCorruptPayload},
 		{"diff-batch-trailing", stable.Record{Kind: RecDiffBatch,
 			Data: append(EncodeDiffBatchRecord(nil, -1, 1, 1, nil), 0xee)}, ErrCorruptPayload},
@@ -117,7 +119,7 @@ func TestDissectTornRecord(t *testing.T) {
 
 func TestKindNames(t *testing.T) {
 	for k, want := range map[stable.RecordKind]string{
-		RecNotices: "notices", RecDiff: "diff", RecEvents: "events", RecPage: "page",
+		RecNotices: "notices", 2: "kind-2", RecEvents: "events", RecPage: "page",
 		RecDiffBatch: "diff-batch",
 	} {
 		if got := KindName(k); got != want {

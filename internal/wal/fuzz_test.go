@@ -11,21 +11,8 @@ import (
 
 // Native fuzz targets: the log decoders must never panic on corrupt
 // bytes — a recovery that trips over a damaged record should fail with an
-// error, not crash the process. Run with `go test -fuzz FuzzDecodeDiffRecord`
+// error, not crash the process. Run with `go test -fuzz FuzzDecodeDiffBatchRecord`
 // to explore; the seed corpus runs under plain `go test`.
-
-func FuzzDecodeDiffRecord(f *testing.F) {
-	twin := make([]byte, 64)
-	cur := make([]byte, 64)
-	cur[0], cur[32] = 1, 2
-	f.Add(EncodeDiffRecord(nil, 3, 7, 21, memory.MakeDiff(5, twin, cur)))
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must not panic; errors are fine.
-		_, _, _, _, _ = DecodeDiffRecord(data)
-	})
-}
 
 func FuzzDecodeDiffBatchRecord(f *testing.F) {
 	twin := make([]byte, 64)
@@ -81,7 +68,7 @@ func FuzzDissectRecord(f *testing.F) {
 	d := memory.MakeDiff(5, twin, cur)
 	// Well-formed seeds of every kind, plus corrupted variants.
 	f.Add(byte(RecNotices), int32(1), hlrc.EncodeNotices([]hlrc.Notice{{Proc: 1, Seq: 2, Pages: []memory.PageID{3}}}, nil))
-	f.Add(byte(RecDiff), int32(2), EncodeDiffRecord(nil, -1, 3, 21, d))
+	f.Add(byte(2), int32(2), EncodeDiffBatchRecord(nil, 1, 3, 0, []memory.Diff{d})) // the reserved kind byte
 	f.Add(byte(RecEvents), int32(3), EncodeEventsRecord(nil, []hlrc.UpdateEvent{{Page: 1, Writer: 2, Seq: 3}}))
 	f.Add(byte(RecPage), int32(4), EncodePageRecord(nil, 9, make([]byte, 128)))
 	f.Add(byte(RecDiffBatch), int32(5), EncodeDiffBatchRecord(nil, -1, 3, 21, []memory.Diff{d}))

@@ -62,21 +62,19 @@ const (
 	// RecNotices holds write-invalidation notices received at one
 	// acquire (lock grant or barrier release). Payload: EncodeNotices.
 	RecNotices stable.RecordKind = iota + 1
-	// RecDiff holds one diff. Payload: writer id, writer interval, diff.
-	// Under CCL the writer is the log's owner (it logs only its own
-	// diffs); under ML it is the remote writer whose DiffUpdate arrived.
-	RecDiff
+	// 2 is reserved: the kinds below keep their values, so record bytes and CRCs hold.
+	_
 	// RecEvents holds content-free incoming-update event records
 	// (page, writer, interval) triples — CCL only.
 	RecEvents
 	// RecPage holds a page copy fetched from its home — ML only.
 	RecPage
 	// RecDiffBatch holds every diff of one (writer, interval) group in a
-	// single record: all diffs a release created (own diffs, writer -1)
-	// or all diffs one DiffUpdate message delivered (ML). One record per
-	// group instead of one per diff cuts the per-record header and
-	// (writer, seq, vtSum) prefix overhead and the log-append count on
-	// the hot path. Payload: EncodeDiffBatchRecord.
+	// single record: all diffs a release created (own diffs, writer -1;
+	// CCL, and hardened ML) or all diffs one DiffUpdate message delivered
+	// (ML, writer = the remote writer). One record per group shares the
+	// per-record header and the (writer, seq, vtSum) prefix among the
+	// group's diffs. Payload: EncodeDiffBatchRecord.
 	RecDiffBatch
 )
 
@@ -87,12 +85,6 @@ const DefaultGroupCommitBytes = 16 << 10
 
 // Options tunes the log layout without changing the protocol.
 type Options struct {
-	// LegacyDiffRecords restores the pre-batching layout: one RecDiff
-	// record per diff instead of one RecDiffBatch record per (writer,
-	// interval) group. Recovery and introspection understand both; the
-	// knob exists for the batched-vs-legacy equivalence tests and for
-	// reading the layout the paper's per-diff accounting describes.
-	LegacyDiffRecords bool
 	// GroupCommitBytes is the per-stream pending-byte threshold above
 	// which a diff-less release flushes the staged records anyway
 	// instead of deferring them into the next durability fence. Only
@@ -133,7 +125,7 @@ func NewWithOptions(p Protocol, store *stable.Store, ctrs *obsv.Counters, harden
 	case ProtocolNone:
 		return hlrc.NopHooks{}
 	case ProtocolML:
-		return &MLHooks{store: store, ctrs: ctrs, logOwnDiffs: hardened, opts: opts, streams: streams}
+		return &MLHooks{store: store, ctrs: ctrs, logOwnDiffs: hardened, streams: streams}
 	case ProtocolCCL:
 		return &CCLHooks{store: store, ctrs: ctrs, opts: opts, streams: streams}
 	default:
@@ -171,59 +163,21 @@ func countAppends(ctrs *obsv.Counters, n int) {
 
 // --- record payload encodings ------------------------------------------
 
-// EncodeDiffRecord appends a RecDiff payload packing (writer, seq,
-// vtSum, diff) to buf, like Diff.Encode: callers pass a pooled buffer
-// (or nil for a fresh exact-size one) and get the extended slice back.
-// For own-diff records (writer -1) vtSum carries the sum of the closing
-// interval's vector time; recovery sorts re-fetched diffs from different
-// writers by it to apply them in a linear extension of their causal
-// order. Incoming-diff records (ML) replay in log order and store zero.
-func EncodeDiffRecord(buf []byte, writer, seq int32, vtSum int64, d memory.Diff) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(writer))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(seq))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(vtSum))
-	return d.Encode(buf)
-}
-
-// DiffRecordSize is the encoded size of a RecDiff payload (the sizing
-// callers use when drawing an arena buffer).
-func DiffRecordSize(d memory.Diff) int { return 16 + d.WireSize() }
-
-// DecodeDiffRecord unpacks a RecDiff payload.
-func DecodeDiffRecord(buf []byte) (writer, seq int32, vtSum int64, d memory.Diff, err error) {
-	writer, seq, vtSum, _, enc, err := SplitDiffRecord(RecDiff, buf)
-	if err != nil {
-		return 0, 0, 0, d, err
-	}
-	d, rest, err := memory.DecodeDiff(enc)
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("wal: %d trailing bytes in diff record", len(rest))
-	}
-	return writer, seq, vtSum, d, err
-}
-
-// SplitDiffRecord splits a RecDiff or RecDiffBatch payload, without
-// decoding or copying any diff, into the (writer, seq, vtSum) prefix its
-// diffs share, their claimed count n (1 for RecDiff) and their encodings
-// back to back. A reader after one page steps through diffs with
-// memory.PeekDiff and decodes only what it wants; n comes off the disk,
-// so loop on it only while diffs has bytes left to consume.
-func SplitDiffRecord(kind stable.RecordKind, buf []byte) (writer, seq int32, vtSum int64, n int, diffs []byte, err error) {
-	prefix, what := 16, "diff"
-	if kind == RecDiffBatch {
-		prefix, what = 20, "diff-batch"
-	}
-	if len(buf) < prefix {
-		return 0, 0, 0, 0, nil, fmt.Errorf("wal: short %s record", what)
+// SplitDiffRecord splits a RecDiffBatch payload, without decoding or
+// copying any diff, into the (writer, seq, vtSum) prefix its diffs share,
+// their claimed count n and their encodings back to back. A reader after
+// one page steps through diffs with memory.PeekDiff and decodes only what
+// it wants; n comes off the disk, so loop on it only while diffs has
+// bytes left to consume.
+func SplitDiffRecord(buf []byte) (writer, seq int32, vtSum int64, n int, diffs []byte, err error) {
+	if len(buf) < 20 {
+		return 0, 0, 0, 0, nil, fmt.Errorf("wal: short diff-batch record")
 	}
 	writer = int32(binary.LittleEndian.Uint32(buf))
 	seq = int32(binary.LittleEndian.Uint32(buf[4:]))
 	vtSum = int64(binary.LittleEndian.Uint64(buf[8:]))
-	n = 1
-	if kind == RecDiffBatch {
-		n = int(binary.LittleEndian.Uint32(buf[16:]))
-	}
-	return writer, seq, vtSum, n, buf[prefix:], nil
+	n = int(binary.LittleEndian.Uint32(buf[16:]))
+	return writer, seq, vtSum, n, buf[20:], nil
 }
 
 // EncodeEventsRecord appends a RecEvents payload packing the
@@ -284,7 +238,11 @@ func DecodePageRecord(buf []byte) (memory.PageID, []byte, error) {
 // EncodeDiffBatchRecord appends a RecDiffBatch payload to buf: one
 // (writer, seq, vtSum) prefix shared by every diff of the group, a diff
 // count, then the diffs back to back. All diffs of a batch close the
-// same writer interval, which is what lets the prefix be shared.
+// same writer interval, which is what lets the prefix be shared. For
+// own-diff records (writer -1) vtSum carries the sum of the closing
+// interval's vector time; recovery sorts re-fetched diffs from different
+// writers by it to apply them in a linear extension of their causal
+// order. Incoming-diff records (ML) replay in log order and store zero.
 func EncodeDiffBatchRecord(buf []byte, writer, seq int32, vtSum int64, diffs []memory.Diff) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(writer))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(seq))
@@ -312,7 +270,7 @@ func DiffBatchRecordSize(diffs []memory.Diff) int {
 // caller's (memory.Diff.Validate — the wire format does not know the
 // page size).
 func DecodeDiffBatchRecord(buf []byte) (writer, seq int32, vtSum int64, diffs []memory.Diff, err error) {
-	writer, seq, vtSum, n, buf, err := SplitDiffRecord(RecDiffBatch, buf)
+	writer, seq, vtSum, n, buf, err := SplitDiffRecord(buf)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
@@ -440,10 +398,10 @@ func (h *CCLHooks) OnIncomingDiffs(op int32, arrival simtime.Time, events []hlrc
 func (h *CCLHooks) AtSyncEntry(int32) int { return 0 }
 
 // AtRelease flushes the staged records that arrived by the cutoff plus
-// this interval's own diffs — by default one RecDiffBatch record per
-// touched stream for the interval. Later-staged records stay for the
-// next flush: their messages raced past the previous synchronization
-// point, so no deterministic rule could put them in this one.
+// this interval's own diffs — one RecDiffBatch record per touched stream
+// for the interval. Later-staged records stay for the next flush: their
+// messages raced past the previous synchronization point, so no
+// deterministic rule could put them in this one.
 //
 // On a multi-stream store AtRelease is a group-commit scheduler. A
 // release that created diffs is a durability fence: everything eligible
@@ -507,8 +465,8 @@ func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Ti
 	h.mu.Unlock()
 	if len(created) > 0 {
 		// writer -1: the log owner.
-		recs = appendDiffRecords(recs, op, -1, seq, vtSum, created, h.opts.LegacyDiffRecords, h.streams)
-		countAppends(h.ctrs, diffRecordCount(created, h.opts.LegacyDiffRecords, h.streams))
+		recs = appendDiffRecords(recs, op, -1, seq, vtSum, created, h.streams)
+		countAppends(h.ctrs, diffRecordCount(created, h.streams))
 	}
 	if len(recs) == 0 {
 		return 0
@@ -530,23 +488,13 @@ func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Ti
 // up to the cutoff before AtRelease composes the flush.
 func (h *CCLHooks) DeterministicFlush() bool { return true }
 
-// appendDiffRecords appends one (writer, seq) diff group to recs: a
-// single RecDiffBatch record by default, one RecDiff per diff in legacy
-// layout. On a multi-stream store the group is split by the diffs'
-// pages' streams — one RecDiffBatch per touched stream, every piece
-// carrying the same (writer, seq, vtSum) prefix, so readers still see
-// one logical interval group. Payloads are drawn from the arena;
-// releaseScratch returns them once flushed.
-func appendDiffRecords(recs []stable.Record, op, writer, seq int32, vtSum int64, diffs []memory.Diff, legacy bool, streams int) []stable.Record {
-	if legacy {
-		for _, d := range diffs {
-			recs = append(recs, stable.Record{
-				Kind: RecDiff, Op: op, Stream: routePage(d.Page, streams),
-				Data: EncodeDiffRecord(arena.Get(DiffRecordSize(d))[:0], writer, seq, vtSum, d),
-			})
-		}
-		return recs
-	}
+// appendDiffRecords appends one (writer, seq) diff group to recs as a
+// single RecDiffBatch record. On a multi-stream store the group is split
+// by the diffs' pages' streams — one RecDiffBatch per touched stream,
+// every piece carrying the same (writer, seq, vtSum) prefix, so readers
+// still see one logical interval group. Payloads are drawn from the
+// arena; releaseScratch returns them once flushed.
+func appendDiffRecords(recs []stable.Record, op, writer, seq int32, vtSum int64, diffs []memory.Diff, streams int) []stable.Record {
 	if streams <= 1 {
 		return append(recs, stable.Record{
 			Kind: RecDiffBatch, Op: op,
@@ -573,10 +521,7 @@ func appendDiffRecords(recs []stable.Record, op, writer, seq int32, vtSum int64,
 
 // diffRecordCount is the number of records appendDiffRecords emits for a
 // group (the LogAppends accounting).
-func diffRecordCount(diffs []memory.Diff, legacy bool, streams int) int {
-	if legacy {
-		return len(diffs)
-	}
+func diffRecordCount(diffs []memory.Diff, streams int) int {
 	if streams <= 1 {
 		return 1
 	}
@@ -617,7 +562,6 @@ type MLHooks struct {
 	// recovery's home-update re-fetches. Plain ML (the paper's protocol)
 	// keeps only incoming messages.
 	logOwnDiffs bool
-	opts        Options
 	streams     int
 	// releaseScratch backs the hardened-mode own-diff flush; only the
 	// application goroutine touches it.
@@ -647,16 +591,15 @@ func (h *MLHooks) OnPageFetched(op int32, page memory.PageID, data []byte) {
 }
 
 // OnIncomingDiffs logs the received DiffUpdate contents: the message is
-// one writer interval, so its diffs become one RecDiffBatch record (one
-// RecDiff per diff in legacy layout).
+// one writer interval, so its diffs become one RecDiffBatch record.
 func (h *MLHooks) OnIncomingDiffs(op int32, _ simtime.Time, events []hlrc.UpdateEvent, diffs []memory.Diff) {
 	if len(diffs) == 0 {
 		return
 	}
 	h.mu.Lock()
-	h.volatile = appendDiffRecords(h.volatile, op, events[0].Writer, events[0].Seq, 0, diffs, h.opts.LegacyDiffRecords, h.streams)
+	h.volatile = appendDiffRecords(h.volatile, op, events[0].Writer, events[0].Seq, 0, diffs, h.streams)
 	h.mu.Unlock()
-	countAppends(h.ctrs, diffRecordCount(diffs, h.opts.LegacyDiffRecords, h.streams))
+	countAppends(h.ctrs, diffRecordCount(diffs, h.streams))
 }
 
 // AtSyncEntry flushes the volatile log on the critical path. On a
@@ -688,7 +631,7 @@ func (h *MLHooks) AtRelease(op int32, seq int32, vtSum int64, _ simtime.Time, cr
 		return 0
 	}
 	// writer -1: the log owner.
-	recs := appendDiffRecords(h.releaseScratchRecs[:0], op, -1, seq, vtSum, created, h.opts.LegacyDiffRecords, h.streams)
+	recs := appendDiffRecords(h.releaseScratchRecs[:0], op, -1, seq, vtSum, created, h.streams)
 	countAppends(h.ctrs, len(recs))
 	_, crit := h.store.FlushGroup(recs)
 	releaseScratch(recs)

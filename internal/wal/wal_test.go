@@ -46,16 +46,17 @@ func TestNewFactory(t *testing.T) {
 }
 
 func TestDiffRecordRoundTrip(t *testing.T) {
+	// One incoming diff (ML: writer >= 0, vtSum unused by replay).
 	d := mkDiff(7, 1, 2, 3, 4)
-	buf := EncodeDiffRecord(nil, 3, 11, 42, d)
-	w, s, vs, got, err := DecodeDiffRecord(buf)
-	if err != nil || w != 3 || s != 11 || vs != 42 || got.Page != 7 || got.NumRuns() != d.NumRuns() {
-		t.Fatalf("round trip: w=%d s=%d vtSum=%d err=%v", w, s, vs, err)
+	buf := EncodeDiffBatchRecord(nil, 3, 11, 42, []memory.Diff{d})
+	w, s, vs, got, err := DecodeDiffBatchRecord(buf)
+	if err != nil || w != 3 || s != 11 || vs != 42 || len(got) != 1 || got[0].Page != 7 || got[0].NumRuns() != d.NumRuns() {
+		t.Fatalf("round trip: w=%d s=%d vtSum=%d n=%d err=%v", w, s, vs, len(got), err)
 	}
-	if _, _, _, _, err := DecodeDiffRecord(buf[:4]); err == nil {
+	if _, _, _, _, err := DecodeDiffBatchRecord(buf[:4]); err == nil {
 		t.Fatal("short record must fail")
 	}
-	if _, _, _, _, err := DecodeDiffRecord(append(buf, 0)); err == nil {
+	if _, _, _, _, err := DecodeDiffBatchRecord(append(buf, 0)); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
 }
