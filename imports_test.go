@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,4 +76,21 @@ func TestLayering(t *testing.T) {
 			t.Errorf("%s imports sdsm/internal/homeless", path)
 		}
 	})
+}
+
+// TestUnsafeInOneFile: the only use of package unsafe is the byte view of
+// a []float64 behind the bulk accessors, in the one build-constrained
+// file whose portable twin defines what it must equal (DESIGN.md §2,
+// substitution 1). Any other non-test importer is a second place to
+// review for aliasing and endianness.
+func TestUnsafeInOneFile(t *testing.T) {
+	var importers []string
+	eachImport(t, ".", false, func(path, imp string) {
+		if imp == "unsafe" {
+			importers = append(importers, filepath.ToSlash(path))
+		}
+	})
+	if want := []string{"internal/memory/f64s_native.go"}; !slices.Equal(importers, want) {
+		t.Errorf("non-test files importing unsafe: %v, want exactly %v", importers, want)
+	}
 }

@@ -372,7 +372,7 @@ func (c *cluster) assembleMigratedImage(rep *Report) error {
 		if err != nil {
 			return fmt.Errorf("core: assembling migrated page %d: %w", p, err)
 		}
-		copy(rep.mem[p*c.cfg.PageSize:(p+1)*c.cfg.PageSize], data)
+		rep.frames[p] = data
 	}
 	return nil
 }

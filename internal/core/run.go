@@ -209,7 +209,13 @@ type Report struct {
 	// adopted-home auditor cross-checks it against the writers' logs.
 	AdoptedPages []hlrc.AdoptedPageState
 
-	mem []byte // assembled authoritative memory image
+	// frames holds the authoritative copy of every page by reference —
+	// its home's frame, nil for a page nobody touched (all zeros). The
+	// nodes have stopped, so the frames no longer change; MemoryImage
+	// assembles them into mem on first use.
+	frames  [][]byte
+	memOnce sync.Once
+	mem     []byte
 }
 
 // RecoveryReport describes an injected crash and its recovery.
@@ -258,8 +264,19 @@ type RecoveryReport struct {
 
 // MemoryImage returns the authoritative final shared-memory image,
 // assembled from the home copy of every page. Runs of the same program
-// must produce identical images regardless of protocol or crashes.
-func (r *Report) MemoryImage() []byte { return r.mem }
+// must produce identical images regardless of protocol or crashes. The
+// image is built on the first call, so a caller that never asks for it
+// never pays for the copy.
+func (r *Report) MemoryImage() []byte {
+	r.memOnce.Do(func() {
+		r.mem = make([]byte, len(r.frames)*r.PageSize)
+		for p, f := range r.frames {
+			copy(r.mem[p*r.PageSize:], f)
+		}
+		r.frames = nil
+	})
+	return r.mem
+}
 
 func (c *cluster) report() *Report {
 	rep := &Report{
@@ -295,11 +312,9 @@ func (c *cluster) report() *Report {
 	if rep.TotalFlushes > 0 {
 		rep.MeanFlushBytes = float64(rep.TotalLogBytes) / float64(rep.TotalFlushes)
 	}
-	// Assemble the authoritative image from home copies.
-	rep.mem = make([]byte, c.cfg.NumPages*c.cfg.PageSize)
-	for p := 0; p < c.cfg.NumPages; p++ {
-		home := c.nodes[c.cfg.Homes[p]]
-		copy(rep.mem[p*c.cfg.PageSize:], home.PageTable().Page(memory.PageID(p)))
+	rep.frames = make([][]byte, c.cfg.NumPages)
+	for p := range rep.frames {
+		rep.frames[p] = c.nodes[c.cfg.Homes[p]].PageTable().Frame(memory.PageID(p))
 	}
 	return rep
 }

@@ -211,48 +211,33 @@ func (nd *Node) WriteAt(addr int, src []byte) {
 	}
 }
 
-// ReadF64s bulk-reads len(dst) float64s starting at byte address addr,
-// decoding straight out of the page frames. One bulk transfer faults each
-// covered page at most once, like a real SDSM touching a range.
+// ReadF64s bulk-reads len(dst) float64s starting at byte address addr (any
+// alignment): each covered page's bytes move into dst in one block copy
+// under one hold of nd.mu (memory.CopyToF64s). One bulk transfer faults
+// each covered page at most once, like a real SDSM touching a range.
 func (nd *Node) ReadF64s(addr int, dst []float64) {
-	nd.checkRange(addr, 8*len(dst))
-	for len(dst) > 0 {
-		p, off := nd.pt.PageOf(addr)
-		n := min((nd.cfg.PageSize-off)/8, len(dst))
-		if n == 0 {
-			// The word straddles a page boundary: the byte path reads it.
-			dst[0] = nd.ReadF64(addr)
-			dst, addr = dst[1:], addr+8
-			continue
-		}
-		src := nd.lockReadable(p)[off : off+8*n]
-		for i := range dst[:n] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
+	total := 8 * len(dst)
+	nd.checkRange(addr, total)
+	for done := 0; done < total; {
+		p, off := nd.pt.PageOf(addr + done)
+		n := min(nd.cfg.PageSize-off, total-done)
+		memory.CopyToF64s(dst, done, nd.lockReadable(p)[off:off+n])
 		nd.mu.Unlock()
-		dst, addr = dst[n:], addr+8*n
+		done += n
 	}
 }
 
-// WriteF64s bulk-writes src starting at byte address addr, encoding
-// straight into the page frames.
+// WriteF64s bulk-writes src starting at byte address addr, the write-side
+// counterpart of ReadF64s (memory.CopyFromF64s).
 func (nd *Node) WriteF64s(addr int, src []float64) {
-	nd.checkRange(addr, 8*len(src))
-	for len(src) > 0 {
-		p, off := nd.pt.PageOf(addr)
-		n := min((nd.cfg.PageSize-off)/8, len(src))
-		if n == 0 {
-			// The word straddles a page boundary: the byte path writes it.
-			nd.WriteF64(addr, src[0])
-			src, addr = src[1:], addr+8
-			continue
-		}
-		dst := nd.lockWritable(p)[off : off+8*n]
-		for i, v := range src[:n] {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-		}
+	total := 8 * len(src)
+	nd.checkRange(addr, total)
+	for done := 0; done < total; {
+		p, off := nd.pt.PageOf(addr + done)
+		n := min(nd.cfg.PageSize-off, total-done)
+		memory.CopyFromF64s(nd.lockWritable(p)[off:off+n], src, done)
 		nd.mu.Unlock()
-		src, addr = src[n:], addr+8*n
+		done += n
 	}
 }
 

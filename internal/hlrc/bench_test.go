@@ -118,21 +118,37 @@ func bulkBenchNode(b *testing.B) (*Node, []float64) {
 	return nd, all[:benchRow]
 }
 
-// BenchmarkBulkReadF64s measures a row read that crosses a page boundary
-// every few rows (row stride 576 bytes over 4096-byte pages).
-func BenchmarkBulkReadF64s(b *testing.B) {
+// The three places a row can sit, as byte addresses of the i'th access:
+// rows packed from address 0 (row stride 576 bytes over 4096-byte pages,
+// so one row in seven crosses a page boundary); a row centred on a page
+// boundary, so every access covers two pages; and the packed rows shifted
+// to an odd byte offset, where a crossing row also has a float64 with
+// bytes on both pages.
+func packedRow(nd *Node, i int) int {
+	return (i % (nd.pt.Bytes() / (8 * benchRow))) * 8 * benchRow
+}
+func straddlingRow(nd *Node, i int) int {
+	return (1+i%(nd.pt.NumPages()-1))*nd.pt.PageSize() - 8*benchRow/2
+}
+func unalignedRow(nd *Node, i int) int { return packedRow(nd, i) + 3 }
+
+func benchBulkRead(b *testing.B, addr func(*Node, int) int) {
 	nd, row := bulkBenchNode(b)
-	rows := nd.PageTable().Bytes() / (8 * benchRow)
 	for i := 0; i < b.N; i++ {
-		nd.ReadF64s((i%rows)*8*benchRow, row)
+		nd.ReadF64s(addr(nd, i), row)
 	}
 }
 
-// BenchmarkBulkWriteF64s is the write-side counterpart.
-func BenchmarkBulkWriteF64s(b *testing.B) {
+func benchBulkWrite(b *testing.B, addr func(*Node, int) int) {
 	nd, row := bulkBenchNode(b)
-	rows := nd.PageTable().Bytes() / (8 * benchRow)
 	for i := 0; i < b.N; i++ {
-		nd.WriteF64s((i%rows)*8*benchRow, row)
+		nd.WriteF64s(addr(nd, i), row)
 	}
 }
+
+func BenchmarkBulkReadF64s(b *testing.B)            { benchBulkRead(b, packedRow) }
+func BenchmarkBulkWriteF64s(b *testing.B)           { benchBulkWrite(b, packedRow) }
+func BenchmarkBulkReadF64sStraddling(b *testing.B)  { benchBulkRead(b, straddlingRow) }
+func BenchmarkBulkWriteF64sStraddling(b *testing.B) { benchBulkWrite(b, straddlingRow) }
+func BenchmarkBulkReadF64sUnaligned(b *testing.B)   { benchBulkRead(b, unalignedRow) }
+func BenchmarkBulkWriteF64sUnaligned(b *testing.B)  { benchBulkWrite(b, unalignedRow) }

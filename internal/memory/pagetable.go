@@ -98,6 +98,11 @@ func (pt *PageTable) Page(id PageID) []byte {
 	return f
 }
 
+// Frame returns the frame of page id as it stands, without allocating
+// one: nil for a page never touched (all zeros). For readers of a table
+// whose owner has stopped.
+func (pt *PageTable) Frame(id PageID) []byte { return pt.frames[id] }
+
 // State returns page id's access state.
 func (pt *PageTable) State(id PageID) State { return pt.state[id] }
 

@@ -864,7 +864,11 @@ func (e *Endpoint) SendDetector(to int, kind Kind, size int, payload any) {
 // is shared by all retransmissions of the request, so exactly one live
 // reply lands in it no matter how many copies the fault plan spawned.
 type Pending struct {
-	ep      *Endpoint
+	ep *Endpoint
+	// trc records the waits on the application track; nil (records
+	// nothing) for a CallAsyncAt request, whose wait runs on the service
+	// goroutine and must not touch the application's tracer state.
+	trc     *obsv.Tracer
 	to      int
 	payload any
 	reqID   int64
@@ -883,7 +887,7 @@ type Pending struct {
 // "send all updates, then collect all acks" pattern.
 func (e *Endpoint) CallAsync(to int, kind Kind, size int, payload any) *Pending {
 	p := &Pending{
-		ep: e, to: to, kind: kind, payload: payload,
+		ep: e, trc: e.trc, to: to, kind: kind, payload: payload,
 		reqID:   e.nw.nextReqID(e.id, to),
 		ch:      make(chan Message, 1),
 		sentAt:  e.clock.Now(),
@@ -901,9 +905,10 @@ func (e *Endpoint) CallAsync(to int, kind Kind, size int, payload any) *Pending 
 // adopter rebuilding pages from writer logs inside a handler) use it so
 // their sub-requests are stamped from the triggering message's arrival,
 // not from the application clock — keeping the resulting timing a pure
-// function of virtual time. Such sub-requests carry no trace context:
-// the current context is owned by the application goroutine and must
-// not be read from service handlers.
+// function of virtual time. Such sub-requests carry no trace context
+// and their waits record no application-track event: the current context
+// and the application track are owned by the application goroutine and
+// must not be read or written from service handlers.
 func (e *Endpoint) CallAsyncAt(at simtime.Time, to int, kind Kind, size int, payload any) *Pending {
 	p := &Pending{
 		ep: e, to: to, kind: kind, payload: payload,
@@ -968,7 +973,7 @@ func (p *Pending) await(clock *simtime.Clock) Message {
 	for !p.live {
 		f := p.ep.nw.faults
 		t0, t1 := clock.MergePlusSpan(p.sentAt, f.RTO(p.attempt))
-		p.ep.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
+		p.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
 		if p.attempt >= f.Attempts() {
 			panic(fmt.Sprintf(
 				"transport: node %d: no reply from node %d for kind %d after %d attempts — peer unreachable",
@@ -994,7 +999,7 @@ func (p *Pending) Wait(clock *simtime.Clock) Message {
 	} else {
 		t0, t1 = clock.MergePlusSpan(m.SentAt, p.ep.nw.model.MsgTime(m.Size)+m.extraDelay)
 	}
-	p.ep.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
+	p.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
 	return m
 }
 
@@ -1012,7 +1017,7 @@ func (p *Pending) WaitDetached(clock *simtime.Clock) Message {
 	} else {
 		t0, t1 = clock.MergePlusSpan(p.sentAt, p.ep.nw.model.RoundTrip(p.reqSize, m.Size)+m.extraDelay)
 	}
-	p.ep.trc.RecvDetached(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
+	p.trc.RecvDetached(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
 	return m
 }
 
@@ -1036,7 +1041,7 @@ func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
 		if !p.live {
 			f := p.ep.nw.faults
 			t0, t1 := clock.MergePlusSpan(p.sentAt, f.RTO(p.attempt))
-			p.ep.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
+			p.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
 			if p.attempt >= f.Attempts() {
 				panic(fmt.Sprintf(
 					"transport: node %d: no reply from node %d for kind %d after %d attempts — peer unreachable",
@@ -1055,7 +1060,7 @@ func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
 			} else {
 				t0, t1 = clock.MergePlusSpan(m.SentAt, p.ep.nw.model.MsgTime(m.Size)+m.extraDelay)
 			}
-			p.ep.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
+			p.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
 			return m, true
 		case <-time.After(deadPollInterval):
 			// Re-check the registry and the retransmission state.
