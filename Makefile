@@ -94,8 +94,9 @@ churn-smoke:
 # Partition-heal + rejoin soak under the race detector: the core
 # partition tests (wrong death declaration, post-heal fencing, epoch
 # bump, log truncation, rejoin replay, failure-free image equality on
-# both wire backends) repeated, then the churn sweep's partition cells
-# and the partition-aware adopted-home audit.
+# both wire backends, and the partition x log-streams x crash-point
+# cross, TestMultiStreamChurnPartition) repeated, then the churn sweep's
+# partition cells and the partition-aware adopted-home audit.
 rejoin-smoke:
 	go test -race ./internal/core/ -run 'Partition' -count=5
 	go run -race ./cmd/sdsmbench -nodes 4 -churn
@@ -132,10 +133,15 @@ telemetry-smoke:
 
 # End-to-end check of the multi-stream WAL: the fault-soak suite at 4
 # streams (torn tails on every stream + group-commit deferred loss, both
-# recovered against the fault-free golden image), then fresh crash runs
-# under both protocols audited and dissected through sdsminspect — the
-# per-stream volume breakdown included — and the kv workload crashed
-# mid-traffic with online recovery at 4 streams.
+# recovered against the fault-free golden image; the TestMultiStreamChurn*
+# cross of streams x fail-stop/partition x crash point and of torn tails
+# x churn rides the same -run pattern), then fresh crash runs under both
+# protocols audited and dissected through sdsminspect — the per-stream
+# volume breakdown included — and the kv workload crashed mid-traffic
+# with online recovery at 4 streams. That last line runs with group-commit
+# deferral live: online replay rebuilds the deferrals a crash loses from
+# the sender logs exactly as offline replay does, and prints how many ops
+# it replayed that way.
 wal-smoke:
 	go test ./internal/core/ -run 'TestMultiStream' -count=1
 	go run ./cmd/sdsminspect -mode audit -app 3d-fft -nodes 4 -scale small -streams 4 -crash

@@ -323,8 +323,8 @@ func kvAuditMode(opts options, transport string, churn bool) error {
 	}
 	what := "failure-free"
 	if churn {
-		what = fmt.Sprintf("crash-during-traffic (victim %d rejoined at %.4fs)",
-			rep.Recovery.Victim, rep.Recovery.RejoinTime.Seconds())
+		what = fmt.Sprintf("crash-during-traffic (victim %d rejoined at %.4fs%s)",
+			rep.Recovery.Victim, rep.Recovery.RejoinTime.Seconds(), tailOpsNote(rep.Recovery))
 	}
 	fmt.Printf("kv audit OK over %s, %s: %d nodes, %d records, image matches the replay-computed expectation\n",
 		tr, what, audit.Nodes, audit.Records)
@@ -528,8 +528,8 @@ func churnAuditMode(opts options) error {
 		if err != nil {
 			return fmt.Errorf("%v: adopted-home audit: %w", point, err)
 		}
-		fmt.Printf("%v: log audit OK (%d records); adopted-home audit OK: %d migrated pages, %d custody entries matched the writers' logs, %d replay-only entries, rebuilt images match\n",
-			point, audit.Records, sum.pages, sum.matched, sum.replayOnly)
+		fmt.Printf("%v: log audit OK (%d records); adopted-home audit OK: %d migrated pages, %d custody entries matched the writers' logs, %d replay-only entries, rebuilt images match%s\n",
+			point, audit.Records, sum.pages, sum.matched, sum.replayOnly, tailOpsNote(rep.Recovery))
 	}
 	// Partition-rejoin scenarios: the victim is wrongly declared dead
 	// while merely cut off, fenced on heal, and re-admitted at a fresh
@@ -553,11 +553,20 @@ func churnAuditMode(opts options) error {
 		for _, s := range rep.Stats {
 			fenced += s.FencedMsgs
 		}
-		fmt.Printf("partition %gms: log audit OK (%d records, %d stale truncated); adopted-home audit OK: %d migrated pages, %d custody entries matched, %d replay-only; rejoined at epoch %d, %d stale messages fenced, rebuilt images match\n",
+		fmt.Printf("partition %gms: log audit OK (%d records, %d stale truncated); adopted-home audit OK: %d migrated pages, %d custody entries matched, %d replay-only; rejoined at epoch %d, %d stale messages fenced, rebuilt images match%s\n",
 			partMs, audit.Records, rep.Recovery.TruncatedRecords, sum.pages, sum.matched, sum.replayOnly,
-			rep.Recovery.RejoinEpoch, fenced)
+			rep.Recovery.RejoinEpoch, fenced, tailOpsNote(rep.Recovery))
 	}
 	return nil
+}
+
+// tailOpsNote says how many of the victim's sync ops replayed from the
+// managers' sender logs instead of its disk log; empty when none did.
+func tailOpsNote(rec *core.RecoveryReport) string {
+	if rec.TailOps == 0 {
+		return ""
+	}
+	return fmt.Sprintf("; %d tail ops replayed from sender logs", rec.TailOps)
 }
 
 type adoptedAudit struct {

@@ -1,6 +1,7 @@
 package sdsm_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -92,5 +93,40 @@ func TestUnsafeInOneFile(t *testing.T) {
 	})
 	if want := []string{"internal/memory/f64s_native.go"}; !slices.Equal(importers, want) {
 		t.Errorf("non-test files importing unsafe: %v, want exactly %v", importers, want)
+	}
+}
+
+// TestOneRecoveryDriver: restore → replay → rejoin exists once. Offline
+// crashes, online fail-stops and partition rejoins all go through
+// core.(*cluster).recover, so checkpoint.RestoreInitial has exactly one
+// non-test call site under internal/core; a second one is a second driver.
+func TestOneRecoveryDriver(t *testing.T) {
+	files, err := filepath.Glob("internal/core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sites []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "RestoreInitial" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "checkpoint" {
+						sites = append(sites, fset.Position(call.Pos()).String())
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(sites) != 1 {
+		t.Errorf("checkpoint.RestoreInitial is called from %d non-test sites under internal/core, want exactly 1: %v", len(sites), sites)
 	}
 }

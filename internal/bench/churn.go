@@ -51,6 +51,10 @@ type ChurnRow struct {
 	Redirects    int64
 	AdoptedDiffs int64
 	LeaseWaits   int64
+	// TailOps counts the victim's sync ops replayed from the managers'
+	// sender logs (a torn or multi-stream log tail); 0 on an intact
+	// single-stream log.
+	TailOps int
 	// Partition-rejoin cells only (zero on fail-stop rows):
 	FencedMsgs    int64   // stale-epoch messages survivors fenced post-heal
 	EpochBumps    int64   // membership-epoch adoptions across the cluster
@@ -220,6 +224,7 @@ func RunChurnBench(nodes int) ([]ChurnRow, error) {
 				ExecSec:     rep.ExecTime.Seconds(),
 				BaselineSec: baseSec,
 				OverheadPct: (rep.ExecTime.Seconds()/baseSec - 1) * 100,
+				TailOps:     rec.TailOps,
 			}
 			for id, nodeStamps := range stamps {
 				if id == victim {
@@ -283,6 +288,7 @@ func RunChurnBench(nodes int) ([]ChurnRow, error) {
 			BaselineSec:   baseSec,
 			OverheadPct:   (rep.ExecTime.Seconds()/baseSec - 1) * 100,
 			TruncatedRecs: rec.TruncatedRecords,
+			TailOps:       rec.TailOps,
 		}
 		for id, nodeStamps := range stamps {
 			if id == victim {
@@ -333,6 +339,15 @@ func FormatChurn(nodes int, rows []ChurnRow) string {
 		fmt.Fprintf(&b, "%-13s %6gms %7gms %9.4f %9.4f %9.4f %10.0f %9.4f %6.1f%% %6d %6d\n",
 			r.Point, r.LeaseMs, r.RestartMs, r.CrashSec, r.RejoinSec, r.CatchUpSec,
 			r.SurvivorRate, r.ExecSec, r.OverheadPct, r.Adoptions, r.Revocations)
+	}
+	for _, r := range rows {
+		if r.TailOps > 0 {
+			cell := fmt.Sprintf("%v restart %gms", r.Point, r.RestartMs)
+			if r.PartitionMs > 0 {
+				cell = fmt.Sprintf("partition %gms", r.PartitionMs)
+			}
+			fmt.Fprintf(&b, "%s: %d sync ops replayed from the managers' sender logs\n", cell, r.TailOps)
+		}
 	}
 	if !partitions {
 		return b.String()

@@ -58,7 +58,8 @@ type Config struct {
 	// crashed node is declared dead only after its lease expires, its home
 	// pages migrate permanently to a deterministic successor, and its
 	// recovered incarnation replays concurrently with the surviving
-	// cluster. Zero (the default) keeps the offline stop-the-world
+	// cluster — the same recovery driver and replayer as offline, handed
+	// a later clock. Zero (the default) keeps the offline stop-the-world
 	// recovery semantics and a byte-identical wire format.
 	LeaseDuration simtime.Duration
 	// Transport selects the wire backend under the simulated network:
@@ -82,9 +83,10 @@ type Config struct {
 	// records are routed by page/home hash, each record carries an
 	// LSN-vector deriving the cross-stream total order, CCL group-commits
 	// flushes across diff-less releases behind a durability fence at
-	// diff-carrying releases, and tail-mode recovery is always enabled
+	// diff-carrying releases, and every replay of the log — offline,
+	// online or after a partition — distrusts its final logged op
 	// (deferred records lost to a crash recover exactly like a torn
-	// final flush).
+	// final flush, from the managers' sender logs).
 	LogStreams int
 	// Faults is the deterministic fault-injection plan: seeded message
 	// loss, duplication and delay on the transport, and torn log writes on

@@ -19,5 +19,5 @@ func RunTapped(cfg Config, prog Program, tap func(transport.Message)) (*Report, 
 		return nil, err
 	}
 	c.nw.SetFabric(tapFabric{nw: c.nw, tap: tap})
-	return c.run(prog)
+	return c.run(prog, unplanned)
 }

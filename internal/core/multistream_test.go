@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
+	"sdsm/internal/fault"
 	"sdsm/internal/recovery"
 	"sdsm/internal/wal"
 )
@@ -171,4 +174,119 @@ func TestMultiStreamFewerFlushes(t *testing.T) {
 	if four >= one {
 		t.Errorf("4-stream run flushed %d times, single-stream %d — group commit coalesced nothing", four, one)
 	}
+}
+
+// crashPoints are the places a ChurnPlan can bring the victim down.
+var crashPoints = []fault.CrashPoint{fault.PointSyncExit, fault.PointHoldingLock, fault.PointDirtyHome}
+
+// churnStreamsCross is the feature cross of online recovery with the
+// multi-stream log: it runs base at every crash point over churnSlotsProg
+// (the shared-counter churnProg hits ROADMAP item 2a at the non-quiescent
+// points), at 1 and at 4 log streams, under each fault plan (the zero
+// plan: none). Every image must equal the failure-free one — and so the
+// 1-stream run's — every depot must audit, and wherever the replay
+// distrusted a log tail (torn, or the final op of a multi-stream log) it
+// must really have replayed ops from the managers' sender logs. Without
+// message faults the cross also pins that group-commit deferral is live
+// under churn: the 4-stream run must flush strictly fewer times than the
+// 1-stream run (with deferral off it flushed at every release, as 1
+// stream does).
+func churnStreamsCross(t *testing.T, base ChurnPlan, faults ...fault.Plan) {
+	const rounds = 8
+	golden, err := Run(churnCfg(), churnSlotsProg(rounds))
+	if err != nil {
+		t.Fatalf("golden: %v", err)
+	}
+	run := func(t *testing.T, plan ChurnPlan, fp fault.Plan, streams int) *Report {
+		cfg := churnCfg()
+		cfg.LogStreams = streams
+		cfg.Faults = fp
+		rep := runChurnWatched(t, cfg, churnSlotsProg(rounds), plan)
+		rec := rep.Recovery
+		if !bytes.Equal(rep.MemoryImage(), golden.MemoryImage()) {
+			t.Errorf("%d streams: image differs from the failure-free run (torn=%v tailOps=%d)", streams, rec.TornTail, rec.TailOps)
+		}
+		auditDepot(t, rep, fp.TornWriteOnCrash)
+		if wantTail := streams > 1 || (fp.TornWriteOnCrash && !rec.Partitioned); rec.TornTail != wantTail {
+			t.Errorf("%d streams: TornTail = %v, want %v", streams, rec.TornTail, wantTail)
+		}
+		if rec.TornTail && rec.TailOps == 0 {
+			t.Errorf("%d streams: a distrusted log tail, but no op replayed from the sender logs", streams)
+		}
+		return rep
+	}
+	for _, fp := range faults {
+		for _, point := range crashPoints {
+			t.Run(fmt.Sprintf("seed%d/%v", fp.Seed, point), func(t *testing.T) {
+				plan := base
+				plan.Point = point
+				one, four := run(t, plan, fp, 1), run(t, plan, fp, 4)
+				if !bytes.Equal(four.MemoryImage(), one.MemoryImage()) {
+					t.Error("4-stream image differs from the 1-stream run of the same plan")
+				}
+				if fp.DropProb == 0 && four.TotalFlushes >= one.TotalFlushes {
+					t.Errorf("4-stream churn run flushed %d times, 1-stream %d — deferral is off under churn", four.TotalFlushes, one.TotalFlushes)
+				}
+			})
+		}
+	}
+}
+
+// runChurnWatched is RunWithChurn behind a watchdog. About one contended
+// churn run in 1 800 strands in the arrival-fence deadlock of ROADMAP
+// item 1 (two nodes parked in the fence, two in AcquireLock, every inbox
+// empty; the same rate at every commit that has the fence), and the cross
+// adds enough runs for that to cost the package its 10-minute timeout a
+// few times in a hundred. A stranded run is abandoned and retried once;
+// stranded twice in a row is a real deadlock. Goes with the fence.
+func runChurnWatched(t *testing.T, cfg Config, prog Program, plan ChurnPlan) *Report {
+	t.Helper()
+	type result struct {
+		rep *Report
+		err error
+	}
+	for attempt := 0; ; attempt++ {
+		done := make(chan result, 1)
+		go func() {
+			rep, err := RunWithChurn(cfg, prog, plan)
+			done <- result{rep, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("%d streams: %v", cfg.LogStreams, r.err)
+			}
+			return r.rep
+		case <-time.After(20 * time.Second):
+			if attempt > 0 {
+				t.Fatalf("%d streams: churn run stranded twice in a row", cfg.LogStreams)
+			}
+			t.Logf("%d streams: churn run stranded (ROADMAP item 1), retrying", cfg.LogStreams)
+		}
+	}
+}
+
+// TestMultiStreamChurn: streams x fail-stop x the three crash points.
+func TestMultiStreamChurn(t *testing.T) {
+	churnStreamsCross(t, churnPlan(fault.PointSyncExit), fault.Plan{})
+}
+
+// TestMultiStreamChurnPartition: streams x partition/rejoin x the three
+// crash points (the onset op is cut off at its entry whatever the point).
+func TestMultiStreamChurnPartition(t *testing.T) {
+	churnStreamsCross(t, partitionPlan(), fault.Plan{})
+}
+
+// TestMultiStreamChurnTornTail: a torn final flush x online recovery x
+// streams, under the reference message-fault load. Torn tails and churn
+// never met while each recovery driver wired its own replayer modes.
+func TestMultiStreamChurnTornTail(t *testing.T) {
+	faults := []fault.Plan{soakPlan(1), soakPlan(2)}
+	if testing.Short() {
+		faults = faults[:1]
+	}
+	for i := range faults {
+		faults[i].TornWriteOnCrash = true
+	}
+	churnStreamsCross(t, churnPlan(fault.PointSyncExit), faults...)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"sdsm/internal/checkpoint"
+	"sdsm/internal/fault"
 	"sdsm/internal/hlrc"
 	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
@@ -81,22 +82,17 @@ func buildCluster(cfg Config) (*cluster, error) {
 
 // newIncarnation builds a (fresh or recovered) node attached to slot id.
 func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock) *hlrc.Node {
-	var wopts wal.Options
-	if c.cfg.LogStreams > 1 && c.cfg.LeaseDuration > 0 {
-		// Online (churn) recovery replays concurrently with the live
-		// cluster and has no tail-mode path to rebuild group-commit
-		// deferrals lost to the crash, so multi-stream churn runs flush
-		// at every release like the single-stream protocol (streams still
-		// write in parallel). 1 byte pending is already over threshold.
-		wopts.GroupCommitBytes = 1
-	}
-	// Torn-tail recovery needs the hardened log layout (ML logs its
-	// own diffs too) and manager sender logs to replay from. Multi-stream
-	// stores need the same machinery even without torn-write injection:
-	// a crash silently discards group-commit deferrals, and offline
-	// recovery rebuilds them from the sender logs (tail mode).
+	// Torn-tail recovery needs the hardened log layout (ML logs its own
+	// diffs too) and manager sender logs to replay from. Multi-stream
+	// stores need the same machinery even without torn-write injection: a
+	// crash silently discards group-commit deferrals, and the victim's
+	// replay rebuilds them from the sender logs.
 	hardened := c.cfg.Faults.TornWriteOnCrash || c.cfg.LogStreams > 1
-	hooks := wal.NewWithOptions(c.cfg.Protocol, c.depot.Store(id), stats, hardened, wopts)
+	newHooks := wal.New
+	if hardened {
+		newHooks = wal.NewHardened
+	}
+	hooks := newHooks(c.cfg.Protocol, c.depot.Store(id), stats)
 	trc := c.cfg.Trace.Tracer(id)
 	c.depot.Store(id).ObserveFlushes(trc.Hist(obsv.HistFlushBytes))
 	nd := hlrc.NewNode(hlrc.Config{
@@ -108,7 +104,7 @@ func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock
 		Model:              *c.cfg.Model,
 		HomeUndo:           c.cfg.HomeUndo,
 		NoFlushOverlap:     c.cfg.NoFlushOverlap,
-		SenderLogs:         c.cfg.Faults.TornWriteOnCrash || c.cfg.LogStreams > 1,
+		SenderLogs:         hardened,
 		LeaseDuration:      c.cfg.LeaseDuration,
 		Tracer:             trc,
 	}, c.nw, clock, hooks, stats)
@@ -326,39 +322,54 @@ func Run(cfg Config, prog Program) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.run(prog)
+	defer c.closeFabric()
+	return c.run(prog, unplanned)
 }
 
-// run executes prog failure-free on an assembled cluster.
-func (c *cluster) run(prog Program) (*Report, error) {
-	defer c.closeFabric()
+// unplanned is the down handler for a node no failure plan covers.
+func unplanned(node int, fenced bool) error {
+	if fenced {
+		return fmt.Errorf("node %d was fenced, which no partition plan covers", node)
+	}
+	return fmt.Errorf("node %d crashed, which no crash plan covers", node)
+}
+
+// run is the one launch-and-collect loop: it starts every node's service
+// and application goroutine, waits for the program to complete everywhere,
+// and reports. down says what to do when a node comes down — its program
+// unwound with the injected crash, or (fenced) with the membership fence —
+// and runs on that node's application goroutine.
+//
+// A node whose down handler (its recovery) fails leaves the others blocked
+// on protocol progress it will never make; waiting for them would
+// deadlock. Completions are collected on a channel so the first error
+// aborts the run immediately with the real cause (the blocked goroutines
+// are abandoned — the run is lost anyway).
+func (c *cluster) run(prog Program, down func(node int, fenced bool) error) (*Report, error) {
 	for _, nd := range c.nodes {
 		nd.StartService()
 	}
-	errs := make([]error, c.cfg.Nodes)
-	var wg sync.WaitGroup
+	type done struct {
+		node int
+		err  error
+	}
+	ch := make(chan done, c.cfg.Nodes)
 	for i, nd := range c.nodes {
-		wg.Add(1)
 		go func(i int, nd *hlrc.Node) {
-			defer wg.Done()
 			crashed, fenced, err := runNode(nd, prog)
-			if crashed {
-				err = fmt.Errorf("node %d crashed without a crash plan", i)
+			if err == nil && (crashed || fenced) {
+				err = down(i, fenced)
 			}
-			if fenced {
-				err = fmt.Errorf("node %d was fenced without a partition plan", i)
-			}
-			errs[i] = err
+			ch <- done{node: i, err: err}
 		}(i, nd)
 	}
-	wg.Wait()
+	for remaining := c.cfg.Nodes; remaining > 0; remaining-- {
+		if d := <-ch; d.err != nil {
+			return nil, fmt.Errorf("core: node %d: %w", d.node, d.err)
+		}
+	}
 	for _, nd := range c.nodes {
 		nd.StopService()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return c.report(), nil
 }
@@ -381,21 +392,30 @@ type CrashPlan struct {
 // RunWithCrash rejection paths live here.
 func (p CrashPlan) validate(cfg Config) error {
 	switch {
+	// A scheme replays the log its own protocol wrote.
 	case p.Recovery == recovery.MLRecovery && cfg.Protocol != wal.ProtocolML:
 		return fmt.Errorf("core: ML-recovery needs the ML logging protocol")
 	case p.Recovery == recovery.CCLRecovery && cfg.Protocol != wal.ProtocolCCL:
 		return fmt.Errorf("core: CCL-recovery needs the CCL logging protocol")
+	// Re-execution has nothing to replay: it is measured by re-running.
 	case p.Recovery != recovery.MLRecovery && p.Recovery != recovery.CCLRecovery:
 		return fmt.Errorf("core: RunWithCrash supports ML- and CCL-recovery, not %v", p.Recovery)
 	}
-	if p.AtOp < 0 {
-		return fmt.Errorf("core: crash op %d is negative", p.AtOp)
+	return validateVictim(cfg, p.Victim, p.AtOp)
+}
+
+// validateVictim holds the checks every failure plan shares.
+func validateVictim(cfg Config, victim int, atOp int32) error {
+	if atOp < 0 {
+		return fmt.Errorf("core: crash op %d is negative", atOp)
 	}
-	if p.Victim < 0 || p.Victim >= cfg.Nodes {
-		return fmt.Errorf("core: invalid victim %d", p.Victim)
+	if victim < 0 || victim >= cfg.Nodes {
+		return fmt.Errorf("core: invalid victim %d", victim)
 	}
-	if p.Victim == cfg.LockManagerNode || p.Victim == cfg.BarrierManagerNode {
-		return fmt.Errorf("core: victim %d hosts a manager (outside the paper's failure model)", p.Victim)
+	// Manager state is volatile and never logged; the paper's experiments
+	// fail a worker, and rebuilding a manager is ROADMAP items 4 and 5.
+	if victim == cfg.LockManagerNode || victim == cfg.BarrierManagerNode {
+		return fmt.Errorf("core: victim %d hosts a manager (outside the paper's failure model)", victim)
 	}
 	return nil
 }
@@ -404,136 +424,181 @@ func (p CrashPlan) validate(cfg Config) error {
 // replaying its logs, lets it rejoin, runs the program to completion, and
 // reports — including the replay time that Figure 5 compares.
 func RunWithCrash(cfg Config, prog Program, plan CrashPlan) (*Report, error) {
-	if plan.Recovery == recovery.CCLRecovery {
-		cfg.HomeUndo = true // versioned home fetches need the undo history
-	}
-	if plan.Recovery == recovery.MLRecovery && (cfg.Faults.TornWriteOnCrash || cfg.LogStreams > 1) {
-		// An ML victim whose torn log lost page copies falls back to
-		// versioned fetches from the live homes, which need undo. A
-		// multi-stream victim always replays its final logged op in tail
-		// mode (group-commit deferrals vanish with the crash).
+	if plan.Recovery == recovery.CCLRecovery || cfg.Faults.TornWriteOnCrash || cfg.LogStreams > 1 {
+		// CCL's versioned home fetches need the undo history. So does an ML
+		// victim whose torn log lost page copies (it falls back to versioned
+		// fetches from the live homes) or whose multi-stream log makes it
+		// replay its final logged op from the sender logs (group-commit
+		// deferrals vanish with the crash).
 		cfg.HomeUndo = true
 	}
+	// An offline crash is the churn plan without a lease: nobody declares
+	// the victim dead, so the survivors block on it until it is back.
+	return runWithOutage(cfg, prog, ChurnPlan{Victim: plan.Victim, AtOp: plan.AtOp, Recovery: plan.Recovery}, plan.validate)
+}
+
+// runWithOutage builds the cluster, arms the victim with the plan's
+// failure, and runs prog with recover as the victim's down handler.
+func runWithOutage(cfg Config, prog Program, plan ChurnPlan, validate func(Config) error) (*Report, error) {
 	cfg.SkipInitialCheckpoint = false
 	c, err := buildCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer c.closeFabric()
-	if err := plan.validate(c.cfg); err != nil {
+	if err := validate(c.cfg); err != nil {
 		return nil, err
 	}
-	c.nodes[plan.Victim].CrashOp = plan.AtOp
+	victim := c.nodes[plan.Victim]
+	victim.CrashOp = plan.AtOp
+	victim.CrashPoint = plan.Point
+	victim.PartitionFor = plan.PartitionFor
 
-	for _, nd := range c.nodes {
-		nd.StartService()
-	}
-	recReport := &RecoveryReport{Victim: plan.Victim, Kind: plan.Recovery}
-	victimCrashed := false
-	// When the victim's recovery itself fails, the surviving nodes are
-	// blocked on protocol progress the victim will never make; waiting
-	// for them would deadlock. Collect completions on a channel so a
-	// recovery failure aborts the run immediately with the real error
-	// (the blocked goroutines are abandoned — the run is lost anyway).
-	type done struct {
-		node int
-		err  error
-	}
-	ch := make(chan done, c.cfg.Nodes)
-	for i, nd := range c.nodes {
-		go func(i int, nd *hlrc.Node) {
-			crashed, fenced, err := runNode(nd, prog)
-			if err == nil && fenced {
-				err = fmt.Errorf("node %d was fenced without a partition plan", i)
-			}
-			if err == nil && crashed {
-				if i != plan.Victim {
-					err = fmt.Errorf("node %d crashed but victim is %d", i, plan.Victim)
-				} else {
-					victimCrashed = true
-					err = c.recoverVictim(prog, plan, recReport)
-				}
-			}
-			ch <- done{node: i, err: err}
-		}(i, nd)
-	}
-	for remaining := c.cfg.Nodes; remaining > 0; remaining-- {
-		d := <-ch
-		if d.err != nil {
-			return nil, fmt.Errorf("core: node %d: %w", d.node, d.err)
+	var rec *RecoveryReport
+	rep, err := c.run(prog, func(node int, fenced bool) error {
+		if node != plan.Victim || fenced != (plan.PartitionFor > 0) {
+			return unplanned(node, fenced)
 		}
+		r, err := c.recover(prog, plan)
+		rec = r
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, nd := range c.nodes {
-		nd.StopService()
-	}
-	if !victimCrashed {
+	if rec == nil {
 		return nil, fmt.Errorf("core: victim %d never reached crash op %d (program has fewer sync ops)", plan.Victim, plan.AtOp)
 	}
-	rep := c.report()
-	rep.Recovery = recReport
+	rep.Recovery = rec
+	if rec.Online {
+		if err := c.assembleMigratedImage(rep); err != nil {
+			return nil, err
+		}
+	}
 	return rep, nil
 }
 
-// recoverVictim rebuilds the crashed node from its checkpoint, replays
-// its log, and runs the program to completion on the recovered
-// incarnation. It runs on the victim's (former) application goroutine.
-func (c *cluster) recoverVictim(prog Program, plan CrashPlan, out *RecoveryReport) error {
-	old := c.nodes[plan.Victim]
-	old.StopService() // already stopped by the fail-stop; idempotent
+// recover is the one recovery driver: restore the checkpoint, replay the
+// local log, fetch what the log names, resume. It rebuilds the downed
+// victim as a new incarnation and runs the program to completion on it, on
+// the victim's (former) application goroutine — concurrently with the
+// survivors when the plan carries a lease, while they block on the victim
+// when it does not. An offline crash, an online fail-stop and a partition
+// differ in three inputs only: the clock the incarnation starts at, what
+// is done to the stable store first, and whether the crash op re-executes.
+func (c *cluster) recover(prog Program, plan ChurnPlan) (*RecoveryReport, error) {
+	v := plan.Victim
+	old, store, stats := c.nodes[v], c.depot.Store(v), c.stats[v]
+	old.StopService() // a fail-stop already stopped it; a fenced node's is still up
 	crashOp := old.CrashedAtOp()
 	if crashOp < 0 {
-		return fmt.Errorf("core: victim %d has no recorded crash op", plan.Victim)
+		return nil, fmt.Errorf("core: victim %d has no recorded crash op", v)
 	}
-	out.CrashOp = crashOp
+	partitioned := plan.PartitionFor > 0
+	out := &RecoveryReport{
+		Victim: v, Kind: plan.Recovery, CrashOp: crashOp,
+		Online: plan.LeaseDuration > 0, Partitioned: partitioned,
+	}
 
-	// New incarnation: volatile state gone, stable store and network
-	// attachment survive. The replay clock starts at zero so the
-	// measured replay time is the recovery duration.
-	store := c.depot.Store(plan.Victim)
-	if c.cfg.Faults.TornWriteOnCrash {
+	// Input 1, the clock start. Offline it is zero, so the victim's final
+	// clock is the replay plus the rest of the run (ROADMAP item 5). Online
+	// the survivors' clocks kept running: a crashed node is back
+	// RestartDelay after the crash; a partitioned node was up the whole
+	// time, and its stale incarnation's clock at the fence carries every
+	// retransmission timeout it burned against the cut, so its "restart"
+	// is just the re-admission delay past that.
+	var start simtime.Time
+	if out.Online {
+		tc, ever := c.nw.EverCrashed(v)
+		if !ever {
+			return nil, fmt.Errorf("core: victim %d is down but not in the liveness registry", v)
+		}
+		out.CrashTime = tc
+		out.DeclareTime = tc + simtime.Time(plan.LeaseDuration)
+		start = tc
+		if partitioned {
+			out.HealTime = tc + simtime.Time(plan.PartitionFor)
+			out.FencedTime = old.Clock().Now()
+			start = out.FencedTime
+		}
+		start += simtime.Time(plan.RestartDelay)
+		out.RestartTime = start
+	}
+
+	// Input 2, the store prep.
+	switch {
+	case partitioned:
+		// The stale incarnation's post-onset work never landed anywhere
+		// (cut inside the window, fenced after the heal), but it kept
+		// logging locally. Re-admit the node at a fresh epoch past the
+		// death epoch — nothing the new incarnation sends can be fenced,
+		// while whatever the buried one still has in flight stays
+		// fenceable forever — and drop the unacknowledged log suffix.
+		out.RejoinEpoch = c.nw.Rejoin(v)
+		stats.EpochBumps.Add(1)
+		out.TruncatedRecords = store.TruncateFromOp(crashOp)
+	case c.cfg.Faults.TornWriteOnCrash:
 		// The crash interrupted the victim's final log flush: destroy a
 		// deterministic suffix of it. Recovery must detect the damage via
 		// the per-record checksums and rebuild the lost tail from the
 		// managers' sender logs and the writers' own-diff logs.
-		store.TearTail(c.cfg.Faults.TearRoll(plan.Victim, 0))
+		store.TearTail(c.cfg.Faults.TearRoll(v, 0))
 	}
-	nd := c.newIncarnation(plan.Victim, c.stats[plan.Victim], simtime.NewClock(0))
-	c.nodes[plan.Victim] = nd
+
+	// Input 3: a non-quiescent crash point fired at the op's entry, and a
+	// partition's onset op never completed cluster-visibly (its diffs were
+	// cut or fenced, its log record truncated above), so either way the
+	// crash op has no records and is re-executed live.
+	reexec := partitioned || plan.Point != fault.PointSyncExit
+
+	// New incarnation: volatile state gone, stable store and network
+	// attachment survive. Homes that migrated to a successor while the
+	// victim was down stay there for the rest of the run — a rejoin changes
+	// membership, never page custody.
+	nd := c.newIncarnation(v, stats, simtime.NewClock(start))
+	c.nodes[v] = nd
 	if _, ok := checkpoint.RestoreInitial(nd, store); !ok {
-		return fmt.Errorf("core: victim %d has no checkpoint", plan.Victim)
+		return nil, fmt.Errorf("core: victim %d has no checkpoint", v)
 	}
-	var rep *recovery.Replayer
-	if c.cfg.LogStreams > 1 {
-		// A multi-stream victim's final logged op is distrusted even with
-		// an intact log: the crash silently discards any group-commit
-		// deferrals, so the tail replays from the sender logs.
-		rep = recovery.NewReplayerTail(plan.Recovery, store, crashOp, *c.cfg.Model)
-	} else {
-		rep = recovery.NewReplayer(plan.Recovery, store, crashOp, *c.cfg.Model)
-	}
-	if c.cfg.Faults.TornWriteOnCrash || c.cfg.LogStreams > 1 {
-		rep.EnableTailMode(c.cfg.LockManagerNode, c.cfg.BarrierManagerNode)
+	rep := recovery.NewReplayer(plan.Recovery, nd, store, crashOp, reexec)
+	rejoinPhase := func() {
+		if partitioned {
+			stats.RejoinPhases.Add(1)
+		}
 	}
 	rep.OnDetach = func() {
 		// Resume live operation: the service loop drains everything that
-		// queued while the node was down.
+		// queued while the node was down (requests for homes that migrated
+		// are answered with redirects to the successor).
+		rejoinPhase() // catch-up done, serving live
 		nd.StartService()
 	}
 	nd.SetDelegate(rep)
+	rejoinPhase() // replay phase entered
 
 	crashed, fenced, err := runNode(nd, prog)
-	if err != nil {
-		return err
+	switch {
+	case err != nil:
+		return nil, err
+	case crashed:
+		return nil, fmt.Errorf("core: victim %d crashed again during recovery", v)
+	case fenced:
+		return nil, fmt.Errorf("core: victim %d was fenced again after recovering at epoch %d", v, out.RejoinEpoch)
+	case !rep.Detached():
+		return nil, fmt.Errorf("core: victim %d finished without completing replay", v)
 	}
-	if crashed || fenced {
-		return fmt.Errorf("core: victim %d crashed again during recovery", plan.Victim)
-	}
-	if !rep.Detached() {
-		return fmt.Errorf("core: victim %d finished without completing replay", plan.Victim)
+	if partitioned {
+		// Availability: sync ops the re-admitted node completed live after
+		// the onset op (everything past crashOp ran against the healed
+		// cluster, not from the log).
+		stats.RejoinServed.Add(int64(nd.OpIndex() - crashOp))
 	}
 	out.ReplayTime = rep.ReplayTime()
 	out.TornTail = rep.Torn()
 	out.TailOps = rep.TailOps
 	out.Phases = rep.Phases()
-	return nil
+	if out.Online {
+		out.RejoinTime = start + out.ReplayTime
+	}
+	return out, nil
 }

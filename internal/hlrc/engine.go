@@ -301,6 +301,9 @@ func (nd *Node) Clock() *simtime.Clock { return nd.clock }
 // Model returns the cost model.
 func (nd *Node) Model() simtime.CostModel { return nd.cfg.Model }
 
+// Config returns the configuration the node was built with.
+func (nd *Node) Config() Config { return nd.cfg }
+
 // Endpoint returns the node's network endpoint.
 func (nd *Node) Endpoint() *transport.Endpoint { return nd.ep }
 

@@ -188,7 +188,9 @@ type Replayer struct {
 	kind    Kind
 	store   *stable.Store
 	crashOp int32
-	model   simtime.CostModel
+	// cfg is the victim's node configuration: the cost model, where the
+	// managers live, and whether they keep sender logs.
+	cfg hlrc.Config
 
 	byOp      map[int32][]stable.Record
 	pagesByOp map[int32]map[memory.PageID][]byte // ML page copies
@@ -221,11 +223,8 @@ type Replayer struct {
 	// notices during replay, unbounded at detach).
 	torn       bool
 	tailFromOp int32
-	lockMgr    int
-	barrierMgr int
-	tailReady  bool // EnableTailMode was called
-	acquireIdx int  // acquires replayed so far (indexes the lock manager's sender log)
-	barrierIdx int  // barriers replayed so far (indexes the barrier manager's sender log)
+	acquireIdx int // acquires replayed so far (indexes the lock manager's sender log)
+	barrierIdx int // barriers replayed so far (indexes the barrier manager's sender log)
 	// TailOps counts sync ops that replayed from sender logs instead of
 	// the disk log (observability for tests and reports).
 	TailOps int
@@ -233,13 +232,10 @@ type Replayer struct {
 	// phases accounts the replay clock per recovery phase; sealed at
 	// detach and exposed via Phases.
 	phases PhaseReport
-	// Online replay (leases enabled): the cluster keeps executing while
-	// this victim replays. Interval closes re-flush the victim's
-	// self-writes to migrated pages into the successor's custody
-	// (hlrc.Node.FlushReplayDiffs), and the replay clock starts at base
-	// (restart time) instead of zero.
-	online bool
-	base   simtime.Time
+	// base is the clock the incarnation was given: zero offline, the
+	// restart time when the cluster kept executing while the victim was
+	// down. ReplayTime and the phase report are durations relative to it.
+	base simtime.Time
 	// reexec (non-quiescent crash points): the crash fired at the crash
 	// op's entry before anything of it ran, so there are no records for
 	// it; replay detaches just short of it and the live protocol
@@ -248,27 +244,29 @@ type Replayer struct {
 	reexec bool
 }
 
-// NewReplayer indexes the victim's log for replay up to crashOp. Only the
-// CRC-valid prefix of the log is used: if a torn write destroyed the tail
-// of the final flush, the records of the last op covered by the prefix
-// (and everything after it) are distrusted, and the replayer requires
-// EnableTailMode to recover them from live nodes.
-func NewReplayer(kind Kind, store *stable.Store, crashOp int32, model simtime.CostModel) *Replayer {
-	return newReplayer(kind, store, crashOp, model, false)
-}
-
-// NewReplayerTail is NewReplayer with the log's final op distrusted even
-// when every record verifies. A multi-stream store's group commit may
-// have deferred records that the crash then lost without leaving torn
-// evidence on disk (they were simply never written), so offline recovery
-// of a multi-stream victim always replays the last logged op — and
-// everything after it — from the managers' sender logs, exactly as it
-// would a torn tail. Requires EnableTailMode.
-func NewReplayerTail(kind Kind, store *stable.Store, crashOp int32, model simtime.CostModel) *Replayer {
-	return newReplayer(kind, store, crashOp, model, true)
-}
-
-func newReplayer(kind Kind, store *stable.Store, crashOp int32, model simtime.CostModel, forceTail bool) *Replayer {
+// NewReplayer indexes the log of nd — the victim's new incarnation, just
+// restored from its checkpoint — for replay up to crashOp. The replay's
+// time base is nd's clock as handed over, and where the managers live and
+// whether they keep sender logs is read from nd's configuration.
+//
+// Only the CRC-valid prefix of the log is used: if a torn write destroyed
+// the tail of the final flush, the records of the last op covered by the
+// prefix (and everything after it) are distrusted and that tail replays
+// from the managers' sender logs (hlrc.Config.SenderLogs) instead. On a
+// multi-stream store the final op is distrusted even when every record
+// verifies: group commit may have deferred records that the crash then
+// lost without leaving torn evidence on disk (they were simply never
+// written).
+//
+// reexec marks the crash op as never executed: a non-quiescent crash
+// point fired at the op's entry — or a partition cut it off — before its
+// flush, log append, or manager communication landed, so the disk log has
+// no records for it. Replay stops just short of the op and returns control
+// to the live protocol, which re-executes it whole — recomputing the open
+// interval's diffs from twins, which are re-enabled over every replayed
+// write since the last interval close (closeInterval keeps nd.TwinsFromOp
+// tracking it).
+func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, reexec bool) *Replayer {
 	if kind != MLRecovery && kind != CCLRecovery {
 		panic(fmt.Sprintf("recovery: no replayer for %v", kind))
 	}
@@ -276,9 +274,14 @@ func newReplayer(kind Kind, store *stable.Store, crashOp int32, model simtime.Co
 		kind:      kind,
 		store:     store,
 		crashOp:   crashOp,
-		model:     model,
+		cfg:       nd.Config(),
+		base:      nd.Clock().Now(),
+		reexec:    reexec,
 		byOp:      make(map[int32][]stable.Record),
 		pagesByOp: make(map[int32]map[memory.PageID][]byte),
+	}
+	if reexec {
+		nd.TwinsFromOp = 0
 	}
 	recs, dropped := store.ValidPrefix()
 	// Record op tags are nondecreasing (both protocols stage and flush
@@ -291,7 +294,7 @@ func newReplayer(kind Kind, store *stable.Store, crashOp int32, model simtime.Co
 			maxOp = rec.Op
 		}
 	}
-	if dropped > 0 || forceTail {
+	if dropped > 0 || store.Streams() > 1 {
 		r.torn = true
 		r.tailFromOp = maxOp
 		if maxOp < 0 {
@@ -324,46 +327,12 @@ func newReplayer(kind Kind, store *stable.Store, crashOp int32, model simtime.Co
 	return r
 }
 
-// EnableTailMode tells the replayer which nodes host the lock and barrier
-// managers, allowing it to recover sync ops past a torn log tail from
-// their sender logs (the managers must run with hlrc.Config.SenderLogs).
-func (r *Replayer) EnableTailMode(lockMgr, barrierMgr int) {
-	r.lockMgr = lockMgr
-	r.barrierMgr = barrierMgr
-	r.tailReady = true
-}
-
-// EnableOnline switches the replayer to online (concurrent) recovery: the
-// rest of the cluster keeps executing, the victim's statically-assigned
-// home pages are served by an adopter, and the victim re-flushes its
-// replayed self-writes to those pages into the adopter's custody at every
-// interval close. base is the victim's restart time (the replay clock
-// starts there, not at zero); ReplayTime and the phase report stay
-// durations relative to it.
-func (r *Replayer) EnableOnline(base simtime.Time) {
-	r.online = true
-	r.base = base
-}
-
-// ReexecuteCrashOp marks the crash op as never executed: a non-quiescent
-// crash point fired at the op's entry, before its flush, log append, or
-// manager communication, so the disk log has no records for it. Replay
-// stops just short of the op and returns control to the live protocol,
-// which re-executes it whole — recomputing the open interval's diffs from
-// twins, which are re-enabled over every replayed write since the last
-// interval close (closeInterval keeps nd.TwinsFromOp tracking it).
-func (r *Replayer) ReexecuteCrashOp(nd *hlrc.Node) {
-	r.reexec = true
-	nd.TwinsFromOp = 0
-}
-
-// closeInterval closes the replayed interval; under online recovery the
-// victim's dirty migrated pages are re-flushed to their adopter first,
-// because the close drops the twins the diffs are computed from.
+// closeInterval closes the replayed interval. The victim's dirty migrated
+// pages (there are none unless the cluster ran on without it) are
+// re-flushed to their adopter first, because the close drops the twins the
+// diffs are computed from.
 func (r *Replayer) closeInterval(nd *hlrc.Node) {
-	if r.online {
-		nd.FlushReplayDiffs()
-	}
+	nd.FlushReplayDiffs()
 	nd.CloseIntervalLocal()
 	if r.reexec {
 		// The open interval restarts here: only writes from the next op on
@@ -380,7 +349,7 @@ func (r *Replayer) tailActive(op int32) bool {
 	if !r.torn || op < r.tailFromOp {
 		return false
 	}
-	if !r.tailReady {
+	if !r.cfg.SenderLogs {
 		panic(fmt.Sprintf("recovery: log tail torn at op %d but sender-log recovery is not enabled", op))
 	}
 	return true
@@ -511,7 +480,7 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 			panic(fmt.Sprintf("recovery: ML replay diverged: no logged copy of page %d at op %d", page, op))
 		}
 		n := r.store.NoteRead(stable.HeaderSize + 4 + len(data))
-		t0, t1 := nd.Clock().AdvanceSpan(r.model.DiskTime(n))
+		t0, t1 := nd.Clock().AdvanceSpan(r.cfg.Model.DiskTime(n))
 		nd.Tracer().Seg(obsv.EvReplayOp, obsv.CatRecovery, t0, t1, int64(page), int64(n))
 		r.phases.note(PhaseLogRead, t0, t1, int64(n))
 		// data aliases the log record, which later reads and audits of the
@@ -536,8 +505,6 @@ func (r *Replayer) detach(nd *hlrc.Node) {
 	if r.torn {
 		r.catchUpHomePages(nd)
 	}
-	// Under online recovery the victim's clock starts at its restart time,
-	// not zero; ReplayTime stays the catch-up duration.
 	r.replayTime = nd.Clock().Now() - r.base
 	r.phases.close(r.replayTime)
 	r.detached = true
@@ -580,9 +547,9 @@ func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
 	}
 	if batch > 0 {
 		r.store.NoteRead(batch)
-		cost := r.model.DiskTime(crit)
+		cost := r.cfg.Model.DiskTime(crit)
 		if r.seeked {
-			cost -= r.model.DiskSeek
+			cost -= r.cfg.Model.DiskSeek
 		}
 		r.seeked = true
 		t0, t1 := nd.Clock().AdvanceSpan(cost)
@@ -721,7 +688,7 @@ func (r *Replayer) fetchEvents(nd *hlrc.Node, events []hlrc.UpdateEvent) {
 	worstBytes, totalBytes := 0, 0
 	for _, bytes := range diskByWriter {
 		totalBytes += bytes
-		if d := r.model.DiskTime(bytes); d > worst {
+		if d := r.cfg.Model.DiskTime(bytes); d > worst {
 			worst = d
 			worstBytes = bytes
 		}
@@ -814,11 +781,11 @@ func (r *Replayer) fetchLoggedGrant(nd *hlrc.Node, idx int) *hlrc.LockGrant {
 	ep := nd.Endpoint()
 	start := nd.Clock().Now()
 	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
-	m := ep.CallAsync(r.lockMgr, hlrc.KindRecGrantReq, req.WireSize(), req).WaitDetached(nd.Clock())
+	m := ep.CallAsync(r.cfg.LockManagerNode, hlrc.KindRecGrantReq, req.WireSize(), req).WaitDetached(nd.Clock())
 	g := m.Payload.(*hlrc.RecGrantReply).Grant
 	if g == nil {
 		panic(fmt.Sprintf("recovery: lock manager %d has no sender-logged grant %d for node %d",
-			r.lockMgr, idx, nd.ID()))
+			r.cfg.LockManagerNode, idx, nd.ID()))
 	}
 	end := nd.Clock().Now()
 	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)
@@ -832,11 +799,11 @@ func (r *Replayer) fetchLoggedRelease(nd *hlrc.Node, idx int) *hlrc.BarrierRelea
 	ep := nd.Endpoint()
 	start := nd.Clock().Now()
 	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
-	m := ep.CallAsync(r.barrierMgr, hlrc.KindRecBarrierReq, req.WireSize(), req).WaitDetached(nd.Clock())
+	m := ep.CallAsync(r.cfg.BarrierManagerNode, hlrc.KindRecBarrierReq, req.WireSize(), req).WaitDetached(nd.Clock())
 	rel := m.Payload.(*hlrc.RecBarrierReply).Rel
 	if rel == nil {
 		panic(fmt.Sprintf("recovery: barrier manager %d has no sender-logged release %d for node %d",
-			r.barrierMgr, idx, nd.ID()))
+			r.cfg.BarrierManagerNode, idx, nd.ID()))
 	}
 	end := nd.Clock().Now()
 	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)
@@ -979,7 +946,7 @@ func (r *Replayer) applyFetchedDiffs(nd *hlrc.Node, calls []diffFetch) int {
 	worstBytes, totalBytes := 0, 0
 	for _, bytes := range diskByWriter {
 		totalBytes += bytes
-		if d := r.model.DiskTime(bytes); d > worst {
+		if d := r.cfg.Model.DiskTime(bytes); d > worst {
 			worst = d
 			worstBytes = bytes
 		}

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"strings"
 	"testing"
 
 	"sdsm/internal/hlrc"
@@ -66,13 +67,84 @@ func TestReadLoggedDiffs(t *testing.T) {
 	}
 }
 
+// victimNode builds the node a replayer is constructed for: node 1 of 2,
+// managers at node 0, its clock at start.
+func victimNode(senderLogs bool, start simtime.Time) *hlrc.Node {
+	model := simtime.DefaultCostModel()
+	return hlrc.NewNode(hlrc.Config{
+		ID: 1, N: 2, PageSize: 128, NumPages: 2, Homes: []int{0, 1},
+		Model: model, SenderLogs: senderLogs,
+	}, transport.NewNetwork(2, model), simtime.NewClock(start), nil, nil)
+}
+
 func TestNewReplayerRejectsReExecution(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewReplayer(ReExecution, stable.NewStore(), 1, simtime.DefaultCostModel())
+	NewReplayer(ReExecution, victimNode(false, 0), stable.NewStore(), 1, false)
+}
+
+// TestNewReplayerDerivesModes pins what the one constructor reads off the
+// node and the store instead of being told: the replay-time base is the
+// clock the incarnation was given, a multi-stream log's final op is
+// distrusted with every record intact, and only the re-execute bit (which
+// re-enables twins from op 0) is the caller's.
+func TestNewReplayerDerivesModes(t *testing.T) {
+	notices := hlrc.EncodeNotices([]hlrc.Notice{{Proc: 0, Seq: 1, Pages: []memory.PageID{1}}}, nil)
+	for _, streams := range []int{1, 4} {
+		store := stable.NewStoreStreams(streams)
+		store.Flush([]stable.Record{
+			{Kind: wal.RecNotices, Op: 1, Data: notices},
+			{Kind: wal.RecNotices, Op: 2, Data: notices, Stream: streams - 1},
+		})
+		nd := victimNode(true, 5000)
+		r := NewReplayer(CCLRecovery, nd, store, 9, streams == 4)
+		if r.base != 5000 {
+			t.Errorf("%d streams: base = %d, want the incarnation's clock start 5000", streams, r.base)
+		}
+		if r.Torn() != (streams > 1) {
+			t.Errorf("%d streams: torn = %v with an intact log", streams, r.Torn())
+		}
+		if streams > 1 && (r.tailFromOp != 2 || len(r.byOp[2]) != 0 || len(r.byOp[1]) != 1 || !r.tailActive(2) || r.tailActive(1)) {
+			t.Errorf("multi-stream replayer: tail from op %d, byOp %d/%d records; want the final op 2 left to the sender logs",
+				r.tailFromOp, len(r.byOp[1]), len(r.byOp[2]))
+		}
+		if want := map[bool]int32{false: -1, true: 0}[r.reexec]; nd.TwinsFromOp != want {
+			t.Errorf("reexec=%v: TwinsFromOp = %d, want %d", r.reexec, nd.TwinsFromOp, want)
+		}
+	}
+}
+
+// TestTornLogWithoutSenderLogsPanics: a CRC-torn log on a node whose
+// managers keep no sender logs cannot be recovered, and saying so is a
+// safety check that must survive the sender-log availability being read
+// from the node's config.
+func TestTornLogWithoutSenderLogsPanics(t *testing.T) {
+	notices := hlrc.EncodeNotices([]hlrc.Notice{{Proc: 0, Seq: 1, Pages: []memory.PageID{1}}}, nil)
+	store := stable.NewStore()
+	store.Flush([]stable.Record{{Kind: wal.RecNotices, Op: 1, Data: notices}})
+	store.Flush([]stable.Record{{Kind: wal.RecNotices, Op: 2, Data: notices}, {Kind: wal.RecNotices, Op: 3, Data: notices}})
+	store.TearTail(1)
+	if _, dropped := store.ValidPrefix(); dropped == 0 {
+		t.Fatal("TearTail tore nothing: the case is toothless")
+	}
+	nd := victimNode(false, 0)
+	r := NewReplayer(CCLRecovery, nd, store, 9, false)
+	if !r.Torn() {
+		t.Fatal("replayer did not notice the torn tail")
+	}
+	if r.tailActive(r.tailFromOp - 1) {
+		t.Fatal("an op below the torn tail must replay from disk")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "sender-log recovery is not enabled") {
+			t.Fatalf("panic %q, want the torn-tail-without-sender-logs diagnostic", msg)
+		}
+	}()
+	r.Acquire(nd, r.tailFromOp, 1)
 }
 
 func TestReplayerIndexesByOp(t *testing.T) {
@@ -82,7 +154,7 @@ func TestReplayerIndexesByOp(t *testing.T) {
 		{Kind: wal.RecPage, Op: 2, Data: wal.EncodePageRecord(nil, 1, make([]byte, 128))},
 		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, 1, 1, 0, []memory.Diff{mkDiff(0, 0, 1)})},
 	})
-	r := NewReplayer(MLRecovery, store, 5, simtime.DefaultCostModel())
+	r := NewReplayer(MLRecovery, victimNode(false, 0), store, 5, false)
 	if len(r.byOp[1]) != 1 || len(r.byOp[2]) != 1 {
 		t.Fatalf("byOp index: %d/%d", len(r.byOp[1]), len(r.byOp[2]))
 	}
@@ -90,7 +162,7 @@ func TestReplayerIndexesByOp(t *testing.T) {
 		t.Fatal("page index missing")
 	}
 	// CCL replayer keeps pages in byOp untouched (it never logs them).
-	r2 := NewReplayer(CCLRecovery, store, 5, simtime.DefaultCostModel())
+	r2 := NewReplayer(CCLRecovery, victimNode(false, 0), store, 5, false)
 	if len(r2.pagesByOp) != 0 {
 		t.Fatal("CCL replayer indexed pages")
 	}

@@ -78,26 +78,19 @@ const (
 	RecDiffBatch
 )
 
-// DefaultGroupCommitBytes is the per-stream staging threshold that
-// forces a group-commit flush at a diff-less release on a multi-stream
-// store when no explicit Options.GroupCommitBytes is set.
-const DefaultGroupCommitBytes = 16 << 10
-
-// Options tunes the log layout without changing the protocol.
-type Options struct {
-	// GroupCommitBytes is the per-stream pending-byte threshold above
-	// which a diff-less release flushes the staged records anyway
-	// instead of deferring them into the next durability fence. Only
-	// meaningful on multi-stream stores; 0 means
-	// DefaultGroupCommitBytes.
-	GroupCommitBytes int
-}
+// groupCommitThreshold is the per-stream pending-byte threshold above
+// which a diff-less release on a multi-stream store flushes the staged
+// records anyway instead of deferring them into the next durability
+// fence.
+const groupCommitThreshold = 16 << 10
 
 // New returns the LogHooks implementation for protocol p writing to
 // store. ProtocolNone returns hlrc.NopHooks. ctrs (optional) receives a
-// LogAppends bump for every record staged into the protocol's log.
+// LogAppends bump for every record staged into the protocol's log. The
+// stream count is taken from the store: a multi-stream store gets
+// stream-routed records and (under CCL) group-committed flushes.
 func New(p Protocol, store *stable.Store, ctrs *obsv.Counters) hlrc.LogHooks {
-	return NewWithOptions(p, store, ctrs, false, Options{})
+	return newHooks(p, store, ctrs, false)
 }
 
 // NewHardened returns the protocol's hooks with the additions torn-tail
@@ -107,19 +100,13 @@ func New(p Protocol, store *stable.Store, ctrs *obsv.Counters) hlrc.LogHooks {
 // log lost the tail of its incoming-diff records can re-fetch the updates
 // to its home pages from the writers' logs.
 func NewHardened(p Protocol, store *stable.Store, ctrs *obsv.Counters) hlrc.LogHooks {
-	return NewWithOptions(p, store, ctrs, true, Options{})
+	return newHooks(p, store, ctrs, true)
 }
 
-// NewWithOptions is New/NewHardened with explicit layout options. The
-// stream count is taken from the store: a multi-stream store gets
-// stream-routed records and (under CCL) group-committed flushes.
-func NewWithOptions(p Protocol, store *stable.Store, ctrs *obsv.Counters, hardened bool, opts Options) hlrc.LogHooks {
+func newHooks(p Protocol, store *stable.Store, ctrs *obsv.Counters, hardened bool) hlrc.LogHooks {
 	streams := 1
 	if store != nil {
 		streams = store.Streams()
-	}
-	if opts.GroupCommitBytes == 0 {
-		opts.GroupCommitBytes = DefaultGroupCommitBytes
 	}
 	switch p {
 	case ProtocolNone:
@@ -127,7 +114,7 @@ func NewWithOptions(p Protocol, store *stable.Store, ctrs *obsv.Counters, harden
 	case ProtocolML:
 		return &MLHooks{store: store, ctrs: ctrs, logOwnDiffs: hardened, streams: streams}
 	case ProtocolCCL:
-		return &CCLHooks{store: store, ctrs: ctrs, opts: opts, streams: streams}
+		return &CCLHooks{store: store, ctrs: ctrs, streams: streams}
 	default:
 		panic(fmt.Sprintf("wal: unknown protocol %d", int(p)))
 	}
@@ -319,7 +306,6 @@ type CCLHooks struct {
 	store   *stable.Store
 	ctrs    *obsv.Counters
 	staged  []stagedRec
-	opts    Options
 	streams int
 	// flushScratch is the reusable record slice AtRelease composes each
 	// flush into; only the application goroutine touches it (AtRelease is
@@ -411,7 +397,8 @@ func (h *CCLHooks) AtSyncEntry(int32) int { return 0 }
 // under a fence). A diff-less release defers its flush — the staged
 // notices and event records are only ever read by this node's own
 // replay, and losing them to a crash is recovered exactly like a torn
-// final flush (multi-stream runs always enable tail-mode recovery) —
+// final flush (a multi-stream victim's replay always distrusts the final
+// logged op, offline and online alike) —
 // unless some stream's pending bytes crossed the group-commit
 // threshold. The decision is a pure function of virtual time (staged
 // composition + cutoff), so same-seed runs keep identical logs.
@@ -444,7 +431,7 @@ func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Ti
 		if eligible == 0 {
 			return 0
 		}
-		if maxPend < h.opts.GroupCommitBytes {
+		if maxPend < groupCommitThreshold {
 			if h.ctrs != nil {
 				h.ctrs.WalCoalesced.Add(1)
 			}
