@@ -49,6 +49,7 @@ bench:
 	go test ./internal/hlrc/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/wal/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/arena/ -run xxx -bench . -benchtime=100x -count=1
+	go test ./internal/transport/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/transport/tcp/ -run xxx -bench . -benchtime=100x -count=1
 
 # Every fuzz target of the packages that decode bytes they did not write

@@ -8,11 +8,13 @@ type tapFabric struct {
 	tap func(transport.Message)
 }
 
-func (f tapFabric) Deliver(m transport.Message) { f.tap(m); f.nw.Inject(m) }
-func (f tapFabric) Close() error                { return nil }
+func (f tapFabric) Deliver(m transport.Message)           { f.tap(m); f.nw.Inject(m) }
+func (f tapFabric) Reply(key uint64, r transport.Message) { f.nw.DeliverReply(key, r) }
+func (f tapFabric) Close() error                          { return nil }
 
 // RunTapped is Run on the sim backend with tap called, on the sender's
-// goroutine, for every message copy that leaves a node.
+// goroutine, for every message copy that leaves a node (replies are not
+// tapped).
 func RunTapped(cfg Config, prog Program, tap func(transport.Message)) (*Report, error) {
 	c, err := buildCluster(cfg)
 	if err != nil {

@@ -4,76 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"sdsm/internal/fault"
 	"sdsm/internal/simtime"
 )
-
-// TestDuplicateReplyAfterRedirect locks down the reply-isolation
-// contract the lease-based failover relies on, and which the TCP
-// backend's pending-table must also honor: a reply that arrives after
-// the requester has abandoned the call via WaitRedirect — whether a
-// wire-level duplicate or the crashed home's recovered incarnation
-// answering late from its drained inbox — lands in the abandoned
-// request's channel and must never surface as the answer to any later
-// call.
-func TestDuplicateReplyAfterRedirect(t *testing.T) {
-	nw := NewNetwork(3, simtime.DefaultCostModel())
-	nw.SetFaultPlan(fault.Plan{Seed: 11, DupProb: 0.3})
-	caller := nw.NewEndpoint(0, simtime.NewClock(0))
-	home := nw.NewEndpoint(1, simtime.NewClock(0))
-	adopter := nw.NewEndpoint(2, simtime.NewClock(0))
-
-	quit := make(chan struct{})
-	defer close(quit)
-	go echoUntilQuit(adopter, quit)
-
-	// A doubled reply to a live call: the service answers the same
-	// request again after the caller already consumed the first copy
-	// (at-least-once delivery after an uncertain crash does exactly
-	// this). The duplicate lands in the original request's own buffered
-	// channel and must not bleed into later calls.
-	p := caller.CallAsync(1, Kind(9), 64, 41)
-	req := <-home.Inbox()
-	if home.WireDup(req) {
-		t.Fatal("first copy of the request flagged as a duplicate")
-	}
-	at := home.ArrivalOf(req)
-	home.ReplyAt(at, req, req.Kind, 16, 41)
-	if m := p.Wait(caller.Clock()); m.Payload.(int) != 41 {
-		t.Fatalf("first call answered %v", m.Payload)
-	}
-	home.ReplyAt(at, req, req.Kind, 16, 41) // the late duplicate
-
-	// The home crashes with a request in flight; the caller fails over
-	// and redirects to the adopter.
-	stale := caller.CallAsync(1, Kind(9), 64, 100)
-	home.MarkCrashed(home.Clock().Now())
-	if _, ok := stale.WaitRedirect(caller.Clock()); ok {
-		t.Fatal("call to the crashed home did not fail over")
-	}
-	if m, ok := caller.CallAsync(2, Kind(9), 64, 200).WaitRedirect(caller.Clock()); !ok || m.Payload.(int) != 200 {
-		t.Fatalf("redirected call answered %v, ok=%v", m.Payload, ok)
-	}
-
-	// The home's recovered incarnation rejoins and drains its inbox,
-	// WireDup-suppressing retransmitted copies and answering everything —
-	// including the abandoned request: the late duplicate reply.
-	home.MarkRejoined()
-	go echoUntilQuit(home, quit)
-
-	// Every later call to the rejoined home must get its own fresh
-	// answer; under DupProb the wire may also double those replies, and
-	// each Wait must still see its own payload, never the stale 100.
-	for i := 0; i < 50; i++ {
-		m, ok := caller.CallAsync(1, Kind(9), 64, 300+i).WaitRedirect(caller.Clock())
-		if !ok {
-			t.Fatalf("call %d to the rejoined home failed over", i)
-		}
-		if m.Payload.(int) != 300+i {
-			t.Fatalf("call %d answered %v (stale or crossed reply)", i, m.Payload)
-		}
-	}
-}
 
 // TestFenceEmptyInbox exercises FenceArrivalsBefore on a node that has
 // never received a message: with zero deliveries the drain phase has

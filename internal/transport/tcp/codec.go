@@ -6,15 +6,19 @@
 // internal/transport/fabric.go): virtual-time stamping, wire accounting,
 // fault fates and ARQ state stay in the Network; this package only
 // carries already-stamped copies. Each ordered node pair owns one
-// outbound link (a queue, a writer goroutine, and a TCP connection with
-// reconnect + exponential backoff); frames are length-prefixed and
-// CRC-framed: a fixed binary header, then the payload in the protocol's
-// own binary encoding (see Payload), whose length is the size the cost
-// model charged for the message.
-// Requests travel with a pending id; the receiving side binds a local
-// reply channel and a forwarder goroutine ships the handler's reply back
-// as a reply frame, which the sending side resolves against its pending
-// table — so Pending.Wait and friends work unchanged over real sockets.
+// outbound link (a frame queue, a writer goroutine, and a TCP connection
+// with reconnect + exponential backoff); senders encode their frames
+// into the queue on their own goroutines and the writer puts them on the
+// wire in coalesced batches. Frames are length-prefixed and CRC-framed:
+// a fixed binary header, then the payload in the protocol's own binary
+// encoding (see Payload), whose length is the size the cost model charged
+// for the message.
+// A request frame's Pending field is its requester's reply key (see
+// transport.Message.WireExtras); the handler's reply goes back as a reply
+// frame carrying the same key, and the requester's reader hands it to
+// transport.Network.DeliverReply. There is no pending table and no
+// goroutine per request: the fabric's goroutines are one per listener,
+// one writer per link and one reader per accepted connection.
 package tcp
 
 import (
@@ -134,7 +138,10 @@ type Frame struct {
 	Size       int32 // accounted wire size
 	ExtraDelay int64 // fault-injected extra latency (simtime.Duration)
 	DropReply  bool  // fault plan: reply to this copy is lost
-	Pending    uint64
+	// Pending is the requester's reply key on a request and on its reply
+	// (0 on one-way copies): the slot index and generation of the call
+	// it answers, resolved on the requester's side.
+	Pending uint64
 	// Piggybacked causal trace context (obsv.TraceCtx); all-zero when
 	// the originating op is untraced.
 	TraceID  uint64
@@ -259,6 +266,10 @@ func checkPrefix(prefix []byte, maxFrame int) (int, error) {
 	}
 	return n, nil
 }
+
+// frameLen is the length, prefix included, of the encoded frame b starts
+// with.
+func frameLen(b []byte) int { return prefixLen + int(binary.LittleEndian.Uint32(b)) }
 
 // checkCRC verifies a body against the CRC its preamble stored.
 func checkCRC(prefix, body []byte) error {

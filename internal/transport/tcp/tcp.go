@@ -50,11 +50,12 @@ type Stats struct {
 	BudgetWaits int64 `json:"budget_waits"`
 }
 
-// Fabric is the TCP wire backend: one loopback listener per node, one
-// outbound link per ordered node pair (queue + writer goroutine +
-// connection with reconnect/backoff), and a pending table resolving
-// reply frames to requester channels. Install it with
-// Network.SetFabric right after NewNetwork.
+// Fabric is the TCP wire backend: one loopback listener per node and one
+// outbound link per ordered node pair (a frame queue, a writer goroutine
+// and a connection with reconnect/backoff). It keeps no per-request
+// state: a request frame carries its requester's reply key, and the reply
+// frame hands the key back. Install it with Network.SetFabric right after
+// NewNetwork.
 type Fabric struct {
 	nw           *transport.Network
 	n            int
@@ -67,10 +68,6 @@ type Fabric struct {
 	addrs     []string
 	links     []*link // [from*n+to]; nil on the diagonal
 
-	pmu       sync.Mutex
-	pending   map[uint64]chan transport.Message
-	pendingID atomic.Uint64
-
 	cmu   sync.Mutex
 	conns map[net.Conn]struct{} // accepted (read-side) connections
 
@@ -81,12 +78,21 @@ type Fabric struct {
 	wg        sync.WaitGroup
 }
 
-// link is the outbound side of one ordered node pair.
+// link is the outbound side of one ordered node pair. Senders encode
+// their frames straight into queue on their own goroutines; the writer
+// swaps queue for its emptied buffer and writes what it took, so a frame
+// costs no allocation once the two buffers have grown.
 type link struct {
 	fab  *Fabric
 	from int
 	to   int
-	q    chan *Frame
+	wake chan struct{} // capacity 1: queue went from empty to non-empty
+
+	qmu    sync.Mutex
+	room   sync.Cond    // on qmu: the writer took the queue, or exited
+	queue  []byte       // encoded frames, in send order, not yet taken
+	closed bool         // the writer has exited; later frames are dropped
+	depth  atomic.Int64 // frames in queue, for LinkStats
 
 	// Per-link wire counters feeding the live telemetry gauges
 	// (LinkStats); the fabric-wide totals in Stats are kept separately.
@@ -97,10 +103,11 @@ type link struct {
 	everDialed bool // a successful dial happened; later dials are reconnects
 }
 
-// linkQueueCap bounds in-flight frames per link; a full queue
-// back-pressures the sender (under a bandwidth budget that is the
-// intended behavior).
-const linkQueueCap = 4096
+// linkQueueBytes bounds the encoded frames waiting on a link: a sender
+// finding the queue this full waits for the writer (under a bandwidth
+// budget that is the intended back-pressure). A frame always fits into
+// an empty queue, whatever its size.
+const linkQueueBytes = 1 << 20
 
 // Coalescing bounds: a batch write stops growing at either limit. The
 // first frame always goes regardless of size.
@@ -122,7 +129,6 @@ func New(nw *transport.Network, opts Options) (*Fabric, error) {
 		budget:       NewBudget(opts.BudgetBytesPerSec, opts.BudgetBurst),
 		dialAttempts: opts.DialAttempts,
 		dialBackoff:  opts.DialBackoff,
-		pending:      make(map[uint64]chan transport.Message),
 		conns:        make(map[net.Conn]struct{}),
 		done:         make(chan struct{}),
 	}
@@ -154,7 +160,8 @@ func New(nw *transport.Network, opts Options) (*Fabric, error) {
 			if from == to {
 				continue
 			}
-			l := &link{fab: fab, from: from, to: to, q: make(chan *Frame, linkQueueCap)}
+			l := &link{fab: fab, from: from, to: to, wake: make(chan struct{}, 1)}
+			l.room.L = &l.qmu
 			fab.links[from*fab.n+to] = l
 			fab.wg.Add(1)
 			go l.run()
@@ -171,29 +178,37 @@ func (fab *Fabric) link(from, to int) *link {
 	return l
 }
 
-// Deliver implements transport.Fabric: encode the copy, key its reply
-// channel (if any) in the pending table, and hand it to the outbound
-// link.
+// Deliver implements transport.Fabric: encode the copy, with its
+// requester's reply key if it is a request, onto the outbound link.
 func (fab *Fabric) Deliver(m transport.Message) {
-	extra, dropReply := m.WireExtras()
-	f := &Frame{
+	extra, dropReply, key := m.WireExtras()
+	fab.link(m.From, m.To).send(&Frame{
 		Type: frameMsg,
 		From: int32(m.From), To: int32(m.To), Kind: uint8(m.Kind),
 		Seq: m.Seq, ReqID: m.ReqID,
 		SentAt: int64(m.SentAt), Size: int32(m.Size),
 		ExtraDelay: int64(extra), DropReply: dropReply,
+		Pending: key,
 		TraceID: m.Trace.TraceID, SpanID: m.Trace.SpanID, TraceTag: m.Trace.Tag,
 		Epoch:   m.Epoch,
 		Payload: m.Payload,
-	}
-	if ch := m.ReplyBinding(); ch != nil {
-		id := fab.pendingID.Add(1)
-		fab.pmu.Lock()
-		fab.pending[id] = ch
-		fab.pmu.Unlock()
-		f.Pending = id
-	}
-	fab.link(m.From, m.To).send(f)
+	})
+}
+
+// Reply implements transport.Fabric: encode the reply frame, addressed to
+// the requester's reply key, onto the link back to it.
+func (fab *Fabric) Reply(key uint64, r transport.Message) {
+	extra, _, _ := r.WireExtras()
+	fab.link(r.From, r.To).send(&Frame{
+		Type: frameReply,
+		From: int32(r.From), To: int32(r.To), Kind: uint8(r.Kind),
+		SentAt: int64(r.SentAt), Size: int32(r.Size),
+		ExtraDelay: int64(extra),
+		Pending:    key,
+		TraceID:    r.Trace.TraceID, SpanID: r.Trace.SpanID, TraceTag: r.Trace.Tag,
+		Epoch:   r.Epoch,
+		Payload: r.Payload,
+	})
 }
 
 // Stats returns the physical wire counters so far.
@@ -235,7 +250,7 @@ func (fab *Fabric) LinkStats() []LinkStat {
 				Batches:    l.batches.Load(),
 				WireBytes:  l.wireBytes.Load(),
 				Redials:    l.redials.Load(),
-				QueueDepth: len(l.q),
+				QueueDepth: int(l.depth.Load()),
 			})
 		}
 	}
@@ -272,52 +287,86 @@ func (fab *Fabric) Close() error {
 	return nil
 }
 
+// send encodes one frame onto the link's queue on the caller's goroutine,
+// first waiting while the queue holds linkQueueBytes or more. Frames
+// queued in one goroutine's order go on the wire in that order.
 func (l *link) send(f *Frame) {
-	select {
-	case l.q <- f:
-	case <-l.fab.done:
-		// Fabric shut down under the sender; the run is over.
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
+	for len(l.queue) >= linkQueueBytes && !l.closed {
+		l.room.Wait()
+	}
+	if l.closed {
+		return // fabric shut down under the sender; the run is over
+	}
+	wasEmpty := len(l.queue) == 0
+	l.queue = l.appendChecked(l.queue, f)
+	l.depth.Add(1)
+	if wasEmpty {
+		select {
+		case l.wake <- struct{}{}:
+		default: // the writer is already due to look
+		}
 	}
 }
 
-// run is the link's writer goroutine: drain the queue, coalesce queued
-// frames into one batch write, charge the bandwidth budget, put the
-// batch on the wire (reconnecting with backoff as needed).
+// run is the link's writer goroutine: take everything queued, write it
+// in coalesced batches, and hand the emptied buffer back for the next
+// round.
 func (l *link) run() {
 	defer l.fab.wg.Done()
-	var buf []byte
+	defer func() {
+		l.qmu.Lock()
+		l.closed = true
+		l.room.Broadcast()
+		l.qmu.Unlock()
+	}()
+	var taken []byte
 	for {
-		var f *Frame
 		select {
-		case f = <-l.q:
+		case <-l.wake:
 		case <-l.fab.done:
 			return
 		}
-		buf = l.appendChecked(buf[:0], f)
-		nFrames := 1
-	drain:
-		for len(buf) < coalesceBytes && nFrames < coalesceFrames {
-			select {
-			case f2 := <-l.q:
-				buf = l.appendChecked(buf, f2)
-				nFrames++
-			default:
-				break drain
-			}
+		l.qmu.Lock()
+		taken, l.queue = l.queue, taken[:0]
+		l.depth.Store(0)
+		l.room.Broadcast()
+		l.qmu.Unlock()
+		if !l.flush(taken) {
+			return
 		}
-		l.fab.budget.Take(len(buf))
+	}
+}
+
+// flush writes taken frames in batches of at most coalesceFrames frames,
+// growing a batch only while it is under coalesceBytes, charging the
+// bandwidth budget per batch and putting each batch on the wire
+// (reconnecting with backoff as needed). It returns false when the fabric
+// is shutting down.
+func (l *link) flush(taken []byte) bool {
+	for len(taken) > 0 {
+		n, nFrames := 0, 0
+		for n < len(taken) && n < coalesceBytes && nFrames < coalesceFrames {
+			n += frameLen(taken[n:])
+			nFrames++
+		}
+		batch := taken[:n]
+		taken = taken[n:]
+		l.fab.budget.Take(len(batch))
 		// Counted before the write, so whoever has seen a frame arrive
 		// also sees it in the counters.
 		l.fab.frames.Add(int64(nFrames))
 		l.fab.batches.Add(1)
-		l.fab.wireBytes.Add(int64(len(buf)))
+		l.fab.wireBytes.Add(int64(len(batch)))
 		l.frames.Add(int64(nFrames))
 		l.batches.Add(1)
-		l.wireBytes.Add(int64(len(buf)))
-		if !l.write(buf) {
-			return
+		l.wireBytes.Add(int64(len(batch)))
+		if !l.write(batch) {
+			return false
 		}
 	}
+	return true
 }
 
 // appendChecked encodes one frame onto the batch, failing loudly on
@@ -348,7 +397,7 @@ func (l *link) appendChecked(buf []byte, f *Frame) []byte {
 // down. Delivery is at-least-once: a batch re-sent after a broken write
 // may duplicate frames the peer already read — message frames are
 // deduplicated by the receiver's wire-sequence check (Endpoint.WireDup)
-// and reply frames by the pending-table delete.
+// and reply frames by their reply slot, which takes one reply per call.
 func (l *link) write(buf []byte) bool {
 	backoff := l.fab.dialBackoff
 	for attempt := 1; ; attempt++ {
@@ -434,7 +483,7 @@ func (fab *Fabric) readLoop(c net.Conn) {
 		c.Close()
 	}()
 	fr := NewFrameReader(bufio.NewReaderSize(c, 64<<10), fab.maxFrame)
-	var f Frame // injectMsg and resolve copy out what they keep
+	var f Frame // receive copies out what it keeps
 	for {
 		if err := fr.ReadFrame(&f); err != nil {
 			return
@@ -442,82 +491,29 @@ func (fab *Fabric) readLoop(c net.Conn) {
 		if !fab.hasNode(f.From) || !fab.hasNode(f.To) {
 			return // addressed outside the network: as corrupt as a bad CRC
 		}
-		switch f.Type {
-		case frameMsg:
-			fab.injectMsg(&f)
-		case frameReply:
-			fab.resolve(&f)
-		}
+		fab.receive(&f)
 	}
 }
 
 func (fab *Fabric) hasNode(id int32) bool { return id >= 0 && int(id) < fab.n }
 
-// injectMsg reconstructs a message copy and ends its flight in the
-// destination inbox. Request copies get a local reply binding whose
-// forwarder ships the handler's reply back as a reply frame.
-func (fab *Fabric) injectMsg(f *Frame) {
+// receive ends one frame's flight: a message copy is queued in its
+// destination's inbox, a reply handed to the reply slot its key names.
+// A reply that finds its call over (a batch re-sent after a broken
+// write, the answer to a call abandoned by WaitRedirect) is dropped
+// there.
+func (fab *Fabric) receive(f *Frame) {
 	m := transport.Message{
 		From: int(f.From), To: int(f.To), Kind: transport.Kind(f.Kind),
 		SentAt: simtime.Time(f.SentAt), Size: int(f.Size),
 		Trace:   obsv.TraceCtx{TraceID: f.TraceID, SpanID: f.SpanID, Tag: f.TraceTag},
 		Payload: f.Payload, Seq: f.Seq, ReqID: f.ReqID, Epoch: f.Epoch,
 	}
-	m.SetWireExtras(simtime.Duration(f.ExtraDelay), f.DropReply)
-	if f.Pending != 0 {
-		ch := make(chan transport.Message, 1)
-		m.BindReply(ch)
-		fab.wg.Add(1)
-		go fab.forwardReply(f.From, f.Pending, ch)
-	}
-	fab.nw.Inject(m)
-}
-
-// forwardReply waits for the handler's reply to one reconstructed
-// request and ships it back to the requester. A reply the fault plan
-// dropped never arrives (the handler discards it, exactly as on the
-// in-process fabric); the goroutine then parks until shutdown.
-func (fab *Fabric) forwardReply(requester int32, pending uint64, ch chan transport.Message) {
-	defer fab.wg.Done()
-	select {
-	case r := <-ch:
-		extra, _ := r.WireExtras()
-		rf := &Frame{
-			Type: frameReply,
-			From: int32(r.From), To: requester, Kind: uint8(r.Kind),
-			SentAt: int64(r.SentAt), Size: int32(r.Size),
-			ExtraDelay: int64(extra),
-			Pending:    pending,
-			TraceID:    r.Trace.TraceID, SpanID: r.Trace.SpanID, TraceTag: r.Trace.Tag,
-			Epoch:   r.Epoch,
-			Payload: r.Payload,
-		}
-		fab.link(r.From, int(requester)).send(rf)
-	case <-fab.done:
-	}
-}
-
-// resolve delivers a reply frame to the requester waiting on the pending
-// id. Duplicates (a batch retransmitted after a broken write) and
-// replies to abandoned requests (WaitRedirect failover) resolve to a
-// deleted or uninterested entry and are dropped.
-func (fab *Fabric) resolve(f *Frame) {
-	fab.pmu.Lock()
-	ch := fab.pending[f.Pending]
-	delete(fab.pending, f.Pending)
-	fab.pmu.Unlock()
-	if ch == nil {
+	if f.Type == frameReply {
+		m.SetWireExtras(simtime.Duration(f.ExtraDelay), false, 0)
+		fab.nw.DeliverReply(f.Pending, m)
 		return
 	}
-	m := transport.Message{
-		From: int(f.From), To: int(f.To), Kind: transport.Kind(f.Kind),
-		SentAt: simtime.Time(f.SentAt), Size: int(f.Size),
-		Trace:   obsv.TraceCtx{TraceID: f.TraceID, SpanID: f.SpanID, Tag: f.TraceTag},
-		Payload: f.Payload, Epoch: f.Epoch,
-	}
-	m.SetWireExtras(simtime.Duration(f.ExtraDelay), false)
-	select {
-	case ch <- m:
-	default:
-	}
+	m.SetWireExtras(simtime.Duration(f.ExtraDelay), f.DropReply, f.Pending)
+	fab.nw.Inject(m)
 }

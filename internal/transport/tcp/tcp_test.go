@@ -2,11 +2,13 @@ package tcp
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sdsm/internal/fault"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
 )
@@ -158,7 +160,8 @@ func TestFabricReconnect(t *testing.T) {
 // test holds the link's connection mutex, so the writer's first batch
 // cannot reach the wire (its dial blocks) until every later frame is
 // already waiting in the queue: coalescing does not depend on who wins a
-// race.
+// race. (The burst, ≈ 250 KB, stays under linkQueueBytes, so queueing it
+// never waits for the blocked writer.)
 func TestFabricBudget(t *testing.T) {
 	const burst = 60
 	nw, fab := newFabricNet(t, 2, Options{
@@ -271,12 +274,74 @@ func TestFabricWireDupAfterRetransmit(t *testing.T) {
 	// Re-inject the decoded copy as a redelivery would.
 	f := &Frame{Type: frameMsg, From: 0, To: 1, Kind: 1, Seq: m1.Seq, SentAt: int64(m1.SentAt),
 		Size: 10, Payload: m1.Payload}
-	fab.injectMsg(f)
+	fab.receive(f)
 	m2 := <-b.Inbox()
 	if b.WireDup(m1) {
 		t.Fatal("first copy flagged as duplicate")
 	}
 	if !b.WireDup(m2) {
 		t.Fatal("redelivered copy not flagged as duplicate")
+	}
+}
+
+// goroutinesSettle polls until the process runs want goroutines or a
+// deadline passes, and returns the last count: goroutines that have been
+// told to exit take a moment to do so.
+func goroutinesSettle(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestFabricGoroutinesFixedUnderReplyLoss: the fabric runs a fixed set
+// of goroutines — one per listener, one writer per link, one reader per
+// accepted connection — however many requests it carries and however
+// many of their replies the fault plan drops (a dropped reply leaves
+// nothing behind on either side), and Close stops all of them.
+func TestFabricGoroutinesFixedUnderReplyLoss(t *testing.T) {
+	for _, calls := range []int{100, 2000} {
+		base := runtime.NumGoroutine()
+		nw := transport.NewNetwork(2, simtime.DefaultCostModel())
+		nw.SetFaultPlan(fault.Plan{Seed: 1, DropProb: 0.2})
+		fab, err := New(nw, Options{Payloads: []any{&testPayload{}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.SetFabric(fab)
+		a := nw.NewEndpoint(0, simtime.NewClock(0))
+		b := nw.NewEndpoint(1, simtime.NewClock(0))
+		quit, served := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(served)
+			for {
+				select {
+				case m := <-b.Inbox():
+					if !b.WireDup(m) {
+						b.ReplyAt(b.ArrivalOf(m), m, transport.Kind(2), m.Size, m.Payload)
+					}
+					b.MarkHandled()
+				case <-quit:
+					return
+				}
+			}
+		}()
+		for i := 0; i < calls; i++ {
+			p := &testPayload{A: int32(i)}
+			if m := a.Call(1, transport.Kind(1), p.WireSize(), p); m.Payload.(*testPayload).A != int32(i) {
+				t.Fatalf("call %d answered %+v", i, m.Payload)
+			}
+		}
+		// 2 listeners + 2 link writers + 2 readers, and the echo server.
+		if want, got := base+2+2+2+1, goroutinesSettle(base+7); got != want {
+			t.Errorf("%d calls under reply loss: %d goroutines, want %d", calls, got, want)
+		}
+		close(quit)
+		<-served
+		fab.Close()
+		if got := goroutinesSettle(base); got != base {
+			t.Errorf("%d calls: %d goroutines after Close, want the %d before New", calls, got, base)
+		}
 	}
 }

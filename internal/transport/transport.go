@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sdsm/internal/fault"
 	"sdsm/internal/obsv"
@@ -82,11 +81,11 @@ type Message struct {
 
 	extraDelay simtime.Duration // fault-injected extra wire latency
 	dropReply  bool             // fault: the reply to this copy is lost
-	reply      chan Message     // non-nil on requests that expect a reply
+	replyKey   uint64           // the sender's reply slot (see reply.go); 0 on one-way copies
 }
 
 // WantsReply reports whether the sender is waiting for a reply.
-func (m Message) WantsReply() bool { return m.reply != nil }
+func (m Message) WantsReply() bool { return m.replyKey != 0 }
 
 // Network connects n nodes. It is created once per run and shared by all
 // node endpoints.
@@ -131,6 +130,11 @@ type Network struct {
 	// expired (see internal/hlrc). MarkRejoined clears the entry when the
 	// recovered incarnation resumes live operation.
 	crashed []atomic.Int64
+	// down[i] is closed by node i's next MarkCrashed and replaced by a
+	// fresh channel at MarkRejoined (under downMu): a WaitRedirect parked
+	// on a call to node i wakes on it.
+	downMu sync.Mutex
+	down   []atomic.Pointer[chan struct{}]
 	// failedAt[i] holds the virtual time + 1 of node i's first fail-stop
 	// and is never cleared: "has node i ever crashed" is the key of the
 	// permanent home-migration rule (a crashed node's static homes move to
@@ -164,6 +168,9 @@ type Network struct {
 	// node's future — the causal bound FenceArrivalsBefore's
 	// independent-lock skip rests on.
 	lockHolders sync.Map
+
+	// replies holds each node's reply slots (see reply.go).
+	replies []replyTable
 
 	// fabric is the wire backend moving message copies between nodes
 	// (see fabric.go). The default in-process fabric delivers directly
@@ -245,9 +252,11 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 		fencing:    make([]atomic.Bool, n),
 		fenceWake:  make([]chan struct{}, n),
 		crashed:    make([]atomic.Int64, n),
+		down:       make([]atomic.Pointer[chan struct{}], n),
 		failedAt:   make([]atomic.Int64, n),
 		deathEpoch: make([]atomic.Int64, n),
 		view:       make([]atomic.Int64, n),
+		replies:    make([]replyTable, n),
 	}
 	nw.epoch.Store(1)
 	for i := range nw.view {
@@ -256,6 +265,8 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 	for i := range nw.inboxes {
 		nw.inboxes[i].win = make(chan Message, inboxWindow)
 		nw.fenceWake[i] = make(chan struct{}, 1)
+		down := make(chan struct{})
+		nw.down[i].Store(&down)
 	}
 	nw.fabric = procFabric{nw}
 	return nw
@@ -356,14 +367,36 @@ func (nw *Network) KindCounts() []obsv.KindCount {
 func (nw *Network) MarkCrashed(id int, at simtime.Time) {
 	nw.crashed[id].Store(int64(at) + 1)
 	nw.failedAt[id].CompareAndSwap(0, int64(at)+1)
+	nw.downMu.Lock()
+	if down := *nw.down[id].Load(); !closed(down) {
+		close(down)
+	}
+	nw.downMu.Unlock()
 	nw.wakeFencers()
 }
 
 // MarkRejoined clears a node's crashed mark: its recovered incarnation
-// is live again and will answer its inbox.
+// is live again and will answer its inbox. The next crash signal is
+// installed before the mark clears, so a waiter that sees the node up
+// never holds the spent (closed) one.
 func (nw *Network) MarkRejoined(id int) {
+	nw.downMu.Lock()
+	if closed(*nw.down[id].Load()) {
+		down := make(chan struct{})
+		nw.down[id].Store(&down)
+	}
+	nw.downMu.Unlock()
 	nw.crashed[id].Store(0)
 	nw.wakeFencers()
+}
+
+func closed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // CrashedAt reports whether a node is currently down and, if so, the
@@ -466,8 +499,8 @@ func (nw *Network) deliver(m Message) {
 	// The delivered counter is incremented before the copy enters the
 	// fabric: an arrival fence must hold until every in-flight copy has
 	// been injected and handled, even when the fabric keeps it in flight
-	// for real time (TCP backend). Self-addressed copies skip the fabric —
-	// their reply channels must never be serialized.
+	// for real time (TCP backend). Self-addressed copies skip the fabric:
+	// their payloads need no wire codec.
 	nw.delivered[m.To].Add(1)
 	if m.To == m.From {
 		nw.Inject(m)
@@ -859,24 +892,32 @@ func (e *Endpoint) SendDetector(to int, kind Kind, size int, payload any) {
 	link.Unlock()
 }
 
-// Pending is an outstanding request; the reply arrives on a dedicated
-// buffered channel so replies never contend with the inbox. The channel
-// is shared by all retransmissions of the request, so exactly one live
-// reply lands in it no matter how many copies the fault plan spawned.
+// Pending is an outstanding request. It lives in one of the requesting
+// node's reply slots (see reply.go), and every copy of the request —
+// retransmissions and fault-plan duplicates alike — carries that slot's
+// key, so exactly one reply reaches the wait by construction: the first
+// to arrive closes the call's generation and every later one is dropped.
+//
+// A *Pending is dead once Wait, WaitDetached or WaitRedirect has
+// returned: its slot goes back to the node, and the next call may reuse
+// the same handle. A second wait on a released handle panics naming the
+// slot and generation while the slot is still idle; once a later call
+// has re-armed it, the stale handle would wait for that call's reply.
 type Pending struct {
 	ep *Endpoint
 	// trc records the waits on the application track; nil (records
 	// nothing) for a CallAsyncAt request, whose wait runs on the service
 	// goroutine and must not touch the application's tracer state.
 	trc     *obsv.Tracer
+	slot    *replySlot
 	to      int
 	payload any
 	reqID   int64
-	ch      chan Message
 	sentAt  simtime.Time // when the latest attempt left
 	reqSize int
 	trace   obsv.TraceCtx // stamped onto every attempt, incl. retransmissions
 	attempt int
+	gen     uint32 // the slot generation this call opened
 	kind    Kind
 	local   bool // request to self: no wire cost, only handling
 	live    bool // latest attempt's reply will arrive
@@ -886,18 +927,7 @@ type Pending struct {
 // Issuing several CallAsyncs before waiting models the protocol's
 // "send all updates, then collect all acks" pattern.
 func (e *Endpoint) CallAsync(to int, kind Kind, size int, payload any) *Pending {
-	p := &Pending{
-		ep: e, trc: e.trc, to: to, kind: kind, payload: payload,
-		reqID:   e.nw.nextReqID(e.id, to),
-		ch:      make(chan Message, 1),
-		sentAt:  e.clock.Now(),
-		reqSize: size,
-		trace:   e.trc.Trace(),
-		local:   to == e.id,
-		attempt: 1,
-	}
-	e.attemptSend(p)
-	return p
+	return e.call(e.clock.Now(), e.trc, e.trc.Trace(), to, kind, size, payload)
 }
 
 // CallAsyncAt is CallAsync with an explicit departure timestamp instead
@@ -910,12 +940,20 @@ func (e *Endpoint) CallAsync(to int, kind Kind, size int, payload any) *Pending 
 // and the application track are owned by the application goroutine and
 // must not be read or written from service handlers.
 func (e *Endpoint) CallAsyncAt(at simtime.Time, to int, kind Kind, size int, payload any) *Pending {
-	p := &Pending{
-		ep: e, to: to, kind: kind, payload: payload,
+	return e.call(at, nil, obsv.TraceCtx{}, to, kind, size, payload)
+}
+
+// call arms a reply slot and sends the request's first copy.
+func (e *Endpoint) call(at simtime.Time, trc *obsv.Tracer, trace obsv.TraceCtx, to int, kind Kind, size int, payload any) *Pending {
+	s, gen := e.nw.replies[e.id].arm()
+	p := &s.p
+	*p = Pending{
+		ep: e, trc: trc, slot: s, gen: gen,
+		to: to, kind: kind, payload: payload,
 		reqID:   e.nw.nextReqID(e.id, to),
-		ch:      make(chan Message, 1),
 		sentAt:  at,
 		reqSize: size,
+		trace:   trace,
 		local:   to == e.id,
 		attempt: 1,
 	}
@@ -933,7 +971,7 @@ func (e *Endpoint) attemptSend(p *Pending) {
 	m := Message{
 		From: e.id, To: p.to, Kind: p.kind,
 		SentAt: p.sentAt, Size: p.reqSize, Payload: p.payload,
-		Trace: p.trace, ReqID: p.reqID, reply: p.ch,
+		Trace: p.trace, ReqID: p.reqID, replyKey: p.key(),
 		Epoch: nw.view[e.id].Load(),
 	}
 	link := nw.lockLink(e.id, p.to)
@@ -966,24 +1004,43 @@ func (e *Endpoint) attemptSend(p *Pending) {
 	}
 }
 
-// await retransmits until an attempt's reply is due, charging each
-// retransmission timeout (exponential backoff) to the caller's clock,
-// then blocks for the reply.
-func (p *Pending) await(clock *simtime.Clock) Message {
-	for !p.live {
-		f := p.ep.nw.faults
-		t0, t1 := clock.MergePlusSpan(p.sentAt, f.RTO(p.attempt))
-		p.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
-		if p.attempt >= f.Attempts() {
-			panic(fmt.Sprintf(
-				"transport: node %d: no reply from node %d for kind %d after %d attempts — peer unreachable",
-				p.ep.id, p.to, p.kind, p.attempt))
-		}
-		p.attempt++
-		p.sentAt = clock.Now()
-		p.ep.attemptSend(p)
+// retransmit charges the current attempt's retransmission timeout
+// (exponential backoff) to the caller's clock and sends the next copy,
+// or declares the peer unreachable once the attempt bound is spent.
+func (p *Pending) retransmit(clock *simtime.Clock) {
+	f := p.ep.nw.faults
+	t0, t1 := clock.MergePlusSpan(p.sentAt, f.RTO(p.attempt))
+	p.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
+	if p.attempt >= f.Attempts() {
+		panic(fmt.Sprintf(
+			"transport: node %d: no reply from node %d for kind %d after %d attempts — peer unreachable",
+			p.ep.id, p.to, p.kind, p.attempt))
 	}
-	return <-p.ch
+	p.attempt++
+	p.sentAt = clock.Now()
+	p.ep.attemptSend(p)
+}
+
+// await retransmits until an attempt's reply is due, then blocks for the
+// reply.
+func (p *Pending) await(clock *simtime.Clock) Message {
+	p.checkLive()
+	for !p.live {
+		p.retransmit(clock)
+	}
+	return <-p.slot.ch
+}
+
+// receive charges a reply's receipt to the caller's clock with the
+// Lamport receive rule: clock = max(clock, reply.SentAt + msgTime).
+func (p *Pending) receive(clock *simtime.Clock, m Message) {
+	var t0, t1 simtime.Time
+	if p.local {
+		t0, t1 = clock.MergePlusSpan(m.SentAt, 0)
+	} else {
+		t0, t1 = clock.MergePlusSpan(m.SentAt, p.ep.nw.model.MsgTime(m.Size)+m.extraDelay)
+	}
+	p.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
 }
 
 // Wait blocks for the reply and charges the caller's clock with the
@@ -993,13 +1050,8 @@ func (p *Pending) await(clock *simtime.Clock) Message {
 // requests or replies cost the retransmission timeouts on top.
 func (p *Pending) Wait(clock *simtime.Clock) Message {
 	m := p.await(clock)
-	var t0, t1 simtime.Time
-	if p.local {
-		t0, t1 = clock.MergePlusSpan(m.SentAt, 0)
-	} else {
-		t0, t1 = clock.MergePlusSpan(m.SentAt, p.ep.nw.model.MsgTime(m.Size)+m.extraDelay)
-	}
-	p.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
+	p.receive(clock, m)
+	p.release()
 	return m
 }
 
@@ -1018,52 +1070,40 @@ func (p *Pending) WaitDetached(clock *simtime.Clock) Message {
 		t0, t1 = clock.MergePlusSpan(p.sentAt, p.ep.nw.model.RoundTrip(p.reqSize, m.Size)+m.extraDelay)
 	}
 	p.trc.RecvDetached(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
+	p.release()
 	return m
 }
 
-// deadPollInterval is the real-time granularity at which WaitRedirect
-// re-checks the liveness registry while blocked for a reply. Purely a
-// wall-clock matter: no virtual cost is attached to polling.
-const deadPollInterval = 200 * time.Microsecond
-
 // WaitRedirect blocks for the reply like Wait, but fails over when the
 // target is down: if the peer is marked crashed while the reply is
-// outstanding, it returns ok=false without charging the caller's clock,
-// and the caller re-resolves the request (waiting out the peer's lease
-// and redirecting to the adopting node — see internal/hlrc). A peer
-// that rejoins before the poll notices stays on the normal path: its
-// recovered incarnation answers from the drained inbox.
+// outstanding, it cancels the call and returns ok=false without charging
+// the caller's clock, and the caller re-resolves the request (waiting out
+// the peer's lease and redirecting to the adopting node — see
+// internal/hlrc). The wait parks on the reply slot and on the peer's
+// crash signal, so a crash wakes it at once. A peer that crashes and
+// rejoins before the wait looks stays on the normal path: its recovered
+// incarnation answers from the drained inbox.
 func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
+	p.checkLive()
+	nw := p.ep.nw
 	for {
-		if _, down := p.ep.nw.CrashedAt(p.to); down {
+		// The signal is loaded before the registry is read: a crash after
+		// the read closes the channel this wait parks on.
+		down := *nw.down[p.to].Load()
+		if _, crashed := nw.CrashedAt(p.to); crashed {
+			p.cancel()
 			return Message{}, false
 		}
 		if !p.live {
-			f := p.ep.nw.faults
-			t0, t1 := clock.MergePlusSpan(p.sentAt, f.RTO(p.attempt))
-			p.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
-			if p.attempt >= f.Attempts() {
-				panic(fmt.Sprintf(
-					"transport: node %d: no reply from node %d for kind %d after %d attempts — peer unreachable",
-					p.ep.id, p.to, p.kind, p.attempt))
-			}
-			p.attempt++
-			p.sentAt = clock.Now()
-			p.ep.attemptSend(p)
+			p.retransmit(clock)
 			continue
 		}
 		select {
-		case m := <-p.ch:
-			var t0, t1 simtime.Time
-			if p.local {
-				t0, t1 = clock.MergePlusSpan(m.SentAt, 0)
-			} else {
-				t0, t1 = clock.MergePlusSpan(m.SentAt, p.ep.nw.model.MsgTime(m.Size)+m.extraDelay)
-			}
-			p.trc.Recv(t0, t1, m.From, m.SentAt, uint8(m.Kind), m.Size)
+		case m := <-p.slot.ch:
+			p.receive(clock, m)
+			p.release()
 			return m, true
-		case <-time.After(deadPollInterval):
-			// Re-check the registry and the retransmission state.
+		case <-down:
 		}
 	}
 }
@@ -1129,8 +1169,8 @@ func (e *Endpoint) Arrive(m Message) simtime.Time {
 }
 
 // Reply answers a request stamped with the node's current clock. It
-// panics if m does not want a reply. The reply channel is buffered, so
-// Reply never blocks.
+// panics if m does not want a reply. Reply never waits for the
+// requester (see ReplyAt).
 func (e *Endpoint) Reply(m Message, kind Kind, size int, payload any) {
 	e.ReplyAt(e.clock.Now(), m, kind, size, payload)
 }
@@ -1153,9 +1193,12 @@ func (e *Endpoint) ArrivalOf(m Message) simtime.Time {
 // handling cost, like an interrupt handler, not from the application
 // clock). If the fault plan decided the reply to this request copy is
 // lost, the reply is charged to the wire and discarded; the requester
-// recovers by retransmitting.
+// recovers by retransmitting. The reply goes to the requester's reply
+// slot by key: directly when the requester is this node, through the
+// fabric otherwise. A reply to a call that has already been answered or
+// abandoned is dropped there, so replying never waits for the requester.
 func (e *Endpoint) ReplyAt(at simtime.Time, m Message, kind Kind, size int, payload any) {
-	if m.reply == nil {
+	if m.replyKey == 0 {
 		panic(fmt.Sprintf("transport: reply to one-way message kind %d from %d", m.Kind, m.From))
 	}
 	// The reply inherits the request's trace context: the requester's op
@@ -1182,5 +1225,9 @@ func (e *Endpoint) ReplyAt(at simtime.Time, m Message, kind Kind, size int, payl
 		r.extraDelay = e.nw.faults.DelayReply(e.id, m.From, m.Seq)
 	}
 	e.nw.countWire(kind, size)
-	m.reply <- r
+	if m.From == e.id {
+		e.nw.DeliverReply(m.replyKey, r)
+		return
+	}
+	e.nw.fabric.Reply(m.replyKey, r)
 }
