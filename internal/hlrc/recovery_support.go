@@ -98,7 +98,6 @@ func (nd *Node) CloseIntervalLocal() int32 {
 		pages = append(pages, p)
 		if nd.ownsHome(p) {
 			nd.ver[p][nd.cfg.ID] = seq
-			nd.clearPostTwinLocked(p)
 		}
 	}
 	nd.notices.Add(Notice{Proc: int32(nd.cfg.ID), Seq: seq, Pages: pages})

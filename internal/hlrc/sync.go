@@ -427,12 +427,12 @@ func (nd *Node) closeAndPropagate(op int32) {
 			// the version vector still advance.
 			nd.ver[p][nd.cfg.ID] = seq
 			if nd.cfg.HomeUndo && nd.pt.HasTwin(p) {
-				// The undo entry of a self-write interval is the diff
-				// taken backwards: what turns the page into its twin.
-				if inv := memory.MakeDiff(p, nd.pt.Page(p), nd.pt.Twin(p)); !inv.Empty() {
-					nd.undo[p] = append(nd.undo[p], undoEntry{writer: int32(nd.cfg.ID), seq: seq, inv: inv})
+				// The undo entry of a self-write interval is what turns
+				// the page back into its twin, which has absorbed every
+				// remote update since: exactly the self-written words.
+				if u := memory.UndoFromTwin(nd.pt.Page(p), nd.pt.Twin(p)); !u.Empty() {
+					nd.undo[p] = append(nd.undo[p], undoEntry{writer: int32(nd.cfg.ID), seq: seq, undo: u})
 				}
-				nd.clearPostTwinLocked(p)
 			}
 			continue
 		}

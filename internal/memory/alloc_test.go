@@ -45,8 +45,8 @@ func TestMakeDiffCleanPageZeroAllocs(t *testing.T) {
 }
 
 // A dirty page costs exactly its run table: one allocation however many
-// runs it has (Shallow's pages carry dozens of 16-byte runs), and the same
-// for the undo entry derived from a diff.
+// runs it has (Shallow's pages carry dozens of 16-byte runs), and the undo
+// entry derived from a diff costs one allocation of bitmap plus words.
 func TestMakeDiffAndInverseOneAllocation(t *testing.T) {
 	skipUnderRace(t)
 	for _, density := range []float64{0.001, 0.02, 0.5} {
@@ -58,8 +58,11 @@ func TestMakeDiffAndInverseOneAllocation(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() { MakeDiff(0, twin, cur) }); a != 1 {
 			t.Errorf("MakeDiff on a dirty page with %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)
 		}
-		if a := testing.AllocsPerRun(100, func() { InverseDiff(d, twin) }); a != 1 {
-			t.Errorf("InverseDiff of %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)
+		if a := testing.AllocsPerRun(100, func() { UndoOf(d, twin) }); a != 1 {
+			t.Errorf("UndoOf a diff of %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)
+		}
+		if u, want := UndoOf(d, twin), BitmapLen(len(twin))+d.DataBytes(); u.Size() != want || cap(u.b) != want {
+			t.Errorf("UndoOf a diff of %d data bytes: len %d cap %d, want both %d", d.DataBytes(), u.Size(), cap(u.b), want)
 		}
 		if cap(d.body) != len(d.body) || len(d.body) != d.WireSize()-8 {
 			t.Errorf("body len %d cap %d, want both WireSize-8 = %d", len(d.body), cap(d.body), d.WireSize()-8)
@@ -126,17 +129,19 @@ func TestEncodeExactCapacityGrowsOnce(t *testing.T) {
 
 func TestValidateRejectsOutOfBoundsRuns(t *testing.T) {
 	cases := []struct {
-		name string
-		d    Diff
+		name, want string
+		d          Diff
 	}{
-		{"negative offset", diffOf(1, testRun{-4, make([]byte, 8)})},
-		{"overruns page", diffOf(1, testRun{4090, make([]byte, 8)})},
-		{"offset past end", diffOf(1, testRun{4096, make([]byte, 4)})},
+		{"negative offset", "outside", diffOf(1, testRun{-4, make([]byte, 8)})},
+		{"overruns page", "outside", diffOf(1, testRun{4090, make([]byte, 8)})},
+		{"offset past end", "outside", diffOf(1, testRun{4096, make([]byte, 4)})},
+		{"offset inside a word", "whole", diffOf(1, testRun{6, make([]byte, 4)})},
+		{"length inside a word", "whole", diffOf(1, testRun{8, make([]byte, 6)})},
 	}
 	for _, c := range cases {
 		if err := c.d.Validate(4096); err == nil {
 			t.Errorf("%s: Validate accepted %+v", c.name, runsOf(c.d)[0])
-		} else if !strings.Contains(err.Error(), "outside") {
+		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 		}
 	}

@@ -33,9 +33,9 @@ type PageID int32
 // (WordSize-aligned when MakeDiff produced it), a u32 length and that many
 // bytes of new contents — in one allocation the diff owns. It never
 // aliases the page it was made from or the buffer it was decoded from, so
-// it stays valid however long it is kept (undo history, custody records,
-// in-flight messages). Copying a Diff value shares the body; nothing
-// writes to a body after its constructor returns. Runs are read through
+// it stays valid however long it is kept (custody records, in-flight
+// messages). Copying a Diff value shares the body; nothing writes to a
+// body after its constructor returns. Runs are read through
 // Runs; the zero Diff is the empty diff of page 0.
 type Diff struct {
 	Page PageID
@@ -274,39 +274,25 @@ func DecodeDiff(buf []byte) (Diff, []byte, error) {
 	return d, buf[size:], nil
 }
 
-// Validate checks that every run lies inside a page of pageSize bytes.
-// Decoded diffs must pass it before being applied: Apply trusts the run
-// offsets, and a corrupt or hostile encoding could otherwise write
-// outside the destination page buffer.
+// Validate checks that every run lies inside a page of pageSize bytes and
+// covers whole words (MakeDiff never emits anything else). Decoded diffs
+// must pass it before being applied: Apply trusts the run offsets, and a
+// corrupt or hostile encoding could otherwise write outside the
+// destination page buffer or widen the word-granular undo entry taken
+// from it.
 func (d Diff) Validate(pageSize int) error {
 	i := 0
 	for r := d.Runs(); r.Valid(); r.Next() {
-		if off, end := r.Off(), r.Off()+len(r.Data()); off < 0 || end > pageSize {
+		off, end := r.Off(), r.Off()+len(r.Data())
+		if off < 0 || end > pageSize {
 			return fmt.Errorf("memory: page %d run %d spans [%d, %d), outside the %d-byte page",
 				d.Page, i, off, end, pageSize)
+		}
+		if off%WordSize != 0 || len(r.Data())%WordSize != 0 {
+			return fmt.Errorf("memory: page %d run %d spans [%d, %d), not whole %d-byte words",
+				d.Page, i, off, end, WordSize)
 		}
 		i++
 	}
 	return nil
-}
-
-// InverseDiff returns the diff that undoes d when applied to a page that
-// currently equals base-with-d-applied: d's run table with base's bytes
-// in place of d's. It is the home-side undo entry for an incoming diff
-// (the history that lets a live home reconstruct an earlier version of a
-// page during recovery, "home rollback" in the paper); call it before d
-// is applied. For a home's own interval the undo entry needs no forward
-// diff at all: the inverse of (twin → page) is MakeDiff(p, page, twin).
-func InverseDiff(d Diff, base []byte) Diff {
-	inv := Diff{Page: d.Page, runs: d.runs}
-	if d.runs == 0 {
-		return inv
-	}
-	inv.body = make([]byte, 0, len(d.body))
-	for r := d.Runs(); r.Valid(); r.Next() {
-		off, n := r.Off(), len(r.Data())
-		inv.body = append(inv.body, r.rest[:runHeader]...)
-		inv.body = append(inv.body, base[off:off+n]...)
-	}
-	return inv
 }

@@ -190,9 +190,9 @@ func TestMakeDiffDoesNotAliasPage(t *testing.T) {
 	}
 }
 
-// The backwards diff is the undo entry: MakeDiff(p, cur, twin) applied
-// after MakeDiff(p, twin, cur) restores the twin, and it is byte for byte
-// what InverseDiff derives from the forward diff and the twin.
+// The backwards diff restores the twin, and the undo entry the XOR pass
+// builds from (cur, twin) is byte for byte the one UndoOf derives from the
+// forward diff and the twin: both mark exactly the changed words.
 func TestBackwardDiffRestoresTwin(t *testing.T) {
 	f := func(seed int64, nMods uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -210,35 +210,15 @@ func TestBackwardDiffRestoresTwin(t *testing.T) {
 			return false
 		}
 		back.Apply(work)
-		return bytes.Equal(work, twin) &&
-			bytes.Equal(back.Encode(nil), InverseDiff(fwd, twin).Encode(nil))
+		if !bytes.Equal(work, twin) {
+			return false
+		}
+		u := UndoFromTwin(cur, twin)
+		work = bytes.Clone(cur)
+		u.Restore(work, make([]byte, BitmapLen(size)))
+		return bytes.Equal(work, twin) && bytes.Equal(u.b, UndoOf(fwd, twin).b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInverseDiffUndoes(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const size = 128
-		base := make([]byte, size)
-		rng.Read(base)
-		cur := make([]byte, size)
-		copy(cur, base)
-		for i := 0; i < 10; i++ {
-			cur[rng.Intn(size)] = byte(rng.Int())
-		}
-		d := MakeDiff(0, base, cur)
-		inv := InverseDiff(d, base)
-		// Apply forward then inverse: must restore base.
-		work := make([]byte, size)
-		copy(work, base)
-		d.Apply(work)
-		inv.Apply(work)
-		return bytes.Equal(work, base)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
