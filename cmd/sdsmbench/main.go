@@ -27,6 +27,7 @@ import (
 	"sdsm/internal/bench"
 	"sdsm/internal/core"
 	"sdsm/internal/telemetry"
+	"sdsm/internal/telemetry/httpserver"
 )
 
 func main() {
@@ -75,10 +76,10 @@ func main() {
 		}
 
 		var opts bench.KVBenchOptions
-		var telSrv *telemetry.Server
+		var telSrv *httpserver.Server
 		if *telemetryAddr != "" {
 			reg := telemetry.NewRegistry()
-			srv, err := telemetry.Serve(*telemetryAddr, reg)
+			srv, err := httpserver.Serve(*telemetryAddr, reg)
 			if err != nil {
 				log.Fatal(err)
 			}

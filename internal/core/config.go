@@ -32,8 +32,11 @@ type Config struct {
 	// matches how the evaluation applications partition their data).
 	Homes []int
 	// HomeUndo maintains the volatile home-side undo history needed by
-	// CCL-recovery's versioned fetches. Off for pure failure-free
-	// overhead measurements.
+	// CCL-recovery's versioned fetches (RunWithCrash and RunWithChurn turn
+	// it on when their plan needs it). A home page keeps history only from
+	// its first remote serve on (every page, from the start, under a
+	// lease), so a page no other node fetches costs nothing; off, the
+	// run measures the protocol's failure-free overhead alone.
 	HomeUndo bool
 	// LockManagerNode and BarrierManagerNode host the synchronization
 	// managers (default node 0).

@@ -118,9 +118,10 @@ func (nd *Node) lockWritable(p memory.PageID) []byte {
 // writeFaultLocked is the first write to page p in the current interval:
 // on a non-home page a software fault fires, the page is fetched if
 // invalid, and a twin is created for later diffing. Home-page writes take
-// no fault and create no twin (unless HomeUndo needs the before-image),
-// matching the paper's home-node advantages. It is entered and left with
-// nd.mu held and drops it around every clock charge and the fetch.
+// no fault and create no twin (unless the page's undo history is armed and
+// needs the before-image), matching the paper's home-node advantages. It
+// is entered and left with nd.mu held and drops it around every clock
+// charge and the fetch.
 func (nd *Node) writeFaultLocked(p memory.PageID) {
 	isHome := nd.ownsHome(p)
 	if nd.pt.State(p) == memory.Invalid {
@@ -143,7 +144,7 @@ func (nd *Node) writeFaultLocked(p memory.PageID) {
 				(nd.cfg.LeaseDuration > 0 && nd.IsHome(p) && !isHome))
 		switch {
 		case isHome:
-			if nd.cfg.HomeUndo && !inRecovery && !nd.pt.HasTwin(p) {
+			if nd.undoArmed(p) && !inRecovery && !nd.pt.HasTwin(p) {
 				nd.pt.MakeTwin(p)
 				nd.mu.Unlock()
 				t0, t1 := nd.clock.AdvanceSpan(nd.cfg.Model.CopyTime(nd.cfg.PageSize))

@@ -173,13 +173,14 @@ func BenchmarkPageAtVersion(b *testing.B) {
 	}
 }
 
-// BenchmarkHomeUndoClose times a home's interval close with the undo
-// history on: one whole-page write that changes the shape's words, then
-// the close that records the interval's undo entry.
+// BenchmarkHomeUndoClose times a served home page's interval close with
+// the undo history on: one whole-page write that changes the shape's
+// words, then the close that records the interval's undo entry.
 func BenchmarkHomeUndoClose(b *testing.B) {
 	for _, shape := range undoShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			nd := undoNode(4096, true)
+			servePage(nd, 0)
 			rng := rand.New(rand.NewSource(1))
 			imgs := [2][]byte{make([]byte, 4096), make([]byte, 4096)}
 			for _, w := range shape.words(rng, 4096/memory.WordSize) {

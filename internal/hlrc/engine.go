@@ -43,7 +43,10 @@ type Config struct {
 	// HomeUndo maintains a volatile per-home-page undo history so a live
 	// home can serve an earlier version of a page during a peer's
 	// recovery ("home rollback" in the paper, implemented as in-memory
-	// undo instead of re-execution; see DESIGN.md).
+	// undo instead of re-execution; see DESIGN.md). A page's history
+	// starts at its first remote serve: before that no peer holds a copy
+	// a replay could need rolled back, so the page takes no twin and
+	// keeps no entry.
 	HomeUndo bool
 	// NoFlushOverlap disables CCL's flush/communication overlap
 	// (ablation): the release flush lands fully on the critical path.
@@ -145,6 +148,9 @@ type Node struct {
 	// pages): ver[p][w] = last interval of writer w applied to p.
 	ver  []vclock.VC
 	undo map[memory.PageID][]undoEntry
+	// served[p] is set once a reply has been built from home frame p
+	// (HomeUndo only, nil otherwise): it arms p's undo history.
+	served []bool
 	// undoDone is PageAtVersion's word-coverage bitmap (HomeUndo only),
 	// cleared per fetch.
 	undoDone []byte
@@ -285,6 +291,17 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 	}
 	if cfg.HomeUndo {
 		nd.undoDone = make([]byte, memory.BitmapLen(cfg.PageSize))
+		nd.served = make([]bool, cfg.NumPages)
+		if cfg.LeaseDuration > 0 {
+			// Under leases every page is armed from the start. This is
+			// coupling with home migration, not a knob: a home page can
+			// migrate mid-interval, and the close of a page the node no
+			// longer owns diffs it against its HomeUndo twin (MakeDiff), so
+			// the twin must exist whether or not the page was served.
+			for p := range nd.served {
+				nd.served[p] = true
+			}
+		}
 	}
 	nd.ep.SetTracer(cfg.Tracer)
 	return nd
@@ -486,6 +503,7 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 	}
 	data := nd.pt.CopyPage(req.Page)
 	ver := nd.ver[req.Page].Clone()
+	nd.markServedLocked(req.Page)
 	nd.mu.Unlock()
 	resp := &PageReply{Data: data, Ver: ver}
 	nd.trc.SvcSpanT(svcTrace(m), obsv.EvPageServe, obsv.CatCoherence,
@@ -557,7 +575,7 @@ func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
 		return false
 	}
 	page := nd.pt.Page(d.Page)
-	if nd.cfg.HomeUndo {
+	if nd.undoArmed(d.Page) {
 		nd.undo[d.Page] = append(nd.undo[d.Page], undoEntry{
 			writer: writer, seq: seq, undo: memory.UndoOf(d, page),
 		})
@@ -588,10 +606,30 @@ func (nd *Node) ApplyDiffAsHome(d memory.Diff, writer, seq int32) bool {
 	return nd.applyHomeDiffLocked(d, writer, seq)
 }
 
-// PageAtVersion returns a copy of home page p rolled back so that no
-// writer interval beyond need is included. With HomeUndo disabled, or
-// when the current copy already satisfies need, the current copy is
-// returned. The second result is the version vector of the returned copy.
+// markServedLocked records that a reply was built from home frame p,
+// arming its undo history. Callers hold nd.mu.
+func (nd *Node) markServedLocked(p memory.PageID) {
+	if nd.served != nil {
+		nd.served[p] = true
+	}
+}
+
+// undoArmed reports whether home page p keeps undo history: HomeUndo is
+// on and p has been served. Callers hold nd.mu.
+func (nd *Node) undoArmed(p memory.PageID) bool {
+	return nd.served != nil && nd.served[p]
+}
+
+// PageAtVersion returns a copy of home page p rolled back through every
+// writer interval beyond need applied since p was first served (this call
+// counts as a serve). Intervals applied before the first serve stay in
+// the copy: a recovering peer only reads p from a version it fetched,
+// which is no earlier than the first serve, and such an interval either
+// precedes that fetch (need covers it) or is concurrent with it (data-race
+// freedom keeps its words out of what the peer reads); see DESIGN.md.
+// With HomeUndo disabled, or when the current copy already satisfies
+// need, the current copy is returned. The second result is the version
+// vector of the returned copy.
 func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.VC) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -600,11 +638,14 @@ func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.V
 	if !nd.cfg.HomeUndo {
 		return data, ver // documented fallback: current copy
 	}
+	nd.markServedLocked(p)
 	// Strip the open interval's provisional self-writes: the home may be
 	// mid-interval (dirty with a twin), and those writes have no undo
 	// entry until the interval closes, so they must never leak into a
 	// versioned fetch. The twin has absorbed every remote update since it
-	// was taken, so it is the current copy without them.
+	// was taken, so it is the current copy without them. An interval that
+	// opened before the first serve has no twin and stays, like every
+	// interval before the first serve.
 	if nd.pt.IsDirty(p) && nd.pt.HasTwin(p) {
 		copy(data, nd.pt.Twin(p))
 	}

@@ -47,6 +47,7 @@ func TestApplyDiffAsHomeUpdatesVersion(t *testing.T) {
 
 func TestPageAtVersionRollback(t *testing.T) {
 	nd := soloNode(t, true)
+	servePage(nd, 0)
 	nd.ApplyDiffAsHome(diffAt(0, 0, 1), 1, 1)
 	nd.ApplyDiffAsHome(diffAt(0, 8, 2), 1, 2)
 	nd.ApplyDiffAsHome(diffAt(0, 16, 3), 1, 3)
@@ -171,6 +172,7 @@ func TestCrashOnManagerPanics(t *testing.T) {
 // updates back with them, since the twin absorbed them.
 func TestPageAtVersionAcrossSelfWrites(t *testing.T) {
 	nd := soloNode(t, true)
+	servePage(nd, 0)
 	check := func(when string, need vclock.VC, want0, want8, want16 byte) {
 		t.Helper()
 		data, _ := nd.PageAtVersion(0, need)

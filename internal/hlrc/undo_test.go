@@ -27,6 +27,16 @@ func undoNode(pageSize int, homeUndo bool) *Node {
 	}, transport.NewNetwork(3, model), simtime.NewClock(0), nil, nil)
 }
 
+// servePage has home node nd answer one PageReq for p through its service
+// loop and handlePageReq, as a peer's miss would, which arms p's undo
+// history. The request is the node's own: these tests run no peers.
+func servePage(nd *Node, p memory.PageID) {
+	nd.StartService()
+	defer nd.StopService()
+	req := &PageReq{Page: p}
+	nd.ep.Call(nd.ID(), KindPageReq, req.WireSize(), req)
+}
+
 // undoShape picks the words one interval writes on a page of nw words.
 type undoShape struct {
 	name  string
@@ -74,13 +84,20 @@ type refEntry struct {
 // forward diffs and rolls back by applying their run-form inverses (the
 // runs with the base page's bytes) newest first; the open interval's
 // self-writes are reverted word by word from the values they overwrote.
+// Only what happens once the page is served is kept: intervals applied
+// before the first serve, and a home interval open at it, stay in every
+// rolled-back copy.
 type undoRef struct {
 	page []byte
 	ver  vclock.VC
 	hist []refEntry
+	// served is set from the page's first serve on.
+	served bool
 	// pre holds, per word the home wrote in its open interval, the value
-	// it overwrote; nil when no interval is open.
-	pre map[int]uint32
+	// it overwrote; nil when no interval is open. kept says whether the
+	// interval opened after the first serve.
+	pre  map[int]uint32
+	kept bool
 	// remote marks the words remote intervals wrote since the home's
 	// interval opened: data-race freedom keeps them off the home's writes.
 	remote map[int]bool
@@ -88,6 +105,9 @@ type undoRef struct {
 
 func (r *undoRef) withoutOpenWrites() []byte {
 	data := bytes.Clone(r.page)
+	if !r.kept {
+		return data
+	}
 	for w, v := range r.pre {
 		binary.LittleEndian.PutUint32(data[w*memory.WordSize:], v)
 	}
@@ -110,23 +130,33 @@ func (r *undoRef) at(need vclock.VC) ([]byte, vclock.VC) {
 	return data, ver
 }
 
+// historySteps is the length of one random history.
+const historySteps = 40
+
 // Random histories of remote and self-write intervals, with the home's
-// interval left open or closed and remote diffs landing inside it: every
-// versioned fetch, for random need vectors, equals the reference in bytes
-// and in version vector.
+// interval left open or closed and remote diffs landing inside it, and the
+// page first served at a random step: every versioned fetch from then on,
+// for random need vectors, equals the reference in bytes and in version
+// vector. Trial 0 serves the page before anything is written, so the
+// whole history is kept and every rollback reaches need exactly.
 func TestPageAtVersionMatchesReference(t *testing.T) {
 	for _, pageSize := range []int{64, 512, 4096} {
 		for _, shape := range undoShapes {
 			t.Run(fmt.Sprintf("%s/%d", shape.name, pageSize), func(t *testing.T) {
 				for trial := 0; trial < 20; trial++ {
-					checkHistoryAgainstReference(t, pageSize, shape, int64(1000*pageSize+trial))
+					seed := int64(1000*pageSize + trial)
+					serveAt := 0
+					if trial > 0 {
+						serveAt = rand.New(rand.NewSource(-seed)).Intn(historySteps)
+					}
+					checkHistoryAgainstReference(t, pageSize, shape, seed, serveAt)
 				}
 			})
 		}
 	}
 }
 
-func checkHistoryAgainstReference(t *testing.T, pageSize int, shape undoShape, seed int64) {
+func checkHistoryAgainstReference(t *testing.T, pageSize int, shape undoShape, seed int64, serveAt int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nd := undoNode(pageSize, true)
@@ -152,7 +182,11 @@ func checkHistoryAgainstReference(t *testing.T, pageSize int, shape undoShape, s
 				seed, step, need, gotVer, got[:min(32, pageSize)], wantVer, want[:min(32, pageSize)])
 		}
 	}
-	for step := 0; step < 40; step++ {
+	for step := 0; step < historySteps; step++ {
+		if step == serveAt {
+			servePage(nd, 0)
+			ref.served = true
+		}
 		switch rng.Intn(4) {
 		case 0, 1: // a remote interval's diff lands at the home
 			writer := int32(1 + rng.Intn(2))
@@ -167,12 +201,15 @@ func checkHistoryAgainstReference(t *testing.T, pageSize int, shape undoShape, s
 			}
 			d := memory.MakeDiff(0, ref.page, next)
 			seq := ref.ver[writer] + 1
-			ref.hist = append(ref.hist, refEntry{writer, seq, d, ref.page})
+			if ref.served {
+				ref.hist = append(ref.hist, refEntry{writer, seq, d, ref.page})
+			}
 			ref.page, ref.ver[writer] = next, seq
 			nd.ApplyDiffAsHome(d, writer, seq)
 		case 2: // the home writes, opening an interval if none is open
 			if ref.pre == nil {
 				ref.pre, ref.remote = map[int]uint32{}, map[int]bool{}
+				ref.kept = ref.served
 			}
 			for _, w := range shape.words(rng, nw) {
 				if ref.remote[w] {
@@ -187,21 +224,23 @@ func checkHistoryAgainstReference(t *testing.T, pageSize int, shape undoShape, s
 			}
 		case 3: // the home's interval closes
 			if len(ref.pre) == 0 { // nothing written: no interval to close
-				ref.pre, ref.remote = nil, nil
+				ref.pre, ref.remote, ref.kept = nil, nil, false
 				continue
 			}
 			nd.closeAndPropagate(int32(step))
 			before := ref.withoutOpenWrites()
 			seq := ref.ver[0] + 1
-			if d := memory.MakeDiff(0, before, ref.page); !d.Empty() {
+			if d := memory.MakeDiff(0, before, ref.page); ref.kept && !d.Empty() {
 				ref.hist = append(ref.hist, refEntry{0, seq, d, before})
 			}
-			ref.ver[0], ref.pre, ref.remote = seq, nil, nil
+			ref.ver[0], ref.pre, ref.remote, ref.kept = seq, nil, nil, false
 		}
 		if !bytes.Equal(nd.PageTable().Page(0), ref.page) {
 			t.Fatalf("seed %d step %d: the home page diverged from the reference's", seed, step)
 		}
-		fetch(step)
+		if ref.served { // a fetch is itself a serve: none before serveAt
+			fetch(step)
+		}
 	}
 }
 
@@ -223,12 +262,13 @@ func TestPageAtVersionAllocations(t *testing.T) {
 	}
 }
 
-// pageAtVersionHistory builds a 4 KB home page with sixteen intervals of
-// the shape, alternating self-writes and remote diffs, and a need vector
-// that rolls back the newer half of each writer's intervals.
+// pageAtVersionHistory builds a served 4 KB home page with sixteen
+// intervals of the shape, alternating self-writes and remote diffs, and a
+// need vector that rolls back the newer half of each writer's intervals.
 func pageAtVersionHistory(shape undoShape) (*Node, vclock.VC) {
 	rng := rand.New(rand.NewSource(1))
 	nd := undoNode(4096, true)
+	servePage(nd, 0)
 	nw := 4096 / memory.WordSize
 	cur := make([]byte, 4096)
 	for i := 0; i < 16; i++ {
@@ -257,6 +297,7 @@ func TestHomeUndoIntervalCloseAllocatesWhatWasWritten(t *testing.T) {
 	}
 	const pageSize = 4096
 	withUndo, without := undoNode(pageSize, true), undoNode(pageSize, false)
+	servePage(withUndo, 0)
 	write := func(nd *Node, round byte) {
 		for off := 0; off < pageSize; off += 64 {
 			nd.WriteAt(off, bytes.Repeat([]byte{round}, 16))
@@ -290,5 +331,62 @@ func TestHomeUndoIntervalCloseAllocatesWhatWasWritten(t *testing.T) {
 	}
 	if n := len(withUndo.undo[0]); n != 6 {
 		t.Fatalf("undo history holds %d entries, want one per interval", n)
+	}
+}
+
+// A home page keeps undo history from its first remote serve on. Before
+// it, the page's own and remote intervals take no twin and record no
+// entry, and closing an interval allocates what it does with the history
+// off. One handlePageReq arms the page: the next interval's first write
+// twins it and its close records an entry. A versioned fetch arms a page
+// too.
+func TestHomeUndoStartsAtFirstServe(t *testing.T) {
+	nd, off := soloNode(t, true), soloNode(t, false)
+	var round byte
+	interval := func(nd *Node, p memory.PageID) {
+		nd.WriteAt(int(p)*64, []byte{round})
+		if nd.pt.HasTwin(p) {
+			t.Fatalf("round %d: never-served page %d was twinned", round, p)
+		}
+		nd.closeAndPropagate(int32(round))
+	}
+	for round = 1; round <= 4; round++ {
+		for _, n := range []*Node{nd, off} {
+			interval(n, 0)
+			n.ApplyDiffAsHome(diffAt(0, 8, round), 1, int32(round))
+		}
+	}
+	if n := len(nd.undo[0]); n != 0 {
+		t.Fatalf("never-served page holds %d undo entries, want none", n)
+	}
+	if !racedetect.Enabled {
+		closes := func(n *Node) float64 {
+			return testing.AllocsPerRun(50, func() { round++; interval(n, 0) })
+		}
+		if with, without := closes(nd), closes(off); with != without {
+			t.Fatalf("never-served close: %.1f allocs/op, %.1f with the history off", with, without)
+		}
+	}
+
+	servePage(nd, 0)
+	round++
+	nd.WriteAt(0, []byte{round})
+	if !nd.pt.HasTwin(0) {
+		t.Fatal("first write after the first serve took no twin")
+	}
+	nd.closeAndPropagate(int32(round))
+	if n := len(nd.undo[0]); n != 1 {
+		t.Fatalf("served page holds %d undo entries after one interval, want 1", n)
+	}
+	nd.ApplyDiffAsHome(diffAt(0, 8, round), 1, 99)
+	if n := len(nd.undo[0]); n != 2 {
+		t.Fatalf("served page holds %d undo entries after a remote interval, want 2", n)
+	}
+
+	interval(nd, 1)
+	nd.PageAtVersion(1, nd.Ver(1))
+	nd.WriteAt(64, []byte{round})
+	if !nd.pt.HasTwin(1) {
+		t.Fatal("first write after a versioned fetch took no twin")
 	}
 }

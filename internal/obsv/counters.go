@@ -38,13 +38,6 @@ type Counters struct {
 	FencedMsgs   atomic.Int64 // stale-epoch messages this node fenced
 	RejoinPhases atomic.Int64 // catch-up phases run while re-admitting this node
 	RejoinServed atomic.Int64 // operations this node completed after rejoining
-
-	// Always zero: nothing fetches diffs from their writers round by
-	// round. The families stay so the Prometheus exposition and its
-	// golden do not move (ROADMAP item 10b regenerates the golden).
-	FetchRounds   atomic.Int64 // multi-writer diff fetch rounds
-	DiffsFetched  atomic.Int64 // diffs fetched during those rounds
-	BytesRetained atomic.Int64 // diff bytes retained for later fetches
 }
 
 // Snapshot returns a plain-value copy of the counters.
@@ -76,10 +69,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		FencedMsgs:   c.FencedMsgs.Load(),
 		RejoinPhases: c.RejoinPhases.Load(),
 		RejoinServed: c.RejoinServed.Load(),
-
-		FetchRounds:   c.FetchRounds.Load(),
-		DiffsFetched:  c.DiffsFetched.Load(),
-		BytesRetained: c.BytesRetained.Load(),
 	}
 }
 
@@ -112,10 +101,6 @@ type CountersSnapshot struct {
 	FencedMsgs   int64 `json:"fenced_msgs,omitempty"`
 	RejoinPhases int64 `json:"rejoin_phases,omitempty"`
 	RejoinServed int64 `json:"rejoin_served,omitempty"`
-
-	FetchRounds   int64 `json:"fetch_rounds,omitempty"`
-	DiffsFetched  int64 `json:"diffs_fetched,omitempty"`
-	BytesRetained int64 `json:"bytes_retained,omitempty"`
 }
 
 // Each calls fn for every counter in a fixed, stable order with its
@@ -146,9 +131,6 @@ func (s CountersSnapshot) Each(fn func(name string, v int64)) {
 	fn("fenced_msgs", s.FencedMsgs)
 	fn("rejoin_phases", s.RejoinPhases)
 	fn("rejoin_served", s.RejoinServed)
-	fn("fetch_rounds", s.FetchRounds)
-	fn("diffs_fetched", s.DiffsFetched)
-	fn("bytes_retained", s.BytesRetained)
 }
 
 // Add accumulates o into s.
@@ -176,7 +158,4 @@ func (s *CountersSnapshot) Add(o CountersSnapshot) {
 	s.FencedMsgs += o.FencedMsgs
 	s.RejoinPhases += o.RejoinPhases
 	s.RejoinServed += o.RejoinServed
-	s.FetchRounds += o.FetchRounds
-	s.DiffsFetched += o.DiffsFetched
-	s.BytesRetained += o.BytesRetained
 }

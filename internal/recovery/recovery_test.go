@@ -183,11 +183,14 @@ func TestInstallServiceVersionedFetch(t *testing.T) {
 	home.StartService()
 	defer home.StopService()
 
+	requester := nw.NewEndpoint(1, simtime.NewClock(0))
+	// The requester's first miss on page 0 arms the home's undo history.
+	miss := &hlrc.PageReq{Page: 0}
+	requester.Call(0, hlrc.KindPageReq, miss.WireSize(), miss)
+
 	// Apply two writer intervals to page 0.
 	home.ApplyDiffAsHome(mkDiff(0, 0, 11), 1, 1)
 	home.ApplyDiffAsHome(mkDiff(0, 4, 22), 1, 2)
-
-	requester := nw.NewEndpoint(1, simtime.NewClock(0))
 
 	// Ask for the page at version <1:1> — the seq-2 update must be
 	// rolled back.

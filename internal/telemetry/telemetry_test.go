@@ -3,8 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"flag"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,39 +152,5 @@ func TestCheckExposition(t *testing.T) {
 	// be satisfied by it ("sdsm_a" vs "sdsm_a_total" has next char '_').
 	if err := CheckExposition(page, []string{"sdsm_a"}); err == nil {
 		t.Fatal("prefix match must not satisfy a family check")
-	}
-}
-
-// The server must serve the registry's live page over HTTP with the
-// Prometheus content type — the contract `sdsmbench -telemetry` and
-// `make telemetry-smoke` scrape against.
-func TestServeScrape(t *testing.T) {
-	r := goldenRegistry()
-	srv, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-		t.Fatalf("content type = %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckExposition(body, RequiredFamilies); err != nil {
-		t.Fatal(err)
-	}
-	var direct bytes.Buffer
-	if err := r.WritePrometheus(&direct); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, direct.Bytes()) {
-		t.Fatal("scraped page differs from a direct render")
 	}
 }
