@@ -36,14 +36,18 @@ tier2:
 # type-checks every package against it. The two same-seed timeline tests
 # of ROADMAP item 1 are red on every build of internal/core and do not
 # reach the accessors; tier1 reports them, this target leaves them out.
+# The kernels' pinned images must come out of the per-word path too.
 portable:
 	go test -tags purego ./internal/memory ./internal/hlrc ./internal/core \
 		-skip '^TestRunWithChurn(Partition)?Deterministic$$'
+	go test -tags purego ./internal/bench -run '^TestKernelOutputsPinned$$'
 	GOARCH=s390x go vet ./...
 
 # Hot-path kernel benchmark smoke: a fixed low iteration count so CI
 # catches crashes and allocation regressions (ReportAllocs output),
 # not timing noise. Run manually with -benchtime=2s for real numbers.
+# The application kernels' BenchmarkSolo runs a whole ScaleMedium
+# problem per iteration (15-60 ms), hence their lower count.
 bench:
 	go test ./internal/memory/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/hlrc/ -run xxx -bench . -benchtime=100x -count=1
@@ -51,6 +55,7 @@ bench:
 	go test ./internal/arena/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/transport/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/transport/tcp/ -run xxx -bench . -benchtime=100x -count=1
+	go test ./internal/apps/... -run xxx -bench . -benchtime=5x -count=1
 
 # Every fuzz target of the packages that decode bytes they did not write
 # (frames and payloads off a socket, diffs, log records), 10 s each: long

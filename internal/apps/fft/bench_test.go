@@ -3,6 +3,9 @@ package fft
 import (
 	"math/rand"
 	"testing"
+
+	"sdsm/internal/core"
+	"sdsm/internal/wal"
 )
 
 func benchSignal(n int) (re, im []float64) {
@@ -28,5 +31,22 @@ func BenchmarkTransform1024(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Transform(re, im, false)
+	}
+}
+
+// BenchmarkSolo runs the ScaleMedium 3D-FFT problem (bench.Workloads'
+// parameters) on one node under protocol None: the kernel's host cost
+// without coherence traffic, which the benchmark reports as
+// apps.solo_pass_s.
+func BenchmarkSolo(b *testing.B) {
+	w := New(32, 32, 32, 5, 1, 4096)
+	cfg := w.BaseConfig(1)
+	cfg.Protocol = wal.ProtocolNone
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(cfg, w.Prog); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,7 +3,25 @@
 // transpose step is the classic all-to-all SDSM communication pattern.
 package fft
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
+
+// stageRoots[inv][s] is (cos, sin) of the angle ∓2π/2^s by which the
+// twiddle factor advances in the stage of length 2^s, forward (inv = 0)
+// and inverse (inv = 1). Built once at package init instead of on every
+// Transform call; each value is math.Cos/math.Sin of the same float64
+// angle, so transforms are bit-identical to evaluating them per stage.
+var stageRoots = func() (t [2][bits.UintSize][2]float64) {
+	for inv, sign := range [2]float64{-1, 1} {
+		for s := 1; s < bits.UintSize-1; s++ {
+			ang := sign * 2 * math.Pi / float64(int(1)<<s)
+			t[inv][s] = [2]float64{math.Cos(ang), math.Sin(ang)}
+		}
+	}
+	return t
+}()
 
 // Transform performs an in-place radix-2 Cooley-Tukey FFT of the complex
 // sequence (re, im). len(re) must be a power of two. When inverse is
@@ -26,13 +44,12 @@ func Transform(re, im []float64, inverse bool) {
 			im[i], im[j] = im[j], im[i]
 		}
 	}
-	sign := -1.0 // forward: e^{-2πi k n / N}
+	roots := &stageRoots[0] // forward: e^{-2πi k n / N}
 	if inverse {
-		sign = 1.0
+		roots = &stageRoots[1]
 	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wr, wi := math.Cos(ang), math.Sin(ang)
+	for s, length := 1, 2; length <= n; s, length = s+1, length<<1 {
+		wr, wi := roots[s][0], roots[s][1]
 		for start := 0; start < n; start += length {
 			cwr, cwi := 1.0, 0.0
 			half := length / 2

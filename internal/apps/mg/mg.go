@@ -53,6 +53,7 @@ func layout(n, cycles, nodes, pageSize, floor int) *params {
 		off = apps.AlignUp(off+bytes, pageSize)
 		return base
 	}
+	floor = maxInt(floor, 2) // the stencil rows need two edge cells
 	for sz := n; sz%nodes == 0 && sz >= floor; sz /= 2 {
 		lv := level{n: sz, h2: 1.0 / float64(sz*sz)}
 		bytes := sz * sz * sz * 8
@@ -305,32 +306,26 @@ func (pr *params) smooth(p *core.Proc, l, parity, sweeps int, b *int) {
 	n := lv.n
 	id, P := p.ID(), p.N()
 	zlo, zhi := id*n/P, (id+1)*n/P
-	rows := make([][]float64, 3) // z-1, z, z+1 planes as rows on demand
-	for i := range rows {
-		rows[i] = make([]float64, n)
-	}
-	out := make([]float64, n)
+	rowC := make([]float64, n)
+	rowZm := make([]float64, n)
+	rowZp := make([]float64, n)
 	rowYm := make([]float64, n)
 	rowYp := make([]float64, n)
 	rowF := make([]float64, n)
+	out := make([]float64, n)
 	for s := 0; s < sweeps; s++ {
 		cur, nxt := pr.bases(l, parity+s)
 		for z := zlo; z < zhi; z++ {
 			zm, zp := (z+n-1)%n, (z+1)%n
 			for y := 0; y < n; y++ {
 				ym, yp := (y+n-1)%n, (y+1)%n
-				p.ReadF64s(addr(cur, n, 0, y, z), rows[1])
-				p.ReadF64s(addr(cur, n, 0, y, zm), rows[0])
-				p.ReadF64s(addr(cur, n, 0, y, zp), rows[2])
+				p.ReadF64s(addr(cur, n, 0, y, z), rowC)
+				p.ReadF64s(addr(cur, n, 0, y, zm), rowZm)
+				p.ReadF64s(addr(cur, n, 0, y, zp), rowZp)
 				p.ReadF64s(addr(cur, n, 0, ym, z), rowYm)
 				p.ReadF64s(addr(cur, n, 0, yp, z), rowYp)
 				p.ReadF64s(addr(lv.f, n, 0, y, z), rowF)
-				for x := 0; x < n; x++ {
-					xm, xp := (x+n-1)%n, (x+1)%n
-					sum := rows[1][xm] + rows[1][xp] + rowYm[x] + rowYp[x] + rows[0][x] + rows[2][x]
-					jac := (sum + lv.h2*rowF[x]) / 6
-					out[x] = rows[1][x] + omega*(jac-rows[1][x])
-				}
+				smoothRow(out, rowC, rowZm, rowZp, rowYm, rowYp, rowF, lv.h2)
 				p.WriteF64s(addr(nxt, n, 0, y, z), out)
 			}
 		}
@@ -341,6 +336,56 @@ func (pr *params) smooth(p *core.Proc, l, parity, sweeps int, b *int) {
 		p.Barrier(*b)
 		*b++
 	}
+}
+
+// The stencil rows below are periodic in x. Each computes its two edge
+// cells with the wrapped neighbour and its interior with c[x-1] and
+// c[x+1] directly, so no cell pays a modulo or a wrap branch; reslicing
+// every row to the centre row's length lets the compiler drop all but
+// one of the interior's bounds checks. A level's edge is at least 2, so the edge cells exist
+// (at n = 2 the interior is empty).
+
+// smoothRow computes one row of a weighted-Jacobi sweep into out: c is
+// the row, zm/zp and ym/yp its neighbours across planes and rows, f its
+// right-hand side.
+func smoothRow(out, c, zm, zp, ym, yp, f []float64, h2 float64) {
+	n := len(c)
+	out, zm, zp, ym, yp, f = out[:n], zm[:n], zp[:n], ym[:n], yp[:n], f[:n]
+	out[0] = jacobi(c[n-1], c[0], c[1], ym[0], yp[0], zm[0], zp[0], f[0], h2)
+	for x := 1; x < n-1; x++ {
+		out[x] = jacobi(c[x-1], c[x], c[x+1], ym[x], yp[x], zm[x], zp[x], f[x], h2)
+	}
+	out[n-1] = jacobi(c[n-2], c[n-1], c[0], ym[n-1], yp[n-1], zm[n-1], zp[n-1], f[n-1], h2)
+}
+
+// jacobi is one cell of a sweep: its value cx, its six neighbours and its
+// right-hand side f in, the smoothed value out.
+func jacobi(xm, cx, xp, ym, yp, zm, zp, f, h2 float64) float64 {
+	sum := xm + xp + ym + yp + zm + zp
+	jac := (sum + h2*f) / 6
+	return cx + omega*(jac-cx)
+}
+
+// residualRow computes one row of r = f - A u into out from the same rows
+// as smoothRow, and returns norm2 plus the row's squared residuals, added
+// in x order.
+func residualRow(out, c, zm, zp, ym, yp, f []float64, h2, norm2 float64) float64 {
+	n := len(c)
+	out, zm, zp, ym, yp, f = out[:n], zm[:n], zp[:n], ym[:n], yp[:n], f[:n]
+	out[0] = residualCell(c[n-1], c[0], c[1], ym[0], yp[0], zm[0], zp[0], f[0], h2)
+	norm2 += out[0] * out[0]
+	for x := 1; x < n-1; x++ {
+		out[x] = residualCell(c[x-1], c[x], c[x+1], ym[x], yp[x], zm[x], zp[x], f[x], h2)
+		norm2 += out[x] * out[x]
+	}
+	out[n-1] = residualCell(c[n-2], c[n-1], c[0], ym[n-1], yp[n-1], zm[n-1], zp[n-1], f[n-1], h2)
+	return norm2 + out[n-1]*out[n-1]
+}
+
+// residualCell is one cell of r = f - A u.
+func residualCell(xm, cx, xp, ym, yp, zm, zp, f, h2 float64) float64 {
+	au := (6*cx - xm - xp - ym - yp - zm - zp) / h2
+	return f - au
 }
 
 // residual computes r = f - A u on level l (A = -∇² with the grid
@@ -370,12 +415,7 @@ func (pr *params) residual(p *core.Proc, l, parity int, store bool) float64 {
 			p.ReadF64s(addr(cur, n, 0, ym, z), rowYm)
 			p.ReadF64s(addr(cur, n, 0, yp, z), rowYp)
 			p.ReadF64s(addr(lv.f, n, 0, y, z), rowF)
-			for x := 0; x < n; x++ {
-				xm, xp := (x+n-1)%n, (x+1)%n
-				au := (6*rowC[x] - rowC[xm] - rowC[xp] - rowYm[x] - rowYp[x] - rowZm[x] - rowZp[x]) / lv.h2
-				out[x] = rowF[x] - au
-				norm2 += out[x] * out[x]
-			}
+			norm2 = residualRow(out, rowC, rowZm, rowZp, rowYm, rowYp, rowF, lv.h2, norm2)
 			if store {
 				p.WriteF64s(addr(lv.r, n, 0, y, z), out)
 			}

@@ -119,3 +119,38 @@ func TestLevelsStopAtPartitionLimit(t *testing.T) {
 		t.Fatalf("levels = %d, want 3", len(pr.levels))
 	}
 }
+
+// BenchmarkSolo runs the ScaleMedium MG problem (bench.Workloads'
+// parameters) on one node under protocol None: the kernel's host cost
+// without coherence traffic, which the benchmark reports as
+// apps.solo_pass_s.
+func BenchmarkSolo(b *testing.B) {
+	w := New(64, 4, 1, 4096)
+	cfg := w.BaseConfig(1)
+	cfg.Protocol = wal.ProtocolNone
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(cfg, w.Prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSmoothRow is one row of a Jacobi sweep at the ScaleMedium
+// finest edge, the innermost loop of the kernel.
+func BenchmarkSmoothRow(b *testing.B) {
+	const n = 64
+	rows := make([][]float64, 7)
+	for r := range rows {
+		rows[r] = make([]float64, n)
+		for x := range rows[r] {
+			rows[r][x] = math.Sin(float64(r*n + x))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		smoothRow(rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], rows[6], 1.0/(n*n))
+	}
+}

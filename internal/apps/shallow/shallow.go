@@ -146,25 +146,38 @@ func (pr *params) prog(p *core.Proc) {
 	fsdx := 4 / dx
 	fsdy := 4 / dy
 
-	psi := func(i, j int) float64 {
-		return aAmp * math.Sin((float64(i)+.5)*di) * math.Sin((float64(j)+.5)*dj)
+	// The stream function is aAmp·sin((i+.5)·di)·sin((j+.5)·dj) and the
+	// pressure pcf·(cos(2i·di)+cos(2j·dj)) + 50000: the column factors are
+	// tabulated once (sinJ up to j = n, for psi(i, j+1)) and the row factors
+	// taken once per row.
+	sinJ := make([]float64, n+1)
+	for j := range sinJ {
+		sinJ[j] = math.Sin((float64(j) + .5) * dj)
 	}
+	cosJ := make([]float64, n)
+	for j := range cosJ {
+		cosJ[j] = math.Cos(2 * float64(j) * dj)
+	}
+	psi := func(si, sj float64) float64 { return aAmp * si * sj }
 
 	// --- Initialization of u, v, p (and the old copies) on own rows.
 	row := make([]float64, n)
 	for i := ilo; i < ihi; i++ {
+		cosI := math.Cos(2 * float64(i) * di)
+		sinI := math.Sin((float64(i) + .5) * di)
+		sinIp := math.Sin((float64(i+1) + .5) * di)
 		for j := 0; j < n; j++ {
-			row[j] = pcf*(math.Cos(2*float64(i)*di)+math.Cos(2*float64(j)*dj)) + 50000
+			row[j] = pcf*(cosI+cosJ[j]) + 50000
 		}
 		p.WriteF64s(pr.at(pr.p, i, 0), row)
 		p.WriteF64s(pr.at(pr.pold, i, 0), row)
 		for j := 0; j < n; j++ {
-			row[j] = -(psi(i, j+1) - psi(i, j)) / dy
+			row[j] = -(psi(sinI, sinJ[j+1]) - psi(sinI, sinJ[j])) / dy
 		}
 		p.WriteF64s(pr.at(pr.u, i, 0), row)
 		p.WriteF64s(pr.at(pr.uold, i, 0), row)
 		for j := 0; j < n; j++ {
-			row[j] = (psi(i+1, j) - psi(i, j)) / dx
+			row[j] = (psi(sinIp, sinJ[j]) - psi(sinI, sinJ[j])) / dx
 		}
 		p.WriteF64s(pr.at(pr.v, i, 0), row)
 		p.WriteF64s(pr.at(pr.vold, i, 0), row)
@@ -187,6 +200,30 @@ func (pr *params) prog(p *core.Proc) {
 	outCV := make([]float64, n)
 	outZ := make([]float64, n)
 	outH := make([]float64, n)
+	// Phase 2 reads phase 1's rows back into its output buffers.
+	rowCU, rowCV, rowZ, rowH := outCU, outCV, outZ, outH
+	rowCUp := make([]float64, n)
+	rowCVm := make([]float64, n)
+	rowCVp := make([]float64, n)
+	rowZp := make([]float64, n)
+	rowHm := make([]float64, n)
+	rowOld := make([]float64, n)
+	outNew := make([]float64, n)
+	cur := make([]float64, n)
+	old := make([]float64, n)
+	nw := make([]float64, n)
+
+	// The grid is periodic in j. Each j-loop below computes its wrapped
+	// edge cells apart from its interior, which reads j-1 and j+1
+	// directly, so no cell pays a modulo (n ≥ 2: both edges exist).
+	flux := func(j, jm, jp int) {
+		outCU[j] = .5 * (rowP[j] + rowPm[j]) * rowU[j]
+		outCV[j] = .5 * (rowP[j] + rowP[jm]) * rowV[j]
+		outZ[j] = (fsdx*(rowV[j]-rowVm[j]) - fsdy*(rowU[j]-rowU[jm])) /
+			(rowPm[jm] + rowP[jm] + rowP[j] + rowPm[j])
+		outH[j] = rowP[j] + .25*(rowUp[j]*rowUp[j]+rowU[j]*rowU[j]+
+			rowV[jp]*rowV[jp]+rowV[j]*rowV[j])
+	}
 
 	for step := 0; step < pr.steps; step++ {
 		// --- Phase 1: mass fluxes cu, cv, potential vorticity z, and
@@ -200,16 +237,11 @@ func (pr *params) prog(p *core.Proc) {
 			rd(pr.p, i-1, rowPm)
 			rd(pr.u, i+1, rowUp)
 			rd(pr.v, i+1, rowVp)
-			for j := 0; j < n; j++ {
-				jm := (j + n - 1) % n
-				jp := (j + 1) % n
-				outCU[j] = .5 * (rowP[j] + rowPm[j]) * rowU[j]
-				outCV[j] = .5 * (rowP[j] + rowP[jm]) * rowV[j]
-				outZ[j] = (fsdx*(rowV[j]-rowVm[j]) - fsdy*(rowU[j]-rowU[jm])) /
-					(rowPm[jm] + rowP[jm] + rowP[j] + rowPm[j])
-				outH[j] = rowP[j] + .25*(rowUp[j]*rowUp[j]+rowU[j]*rowU[j]+
-					rowV[jp]*rowV[jp]+rowV[j]*rowV[j])
+			flux(0, n-1, 1)
+			for j := 1; j < n-1; j++ {
+				flux(j, j-1, j+1)
 			}
+			flux(n-1, n-2, 0)
 			p.WriteF64s(pr.at(pr.cu, i, 0), outCU)
 			p.WriteF64s(pr.at(pr.cv, i, 0), outCV)
 			p.WriteF64s(pr.at(pr.zf, i, 0), outZ)
@@ -223,17 +255,20 @@ func (pr *params) prog(p *core.Proc) {
 		tdts8 := tdt / 8
 		tdtsdx := tdt / dx
 		tdtsdy := tdt / dy
-		rowCU := outCU // reuse buffers
-		rowCUp := make([]float64, n)
-		rowCV := outCV
-		rowCVm := make([]float64, n)
-		rowCVp := make([]float64, n)
-		rowZ := outZ
-		rowZp := make([]float64, n)
-		rowH := outH
-		rowHm := make([]float64, n)
-		rowOld := make([]float64, n)
-		outNew := make([]float64, n)
+		newU := func(j, jp int) {
+			outNew[j] = rowOld[j] + tdts8*(rowZ[jp]+rowZ[j])*
+				(rowCV[jp]+rowCVm[jp]+rowCVm[j]+rowCV[j]) -
+				tdtsdx*(rowH[j]-rowHm[j])
+		}
+		newV := func(j, jm int) {
+			outNew[j] = rowOld[j] - tdts8*(rowZp[j]+rowZ[j])*
+				(rowCUp[j]+rowCU[j]+rowCU[jm]+rowCUp[jm]) -
+				tdtsdy*(rowH[j]-rowH[jm])
+		}
+		newP := func(j, jp int) {
+			outNew[j] = rowOld[j] - tdtsdx*(rowCUp[j]-rowCU[j]) -
+				tdtsdy*(rowCV[jp]-rowCV[j])
+		}
 		for i := ilo; i < ihi; i++ {
 			rd(pr.cu, i, rowCU)
 			rd(pr.cu, i+1, rowCUp)
@@ -246,29 +281,24 @@ func (pr *params) prog(p *core.Proc) {
 			rd(pr.h, i-1, rowHm)
 
 			rd(pr.uold, i, rowOld)
-			for j := 0; j < n; j++ {
-				jp := (j + 1) % n
-				outNew[j] = rowOld[j] + tdts8*(rowZ[jp]+rowZ[j])*
-					(rowCV[jp]+rowCVm[jp]+rowCVm[j]+rowCV[j]) -
-					tdtsdx*(rowH[j]-rowHm[j])
+			for j := 0; j < n-1; j++ {
+				newU(j, j+1)
 			}
+			newU(n-1, 0)
 			p.WriteF64s(pr.at(pr.unew, i, 0), outNew)
 
 			rd(pr.vold, i, rowOld)
-			for j := 0; j < n; j++ {
-				jm := (j + n - 1) % n
-				outNew[j] = rowOld[j] - tdts8*(rowZp[j]+rowZ[j])*
-					(rowCUp[j]+rowCU[j]+rowCU[jm]+rowCUp[jm]) -
-					tdtsdy*(rowH[j]-rowH[jm])
+			newV(0, n-1)
+			for j := 1; j < n; j++ {
+				newV(j, j-1)
 			}
 			p.WriteF64s(pr.at(pr.vnew, i, 0), outNew)
 
 			rd(pr.pold, i, rowOld)
-			for j := 0; j < n; j++ {
-				jp := (j + 1) % n
-				outNew[j] = rowOld[j] - tdtsdx*(rowCUp[j]-rowCU[j]) -
-					tdtsdy*(rowCV[jp]-rowCV[j])
+			for j := 0; j < n-1; j++ {
+				newP(j, j+1)
 			}
+			newP(n-1, 0)
 			p.WriteF64s(pr.at(pr.pnew, i, 0), outNew)
 		}
 		p.Compute(float64((ihi - ilo) * n * 90))
@@ -277,9 +307,6 @@ func (pr *params) prog(p *core.Proc) {
 		// --- Phase 3: Robert-Asselin time smoothing (all row-local) and
 		// the per-node diagnostic partials.
 		var mass, energy float64
-		cur := make([]float64, n)
-		old := make([]float64, n)
-		nw := make([]float64, n)
 		smooth := func(curB, oldB, newB, i int) {
 			rd(curB, i, cur)
 			rd(oldB, i, old)

@@ -103,3 +103,20 @@ func TestNewValidation(t *testing.T) {
 	}()
 	New(10, 16, 1, 4, 4096) // 10 % 4 != 0
 }
+
+// BenchmarkSolo runs the ScaleMedium Shallow problem (bench.Workloads'
+// parameters) on one node under protocol None: the kernel's host cost
+// without coherence traffic, which the benchmark reports as
+// apps.solo_pass_s.
+func BenchmarkSolo(b *testing.B) {
+	w := New(256, 256, 12, 1, 4096)
+	cfg := w.BaseConfig(1)
+	cfg.Protocol = wal.ProtocolNone
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(cfg, w.Prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

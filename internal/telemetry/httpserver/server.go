@@ -1,5 +1,6 @@
 // Package httpserver serves a telemetry registry over HTTP while a run is
-// live: the Prometheus exposition page and the Go runtime's profiles.
+// live: the Prometheus exposition page, a few Go runtime metrics appended
+// to it, and the Go runtime's profiles.
 //
 // It is a package of its own, imported only by the commands that serve
 // telemetry, because importing net/http/pprof costs every binary that
@@ -11,17 +12,20 @@
 package httpserver
 
 import (
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 
 	"sdsm/internal/telemetry"
 )
 
-// Server serves a registry's exposition page at /metrics (also mounted
-// at / so a bare scrape of the root works) and the net/http/pprof
-// handlers under /debug/pprof/, so a live run can be profiled as is.
-// Stdlib-only.
+// Server serves a registry's exposition page, followed by the runtime
+// families of runtimeFamilies, at /metrics (also mounted at / so a bare
+// scrape of the root works) and the net/http/pprof handlers under
+// /debug/pprof/, so a live run can be profiled as is. Stdlib-only.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -39,6 +43,7 @@ func Serve(addr string, r *telemetry.Registry) (*Server, error) {
 	handler := func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
+		writeRuntimeMetrics(w)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", handler)
@@ -53,6 +58,36 @@ func Serve(addr string, r *telemetry.Registry) (*Server, error) {
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
 	go s.srv.Serve(ln)
 	return s, nil
+}
+
+// runtimeFamilies are the runtime/metrics samples the page ends with, as
+// Prometheus families: how often the collector ran and against what heap
+// goal, the live heap, and the goroutine count. They are read here rather
+// than in package telemetry so the registry's own page, its golden, and
+// every binary that renders the page without serving it stay as they are.
+var runtimeFamilies = []struct{ sample, family, kind string }{
+	{"/gc/cycles/total:gc-cycles", "go_gc_cycles_total", "counter"},
+	{"/gc/heap/goal:bytes", "go_gc_heap_goal_bytes", "gauge"},
+	{"/memory/classes/heap/objects:bytes", "go_heap_objects_bytes", "gauge"},
+	{"/sched/goroutines:goroutines", "go_goroutines", "gauge"},
+}
+
+// writeRuntimeMetrics reads runtimeFamilies' samples and writes them in
+// the exposition format, skipping any the running toolchain lacks.
+func writeRuntimeMetrics(w io.Writer) {
+	samples := make([]metrics.Sample, len(runtimeFamilies))
+	for i, f := range runtimeFamilies {
+		samples[i].Name = f.sample
+	}
+	metrics.Read(samples)
+	var page []byte
+	for i, f := range runtimeFamilies {
+		if samples[i].Value.Kind() != metrics.KindUint64 {
+			continue
+		}
+		page = fmt.Appendf(page, "# TYPE %s %s\n%s %d\n", f.family, f.kind, f.family, samples[i].Value.Uint64())
+	}
+	w.Write(page)
 }
 
 // Addr returns the address the server actually listens on (resolved

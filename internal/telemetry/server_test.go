@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,8 +42,50 @@ func TestServeScrape(t *testing.T) {
 	if err := r.WritePrometheus(&direct); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(body, direct.Bytes()) {
-		t.Fatal("scraped page differs from a direct render")
+	if !bytes.HasPrefix(body, direct.Bytes()) {
+		t.Fatal("scraped page does not start with a direct render")
+	}
+}
+
+// The page ends with the Go runtime's families, read live: a collection
+// between two scrapes shows in the GC cycle counter.
+func TestServeRuntimeMetrics(t *testing.T) {
+	srv, err := httpserver.Serve("127.0.0.1:0", telemetry.GoldenRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	families := []string{"go_gc_cycles_total", "go_gc_heap_goal_bytes", "go_heap_objects_bytes", "go_goroutines"}
+	scrape := func() uint64 {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.CheckExposition(body, append(families, telemetry.RequiredFamilies...)); err != nil {
+			t.Fatal(err)
+		}
+		for _, ln := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(ln, "go_gc_cycles_total "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("go_gc_cycles_total line %q: %v", ln, err)
+				}
+				return n
+			}
+		}
+		t.Fatal("no go_gc_cycles_total sample")
+		return 0
+	}
+	before := scrape()
+	runtime.GC()
+	if after := scrape(); after <= before {
+		t.Fatalf("go_gc_cycles_total %d -> %d across runtime.GC()", before, after)
 	}
 }
 
