@@ -5,57 +5,116 @@ import (
 	"testing"
 
 	"sdsm/internal/core"
+	"sdsm/internal/recovery"
 	"sdsm/internal/simtime"
 	"sdsm/internal/wal"
 )
 
 // A kernel's simulated program — every shared access with its address and
 // length, every Compute charge, every barrier — and the bits it computes
-// are fixed; how its Go arithmetic gets there is not. Any rewrite of a
-// kernel's host arithmetic must reproduce these values, measured at
-// 7ab6a45. The three kernels are barrier-only, so under protocol None the
-// virtual timeline repeats exactly (under -race too).
+// are fixed; how its Go arithmetic and the host side of the access path
+// get there are not. Any rewrite of either must reproduce these values,
+// each of which repeated over 50 runs at 96ff23d (the None rows were first
+// measured at 7ab6a45). The three kernels are barrier-only, so under None
+// and CCL the virtual timeline repeats exactly (under -race too), and so
+// does MG's Figure 5 crash cell under CCL-recovery.
+//
+// Left out because they drift between same-seed runs (ROADMAP item 1):
+// every ML row (3D-FFT/ML exec_ns differs between passes, and
+// 3D-FFT/ML-recovery took 3 values in 4 runs), 3D-FFT/CCL-recovery
+// (bimodal replay time) and Shallow/CCL-recovery (exec_ns, 4 in 300).
 func TestKernelOutputsPinned(t *testing.T) {
 	type pin struct {
 		crc      uint32
 		exec     simtime.Time
 		msgs     int64
 		netBytes int64
+		logBytes int64 // CCL rows only
+		flushes  int64
+	}
+	type recoveryPin struct {
+		crc    uint32
+		exec   simtime.Time
+		replay simtime.Time
 	}
 	for _, tc := range []struct {
-		scale Scale
-		pins  map[string]pin
+		scale         Scale
+		none, ccl     map[string]pin
+		mgCCLRecovery recoveryPin
 	}{
-		{ScaleSmall, map[string]pin{
-			"3D-FFT":  {0x38a8a44f, 92085760, 762, 1048454},
-			"MG":      {0xa2601618, 150838997, 1144, 1211240},
-			"Shallow": {0xf024a915, 152646295, 1182, 1654024},
-		}},
-		{ScaleMedium, map[string]pin{
-			"3D-FFT":  {0x92311ef4, 1432499840, 9502, 19281064},
-			"MG":      {0x6f8b3a6a, 2904979593, 9588, 16268108},
-			"Shallow": {0x545da6cd, 1314512840, 3026, 5010786},
-		}},
+		{ScaleSmall,
+			map[string]pin{
+				"3D-FFT":  {0x38a8a44f, 92085760, 762, 1048454, 0, 0},
+				"MG":      {0xa2601618, 150838997, 1144, 1211240, 0, 0},
+				"Shallow": {0xf024a915, 152646295, 1182, 1654024, 0, 0},
+			},
+			map[string]pin{
+				"3D-FFT":  {0x38a8a44f, 97575779, 762, 1048454, 87803, 63},
+				"MG":      {0xa2601618, 165030297, 1144, 1211240, 72503, 207},
+				"Shallow": {0xf024a915, 156756695, 1182, 1654024, 143775, 132},
+			},
+			recoveryPin{0xa2601618, 165194137, 53031620},
+		},
+		{ScaleMedium,
+			map[string]pin{
+				"3D-FFT":  {0x92311ef4, 1432499840, 9502, 19281064, 0, 0},
+				"MG":      {0x6f8b3a6a, 2904979593, 9588, 16268108, 0, 0},
+				"Shallow": {0x545da6cd, 1314512840, 3026, 5010786, 0, 0},
+			},
+			map[string]pin{
+				"3D-FFT":  {0x92311ef4, 1449675580, 9502, 19281064, 618358, 132},
+				"MG":      {0x6f8b3a6a, 2994337869, 9588, 16268108, 616285, 861},
+				"Shallow": {0x545da6cd, 1356345640, 3026, 5010786, 612877, 373},
+			},
+			recoveryPin{0x6f8b3a6a, 3005990989, 1738328899},
+		},
 	} {
 		for _, w := range Workloads(8, tc.scale) {
-			want, ok := tc.pins[w.Name]
-			if !ok {
+			if _, ok := tc.none[w.Name]; !ok {
 				continue // Water: lock-ordered, not bit-reproducible
 			}
+			var noneRep *core.Report
+			for _, proto := range []wal.Protocol{wal.ProtocolNone, wal.ProtocolCCL} {
+				want := tc.none[w.Name]
+				if proto == wal.ProtocolCCL {
+					want = tc.ccl[w.Name]
+				}
+				cfg := w.BaseConfig(8)
+				cfg.Protocol = proto
+				rep, err := core.Run(cfg, w.Prog)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", w.Name, proto, err)
+				}
+				if err := w.Check(rep.MemoryImage()); err != nil {
+					t.Fatalf("%s/%v: %v", w.Name, proto, err)
+				}
+				if proto == wal.ProtocolNone {
+					noneRep = rep
+				}
+				got := pin{crc32.ChecksumIEEE(rep.MemoryImage()), rep.ExecTime, rep.NetMsgs, rep.NetBytes,
+					rep.TotalLogBytes, rep.TotalFlushes}
+				if got != want {
+					t.Errorf("scale %d %s/%v: got image crc %#x exec %d msgs %d bytes %d log %d flushes %d, want %#x %d %d %d %d %d",
+						tc.scale, w.Name, proto, got.crc, got.exec, got.msgs, got.netBytes, got.logBytes, got.flushes,
+						want.crc, want.exec, want.msgs, want.netBytes, want.logBytes, want.flushes)
+				}
+			}
+			if w.Name != "MG" {
+				continue
+			}
+			// RunFigure5's crash cell: the last node fails at 85% of its ops.
 			cfg := w.BaseConfig(8)
-			cfg.Protocol = wal.ProtocolNone
-			rep, err := core.Run(cfg, w.Prog)
+			cfg.Protocol = wal.ProtocolCCL
+			rep, err := core.RunWithCrash(cfg, w.Prog, core.CrashPlan{
+				Victim: 7, AtOp: noneRep.NodeOps[7] * 85 / 100, Recovery: recovery.CCLRecovery,
+			})
 			if err != nil {
-				t.Fatalf("%s: %v", w.Name, err)
+				t.Fatalf("%s/CCL-recovery: %v", w.Name, err)
 			}
-			if err := w.Check(rep.MemoryImage()); err != nil {
-				t.Fatalf("%s: %v", w.Name, err)
-			}
-			got := pin{crc32.ChecksumIEEE(rep.MemoryImage()), rep.ExecTime, rep.NetMsgs, rep.NetBytes}
-			if got != want {
-				t.Errorf("scale %d %s: got image crc %#x exec %d msgs %d bytes %d, want %#x %d %d %d",
-					tc.scale, w.Name, got.crc, got.exec, got.msgs, got.netBytes,
-					want.crc, want.exec, want.msgs, want.netBytes)
+			got := recoveryPin{crc32.ChecksumIEEE(rep.MemoryImage()), rep.ExecTime, rep.Recovery.ReplayTime}
+			if want := tc.mgCCLRecovery; got != want {
+				t.Errorf("scale %d MG/CCL-recovery: got image crc %#x exec %d replay %d, want %#x %d %d",
+					tc.scale, got.crc, got.exec, got.replay, want.crc, want.exec, want.replay)
 			}
 		}
 	}

@@ -17,16 +17,13 @@ func (nd *Node) Compute(flops float64) {
 	nd.trc.Seg(obsv.EvCompute, obsv.CatCompute, t0, t1, int64(flops), 0)
 }
 
-// lockReadable returns the frame of page p, valid for reading, with
-// nd.mu held: on a valid page the state check and the caller's copy
-// share one critical section. Only a miss drops the lock, to fetch the
-// home copy (one round trip — the HLRC property).
-func (nd *Node) lockReadable(p memory.PageID) []byte {
-	nd.mu.Lock()
+// readable returns the frame of page p, valid for reading. It takes no
+// lock: the application goroutine owns its page table's states and slots
+// (DESIGN.md §2.8), so only a miss costs anything — one round trip to
+// the home (the HLRC property).
+func (nd *Node) readable(p memory.PageID) []byte {
 	if nd.pt.State(p) == memory.Invalid {
-		nd.mu.Unlock()
 		nd.validate(p)
-		nd.mu.Lock()
 	}
 	return nd.pt.Page(p)
 }
@@ -192,8 +189,7 @@ func (nd *Node) ReadAt(addr int, dst []byte) {
 	nd.checkRange(addr, len(dst))
 	for len(dst) > 0 {
 		p, off := nd.pt.PageOf(addr)
-		n := copy(dst, nd.lockReadable(p)[off:])
-		nd.mu.Unlock()
+		n := copy(dst, nd.readable(p)[off:])
 		dst = dst[n:]
 		addr += n
 	}
@@ -214,16 +210,15 @@ func (nd *Node) WriteAt(addr int, src []byte) {
 
 // ReadF64s bulk-reads len(dst) float64s starting at byte address addr (any
 // alignment): each covered page's bytes move into dst in one block copy
-// under one hold of nd.mu (memory.CopyToF64s). One bulk transfer faults
-// each covered page at most once, like a real SDSM touching a range.
+// (memory.CopyToF64s). One bulk transfer faults each covered page at most
+// once, like a real SDSM touching a range.
 func (nd *Node) ReadF64s(addr int, dst []float64) {
 	total := 8 * len(dst)
 	nd.checkRange(addr, total)
 	for done := 0; done < total; {
 		p, off := nd.pt.PageOf(addr + done)
 		n := min(nd.cfg.PageSize-off, total-done)
-		memory.CopyToF64s(dst, done, nd.lockReadable(p)[off:off+n])
-		nd.mu.Unlock()
+		memory.CopyToF64s(dst, done, nd.readable(p)[off:off+n])
 		done += n
 	}
 }

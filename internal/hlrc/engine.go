@@ -284,11 +284,18 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 		grantLog:      make(map[int][]*LockGrant),
 		releaseLog:    make(map[int][]*BarrierRelease),
 	}
+	var owned []memory.PageID
 	for p := range cfg.Homes {
 		if nd.cfg.Homes[p] == cfg.ID {
 			nd.ver[p] = vclock.New(cfg.N)
+			if nd.ownsHome(memory.PageID(p)) {
+				owned = append(owned, memory.PageID(p))
+			}
 		}
 	}
+	// Every home frame exists before the service starts, so the service
+	// never writes a frame slot (the ownership rule, DESIGN.md §2.8).
+	nd.pt.AllocFrames(owned)
 	if cfg.HomeUndo {
 		nd.undoDone = make([]byte, memory.BitmapLen(cfg.PageSize))
 		nd.served = make([]bool, cfg.NumPages)
@@ -563,7 +570,8 @@ func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 // only the home's own writes: the close-time undo entry and the replayed
 // self-diff (both page against twin) then hold exactly those. Data-race
 // freedom keeps the writers' word sets disjoint, so no self-write is
-// overwritten. Callers hold nd.mu.
+// overwritten. The frame must exist: the service writes page contents,
+// never a frame slot. Callers hold nd.mu.
 func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
 	v := nd.ver[d.Page]
 	tracked := int(writer) >= 0 && int(writer) < len(v)
@@ -574,7 +582,10 @@ func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
 		// interval — and must not grow the undo history.
 		return false
 	}
-	page := nd.pt.Page(d.Page)
+	page := nd.pt.Frame(d.Page)
+	if page == nil {
+		panic(fmt.Sprintf("hlrc: node %d: home page %d has no frame", nd.cfg.ID, d.Page))
+	}
 	if nd.undoArmed(d.Page) {
 		nd.undo[d.Page] = append(nd.undo[d.Page], undoEntry{
 			writer: writer, seq: seq, undo: memory.UndoOf(d, page),
@@ -603,6 +614,7 @@ func (nd *Node) ApplyDiffAsHome(d memory.Diff, writer, seq int32) bool {
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
+	nd.pt.Page(d.Page) // a migrated home of a recovered incarnation has no slab frame
 	return nd.applyHomeDiffLocked(d, writer, seq)
 }
 

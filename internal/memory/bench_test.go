@@ -60,3 +60,35 @@ func BenchmarkDiffEncodeDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshot times a checkpoint image of 256 home frames of 4 KB:
+// all zero (a checkpoint at op 0, where each frame is tested and none
+// copied), and all written (each frame copied into the image).
+func BenchmarkSnapshot(b *testing.B) {
+	const pages, psz = 256, 4096
+	ids := make([]PageID, pages)
+	for i := range ids {
+		ids[i] = PageID(i)
+	}
+	for _, written := range []bool{false, true} {
+		name := "zero"
+		if written {
+			name = "written"
+		}
+		b.Run(name, func(b *testing.B) {
+			pt := NewPageTable(pages, psz)
+			pt.AllocFrames(ids)
+			if written {
+				rng := rand.New(rand.NewSource(1))
+				for _, id := range ids {
+					rng.Read(pt.Frame(id))
+				}
+			}
+			b.SetBytes(pages * psz)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pt.Snapshot(nil)
+			}
+		})
+	}
+}

@@ -42,14 +42,15 @@ func (s State) String() string {
 // PageTable holds one node's copies of every shared page together with the
 // per-page access state, twins, and the current interval's dirty set.
 //
-// A page's frame is allocated on first touch: a node that never reads or
-// writes a page holds no memory for it, and a nil frame stands for the
-// all-zero initial image. Page therefore writes to the table; like every
-// other mutator it needs the owner's lock.
+// A page's frame is allocated on first touch, unless AllocFrames gave it
+// one up front: a node that never reads or writes a page holds no memory
+// for it, and a nil frame stands for the all-zero initial image. Page
+// therefore writes to the table. The table itself takes no lock: its
+// owner decides who may call what (hlrc's ownership rule, DESIGN.md §2.8).
 type PageTable struct {
 	pageSize int
 	numPages int
-	frames   [][]byte // nil until first touch (the page is all zeros)
+	frames   [][]byte // nil until first touch or AllocFrames (the page is all zeros)
 	state    []State
 	twin     [][]byte // nil when no twin exists
 	twins    int      // live twins, so EndInterval knows when it has dropped them all
@@ -98,9 +99,24 @@ func (pt *PageTable) Page(id PageID) []byte {
 	return f
 }
 
+// AllocFrames gives every page in ids a zeroed frame now, all cut from
+// one slab (one allocation instead of one per page). Each frame is
+// capacity-limited to its page, so nothing appended to it can reach a
+// neighbour. The pages must have no frame yet.
+func (pt *PageTable) AllocFrames(ids []PageID) {
+	slab := make([]byte, len(ids)*pt.pageSize)
+	for i, id := range ids {
+		if pt.frames[id] != nil {
+			panic(fmt.Sprintf("memory: page %d already has a frame", id))
+		}
+		pt.frames[id] = slab[i*pt.pageSize : (i+1)*pt.pageSize : (i+1)*pt.pageSize]
+	}
+}
+
 // Frame returns the frame of page id as it stands, without allocating
-// one: nil for a page never touched (all zeros). For readers of a table
-// whose owner has stopped.
+// one: nil for a page never touched (all zeros). For callers that must
+// not write the table: readers of a table whose owner has stopped, and a
+// home's service applying diffs.
 func (pt *PageTable) Frame(id PageID) []byte { return pt.frames[id] }
 
 // State returns page id's access state.
@@ -273,8 +289,9 @@ func (pt *PageTable) Snapshot(prev [][]byte) (img [][]byte, changed int) {
 
 // Restore overwrites the entire space from a Snapshot image and resets
 // all per-page protocol state (ReadOnly, no twins, clean). The image's
-// frames are copied, never adopted; a page absent from the image (nil)
-// drops its frame and is all zeros again.
+// frames are copied, never adopted; a page absent from the image (nil) is
+// all zeros again, its frame (if it has one) zeroed in place, so every
+// frame slot keeps the buffer it held.
 func (pt *PageTable) Restore(img [][]byte) {
 	if len(img) != pt.numPages {
 		panic(fmt.Sprintf("memory: restore of a %d-page image into a %d-page space", len(img), pt.numPages))
@@ -282,7 +299,7 @@ func (pt *PageTable) Restore(img [][]byte) {
 	pt.EndInterval()
 	for i, src := range img {
 		if src == nil {
-			pt.frames[i] = nil
+			clear(pt.frames[i])
 		} else {
 			if len(src) != pt.pageSize {
 				panic(fmt.Sprintf("memory: restore of a %d-byte frame into a %d-byte page", len(src), pt.pageSize))
@@ -293,11 +310,16 @@ func (pt *PageTable) Restore(img [][]byte) {
 	}
 }
 
+// zeroBlock is what allZero compares against, a block at a time.
+var zeroBlock [1024]byte
+
 func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroBlock))
+		if !bytes.Equal(b[:n], zeroBlock[:n]) {
 			return false
 		}
+		b = b[n:]
 	}
 	return true
 }

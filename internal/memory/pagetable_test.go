@@ -401,3 +401,83 @@ func TestDirtyPagesAscendingAcrossIntervals(t *testing.T) {
 		}
 	}
 }
+
+// A nil image entry zeroes a page's frame in place: every frame slot keeps
+// the buffer it held (a home frame cut from a slab stays in the slab).
+func TestRestoreZeroesExistingFrameInPlace(t *testing.T) {
+	pt := newPT(t)
+	pt.AllocFrames([]PageID{1})
+	f := pt.Frame(1)
+	f[0], f[63] = 5, 6
+	pt.Restore(make([][]byte, pt.NumPages()))
+	if g := pt.Frame(1); &g[0] != &f[0] || !allZero(g) {
+		t.Fatal("Restore of a nil entry must zero the existing frame in place")
+	}
+	if framesTouched(pt) != 1 {
+		t.Fatalf("Restore of an all-zero image gave %d pages a frame, want only the 1 that had one", framesTouched(pt))
+	}
+}
+
+// AllocFrames cuts zeroed, distinct frames out of one slab, each capped at
+// its page so an append reallocates instead of spilling into a neighbour.
+func TestAllocFramesSlab(t *testing.T) {
+	pt := NewPageTable(6, 64)
+	ids := []PageID{0, 2, 3, 5}
+	pt.AllocFrames(ids)
+	if framesTouched(pt) != len(ids) || pt.Frame(1) != nil || pt.Frame(4) != nil {
+		t.Fatalf("AllocFrames(%v) gave %d pages a frame", ids, framesTouched(pt))
+	}
+	for _, id := range ids {
+		f := pt.Frame(id)
+		if len(f) != 64 || cap(f) != 64 || !allZero(f) {
+			t.Fatalf("frame %d: len %d cap %d zero %v, want a zeroed 64-byte frame capped at 64", id, len(f), cap(f), allZero(f))
+		}
+		if &pt.Page(id)[0] != &f[0] {
+			t.Fatal("Page must return the slab frame, not allocate another")
+		}
+		for i := range f {
+			f[i] = byte(id) + 1
+		}
+	}
+	_ = append(pt.Frame(2), 0xff)
+	for _, id := range ids {
+		for _, b := range pt.Frame(id) {
+			if b != byte(id)+1 {
+				t.Fatalf("frame %d holds %d: frames overlap or an append spilled", id, b)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AllocFrames of a page that has a frame must panic")
+		}
+	}()
+	pt.AllocFrames([]PageID{1, 3})
+}
+
+// allZero compares a block at a time; it must agree with the byte loop it
+// replaced wherever the one non-zero byte sits, on pages that are and are
+// not a multiple of the block.
+func TestAllZeroMatchesByteLoop(t *testing.T) {
+	byteLoop := func(b []byte) bool {
+		for _, v := range b {
+			if v != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for _, size := range []int{8, 64, len(zeroBlock), 3000, 4096} {
+		b := make([]byte, size)
+		if !allZero(b) {
+			t.Fatalf("size %d: all-zero page reported non-zero", size)
+		}
+		for _, at := range []int{0, size / 2, size - 1} {
+			b[at] = 1
+			if allZero(b) != byteLoop(b) {
+				t.Fatalf("size %d: non-zero byte at %d: allZero %v, byte loop %v", size, at, allZero(b), byteLoop(b))
+			}
+			b[at] = 0
+		}
+	}
+}

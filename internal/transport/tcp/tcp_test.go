@@ -295,6 +295,21 @@ func goroutinesSettle(want int) int {
 	return runtime.NumGoroutine()
 }
 
+// goroutinesSteady returns the goroutine count once it has held still for
+// 50 ms: goroutines an earlier test stopped may still be exiting, and a
+// baseline sampled while they do is too high.
+func goroutinesSteady() int {
+	deadline := time.Now().Add(5 * time.Second)
+	n, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < 50*time.Millisecond && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
 // TestFabricGoroutinesFixedUnderReplyLoss: the fabric runs a fixed set
 // of goroutines — one per listener, one writer per link, one reader per
 // accepted connection — however many requests it carries and however
@@ -302,7 +317,7 @@ func goroutinesSettle(want int) int {
 // nothing behind on either side), and Close stops all of them.
 func TestFabricGoroutinesFixedUnderReplyLoss(t *testing.T) {
 	for _, calls := range []int{100, 2000} {
-		base := runtime.NumGoroutine()
+		base := goroutinesSteady()
 		nw := transport.NewNetwork(2, simtime.DefaultCostModel())
 		nw.SetFaultPlan(fault.Plan{Seed: 1, DropProb: 0.2})
 		fab, err := New(nw, Options{Payloads: []any{&testPayload{}}})
