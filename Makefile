@@ -33,15 +33,19 @@ tier2:
 # decode word by word elsewhere (internal/memory/f64s_{native,portable}.go).
 # No CI host is big-endian, so the portable file is kept alive twice over:
 # its tests run here under -tags purego, and a big-endian cross-compile
-# type-checks every package against it. The two same-seed timeline tests
-# of ROADMAP item 1 are red on every build of internal/core and do not
-# reach the accessors; tier1 reports them, this target leaves them out.
-# The kernels' pinned images must come out of the per-word path too.
+# type-checks every package against it, the benchmark module included
+# (it imports sdsm/internal/...). The two same-seed timeline tests of
+# ROADMAP item 1 fail in most runs of internal/core but not all (on a
+# 2-core host, go1.24: 61 of 100 at -count=10, 90 of 100 as single
+# runs) and do not reach the accessors; tier1 reports them, this target
+# leaves them out. The kernels' pinned images must come out of the
+# per-word path too.
 portable:
 	go test -tags purego ./internal/memory ./internal/hlrc ./internal/core \
 		-skip '^TestRunWithChurn(Partition)?Deterministic$$'
 	go test -tags purego ./internal/bench -run '^TestKernelOutputsPinned$$'
 	GOARCH=s390x go vet ./...
+	cd benchmark && GOARCH=s390x go vet ./...
 
 # Hot-path kernel benchmark smoke: a fixed low iteration count so CI
 # catches crashes and allocation regressions (ReportAllocs output),

@@ -149,7 +149,6 @@ func RunChurnPartitionScenario(nodes int, partitionMs float64) (*core.Report, er
 		LeaseDuration: simtime.Duration(churnLeaseMs * 1e6),
 		RestartDelay:  simtime.Duration(10 * 1e6),
 		PartitionFor:  simtime.Duration(partitionMs * 1e6),
-		Rejoin:        nodes - 1,
 	}
 	return core.RunWithChurn(churnConfig(nodes), churnWorkload(stamps), plan)
 }
@@ -265,7 +264,6 @@ func RunChurnBench(nodes int) ([]ChurnRow, error) {
 			LeaseDuration: simtime.Duration(churnLeaseMs * 1e6),
 			RestartDelay:  simtime.Duration(10 * 1e6),
 			PartitionFor:  simtime.Duration(partMs * 1e6),
-			Rejoin:        victim,
 		}
 		rep, err := core.RunWithChurn(churnConfig(nodes), churnWorkload(stamps), plan)
 		if err != nil {

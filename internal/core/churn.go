@@ -57,11 +57,6 @@ type ChurnPlan struct {
 	// total retransmission budget (a few virtual seconds), which the
 	// victim's in-window sends burn against the cut.
 	PartitionFor simtime.Duration
-	// Rejoin names the node the rejoin protocol re-admits after the
-	// partition heals. Only meaningful with PartitionFor > 0, where it
-	// must equal Victim: re-admitting a node that was never declared
-	// dead is a plan error.
-	Rejoin int
 }
 
 // validate checks the plan against a defaults-resolved config. All
@@ -95,10 +90,6 @@ func (p ChurnPlan) validate(cfg Config) error {
 		if p.PartitionFor <= p.LeaseDuration {
 			return fmt.Errorf("core: PartitionFor (%v) must exceed LeaseDuration (%v): the wrong death declaration has to land inside the partition window", p.PartitionFor, p.LeaseDuration)
 		}
-		// Only the node that was declared dead has a membership to regain.
-		if p.Rejoin != p.Victim {
-			return fmt.Errorf("core: rejoin of node %d, which never crashed (the partition victim is %d)", p.Rejoin, p.Victim)
-		}
 	}
 	// The dirty-home point dies with a home page dirty, so the victim must
 	// be home to some page (hlrc asserts the page is in fact dirty).
@@ -116,7 +107,6 @@ func (p ChurnPlan) validate(cfg Config) error {
 // execution time, memory image, and catch-up time.
 func RunWithChurn(cfg Config, prog Program, plan ChurnPlan) (*Report, error) {
 	cfg.HomeUndo = true // versioned home fetches need the undo history
-	cfg.LeaseDuration = plan.LeaseDuration
 	return runWithOutage(cfg, prog, plan, plan.validate)
 }
 

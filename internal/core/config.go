@@ -38,10 +38,6 @@ type Config struct {
 	// lease), so a page no other node fetches costs nothing; off, the
 	// run measures the protocol's failure-free overhead alone.
 	HomeUndo bool
-	// LockManagerNode and BarrierManagerNode host the synchronization
-	// managers (default node 0).
-	LockManagerNode    int
-	BarrierManagerNode int
 	// SkipInitialCheckpoint suppresses the op-0 checkpoint (failure-free
 	// logging measurements, where the paper takes no checkpoints).
 	SkipInitialCheckpoint bool
@@ -56,15 +52,6 @@ type Config struct {
 	// release flush is charged fully on the critical path instead of
 	// overlapping the diff/ack round trip. Ablation only.
 	NoFlushOverlap bool
-	// LeaseDuration enables lease-based online recovery (see RunWithChurn):
-	// lock grants and barrier releases carry virtual-clock leases, a
-	// crashed node is declared dead only after its lease expires, its home
-	// pages migrate permanently to a deterministic successor, and its
-	// recovered incarnation replays concurrently with the surviving
-	// cluster — the same recovery driver and replayer as offline, handed
-	// a later clock. Zero (the default) keeps the offline stop-the-world
-	// recovery semantics and a byte-identical wire format.
-	LeaseDuration simtime.Duration
 	// Transport selects the wire backend under the simulated network:
 	// TransportSim (the default, also the empty string) delivers copies by
 	// direct channel send and is byte-deterministic for a given seed;
@@ -75,11 +62,6 @@ type Config struct {
 	// only the final memory image and the log audits are comparable
 	// across backends.
 	Transport Transport
-	// NetBudgetBytesPerSec, with TransportTCP, bounds the fabric's
-	// physical send rate with a token bucket (coalescing packs queued
-	// frames into fewer, larger writes under pressure). 0 = unlimited.
-	// Ignored by TransportSim.
-	NetBudgetBytesPerSec int64
 	// LogStreams is the number of parallel log streams per node's stable
 	// store (0 or 1 = a single stream, whose records carry no
 	// LSN-vector). With more than one stream,
@@ -158,25 +140,12 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("core: page %d homed at invalid node %d", p, h)
 		}
 	}
-	if c.LockManagerNode < 0 || c.LockManagerNode >= c.Nodes ||
-		c.BarrierManagerNode < 0 || c.BarrierManagerNode >= c.Nodes {
-		return c, fmt.Errorf("core: manager node out of range")
-	}
-	if c.LeaseDuration < 0 {
-		return c, fmt.Errorf("core: LeaseDuration must be non-negative, got %d", c.LeaseDuration)
-	}
 	switch c.Transport {
 	case "", TransportSim:
 		c.Transport = TransportSim
-		if c.NetBudgetBytesPerSec != 0 {
-			return c, fmt.Errorf("core: NetBudgetBytesPerSec needs TransportTCP")
-		}
 	case TransportTCP:
 	default:
 		return c, fmt.Errorf("core: unknown transport %q", c.Transport)
-	}
-	if c.NetBudgetBytesPerSec < 0 {
-		return c, fmt.Errorf("core: NetBudgetBytesPerSec must be non-negative, got %d", c.NetBudgetBytesPerSec)
 	}
 	if c.LogStreams == 0 {
 		c.LogStreams = 1
@@ -184,10 +153,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.LogStreams < 1 || c.LogStreams > 64 {
 		return c, fmt.Errorf("core: LogStreams must be in [1,64], got %d", c.LogStreams)
 	}
-	if err := c.Faults.ValidateNodes(c.Nodes); err != nil {
-		// Node-aware validation: partition link-groups must name nodes of
-		// this cluster. Catching it here turns what the transport would
-		// panic on into a config error.
+	if err := c.Faults.Validate(); err != nil {
+		// Catching it here turns what the transport would panic on into a
+		// config error.
 		return c, fmt.Errorf("core: %w", err)
 	}
 	if c.Trace != nil && c.Trace.Nodes() != c.Nodes {

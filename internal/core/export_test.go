@@ -16,7 +16,7 @@ func (f tapFabric) Close() error                          { return nil }
 // goroutine, for every message copy that leaves a node (replies are not
 // tapped).
 func RunTapped(cfg Config, prog Program, tap func(transport.Message)) (*Report, error) {
-	c, err := buildCluster(cfg)
+	c, err := buildCluster(cfg, 0)
 	if err != nil {
 		return nil, err
 	}

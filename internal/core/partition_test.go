@@ -18,7 +18,6 @@ import (
 func partitionPlan() ChurnPlan {
 	p := churnPlan(fault.PointSyncExit)
 	p.PartitionFor = 40_000_000
-	p.Rejoin = p.Victim
 	return p
 }
 
@@ -167,8 +166,8 @@ func TestRunWithChurnPartitionTCP(t *testing.T) {
 	}
 }
 
-// TestPartitionChurnPlanValidation covers the malformed partition/rejoin
-// plans RunWithChurn must reject up front.
+// TestPartitionChurnPlanValidation covers the malformed partition plans
+// RunWithChurn must reject up front.
 func TestPartitionChurnPlanValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -177,10 +176,6 @@ func TestPartitionChurnPlanValidation(t *testing.T) {
 	}{
 		{"window inside lease", func(p ChurnPlan) ChurnPlan { p.PartitionFor = p.LeaseDuration; return p },
 			"must exceed LeaseDuration"},
-		{"rejoin of never-crashed node", func(p ChurnPlan) ChurnPlan { p.Rejoin = 2; return p },
-			"never crashed"},
-		{"rejoin of manager", func(p ChurnPlan) ChurnPlan { p.Rejoin = 0; return p },
-			"never crashed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,7 +20,11 @@ import (
 // cluster is one assembled run: network, stable storage, and the node
 // incarnations (updated in place when a crashed node is rebuilt).
 type cluster struct {
-	cfg    Config
+	cfg Config
+	// lease is the virtual-clock lease every incarnation runs with
+	// (hlrc.Config.LeaseDuration): the churn plan's under RunWithChurn,
+	// zero (offline recovery semantics) otherwise.
+	lease  simtime.Duration
 	nw     *transport.Network
 	depot  *stable.Depot
 	nodes  []*hlrc.Node
@@ -37,13 +41,14 @@ func (c *cluster) closeFabric() {
 	}
 }
 
-func buildCluster(cfg Config) (*cluster, error) {
+func buildCluster(cfg Config, lease simtime.Duration) (*cluster, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	c := &cluster{
 		cfg:   cfg,
+		lease: lease,
 		nw:    transport.NewNetwork(cfg.Nodes, *cfg.Model),
 		depot: stable.NewDepotStreams(cfg.Nodes, cfg.LogStreams),
 		nodes: make([]*hlrc.Node, cfg.Nodes),
@@ -51,10 +56,7 @@ func buildCluster(cfg Config) (*cluster, error) {
 	}
 	c.nw.SetFaultPlan(cfg.Faults)
 	if cfg.Transport == TransportTCP {
-		fab, err := tcp.New(c.nw, tcp.Options{
-			BudgetBytesPerSec: cfg.NetBudgetBytesPerSec,
-			Payloads:          hlrc.WirePayloads(),
-		})
+		fab, err := tcp.New(c.nw, tcp.Options{Payloads: hlrc.WirePayloads()})
 		if err != nil {
 			return nil, fmt.Errorf("core: starting tcp fabric: %w", err)
 		}
@@ -98,15 +100,13 @@ func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock
 	nd := hlrc.NewNode(hlrc.Config{
 		ID: id, N: c.cfg.Nodes,
 		PageSize: c.cfg.PageSize, NumPages: c.cfg.NumPages,
-		Homes:              c.cfg.Homes,
-		LockManagerNode:    c.cfg.LockManagerNode,
-		BarrierManagerNode: c.cfg.BarrierManagerNode,
-		Model:              *c.cfg.Model,
-		HomeUndo:           c.cfg.HomeUndo,
-		NoFlushOverlap:     c.cfg.NoFlushOverlap,
-		SenderLogs:         hardened,
-		LeaseDuration:      c.cfg.LeaseDuration,
-		Tracer:             trc,
+		Homes:          c.cfg.Homes,
+		Model:          *c.cfg.Model,
+		HomeUndo:       c.cfg.HomeUndo,
+		NoFlushOverlap: c.cfg.NoFlushOverlap,
+		SenderLogs:     hardened,
+		LeaseDuration:  c.lease,
+		Tracer:         trc,
 	}, c.nw, clock, hooks, stats)
 	recovery.InstallService(nd, c.depot.Store(id))
 	c.installCheckpointing(nd)
@@ -188,7 +188,7 @@ type Report struct {
 	// CheckpointBytes is the accounted on-disk size of all checkpoints
 	// (incremental after the first).
 	CheckpointBytes int64
-	// Recovery is set by RunWithCrash.
+	// Recovery is set by RunWithCrash and RunWithChurn; nil after Run.
 	Recovery *RecoveryReport
 	// Depot exposes the run's stable stores for post-run introspection
 	// (log dissection and auditing — see internal/logview). Treat the
@@ -318,7 +318,7 @@ func (c *cluster) report() *Report {
 // Run executes prog failure-free on a fresh cluster and reports timing,
 // logging and protocol statistics.
 func Run(cfg Config, prog Program) (*Report, error) {
-	c, err := buildCluster(cfg)
+	c, err := buildCluster(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +414,7 @@ func validateVictim(cfg Config, victim int, atOp int32) error {
 	}
 	// Manager state is volatile and never logged; the paper's experiments
 	// fail a worker, and rebuilding a manager is ROADMAP items 4 and 5.
-	if victim == cfg.LockManagerNode || victim == cfg.BarrierManagerNode {
+	if victim == hlrc.ManagerNode {
 		return fmt.Errorf("core: victim %d hosts a manager (outside the paper's failure model)", victim)
 	}
 	return nil
@@ -441,7 +441,7 @@ func RunWithCrash(cfg Config, prog Program, plan CrashPlan) (*Report, error) {
 // failure, and runs prog with recover as the victim's down handler.
 func runWithOutage(cfg Config, prog Program, plan ChurnPlan, validate func(Config) error) (*Report, error) {
 	cfg.SkipInitialCheckpoint = false
-	c, err := buildCluster(cfg)
+	c, err := buildCluster(cfg, plan.LeaseDuration)
 	if err != nil {
 		return nil, err
 	}

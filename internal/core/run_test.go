@@ -308,7 +308,6 @@ func TestConfigValidation(t *testing.T) {
 		{Nodes: 2, PageSize: 512, NumPages: 0},
 		{Nodes: 2, PageSize: 512, NumPages: 4, Homes: []int{0}},
 		{Nodes: 2, PageSize: 512, NumPages: 2, Homes: []int{0, 5}},
-		{Nodes: 2, PageSize: 512, NumPages: 2, LockManagerNode: 9},
 		{Nodes: 2, PageSize: 512, NumPages: 2, Faults: fault.Plan{DropProb: 1.5}},
 		{Nodes: 2, PageSize: 512, NumPages: 2, Faults: fault.Plan{DupProb: -0.1}},
 	}
@@ -324,8 +323,6 @@ func TestConfigValidation(t *testing.T) {
 // actual problem.
 func TestCrashPlanValidation(t *testing.T) {
 	cfg := testCfg(wal.ProtocolCCL)
-	remoteBarrier := testCfg(wal.ProtocolCCL)
-	remoteBarrier.BarrierManagerNode = 2
 	prog := stencilProg(2)
 	cases := []struct {
 		name    string
@@ -347,8 +344,6 @@ func TestCrashPlanValidation(t *testing.T) {
 			CrashPlan{Victim: -1, AtOp: 1, Recovery: recovery.CCLRecovery}, "invalid victim"},
 		{"victim hosts lock manager", cfg,
 			CrashPlan{Victim: 0, AtOp: 1, Recovery: recovery.CCLRecovery}, "hosts a manager"},
-		{"victim hosts barrier manager", remoteBarrier,
-			CrashPlan{Victim: 2, AtOp: 1, Recovery: recovery.CCLRecovery}, "hosts a manager"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

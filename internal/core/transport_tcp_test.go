@@ -75,36 +75,11 @@ func TestTransportTCPCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestTransportTCPBudgetedRun bounds the physical send rate; the run
-// slows down in real time but the virtual-time result is unaffected.
-func TestTransportTCPBudgetedRun(t *testing.T) {
-	prog := stencilProg(3)
-	base, err := Run(testCfg(wal.ProtocolCCL), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testCfg(wal.ProtocolCCL)
-	cfg.Transport = TransportTCP
-	cfg.NetBudgetBytesPerSec = 4 << 20
-	rep, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(base.MemoryImage(), rep.MemoryImage()) {
-		t.Fatal("budgeted tcp run diverged from sim image")
-	}
-}
-
 func TestTransportConfigValidation(t *testing.T) {
 	cfg := testCfg(wal.ProtocolNone)
 	cfg.Transport = "carrier-pigeon"
 	if _, err := Run(cfg, stencilProg(1)); err == nil {
 		t.Fatal("unknown transport accepted")
-	}
-	cfg = testCfg(wal.ProtocolNone)
-	cfg.NetBudgetBytesPerSec = 1 << 20 // sim backend has no physical budget
-	if _, err := Run(cfg, stencilProg(1)); err == nil {
-		t.Fatal("NetBudgetBytesPerSec accepted without TransportTCP")
 	}
 	if tr, err := ParseTransport(""); err != nil || tr != TransportSim {
 		t.Fatalf("ParseTransport(\"\") = %v, %v", tr, err)

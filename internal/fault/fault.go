@@ -9,24 +9,29 @@
 // the sending goroutine (never by arrival order), the same seed always
 // produces the same fault schedule regardless of goroutine interleaving —
 // the whole simulation stays replayable.
+//
+// Partition windows are not part of the plan. The protocol layer installs
+// each one at runtime (transport.Network.InstallPartition) once it knows
+// the onset clock, and whether a window cuts a link is a pure function of
+// virtual time (PartitionWindow.Cuts), so partitions replay identically
+// too.
 package fault
 
 import (
 	"fmt"
-
 	"time"
 
 	"sdsm/internal/simtime"
 )
 
-// Default retry parameters, used when the plan leaves them zero.
+// Retry and delay bounds, the same for every plan.
 const (
-	// DefaultRetryTimeout is the base retransmission timeout. It is a
-	// little above the simulated LAN round trip, so a retry costs a
-	// visible but realistic stall.
+	// DefaultRetryTimeout is the base retransmission timeout, doubled per
+	// attempt. It is a little above the simulated LAN round trip, so a
+	// retry costs a visible but realistic stall.
 	DefaultRetryTimeout = 4 * time.Millisecond
 
-	// DefaultMaxAttempts bounds retransmissions of one request before the
+	// DefaultMaxAttempts bounds send attempts per request before the
 	// peer is declared unreachable. At the drop rates this simulator
 	// targets (≤ a few percent) the chance of exhausting it is
 	// negligible; a partitioned or dead peer hits it quickly.
@@ -34,6 +39,10 @@ const (
 
 	// maxBackoffShift caps the exponential backoff at base << 6.
 	maxBackoffShift = 6
+
+	// maxDelay bounds the extra latency of a delay fault; the actual
+	// delay is uniform in (0, maxDelay].
+	maxDelay = 2 * time.Millisecond
 )
 
 // Plan is a seeded fault-injection schedule. The zero value injects
@@ -45,30 +54,10 @@ type Plan struct {
 	DupProb   float64 // per-copy probability a delivered copy is duplicated
 	DelayProb float64 // per-copy probability a delivered copy is delayed
 
-	// MaxDelay bounds the extra latency of a delay fault; the actual
-	// delay is uniform in (0, MaxDelay]. Zero selects 2ms.
-	MaxDelay simtime.Duration
-
 	// TornWriteOnCrash tears the tail of the victim's final log flush
 	// when a crash is injected, forcing recovery to validate the log and
 	// re-fetch the lost suffix from live nodes.
 	TornWriteOnCrash bool
-
-	// RetryTimeout is the base retransmission timeout (doubled per
-	// attempt). Zero selects DefaultRetryTimeout.
-	RetryTimeout simtime.Duration
-
-	// MaxAttempts bounds send attempts per request. Zero selects
-	// DefaultMaxAttempts.
-	MaxAttempts int
-
-	// Partitions splits the cluster into link-groups for virtual-time
-	// windows. A copy whose departure falls inside a window and whose
-	// endpoints sit in different groups is lost exactly like a drop
-	// fault; the sender's ARQ burns retransmission timeouts until the
-	// window heals. Like every other fate the decision is a pure
-	// function of virtual time, so the schedule replays identically.
-	Partitions PartitionPlan
 }
 
 // PartitionWindow isolates link-groups of the cluster for one
@@ -105,90 +94,6 @@ func (w PartitionWindow) Cuts(from, to int, at simtime.Time) bool {
 		return false
 	}
 	return w.groupOf(from) != w.groupOf(to)
-}
-
-// PartitionPlan is a validated schedule of partition windows. The zero
-// value injects nothing.
-type PartitionPlan struct {
-	Windows []PartitionWindow
-}
-
-// Enabled reports whether the plan contains any window.
-func (pp PartitionPlan) Enabled() bool { return len(pp.Windows) > 0 }
-
-// Validate rejects structurally malformed plans: non-positive windows,
-// overlapping windows, fewer than two groups, empty groups, and nodes
-// appearing in more than one group of the same window.
-func (pp PartitionPlan) Validate() error {
-	for i, w := range pp.Windows {
-		if w.Start < 0 {
-			return fmt.Errorf("fault: partition window %d: negative start %d", i, w.Start)
-		}
-		if w.Duration <= 0 {
-			return fmt.Errorf("fault: partition window %d: non-positive duration %d", i, w.Duration)
-		}
-		if len(w.Groups) < 2 {
-			return fmt.Errorf("fault: partition window %d: needs at least 2 groups, got %d", i, len(w.Groups))
-		}
-		seen := map[int]bool{}
-		for gi, g := range w.Groups {
-			if len(g) == 0 {
-				return fmt.Errorf("fault: partition window %d: group %d is empty", i, gi)
-			}
-			for _, n := range g {
-				if n < 0 {
-					return fmt.Errorf("fault: partition window %d: negative node %d", i, n)
-				}
-				if seen[n] {
-					return fmt.Errorf("fault: partition window %d: node %d in more than one group", i, n)
-				}
-				seen[n] = true
-			}
-		}
-		for j, v := range pp.Windows {
-			if j <= i {
-				continue
-			}
-			if w.Start < v.End() && v.Start < w.End() {
-				return fmt.Errorf("fault: partition windows %d and %d overlap", i, j)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateNodes additionally rejects windows naming nodes outside
-// [0, n). It is split from Validate because the fault package does not
-// know the cluster size; the run layer calls it with the configured
-// node count.
-func (pp PartitionPlan) ValidateNodes(n int) error {
-	if err := pp.Validate(); err != nil {
-		return err
-	}
-	for i, w := range pp.Windows {
-		for _, g := range w.Groups {
-			for _, node := range g {
-				if node >= n {
-					return fmt.Errorf("fault: partition window %d: node %d outside cluster of %d", i, node, n)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// Cut reports whether any window severs the link from→to at the given
-// instant. Self-links are never cut.
-func (pp PartitionPlan) Cut(from, to int, at simtime.Time) bool {
-	if from == to {
-		return false
-	}
-	for _, w := range pp.Windows {
-		if w.Cuts(from, to, at) {
-			return true
-		}
-	}
-	return false
 }
 
 // CrashPoint selects where, relative to a synchronization operation, an
@@ -249,11 +154,10 @@ const (
 
 // Enabled reports whether the plan injects any fault at all.
 func (p Plan) Enabled() bool {
-	return p.DropProb > 0 || p.DupProb > 0 || p.DelayProb > 0 || p.TornWriteOnCrash ||
-		p.Partitions.Enabled()
+	return p.DropProb > 0 || p.DupProb > 0 || p.DelayProb > 0 || p.TornWriteOnCrash
 }
 
-// Validate rejects probabilities outside [0, 1] and negative knobs.
+// Validate rejects probabilities outside [0, 1].
 func (p Plan) Validate() error {
 	for _, pr := range []struct {
 		name string
@@ -263,32 +167,12 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("fault: %s %v outside [0,1]", pr.name, pr.v)
 		}
 	}
-	if p.MaxDelay < 0 || p.RetryTimeout < 0 || p.MaxAttempts < 0 {
-		return fmt.Errorf("fault: negative retry/delay parameter")
-	}
-	return p.Partitions.Validate()
-}
-
-// ValidateNodes is Validate plus the cluster-size check on the partition
-// schedule (see PartitionPlan.ValidateNodes).
-func (p Plan) ValidateNodes(n int) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	return p.Partitions.ValidateNodes(n)
-}
-
-// RetryBase returns the effective base retransmission timeout.
-func (p Plan) RetryBase() simtime.Duration {
-	if p.RetryTimeout > 0 {
-		return p.RetryTimeout
-	}
-	return DefaultRetryTimeout
+	return nil
 }
 
 // RTO returns the retransmission timeout for the given attempt (1-based):
-// exponential backoff, capped.
-func (p Plan) RTO(attempt int) simtime.Duration {
+// exponential backoff from DefaultRetryTimeout, capped.
+func RTO(attempt int) simtime.Duration {
 	shift := attempt - 1
 	if shift < 0 {
 		shift = 0
@@ -296,15 +180,7 @@ func (p Plan) RTO(attempt int) simtime.Duration {
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	return p.RetryBase() << shift
-}
-
-// Attempts returns the effective attempt bound.
-func (p Plan) Attempts() int {
-	if p.MaxAttempts > 0 {
-		return p.MaxAttempts
-	}
-	return DefaultMaxAttempts
+	return DefaultRetryTimeout << shift
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator; it is a strong
@@ -356,12 +232,8 @@ func (p Plan) DelayCopy(from, to int, seq int64) simtime.Duration {
 	if !p.roll(p.DelayProb, streamDelay, from, to, seq) {
 		return 0
 	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Millisecond
-	}
 	u := p.uniform(streamDelay, uint64(from), uint64(to), uint64(seq), 1)
-	d := simtime.Duration(u * float64(max))
+	d := simtime.Duration(u * float64(maxDelay))
 	if d <= 0 {
 		d = 1
 	}
@@ -379,12 +251,8 @@ func (p Plan) DelayReply(from, to int, seq int64) simtime.Duration {
 	if !p.roll(p.DelayProb, streamReplyDelay, from, to, seq) {
 		return 0
 	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Millisecond
-	}
 	u := p.uniform(streamReplyDelay, uint64(from), uint64(to), uint64(seq), 1)
-	d := simtime.Duration(u * float64(max))
+	d := simtime.Duration(u * float64(maxDelay))
 	if d <= 0 {
 		d = 1
 	}

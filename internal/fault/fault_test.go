@@ -1,9 +1,7 @@
 package fault
 
 import (
-	"strings"
 	"testing"
-	"time"
 
 	"sdsm/internal/simtime"
 )
@@ -75,98 +73,41 @@ func TestDropRateTracksProbability(t *testing.T) {
 }
 
 func TestRTOBacksOffAndCaps(t *testing.T) {
-	p := Plan{RetryTimeout: time.Millisecond}
-	if p.RTO(1) != time.Millisecond {
-		t.Fatalf("RTO(1) = %v", p.RTO(1))
+	if RTO(1) != DefaultRetryTimeout {
+		t.Fatalf("RTO(1) = %v", RTO(1))
 	}
-	if p.RTO(3) != 4*time.Millisecond {
-		t.Fatalf("RTO(3) = %v", p.RTO(3))
+	if RTO(3) != 4*DefaultRetryTimeout {
+		t.Fatalf("RTO(3) = %v", RTO(3))
 	}
-	if p.RTO(50) != 64*time.Millisecond {
-		t.Fatalf("RTO(50) = %v, want capped at 64ms", p.RTO(50))
-	}
-	var d Plan
-	if d.RetryBase() != DefaultRetryTimeout || d.Attempts() != DefaultMaxAttempts {
-		t.Fatal("zero plan defaults wrong")
+	if RTO(50) != 64*DefaultRetryTimeout {
+		t.Fatalf("RTO(50) = %v, want capped at 64 × DefaultRetryTimeout", RTO(50))
 	}
 }
 
 func TestPartitionCutSemantics(t *testing.T) {
 	w := PartitionWindow{Start: 100, Duration: 50, Groups: [][]int{{1}, {2}}}
-	pp := PartitionPlan{Windows: []PartitionWindow{w}}
-	if err := pp.ValidateNodes(4); err != nil {
-		t.Fatal(err)
-	}
 	// Cross-group links are cut inside [Start, End), healed at End.
 	for _, at := range []int64{100, 125, 149} {
-		if !pp.Cut(1, 2, simtime.Time(at)) || !pp.Cut(2, 1, simtime.Time(at)) {
+		if !w.Cuts(1, 2, simtime.Time(at)) || !w.Cuts(2, 1, simtime.Time(at)) {
 			t.Fatalf("link 1-2 not cut at %d", at)
 		}
 	}
 	for _, at := range []int64{99, 150, 200} {
-		if pp.Cut(1, 2, simtime.Time(at)) {
+		if w.Cuts(1, 2, simtime.Time(at)) {
 			t.Fatalf("link 1-2 cut outside the window at %d", at)
 		}
 	}
 	// Unlisted nodes form the implicit far side: connected to each other,
 	// cut from every explicit group.
-	if pp.Cut(0, 3, 125) {
+	if w.Cuts(0, 3, 125) {
 		t.Fatal("implicit-group link 0-3 cut")
 	}
-	if !pp.Cut(0, 1, 125) || !pp.Cut(3, 2, 125) {
+	if !w.Cuts(0, 1, 125) || !w.Cuts(3, 2, 125) {
 		t.Fatal("implicit group not cut from explicit groups")
 	}
 	// Self-links are never cut.
-	if pp.Cut(1, 1, 125) {
+	if w.Cuts(1, 1, 125) || w.Cuts(0, 0, 125) {
 		t.Fatal("self-link cut")
-	}
-}
-
-func TestPartitionPlanValidate(t *testing.T) {
-	ok := func(ws ...PartitionWindow) PartitionPlan { return PartitionPlan{Windows: ws} }
-	g2 := [][]int{{0}, {1}}
-	cases := []struct {
-		name string
-		pp   PartitionPlan
-		want string
-	}{
-		{"negative start", ok(PartitionWindow{Start: -1, Duration: 10, Groups: g2}), "negative start"},
-		{"zero duration", ok(PartitionWindow{Start: 0, Duration: 0, Groups: g2}), "non-positive duration"},
-		{"one group", ok(PartitionWindow{Start: 0, Duration: 10, Groups: [][]int{{0, 1}}}), "at least 2 groups"},
-		{"empty group", ok(PartitionWindow{Start: 0, Duration: 10, Groups: [][]int{{0}, {}}}), "is empty"},
-		{"negative node", ok(PartitionWindow{Start: 0, Duration: 10, Groups: [][]int{{0}, {-3}}}), "negative node"},
-		{"node in two groups", ok(PartitionWindow{Start: 0, Duration: 10, Groups: [][]int{{0, 1}, {1}}}), "more than one group"},
-		{"overlapping windows", ok(
-			PartitionWindow{Start: 0, Duration: 100, Groups: g2},
-			PartitionWindow{Start: 99, Duration: 100, Groups: g2},
-		), "overlap"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.pp.Validate()
-			if err == nil {
-				t.Fatal("malformed plan accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-	// Abutting windows are fine (End is exclusive), and ValidateNodes
-	// additionally bounds nodes by the cluster size.
-	abut := ok(
-		PartitionWindow{Start: 0, Duration: 100, Groups: g2},
-		PartitionWindow{Start: 100, Duration: 100, Groups: g2},
-	)
-	if err := abut.Validate(); err != nil {
-		t.Fatalf("abutting windows rejected: %v", err)
-	}
-	big := ok(PartitionWindow{Start: 0, Duration: 10, Groups: [][]int{{0}, {7}}})
-	if err := big.Validate(); err != nil {
-		t.Fatalf("plan naming node 7 fails size-free validation: %v", err)
-	}
-	if err := big.ValidateNodes(4); err == nil || !strings.Contains(err.Error(), "outside cluster") {
-		t.Fatalf("ValidateNodes(4) = %v, want out-of-cluster error", big.ValidateNodes(4))
 	}
 }
 
@@ -176,7 +117,6 @@ func TestValidate(t *testing.T) {
 	}
 	for _, bad := range []Plan{
 		{DropProb: -0.1}, {DupProb: 1.5}, {DelayProb: 2},
-		{MaxDelay: -1}, {RetryTimeout: -1}, {MaxAttempts: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("plan %+v accepted", bad)

@@ -152,7 +152,7 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 		nd.adoptedFrom = dead
 		nd.stats.HomeAdoptions.Add(1)
 	}
-	if nd.cfg.ID != nd.cfg.LockManagerNode {
+	if nd.cfg.ID != ManagerNode {
 		nd.mu.Unlock()
 		return
 	}

@@ -24,6 +24,12 @@ var ErrCrashed = errors.New("hlrc: node crashed (injected fail-stop)")
 // the rejoin protocol.
 var ErrFenced = errors.New("hlrc: fenced (stale membership epoch; node was declared dead)")
 
+// ManagerNode hosts the state of every lock and every barrier.
+// Centralized managers keep single-node failure recoverable without
+// manager-state reconstruction (the paper's experiments fail a worker,
+// not a manager).
+const ManagerNode = 0
+
 // Config describes one node of the home-based SDSM.
 type Config struct {
 	ID       int
@@ -33,13 +39,7 @@ type Config struct {
 	// Homes maps every page to its home node. All nodes share one
 	// assignment (read-only after construction).
 	Homes []int
-	// LockManagerNode hosts the state of every lock; BarrierManagerNode
-	// hosts every barrier. Centralized managers keep single-node failure
-	// recoverable without manager-state reconstruction (the paper's
-	// experiments fail a worker, not a manager).
-	LockManagerNode    int
-	BarrierManagerNode int
-	Model              simtime.CostModel
+	Model simtime.CostModel
 	// HomeUndo maintains a volatile per-home-page undo history so a live
 	// home can serve an earlier version of a page during a peer's
 	// recovery ("home rollback" in the paper, implemented as in-memory

@@ -31,7 +31,7 @@ func (nd *Node) AcquireLock(lock int) {
 	// safe for flush composition. The tag names the lock so a fence can
 	// bound this node's wake by the published holder's clock.
 	nd.ep.BeginSyncWait(nd.clock.Now(), transport.LockTag(int64(l)))
-	resp := nd.ep.Call(nd.cfg.LockManagerNode, KindLockReq, req.WireSize(), req)
+	resp := nd.ep.Call(ManagerNode, KindLockReq, req.WireSize(), req)
 	nd.ep.EndSyncWait()
 	if resp.Kind == KindFenced {
 		panic(ErrFenced)
@@ -130,7 +130,7 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 	// relies on "registry entry visible ⇒ release still in this node's
 	// future" (see transport.Endpoint.ClearLockHeld).
 	nd.ep.ClearLockHeld(int64(l))
-	nd.ep.Send(nd.cfg.LockManagerNode, KindLockRelease, rel.WireSize(), rel)
+	nd.ep.Send(ManagerNode, KindLockRelease, rel.WireSize(), rel)
 	// lastSyncStamp is NOT advanced here: the release is one-way, so
 	// there is no manager-side stamp to adopt; arrivals after it are
 	// fenced by the next acquire/barrier's grant stamp instead.
@@ -185,7 +185,7 @@ func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	// its own check-in to this round recognizes the park as gated by
 	// itself and never waits on it (the wake is behind the fencer).
 	nd.ep.BeginSyncWait(nd.clock.Now(), transport.BarrierTag(int64(b), round))
-	resp := nd.ep.Call(nd.cfg.BarrierManagerNode, KindBarrierCheckin, ci.WireSize(), ci)
+	resp := nd.ep.Call(ManagerNode, KindBarrierCheckin, ci.WireSize(), ci)
 	nd.ep.EndSyncWait()
 	if resp.Kind == KindFenced {
 		panic(ErrFenced)
@@ -315,7 +315,7 @@ func (nd *Node) crashingAt(op int32) bool {
 	if nd.CrashOp < 0 || op < nd.CrashOp {
 		return false
 	}
-	if nd.cfg.ID == nd.cfg.LockManagerNode || nd.cfg.ID == nd.cfg.BarrierManagerNode {
+	if nd.cfg.ID == ManagerNode {
 		panic("hlrc: cannot crash a manager node (out of the paper's failure model)")
 	}
 	return true

@@ -781,11 +781,11 @@ func (r *Replayer) fetchLoggedGrant(nd *hlrc.Node, idx int) *hlrc.LockGrant {
 	ep := nd.Endpoint()
 	start := nd.Clock().Now()
 	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
-	m := ep.CallAsync(r.cfg.LockManagerNode, hlrc.KindRecGrantReq, req.WireSize(), req).WaitDetached(nd.Clock())
+	m := ep.CallAsync(hlrc.ManagerNode, hlrc.KindRecGrantReq, req.WireSize(), req).WaitDetached(nd.Clock())
 	g := m.Payload.(*hlrc.RecGrantReply).Grant
 	if g == nil {
 		panic(fmt.Sprintf("recovery: lock manager %d has no sender-logged grant %d for node %d",
-			r.cfg.LockManagerNode, idx, nd.ID()))
+			hlrc.ManagerNode, idx, nd.ID()))
 	}
 	end := nd.Clock().Now()
 	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)
@@ -799,11 +799,11 @@ func (r *Replayer) fetchLoggedRelease(nd *hlrc.Node, idx int) *hlrc.BarrierRelea
 	ep := nd.Endpoint()
 	start := nd.Clock().Now()
 	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
-	m := ep.CallAsync(r.cfg.BarrierManagerNode, hlrc.KindRecBarrierReq, req.WireSize(), req).WaitDetached(nd.Clock())
+	m := ep.CallAsync(hlrc.ManagerNode, hlrc.KindRecBarrierReq, req.WireSize(), req).WaitDetached(nd.Clock())
 	rel := m.Payload.(*hlrc.RecBarrierReply).Rel
 	if rel == nil {
 		panic(fmt.Sprintf("recovery: barrier manager %d has no sender-logged release %d for node %d",
-			r.cfg.BarrierManagerNode, idx, nd.ID()))
+			hlrc.ManagerNode, idx, nd.ID()))
 	}
 	end := nd.Clock().Now()
 	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)

@@ -134,7 +134,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "sdsm_link_coalesce_ratio{from=\"%d\",to=\"%d\"} %s\n",
 				l.From, l.To, strconv.FormatFloat(ratio, 'g', -1, 64))
 		}
-		fmt.Fprintf(bw, "# TYPE sdsm_budget_waits_total counter\nsdsm_budget_waits_total %d\n", fabric.BudgetWaits())
 	}
 	return bw.Flush()
 }
@@ -197,7 +196,6 @@ var RequiredLinkFamilies = []string{
 	"sdsm_link_redials_total",
 	"sdsm_link_queue_depth",
 	"sdsm_link_coalesce_ratio",
-	"sdsm_budget_waits_total",
 }
 
 // CheckExposition verifies that an exposition page carries at least one

@@ -15,39 +15,31 @@ import (
 
 // Options configures a Fabric.
 type Options struct {
-	// BudgetBytesPerSec is the token-bucket bandwidth budget shared by
-	// all links (real bytes on the wire, frames + headers). 0 = unlimited.
-	BudgetBytesPerSec int64
-	// BudgetBurst is the bucket capacity in bytes; 0 picks a default
-	// (see NewBudget).
-	BudgetBurst int64
-	// MaxFrame bounds a frame body; decoders reject longer frames before
-	// allocating. 0 = DefaultMaxFrame.
-	MaxFrame int
 	// Payloads lists one exemplar of every concrete payload type that
 	// crosses the wire (e.g. hlrc.WirePayloads()); each must be a
 	// Payload, and together they are the tag → decoder table (see
 	// RegisterPayloads).
 	Payloads []any
-	// DialAttempts bounds connect retries per write; 0 = 40. Exceeding
-	// it fails the run loudly (peer unreachable), mirroring the ARQ
-	// attempt bound of the simulated net.
-	DialAttempts int
-	// DialBackoff is the initial reconnect backoff, doubling per attempt
-	// up to 50ms; 0 = 200µs.
-	DialBackoff time.Duration
 }
+
+// Redial bounds: a write retries its connect at most dialAttempts times,
+// backing off from dialBackoff and doubling up to 50ms. Exceeding the
+// bound fails the run loudly (peer unreachable), mirroring the ARQ
+// attempt bound of the simulated net.
+const (
+	dialAttempts = 40
+	dialBackoff  = 200 * time.Microsecond
+)
 
 // Stats counts the fabric's physical wire activity. Frames/Batches
 // quantify coalescing (frames per batch write); WireBytes is physical
 // bytes: the Network's accounted bytes (every payload is as long as its
 // accounted size) plus prefixLen+headerLen per frame.
 type Stats struct {
-	Frames      int64 `json:"frames"`
-	Batches     int64 `json:"batches"`
-	WireBytes   int64 `json:"wire_bytes"`
-	Reconnects  int64 `json:"reconnects"`
-	BudgetWaits int64 `json:"budget_waits"`
+	Frames     int64 `json:"frames"`
+	Batches    int64 `json:"batches"`
+	WireBytes  int64 `json:"wire_bytes"`
+	Reconnects int64 `json:"reconnects"`
 }
 
 // Fabric is the TCP wire backend: one loopback listener per node and one
@@ -57,12 +49,8 @@ type Stats struct {
 // frame hands the key back. Install it with Network.SetFabric right after
 // NewNetwork.
 type Fabric struct {
-	nw           *transport.Network
-	n            int
-	maxFrame     int
-	budget       *Budget
-	dialAttempts int
-	dialBackoff  time.Duration
+	nw *transport.Network
+	n  int
 
 	listeners []net.Listener
 	addrs     []string
@@ -104,9 +92,8 @@ type link struct {
 }
 
 // linkQueueBytes bounds the encoded frames waiting on a link: a sender
-// finding the queue this full waits for the writer (under a bandwidth
-// budget that is the intended back-pressure). A frame always fits into
-// an empty queue, whatever its size.
+// finding the queue this full waits for the writer. A frame always fits
+// into an empty queue, whatever its size.
 const linkQueueBytes = 1 << 20
 
 // Coalescing bounds: a batch write stops growing at either limit. The
@@ -123,23 +110,10 @@ func New(nw *transport.Network, opts Options) (*Fabric, error) {
 		return nil, err
 	}
 	fab := &Fabric{
-		nw:           nw,
-		n:            nw.Nodes(),
-		maxFrame:     opts.MaxFrame,
-		budget:       NewBudget(opts.BudgetBytesPerSec, opts.BudgetBurst),
-		dialAttempts: opts.DialAttempts,
-		dialBackoff:  opts.DialBackoff,
-		conns:        make(map[net.Conn]struct{}),
-		done:         make(chan struct{}),
-	}
-	if fab.maxFrame <= 0 {
-		fab.maxFrame = DefaultMaxFrame
-	}
-	if fab.dialAttempts <= 0 {
-		fab.dialAttempts = 40
-	}
-	if fab.dialBackoff <= 0 {
-		fab.dialBackoff = 200 * time.Microsecond
+		nw:    nw,
+		n:     nw.Nodes(),
+		conns: make(map[net.Conn]struct{}),
+		done:  make(chan struct{}),
 	}
 	fab.listeners = make([]net.Listener, fab.n)
 	fab.addrs = make([]string, fab.n)
@@ -214,11 +188,10 @@ func (fab *Fabric) Reply(key uint64, r transport.Message) {
 // Stats returns the physical wire counters so far.
 func (fab *Fabric) Stats() Stats {
 	return Stats{
-		Frames:      fab.frames.Load(),
-		Batches:     fab.batches.Load(),
-		WireBytes:   fab.wireBytes.Load(),
-		Reconnects:  fab.reconnects.Load(),
-		BudgetWaits: fab.budget.Waits(),
+		Frames:     fab.frames.Load(),
+		Batches:    fab.batches.Load(),
+		WireBytes:  fab.wireBytes.Load(),
+		Reconnects: fab.reconnects.Load(),
 	}
 }
 
@@ -256,10 +229,6 @@ func (fab *Fabric) LinkStats() []LinkStat {
 	}
 	return out
 }
-
-// BudgetWaits exposes the shared token-bucket's wait count for live
-// telemetry (the budget is fabric-wide, not per-link).
-func (fab *Fabric) BudgetWaits() int64 { return fab.budget.Waits() }
 
 // Close implements transport.Fabric: stop accepting, tear down every
 // connection and wait for all fabric goroutines to exit. Safe to call
@@ -340,9 +309,8 @@ func (l *link) run() {
 }
 
 // flush writes taken frames in batches of at most coalesceFrames frames,
-// growing a batch only while it is under coalesceBytes, charging the
-// bandwidth budget per batch and putting each batch on the wire
-// (reconnecting with backoff as needed). It returns false when the fabric
+// growing a batch only while it is under coalesceBytes, and puts each
+// batch on the wire (reconnecting with backoff as needed). It returns false when the fabric
 // is shutting down.
 func (l *link) flush(taken []byte) bool {
 	for len(taken) > 0 {
@@ -353,7 +321,6 @@ func (l *link) flush(taken []byte) bool {
 		}
 		batch := taken[:n]
 		taken = taken[n:]
-		l.fab.budget.Take(len(batch))
 		// Counted before the write, so whoever has seen a frame arrive
 		// also sees it in the counters.
 		l.fab.frames.Add(int64(nFrames))
@@ -385,9 +352,9 @@ func (l *link) appendChecked(buf []byte, f *Frame) []byte {
 		panic(fmt.Sprintf("tcp: link %d→%d: kind %d payload %T encodes to %d bytes but was accounted as %d",
 			l.from, l.to, f.Kind, f.Payload, payload, f.Size))
 	}
-	if body > l.fab.maxFrame {
-		panic(fmt.Sprintf("tcp: link %d→%d: frame body %d bytes exceeds MaxFrame %d (kind %d)",
-			l.from, l.to, body, l.fab.maxFrame, f.Kind))
+	if body > DefaultMaxFrame {
+		panic(fmt.Sprintf("tcp: link %d→%d: frame body %d bytes exceeds DefaultMaxFrame %d (kind %d)",
+			l.from, l.to, body, DefaultMaxFrame, f.Kind))
 	}
 	return out
 }
@@ -399,7 +366,7 @@ func (l *link) appendChecked(buf []byte, f *Frame) []byte {
 // deduplicated by the receiver's wire-sequence check (Endpoint.WireDup)
 // and reply frames by their reply slot, which takes one reply per call.
 func (l *link) write(buf []byte) bool {
-	backoff := l.fab.dialBackoff
+	backoff := dialBackoff
 	for attempt := 1; ; attempt++ {
 		c := l.ensureConn()
 		if c != nil {
@@ -413,7 +380,7 @@ func (l *link) write(buf []byte) bool {
 			return false
 		default:
 		}
-		if attempt >= l.fab.dialAttempts {
+		if attempt >= dialAttempts {
 			panic(fmt.Sprintf("tcp: link %d→%d: peer unreachable after %d attempts", l.from, l.to, attempt))
 		}
 		time.Sleep(backoff)
@@ -482,7 +449,7 @@ func (fab *Fabric) readLoop(c net.Conn) {
 		fab.cmu.Unlock()
 		c.Close()
 	}()
-	fr := NewFrameReader(bufio.NewReaderSize(c, 64<<10), fab.maxFrame)
+	fr := NewFrameReader(bufio.NewReaderSize(c, 64<<10), DefaultMaxFrame)
 	var f Frame // receive copies out what it keeps
 	for {
 		if err := fr.ReadFrame(&f); err != nil {

@@ -155,9 +155,9 @@ type Network struct {
 	deathEpoch []atomic.Int64
 	view       []atomic.Int64
 
-	// partitions is the live schedule of partition windows: the static
-	// windows of the fault plan plus any installed at runtime (a churn
-	// scenario computes its window from the victim's onset clock).
+	// partitions is the live schedule of partition windows, all installed
+	// at runtime (a churn scenario computes its window from the victim's
+	// onset clock).
 	partitions atomic.Pointer[[]fault.PartitionWindow]
 
 	// lockHolders is the network-wide registry of current lock holders
@@ -272,17 +272,15 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 	return nw
 }
 
-// SetFaultPlan installs the fault-injection plan. Call it once, before
-// any traffic flows; it panics on an invalid plan.
+// SetFaultPlan installs the fault-injection plan: per-copy loss,
+// duplication and delay, and torn log writes. Partition windows are not
+// part of it (see InstallPartition). Call it once, before any traffic
+// flows; it panics on an invalid plan.
 func (nw *Network) SetFaultPlan(p fault.Plan) {
-	if err := p.ValidateNodes(nw.n); err != nil {
+	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	nw.faults = p
-	if p.Partitions.Enabled() {
-		ws := append([]fault.PartitionWindow(nil), p.Partitions.Windows...)
-		nw.partitions.Store(&ws)
-	}
 }
 
 // InstallPartition adds a partition window at runtime. Churn scenarios
@@ -310,9 +308,6 @@ func (nw *Network) cutAt(from, to int, at simtime.Time) bool {
 	if ws == nil {
 		return false
 	}
-	if from == to {
-		return false
-	}
 	for _, w := range *ws {
 		if w.Cuts(from, to, at) {
 			return true
@@ -321,8 +316,8 @@ func (nw *Network) cutAt(from, to int, at simtime.Time) bool {
 	return false
 }
 
-// partitionsActive reports whether any partition window exists (static
-// or installed); the send paths consult the window schedule only then.
+// partitionsActive reports whether any partition window is installed;
+// the send paths consult the window schedule only then.
 func (nw *Network) partitionsActive() bool { return nw.partitions.Load() != nil }
 
 // FaultPlan returns the installed fault plan (zero when none).
@@ -831,9 +826,9 @@ func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
 		Epoch: nw.view[e.id].Load(),
 	}
 	f := nw.faults
-	// Runtime-installed partition windows live outside the static plan,
-	// so a zero plan must still route through the fate checks once any
-	// window exists (the zero plan's drop/dup/delay rolls all miss).
+	// Partition windows live outside the fault plan, so a zero plan must
+	// still route through the fate checks once any window exists (the
+	// zero plan's drop/dup/delay rolls all miss).
 	if to == e.id || (!f.Enabled() && !nw.partitionsActive()) {
 		link := nw.lockLink(e.id, to)
 		m.Seq = nw.nextSeq(e.id, to)
@@ -853,12 +848,12 @@ func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
 		if cut || f.DropCopy(e.id, to, seq) {
 			link.Unlock()
 			nw.countWire(kind, size)
-			if attempt >= f.Attempts() {
+			if attempt >= fault.DefaultMaxAttempts {
 				panic(fmt.Sprintf(
 					"transport: node %d: one-way kind %d to node %d lost %d times — peer unreachable",
 					e.id, kind, to, attempt))
 			}
-			extra += f.RTO(attempt)
+			extra += fault.RTO(attempt)
 			continue
 		}
 		m.Seq = seq
@@ -979,7 +974,7 @@ func (e *Endpoint) attemptSend(p *Pending) {
 	m.Seq = nw.nextSeq(e.id, p.to)
 	f := nw.faults
 	// See Send: installed partition windows cut links even under a zero
-	// static plan.
+	// fault plan.
 	if p.local || (!f.Enabled() && !nw.partitionsActive()) {
 		p.live = true
 		nw.deliver(m)
@@ -1008,10 +1003,9 @@ func (e *Endpoint) attemptSend(p *Pending) {
 // (exponential backoff) to the caller's clock and sends the next copy,
 // or declares the peer unreachable once the attempt bound is spent.
 func (p *Pending) retransmit(clock *simtime.Clock) {
-	f := p.ep.nw.faults
-	t0, t1 := clock.MergePlusSpan(p.sentAt, f.RTO(p.attempt))
+	t0, t1 := clock.MergePlusSpan(p.sentAt, fault.RTO(p.attempt))
 	p.trc.Seg(obsv.EvArqRetry, obsv.CatRetry, t0, t1, int64(p.kind), int64(p.attempt))
-	if p.attempt >= f.Attempts() {
+	if p.attempt >= fault.DefaultMaxAttempts {
 		panic(fmt.Sprintf(
 			"transport: node %d: no reply from node %d for kind %d after %d attempts — peer unreachable",
 			p.ep.id, p.to, p.kind, p.attempt))

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -51,27 +52,34 @@ func mustPanic(t *testing.T, substr string, f func()) {
 // charge the full backoff schedule to the virtual clock and then declare
 // the peer unreachable rather than hang.
 func TestUnreachablePeerWaitPanics(t *testing.T) {
-	_, a, _ := faultyPair(t, fault.Plan{Seed: 1, DropProb: 1, MaxAttempts: 4})
+	_, a, _ := faultyPair(t, fault.Plan{Seed: 1, DropProb: 1})
 	p := a.CallAsync(1, Kind(3), 64, nil)
-	mustPanic(t, "peer unreachable", func() { p.Wait(a.Clock()) })
-	if a.Clock().Now() == 0 {
-		t.Error("retry timeouts were not charged to the virtual clock")
+	mustPanic(t, fmt.Sprintf("after %d attempts — peer unreachable", fault.DefaultMaxAttempts),
+		func() { p.Wait(a.Clock()) })
+	var schedule simtime.Duration
+	for attempt := 1; attempt <= fault.DefaultMaxAttempts; attempt++ {
+		schedule += fault.RTO(attempt)
+	}
+	if got := simtime.Duration(a.Clock().Now()); got < schedule {
+		t.Errorf("clock charged %v, want the full backoff schedule %v", got, schedule)
 	}
 }
 
 // TestUnreachablePeerWaitDetachedPanics exercises the same bound through
 // the recovery-side wait path.
 func TestUnreachablePeerWaitDetachedPanics(t *testing.T) {
-	_, a, _ := faultyPair(t, fault.Plan{Seed: 1, DropProb: 1, MaxAttempts: 4})
+	_, a, _ := faultyPair(t, fault.Plan{Seed: 1, DropProb: 1})
 	p := a.CallAsync(1, Kind(3), 64, nil)
-	mustPanic(t, "peer unreachable", func() { p.WaitDetached(a.Clock()) })
+	mustPanic(t, fmt.Sprintf("after %d attempts — peer unreachable", fault.DefaultMaxAttempts),
+		func() { p.WaitDetached(a.Clock()) })
 }
 
 // TestUnreachablePeerOneWayPanics: one-way sends use background ARQ, so
 // the attempt bound fires inside Send itself.
 func TestUnreachablePeerOneWayPanics(t *testing.T) {
-	_, a, _ := faultyPair(t, fault.Plan{Seed: 1, DropProb: 1, MaxAttempts: 3})
-	mustPanic(t, "peer unreachable", func() { a.Send(1, Kind(5), 32, nil) })
+	_, a, _ := faultyPair(t, fault.Plan{Seed: 1, DropProb: 1})
+	mustPanic(t, fmt.Sprintf("lost %d times — peer unreachable", fault.DefaultMaxAttempts),
+		func() { a.Send(1, Kind(5), 32, nil) })
 }
 
 // TestLocalCallBypassesFaults: requests to self (a node acting as its own
@@ -79,7 +87,7 @@ func TestUnreachablePeerOneWayPanics(t *testing.T) {
 // delayed, even under a total-loss plan.
 func TestLocalCallBypassesFaults(t *testing.T) {
 	nw := NewNetwork(2, simtime.DefaultCostModel())
-	nw.SetFaultPlan(fault.Plan{Seed: 1, DropProb: 1, MaxAttempts: 2})
+	nw.SetFaultPlan(fault.Plan{Seed: 1, DropProb: 1})
 	a := nw.NewEndpoint(0, simtime.NewClock(0))
 	go func() {
 		m := <-a.Inbox()
@@ -226,19 +234,15 @@ func TestInboxOverflowPanicNamesCulprit(t *testing.T) {
 // TestRetryBackoffCaps: the charged timeout grows exponentially but must
 // stop doubling at the cap so late retries stay bounded.
 func TestRetryBackoffCaps(t *testing.T) {
-	p := fault.Plan{Seed: 1, DropProb: 1, RetryTimeout: time.Millisecond, MaxAttempts: 20}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	if fault.RTO(1) != fault.DefaultRetryTimeout {
+		t.Errorf("first RTO = %v, want base", fault.RTO(1))
 	}
-	if p.RTO(1) != time.Millisecond {
-		t.Errorf("first RTO = %v, want base", p.RTO(1))
+	if fault.RTO(2) != 2*fault.DefaultRetryTimeout {
+		t.Errorf("second RTO = %v, want doubled base", fault.RTO(2))
 	}
-	if p.RTO(2) != 2*time.Millisecond {
-		t.Errorf("second RTO = %v, want doubled base", p.RTO(2))
-	}
-	capped := p.RTO(19)
-	if p.RTO(18) != capped {
-		t.Errorf("backoff keeps growing past the cap: %v then %v", p.RTO(18), capped)
+	capped := fault.RTO(19)
+	if fault.RTO(18) != capped {
+		t.Errorf("backoff keeps growing past the cap: %v then %v", fault.RTO(18), capped)
 	}
 }
 
@@ -290,5 +294,61 @@ func TestTwoSendersOneLink(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("a request on a link shared by two senders was never answered")
+	}
+}
+
+// TestInstallPartitionCutsSends: a window installed at runtime severs
+// cross-group links for copies departing inside [Start, End). A one-way
+// copy cut there is lost and retransmitted by the background ARQ, one
+// RTO later each time, until a copy departs at or after End; a copy
+// departing at End is not cut at all. Nodes the window does not list
+// form the implicit far side and stay connected to each other, and a
+// self-send is never cut.
+func TestInstallPartitionCutsSends(t *testing.T) {
+	const start, dur = simtime.Time(1_000_000), simtime.Duration(10_000_000)
+	nw := NewNetwork(4, simtime.DefaultCostModel())
+	ep := make([]*Endpoint, 4)
+	for i := range ep {
+		ep[i] = nw.NewEndpoint(i, simtime.NewClock(0))
+	}
+	w := fault.PartitionWindow{Start: start, Duration: dur, Groups: [][]int{{0}, {1}}}
+	nw.InstallPartition(w)
+
+	// send puts one copy on from→to at the given departure time and
+	// returns the retransmission delay the delivered copy carries, and how
+	// many copies went on the wire to deliver it.
+	send := func(from, to int, at simtime.Time) (simtime.Duration, int64) {
+		t.Helper()
+		ep[from].Clock().AdvanceTo(at)
+		before := nw.MsgCount()
+		ep[from].Send(to, Kind(4), 8, nil)
+		m := <-ep[to].Inbox()
+		if m.From != from || m.SentAt != at {
+			t.Fatalf("%d→%d: got copy from %d sent at %d", from, to, m.From, m.SentAt)
+		}
+		return m.extraDelay, nw.MsgCount() - before
+	}
+
+	// Departing at start+1ms, the first copy and its retry at +4ms are
+	// cut; the third copy departs at start+13ms, after End.
+	inside := start + 1_000_000
+	if d, copies := send(0, 1, inside); d != fault.RTO(1)+fault.RTO(2) || copies != 3 {
+		t.Errorf("cross-group copy inside the window: delay %v over %d copies, want %v over 3",
+			d, copies, fault.RTO(1)+fault.RTO(2))
+	}
+	if inside+simtime.Time(fault.RTO(1)+fault.RTO(2)) < w.End() {
+		t.Fatal("the delivered copy departed before the window healed")
+	}
+	if d, copies := send(2, 3, inside); d != 0 || copies != 1 {
+		t.Errorf("implicit-group copy 2→3 inside the window: delay %v over %d copies, want 0 over 1", d, copies)
+	}
+	if d, copies := send(1, 1, inside); d != 0 || copies != 1 {
+		t.Errorf("self-send inside the window: delay %v over %d copies, want 0 over 1", d, copies)
+	}
+	if d, _ := send(3, 1, inside); d == 0 {
+		t.Error("implicit-group copy 3→1 to an explicit group was not cut")
+	}
+	if d, copies := send(1, 0, w.End()); d != 0 || copies != 1 {
+		t.Errorf("cross-group copy departing at End: delay %v over %d copies, want 0 over 1", d, copies)
 	}
 }
