@@ -67,7 +67,7 @@ bench:
 # CI. go test takes one -fuzz target per run, hence the loop. (memory's
 # FuzzDecodeDiff is seeded with diffs a ScaleSmall Shallow/ML run sent;
 # wal fuzzes the same decoder again inside the records that embed diffs.)
-FUZZ_PKGS = ./internal/transport/tcp ./internal/hlrc ./internal/memory ./internal/stable ./internal/wal
+FUZZ_PKGS = ./internal/transport/tcp ./internal/hlrc ./internal/memory ./internal/wal
 fuzz-smoke:
 	@set -e; for pkg in $(FUZZ_PKGS); do \
 		for target in $$(go test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
@@ -104,8 +104,8 @@ churn-smoke:
 # Partition-heal + rejoin soak under the race detector: the core
 # partition tests (wrong death declaration, post-heal fencing, epoch
 # bump, log truncation, rejoin replay, failure-free image equality on
-# both wire backends, and the partition x log-streams x crash-point
-# cross, TestMultiStreamChurnPartition) repeated, then the churn sweep's
+# both wire backends, and the partition x crash-point cross,
+# TestChurnCrossPartition) repeated, then the churn sweep's
 # partition cells and the partition-aware adopted-home audit.
 rejoin-smoke:
 	go test -race ./internal/core/ -run 'Partition' -count=5
@@ -141,21 +141,16 @@ telemetry-smoke:
 		-trace-id $$(head -1 /tmp/sdsm-slow-ops.jsonl | sed 's/.*"trace":"\([0-9a-f]*\)".*/\1/')
 	@echo "telemetry-smoke: OK"
 
-# End-to-end check of the multi-stream WAL: the fault-soak suite at 4
-# streams (torn tails on every stream + group-commit deferred loss, both
-# recovered against the fault-free golden image; the TestMultiStreamChurn*
-# cross of streams x fail-stop/partition x crash point and of torn tails
-# x churn rides the same -run pattern), then fresh crash runs under both
-# protocols audited and dissected through sdsminspect — the per-stream
-# volume breakdown included — and the kv workload crashed mid-traffic
-# with online recovery at 4 streams. That last line runs with group-commit
-# deferral live: online replay rebuilds the deferrals a crash loses from
-# the sender logs exactly as offline replay does, and prints how many ops
-# it replayed that way.
+# End-to-end check of the WAL: the fault-soak crash suite (torn tails
+# recovered against the fault-free golden image) and the churn cross
+# (TestChurnCross*: fail-stop, partition/rejoin and torn tails under online
+# recovery, each at every crash point), then fresh crash runs under both
+# protocols audited and dissected through sdsminspect, and the kv workload
+# crashed mid-traffic with online recovery, its logs audited.
 wal-smoke:
-	go test ./internal/core/ -run 'TestMultiStream' -count=1
-	go run ./cmd/sdsminspect -mode audit -app 3d-fft -nodes 4 -scale small -streams 4 -crash
-	go run ./cmd/sdsminspect -mode audit -app mg -nodes 4 -scale small -streams 4 -crash -protocol ml
-	go run ./cmd/sdsminspect -mode volume -app 3d-fft -nodes 4 -scale small -streams 4
-	go run ./cmd/sdsminspect -mode audit -app kv -nodes 4 -transport sim -streams 4 -churn
+	go test ./internal/core/ -run 'TestFaultSoakCrash|TestChurnCross' -count=1
+	go run ./cmd/sdsminspect -mode audit -app 3d-fft -nodes 4 -scale small -crash
+	go run ./cmd/sdsminspect -mode audit -app mg -nodes 4 -scale small -crash -protocol ml
+	go run ./cmd/sdsminspect -mode volume -app 3d-fft -nodes 4 -scale small
+	go run ./cmd/sdsminspect -mode audit -app kv -nodes 4 -transport sim -churn
 	@echo "wal-smoke: OK"

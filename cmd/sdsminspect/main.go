@@ -35,7 +35,7 @@
 //	sdsminspect [-mode volume|dump|audit|recovery|checkjson|trace]
 //	            [-app all|3d-fft|mg|shallow|water|kv] [-protocol ml|ccl]
 //	            [-nodes 8] [-scale small|medium|large] [-transport sim|tcp]
-//	            [-streams N] [-crash] [-churn] [-victim N] [-node N]
+//	            [-crash] [-churn] [-victim N] [-node N]
 //	            [-max N] [-in file.json]
 //	            [-trace-id hex] [-trace-out trace.json]
 //	            [-kv-keys N] [-kv-value N] [-kv-ops N]
@@ -67,14 +67,13 @@ import (
 )
 
 type options struct {
-	nodes   int
-	scale   bench.Scale
-	proto   wal.Protocol
-	crash   bool
-	victim  int
-	node    int
-	max     int
-	streams int
+	nodes  int
+	scale  bench.Scale
+	proto  wal.Protocol
+	crash  bool
+	victim int
+	node   int
+	max    int
 }
 
 func main() {
@@ -88,7 +87,6 @@ func main() {
 	victim := flag.Int("victim", -1, "crash victim (default: last node)")
 	nodeFlag := flag.Int("node", -1, "dump mode: only this node's log")
 	max := flag.Int("max", 0, "dump mode: print at most this many records per node (0 = all)")
-	streamsFlag := flag.Int("streams", 1, "parallel stable-log streams per node for volume/dump/audit/recovery runs (1 = a single stream)")
 	in := flag.String("in", "", "input file for checkjson mode")
 	transportFlag := flag.String("transport", "sim", "kv audit/trace: wire backend, sim|tcp")
 	traceID := flag.String("trace-id", "", "trace mode: resolve this 16-hex-digit trace id into its span tree")
@@ -115,7 +113,7 @@ func main() {
 		log.Fatalf("unknown -protocol %q (dissection needs a logging protocol)", *protoFlag)
 	}
 	opts := options{nodes: *nodes, scale: scale, proto: proto,
-		crash: *crash, victim: *victim, node: *nodeFlag, max: *max, streams: *streamsFlag}
+		crash: *crash, victim: *victim, node: *nodeFlag, max: *max}
 
 	switch *mode {
 	case "volume":
@@ -171,7 +169,6 @@ func oneApp(name string, opts options) *apps.Workload {
 func run(w *apps.Workload, proto wal.Protocol, opts options) (*core.Report, error) {
 	cfg := w.BaseConfig(opts.nodes)
 	cfg.Protocol = proto
-	cfg.LogStreams = opts.streams
 	if !opts.crash {
 		cfg.SkipInitialCheckpoint = true
 		rep, err := core.Run(cfg, w.Prog)
@@ -251,15 +248,10 @@ func dumpMode(w *apps.Workload, opts options) error {
 			}
 			d, err := wal.DissectRecord(r)
 			if err != nil {
-				return fmt.Errorf("node %d record %d (stream %d): %w", node, i, r.Stream, err)
+				return fmt.Errorf("node %d record %d: %w", node, i, err)
 			}
-			if opts.streams > 1 {
-				fmt.Printf("  %4d  op %-5d s%-2d %-8s %6dB  %s\n",
-					i, d.Op, d.Stream, wal.KindName(d.Kind), d.Wire, d.Summary())
-			} else {
-				fmt.Printf("  %4d  op %-5d %-8s %6dB  %s\n",
-					i, d.Op, wal.KindName(d.Kind), d.Wire, d.Summary())
-			}
+			fmt.Printf("  %4d  op %-5d %-8s %6dB  %s\n",
+				i, d.Op, wal.KindName(d.Kind), d.Wire, d.Summary())
 		}
 	}
 	return nil
@@ -296,7 +288,6 @@ func kvAuditMode(opts options, transport string, churn bool) error {
 	}
 	kvCfg := kv.Config{Keys: 32, Ops: 80, ZipfS: 1.2, Seed: 7}
 	cc := bench.KVCoreConfig(opts.nodes, kvCfg, tr)
-	cc.LogStreams = opts.streams
 	var rep *core.Report
 	if churn {
 		if opts.nodes < 2 {

@@ -52,8 +52,7 @@ type ChurnRow struct {
 	AdoptedDiffs int64
 	LeaseWaits   int64
 	// TailOps counts the victim's sync ops replayed from the managers'
-	// sender logs (a torn or multi-stream log tail); 0 on an intact
-	// single-stream log.
+	// sender logs (a torn log tail); 0 on an intact log.
 	TailOps int
 	// Partition-rejoin cells only (zero on fail-stop rows):
 	FencedMsgs    int64   // stale-epoch messages survivors fenced post-heal

@@ -62,17 +62,6 @@ type Config struct {
 	// only the final memory image and the log audits are comparable
 	// across backends.
 	Transport Transport
-	// LogStreams is the number of parallel log streams per node's stable
-	// store (0 or 1 = a single stream, whose records carry no
-	// LSN-vector). With more than one stream,
-	// records are routed by page/home hash, each record carries an
-	// LSN-vector deriving the cross-stream total order, CCL group-commits
-	// flushes across diff-less releases behind a durability fence at
-	// diff-carrying releases, and every replay of the log — offline,
-	// online or after a partition — distrusts its final logged op
-	// (deferred records lost to a crash recover exactly like a torn
-	// final flush, from the managers' sender logs).
-	LogStreams int
 	// Faults is the deterministic fault-injection plan: seeded message
 	// loss, duplication and delay on the transport, and torn log writes on
 	// crash. The zero value injects nothing. The same seed always yields
@@ -146,12 +135,6 @@ func (c Config) withDefaults() (Config, error) {
 	case TransportTCP:
 	default:
 		return c, fmt.Errorf("core: unknown transport %q", c.Transport)
-	}
-	if c.LogStreams == 0 {
-		c.LogStreams = 1
-	}
-	if c.LogStreams < 1 || c.LogStreams > 64 {
-		return c, fmt.Errorf("core: LogStreams must be in [1,64], got %d", c.LogStreams)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		// Catching it here turns what the transport would panic on into a

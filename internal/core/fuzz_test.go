@@ -134,6 +134,9 @@ func TestFuzzProtocolsAgree(t *testing.T) {
 			} else if !bytes.Equal(golden, rep.MemoryImage()) {
 				t.Fatalf("seed %d %v: image differs", seed, proto)
 			}
+			if proto != wal.ProtocolNone {
+				auditDepot(t, rep, false)
+			}
 		}
 	}
 }

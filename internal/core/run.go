@@ -50,7 +50,7 @@ func buildCluster(cfg Config, lease simtime.Duration) (*cluster, error) {
 		cfg:   cfg,
 		lease: lease,
 		nw:    transport.NewNetwork(cfg.Nodes, *cfg.Model),
-		depot: stable.NewDepotStreams(cfg.Nodes, cfg.LogStreams),
+		depot: stable.NewDepot(cfg.Nodes),
 		nodes: make([]*hlrc.Node, cfg.Nodes),
 		stats: make([]*hlrc.Stats, cfg.Nodes),
 	}
@@ -76,7 +76,7 @@ func buildCluster(cfg Config, lease simtime.Duration) (*cluster, error) {
 		// The stats slots outlive node incarnations (recovery reuses
 		// them), so the registry stays valid across a crash and rebuild.
 		cfg.Telemetry.Attach(c.stats, cfg.Trace, c.fabric)
-		// The depot outlives incarnations too; per-stream WAL families.
+		// The depot outlives incarnations too; per-node WAL families.
 		cfg.Telemetry.AttachDepot(c.depot)
 	}
 	return c, nil
@@ -85,11 +85,8 @@ func buildCluster(cfg Config, lease simtime.Duration) (*cluster, error) {
 // newIncarnation builds a (fresh or recovered) node attached to slot id.
 func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock) *hlrc.Node {
 	// Torn-tail recovery needs the hardened log layout (ML logs its own
-	// diffs too) and manager sender logs to replay from. Multi-stream
-	// stores need the same machinery even without torn-write injection: a
-	// crash silently discards group-commit deferrals, and the victim's
-	// replay rebuilds them from the sender logs.
-	hardened := c.cfg.Faults.TornWriteOnCrash || c.cfg.LogStreams > 1
+	// diffs too) and manager sender logs to replay from.
+	hardened := c.cfg.Faults.TornWriteOnCrash
 	newHooks := wal.New
 	if hardened {
 		newHooks = wal.NewHardened
@@ -424,12 +421,10 @@ func validateVictim(cfg Config, victim int, atOp int32) error {
 // replaying its logs, lets it rejoin, runs the program to completion, and
 // reports — including the replay time that Figure 5 compares.
 func RunWithCrash(cfg Config, prog Program, plan CrashPlan) (*Report, error) {
-	if plan.Recovery == recovery.CCLRecovery || cfg.Faults.TornWriteOnCrash || cfg.LogStreams > 1 {
+	if plan.Recovery == recovery.CCLRecovery || cfg.Faults.TornWriteOnCrash {
 		// CCL's versioned home fetches need the undo history. So does an ML
 		// victim whose torn log lost page copies (it falls back to versioned
-		// fetches from the live homes) or whose multi-stream log makes it
-		// replay its final logged op from the sender logs (group-commit
-		// deferrals vanish with the crash).
+		// fetches from the live homes).
 		cfg.HomeUndo = true
 	}
 	// An offline crash is the churn plan without a lease: nobody declares

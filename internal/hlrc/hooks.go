@@ -17,12 +17,9 @@ type UpdateEvent struct {
 
 // LogHooks is the interface between the coherence engine and a logging
 // protocol. The engine reports every loggable event; the protocol decides
-// what to keep and returns, from the two flush points, the flush's
-// critical-path byte count so the engine can charge disk time with the
-// protocol's overlap policy. On a single-stream store the critical-path
-// bytes are simply the bytes written; a multi-stream store writes its
-// streams in parallel, so the charged size is the largest single
-// stream's share (total bytes remain accounted in the store's stats).
+// what to keep and returns, from the two flush points, the bytes the
+// flush wrote so the engine can charge disk time with the protocol's
+// overlap policy.
 //
 // All hook methods are called with the engine's mutex held except
 // AtSyncEntry and AtRelease, which are called from the application
@@ -39,8 +36,8 @@ type LogHooks interface {
 	OnIncomingDiffs(op int32, arrival simtime.Time, events []UpdateEvent, diffs []memory.Diff)
 	// AtSyncEntry is called at the start of every synchronization
 	// operation before any communication; ML flushes its volatile log
-	// here. Returns the critical-path bytes flushed (0 when nothing was
-	// written); the engine charges full disk time on the critical path.
+	// here. Returns the bytes flushed (0 when nothing was written); the
+	// engine charges full disk time on the critical path.
 	AtSyncEntry(op int32) int
 	// AtRelease is called at a release or barrier arrival right after the
 	// interval's diffs have been sent to their homes; CCL flushes here.
@@ -51,8 +48,7 @@ type LogHooks interface {
 	// operation: a protocol with DeterministicFlush composes this flush
 	// only from handler-staged records that arrived by then (the engine
 	// has fenced those arrivals), deferring later ones to the next flush.
-	// Returns the critical-path bytes flushed — a multi-stream group
-	// commit may also defer the whole flush and return 0; the engine
+	// Returns the bytes flushed (0 when nothing was written); the engine
 	// overlaps the disk time with the diff/ack round trip.
 	AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Time, created []memory.Diff) int
 	// DeterministicFlush reports whether AtRelease filters staged records

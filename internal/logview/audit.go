@@ -106,11 +106,11 @@ func auditStore(node int, s *stable.Store, opts AuditOptions, rep *AuditReport) 
 	lastWriterSeq := make(map[int32]int32) // update events, per writer
 	for i, r := range prefix {
 		if !r.Verify() {
-			return fmt.Errorf("%w: node %d record %d (stream %d)", ErrChecksum, node, i, r.Stream)
+			return fmt.Errorf("%w: node %d record %d", ErrChecksum, node, i)
 		}
 		d, err := wal.DissectRecord(r)
 		if err != nil {
-			return fmt.Errorf("logview: node %d record %d (stream %d): %w", node, i, r.Stream, err)
+			return fmt.Errorf("logview: node %d record %d: %w", node, i, err)
 		}
 		if d.Kind == wal.RecEvents {
 			for _, ev := range d.Events {
@@ -122,14 +122,13 @@ func auditStore(node int, s *stable.Store, opts AuditOptions, rep *AuditReport) 
 			}
 		} else {
 			if d.Op < lastOp {
-				return fmt.Errorf("%w: node %d record %d (stream %d): op %d after op %d",
-					ErrOpRegression, node, i, r.Stream, d.Op, lastOp)
+				return fmt.Errorf("%w: node %d record %d: op %d after op %d",
+					ErrOpRegression, node, i, d.Op, lastOp)
 			}
 			lastOp = d.Op
 		}
-		// Own diffs: one batch record per closed interval (one per
-		// touched stream on a multi-stream log), under a (seq, vtsum)
-		// ordering obligation.
+		// Own diffs: one batch record per closed interval, under a
+		// (seq, vtsum) ordering obligation.
 		if d.DiffBatch != nil && d.DiffBatch.Writer == -1 {
 			ownSeq, ownVT := d.DiffBatch.Seq, d.DiffBatch.VTSum
 			switch {

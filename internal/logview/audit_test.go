@@ -83,10 +83,9 @@ func TestAuditNegativeCases(t *testing.T) {
 	}
 }
 
-// Legitimate logs must pass: same-seq own-diff records share a vtsum
-// (one release's batches on two streams), ML incoming diffs are exempt
-// from interval ordering, and a torn tail passes exactly when the
-// options allow it.
+// Legitimate logs must pass: same-seq own-diff records share a vtsum,
+// ML incoming diffs are exempt from interval ordering, and a torn tail
+// passes exactly when the options allow it.
 func TestAuditPositiveCases(t *testing.T) {
 	depot := stable.NewDepot(2)
 	s := depot.Store(0)
@@ -125,37 +124,35 @@ func TestAuditPositiveCases(t *testing.T) {
 
 // A rejoin truncation that cuts across a segment boundary of the stable
 // image, followed by the re-executed ops' appends, must leave a log the
-// auditor reconciles to the byte — on one stream and on several.
+// auditor reconciles to the byte.
 func TestAuditReconcilesAfterTruncateAcrossSegments(t *testing.T) {
 	twin := make([]byte, 4096)
 	cur := bytes.Repeat([]byte{7}, 4096)
 	page := wal.EncodeDiffBatchRecord(nil, 1, 1, 0, []memory.Diff{memory.MakeDiff(4, twin, cur)}) // an ML incoming diff, ~4 KB
-	for _, streams := range []int{1, 3} {
-		depot := stable.NewDepotStreams(1, streams)
-		s := depot.Store(0)
-		appendOps := func(from, to int32) {
-			for op := from; op < to; op++ {
-				group := make([]stable.Record, 4)
-				for i := range group {
-					group[i] = stable.Record{Kind: wal.RecDiffBatch, Op: op, Data: page, Stream: (int(op) + i) % streams}
-				}
-				s.FlushGroup(group)
+	depot := stable.NewDepot(1)
+	s := depot.Store(0)
+	appendOps := func(from, to int32) {
+		for op := from; op < to; op++ {
+			group := make([]stable.Record, 4)
+			for i := range group {
+				group[i] = stable.Record{Kind: wal.RecDiffBatch, Op: op, Data: page}
 			}
+			s.Flush(group)
 		}
-		appendOps(0, 40*int32(streams)) // 160 KB a stream: three segments each
-		if dropped := s.TruncateFromOp(15 * int32(streams)); dropped != 100*streams {
-			t.Fatalf("streams=%d: truncation dropped %d records, want %d", streams, dropped, 100*streams)
-		}
-		if _, err := logview.Audit(depot, logview.AuditOptions{}); err != nil {
-			t.Fatalf("streams=%d: audit after truncation: %v", streams, err)
-		}
-		appendOps(15*int32(streams), 50*int32(streams))
-		rep, err := logview.Audit(depot, logview.AuditOptions{})
-		if err != nil {
-			t.Fatalf("streams=%d: audit after re-appending: %v", streams, err)
-		}
-		if want := int64(200 * streams); rep.Records != want {
-			t.Fatalf("streams=%d: audited %d records, want %d", streams, rep.Records, want)
-		}
+	}
+	appendOps(0, 40) // 160 KB: three segments
+	if dropped := s.TruncateFromOp(15); dropped != 100 {
+		t.Fatalf("truncation dropped %d records, want 100", dropped)
+	}
+	if _, err := logview.Audit(depot, logview.AuditOptions{}); err != nil {
+		t.Fatalf("audit after truncation: %v", err)
+	}
+	appendOps(15, 50)
+	rep, err := logview.Audit(depot, logview.AuditOptions{})
+	if err != nil {
+		t.Fatalf("audit after re-appending: %v", err)
+	}
+	if rep.Records != 200 {
+		t.Fatalf("audited %d records, want 200", rep.Records)
 	}
 }

@@ -38,26 +38,6 @@ func FormatVolume(v *Volume) string {
 		}
 		b.WriteByte('\n')
 	}
-	multi := false
-	for _, nv := range v.PerNode {
-		if len(nv.Streams) > 0 {
-			multi = true
-			break
-		}
-	}
-	if multi {
-		b.WriteString("\nper stream:\n")
-		fmt.Fprintf(&b, "%4s %6s %10s %12s\n", "node", "stream", "records", "bytes")
-		for _, nv := range v.PerNode {
-			for _, sv := range nv.Streams {
-				fmt.Fprintf(&b, "%4d %6d %10d %12d", nv.Node, sv.Stream, sv.Records, sv.Bytes)
-				if sv.TornRecs > 0 {
-					fmt.Fprintf(&b, "  (+%d torn, %d bytes)", sv.TornRecs, sv.TornBytes)
-				}
-				b.WriteByte('\n')
-			}
-		}
-	}
 	return b.String()
 }
 
@@ -106,36 +86,6 @@ func FormatVolumeComparison(labels []string, vols []*Volume) string {
 		fmt.Fprintf(&b, " %13.2f%%", 100*float64(v.Bytes)/float64(base))
 	}
 	b.WriteByte('\n')
-	multi := false
-	for _, v := range vols {
-		for _, nv := range v.PerNode {
-			if len(nv.Streams) > 0 {
-				multi = true
-			}
-		}
-	}
-	if multi {
-		b.WriteString("\nper stream (records/bytes):\n")
-		fmt.Fprintf(&b, "%4s %6s", "node", "stream")
-		for _, l := range labels {
-			fmt.Fprintf(&b, " %18s", l)
-		}
-		b.WriteByte('\n')
-		for n, nv := range vols[0].PerNode {
-			for s := range nv.Streams {
-				fmt.Fprintf(&b, "%4d %6d", nv.Node, s)
-				for _, v := range vols {
-					if n >= len(v.PerNode) || s >= len(v.PerNode[n].Streams) {
-						fmt.Fprintf(&b, " %18s", "-")
-						continue
-					}
-					sv := v.PerNode[n].Streams[s]
-					fmt.Fprintf(&b, " %18s", fmt.Sprintf("%d/%d", sv.Records, sv.Bytes))
-				}
-				b.WriteByte('\n')
-			}
-		}
-	}
 	return b.String()
 }
 

@@ -22,21 +22,9 @@ type KindVolume struct {
 	Bytes   int64
 }
 
-// StreamVolume is the count and byte accounting of one log stream of a
-// multi-stream store (dissected valid-prefix records routed there, plus
-// the stream's share of any torn tail).
-type StreamVolume struct {
-	Stream    int
-	Records   int64
-	Bytes     int64
-	TornRecs  int64
-	TornBytes int64
-}
-
 // NodeVolume is one node's log accounting, per kind. Torn records (the
 // invalid tail a mid-flush crash leaves) are counted separately and not
-// dissected: their payloads are untrustworthy. Streams is populated only
-// for multi-stream stores.
+// dissected: their payloads are untrustworthy.
 type NodeVolume struct {
 	Node      int
 	Records   int64
@@ -44,7 +32,6 @@ type NodeVolume struct {
 	TornRecs  int64
 	TornBytes int64
 	Kinds     []KindVolume
-	Streams   []StreamVolume
 }
 
 // Volume is a whole depot's log accounting: totals, per kind, and per
@@ -86,28 +73,16 @@ func (t *kindTally) slice() []KindVolume {
 // prefix — the torn tail — are tallied by size only.
 func DissectStore(node int, s *stable.Store) (NodeVolume, error) {
 	nv := NodeVolume{Node: node}
-	multi := s.Streams() > 1
-	var streams []StreamVolume
-	if multi {
-		streams = make([]StreamVolume, s.Streams())
-		for i := range streams {
-			streams[i].Stream = i
-		}
-	}
 	prefix, dropped := s.ValidPrefix()
 	var kinds kindTally
 	for i, r := range prefix {
 		d, err := wal.DissectRecord(r)
 		if err != nil {
-			return nv, fmt.Errorf("logview: node %d record %d (stream %d): %w", node, i, r.Stream, err)
+			return nv, fmt.Errorf("logview: node %d record %d: %w", node, i, err)
 		}
 		nv.Records++
 		nv.Bytes += int64(d.Wire)
 		kinds.add(r.Kind, d.Wire)
-		if multi {
-			streams[r.Stream].Records++
-			streams[r.Stream].Bytes += int64(d.Wire)
-		}
 	}
 	nv.Kinds = kinds.slice()
 	if dropped > 0 {
@@ -115,13 +90,8 @@ func DissectStore(node int, s *stable.Store) (NodeVolume, error) {
 		for _, r := range full[len(prefix):] {
 			nv.TornRecs++
 			nv.TornBytes += int64(r.WireSize())
-			if multi {
-				streams[r.Stream].TornRecs++
-				streams[r.Stream].TornBytes += int64(r.WireSize())
-			}
 		}
 	}
-	nv.Streams = streams
 	return nv, nil
 }
 

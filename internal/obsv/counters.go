@@ -21,11 +21,6 @@ type Counters struct {
 	// Logging-layer counters.
 	LogAppends atomic.Int64 // records staged into the protocol's log
 
-	// Multi-stream WAL group-commit counters (zero on single-stream runs).
-	WalCoalesced    atomic.Int64 // releases whose flush was deferred into a later group commit
-	WalGroupCommits atomic.Int64 // threshold-triggered group-commit flushes at diff-less releases
-	WalFenceFlushes atomic.Int64 // durability-fence flushes at diff-carrying releases
-
 	// Online-recovery counters (lease-based liveness and home adoption).
 	HomeAdoptions    atomic.Int64 // dead homes whose pages this node took into custody
 	AdoptedDiffs     atomic.Int64 // diffs applied to custody copies (backfill + direct)
@@ -55,10 +50,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		EarlyCloses:   c.EarlyCloses.Load(),
 		LogAppends:    c.LogAppends.Load(),
 
-		WalCoalesced:    c.WalCoalesced.Load(),
-		WalGroupCommits: c.WalGroupCommits.Load(),
-		WalFenceFlushes: c.WalFenceFlushes.Load(),
-
 		HomeAdoptions:    c.HomeAdoptions.Load(),
 		AdoptedDiffs:     c.AdoptedDiffs.Load(),
 		LockRevocations:  c.LockRevocations.Load(),
@@ -86,10 +77,6 @@ type CountersSnapshot struct {
 	Intervals     int64 `json:"intervals"`
 	EarlyCloses   int64 `json:"early_closes"`
 	LogAppends    int64 `json:"log_appends"`
-
-	WalCoalesced    int64 `json:"wal_coalesced,omitempty"`
-	WalGroupCommits int64 `json:"wal_group_commits,omitempty"`
-	WalFenceFlushes int64 `json:"wal_fence_flushes,omitempty"`
 
 	HomeAdoptions    int64 `json:"home_adoptions,omitempty"`
 	AdoptedDiffs     int64 `json:"adopted_diffs,omitempty"`
@@ -119,9 +106,6 @@ func (s CountersSnapshot) Each(fn func(name string, v int64)) {
 	fn("intervals", s.Intervals)
 	fn("early_closes", s.EarlyCloses)
 	fn("log_appends", s.LogAppends)
-	fn("wal_coalesced", s.WalCoalesced)
-	fn("wal_group_commits", s.WalGroupCommits)
-	fn("wal_fence_flushes", s.WalFenceFlushes)
 	fn("home_adoptions", s.HomeAdoptions)
 	fn("adopted_diffs", s.AdoptedDiffs)
 	fn("lock_revocations", s.LockRevocations)
@@ -146,9 +130,6 @@ func (s *CountersSnapshot) Add(o CountersSnapshot) {
 	s.Intervals += o.Intervals
 	s.EarlyCloses += o.EarlyCloses
 	s.LogAppends += o.LogAppends
-	s.WalCoalesced += o.WalCoalesced
-	s.WalGroupCommits += o.WalGroupCommits
-	s.WalFenceFlushes += o.WalFenceFlushes
 	s.HomeAdoptions += o.HomeAdoptions
 	s.AdoptedDiffs += o.AdoptedDiffs
 	s.LockRevocations += o.LockRevocations

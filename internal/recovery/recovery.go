@@ -252,11 +252,7 @@ type Replayer struct {
 // Only the CRC-valid prefix of the log is used: if a torn write destroyed
 // the tail of the final flush, the records of the last op covered by the
 // prefix (and everything after it) are distrusted and that tail replays
-// from the managers' sender logs (hlrc.Config.SenderLogs) instead. On a
-// multi-stream store the final op is distrusted even when every record
-// verifies: group commit may have deferred records that the crash then
-// lost without leaving torn evidence on disk (they were simply never
-// written).
+// from the managers' sender logs (hlrc.Config.SenderLogs) instead.
 //
 // reexec marks the crash op as never executed: a non-quiescent crash
 // point fired at the op's entry — or a partition cut it off — before its
@@ -294,7 +290,7 @@ func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, r
 			maxOp = rec.Op
 		}
 	}
-	if dropped > 0 || store.Streams() > 1 {
+	if dropped > 0 {
 		r.torn = true
 		r.tailFromOp = maxOp
 		if maxOp < 0 {
@@ -525,29 +521,13 @@ func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
 	// access frequency"); ML reads its (bigger) batch the same way, and
 	// pays again at every miss. The stream is sequential, so only the
 	// first read pays the positioning latency.
-	batch, crit := 0, 0
-	if streams := r.store.Streams(); streams > 1 {
-		// Parallel streams are read concurrently: the charged time is the
-		// largest single stream's share of the batch; the byte accounting
-		// keeps the total.
-		perStream := make([]int, streams)
-		for _, rec := range recs {
-			w := rec.WireSize()
-			batch += w
-			perStream[rec.Stream] += w
-			if perStream[rec.Stream] > crit {
-				crit = perStream[rec.Stream]
-			}
-		}
-	} else {
-		for _, rec := range recs {
-			batch += rec.WireSize()
-		}
-		crit = batch
+	batch := 0
+	for _, rec := range recs {
+		batch += rec.WireSize()
 	}
 	if batch > 0 {
 		r.store.NoteRead(batch)
-		cost := r.cfg.Model.DiskTime(crit)
+		cost := r.cfg.Model.DiskTime(batch)
 		if r.seeked {
 			cost -= r.cfg.Model.DiskSeek
 		}

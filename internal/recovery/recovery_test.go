@@ -88,30 +88,27 @@ func TestNewReplayerRejectsReExecution(t *testing.T) {
 
 // TestNewReplayerDerivesModes pins what the one constructor reads off the
 // node and the store instead of being told: the replay-time base is the
-// clock the incarnation was given, a multi-stream log's final op is
-// distrusted with every record intact, and only the re-execute bit (which
-// re-enables twins from op 0) is the caller's.
+// clock the incarnation was given, an intact log is trusted to its last
+// record, and only the re-execute bit (which re-enables twins from op 0)
+// is the caller's.
 func TestNewReplayerDerivesModes(t *testing.T) {
 	notices := hlrc.EncodeNotices([]hlrc.Notice{{Proc: 0, Seq: 1, Pages: []memory.PageID{1}}}, nil)
-	for _, streams := range []int{1, 4} {
-		store := stable.NewStoreStreams(streams)
+	for _, reexec := range []bool{false, true} {
+		store := stable.NewStore()
 		store.Flush([]stable.Record{
 			{Kind: wal.RecNotices, Op: 1, Data: notices},
-			{Kind: wal.RecNotices, Op: 2, Data: notices, Stream: streams - 1},
+			{Kind: wal.RecNotices, Op: 2, Data: notices},
 		})
 		nd := victimNode(true, 5000)
-		r := NewReplayer(CCLRecovery, nd, store, 9, streams == 4)
+		r := NewReplayer(CCLRecovery, nd, store, 9, reexec)
 		if r.base != 5000 {
-			t.Errorf("%d streams: base = %d, want the incarnation's clock start 5000", streams, r.base)
+			t.Errorf("reexec=%v: base = %d, want the incarnation's clock start 5000", reexec, r.base)
 		}
-		if r.Torn() != (streams > 1) {
-			t.Errorf("%d streams: torn = %v with an intact log", streams, r.Torn())
+		if r.Torn() || len(r.byOp[1]) != 1 || len(r.byOp[2]) != 1 {
+			t.Errorf("reexec=%v: torn = %v, byOp %d/%d records with an intact log; want every record replayed from disk",
+				reexec, r.Torn(), len(r.byOp[1]), len(r.byOp[2]))
 		}
-		if streams > 1 && (r.tailFromOp != 2 || len(r.byOp[2]) != 0 || len(r.byOp[1]) != 1 || !r.tailActive(2) || r.tailActive(1)) {
-			t.Errorf("multi-stream replayer: tail from op %d, byOp %d/%d records; want the final op 2 left to the sender logs",
-				r.tailFromOp, len(r.byOp[1]), len(r.byOp[2]))
-		}
-		if want := map[bool]int32{false: -1, true: 0}[r.reexec]; nd.TwinsFromOp != want {
+		if want := map[bool]int32{false: -1, true: 0}[reexec]; nd.TwinsFromOp != want {
 			t.Errorf("reexec=%v: TwinsFromOp = %d, want %d", r.reexec, nd.TwinsFromOp, want)
 		}
 	}

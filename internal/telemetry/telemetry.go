@@ -50,8 +50,7 @@ func (r *Registry) Attach(counters []*obsv.Counters, trace *obsv.Collector, fabr
 }
 
 // AttachDepot binds the registry to a run's stable-storage depot, adding
-// the per-node/per-stream WAL families (stream bytes, stream writes,
-// group flushes) to the page. The depot outlives node incarnations, so
+// the per-node WAL families (flushes, logged bytes) to the page. The depot outlives node incarnations, so
 // the binding stays valid across crashes and recoveries. Nil detaches.
 func (r *Registry) AttachDepot(d *stable.Depot) {
 	r.mu.Lock()
@@ -101,17 +100,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for n := 0; n < depot.Nodes(); n++ {
 			fmt.Fprintf(bw, "sdsm_wal_flushes_total{node=\"%d\"} %d\n", n, depot.Store(n).Stats().Flushes)
 		}
-		bw.WriteString("# TYPE sdsm_wal_stream_bytes_total counter\n")
+		bw.WriteString("# TYPE sdsm_wal_bytes_total counter\n")
 		for n := 0; n < depot.Nodes(); n++ {
-			for s, st := range depot.Store(n).StreamStats() {
-				fmt.Fprintf(bw, "sdsm_wal_stream_bytes_total{node=\"%d\",stream=\"%d\"} %d\n", n, s, st.Bytes)
-			}
-		}
-		bw.WriteString("# TYPE sdsm_wal_stream_writes_total counter\n")
-		for n := 0; n < depot.Nodes(); n++ {
-			for s, st := range depot.Store(n).StreamStats() {
-				fmt.Fprintf(bw, "sdsm_wal_stream_writes_total{node=\"%d\",stream=\"%d\"} %d\n", n, s, st.Writes)
-			}
+			fmt.Fprintf(bw, "sdsm_wal_bytes_total{node=\"%d\"} %d\n", n, depot.Store(n).Stats().LoggedBytes)
 		}
 	}
 
@@ -179,13 +170,11 @@ var RequiredFamilies = []string{
 	"sdsm_lock_acquires_total",
 	"sdsm_barriers_total",
 	"sdsm_diff_bytes_sent_total",
-	"sdsm_wal_coalesced_total",
-	"sdsm_wal_fence_flushes_total",
 	"sdsm_kv_read_ns",
 	"sdsm_kv_write_ns",
 	"sdsm_flush_stall_ns",
 	"sdsm_trace_events",
-	"sdsm_wal_stream_bytes_total",
+	"sdsm_wal_bytes_total",
 }
 
 // RequiredLinkFamilies is the additional floor when the run uses the

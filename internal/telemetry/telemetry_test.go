@@ -23,12 +23,9 @@ func goldenRegistry() *Registry {
 	c0.Faults.Store(3)
 	c0.LockAcquires.Store(7)
 	c0.DiffBytesSent.Store(4096)
-	c0.WalCoalesced.Store(9)
-	c0.WalFenceFlushes.Store(4)
 	c1.LockAcquires.Store(5)
 	c1.Barriers.Store(2)
 	c1.LogAppends.Store(11)
-	c1.WalGroupCommits.Store(1)
 
 	col := obsv.NewCollector(2)
 	trc := col.Tracer(0)
@@ -40,20 +37,20 @@ func goldenRegistry() *Registry {
 	trc.Seg(obsv.EvCompute, obsv.CatCompute, 0, 100, 0, 0)
 	col.Tracer(1).Seg(obsv.EvCompute, obsv.CatCompute, 0, 200, 0, 0)
 
-	// A two-node, two-stream depot: the per-stream WAL families are part
-	// of the scrape contract too.
-	multi := stable.NewDepotStreams(2, 2)
-	multi.Store(0).FlushGroup([]stable.Record{
-		{Kind: 1, Op: 0, Data: []byte("abcd"), Stream: 0},
-		{Kind: 1, Op: 0, Data: []byte("efghijkl"), Stream: 1},
+	// A two-node depot: the per-node WAL families are part of the scrape
+	// contract too.
+	depot := stable.NewDepot(2)
+	depot.Store(0).Flush([]stable.Record{
+		{Kind: 1, Op: 0, Data: []byte("abcd")},
+		{Kind: 1, Op: 0, Data: []byte("efghijkl")},
 	})
-	multi.Store(1).FlushGroup([]stable.Record{
-		{Kind: 2, Op: 1, Data: []byte("zz"), Stream: 1},
+	depot.Store(1).Flush([]stable.Record{
+		{Kind: 2, Op: 1, Data: []byte("zz")},
 	})
 
 	r := NewRegistry()
 	r.Attach([]*obsv.Counters{&c0, &c1}, col, nil)
-	r.AttachDepot(multi)
+	r.AttachDepot(depot)
 	return r
 }
 
@@ -100,17 +97,12 @@ func TestPrometheusPageStructure(t *testing.T) {
 		`sdsm_kv_read_ns_bucket{le="2047"} 3`,
 		`sdsm_kv_read_ns_bucket{le="+Inf"} 3`,
 		"sdsm_kv_write_ns_sum 250000",
-		// The group-commit counters sum across nodes like any other.
-		"sdsm_wal_coalesced_total 9",
-		"sdsm_wal_group_commits_total 1",
-		"sdsm_wal_fence_flushes_total 4",
 		"sdsm_flush_stall_ns_count 1",
-		// Per-stream WAL families carry node and stream labels; stream 1
-		// of node 0 wrote one 8-byte payload behind a 13-byte header.
+		// Per-node WAL families carry a node label; node 0 wrote 4- and
+		// 8-byte payloads, each behind a 13-byte header, in one flush.
 		`sdsm_wal_flushes_total{node="0"} 1`,
-		`sdsm_wal_stream_bytes_total{node="0",stream="1"}`,
-		`sdsm_wal_stream_writes_total{node="1",stream="1"} 1`,
-		`sdsm_wal_stream_writes_total{node="1",stream="0"} 0`,
+		`sdsm_wal_bytes_total{node="0"} 38`,
+		`sdsm_wal_bytes_total{node="1"} 15`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("page is missing %q\n%s", want, page)

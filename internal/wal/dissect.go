@@ -63,11 +63,9 @@ type DiffBatchPayload struct {
 // Dissected is one log record decoded into typed form. Exactly one of
 // the payload fields is set, selected by Kind.
 type Dissected struct {
-	Kind   stable.RecordKind
-	Op     int32    // synchronization-operation index the record belongs to
-	Wire   int      // accounted on-disk size
-	Stream int      // log stream the record was appended to (0 when single-stream)
-	LSNVec []uint32 // multi-stream LSN-vector (nil on a single-stream log)
+	Kind stable.RecordKind
+	Op   int32 // synchronization-operation index the record belongs to
+	Wire int   // accounted on-disk size
 
 	Notices   []hlrc.Notice      // RecNotices
 	Events    []hlrc.UpdateEvent // RecEvents
@@ -80,7 +78,7 @@ type Dissected struct {
 // record usually fails both, but the two failures mean different things
 // and the auditor reports them separately.
 func DissectRecord(r stable.Record) (*Dissected, error) {
-	d := &Dissected{Kind: r.Kind, Op: r.Op, Wire: r.WireSize(), Stream: r.Stream, LSNVec: r.Vec}
+	d := &Dissected{Kind: r.Kind, Op: r.Op, Wire: r.WireSize()}
 	switch r.Kind {
 	case RecNotices:
 		ns, rest, err := hlrc.DecodeNotices(r.Data)

@@ -78,17 +78,9 @@ const (
 	RecDiffBatch
 )
 
-// groupCommitThreshold is the per-stream pending-byte threshold above
-// which a diff-less release on a multi-stream store flushes the staged
-// records anyway instead of deferring them into the next durability
-// fence.
-const groupCommitThreshold = 16 << 10
-
 // New returns the LogHooks implementation for protocol p writing to
 // store. ProtocolNone returns hlrc.NopHooks. ctrs (optional) receives a
-// LogAppends bump for every record staged into the protocol's log. The
-// stream count is taken from the store: a multi-stream store gets
-// stream-routed records and (under CCL) group-committed flushes.
+// LogAppends bump for every record staged into the protocol's log.
 func New(p Protocol, store *stable.Store, ctrs *obsv.Counters) hlrc.LogHooks {
 	return newHooks(p, store, ctrs, false)
 }
@@ -104,40 +96,16 @@ func NewHardened(p Protocol, store *stable.Store, ctrs *obsv.Counters) hlrc.LogH
 }
 
 func newHooks(p Protocol, store *stable.Store, ctrs *obsv.Counters, hardened bool) hlrc.LogHooks {
-	streams := 1
-	if store != nil {
-		streams = store.Streams()
-	}
 	switch p {
 	case ProtocolNone:
 		return hlrc.NopHooks{}
 	case ProtocolML:
-		return &MLHooks{store: store, ctrs: ctrs, logOwnDiffs: hardened, streams: streams}
+		return &MLHooks{store: store, ctrs: ctrs, logOwnDiffs: hardened}
 	case ProtocolCCL:
-		return &CCLHooks{store: store, ctrs: ctrs, streams: streams}
+		return &CCLHooks{store: store, ctrs: ctrs}
 	default:
 		panic(fmt.Sprintf("wal: unknown protocol %d", int(p)))
 	}
-}
-
-// routePage maps a page to the log stream its records belong to. The
-// page→stream map must be stable across incarnations (recovery re-reads
-// by content, but the auditor's per-stream accounting assumes routing is
-// a pure function of the page).
-func routePage(page memory.PageID, streams int) int {
-	if streams <= 1 {
-		return 0
-	}
-	return int(uint32(page) % uint32(streams))
-}
-
-// routeOp maps records with no page affinity (acquire notices) to a
-// stream by their synchronization-operation index.
-func routeOp(op int32, streams int) int {
-	if streams <= 1 {
-		return 0
-	}
-	return int(uint32(op) % uint32(streams))
 }
 
 // countAppends bumps the shared LogAppends counter, tolerating a nil
@@ -302,19 +270,15 @@ type stagedRec struct {
 // cutoff — so the flush composition (and its disk time) is a function of
 // virtual time, not of which goroutine ran first.
 type CCLHooks struct {
-	mu      sync.Mutex
-	store   *stable.Store
-	ctrs    *obsv.Counters
-	staged  []stagedRec
-	streams int
+	mu     sync.Mutex
+	store  *stable.Store
+	ctrs   *obsv.Counters
+	staged []stagedRec
 	// flushScratch is the reusable record slice AtRelease composes each
 	// flush into; only the application goroutine touches it (AtRelease is
 	// never concurrent with itself). Record payloads are arena buffers,
 	// returned to the arena once the flush has copied them to disk.
 	flushScratch []stable.Record
-	// pendScratch is per-stream pending-byte scratch for the group-commit
-	// threshold check (multi-stream only).
-	pendScratch []int
 }
 
 // OnAcquireNotices stages the received write-invalidation notices for the
@@ -326,7 +290,7 @@ func (h *CCLHooks) OnAcquireNotices(op int32, notices []hlrc.Notice) {
 	data := hlrc.EncodeNotices(notices, arena.Get(hlrc.NoticesWireSize(notices))[:0])
 	h.mu.Lock()
 	h.staged = append(h.staged, stagedRec{
-		rec:     stable.Record{Kind: RecNotices, Op: op, Data: data, Stream: routeOp(op, h.streams)},
+		rec:     stable.Record{Kind: RecNotices, Op: op, Data: data},
 		arrival: ownRec,
 	})
 	h.mu.Unlock()
@@ -344,100 +308,26 @@ func (h *CCLHooks) OnIncomingDiffs(op int32, arrival simtime.Time, events []hlrc
 	if len(events) == 0 {
 		return
 	}
-	if h.streams <= 1 {
-		data := EncodeEventsRecord(arena.Get(EventsRecordSize(events))[:0], events)
-		h.mu.Lock()
-		h.staged = append(h.staged, stagedRec{
-			rec:     stable.Record{Kind: RecEvents, Op: op, Data: data},
-			arrival: arrival,
-		})
-		h.mu.Unlock()
-		countAppends(h.ctrs, 1)
-		return
-	}
-	// Split the message's events by their pages' streams: one RecEvents
-	// record per touched stream, all with the same op and arrival.
-	staged := 0
-	for s := 0; s < h.streams; s++ {
-		var grp []hlrc.UpdateEvent
-		for _, e := range events {
-			if routePage(e.Page, h.streams) == s {
-				grp = append(grp, e)
-			}
-		}
-		if len(grp) == 0 {
-			continue
-		}
-		data := EncodeEventsRecord(arena.Get(EventsRecordSize(grp))[:0], grp)
-		h.mu.Lock()
-		h.staged = append(h.staged, stagedRec{
-			rec:     stable.Record{Kind: RecEvents, Op: op, Data: data, Stream: s},
-			arrival: arrival,
-		})
-		h.mu.Unlock()
-		staged++
-	}
-	countAppends(h.ctrs, staged)
+	data := EncodeEventsRecord(arena.Get(EventsRecordSize(events))[:0], events)
+	h.mu.Lock()
+	h.staged = append(h.staged, stagedRec{
+		rec:     stable.Record{Kind: RecEvents, Op: op, Data: data},
+		arrival: arrival,
+	})
+	h.mu.Unlock()
+	countAppends(h.ctrs, 1)
 }
 
 // AtSyncEntry flushes nothing: CCL's only flush point is the release.
 func (h *CCLHooks) AtSyncEntry(int32) int { return 0 }
 
 // AtRelease flushes the staged records that arrived by the cutoff plus
-// this interval's own diffs — one RecDiffBatch record per touched stream
-// for the interval. Later-staged records stay for the next flush: their
-// messages raced past the previous synchronization point, so no
-// deterministic rule could put them in this one.
-//
-// On a multi-stream store AtRelease is a group-commit scheduler. A
-// release that created diffs is a durability fence: everything eligible
-// is flushed (in parallel across streams) before the diffs leave the
-// node, preserving the CCL logged-before-released guarantee for the
-// records other nodes' recoveries read (own diffs are only ever written
-// under a fence). A diff-less release defers its flush — the staged
-// notices and event records are only ever read by this node's own
-// replay, and losing them to a crash is recovered exactly like a torn
-// final flush (a multi-stream victim's replay always distrusts the final
-// logged op, offline and online alike) —
-// unless some stream's pending bytes crossed the group-commit
-// threshold. The decision is a pure function of virtual time (staged
-// composition + cutoff), so same-seed runs keep identical logs.
-//
-// The returned byte count is the flush's critical-path size: the
-// largest single stream's share, which is what the engine charges the
-// virtual clock with (equal to the total on a single-stream store).
+// this interval's own diffs as one RecDiffBatch record. Later-staged
+// records stay for the next flush: their messages raced past the previous
+// synchronization point, so no deterministic rule could put them in this
+// one. Returns the flush's byte count, which the engine charges the
+// virtual clock with.
 func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Time, created []memory.Diff) int {
-	if h.streams > 1 && len(created) == 0 {
-		// Candidate deferral: tally eligible per-stream pending bytes.
-		if cap(h.pendScratch) < h.streams {
-			h.pendScratch = make([]int, h.streams)
-		}
-		pend := h.pendScratch[:h.streams]
-		for i := range pend {
-			pend[i] = 0
-		}
-		h.mu.Lock()
-		eligible, maxPend := 0, 0
-		for _, s := range h.staged {
-			if s.arrival == ownRec || s.arrival <= cutoff {
-				eligible++
-				pend[s.rec.Stream] += s.rec.WireSize()
-				if pend[s.rec.Stream] > maxPend {
-					maxPend = pend[s.rec.Stream]
-				}
-			}
-		}
-		h.mu.Unlock()
-		if eligible == 0 {
-			return 0
-		}
-		if maxPend < groupCommitThreshold {
-			if h.ctrs != nil {
-				h.ctrs.WalCoalesced.Add(1)
-			}
-			return 0
-		}
-	}
 	recs := h.flushScratch[:0]
 	h.mu.Lock()
 	kept := h.staged[:0]
@@ -452,76 +342,30 @@ func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Ti
 	h.mu.Unlock()
 	if len(created) > 0 {
 		// writer -1: the log owner.
-		recs = appendDiffRecords(recs, op, -1, seq, vtSum, created, h.streams)
-		countAppends(h.ctrs, diffRecordCount(created, h.streams))
+		recs = appendDiffRecord(recs, op, -1, seq, vtSum, created)
+		countAppends(h.ctrs, 1)
 	}
 	if len(recs) == 0 {
 		return 0
 	}
-	_, crit := h.store.FlushGroup(recs)
-	if h.streams > 1 && h.ctrs != nil {
-		if len(created) > 0 {
-			h.ctrs.WalFenceFlushes.Add(1)
-		} else {
-			h.ctrs.WalGroupCommits.Add(1)
-		}
-	}
+	n := h.store.Flush(recs)
 	releaseScratch(recs)
 	h.flushScratch = recs[:0]
-	return crit
+	return n
 }
 
 // DeterministicFlush implements LogHooks: the engine must fence arrivals
 // up to the cutoff before AtRelease composes the flush.
 func (h *CCLHooks) DeterministicFlush() bool { return true }
 
-// appendDiffRecords appends one (writer, seq) diff group to recs as a
-// single RecDiffBatch record. On a multi-stream store the group is split
-// by the diffs' pages' streams — one RecDiffBatch per touched stream,
-// every piece carrying the same (writer, seq, vtSum) prefix, so readers
-// still see one logical interval group. Payloads are drawn from the
-// arena; releaseScratch returns them once flushed.
-func appendDiffRecords(recs []stable.Record, op, writer, seq int32, vtSum int64, diffs []memory.Diff, streams int) []stable.Record {
-	if streams <= 1 {
-		return append(recs, stable.Record{
-			Kind: RecDiffBatch, Op: op,
-			Data: EncodeDiffBatchRecord(arena.Get(DiffBatchRecordSize(diffs))[:0], writer, seq, vtSum, diffs),
-		})
-	}
-	for s := 0; s < streams; s++ {
-		var grp []memory.Diff
-		for _, d := range diffs {
-			if routePage(d.Page, streams) == s {
-				grp = append(grp, d)
-			}
-		}
-		if len(grp) == 0 {
-			continue
-		}
-		recs = append(recs, stable.Record{
-			Kind: RecDiffBatch, Op: op, Stream: s,
-			Data: EncodeDiffBatchRecord(arena.Get(DiffBatchRecordSize(grp))[:0], writer, seq, vtSum, grp),
-		})
-	}
-	return recs
-}
-
-// diffRecordCount is the number of records appendDiffRecords emits for a
-// group (the LogAppends accounting).
-func diffRecordCount(diffs []memory.Diff, streams int) int {
-	if streams <= 1 {
-		return 1
-	}
-	n := 0
-	seen := make(map[int]bool, streams)
-	for _, d := range diffs {
-		s := routePage(d.Page, streams)
-		if !seen[s] {
-			seen[s] = true
-			n++
-		}
-	}
-	return n
+// appendDiffRecord appends one (writer, seq) diff group to recs as a
+// single RecDiffBatch record. The payload is drawn from the arena;
+// releaseScratch returns it once flushed.
+func appendDiffRecord(recs []stable.Record, op, writer, seq int32, vtSum int64, diffs []memory.Diff) []stable.Record {
+	return append(recs, stable.Record{
+		Kind: RecDiffBatch, Op: op,
+		Data: EncodeDiffBatchRecord(arena.Get(DiffBatchRecordSize(diffs))[:0], writer, seq, vtSum, diffs),
+	})
 }
 
 // releaseScratch returns the flushed records' payload buffers to the
@@ -549,7 +393,6 @@ type MLHooks struct {
 	// recovery's home-update re-fetches. Plain ML (the paper's protocol)
 	// keeps only incoming messages.
 	logOwnDiffs bool
-	streams     int
 	// releaseScratch backs the hardened-mode own-diff flush; only the
 	// application goroutine touches it.
 	releaseScratchRecs []stable.Record
@@ -562,7 +405,7 @@ func (h *MLHooks) OnAcquireNotices(op int32, notices []hlrc.Notice) {
 	}
 	data := hlrc.EncodeNotices(notices, arena.Get(hlrc.NoticesWireSize(notices))[:0])
 	h.mu.Lock()
-	h.volatile = append(h.volatile, stable.Record{Kind: RecNotices, Op: op, Data: data, Stream: routeOp(op, h.streams)})
+	h.volatile = append(h.volatile, stable.Record{Kind: RecNotices, Op: op, Data: data})
 	h.mu.Unlock()
 	countAppends(h.ctrs, 1)
 }
@@ -572,7 +415,7 @@ func (h *MLHooks) OnAcquireNotices(op int32, notices []hlrc.Notice) {
 func (h *MLHooks) OnPageFetched(op int32, page memory.PageID, data []byte) {
 	rec := EncodePageRecord(arena.Get(PageRecordSize(data))[:0], page, data)
 	h.mu.Lock()
-	h.volatile = append(h.volatile, stable.Record{Kind: RecPage, Op: op, Data: rec, Stream: routePage(page, h.streams)})
+	h.volatile = append(h.volatile, stable.Record{Kind: RecPage, Op: op, Data: rec})
 	h.mu.Unlock()
 	countAppends(h.ctrs, 1)
 }
@@ -584,14 +427,12 @@ func (h *MLHooks) OnIncomingDiffs(op int32, _ simtime.Time, events []hlrc.Update
 		return
 	}
 	h.mu.Lock()
-	h.volatile = appendDiffRecords(h.volatile, op, events[0].Writer, events[0].Seq, 0, diffs, h.streams)
+	h.volatile = appendDiffRecord(h.volatile, op, events[0].Writer, events[0].Seq, 0, diffs)
 	h.mu.Unlock()
-	countAppends(h.ctrs, diffRecordCount(diffs, h.streams))
+	countAppends(h.ctrs, 1)
 }
 
-// AtSyncEntry flushes the volatile log on the critical path. On a
-// multi-stream store the streams are written in parallel and the
-// returned (charged) byte count is the largest single stream's share.
+// AtSyncEntry flushes the volatile log on the critical path.
 func (h *MLHooks) AtSyncEntry(int32) int {
 	h.mu.Lock()
 	recs := h.volatile
@@ -600,14 +441,14 @@ func (h *MLHooks) AtSyncEntry(int32) int {
 	if len(recs) == 0 {
 		return 0
 	}
-	_, crit := h.store.FlushGroup(recs)
+	n := h.store.Flush(recs)
 	releaseScratch(recs)
 	h.mu.Lock()
 	if h.volatile == nil {
 		h.volatile = recs[:0] // recycle the slice backing too
 	}
 	h.mu.Unlock()
-	return crit
+	return n
 }
 
 // AtRelease flushes nothing extra under plain ML (it already flushed at
@@ -618,12 +459,12 @@ func (h *MLHooks) AtRelease(op int32, seq int32, vtSum int64, _ simtime.Time, cr
 		return 0
 	}
 	// writer -1: the log owner.
-	recs := appendDiffRecords(h.releaseScratchRecs[:0], op, -1, seq, vtSum, created, h.streams)
-	countAppends(h.ctrs, len(recs))
-	_, crit := h.store.FlushGroup(recs)
+	recs := appendDiffRecord(h.releaseScratchRecs[:0], op, -1, seq, vtSum, created)
+	countAppends(h.ctrs, 1)
+	n := h.store.Flush(recs)
 	releaseScratch(recs)
 	h.releaseScratchRecs = recs[:0]
-	return crit
+	return n
 }
 
 // DeterministicFlush implements LogHooks: ML flushes everything staged at
