@@ -21,22 +21,20 @@
 //	recovery  crash one app and print the recovery-phase breakdown
 //	          (log-read / diff-fetch / page-fetch / tail-sync /
 //	          home-rebuild / catch-up / replay)
-//	checkjson validate that -in is well-formed JSON (used by the
-//	          Makefile's trace smoke test)
 //	trace     re-run the kv serving workload (same seed => identical
 //	          deterministic trace ids) and reconstruct causal span
 //	          trees: with -trace-id, print the named op's cross-node
-//	          span tree and phase breakdown (this is how a slow-op log
-//	          line is resolved); without, print the per-op span-phase
-//	          attribution table (slowest traces plus per-tag aggregate)
+//	          span tree and phase breakdown; without, print the per-op
+//	          span-phase attribution table (slowest traces, whose ids
+//	          -trace-id resolves, plus per-tag aggregate)
 //
 // Usage:
 //
-//	sdsminspect [-mode volume|dump|audit|recovery|checkjson|trace]
+//	sdsminspect [-mode volume|dump|audit|recovery|trace]
 //	            [-app all|3d-fft|mg|shallow|water|kv] [-protocol ml|ccl]
 //	            [-nodes 8] [-scale small|medium|large] [-transport sim|tcp]
 //	            [-crash] [-churn] [-victim N] [-node N]
-//	            [-max N] [-in file.json]
+//	            [-max N]
 //	            [-trace-id hex] [-trace-out trace.json]
 //	            [-kv-keys N] [-kv-value N] [-kv-ops N]
 //	            [-kv-readpct N] [-kv-zipf S] [-kv-seed N]
@@ -44,7 +42,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -77,7 +74,7 @@ type options struct {
 }
 
 func main() {
-	mode := flag.String("mode", "volume", "volume|dump|audit|recovery|checkjson|trace")
+	mode := flag.String("mode", "volume", "volume|dump|audit|recovery|trace")
 	appFlag := flag.String("app", "all", "application: all|3d-fft|mg|shallow|water")
 	protoFlag := flag.String("protocol", "ccl", "logging protocol for dump/audit/recovery: ml|ccl")
 	nodes := flag.Int("nodes", 8, "cluster size")
@@ -87,7 +84,6 @@ func main() {
 	victim := flag.Int("victim", -1, "crash victim (default: last node)")
 	nodeFlag := flag.Int("node", -1, "dump mode: only this node's log")
 	max := flag.Int("max", 0, "dump mode: print at most this many records per node (0 = all)")
-	in := flag.String("in", "", "input file for checkjson mode")
 	transportFlag := flag.String("transport", "sim", "kv audit/trace: wire backend, sim|tcp")
 	traceID := flag.String("trace-id", "", "trace mode: resolve this 16-hex-digit trace id into its span tree")
 	kvKeys := flag.Int("kv-keys", 0, "trace mode: kv table size (0 = default 64; match the run that minted the trace ids)")
@@ -130,8 +126,6 @@ func main() {
 		}
 	case "recovery":
 		err = recoveryMode(oneApp(*appFlag, opts), opts)
-	case "checkjson":
-		err = checkJSON(*in)
 	case "trace":
 		kvCfg := kv.Config{Keys: *kvKeys, ValueSize: *kvValue, Ops: *kvOps,
 			ReadPct: *kvReadPct, ZipfS: *kvZipf, Seed: *kvSeed}
@@ -329,8 +323,8 @@ func kvAuditMode(opts options, transport string, churn bool) error {
 
 // traceMode re-runs the kv serving workload with tracing on — trace ids
 // are a pure function of (seed, node, op index), so the re-run mints
-// exactly the ids any earlier same-config run stamped into its slow-op
-// log or Chrome trace — and reconstructs causal span trees from the
+// exactly the ids any earlier same-config run printed or stamped into
+// its Chrome trace — and reconstructs causal span trees from the
 // collected events.
 func traceMode(opts options, transport string, churn bool, kvCfg kv.Config, traceIDHex, traceOut string) error {
 	tr, err := core.ParseTransport(transport)
@@ -654,22 +648,5 @@ func recoveryMode(w *apps.Workload, opts options) error {
 		fmt.Println("the crash tore the victim's final log flush")
 	}
 	fmt.Print(logview.FormatRecoveryBreakdown(&rep.Recovery.Phases))
-	return nil
-}
-
-// checkJSON validates that the file is well-formed JSON. The Makefile's
-// trace smoke test uses it in place of an external JSON tool.
-func checkJSON(path string) error {
-	if path == "" {
-		return fmt.Errorf("sdsminspect: -mode checkjson needs -in file.json")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if !json.Valid(data) {
-		return fmt.Errorf("%s: not valid JSON", path)
-	}
-	fmt.Printf("%s: valid JSON (%d bytes)\n", path, len(data))
 	return nil
 }

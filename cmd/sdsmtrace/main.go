@@ -2,7 +2,8 @@
 // protocol and prints a detailed protocol trace: per-node virtual times,
 // fault/fetch/diff counters, log statistics, network totals, latency
 // histograms and the per-kind message breakdown.
-// With -crash it injects a fail-stop crash and reports the recovery.
+// With -crash it injects a fail-stop crash and reports the recovery under
+// the protocol's own scheme (ML-recovery for ML, CCL-recovery for CCL).
 // With -trace-out it exports the run as Chrome trace-event JSON (load in
 // Perfetto / chrome://tracing); with -breakdown it walks the virtual-time
 // critical path and attributes the runtime to compute, coherence,
@@ -12,7 +13,7 @@
 //
 //	sdsmtrace [-app 3d-fft|mg|shallow|water] [-protocol none|ml|ccl]
 //	          [-nodes 8] [-scale small|medium|large]
-//	          [-crash] [-victim 7] [-recovery ml|ccl]
+//	          [-crash] [-victim 7]
 //	          [-trace-out trace.json] [-node N] [-kind event-name] [-breakdown]
 package main
 
@@ -40,7 +41,6 @@ func main() {
 	scaleFlag := flag.String("scale", "small", "problem scale: small|medium|large")
 	crash := flag.Bool("crash", false, "inject a fail-stop crash and recover")
 	victim := flag.Int("victim", -1, "crash victim (default: last node)")
-	recFlag := flag.String("recovery", "", "recovery scheme: ml|ccl (default: match protocol)")
 	traceOut := flag.String("trace-out", "", "write the run as Chrome trace-event JSON to this file")
 	breakdown := flag.Bool("breakdown", false, "print the critical-path runtime breakdown")
 	nodeFilter := flag.Int("node", -1, "with -trace-out: export only this node's process")
@@ -93,18 +93,10 @@ func main() {
 		cfg.SkipInitialCheckpoint = true
 		rep, err = core.Run(cfg, w.Prog)
 	} else {
+		// A scheme replays only the log its own protocol wrote.
 		kind := recovery.CCLRecovery
 		if proto == wal.ProtocolML {
 			kind = recovery.MLRecovery
-		}
-		switch strings.ToLower(*recFlag) {
-		case "":
-		case "ml":
-			kind = recovery.MLRecovery
-		case "ccl":
-			kind = recovery.CCLRecovery
-		default:
-			log.Fatalf("unknown -recovery %q", *recFlag)
 		}
 		v := *victim
 		if v < 0 {

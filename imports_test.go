@@ -96,18 +96,13 @@ func TestUnsafeInOneFile(t *testing.T) {
 	}
 }
 
-// TestPprofOnlyWhereServed: importing net/http/pprof turns on the
-// runtime's heap-profile sampling in every binary that links the
-// importer, so only internal/telemetry/httpserver imports it and only
-// commands import that package — never a library the benchmark links.
-func TestPprofOnlyWhereServed(t *testing.T) {
+// TestNoPprofImport: importing net/http/pprof turns on the runtime's
+// heap-profile sampling in every binary that links the importer, so no
+// non-test file may import it, the benchmark module's included.
+func TestNoPprofImport(t *testing.T) {
 	eachImport(t, ".", false, func(path, imp string) {
-		path = filepath.ToSlash(path)
-		switch {
-		case imp == "net/http/pprof" && path != "internal/telemetry/httpserver/server.go":
-			t.Errorf("%s imports net/http/pprof", path)
-		case imp == "sdsm/internal/telemetry/httpserver" && !strings.HasPrefix(path, "cmd/"):
-			t.Errorf("%s imports sdsm/internal/telemetry/httpserver", path)
+		if imp == "net/http/pprof" {
+			t.Errorf("%s imports net/http/pprof", filepath.ToSlash(path))
 		}
 	})
 }

@@ -54,8 +54,8 @@ type Config struct {
 	// intermediate barriers.
 	BarrierEvery int
 	// OnOp, when non-nil, is called after every completed transaction
-	// with the op's trace context and virtual latency — the hook the
-	// slow-op log hangs off. It runs on each client's application
+	// with the op's trace context and virtual latency — the benchmark's
+	// per-op latency feed. It runs on each client's application
 	// goroutine; under churn the recovering client re-invokes it for the
 	// replayed prefix of its op stream.
 	OnOp func(OpRecord)

@@ -11,7 +11,6 @@ import (
 	"sdsm/internal/obsv"
 	"sdsm/internal/recovery"
 	"sdsm/internal/simtime"
-	"sdsm/internal/telemetry"
 	"sdsm/internal/wal"
 )
 
@@ -84,29 +83,11 @@ func KVCoreConfig(nodes int, cfg kv.Config, tr core.Transport) core.Config {
 
 func usQ(h obsv.HistSnapshot, q float64) float64 { return float64(h.Quantile(q)) / 1e3 }
 
-// KVBenchOptions hooks the live telemetry surface into a kv bench run.
-// The zero value runs the bench exactly as before.
-type KVBenchOptions struct {
-	// Telemetry, when non-nil, is attached to each cell's cluster while
-	// it runs, so a concurrent HTTP scrape observes the live counters
-	// and (on TCP cells) the per-link wire gauges.
-	Telemetry *telemetry.Registry
-	// OnOp, when non-nil, receives every completed kv transaction (the
-	// slow-op log's feed). It is called from every node's goroutine.
-	OnOp func(kv.OpRecord)
-	// Collectors, when non-nil, receives each cell's trace collector
-	// after the cell completes (keyed by transport and churn), so
-	// drivers can post-process span trees without re-running.
-	OnCell func(tr core.Transport, churn bool, trace *obsv.Collector, rep *core.Report)
-}
-
-// runKVCell executes one matrix cell and fills a row. The caller owns
-// image verification.
-func runKVCell(nodes int, cfg kv.Config, tr core.Transport, churn bool, opts KVBenchOptions) (*core.Report, KVRow, error) {
+// runKVCell executes one matrix cell and fills a row; it also returns
+// the cell's trace collector. The caller owns image verification.
+func runKVCell(nodes int, cfg kv.Config, tr core.Transport, churn bool) (*core.Report, *obsv.Collector, KVRow, error) {
 	cc := KVCoreConfig(nodes, cfg, tr)
 	cc.Trace = obsv.NewCollector(nodes)
-	cc.Telemetry = opts.Telemetry
-	cfg.OnOp = opts.OnOp
 	var rep *core.Report
 	var err error
 	if churn {
@@ -120,14 +101,14 @@ func runKVCell(nodes int, cfg kv.Config, tr core.Transport, churn bool, opts KVB
 		rep, err = core.Run(cc, kv.Prog(cfg))
 	}
 	if err != nil {
-		return nil, KVRow{}, err
+		return nil, nil, KVRow{}, err
 	}
 	if err := kv.Check(cfg, nodes, rep.MemoryImage()); err != nil {
-		return nil, KVRow{}, fmt.Errorf("workload check: %w", err)
+		return nil, nil, KVRow{}, fmt.Errorf("workload check: %w", err)
 	}
 	audit, err := logview.Audit(rep.Depot, logview.AuditOptions{})
 	if err != nil {
-		return nil, KVRow{}, fmt.Errorf("log audit: %w", err)
+		return nil, nil, KVRow{}, fmt.Errorf("log audit: %w", err)
 	}
 	reads := cc.Trace.MergedHist(obsv.HistKVRead)
 	writes := cc.Trace.MergedHist(obsv.HistKVWrite)
@@ -160,26 +141,18 @@ func runKVCell(nodes int, cfg kv.Config, tr core.Transport, churn bool, opts KVB
 	}
 	if churn {
 		if rep.Recovery == nil || !rep.Recovery.Online {
-			return nil, KVRow{}, fmt.Errorf("churn cell produced no online-recovery report")
+			return nil, nil, KVRow{}, fmt.Errorf("churn cell produced no online-recovery report")
 		}
 		row.RejoinSec = rep.Recovery.RejoinTime.Seconds()
 		row.CatchUpSec = rep.Recovery.ReplayTime.Seconds()
 	}
-	if opts.OnCell != nil {
-		opts.OnCell(tr, churn, cc.Trace, rep)
-	}
-	return rep, row, nil
+	return rep, cc.Trace, row, nil
 }
 
 // RunKVBench runs the kv serving workload over every requested backend,
 // failure-free and with a crash-during-traffic churn cell, and verifies
 // that every cell converges to the same final memory image.
 func RunKVBench(nodes int, cfg kv.Config, transports []core.Transport) ([]KVRow, error) {
-	return RunKVBenchOpts(nodes, cfg, transports, KVBenchOptions{})
-}
-
-// RunKVBenchOpts is RunKVBench with the live telemetry surface hooked in.
-func RunKVBenchOpts(nodes int, cfg kv.Config, transports []core.Transport, opts KVBenchOptions) ([]KVRow, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("bench: kv needs at least 2 nodes, got %d", nodes)
 	}
@@ -193,7 +166,7 @@ func RunKVBenchOpts(nodes int, cfg kv.Config, transports []core.Transport, opts 
 	var baseline []byte
 	for _, tr := range transports {
 		for _, churn := range []bool{false, true} {
-			rep, row, err := runKVCell(nodes, cfg, tr, churn, opts)
+			rep, _, row, err := runKVCell(nodes, cfg, tr, churn)
 			if err != nil {
 				return nil, fmt.Errorf("bench: kv %s churn=%v: %w", tr, churn, err)
 			}

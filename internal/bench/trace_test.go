@@ -14,10 +14,7 @@ import (
 // collector recorded, plus the collector for further inspection.
 func traceIDSet(t *testing.T, nodes int, cfg kv.Config, tr core.Transport, churn bool) (map[uint64]bool, *obsv.Collector) {
 	t.Helper()
-	var col *obsv.Collector
-	_, _, err := runKVCell(nodes, cfg, tr, churn, KVBenchOptions{
-		OnCell: func(_ core.Transport, _ bool, trace *obsv.Collector, _ *core.Report) { col = trace },
-	})
+	_, col, _, err := runKVCell(nodes, cfg, tr, churn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +29,7 @@ func traceIDSet(t *testing.T, nodes int, cfg kv.Config, tr core.Transport, churn
 // clock, no randomness — so every backend, and every repeat of the same
 // seed, must mint exactly the predicted ID set. This is the
 // same-seed-stability invariant for the tracing layer: a trace ID from
-// yesterday's slow-op log resolves against today's re-run.
+// yesterday's slowest-ops table resolves against today's re-run.
 func TestKVTraceSeedStability(t *testing.T) {
 	const nodes = 3
 	cfg := kvTestCfg
@@ -123,19 +120,18 @@ func TestKVTraceSpansCrossNodes(t *testing.T) {
 }
 
 // Every completed kv transaction must reach the OnOp hook with a live,
-// well-formed trace context — the slow-op log's feed.
+// well-formed trace context — the benchmark's per-op latency feed.
 func TestKVOnOpDeliversTraceIDs(t *testing.T) {
 	const nodes = 2
 	cfg := kvTestCfg
 	var mu sync.Mutex // OnOp fires on every node's goroutine
 	var recs []kv.OpRecord
-	_, _, err := runKVCell(nodes, cfg, core.TransportSim, false, KVBenchOptions{
-		OnOp: func(r kv.OpRecord) {
-			mu.Lock()
-			recs = append(recs, r)
-			mu.Unlock()
-		},
-	})
+	cfg.OnOp = func(r kv.OpRecord) {
+		mu.Lock()
+		recs = append(recs, r)
+		mu.Unlock()
+	}
+	_, _, _, err := runKVCell(nodes, cfg, core.TransportSim, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"sdsm/internal/fault"
 	"sdsm/internal/obsv"
 	"sdsm/internal/simtime"
-	"sdsm/internal/telemetry"
 	"sdsm/internal/wal"
 )
 
@@ -71,12 +70,6 @@ type Config struct {
 	// histograms (see internal/obsv). It must be built with
 	// obsv.NewCollector(Nodes). Nil disables tracing at zero cost.
 	Trace *obsv.Collector
-	// Telemetry, when non-nil, is attached to the run's live metric
-	// sources (per-node counters, the trace collector, and the TCP
-	// fabric's per-link wire counters when TransportTCP) as soon as the
-	// cluster is built, so an HTTP scrape sees the run while it is in
-	// flight (see internal/telemetry).
-	Telemetry *telemetry.Registry
 }
 
 // Transport names a wire backend (see Config.Transport).

@@ -72,13 +72,6 @@ func buildCluster(cfg Config, lease simtime.Duration) (*cluster, error) {
 			checkpoint.TakeInitial(c.nodes[i], c.depot.Store(i))
 		}
 	}
-	if cfg.Telemetry != nil {
-		// The stats slots outlive node incarnations (recovery reuses
-		// them), so the registry stays valid across a crash and rebuild.
-		cfg.Telemetry.Attach(c.stats, cfg.Trace, c.fabric)
-		// The depot outlives incarnations too; per-node WAL families.
-		cfg.Telemetry.AttachDepot(c.depot)
-	}
 	return c, nil
 }
 

@@ -387,14 +387,6 @@ func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 	return nd.rebuildCustody(p, need, at)
 }
 
-// AdoptedFrom returns the dead node whose homes this node has in custody,
-// or -1.
-func (nd *Node) AdoptedFrom() int {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.adoptedFrom
-}
-
 // AdoptedState snapshots the custody record, sorted by page id, for the
 // post-run audit and the authoritative final-image assembly. Callers must
 // not mutate the diffs.

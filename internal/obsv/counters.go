@@ -89,54 +89,3 @@ type CountersSnapshot struct {
 	RejoinPhases int64 `json:"rejoin_phases,omitempty"`
 	RejoinServed int64 `json:"rejoin_served,omitempty"`
 }
-
-// Each calls fn for every counter in a fixed, stable order with its
-// snake_case export name (the JSON tag). Telemetry surfaces iterate
-// through this so the set of exposed counter families can never drift
-// from the registry.
-func (s CountersSnapshot) Each(fn func(name string, v int64)) {
-	fn("faults", s.Faults)
-	fn("page_fetches", s.PageFetches)
-	fn("twins_created", s.TwinsCreated)
-	fn("diffs_created", s.DiffsCreated)
-	fn("diff_bytes_sent", s.DiffBytesSent)
-	fn("diffs_applied", s.DiffsApplied)
-	fn("lock_acquires", s.LockAcquires)
-	fn("barriers", s.Barriers)
-	fn("intervals", s.Intervals)
-	fn("early_closes", s.EarlyCloses)
-	fn("log_appends", s.LogAppends)
-	fn("home_adoptions", s.HomeAdoptions)
-	fn("adopted_diffs", s.AdoptedDiffs)
-	fn("lock_revocations", s.LockRevocations)
-	fn("redirected_calls", s.RedirectedCalls)
-	fn("lease_waits_served", s.LeaseWaitsServed)
-	fn("epoch_bumps", s.EpochBumps)
-	fn("fenced_msgs", s.FencedMsgs)
-	fn("rejoin_phases", s.RejoinPhases)
-	fn("rejoin_served", s.RejoinServed)
-}
-
-// Add accumulates o into s.
-func (s *CountersSnapshot) Add(o CountersSnapshot) {
-	s.Faults += o.Faults
-	s.PageFetches += o.PageFetches
-	s.TwinsCreated += o.TwinsCreated
-	s.DiffsCreated += o.DiffsCreated
-	s.DiffBytesSent += o.DiffBytesSent
-	s.DiffsApplied += o.DiffsApplied
-	s.LockAcquires += o.LockAcquires
-	s.Barriers += o.Barriers
-	s.Intervals += o.Intervals
-	s.EarlyCloses += o.EarlyCloses
-	s.LogAppends += o.LogAppends
-	s.HomeAdoptions += o.HomeAdoptions
-	s.AdoptedDiffs += o.AdoptedDiffs
-	s.LockRevocations += o.LockRevocations
-	s.RedirectedCalls += o.RedirectedCalls
-	s.LeaseWaitsServed += o.LeaseWaitsServed
-	s.EpochBumps += o.EpochBumps
-	s.FencedMsgs += o.FencedMsgs
-	s.RejoinPhases += o.RejoinPhases
-	s.RejoinServed += o.RejoinServed
-}

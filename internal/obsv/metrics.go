@@ -45,9 +45,6 @@ func (id HistID) String() string {
 	return "hist-?"
 }
 
-// NumHists returns the number of histogram ids, for iteration.
-func NumHists() int { return int(numHists) }
-
 const histBuckets = 48
 
 // Hist is a lock-free power-of-two histogram: bucket i counts values v

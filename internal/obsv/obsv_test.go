@@ -100,12 +100,6 @@ func TestCountersSnapshotAdd(t *testing.T) {
 	if s.Faults != 3 || s.LogAppends != 2 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	var agg CountersSnapshot
-	agg.Add(s)
-	agg.Add(s)
-	if agg.Faults != 6 || agg.LogAppends != 4 {
-		t.Fatalf("aggregate = %+v", agg)
-	}
 }
 
 func TestKindNameRegistry(t *testing.T) {

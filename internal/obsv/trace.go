@@ -96,7 +96,7 @@ func ChildSpanID(parent uint64, kind uint8) uint64 {
 }
 
 // FormatTraceID renders a trace id the way every surface prints it: 16
-// lowercase hex digits (the form the slow-op log stamps and
+// lowercase hex digits (the form the slowest-ops table prints and
 // `sdsminspect -mode trace -trace-id` parses).
 func FormatTraceID(id uint64) string {
 	return fmt.Sprintf("%016x", id)

@@ -77,14 +77,9 @@ type link struct {
 	wake chan struct{} // capacity 1: queue went from empty to non-empty
 
 	qmu    sync.Mutex
-	room   sync.Cond    // on qmu: the writer took the queue, or exited
-	queue  []byte       // encoded frames, in send order, not yet taken
-	closed bool         // the writer has exited; later frames are dropped
-	depth  atomic.Int64 // frames in queue, for LinkStats
-
-	// Per-link wire counters feeding the live telemetry gauges
-	// (LinkStats); the fabric-wide totals in Stats are kept separately.
-	frames, batches, wireBytes, redials atomic.Int64
+	room   sync.Cond // on qmu: the writer took the queue, or exited
+	queue  []byte    // encoded frames, in send order, not yet taken
+	closed bool      // the writer has exited; later frames are dropped
 
 	mu         sync.Mutex
 	conn       net.Conn
@@ -195,41 +190,6 @@ func (fab *Fabric) Stats() Stats {
 	}
 }
 
-// LinkStat is one ordered node pair's live wire state, the per-peer
-// granularity the telemetry endpoint exposes as gauges.
-type LinkStat struct {
-	From, To   int
-	Frames     int64 // frames written on this link
-	Batches    int64 // coalesced batch writes (Frames/Batches = coalesce ratio)
-	WireBytes  int64 // physical bytes written, headers included
-	Redials    int64 // reconnects after a successful first dial
-	QueueDepth int   // frames waiting in the outbound queue right now
-}
-
-// LinkStats snapshots every live link (ordered pairs, diagonal
-// excluded) in deterministic from-major order. Safe to call while the
-// run is in flight — that is its purpose.
-func (fab *Fabric) LinkStats() []LinkStat {
-	out := make([]LinkStat, 0, fab.n*(fab.n-1))
-	for from := 0; from < fab.n; from++ {
-		for to := 0; to < fab.n; to++ {
-			l := fab.links[from*fab.n+to]
-			if l == nil {
-				continue
-			}
-			out = append(out, LinkStat{
-				From: from, To: to,
-				Frames:     l.frames.Load(),
-				Batches:    l.batches.Load(),
-				WireBytes:  l.wireBytes.Load(),
-				Redials:    l.redials.Load(),
-				QueueDepth: int(l.depth.Load()),
-			})
-		}
-	}
-	return out
-}
-
 // Close implements transport.Fabric: stop accepting, tear down every
 // connection and wait for all fabric goroutines to exit. Safe to call
 // more than once.
@@ -270,7 +230,6 @@ func (l *link) send(f *Frame) {
 	}
 	wasEmpty := len(l.queue) == 0
 	l.queue = l.appendChecked(l.queue, f)
-	l.depth.Add(1)
 	if wasEmpty {
 		select {
 		case l.wake <- struct{}{}:
@@ -299,7 +258,6 @@ func (l *link) run() {
 		}
 		l.qmu.Lock()
 		taken, l.queue = l.queue, taken[:0]
-		l.depth.Store(0)
 		l.room.Broadcast()
 		l.qmu.Unlock()
 		if !l.flush(taken) {
@@ -326,9 +284,6 @@ func (l *link) flush(taken []byte) bool {
 		l.fab.frames.Add(int64(nFrames))
 		l.fab.batches.Add(1)
 		l.fab.wireBytes.Add(int64(len(batch)))
-		l.frames.Add(int64(nFrames))
-		l.batches.Add(1)
-		l.wireBytes.Add(int64(len(batch)))
 		if !l.write(batch) {
 			return false
 		}
@@ -404,7 +359,6 @@ func (l *link) ensureConn() net.Conn {
 	}
 	if l.everDialed {
 		l.fab.reconnects.Add(1)
-		l.redials.Add(1)
 	}
 	l.everDialed = true
 	l.conn = c
