@@ -20,7 +20,7 @@ import (
 // versus fully serialized before the diffs leave).
 type OverlapAblation struct {
 	App                        string
-	BaseSec, WithSec, Without  float64
+	BaseSec                    float64
 	OverheadWith, OverheadSans float64 // percent over baseline
 }
 
@@ -45,10 +45,8 @@ func RunOverlapAblation(w *apps.Workload, nodes int) (*OverlapAblation, error) {
 		}
 		sec := rep.ExecTime.Seconds()
 		if sans {
-			res.Without = sec
 			res.OverheadSans = (sec/res.BaseSec - 1) * 100
 		} else {
-			res.WithSec = sec
 			res.OverheadWith = (sec/res.BaseSec - 1) * 100
 		}
 	}
@@ -138,7 +136,6 @@ type ScalingRow struct {
 	NoneSec         float64
 	CCLOverheadPct  float64
 	MLOverheadPct   float64
-	MsgsPerNode     int64
 	LogBytesPerNode int64
 }
 
@@ -163,7 +160,6 @@ func RunScalingSweep(sizes []int) ([]ScalingRow, error) {
 			case wal.ProtocolNone:
 				base = sec
 				row.NoneSec = sec
-				row.MsgsPerNode = rep.NetMsgs / int64(n)
 			case wal.ProtocolML:
 				row.MLOverheadPct = (sec/base - 1) * 100
 			case wal.ProtocolCCL:

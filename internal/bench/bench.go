@@ -161,12 +161,10 @@ func RunTable2(w *apps.Workload, nodes int) (*Table2Result, error) {
 
 // Figure5Result holds one application's recovery measurements.
 type Figure5Result struct {
-	App        string
-	ReExecSec  float64 // re-execution baseline: run the program again
-	MLRecSec   float64 // ML-recovery replay time
-	CCLRecSec  float64 // CCL-recovery replay time
-	CrashOpML  int32
-	CrashOpCCL int32
+	App       string
+	ReExecSec float64 // re-execution baseline: run the program again
+	MLRecSec  float64 // ML-recovery replay time
+	CCLRecSec float64 // CCL-recovery replay time
 }
 
 // RunFigure5 measures one application's recovery times. The victim
@@ -213,10 +211,8 @@ func RunFigure5(w *apps.Workload, nodes int) (*Figure5Result, error) {
 		switch tc.kind {
 		case recovery.MLRecovery:
 			res.MLRecSec = crep.Recovery.ReplayTime.Seconds()
-			res.CrashOpML = crep.Recovery.CrashOp
 		case recovery.CCLRecovery:
 			res.CCLRecSec = crep.Recovery.ReplayTime.Seconds()
-			res.CrashOpCCL = crep.Recovery.CrashOp
 		}
 	}
 	return res, nil

@@ -42,25 +42,17 @@ type KVRow struct {
 	Ops       int
 	OpsPerSec float64 // Ops over virtual ExecSec
 
-	Reads       int64
-	Writes      int64
-	ReadMeanUs  float64
-	ReadP50Us   float64
-	ReadP90Us   float64
-	ReadP99Us   float64
-	WriteMeanUs float64
-	WriteP50Us  float64
-	WriteP90Us  float64
-	WriteP99Us  float64
+	ReadP50Us  float64
+	ReadP90Us  float64
+	ReadP99Us  float64
+	WriteP50Us float64
+	WriteP90Us float64
+	WriteP99Us float64
 
-	NetMsgs      int64
-	NetBytes     int64
-	LogBytes     int64
 	AuditRecords int64
 
 	// Wire-level stats, TCP backend only.
-	Frames    int64
-	WireBytes int64
+	Frames int64
 
 	// Online-recovery timings, churn cells only.
 	RejoinSec  float64
@@ -117,19 +109,12 @@ func runKVCell(nodes int, cfg kv.Config, tr core.Transport, churn bool) (*core.R
 		Churn:        churn,
 		ExecSec:      rep.ExecTime.Seconds(),
 		Ops:          int(reads.Count + writes.Count),
-		Reads:        reads.Count,
-		Writes:       writes.Count,
-		ReadMeanUs:   reads.Mean() / 1e3,
 		ReadP50Us:    usQ(reads, 0.50),
 		ReadP90Us:    usQ(reads, 0.90),
 		ReadP99Us:    usQ(reads, 0.99),
-		WriteMeanUs:  writes.Mean() / 1e3,
 		WriteP50Us:   usQ(writes, 0.50),
 		WriteP90Us:   usQ(writes, 0.90),
 		WriteP99Us:   usQ(writes, 0.99),
-		NetMsgs:      rep.NetMsgs,
-		NetBytes:     rep.NetBytes,
-		LogBytes:     rep.TotalLogBytes,
 		AuditRecords: audit.Records,
 	}
 	if rep.ExecTime > 0 {
@@ -137,7 +122,6 @@ func runKVCell(nodes int, cfg kv.Config, tr core.Transport, churn bool) (*core.R
 	}
 	if rep.Fabric != nil {
 		row.Frames = rep.Fabric.Frames
-		row.WireBytes = rep.Fabric.WireBytes
 	}
 	if churn {
 		if rep.Recovery == nil || !rep.Recovery.Online {

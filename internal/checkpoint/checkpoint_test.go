@@ -93,7 +93,7 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 	if !nd.VT().Equal(vclock.VC{2, 1}) || nd.OpIndex() != 6 {
 		t.Fatalf("restore state: vt=%v op=%d", nd.VT(), nd.OpIndex())
 	}
-	if v := nd.Ver(0); !v.Equal(vclock.VC{0, 1}) {
+	if v := nd.HomeVersion(0); !v.Equal(vclock.VC{0, 1}) {
 		t.Fatalf("restored ver = %v", v)
 	}
 }

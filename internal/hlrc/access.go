@@ -45,7 +45,7 @@ func (nd *Node) validate(p memory.PageID) {
 // redirects and crashed-peer failovers; with leases off the path is the
 // original single call, byte-identical on the wire.
 func (nd *Node) fetchPage(p memory.PageID) {
-	if nd.ownsHome(p) {
+	if nd.OwnsHome(p) {
 		panic(fmt.Sprintf("hlrc: node %d: home page %d is invalid", nd.cfg.ID, p))
 	}
 	leases := nd.cfg.LeaseDuration > 0
@@ -120,7 +120,7 @@ func (nd *Node) lockWritable(p memory.PageID) []byte {
 // is entered and left with nd.mu held and drops it around every clock
 // charge and the fetch.
 func (nd *Node) writeFaultLocked(p memory.PageID) {
-	isHome := nd.ownsHome(p)
+	isHome := nd.OwnsHome(p)
 	if nd.pt.State(p) == memory.Invalid {
 		nd.mu.Unlock()
 		nd.validate(p)

@@ -34,15 +34,6 @@ import (
 	"sdsm/internal/vclock"
 )
 
-// revokedLock records a lock the manager reclaimed from a dead holder at
-// virtual time at (the holder's lease expiry). The holder's eventual
-// replayed release is absorbed against this record instead of panicking
-// as a release of a free lock.
-type revokedLock struct {
-	holder int
-	at     simtime.Time
-}
-
 // adoptedPage is the custody record of one adopted page: every diff the
 // adopter received directly for it, in arrival order, with the dedup
 // version vector (ver[w] = newest interval of writer w in the record).
@@ -76,25 +67,21 @@ func (nd *Node) effectiveNode(h int) int {
 	return nd.successorOf(h)
 }
 
-// effectiveHome resolves the current home of a page under permanent
+// EffectiveHome resolves the current home of a page under permanent
 // migration.
-func (nd *Node) effectiveHome(p memory.PageID) int {
+func (nd *Node) EffectiveHome(p memory.PageID) int {
 	if nd.cfg.LeaseDuration <= 0 {
 		return nd.cfg.Homes[p]
 	}
 	return nd.effectiveNode(nd.cfg.Homes[p])
 }
 
-// EffectiveHome is the exported form of effectiveHome (runner, recovery
-// service and audit).
-func (nd *Node) EffectiveHome(p memory.PageID) int { return nd.effectiveHome(p) }
-
-// ownsHome reports whether this node serves page p from its own page
+// OwnsHome reports whether this node serves page p from its own page
 // table: it is the static home and has never crashed. A recovered
 // incarnation's statically-assigned pages stay migrated for the rest of
 // the run and are accessed like remote pages. With leases disabled this
 // is exactly IsHome.
-func (nd *Node) ownsHome(p memory.PageID) bool {
+func (nd *Node) OwnsHome(p memory.PageID) bool {
 	if nd.cfg.Homes[p] != nd.cfg.ID {
 		return false
 	}
@@ -105,39 +92,29 @@ func (nd *Node) ownsHome(p memory.PageID) bool {
 	return !ever
 }
 
-// OwnsHome is the exported form of ownsHome (recovery service).
-func (nd *Node) OwnsHome(p memory.PageID) bool { return nd.ownsHome(p) }
-
-// leaseExpiry returns the virtual time at which a crashed node's lease
-// runs out — the earliest instant any survivor may act on its death.
-func (nd *Node) leaseExpiry(crashedAt simtime.Time) simtime.Time {
-	return crashedAt + simtime.Time(nd.cfg.LeaseDuration)
-}
-
 // waitOutLease charges the caller's clock up to the dead peer's lease
-// expiry (a no-op if the clock is already past it) and counts the stall.
+// expiry, the earliest instant any survivor may act on its death (a
+// no-op if the clock is already past it), and counts the stall.
 func (nd *Node) waitOutLease(dead int) {
 	at, ever := nd.ep.EverCrashed(dead)
 	if !ever {
 		return
 	}
-	d := nd.leaseExpiry(at)
+	d := at + simtime.Time(nd.cfg.LeaseDuration)
 	t0, t1 := nd.clock.MergePlusSpan(d, 0)
 	nd.trc.Seg(obsv.EvLeaseWait, obsv.CatCoherence, t0, t1, int64(dead), 0)
 	nd.stats.LeaseWaitsServed.Add(1)
 }
 
 // handleObit processes a death declaration: the successor takes the
-// victim's homes into custody, and the lock manager sweeps its state —
-// queued requests from the dead node are dropped, locks it held are
-// revoked at lease expiry and regranted to the queue head. The obituary
-// itself is a simulator shortcut for each peer's independent lease-expiry
-// detector: every effect is stamped at D = crash time + lease duration,
-// so the timing matches a real detector without per-peer timers.
+// victim's homes into custody, and the manager sweeps its lock state
+// (manager.obit). The obituary itself is a simulator shortcut for each
+// peer's independent lease-expiry detector: every effect is stamped at
+// D = crash time + lease duration, so the timing matches a real detector
+// without per-peer timers.
 func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	ob := m.Payload.(*Obituary)
 	dead := int(ob.Node)
-	d := nd.leaseExpiry(ob.At)
 	nd.trc.SvcInstant(obsv.EvObit, at, int64(dead), int64(ob.At))
 	if ob.Epoch > 0 && nd.ep.AdoptEpoch(ob.Epoch) {
 		// Partition-flow obituary: carries the membership epoch the
@@ -152,63 +129,9 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 		nd.adoptedFrom = dead
 		nd.stats.HomeAdoptions.Add(1)
 	}
-	if nd.cfg.ID != ManagerNode {
-		nd.mu.Unlock()
-		return
-	}
-	// Manager sweep. Lock ids are sorted so the (idempotent) sweep order
-	// never depends on map iteration.
-	ids := make([]int32, 0, len(nd.locks))
-	for lid := range nd.locks {
-		ids = append(ids, lid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	type regrant struct {
-		req  transport.Message
-		g    *LockGrant
-		at   simtime.Time
-		lock int32
-	}
-	var regrants []regrant
-	for _, lid := range ids {
-		ls := nd.locks[lid]
-		q := ls.queue[:0]
-		for _, w := range ls.queue {
-			if w.m.From != dead {
-				q = append(q, w)
-			}
-		}
-		ls.queue = q
-		if !ls.held || ls.holder != dead {
-			continue
-		}
-		// Revoke: the victim died holding the lock. Its open interval was
-		// neither flushed nor logged; the lost updates reappear when its
-		// recovered incarnation replays the interval, and the eventual
-		// replayed release is absorbed against the revocation record.
-		nd.revoked[lid] = revokedLock{holder: dead, at: d}
-		nd.stats.LockRevocations.Add(1)
-		ls.held = false
-		ls.holder = -1
-		if len(ls.queue) == 0 {
-			continue
-		}
-		next := ls.queue[0]
-		ls.queue = ls.queue[1:]
-		g := nd.grantLocked(next.m.Payload.(*LockReq).VT)
-		grantAt := d
-		if next.arrival > grantAt {
-			grantAt = next.arrival
-		}
-		nd.issueGrantLocked(ls, next.m.From, next.m.ReqID, g, grantAt)
-		regrants = append(regrants, regrant{req: next.m, g: g, at: grantAt, lock: lid})
-	}
 	nd.mu.Unlock()
-	for _, r := range regrants {
-		nd.trc.SvcSpan(obsv.EvLockGrant, obsv.CatCoherence,
-			at-simtime.Time(nd.cfg.Model.MsgHandling), r.at, m.From, m.SentAt,
-			int64(r.lock), 0)
-		nd.ep.ReplyAt(r.at, r.req, KindLockGrant, r.g.WireSize(), r.g)
+	if nd.mgr != nil {
+		nd.send(nd.mgr.obit(m, at))
 	}
 }
 
@@ -216,12 +139,12 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 // owner of: a custody rebuild when it is the page's current effective
 // home, a redirect otherwise.
 func (nd *Node) handleForeignPageReq(m transport.Message, req *PageReq, at simtime.Time) {
-	if eff := nd.effectiveHome(req.Page); eff != nd.cfg.ID {
+	if eff := nd.EffectiveHome(req.Page); eff != nd.cfg.ID {
 		rd := &RedirectHome{Page: req.Page, Home: int32(eff)}
 		nd.ep.ReplyAt(at, m, KindRedirectHome, rd.WireSize(), rd)
 		return
 	}
-	data, ver, done := nd.rebuildCustody(req.Page, req.VT, at)
+	data, ver, done := nd.RebuildCustody(req.Page, req.VT, at)
 	resp := &PageReply{Data: data, Ver: ver}
 	nd.trc.SvcSpan(obsv.EvAdoptServe, obsv.CatCoherence,
 		at-simtime.Time(nd.cfg.Model.MsgHandling), done, m.From, m.SentAt,
@@ -235,7 +158,7 @@ func (nd *Node) handleForeignPageReq(m transport.Message, req *PageReq, at simti
 // never applied to a page table — rebuilds replay the record on demand.
 func (nd *Node) handleForeignDiffUpdate(m transport.Message, du *DiffUpdate, at simtime.Time) {
 	p0 := du.Diffs[0].Page
-	if eff := nd.effectiveHome(p0); eff != nd.cfg.ID {
+	if eff := nd.EffectiveHome(p0); eff != nd.cfg.ID {
 		rd := &RedirectHome{Page: p0, Home: int32(eff)}
 		nd.ep.ReplyAt(at, m, KindRedirectHome, rd.WireSize(), rd)
 		return
@@ -275,31 +198,7 @@ func (nd *Node) handleForeignDiffUpdate(m transport.Message, du *DiffUpdate, at 
 	nd.ep.ReplyAt(at, m, KindDiffAck, DiffAck{}.WireSize(), DiffAck{})
 }
 
-// custodyEntry is one (writer, seq) diff with its application-order key.
-type custodyEntry struct {
-	writer int32
-	seq    int32
-	vtSum  int64
-	diff   memory.Diff
-}
-
-// sortCustody orders entries in the canonical custody application order:
-// ascending (vtSum, writer, seq) — a fixed linear extension of causal
-// order, so every rebuild of the same entry set yields the same bytes.
-func sortCustody(entries []custodyEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.vtSum != b.vtSum {
-			return a.vtSum < b.vtSum
-		}
-		if a.writer != b.writer {
-			return a.writer < b.writer
-		}
-		return a.seq < b.seq
-	})
-}
-
-// rebuildCustody assembles a custody copy of page p covering every writer
+// RebuildCustody assembles a custody copy of page p covering every writer
 // interval need bounds (need[w] = newest interval of writer w the
 // requester must see; nil bounds nothing and yields the zero page). It
 // runs on the service goroutine; at anchors the sub-requests, and the
@@ -311,7 +210,7 @@ func sortCustody(entries []custodyEntry) {
 // causally-required entries are always present, because a DiffUpdate is
 // acknowledged (and recorded) before its writer's interval can become
 // visible to any requester.
-func (nd *Node) rebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, vclock.VC, simtime.Time) {
+func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, vclock.VC, simtime.Time) {
 	scratch := simtime.NewClock(at)
 	bound := func(w int) int32 {
 		if w < 0 || w >= len(need) {
@@ -319,13 +218,13 @@ func (nd *Node) rebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 		}
 		return need[w]
 	}
-	var entries []custodyEntry
+	var entries []AdoptedDiff
 	// Own log.
 	if b := bound(nd.cfg.ID); b > 0 && nd.LocalLogDiffs != nil {
 		seqs, sums, diffs, diskBytes := nd.LocalLogDiffs(p, 0, b)
 		scratch.AdvanceSpan(nd.cfg.Model.DiskTime(diskBytes))
 		for i := range seqs {
-			entries = append(entries, custodyEntry{int32(nd.cfg.ID), seqs[i], sums[i], diffs[i]})
+			entries = append(entries, AdoptedDiff{int32(nd.cfg.ID), seqs[i], sums[i], diffs[i]})
 		}
 	}
 	// Custody record (ever-crashed writers, including the requester's own
@@ -336,7 +235,7 @@ func (nd *Node) rebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 	if ap := nd.adopted[p]; ap != nil {
 		for _, ad := range ap.applied {
 			if ad.Seq <= bound(int(ad.Writer)) {
-				entries = append(entries, custodyEntry{ad.Writer, ad.Seq, ad.VTSum, ad.Diff})
+				entries = append(entries, ad)
 			}
 		}
 	}
@@ -363,28 +262,15 @@ func (nd *Node) rebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 		rd := pd.Wait(scratch).Payload.(*RecDiffsReply)
 		scratch.AdvanceSpan(nd.cfg.Model.DiskTime(rd.DiskBytes))
 		for j := range rd.Seqs {
-			entries = append(entries, custodyEntry{int32(froms[i]), rd.Seqs[j], rd.VTSums[j], rd.Diffs[j]})
+			entries = append(entries, AdoptedDiff{int32(froms[i]), rd.Seqs[j], rd.VTSums[j], rd.Diffs[j]})
 		}
 	}
-	sortCustody(entries)
-	data := make([]byte, nd.cfg.PageSize)
-	ver := vclock.New(nd.cfg.N)
-	for _, e := range entries {
-		if err := e.diff.Validate(nd.cfg.PageSize); err != nil {
-			panic(fmt.Sprintf("hlrc: node %d rejected rebuilt diff for page %d: %v", nd.cfg.ID, p, err))
-		}
-		e.diff.Apply(data)
-		if int(e.writer) < len(ver) && e.seq > ver[e.writer] {
-			ver[e.writer] = e.seq
-		}
+	ver := vclock.New(nd.cfg.N) // N entries, whichever writers appear
+	data, err := applyCustody(nd.cfg.PageSize, entries, ver)
+	if err != nil {
+		panic(fmt.Sprintf("hlrc: node %d rejected rebuilt diff for page %d: %v", nd.cfg.ID, p, err))
 	}
 	return data, ver, scratch.Now()
-}
-
-// RebuildCustody is the exported form of rebuildCustody; the recovery
-// service uses it to answer RecPageReq for adopted pages.
-func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, vclock.VC, simtime.Time) {
-	return nd.rebuildCustody(p, need, at)
 }
 
 // AdoptedState snapshots the custody record, sorted by page id, for the
@@ -411,7 +297,7 @@ func (nd *Node) AdoptedState() []AdoptedPageState {
 // The runner uses it for migrated pages in the final memory image, and
 // the audit to cross-check the custody record against the writers' logs.
 func RebuildAdoptedImage(pageSize int, diffs []AdoptedDiff) ([]byte, vclock.VC, error) {
-	entries := make([]custodyEntry, 0, len(diffs))
+	entries := make([]AdoptedDiff, 0, len(diffs))
 	type key struct{ w, s int32 }
 	seen := make(map[key]bool)
 	maxW := int32(0)
@@ -421,22 +307,42 @@ func RebuildAdoptedImage(pageSize int, diffs []AdoptedDiff) ([]byte, vclock.VC, 
 			continue
 		}
 		seen[k] = true
-		entries = append(entries, custodyEntry{ad.Writer, ad.Seq, ad.VTSum, ad.Diff})
-		if ad.Writer > maxW {
-			maxW = ad.Writer
-		}
+		entries = append(entries, ad)
+		maxW = max(maxW, ad.Writer)
 	}
-	sortCustody(entries)
-	data := make([]byte, pageSize)
 	ver := vclock.New(int(maxW) + 1)
-	for _, e := range entries {
-		if err := e.diff.Validate(pageSize); err != nil {
-			return nil, nil, fmt.Errorf("hlrc: rebuild (writer %d, seq %d): %w", e.writer, e.seq, err)
-		}
-		e.diff.Apply(data)
-		if e.seq > ver[e.writer] {
-			ver[e.writer] = e.seq
-		}
+	data, err := applyCustody(pageSize, entries, ver)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hlrc: rebuild %w", err)
 	}
 	return data, ver, nil
+}
+
+// applyCustody applies entries onto the zero page in the canonical
+// custody order — ascending (VTSum, Writer, Seq), a fixed linear
+// extension of causal order, so every rebuild of the same entry set
+// yields the same bytes — and raises ver[w] to writer w's newest applied
+// interval. Entries are sorted in place; every diff is validated first.
+func applyCustody(pageSize int, entries []AdoptedDiff, ver vclock.VC) ([]byte, error) {
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := entries[i], entries[j]
+		if a.VTSum != b.VTSum {
+			return a.VTSum < b.VTSum
+		}
+		if a.Writer != b.Writer {
+			return a.Writer < b.Writer
+		}
+		return a.Seq < b.Seq
+	})
+	data := make([]byte, pageSize)
+	for _, e := range entries {
+		if err := e.Diff.Validate(pageSize); err != nil {
+			return nil, fmt.Errorf("(writer %d, seq %d): %w", e.Writer, e.Seq, err)
+		}
+		e.Diff.Apply(data)
+		if int(e.Writer) < len(ver) && e.Seq > ver[e.Writer] {
+			ver[e.Writer] = e.Seq
+		}
+	}
+	return data, nil
 }

@@ -51,11 +51,11 @@ type Config struct {
 	// NoFlushOverlap disables CCL's flush/communication overlap
 	// (ablation): the release flush lands fully on the critical path.
 	NoFlushOverlap bool
-	// SenderLogs makes manager nodes keep an in-memory log of every lock
-	// grant and barrier release they issue, per receiver. A victim whose
+	// SenderLogs makes the manager keep an in-memory log of every lock
+	// grant and barrier release it issues, per receiver. A victim whose
 	// disk log lost its tail to a torn write replays those operations from
-	// the managers' logs instead (sender-based message logging; managers
-	// are outside the failure model, so their volatile logs survive).
+	// the manager's logs instead (sender-based message logging; the
+	// manager is outside the failure model, so its volatile logs survive).
 	SenderLogs bool
 	// LeaseDuration enables online recovery when positive: lock grants and
 	// barrier releases carry virtual-clock leases (renewed implicitly by
@@ -88,45 +88,11 @@ type undoEntry struct {
 	undo   memory.Undo // restoring it removes (writer, seq)'s update
 }
 
-// pendingMsg is a queued request together with its virtual arrival time.
-type pendingMsg struct {
-	m       transport.Message
-	arrival simtime.Time
-}
-
-type lockState struct {
-	held  bool
-	queue []pendingMsg // waiting LockReq messages (with reply channels)
-	// Retransmission state: who holds the lock, under which request id,
-	// and the grant that was sent — so a requester whose grant was lost
-	// on the wire gets the identical grant again.
-	holder      int
-	holderReq   int64
-	lastGrant   *LockGrant
-	lastGrantAt simtime.Time
-}
-
-// barrierReply caches the release sent to one node for one barrier round,
-// so a retransmitted check-in (its release was lost) is answered with the
-// identical payload.
-type barrierReply struct {
-	reqID int64
-	rel   *BarrierRelease
-	at    simtime.Time
-}
-
-type barrierState struct {
-	waiting []pendingMsg // checkins collected so far
-	// lastReply[node] is the node's release from its most recent
-	// completed round.
-	lastReply map[int]barrierReply
-}
-
 // Node is one process of the home-based SDSM: its page table, interval
-// state, home-side bookkeeping, and (when it is a manager) the lock and
-// barrier manager state. The application goroutine calls the public
-// synchronization and access methods; a service goroutine started by
-// StartService handles incoming protocol messages.
+// state, home-side bookkeeping, and (on ManagerNode) the lock and barrier
+// manager. The application goroutine calls the public synchronization
+// and access methods; a service goroutine started by StartService
+// handles incoming protocol messages.
 type Node struct {
 	cfg   Config
 	ep    *transport.Endpoint
@@ -157,19 +123,15 @@ type Node struct {
 	// opIndex counts synchronization operations, used to tag log records
 	// and to place crash points.
 	opIndex int32
-	// lastSyncResume is the completion time of the node's most recent
-	// synchronization operation (application goroutine only).
-	lastSyncResume simtime.Time
 	// lastSyncStamp is the manager-side stamp (reply SentAt) of the
 	// grant or barrier release that opened the node's current interval
 	// (application goroutine only). It is the arrival cutoff for
 	// deterministic release-flush composition: every handler-staged
 	// record that arrived by then causally precedes the manager event,
 	// so filtering by it is deterministic and eventually complete. The
-	// locally observed resume time (lastSyncResume) is NOT a sound
-	// cutoff: it also carries fault-injected retransmission charges that
-	// exist only on this node's clock, pushing it above what causality
-	// bounds (ROADMAP item 4).
+	// locally observed resume time is NOT a sound cutoff: it also carries
+	// fault-injected retransmission charges that exist only on this
+	// node's clock, pushing it above what causality bounds.
 	lastSyncStamp simtime.Time
 	// barrierRound[b] counts the barrier-b releases this node has
 	// consumed (application goroutine only; read under mu by the arrival
@@ -208,27 +170,14 @@ type Node struct {
 	LocalLogDiffs func(p memory.PageID, fromSeq, toSeq int32) (seqs []int32, vtSums []int64, diffs []memory.Diff, diskBytes int)
 
 	// Online-recovery state (Config.LeaseDuration > 0), guarded by mu.
-	// lastHeard[w] is the arrival time of the most recent message from w:
-	// every coherence message doubles as a lease renewal.
-	lastHeard []simtime.Time
-	// revoked[l] records a lock this manager reclaimed from a dead holder,
-	// so the holder's replayed release is absorbed instead of panicking as
-	// a double free.
-	revoked map[int32]revokedLock
 	// adoptedFrom is the dead node whose home pages this node holds in
 	// custody (-1 outside custody); adopted is the per-page custody state.
 	adoptedFrom int
 	adopted     map[memory.PageID]*adoptedPage
 
-	// Manager state (used only on manager nodes).
-	mgrVT      vclock.VC
-	mgrNotices *NoticeStore
-	locks      map[int32]*lockState
-	barriers   map[int32]*barrierState
-	// Sender logs (SenderLogs): every grant/release issued, per receiver,
-	// in issue order. A torn-tail recovery replays from these.
-	grantLog   map[int][]*LockGrant
-	releaseLog map[int][]*BarrierRelease
+	// mgr is the lock and barrier manager: non-nil on ManagerNode only,
+	// and touched only by its service goroutine (no lock).
+	mgr *manager
 
 	stopSvc chan struct{}
 	svcDone chan struct{}
@@ -273,22 +222,17 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 		CrashOp:       -1,
 		crashedAt:     -1,
 		TwinsFromOp:   -1,
-		lastHeard:     make([]simtime.Time, cfg.N),
-		revoked:       make(map[int32]revokedLock),
 		adoptedFrom:   -1,
 		adopted:       make(map[memory.PageID]*adoptedPage),
-		mgrVT:         vclock.New(cfg.N),
-		mgrNotices:    NewNoticeStore(cfg.N),
-		locks:         make(map[int32]*lockState),
-		barriers:      make(map[int32]*barrierState),
-		grantLog:      make(map[int][]*LockGrant),
-		releaseLog:    make(map[int][]*BarrierRelease),
+	}
+	if cfg.ID == ManagerNode {
+		nd.mgr = newManager(cfg, stats)
 	}
 	var owned []memory.PageID
 	for p := range cfg.Homes {
 		if nd.cfg.Homes[p] == cfg.ID {
 			nd.ver[p] = vclock.New(cfg.N)
-			if nd.ownsHome(memory.PageID(p)) {
+			if nd.OwnsHome(memory.PageID(p)) {
 				owned = append(owned, memory.PageID(p))
 			}
 		}
@@ -338,9 +282,6 @@ func (nd *Node) Stats() *Stats { return nd.stats }
 // Tracer returns the node's event tracer (nil when tracing is off).
 func (nd *Node) Tracer() *obsv.Tracer { return nd.trc }
 
-// Hooks returns the logging hooks.
-func (nd *Node) Hooks() LogHooks { return nd.hooks }
-
 // PageTable exposes the node's page table. Outside the engine it must
 // only be touched while the service loop is stopped (recovery replay).
 func (nd *Node) PageTable() *memory.PageTable { return nd.pt }
@@ -377,17 +318,6 @@ func (nd *Node) OpIndex() int32 {
 
 // SetDelegate installs (or, with nil, removes) the recovery delegate.
 func (nd *Node) SetDelegate(d SyncDelegate) { nd.delegate = d }
-
-// Ver returns a copy of the version vector of one of this node's home
-// pages, or nil when the page is not homed here.
-func (nd *Node) Ver(p memory.PageID) vclock.VC {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.ver[p] == nil {
-		return nil
-	}
-	return nd.ver[p].Clone()
-}
 
 // StartService launches the protocol service goroutine.
 func (nd *Node) StartService() {
@@ -453,26 +383,19 @@ func (nd *Node) handle(m transport.Message) {
 			return
 		}
 	}
-	if nd.cfg.LeaseDuration > 0 && m.From >= 0 && m.From < len(nd.lastHeard) {
-		// Piggybacked lease renewal: hearing anything from a peer renews
-		// its lease — no dedicated heartbeat traffic.
-		nd.mu.Lock()
-		if arr := nd.ep.ArrivalOf(m); arr > nd.lastHeard[m.From] {
-			nd.lastHeard[m.From] = arr
-		}
-		nd.mu.Unlock()
-	}
 	switch m.Kind {
 	case KindPageReq:
 		nd.handlePageReq(m, at)
 	case KindDiffUpdate:
 		nd.handleDiffUpdate(m, at)
 	case KindLockReq:
-		nd.handleLockReq(m, at)
+		nd.send(nd.manager(m).lockReq(m, at))
 	case KindLockRelease:
-		nd.handleLockRelease(m, at)
+		nd.send(nd.manager(m).lockRelease(m, at))
 	case KindBarrierCheckin:
-		nd.handleBarrierCheckin(m, at)
+		nd.send(nd.manager(m).checkin(m, at))
+	case KindRecGrantReq, KindRecBarrierReq:
+		nd.send(nd.manager(m).senderLog(m, at))
 	case KindObit:
 		nd.handleObit(m, at)
 	default:
@@ -480,6 +403,26 @@ func (nd *Node) handle(m transport.Message) {
 			return
 		}
 		panic(fmt.Sprintf("hlrc: node %d: unexpected message kind %d from %d", nd.cfg.ID, m.Kind, m.From))
+	}
+}
+
+// manager returns the node's manager for a manager kind; the kind reaching
+// any other node is a routing bug.
+func (nd *Node) manager(m transport.Message) *manager {
+	if nd.mgr == nil {
+		panic(fmt.Sprintf("hlrc: node %d is not the manager but got %s from %d",
+			nd.cfg.ID, obsv.KindName(uint8(m.Kind)), m.From))
+	}
+	return nd.mgr
+}
+
+// send records each manager reply's span and sends the reply.
+func (nd *Node) send(rs []mgrReply) {
+	for i := range rs {
+		r := &rs[i]
+		s := &r.span
+		nd.trc.SvcSpanT(s.tc, s.ev, obsv.CatCoherence, s.t0, s.t1, s.from, s.sentAt, s.a1, s.a2)
+		nd.ep.ReplyAt(r.at, r.req, r.kind, r.payload.WireSize(), r.payload)
 	}
 }
 
@@ -500,7 +443,7 @@ func svcTrace(m transport.Message) obsv.TraceCtx {
 func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 	req := m.Payload.(*PageReq)
 	nd.mu.Lock()
-	if !nd.ownsHome(req.Page) {
+	if !nd.OwnsHome(req.Page) {
 		nd.mu.Unlock()
 		if nd.cfg.LeaseDuration > 0 {
 			nd.handleForeignPageReq(m, req, at)
@@ -524,7 +467,7 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 // "Asynchronous Update Handler".
 func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 	du := m.Payload.(*DiffUpdate)
-	if nd.cfg.LeaseDuration > 0 && len(du.Diffs) > 0 && !nd.ownsHome(du.Diffs[0].Page) {
+	if nd.cfg.LeaseDuration > 0 && len(du.Diffs) > 0 && !nd.OwnsHome(du.Diffs[0].Page) {
 		// Diff batches are grouped per static home, so the first page
 		// decides the whole message's routing: custody record or redirect.
 		nd.handleForeignDiffUpdate(m, du, at)

@@ -29,7 +29,7 @@ func diffAt(page memory.PageID, off int, val byte) memory.Diff {
 func TestApplyDiffAsHomeUpdatesVersion(t *testing.T) {
 	nd := soloNode(t, false)
 	nd.ApplyDiffAsHome(diffAt(0, 0, 7), 1, 3)
-	if got := nd.Ver(0); !got.Equal(vclock.VC{0, 3}) {
+	if got := nd.HomeVersion(0); !got.Equal(vclock.VC{0, 3}) {
 		t.Fatalf("ver = %v", got)
 	}
 	if nd.PageTable().Page(0)[0] != 7 {
@@ -37,10 +37,10 @@ func TestApplyDiffAsHomeUpdatesVersion(t *testing.T) {
 	}
 	// Older interval does not regress the version.
 	nd.ApplyDiffAsHome(diffAt(0, 4, 8), 1, 2)
-	if got := nd.Ver(0); !got.Equal(vclock.VC{0, 3}) {
+	if got := nd.HomeVersion(0); !got.Equal(vclock.VC{0, 3}) {
 		t.Fatalf("ver regressed: %v", got)
 	}
-	if nd.Ver(2) != nil {
+	if nd.HomeVersion(2) != nil {
 		t.Fatal("non-home page has a version vector")
 	}
 }
@@ -137,7 +137,7 @@ func TestCloseIntervalLocal(t *testing.T) {
 	if got := nd.VT(); got[0] != 1 {
 		t.Fatalf("vt = %v", got)
 	}
-	if v := nd.Ver(0); v[0] != 1 {
+	if v := nd.HomeVersion(0); v[0] != 1 {
 		t.Fatalf("home ver = %v", v)
 	}
 	if pages := nd.Notices().Pages(0, 1); len(pages) != 2 {
@@ -189,7 +189,7 @@ func TestPageAtVersionAcrossSelfWrites(t *testing.T) {
 	check("mid-interval", vclock.VC{0, 0}, 0, 0, 0)
 
 	nd.closeAndPropagate(0)
-	if got := nd.Ver(0); !got.Equal(vclock.VC{1, 2}) {
+	if got := nd.HomeVersion(0); !got.Equal(vclock.VC{1, 2}) {
 		t.Fatalf("ver after the close = %v", got)
 	}
 	check("closed", vclock.VC{1, 2}, 1, 7, 3)

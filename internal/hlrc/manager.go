@@ -1,0 +1,354 @@
+package hlrc
+
+import (
+	"fmt"
+	"sort"
+
+	"sdsm/internal/obsv"
+	"sdsm/internal/simtime"
+	"sdsm/internal/transport"
+	"sdsm/internal/vclock"
+)
+
+// The lock and barrier manager. It lives on ManagerNode only and is
+// touched only by that node's service goroutine, so it takes no lock;
+// it never sends either. Each handler decides its replies and returns
+// them in a buffer that the next call reuses; Node.handle records their
+// spans and sends them.
+
+// pendingMsg is a queued request together with its virtual arrival time.
+type pendingMsg struct {
+	m       transport.Message
+	arrival simtime.Time
+}
+
+type lockState struct {
+	held  bool
+	queue []pendingMsg // waiting LockReq messages (with reply channels)
+	// Retransmission state: who holds the lock, under which request id,
+	// and the grant that was sent — so a requester whose grant was lost
+	// on the wire gets the identical grant again.
+	holder      int
+	holderReq   int64
+	lastGrant   *LockGrant
+	lastGrantAt simtime.Time
+}
+
+// barrierReply caches the release sent to one node for one barrier round,
+// so a retransmitted check-in (its release was lost) is answered with the
+// identical payload.
+type barrierReply struct {
+	reqID int64
+	rel   *BarrierRelease
+	at    simtime.Time
+}
+
+type barrierState struct {
+	waiting []pendingMsg // checkins collected so far
+	// lastReply[node] is the node's release from its most recent
+	// completed round.
+	lastReply map[int]barrierReply
+}
+
+// mgrSpan is the service span recorded just before a reply leaves. The
+// zero span records nothing (the tracer drops spans with t1 <= t0).
+type mgrSpan struct {
+	tc     obsv.TraceCtx
+	ev     obsv.EventKind
+	t0, t1 simtime.Time
+	from   int
+	sentAt simtime.Time
+	a1, a2 int64
+}
+
+// mgrReply is one reply a handler decided: payload answers req at virtual
+// time at.
+type mgrReply struct {
+	req     transport.Message
+	kind    transport.Kind
+	payload interface{ WireSize() int }
+	at      simtime.Time
+	span    mgrSpan
+}
+
+type manager struct {
+	n          int
+	lease      simtime.Duration
+	senderLogs bool
+	handling   simtime.Duration // the cost model's MsgHandling
+	stats      *Stats
+
+	vt       vclock.VC
+	notices  *NoticeStore
+	locks    map[int32]*lockState
+	barriers map[int32]*barrierState
+	// revoked[l] is the dead holder this manager reclaimed lock l from, so
+	// the holder's replayed release is absorbed instead of panicking as a
+	// double free.
+	revoked map[int32]int
+	// Sender logs (Config.SenderLogs): every grant/release issued, per
+	// receiver, in issue order. A torn-tail recovery replays from these.
+	grantLog   map[int][]*LockGrant
+	releaseLog map[int][]*BarrierRelease
+
+	out []mgrReply
+}
+
+func newManager(cfg Config, stats *Stats) *manager {
+	return &manager{
+		n:          cfg.N,
+		lease:      cfg.LeaseDuration,
+		senderLogs: cfg.SenderLogs,
+		handling:   cfg.Model.MsgHandling,
+		stats:      stats,
+		vt:         vclock.New(cfg.N),
+		notices:    NewNoticeStore(cfg.N),
+		locks:      make(map[int32]*lockState),
+		barriers:   make(map[int32]*barrierState),
+		revoked:    make(map[int32]int),
+		grantLog:   make(map[int][]*LockGrant),
+		releaseLog: make(map[int][]*BarrierRelease),
+	}
+}
+
+func (mg *manager) reply(req transport.Message, kind transport.Kind, payload interface{ WireSize() int }, at simtime.Time, span mgrSpan) {
+	mg.out = append(mg.out, mgrReply{req: req, kind: kind, payload: payload, at: at, span: span})
+}
+
+// grant builds a grant carrying the manager's horizon and the notices a
+// requester at since lacks, and records it as the lock's current grant to
+// (to, reqID) at virtual time at (with SenderLogs, also in to's log).
+func (mg *manager) grant(ls *lockState, to int, reqID int64, since vclock.VC, at simtime.Time) *LockGrant {
+	g := &LockGrant{VT: mg.vt.Clone(), Notices: mg.notices.Delta(since)}
+	if mg.lease > 0 {
+		g.LeaseUntil = at + simtime.Time(mg.lease)
+	}
+	ls.held = true
+	ls.holder = to
+	ls.holderReq = reqID
+	ls.lastGrant = g
+	ls.lastGrantAt = at
+	if mg.senderLogs {
+		mg.grantLog[to] = append(mg.grantLog[to], g)
+	}
+	return g
+}
+
+func (mg *manager) lockReq(m transport.Message, at simtime.Time) []mgrReply {
+	mg.out = mg.out[:0]
+	req := m.Payload.(*LockReq)
+	ls := mg.locks[req.Lock]
+	if ls == nil {
+		ls = &lockState{}
+		mg.locks[req.Lock] = ls
+	}
+	if ls.held {
+		if ls.holder == m.From && ls.holderReq == m.ReqID {
+			// Retransmission of the request we already granted: the grant
+			// was lost on the wire. Re-send the identical grant, stamped
+			// with the original grant time — the requester's clock already
+			// carries the retransmission timeouts, and a stamp derived
+			// from this copy's arrival would make the timing depend on
+			// which handler path the retransmission raced into.
+			mg.reply(m, KindLockGrant, ls.lastGrant, ls.lastGrantAt, mgrSpan{})
+			return mg.out
+		}
+		for i, q := range ls.queue {
+			if q.m.From == m.From && q.m.ReqID == m.ReqID {
+				// Retransmission of a still-queued request: keep the newest
+				// copy (its reply fate is the live one) but the original
+				// arrival time, which is what the handoff timing is
+				// measured from.
+				ls.queue[i].m = m
+				return mg.out
+			}
+		}
+		ls.queue = append(ls.queue, pendingMsg{m: m, arrival: at})
+		return mg.out
+	}
+	g := mg.grant(ls, m.From, m.ReqID, req.VT, at)
+	mg.reply(m, KindLockGrant, g, at, mgrSpan{tc: svcTrace(m), ev: obsv.EvLockGrant,
+		t0: at - simtime.Time(mg.handling), t1: at, from: m.From, sentAt: m.SentAt, a1: int64(req.Lock)})
+	return mg.out
+}
+
+func (mg *manager) lockRelease(m transport.Message, at simtime.Time) []mgrReply {
+	mg.out = mg.out[:0]
+	rel := m.Payload.(*LockRelease)
+	mg.notices.AddAll(rel.Notices)
+	mg.vt.Merge(rel.VT)
+	if h, ok := mg.revoked[rel.Lock]; ok && h == m.From {
+		// Replayed release of a lock this manager revoked when the holder
+		// was declared dead: the knowledge delta was merged above, the
+		// ownership change already happened at the revocation. Absorb.
+		delete(mg.revoked, rel.Lock)
+		return mg.out
+	}
+	ls := mg.locks[rel.Lock]
+	if ls == nil || !ls.held {
+		panic(fmt.Sprintf("hlrc: manager got release of free lock %d from %d", rel.Lock, m.From))
+	}
+	mg.handOff(rel.Lock, ls, m, at, at)
+	return mg.out
+}
+
+// handOff passes lock l, freed at virtual time free by cause (a release,
+// or the obituary of its holder) handled at at, to the head of its queue;
+// with no one queued the lock becomes free. The grant is stamped when
+// both the freeing event and the queued request have arrived.
+func (mg *manager) handOff(l int32, ls *lockState, cause transport.Message, at, free simtime.Time) {
+	if len(ls.queue) == 0 {
+		ls.held = false
+		return
+	}
+	next := ls.queue[0]
+	ls.queue = ls.queue[1:]
+	grantAt := max(free, next.arrival)
+	g := mg.grant(ls, next.m.From, next.m.ReqID, next.m.Payload.(*LockReq).VT, grantAt)
+	span := mgrSpan{ev: obsv.EvLockGrant, t0: at - simtime.Time(mg.handling), t1: grantAt,
+		from: cause.From, sentAt: cause.SentAt, a1: int64(l)}
+	if cause.Kind == KindLockRelease {
+		// The handoff grant belongs to the queued requester's op: its trace
+		// context (carried by the queued request copy) is what the grant
+		// span joins, not the releaser's. The span's edge points at
+		// whichever message opened the grant: the queued request if the
+		// handoff waited for it to arrive, otherwise the release itself.
+		// An obituary regrant keeps no trace context and its edge is the
+		// obituary.
+		span.tc = svcTrace(next.m)
+		if next.arrival > free {
+			span.from, span.sentAt = next.m.From, next.m.SentAt
+		}
+	}
+	mg.reply(next.m, KindLockGrant, g, grantAt, span)
+}
+
+func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
+	mg.out = mg.out[:0]
+	ci := m.Payload.(*BarrierCheckin)
+	bs := mg.barriers[ci.Barrier]
+	if bs == nil {
+		bs = &barrierState{lastReply: make(map[int]barrierReply)}
+		mg.barriers[ci.Barrier] = bs
+	}
+	if lr, ok := bs.lastReply[m.From]; ok && lr.reqID == m.ReqID {
+		// Retransmission of a check-in from an already-released round: the
+		// release was lost on the wire. Re-send the identical cached
+		// release at the original release time (the check-in's own
+		// retransmission timeouts are already on the sender's clock, and
+		// a stamp derived from this copy's arrival would depend on which
+		// handler path the retransmission raced into).
+		mg.reply(m, KindBarrierRelease, lr.rel, lr.at, mgrSpan{})
+		return mg.out
+	}
+	for i, w := range bs.waiting {
+		if w.m.From == m.From {
+			if w.m.ReqID != m.ReqID {
+				panic(fmt.Sprintf("hlrc: manager: node %d checked into barrier %d twice", m.From, ci.Barrier))
+			}
+			// Retransmission while the round is still filling: keep the
+			// newest copy (its reply fate is the live one) but the first
+			// copy's arrival time, which is what the barrier opening is
+			// measured from.
+			bs.waiting[i].m = m
+			return mg.out
+		}
+	}
+	mg.notices.AddAll(ci.Notices)
+	mg.vt.Merge(ci.VT)
+	bs.waiting = append(bs.waiting, pendingMsg{m: m, arrival: at})
+	if len(bs.waiting) < mg.n {
+		return mg.out
+	}
+	// The barrier opens when the last check-in has arrived. The last
+	// arriver (ties broken by lowest node id, so the choice is
+	// deterministic) is the release span's edge: it is the message the
+	// critical path runs through, and the span joins its trace.
+	var releaseAt simtime.Time
+	last := bs.waiting[0]
+	for _, w := range bs.waiting {
+		releaseAt = max(releaseAt, w.arrival)
+		if w.arrival > last.arrival || (w.arrival == last.arrival && w.m.From < last.m.From) {
+			last = w
+		}
+	}
+	span := mgrSpan{tc: svcTrace(last.m), ev: obsv.EvBarrierRelease,
+		t0: releaseAt - simtime.Time(mg.handling), t1: releaseAt,
+		from: last.m.From, sentAt: last.m.SentAt, a1: int64(ci.Barrier), a2: int64(len(bs.waiting))}
+	for _, w := range bs.waiting {
+		rel := &BarrierRelease{
+			VT:      mg.vt.Clone(),
+			Notices: mg.notices.Delta(w.m.Payload.(*BarrierCheckin).VT),
+		}
+		if mg.lease > 0 {
+			rel.LeaseUntil = releaseAt + simtime.Time(mg.lease)
+		}
+		bs.lastReply[w.m.From] = barrierReply{reqID: w.m.ReqID, rel: rel, at: releaseAt}
+		if mg.senderLogs {
+			mg.releaseLog[w.m.From] = append(mg.releaseLog[w.m.From], rel)
+		}
+		mg.reply(w.m, KindBarrierRelease, rel, releaseAt, span)
+		span = mgrSpan{}
+	}
+	bs.waiting = bs.waiting[:0]
+	return mg.out
+}
+
+// obit sweeps the manager state after a death declaration: queued
+// requests from the dead node are dropped, and locks it held are revoked
+// at its lease expiry and handed to their queue heads.
+func (mg *manager) obit(m transport.Message, at simtime.Time) []mgrReply {
+	mg.out = mg.out[:0]
+	ob := m.Payload.(*Obituary)
+	dead := int(ob.Node)
+	expiry := ob.At + simtime.Time(mg.lease)
+	// Lock ids are sorted so the (idempotent) sweep order never depends on
+	// map iteration.
+	ids := make([]int32, 0, len(mg.locks))
+	for lid := range mg.locks {
+		ids = append(ids, lid)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, lid := range ids {
+		ls := mg.locks[lid]
+		q := ls.queue[:0]
+		for _, w := range ls.queue {
+			if w.m.From != dead {
+				q = append(q, w)
+			}
+		}
+		ls.queue = q
+		if !ls.held || ls.holder != dead {
+			continue
+		}
+		// Revoke: the victim died holding the lock. Its open interval was
+		// neither flushed nor logged; the lost updates reappear when its
+		// recovered incarnation replays the interval, and the eventual
+		// replayed release is absorbed against the revocation record.
+		mg.revoked[lid] = dead
+		mg.stats.LockRevocations.Add(1)
+		mg.handOff(lid, ls, m, at, expiry)
+	}
+	return mg.out
+}
+
+// senderLog answers a torn-tail recovery's read of the Idx-th lock grant
+// (KindRecGrantReq) or barrier release (KindRecBarrierReq) this manager
+// sent to Node; past the end of the log the reply carries nil.
+func (mg *manager) senderLog(m transport.Message, at simtime.Time) []mgrReply {
+	mg.out = mg.out[:0]
+	req := m.Payload.(*RecSyncReq)
+	if m.Kind == KindRecGrantReq {
+		mg.reply(m, KindRecGrantReply, &RecGrantReply{Grant: logEntry(mg.grantLog[int(req.Node)], req.Idx)}, at, mgrSpan{})
+	} else {
+		mg.reply(m, KindRecBarrierReply, &RecBarrierReply{Rel: logEntry(mg.releaseLog[int(req.Node)], req.Idx)}, at, mgrSpan{})
+	}
+	return mg.out
+}
+
+func logEntry[T any](log []*T, idx int32) *T {
+	if idx < 0 || int(idx) >= len(log) {
+		return nil
+	}
+	return log[idx]
+}

@@ -96,7 +96,7 @@ func (nd *Node) CloseIntervalLocal() int32 {
 	pages := make([]memory.PageID, 0, len(dirty))
 	for _, p := range dirty {
 		pages = append(pages, p)
-		if nd.ownsHome(p) {
+		if nd.OwnsHome(p) {
 			nd.ver[p][nd.cfg.ID] = seq
 		}
 	}
@@ -123,7 +123,7 @@ func (nd *Node) FlushReplayDiffs() {
 	var diffs []memory.Diff
 	compareBytes := 0
 	for _, p := range nd.pt.DirtyPages() {
-		if !nd.IsHome(p) || nd.ownsHome(p) || !nd.pt.HasTwin(p) {
+		if !nd.IsHome(p) || nd.OwnsHome(p) || !nd.pt.HasTwin(p) {
 			continue
 		}
 		compareBytes += nd.cfg.PageSize
@@ -229,7 +229,7 @@ func (nd *Node) InstallPage(p memory.PageID, data []byte) {
 // non-home for this purpose: their stale copies must not be read.
 func (nd *Node) InvalidatePage(p memory.PageID) {
 	nd.mu.Lock()
-	if !nd.ownsHome(p) {
+	if !nd.OwnsHome(p) {
 		nd.pt.Invalidate(p)
 	}
 	nd.mu.Unlock()
@@ -248,31 +248,4 @@ func (nd *Node) HomeVersion(p memory.PageID) vclock.VC {
 		return nil
 	}
 	return nd.ver[p].Clone()
-}
-
-// LoggedGrant returns the idx-th lock grant (0-based, in issue order) this
-// manager node sent to the given requester, or nil past the end. Available
-// only with Config.SenderLogs; used by torn-tail recovery to replay the
-// victim's acquires that the torn disk log no longer covers.
-func (nd *Node) LoggedGrant(requester, idx int) *LockGrant {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	log := nd.grantLog[requester]
-	if idx < 0 || idx >= len(log) {
-		return nil
-	}
-	return log[idx]
-}
-
-// LoggedBarrierRelease returns the idx-th barrier release (0-based, in
-// issue order) this manager node sent to the given node, or nil past the
-// end. Available only with Config.SenderLogs.
-func (nd *Node) LoggedBarrierRelease(node, idx int) *BarrierRelease {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	log := nd.releaseLog[node]
-	if idx < 0 || idx >= len(log) {
-		return nil
-	}
-	return log[idx]
 }

@@ -9,7 +9,6 @@ import (
 	"sdsm/internal/obsv"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
-	"sdsm/internal/vclock"
 )
 
 // AcquireLock acquires a lock: one request to the lock manager, whose
@@ -62,7 +61,6 @@ func (nd *Node) AcquireLock(lock int) {
 	nd.ep.PublishLockHeld(int64(l))
 	nd.stats.LockAcquires.Add(1)
 	end := nd.clock.Now()
-	nd.lastSyncResume = end
 	// The grant's manager-side stamp is the causal cut separating the
 	// previous interval from this one: every peer message that should
 	// land in the previous flush composition was sent before the manager
@@ -134,7 +132,6 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 	// lastSyncStamp is NOT advanced here: the release is one-way, so
 	// there is no manager-side stamp to adopt; arrivals after it are
 	// fenced by the next acquire/barrier's grant stamp instead.
-	nd.lastSyncResume = nd.clock.Now()
 }
 
 // Barrier enters a global barrier: the interval is closed exactly as at a
@@ -203,7 +200,6 @@ func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	if nd.PostBarrier != nil {
 		nd.PostBarrier(op)
 	}
-	nd.lastSyncResume = nd.clock.Now()
 	// See AcquireLock: the manager-side release stamp is the sound cutoff
 	// for the next interval's arrival fence.
 	nd.lastSyncStamp = resp.SentAt
@@ -340,7 +336,7 @@ func (nd *Node) anyDirtyLocked(ns []Notice) bool {
 			continue
 		}
 		for _, p := range n.Pages {
-			if !nd.ownsHome(p) && nd.pt.IsDirty(p) {
+			if !nd.OwnsHome(p) && nd.pt.IsDirty(p) {
 				return true
 			}
 		}
@@ -358,7 +354,7 @@ func (nd *Node) applyNoticesLocked(ns []Notice) {
 			continue
 		}
 		for _, p := range n.Pages {
-			if nd.ownsHome(p) {
+			if nd.OwnsHome(p) {
 				continue
 			}
 			if nd.pt.IsDirty(p) {
@@ -420,7 +416,7 @@ func (nd *Node) closeAndPropagate(op int32) {
 	compareBytes := 0
 	for _, p := range dirty {
 		pages = append(pages, p)
-		if nd.ownsHome(p) {
+		if nd.OwnsHome(p) {
 			// Home writes need no diff to propagate (paper §2: "a
 			// read/write to a page on its home node ... requires no
 			// summary of write modifications"), but the write notice and
@@ -548,215 +544,4 @@ func (nd *Node) closeAndPropagate(op int32) {
 	wt0, wt1 := nd.clock.MergePlusSpan(flushDone, 0)
 	nd.trc.Seg(obsv.EvFlushWait, obsv.CatLogging, wt0, wt1, flushBytes, 0)
 	nd.trc.Observe(obsv.HistFlushStall, int64(wt1-wt0))
-}
-
-// Manager-side handlers ------------------------------------------------
-
-func (nd *Node) grantLocked(since vclock.VC) *LockGrant {
-	return &LockGrant{VT: nd.mgrVT.Clone(), Notices: nd.mgrNotices.Delta(since)}
-}
-
-// issueGrantLocked records a fresh grant's retransmission state (and, with
-// SenderLogs, appends it to the receiver's sender log). Callers hold nd.mu.
-func (nd *Node) issueGrantLocked(ls *lockState, to int, reqID int64, g *LockGrant, at simtime.Time) {
-	if nd.cfg.LeaseDuration > 0 {
-		g.LeaseUntil = at + simtime.Time(nd.cfg.LeaseDuration)
-	}
-	ls.held = true
-	ls.holder = to
-	ls.holderReq = reqID
-	ls.lastGrant = g
-	ls.lastGrantAt = at
-	if nd.cfg.SenderLogs {
-		nd.grantLog[to] = append(nd.grantLog[to], g)
-	}
-}
-
-func (nd *Node) handleLockReq(m transport.Message, at simtime.Time) {
-	req := m.Payload.(*LockReq)
-	nd.mu.Lock()
-	ls := nd.locks[req.Lock]
-	if ls == nil {
-		ls = &lockState{}
-		nd.locks[req.Lock] = ls
-	}
-	if ls.held {
-		if ls.holder == m.From && ls.holderReq == m.ReqID {
-			// Retransmission of the request we already granted: the grant
-			// was lost on the wire. Re-send the identical grant, stamped
-			// with the original grant time — the requester's clock already
-			// carries the retransmission timeouts, and a stamp derived
-			// from this copy's arrival would make the timing depend on
-			// which handler path the retransmission raced into.
-			g, gat := ls.lastGrant, ls.lastGrantAt
-			nd.mu.Unlock()
-			nd.ep.ReplyAt(gat, m, KindLockGrant, g.WireSize(), g)
-			return
-		}
-		for i, q := range ls.queue {
-			if q.m.From == m.From && q.m.ReqID == m.ReqID {
-				// Retransmission of a still-queued request: keep the newest
-				// copy (its reply fate is the live one) but the original
-				// arrival time, which is what the handoff timing is
-				// measured from.
-				ls.queue[i].m = m
-				nd.mu.Unlock()
-				return
-			}
-		}
-		ls.queue = append(ls.queue, pendingMsg{m: m, arrival: at})
-		nd.mu.Unlock()
-		return
-	}
-	g := nd.grantLocked(req.VT)
-	nd.issueGrantLocked(ls, m.From, m.ReqID, g, at)
-	nd.mu.Unlock()
-	nd.trc.SvcSpanT(svcTrace(m), obsv.EvLockGrant, obsv.CatCoherence,
-		at-simtime.Time(nd.cfg.Model.MsgHandling), at, m.From, m.SentAt,
-		int64(req.Lock), 0)
-	nd.ep.ReplyAt(at, m, KindLockGrant, g.WireSize(), g)
-}
-
-func (nd *Node) handleLockRelease(m transport.Message, at simtime.Time) {
-	rel := m.Payload.(*LockRelease)
-	nd.mu.Lock()
-	nd.mgrNotices.AddAll(rel.Notices)
-	nd.mgrVT.Merge(rel.VT)
-	if rv, ok := nd.revoked[rel.Lock]; ok && rv.holder == m.From {
-		// Replayed release of a lock this manager revoked when the holder
-		// was declared dead: the knowledge delta was merged above, the
-		// ownership change already happened at the revocation. Absorb.
-		delete(nd.revoked, rel.Lock)
-		nd.mu.Unlock()
-		return
-	}
-	ls := nd.locks[rel.Lock]
-	if ls == nil || !ls.held {
-		nd.mu.Unlock()
-		panic(fmt.Sprintf("hlrc: manager %d got release of free lock %d", nd.cfg.ID, rel.Lock))
-	}
-	var next pendingMsg
-	var g *LockGrant
-	var grantAt simtime.Time
-	granted := false
-	if len(ls.queue) > 0 {
-		next, ls.queue = ls.queue[0], ls.queue[1:]
-		g = nd.grantLocked(next.m.Payload.(*LockReq).VT)
-		// The handoff happens when both the release and the queued
-		// request have arrived.
-		grantAt = at
-		if next.arrival > grantAt {
-			grantAt = next.arrival
-		}
-		nd.issueGrantLocked(ls, next.m.From, next.m.ReqID, g, grantAt)
-		granted = true
-	} else {
-		ls.held = false
-	}
-	nd.mu.Unlock()
-	if granted {
-		// The handoff span's edge points at whichever message opened the
-		// grant: the queued request if the handoff waited for it to
-		// arrive, otherwise the release itself.
-		edgeFrom, edgeSentAt := m.From, m.SentAt
-		if next.arrival > at {
-			edgeFrom, edgeSentAt = next.m.From, next.m.SentAt
-		}
-		// The handoff grant belongs to the queued requester's op: its trace
-		// context (carried by the queued request copy) is what the grant
-		// span joins, not the releaser's.
-		nd.trc.SvcSpanT(svcTrace(next.m), obsv.EvLockGrant, obsv.CatCoherence,
-			at-simtime.Time(nd.cfg.Model.MsgHandling), grantAt, edgeFrom, edgeSentAt,
-			int64(rel.Lock), 0)
-		nd.ep.ReplyAt(grantAt, next.m, KindLockGrant, g.WireSize(), g)
-	}
-}
-
-func (nd *Node) handleBarrierCheckin(m transport.Message, at simtime.Time) {
-	ci := m.Payload.(*BarrierCheckin)
-	nd.mu.Lock()
-	bs := nd.barriers[ci.Barrier]
-	if bs == nil {
-		bs = &barrierState{lastReply: make(map[int]barrierReply)}
-		nd.barriers[ci.Barrier] = bs
-	}
-	if lr, ok := bs.lastReply[m.From]; ok && lr.reqID == m.ReqID {
-		// Retransmission of a check-in from an already-released round: the
-		// release was lost on the wire. Re-send the identical cached
-		// release at the original release time (the check-in's own
-		// retransmission timeouts are already on the sender's clock, and
-		// a stamp derived from this copy's arrival would depend on which
-		// handler path the retransmission raced into).
-		nd.mu.Unlock()
-		nd.ep.ReplyAt(lr.at, m, KindBarrierRelease, lr.rel.WireSize(), lr.rel)
-		return
-	}
-	for i, w := range bs.waiting {
-		if w.m.From == m.From {
-			if w.m.ReqID != m.ReqID {
-				nd.mu.Unlock()
-				panic(fmt.Sprintf("hlrc: manager %d: node %d checked into barrier %d twice",
-					nd.cfg.ID, m.From, ci.Barrier))
-			}
-			// Retransmission while the round is still filling: keep the
-			// newest copy (its reply fate is the live one) but the first
-			// copy's arrival time, which is what the barrier opening is
-			// measured from.
-			bs.waiting[i].m = m
-			nd.mu.Unlock()
-			return
-		}
-	}
-	nd.mgrNotices.AddAll(ci.Notices)
-	nd.mgrVT.Merge(ci.VT)
-	bs.waiting = append(bs.waiting, pendingMsg{m: m, arrival: at})
-	if len(bs.waiting) < nd.cfg.N {
-		nd.mu.Unlock()
-		return
-	}
-	waiting := bs.waiting
-	bs.waiting = nil
-	// The barrier opens when the last check-in has arrived. The last
-	// arriver (ties broken by lowest node id, so the choice is
-	// deterministic) is the release span's edge: it is the message the
-	// critical path runs through.
-	var releaseAt simtime.Time
-	last := waiting[0]
-	for _, w := range waiting {
-		if w.arrival > releaseAt {
-			releaseAt = w.arrival
-		}
-		if w.arrival > last.arrival || (w.arrival == last.arrival && w.m.From < last.m.From) {
-			last = w
-		}
-	}
-	type out struct {
-		m   transport.Message
-		rel *BarrierRelease
-	}
-	outs := make([]out, 0, len(waiting))
-	for _, w := range waiting {
-		since := w.m.Payload.(*BarrierCheckin).VT
-		rel := &BarrierRelease{
-			VT:      nd.mgrVT.Clone(),
-			Notices: nd.mgrNotices.Delta(since),
-		}
-		if nd.cfg.LeaseDuration > 0 {
-			rel.LeaseUntil = releaseAt + simtime.Time(nd.cfg.LeaseDuration)
-		}
-		bs.lastReply[w.m.From] = barrierReply{reqID: w.m.ReqID, rel: rel, at: releaseAt}
-		if nd.cfg.SenderLogs {
-			nd.releaseLog[w.m.From] = append(nd.releaseLog[w.m.From], rel)
-		}
-		outs = append(outs, out{m: w.m, rel: rel})
-	}
-	nd.mu.Unlock()
-	// The release span joins the last arriver's trace: that check-in is the
-	// message the release causally waits for.
-	nd.trc.SvcSpanT(svcTrace(last.m), obsv.EvBarrierRelease, obsv.CatCoherence,
-		releaseAt-simtime.Time(nd.cfg.Model.MsgHandling), releaseAt,
-		last.m.From, last.m.SentAt, int64(ci.Barrier), int64(len(waiting)))
-	for _, o := range outs {
-		nd.ep.ReplyAt(releaseAt, o.m, KindBarrierRelease, o.rel.WireSize(), o.rel)
-	}
 }

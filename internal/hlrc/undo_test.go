@@ -384,7 +384,7 @@ func TestHomeUndoStartsAtFirstServe(t *testing.T) {
 	}
 
 	interval(nd, 1)
-	nd.PageAtVersion(1, nd.Ver(1))
+	nd.PageAtVersion(1, nd.HomeVersion(1))
 	nd.WriteAt(64, []byte{round})
 	if !nd.pt.HasTwin(1) {
 		t.Fatal("first write after a versioned fetch took no twin")

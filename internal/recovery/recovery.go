@@ -104,16 +104,6 @@ func InstallService(nd *hlrc.Node, store *stable.Store) {
 			resp := readLoggedDiffs(store, req)
 			ep.ReplyAt(at, m, hlrc.KindRecDiffsReply, resp.WireSize(), resp)
 			return true
-		case hlrc.KindRecGrantReq:
-			req := m.Payload.(*hlrc.RecSyncReq)
-			resp := &hlrc.RecGrantReply{Grant: nd.LoggedGrant(int(req.Node), int(req.Idx))}
-			ep.ReplyAt(at, m, hlrc.KindRecGrantReply, resp.WireSize(), resp)
-			return true
-		case hlrc.KindRecBarrierReq:
-			req := m.Payload.(*hlrc.RecSyncReq)
-			resp := &hlrc.RecBarrierReply{Rel: nd.LoggedBarrierRelease(int(req.Node), int(req.Idx))}
-			ep.ReplyAt(at, m, hlrc.KindRecBarrierReply, resp.WireSize(), resp)
-			return true
 		default:
 			return false
 		}

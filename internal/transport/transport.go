@@ -320,9 +320,6 @@ func (nw *Network) cutAt(from, to int, at simtime.Time) bool {
 // the send paths consult the window schedule only then.
 func (nw *Network) partitionsActive() bool { return nw.partitions.Load() != nil }
 
-// FaultPlan returns the installed fault plan (zero when none).
-func (nw *Network) FaultPlan() fault.Plan { return nw.faults }
-
 // Nodes returns the number of nodes.
 func (nw *Network) Nodes() int { return nw.n }
 
@@ -416,9 +413,6 @@ func (nw *Network) EverCrashed(id int) (simtime.Time, bool) {
 	return simtime.Time(v - 1), true
 }
 
-// Epoch returns the current cluster membership epoch (starts at 1).
-func (nw *Network) Epoch() int64 { return nw.epoch.Load() }
-
 // DeclareDead bumps the membership epoch and records the new epoch as
 // node id's death epoch. Every message the declared-dead incarnation
 // sends afterwards carries a view below the returned epoch and is
@@ -444,9 +438,6 @@ func (nw *Network) Rejoin(id int) int64 {
 // DeathEpoch returns the epoch at which node id was most recently
 // declared dead, or 0 if it never was. It is not cleared by rejoin.
 func (nw *Network) DeathEpoch(id int) int64 { return nw.deathEpoch[id].Load() }
-
-// NodeEpoch returns node id's current epoch view.
-func (nw *Network) NodeEpoch(id int) int64 { return nw.view[id].Load() }
 
 // adoptView raises node id's epoch view to at least e (monotone).
 func (nw *Network) adoptView(id int, e int64) {
@@ -1101,10 +1092,6 @@ func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
 		}
 	}
 }
-
-// PeerDown reports whether a peer is currently marked crashed, and if
-// so since when (virtual time of its fail-stop).
-func (e *Endpoint) PeerDown(id int) (simtime.Time, bool) { return e.nw.CrashedAt(id) }
 
 // MarkCrashed records this node's own fail-stop in the liveness registry.
 func (e *Endpoint) MarkCrashed(at simtime.Time) { e.nw.MarkCrashed(e.id, at) }
