@@ -198,3 +198,36 @@ func BenchmarkHomeUndoClose(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWireSize sizes one full value of every payload type per
+// iteration, as every simulated send does once: the cost of the codec's
+// walk in its sizing mode, which must not allocate.
+func BenchmarkWireSize(b *testing.B) {
+	full := fullValues()
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		for _, tc := range full {
+			n += tc.v.WireSize()
+		}
+	}
+	if n == 0 {
+		b.Fatal("no bytes sized")
+	}
+}
+
+// BenchmarkAppendWire encodes one full value of every payload type per
+// iteration into a buffer with room, as a tcp send does into its link's
+// queue.
+func BenchmarkAppendWire(b *testing.B) {
+	full := fullValues()
+	buf := make([]byte, 0, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tc := range full {
+			buf = tc.v.AppendWire(buf[:0])
+		}
+	}
+}

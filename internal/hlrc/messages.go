@@ -73,11 +73,12 @@ func init() {
 
 // WirePayloads returns one exemplar of every concrete payload type the
 // protocol puts on the wire, exactly as the senders construct them
-// (pointers everywhere except the empty DiffAck value). An
-// out-of-process transport fabric builds its tag → decoder table from
-// them (each exemplar's WireTag and DecodeWire, see wire.go) so a
-// Message's `any` payload round-trips; the in-process fabric never needs
-// them.
+// (pointers everywhere except the empty DiffAck value). Each type's
+// layout is its case of the codec's one walk (wire.go), behind WireSize,
+// AppendWire and DecodeWire alike. An out-of-process transport fabric
+// builds its tag → decoder table from the exemplars (WireTag and
+// DecodeWire) so a Message's `any` payload round-trips; the in-process
+// fabric never needs them.
 func WirePayloads() []any {
 	return []any{
 		&LockReq{}, &LockGrant{}, &LockRelease{},
@@ -99,9 +100,6 @@ type LockReq struct {
 	VT   vclock.VC
 }
 
-// WireSize is the accounted message size.
-func (m *LockReq) WireSize() int { return 4 + m.VT.WireSize() }
-
 // LockGrant transfers lock ownership. It carries the manager's knowledge
 // horizon and the write-invalidation notices the acquirer lacks —
 // the paper's "lock grant message piggybacked with write-invalidation
@@ -114,15 +112,6 @@ type LockGrant struct {
 	LeaseUntil simtime.Time
 }
 
-// WireSize is the accounted message size.
-func (m *LockGrant) WireSize() int {
-	n := m.VT.WireSize() + NoticesWireSize(m.Notices)
-	if m.LeaseUntil != 0 {
-		n += 8
-	}
-	return n
-}
-
 // LockRelease returns ownership to the manager together with the
 // releaser's knowledge delta (everything it learned or produced since its
 // grant).
@@ -132,9 +121,6 @@ type LockRelease struct {
 	Notices []Notice
 }
 
-// WireSize is the accounted message size.
-func (m *LockRelease) WireSize() int { return 4 + m.VT.WireSize() + NoticesWireSize(m.Notices) }
-
 // BarrierCheckin announces arrival at a barrier, carrying the arriver's
 // vector time and knowledge delta since the last barrier.
 type BarrierCheckin struct {
@@ -143,9 +129,6 @@ type BarrierCheckin struct {
 	Notices []Notice
 }
 
-// WireSize is the accounted message size.
-func (m *BarrierCheckin) WireSize() int { return 4 + m.VT.WireSize() + NoticesWireSize(m.Notices) }
-
 // BarrierRelease releases one waiter from the barrier with the merged
 // vector time and the notices that waiter lacks.
 type BarrierRelease struct {
@@ -153,15 +136,6 @@ type BarrierRelease struct {
 	Notices []Notice
 	// LeaseUntil: as on LockGrant (zero when leases are disabled).
 	LeaseUntil simtime.Time
-}
-
-// WireSize is the accounted message size.
-func (m *BarrierRelease) WireSize() int {
-	n := m.VT.WireSize() + NoticesWireSize(m.Notices)
-	if m.LeaseUntil != 0 {
-		n += 8
-	}
-	return n
 }
 
 // DiffUpdate flushes one writer interval's diffs for the pages homed at
@@ -176,25 +150,10 @@ type DiffUpdate struct {
 	Diffs  []memory.Diff
 }
 
-// WireSize is the accounted message size.
-func (m *DiffUpdate) WireSize() int {
-	n := 8
-	if m.VTSum != 0 {
-		n += 8
-	}
-	for _, d := range m.Diffs {
-		n += d.WireSize()
-	}
-	return n
-}
-
 // DiffAck acknowledges a DiffUpdate; after it arrives the writer may
 // discard its diffs (and, under CCL, knows they are both applied at the
 // home and safely logged locally).
 type DiffAck struct{}
-
-// WireSize is the accounted message size.
-func (DiffAck) WireSize() int { return 8 }
 
 // PageReq fetches the current home copy of one page. VT is the
 // requester's vector time; it is populated only under online recovery
@@ -205,24 +164,12 @@ type PageReq struct {
 	VT   vclock.VC
 }
 
-// WireSize is the accounted message size.
-func (m *PageReq) WireSize() int {
-	n := 8
-	if m.VT != nil {
-		n += m.VT.WireSize()
-	}
-	return n
-}
-
 // PageReply carries the home copy and its version vector (the latter is
 // ignored during failure-free operation and used by recovery).
 type PageReply struct {
 	Data []byte
 	Ver  vclock.VC
 }
-
-// WireSize is the accounted message size.
-func (m *PageReply) WireSize() int { return len(m.Data) + m.Ver.WireSize() }
 
 // RecPageReq fetches a page during recovery at a version no newer than
 // Need. If the live home's copy has advanced past Need, the home rolls the
@@ -233,17 +180,11 @@ type RecPageReq struct {
 	Need vclock.VC
 }
 
-// WireSize is the accounted message size.
-func (m *RecPageReq) WireSize() int { return 8 + m.Need.WireSize() }
-
 // RecPageReply answers a RecPageReq.
 type RecPageReply struct {
 	Data []byte
 	Ver  vclock.VC
 }
-
-// WireSize is the accounted message size.
-func (m *RecPageReply) WireSize() int { return len(m.Data) + m.Ver.WireSize() }
 
 // RecDiffsReq asks a live writer for the diffs it logged for one page,
 // for writer intervals in (FromSeq, ToSeq].
@@ -252,9 +193,6 @@ type RecDiffsReq struct {
 	FromSeq int32
 	ToSeq   int32
 }
-
-// WireSize is the accounted message size.
-func (RecDiffsReq) WireSize() int { return 16 }
 
 // RecDiffsReply carries logged diffs read from the writer's stable store.
 // VTSums holds, per diff, the vector-time sum the writer logged with the
@@ -270,15 +208,6 @@ type RecDiffsReply struct {
 	DiskBytes int
 }
 
-// WireSize is the accounted message size.
-func (m *RecDiffsReply) WireSize() int {
-	n := 12 + 12*len(m.Seqs)
-	for _, d := range m.Diffs {
-		n += d.WireSize()
-	}
-	return n
-}
-
 // RecSyncReq asks a manager for the Idx-th (0-based, in issue order) lock
 // grant or barrier release it sent to Node before the crash — the
 // sender-log read of a torn-tail recovery.
@@ -287,34 +216,15 @@ type RecSyncReq struct {
 	Idx  int32
 }
 
-// WireSize is the accounted message size.
-func (RecSyncReq) WireSize() int { return 8 }
-
 // RecGrantReply answers a KindRecGrantReq. Grant is nil past the end of
 // the sender log (a replay divergence; the requester panics).
 type RecGrantReply struct {
 	Grant *LockGrant
 }
 
-// WireSize is the accounted message size.
-func (m *RecGrantReply) WireSize() int {
-	if m.Grant == nil {
-		return 4
-	}
-	return 4 + m.Grant.WireSize()
-}
-
 // RecBarrierReply answers a KindRecBarrierReq.
 type RecBarrierReply struct {
 	Rel *BarrierRelease
-}
-
-// WireSize is the accounted message size.
-func (m *RecBarrierReply) WireSize() int {
-	if m.Rel == nil {
-		return 4
-	}
-	return 4 + m.Rel.WireSize()
 }
 
 // Obituary announces that Node was declared dead at virtual time At (its
@@ -329,9 +239,6 @@ type Obituary struct {
 	Epoch int64
 }
 
-// WireSize is the accounted message size.
-func (Obituary) WireSize() int { return 20 }
-
 // RedirectHome answers a request for a page this node is not (or no
 // longer) responsible for: ask Home instead. Senders re-resolve and retry;
 // the chain is bounded because custody only moves between the static home
@@ -340,9 +247,6 @@ type RedirectHome struct {
 	Page memory.PageID
 	Home int32
 }
-
-// WireSize is the accounted message size.
-func (RedirectHome) WireSize() int { return 12 }
 
 // Fenced is the typed fencing diagnostic answering a request whose
 // sender's epoch predates the sender's own death declaration: the node
@@ -356,9 +260,6 @@ type Fenced struct {
 	DeathEpoch int64 // the epoch of the sender's death declaration
 	Epoch      int64 // the responder's current epoch view
 }
-
-// WireSize is the accounted message size.
-func (Fenced) WireSize() int { return 28 }
 
 // AdoptedDiff is one diff received directly by an adopter for a page in
 // its custody, with the ordering key it is applied under. Custody rebuilds

@@ -4,22 +4,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 
 	"sdsm/internal/memory"
 	"sdsm/internal/simtime"
 	"sdsm/internal/vclock"
 )
 
-// The wire codec. Every payload type has one encoding, realised by three
-// methods that must agree: WireSize (what the cost model charges),
-// AppendWire (what a real socket carries) and DecodeWire. The layouts are
-// composed from vclock.VC.Encode, EncodeNotices and memory.Diff.Encode
-// and are exact: len(m.AppendWire(nil)) == m.WireSize() for every value,
-// so modelled bytes are payload bytes. No layout carries a field the size
-// formula has no room for: a trailing optional field is present iff bytes
-// remain, DiffUpdate's optional VTSum is flagged in the sign bit of
-// Writer, and a diff list runs to the end of the body. DESIGN.md §2.10
-// tabulates the layouts.
+// The wire codec. Every payload type has one encoding, stated once: as
+// its case of wire.walk, a list of the fields in wire order. The same
+// walk sizes the message (WireSize, what the cost model charges), appends
+// it (AppendWire, what a real socket carries) or decodes it (DecodeWire),
+// so len(m.AppendWire(nil)) == m.WireSize() for every value by
+// construction and modelled bytes are payload bytes. The layouts are
+// composed from vclock.VC.Encode, EncodeNotices and memory.Diff.Encode. No
+// layout carries a field the walk does not name: a trailing optional
+// field is present iff bytes remain, DiffUpdate's optional VTSum is
+// flagged in the sign bit of Writer, and a diff list runs to the end of
+// the body.
 //
 // Encodings are canonical — one byte string per value, decoders reject
 // the rest (a zero optional field spelled out, nonzero reserved bytes) —
@@ -78,539 +80,504 @@ func (e *WireError) Error() string {
 
 func (e *WireError) Unwrap() error { return e.Err }
 
-// wireDec is a cursor over one payload body. The first failure sticks:
-// later reads return zero values, and result reports it.
-type wireDec struct {
-	payload string
-	b       []byte
-	err     error
+// wireOp is what a walk does with each field.
+type wireOp uint8
+
+const (
+	wireSizing    wireOp = iota // add the field's length to n
+	wireAppending               // append the field to b
+	wireDecoding                // read the field from b into the value
+)
+
+// wire is one walk over a payload's fields. A decode treats b as hostile:
+// the first failure sticks, later fields read as zero, and the value is
+// discarded.
+type wire struct {
+	op  wireOp
+	n   int        // sizing: the bytes walked so far
+	b   []byte     // appending: the encoding so far; decoding: the body left
+	err *WireError // decoding: the first failure
 }
 
-func (d *wireDec) fail(field string, err error) {
-	if d.err == nil {
-		d.err = &WireError{Payload: d.payload, Field: field, Err: err}
+func wireSize(p any) int {
+	w := wire{op: wireSizing}
+	w.walk(p)
+	return w.n
+}
+
+func appendWire(dst []byte, p any) []byte {
+	w := wire{op: wireAppending, b: dst}
+	w.walk(p)
+	return w.b
+}
+
+// decodeWire fills p, a fresh value, from the whole body b.
+func decodeWire(b []byte, p any) (any, error) {
+	w := wire{op: wireDecoding, b: b}
+	w.walk(p)
+	if w.err == nil && len(w.b) != 0 {
+		w.fail("end", ErrWireTrailing)
+	}
+	if w.err != nil {
+		w.err.Payload = reflect.Indirect(reflect.ValueOf(p)).Type().Name()
+		return nil, w.err
+	}
+	return p, nil
+}
+
+// walk states every payload's layout: its fields, in wire order. It is a
+// type switch called directly, not a method each type implements behind
+// an interface or a generic driver: that call would move w to the heap,
+// and wireSize runs on every simulated send.
+func (w *wire) walk(p any) {
+	switch m := p.(type) {
+	// --- lock and barrier messages ---
+	case *LockReq:
+		u32(w, "Lock", &m.Lock)
+		w.vc("VT", &m.VT)
+	case *LockGrant:
+		w.vc("VT", &m.VT)
+		w.notices(&m.Notices)
+		w.lease(&m.LeaseUntil)
+	case *LockRelease:
+		u32(w, "Lock", &m.Lock)
+		w.vc("VT", &m.VT)
+		w.notices(&m.Notices)
+	case *BarrierCheckin:
+		u32(w, "Barrier", &m.Barrier)
+		w.vc("VT", &m.VT)
+		w.notices(&m.Notices)
+	case *BarrierRelease:
+		w.vc("VT", &m.VT)
+		w.notices(&m.Notices)
+		w.lease(&m.LeaseUntil)
+
+	// --- coherence traffic ---
+	case *DiffUpdate:
+		sum := w.writer(&m.Writer, m.VTSum != 0)
+		u32(w, "Seq", &m.Seq)
+		if sum {
+			nonzero(w, "VTSum", &m.VTSum)
+		}
+		w.diffsToEnd(&m.Diffs)
+	case DiffAck:
+		// The ack carries nothing but is charged as a minimal message.
+		w.zero("reserved", 8)
+	case *PageReq:
+		w.page8(&m.Page)
+		if w.tail(m.VT != nil) {
+			w.vc("VT", &m.VT)
+		}
+	case *PageReply:
+		// Ver goes first because it carries its own length and Data
+		// does not.
+		w.vc("Ver", &m.Ver)
+		w.rest(&m.Data)
+
+	// --- recovery service ---
+	case *RecPageReq:
+		w.page8(&m.Page)
+		w.vc("Need", &m.Need)
+	case *RecPageReply:
+		w.vc("Ver", &m.Ver)
+		w.rest(&m.Data)
+	case *RecDiffsReq:
+		u32(w, "Page", &m.Page)
+		u32(w, "FromSeq", &m.FromSeq)
+		u32(w, "ToSeq", &m.ToSeq)
+		w.zero("reserved", 4)
+	case *RecDiffsReply:
+		// Seqs, VTSums and Diffs are parallel: a count, then the keys of
+		// every entry, then the diffs.
+		n := len(m.Seqs)
+		if len(m.VTSums) != n || len(m.Diffs) != n {
+			panic(fmt.Sprintf("hlrc: RecDiffsReply with %d seqs, %d vt sums, %d diffs",
+				n, len(m.VTSums), len(m.Diffs)))
+		}
+		u32(w, "count", &n)
+		i64(w, "DiskBytes", &m.DiskBytes)
+		// Each entry needs its 12 key bytes and at least a diff header.
+		if w.allocates("count", n, 12+8) {
+			m.Seqs, m.VTSums, m.Diffs = make([]int32, n), make([]int64, n), make([]memory.Diff, n)
+		}
+		for i := range m.Seqs {
+			u32(w, "Seqs", &m.Seqs[i])
+			i64(w, "VTSums", &m.VTSums[i])
+		}
+		for i := range m.Diffs {
+			w.diff(&m.Diffs[i])
+		}
+	case *RecSyncReq:
+		u32(w, "Node", &m.Node)
+		u32(w, "Idx", &m.Idx)
+	case *RecGrantReply:
+		if w.present(m.Grant != nil) {
+			if m.Grant == nil { // decoding
+				m.Grant = new(LockGrant)
+			}
+			w.walk(m.Grant)
+		}
+	case *RecBarrierReply:
+		if w.present(m.Rel != nil) {
+			if m.Rel == nil { // decoding
+				m.Rel = new(BarrierRelease)
+			}
+			w.walk(m.Rel)
+		}
+
+	// --- membership ---
+	case *Obituary:
+		u32(w, "Node", &m.Node)
+		i64(w, "At", &m.At)
+		i64(w, "Epoch", &m.Epoch)
+	case *RedirectHome:
+		w.page8(&m.Page)
+		u32(w, "Home", &m.Home)
+	case *Fenced:
+		u32(w, "Node", &m.Node)
+		i64(w, "MsgEpoch", &m.MsgEpoch)
+		i64(w, "DeathEpoch", &m.DeathEpoch)
+		i64(w, "Epoch", &m.Epoch)
+	default:
+		panic("hlrc: no wire layout for " + reflect.TypeOf(p).String())
 	}
 }
 
-// take returns the next n bytes, or nil after a failure.
-func (d *wireDec) take(field string, n int) []byte {
-	if d.err != nil {
+// --- field primitives: each sizes, appends or decodes one field ---
+
+func (w *wire) fail(field string, err error) {
+	if w.err == nil {
+		w.err = &WireError{Field: field, Err: err}
+	}
+}
+
+// take consumes the next n bytes of the body, or returns nil after a
+// failure.
+func (w *wire) take(field string, n int) []byte {
+	if w.err != nil {
 		return nil
 	}
-	if len(d.b) < n {
-		d.fail(field, ErrWireTruncated)
+	if len(w.b) < n {
+		w.fail(field, ErrWireTruncated)
 		return nil
 	}
-	out := d.b[:n]
-	d.b = d.b[n:]
+	out := w.b[:n]
+	w.b = w.b[n:]
 	return out
 }
 
-func (d *wireDec) u32(field string) uint32 {
-	if b := d.take(field, 4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *wireDec) i32(field string) int32 { return int32(d.u32(field)) }
-
-func (d *wireDec) i64(field string) int64 {
-	if b := d.take(field, 8); b != nil {
-		return int64(binary.LittleEndian.Uint64(b))
-	}
-	return 0
-}
-
-// zero consumes n reserved bytes, which must be zero.
-func (d *wireDec) zero(field string, n int) {
-	for _, x := range d.take(field, n) {
-		if x != 0 {
-			d.fail(field, ErrWireValue)
-			return
+// u32 walks a four-byte little-endian integer.
+func u32[T ~int32 | ~uint32 | ~int](w *wire, field string, v *T) {
+	switch w.op {
+	case wireSizing:
+		w.n += 4
+	case wireAppending:
+		w.b = binary.LittleEndian.AppendUint32(w.b, uint32(*v))
+	default:
+		if b := w.take(field, 4); b != nil {
+			*v = T(binary.LittleEndian.Uint32(b))
 		}
 	}
 }
 
-func (d *wireDec) vc(field string) vclock.VC {
-	if d.err != nil {
-		return nil
+// i64 walks an eight-byte little-endian integer.
+func i64[T ~int64 | ~int](w *wire, field string, v *T) {
+	switch w.op {
+	case wireSizing:
+		w.n += 8
+	case wireAppending:
+		w.b = binary.LittleEndian.AppendUint64(w.b, uint64(*v))
+	default:
+		if b := w.take(field, 8); b != nil {
+			*v = T(binary.LittleEndian.Uint64(b))
+		}
 	}
-	v, rest, err := vclock.DecodeVC(d.b)
-	if err != nil {
-		d.fail(field, err)
-		return nil
-	}
-	d.b = rest
-	return v
 }
 
-func (d *wireDec) notices(field string) []Notice {
-	if d.err != nil {
-		return nil
+// nonzero walks an optional i64 whose presence the layout has already
+// stated, so a zero spelled out is not canonical.
+func nonzero[T ~int64](w *wire, field string, v *T) {
+	i64(w, field, v)
+	if w.op == wireDecoding && w.err == nil && *v == 0 {
+		w.fail(field, ErrWireValue)
 	}
-	ns, rest, err := DecodeNotices(d.b)
-	if err != nil {
-		d.fail(field, err)
-		return nil
-	}
-	d.b = rest
-	return ns
 }
 
-func (d *wireDec) diff(field string) memory.Diff {
-	if d.err != nil {
-		return memory.Diff{}
+// zero walks n reserved bytes, which must be zero.
+func (w *wire) zero(field string, n int) {
+	switch w.op {
+	case wireSizing:
+		w.n += n
+	case wireAppending:
+		for i := 0; i < n; i++ {
+			w.b = append(w.b, 0)
+		}
+	default:
+		for _, x := range w.take(field, n) {
+			if x != 0 {
+				w.fail(field, ErrWireValue)
+				return
+			}
+		}
 	}
-	df, rest, err := memory.DecodeDiff(d.b)
-	if err != nil {
-		d.fail(field, err)
-		return memory.Diff{}
-	}
-	d.b = rest
-	return df
 }
 
-// diffsToEnd decodes diffs until the body is used up (a diff is at least
-// its 8-byte header, so the list is bounded by the body).
-func (d *wireDec) diffsToEnd(field string) []memory.Diff {
+// page8 walks a page id in the 8 bytes the page-addressed messages are
+// charged for: the id and four reserved zero bytes.
+func (w *wire) page8(p *memory.PageID) {
+	u32(w, "Page", p)
+	w.zero("Page", 4)
+}
+
+// decoded reads a field that carries its own length with its package's
+// decoder.
+func decoded[T any](w *wire, field string, v *T, dec func([]byte) (T, []byte, error)) {
+	if w.err != nil {
+		return
+	}
+	got, rest, err := dec(w.b)
+	if err != nil {
+		w.fail(field, err)
+		return
+	}
+	*v, w.b = got, rest
+}
+
+func (w *wire) vc(field string, v *vclock.VC) {
+	switch w.op {
+	case wireSizing:
+		w.n += v.WireSize()
+	case wireAppending:
+		w.b = v.Encode(w.b)
+	default:
+		decoded(w, field, v, vclock.DecodeVC)
+	}
+}
+
+func (w *wire) notices(ns *[]Notice) {
+	switch w.op {
+	case wireSizing:
+		w.n += NoticesWireSize(*ns)
+	case wireAppending:
+		w.b = EncodeNotices(*ns, w.b)
+	default:
+		decoded(w, "Notices", ns, DecodeNotices)
+	}
+}
+
+func (w *wire) diff(d *memory.Diff) {
+	switch w.op {
+	case wireSizing:
+		w.n += d.WireSize()
+	case wireAppending:
+		w.b = d.Encode(w.b)
+	default:
+		decoded(w, "Diffs", d, memory.DecodeDiff)
+	}
+}
+
+// diffsToEnd walks a diff list that runs to the end of the body (a diff
+// is at least its 8-byte header, so the list is bounded by the body).
+func (w *wire) diffsToEnd(ds *[]memory.Diff) {
+	if w.op != wireDecoding {
+		for i := range *ds {
+			w.diff(&(*ds)[i])
+		}
+		return
+	}
 	var out []memory.Diff
-	for d.err == nil && len(d.b) > 0 {
-		out = append(out, d.diff(field))
+	for w.err == nil && len(w.b) > 0 {
+		var d memory.Diff
+		w.diff(&d)
+		out = append(out, d)
 	}
-	if d.err != nil {
-		return nil
+	if w.err == nil {
+		*ds = out
 	}
-	return out
 }
 
-// lease decodes the optional trailing LeaseUntil of a grant or barrier
-// release: absent when the body ends here, else eight nonzero bytes.
-func (d *wireDec) lease(field string) simtime.Time {
-	if d.err != nil || len(d.b) == 0 {
-		return 0
+// rest walks a byte string that runs to the end of the body; decoded, it
+// is a copy at its exact size (nil when nothing is left).
+func (w *wire) rest(data *[]byte) {
+	switch w.op {
+	case wireSizing:
+		w.n += len(*data)
+	case wireAppending:
+		w.b = append(w.b, *data...)
+	default:
+		if w.err != nil || len(w.b) == 0 {
+			return
+		}
+		*data = make([]byte, len(w.b))
+		copy(*data, w.b)
+		w.b = nil
 	}
-	t := simtime.Time(d.i64(field))
-	if d.err == nil && t == 0 {
-		d.fail(field, ErrWireValue)
+}
+
+// tail reports whether a trailing optional field is there: when encoding,
+// has; when decoding, whether bytes remain.
+func (w *wire) tail(has bool) bool {
+	if w.op == wireDecoding {
+		return w.err == nil && len(w.b) > 0
 	}
-	return t
+	return has
 }
 
-// restCopy returns a copy of the rest of the body at its exact size (nil
-// when nothing is left).
-func (d *wireDec) restCopy() []byte {
-	if d.err != nil || len(d.b) == 0 {
-		return nil
+// lease walks the optional trailing LeaseUntil of a grant or barrier
+// release: absent when zero, else eight nonzero bytes.
+func (w *wire) lease(t *simtime.Time) {
+	if w.tail(*t != 0) {
+		nonzero(w, "LeaseUntil", t)
 	}
-	out := make([]byte, len(d.b))
-	copy(out, d.b)
-	d.b = nil
-	return out
 }
-
-// result ends a decode: m if every field decoded and the body is used
-// up, else the failure (ErrWireTrailing when only bytes remain).
-func (d *wireDec) result(m any) (any, error) {
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("end", ErrWireTrailing)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return m, nil
-}
-
-func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-func appendI64(dst []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(dst, uint64(v)) }
-
-// appendPage8 encodes a page id in the 8 bytes the page-addressed
-// requests are charged for: the id and four reserved zero bytes.
-func appendPage8(dst []byte, p memory.PageID) []byte {
-	return appendU32(appendU32(dst, uint32(p)), 0)
-}
-
-func (d *wireDec) page8(field string) memory.PageID {
-	p := memory.PageID(d.u32(field))
-	d.zero(field, 4)
-	return p
-}
-
-// appendKnowledge encodes the (VT, Notices) pair every synchronization
-// message carries.
-func appendKnowledge(dst []byte, vt vclock.VC, ns []Notice) []byte {
-	return EncodeNotices(ns, vt.Encode(dst))
-}
-
-// appendLease encodes the optional trailing LeaseUntil.
-func appendLease(dst []byte, t simtime.Time) []byte {
-	if t == 0 {
-		return dst
-	}
-	return appendI64(dst, int64(t))
-}
-
-// --- lock and barrier messages ---
-
-func (*LockReq) WireTag() uint8 { return tagLockReq }
-
-// AppendWire: Lock u32 | VT.
-func (m *LockReq) AppendWire(dst []byte) []byte {
-	return m.VT.Encode(appendU32(dst, uint32(m.Lock)))
-}
-
-func (*LockReq) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "LockReq", b: b}
-	m := &LockReq{Lock: d.i32("Lock"), VT: d.vc("VT")}
-	return d.result(m)
-}
-
-func (*LockGrant) WireTag() uint8 { return tagLockGrant }
-
-// AppendWire: VT | Notices | [LeaseUntil i64, iff nonzero].
-func (m *LockGrant) AppendWire(dst []byte) []byte {
-	return appendLease(appendKnowledge(dst, m.VT, m.Notices), m.LeaseUntil)
-}
-
-func (*LockGrant) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "LockGrant", b: b}
-	m := decodeLockGrant(&d)
-	return d.result(m)
-}
-
-func decodeLockGrant(d *wireDec) *LockGrant {
-	return &LockGrant{VT: d.vc("VT"), Notices: d.notices("Notices"), LeaseUntil: d.lease("LeaseUntil")}
-}
-
-func (*LockRelease) WireTag() uint8 { return tagLockRelease }
-
-// AppendWire: Lock u32 | VT | Notices.
-func (m *LockRelease) AppendWire(dst []byte) []byte {
-	return appendKnowledge(appendU32(dst, uint32(m.Lock)), m.VT, m.Notices)
-}
-
-func (*LockRelease) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "LockRelease", b: b}
-	m := &LockRelease{Lock: d.i32("Lock"), VT: d.vc("VT"), Notices: d.notices("Notices")}
-	return d.result(m)
-}
-
-func (*BarrierCheckin) WireTag() uint8 { return tagBarrierCheckin }
-
-// AppendWire: Barrier u32 | VT | Notices.
-func (m *BarrierCheckin) AppendWire(dst []byte) []byte {
-	return appendKnowledge(appendU32(dst, uint32(m.Barrier)), m.VT, m.Notices)
-}
-
-func (*BarrierCheckin) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "BarrierCheckin", b: b}
-	m := &BarrierCheckin{Barrier: d.i32("Barrier"), VT: d.vc("VT"), Notices: d.notices("Notices")}
-	return d.result(m)
-}
-
-func (*BarrierRelease) WireTag() uint8 { return tagBarrierRelease }
-
-// AppendWire: VT | Notices | [LeaseUntil i64, iff nonzero].
-func (m *BarrierRelease) AppendWire(dst []byte) []byte {
-	return appendLease(appendKnowledge(dst, m.VT, m.Notices), m.LeaseUntil)
-}
-
-func (*BarrierRelease) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "BarrierRelease", b: b}
-	m := decodeBarrierRelease(&d)
-	return d.result(m)
-}
-
-func decodeBarrierRelease(d *wireDec) *BarrierRelease {
-	return &BarrierRelease{VT: d.vc("VT"), Notices: d.notices("Notices"), LeaseUntil: d.lease("LeaseUntil")}
-}
-
-// --- coherence traffic ---
 
 // vtSumBit flags a DiffUpdate that carries VTSum. It is the sign bit of
 // the Writer word: node ids are non-negative, so the bit is spare and the
-// optional field costs exactly the 8 bytes WireSize charges for it.
+// optional field costs exactly its 8 bytes.
 const vtSumBit = 1 << 31
 
-func (*DiffUpdate) WireTag() uint8 { return tagDiffUpdate }
-
-// AppendWire: Writer u32 (bit 31: VTSum follows) | Seq u32 |
-// [VTSum i64, iff nonzero] | Diffs to the end of the body.
-func (m *DiffUpdate) AppendWire(dst []byte) []byte {
-	if m.Writer < 0 {
-		panic(fmt.Sprintf("hlrc: DiffUpdate from negative writer %d", m.Writer))
+// writer walks DiffUpdate's Writer word, whose sign bit says whether
+// VTSum follows, and reports the bit.
+func (w *wire) writer(id *int32, flag bool) bool {
+	if w.op == wireDecoding {
+		var word uint32
+		u32(w, "Writer", &word)
+		*id = int32(word &^ vtSumBit)
+		return word&vtSumBit != 0
 	}
-	w := uint32(m.Writer)
-	if m.VTSum != 0 {
-		w |= vtSumBit
+	if *id < 0 {
+		panic(fmt.Sprintf("hlrc: DiffUpdate from negative writer %d", *id))
 	}
-	dst = appendU32(appendU32(dst, w), uint32(m.Seq))
-	if m.VTSum != 0 {
-		dst = appendI64(dst, m.VTSum)
+	word := uint32(*id)
+	if flag {
+		word |= vtSumBit
 	}
-	for _, df := range m.Diffs {
-		dst = df.Encode(dst)
+	u32(w, "Writer", &word)
+	return flag
+}
+
+// present walks the u32 (0 or 1) that says whether a sender-log reply
+// carries its grant or release, and reports it.
+func (w *wire) present(has bool) bool {
+	var v uint32
+	if has {
+		v = 1
 	}
-	return dst
-}
-
-func (*DiffUpdate) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "DiffUpdate", b: b}
-	w := d.u32("Writer")
-	m := &DiffUpdate{Writer: int32(w &^ vtSumBit), Seq: d.i32("Seq")}
-	if w&vtSumBit != 0 {
-		if m.VTSum = d.i64("VTSum"); m.VTSum == 0 {
-			d.fail("VTSum", ErrWireValue)
-		}
-	}
-	m.Diffs = d.diffsToEnd("Diffs")
-	return d.result(m)
-}
-
-func (DiffAck) WireTag() uint8 { return tagDiffAck }
-
-// AppendWire: eight zero bytes (the ack carries nothing but is charged
-// as a minimal protocol message).
-func (DiffAck) AppendWire(dst []byte) []byte { return appendI64(dst, 0) }
-
-func (DiffAck) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "DiffAck", b: b}
-	d.zero("reserved", 8)
-	return d.result(DiffAck{})
-}
-
-func (*PageReq) WireTag() uint8 { return tagPageReq }
-
-// AppendWire: Page u32 | 0 u32 | [VT, iff non-nil].
-func (m *PageReq) AppendWire(dst []byte) []byte {
-	dst = appendPage8(dst, m.Page)
-	if m.VT != nil {
-		dst = m.VT.Encode(dst)
-	}
-	return dst
-}
-
-func (*PageReq) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "PageReq", b: b}
-	m := &PageReq{Page: d.page8("Page")}
-	if len(d.b) > 0 {
-		m.VT = d.vc("VT")
-	}
-	return d.result(m)
-}
-
-func (*PageReply) WireTag() uint8 { return tagPageReply }
-
-// AppendWire: Ver | Data to the end of the body. Ver goes first because
-// it carries its own length and Data does not.
-func (m *PageReply) AppendWire(dst []byte) []byte {
-	return append(m.Ver.Encode(dst), m.Data...)
-}
-
-func (*PageReply) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "PageReply", b: b}
-	m := &PageReply{Ver: d.vc("Ver")}
-	m.Data = d.restCopy()
-	return d.result(m)
-}
-
-// --- recovery service ---
-
-func (*RecPageReq) WireTag() uint8 { return tagRecPageReq }
-
-// AppendWire: Page u32 | 0 u32 | Need.
-func (m *RecPageReq) AppendWire(dst []byte) []byte {
-	return m.Need.Encode(appendPage8(dst, m.Page))
-}
-
-func (*RecPageReq) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RecPageReq", b: b}
-	m := &RecPageReq{Page: d.page8("Page"), Need: d.vc("Need")}
-	return d.result(m)
-}
-
-func (*RecPageReply) WireTag() uint8 { return tagRecPageReply }
-
-// AppendWire: Ver | Data to the end of the body.
-func (m *RecPageReply) AppendWire(dst []byte) []byte {
-	return append(m.Ver.Encode(dst), m.Data...)
-}
-
-func (*RecPageReply) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RecPageReply", b: b}
-	m := &RecPageReply{Ver: d.vc("Ver")}
-	m.Data = d.restCopy()
-	return d.result(m)
-}
-
-func (*RecDiffsReq) WireTag() uint8 { return tagRecDiffsReq }
-
-// AppendWire: Page u32 | FromSeq u32 | ToSeq u32 | 0 u32.
-func (m *RecDiffsReq) AppendWire(dst []byte) []byte {
-	dst = appendU32(appendU32(dst, uint32(m.Page)), uint32(m.FromSeq))
-	return appendU32(appendU32(dst, uint32(m.ToSeq)), 0)
-}
-
-func (*RecDiffsReq) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RecDiffsReq", b: b}
-	m := &RecDiffsReq{Page: memory.PageID(d.u32("Page")), FromSeq: d.i32("FromSeq"), ToSeq: d.i32("ToSeq")}
-	d.zero("reserved", 4)
-	return d.result(m)
-}
-
-func (*RecDiffsReply) WireTag() uint8 { return tagRecDiffsReply }
-
-// AppendWire: n u32 | DiskBytes i64 | n × (Seq u32, VTSum i64) | n diffs.
-// Seqs, VTSums and Diffs are parallel.
-func (m *RecDiffsReply) AppendWire(dst []byte) []byte {
-	n := len(m.Seqs)
-	if len(m.VTSums) != n || len(m.Diffs) != n {
-		panic(fmt.Sprintf("hlrc: RecDiffsReply with %d seqs, %d vt sums, %d diffs",
-			n, len(m.VTSums), len(m.Diffs)))
-	}
-	dst = appendI64(appendU32(dst, uint32(n)), int64(m.DiskBytes))
-	for i, s := range m.Seqs {
-		dst = appendI64(appendU32(dst, uint32(s)), m.VTSums[i])
-	}
-	for _, df := range m.Diffs {
-		dst = df.Encode(dst)
-	}
-	return dst
-}
-
-func (*RecDiffsReply) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RecDiffsReply", b: b}
-	n := int(d.u32("count"))
-	m := &RecDiffsReply{DiskBytes: int(d.i64("DiskBytes"))}
-	// Each entry needs its 12 key bytes and at least a diff header, so a
-	// count the body cannot hold fails before anything is sized by it.
-	if d.err == nil && n > len(d.b)/(12+8) {
-		d.fail("count", ErrWireTruncated)
-	}
-	if d.err != nil || n == 0 {
-		return d.result(m)
-	}
-	m.Seqs = make([]int32, n)
-	m.VTSums = make([]int64, n)
-	for i := range m.Seqs {
-		m.Seqs[i] = d.i32("Seqs")
-		m.VTSums[i] = d.i64("VTSums")
-	}
-	m.Diffs = make([]memory.Diff, n)
-	for i := range m.Diffs {
-		m.Diffs[i] = d.diff("Diffs")
-	}
-	return d.result(m)
-}
-
-func (*RecSyncReq) WireTag() uint8 { return tagRecSyncReq }
-
-// AppendWire: Node u32 | Idx u32.
-func (m *RecSyncReq) AppendWire(dst []byte) []byte {
-	return appendU32(appendU32(dst, uint32(m.Node)), uint32(m.Idx))
-}
-
-func (*RecSyncReq) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RecSyncReq", b: b}
-	m := &RecSyncReq{Node: d.i32("Node"), Idx: d.i32("Idx")}
-	return d.result(m)
-}
-
-// present decodes the u32 that says whether a sender-log reply carries
-// its grant or release.
-func (d *wireDec) present(field string) bool {
-	v := d.u32(field)
+	u32(w, "present", &v)
 	if v > 1 {
-		d.fail(field, ErrWireValue)
+		w.fail("present", ErrWireValue)
 	}
 	return v == 1
 }
 
-func appendPresent(dst []byte, present bool) []byte {
-	if present {
-		return appendU32(dst, 1)
+// allocates reports whether a decode should allocate the n entries a count
+// announced, each at least min bytes long. A count the rest of the body
+// cannot hold fails here, before anything is sized by it.
+func (w *wire) allocates(field string, n, min int) bool {
+	if w.op != wireDecoding || w.err != nil {
+		return false
 	}
-	return appendU32(dst, 0)
-}
-
-func (*RecGrantReply) WireTag() uint8 { return tagRecGrantReply }
-
-// AppendWire: present u32 (0 or 1) | [LockGrant].
-func (m *RecGrantReply) AppendWire(dst []byte) []byte {
-	dst = appendPresent(dst, m.Grant != nil)
-	if m.Grant != nil {
-		dst = m.Grant.AppendWire(dst)
+	if n > len(w.b)/min {
+		w.fail(field, ErrWireTruncated)
+		return false
 	}
-	return dst
+	return n > 0
 }
 
-func (*RecGrantReply) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RecGrantReply", b: b}
-	m := &RecGrantReply{}
-	if d.present("present") {
-		m.Grant = decodeLockGrant(&d)
-	}
-	return d.result(m)
-}
+// --- per type: WireTag, WireSize (the accounted message size),
+// AppendWire and DecodeWire, the last three a walk of its layout ---
 
-func (*RecBarrierReply) WireTag() uint8 { return tagRecBarrierReply }
+func (*LockReq) WireTag() uint8                   { return tagLockReq }
+func (m *LockReq) WireSize() int                  { return wireSize(m) }
+func (m *LockReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*LockReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &LockReq{}) }
 
-// AppendWire: present u32 (0 or 1) | [BarrierRelease].
-func (m *RecBarrierReply) AppendWire(dst []byte) []byte {
-	dst = appendPresent(dst, m.Rel != nil)
-	if m.Rel != nil {
-		dst = m.Rel.AppendWire(dst)
-	}
-	return dst
-}
+func (*LockGrant) WireTag() uint8                   { return tagLockGrant }
+func (m *LockGrant) WireSize() int                  { return wireSize(m) }
+func (m *LockGrant) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*LockGrant) DecodeWire(b []byte) (any, error) { return decodeWire(b, &LockGrant{}) }
 
-func (*RecBarrierReply) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RecBarrierReply", b: b}
-	m := &RecBarrierReply{}
-	if d.present("present") {
-		m.Rel = decodeBarrierRelease(&d)
-	}
-	return d.result(m)
-}
+func (*LockRelease) WireTag() uint8                   { return tagLockRelease }
+func (m *LockRelease) WireSize() int                  { return wireSize(m) }
+func (m *LockRelease) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*LockRelease) DecodeWire(b []byte) (any, error) { return decodeWire(b, &LockRelease{}) }
 
-// --- membership ---
+func (*BarrierCheckin) WireTag() uint8                   { return tagBarrierCheckin }
+func (m *BarrierCheckin) WireSize() int                  { return wireSize(m) }
+func (m *BarrierCheckin) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*BarrierCheckin) DecodeWire(b []byte) (any, error) { return decodeWire(b, &BarrierCheckin{}) }
 
-func (*Obituary) WireTag() uint8 { return tagObituary }
+func (*BarrierRelease) WireTag() uint8                   { return tagBarrierRelease }
+func (m *BarrierRelease) WireSize() int                  { return wireSize(m) }
+func (m *BarrierRelease) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*BarrierRelease) DecodeWire(b []byte) (any, error) { return decodeWire(b, &BarrierRelease{}) }
 
-// AppendWire: Node u32 | At i64 | Epoch i64.
-func (m *Obituary) AppendWire(dst []byte) []byte {
-	return appendI64(appendI64(appendU32(dst, uint32(m.Node)), int64(m.At)), m.Epoch)
-}
+func (*DiffUpdate) WireTag() uint8                   { return tagDiffUpdate }
+func (m *DiffUpdate) WireSize() int                  { return wireSize(m) }
+func (m *DiffUpdate) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*DiffUpdate) DecodeWire(b []byte) (any, error) { return decodeWire(b, &DiffUpdate{}) }
 
-func (*Obituary) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "Obituary", b: b}
-	m := &Obituary{Node: d.i32("Node"), At: simtime.Time(d.i64("At")), Epoch: d.i64("Epoch")}
-	return d.result(m)
-}
+func (DiffAck) WireTag() uint8                   { return tagDiffAck }
+func (m DiffAck) WireSize() int                  { return wireSize(m) }
+func (m DiffAck) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (DiffAck) DecodeWire(b []byte) (any, error) { return decodeWire(b, DiffAck{}) }
 
-func (*RedirectHome) WireTag() uint8 { return tagRedirectHome }
+func (*PageReq) WireTag() uint8                   { return tagPageReq }
+func (m *PageReq) WireSize() int                  { return wireSize(m) }
+func (m *PageReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*PageReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &PageReq{}) }
 
-// AppendWire: Page u32 | 0 u32 | Home u32.
-func (m *RedirectHome) AppendWire(dst []byte) []byte {
-	return appendU32(appendPage8(dst, m.Page), uint32(m.Home))
-}
+func (*PageReply) WireTag() uint8                   { return tagPageReply }
+func (m *PageReply) WireSize() int                  { return wireSize(m) }
+func (m *PageReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*PageReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &PageReply{}) }
 
-func (*RedirectHome) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "RedirectHome", b: b}
-	m := &RedirectHome{Page: d.page8("Page"), Home: d.i32("Home")}
-	return d.result(m)
-}
+func (*RecPageReq) WireTag() uint8                   { return tagRecPageReq }
+func (m *RecPageReq) WireSize() int                  { return wireSize(m) }
+func (m *RecPageReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RecPageReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecPageReq{}) }
 
-func (*Fenced) WireTag() uint8 { return tagFenced }
+func (*RecPageReply) WireTag() uint8                   { return tagRecPageReply }
+func (m *RecPageReply) WireSize() int                  { return wireSize(m) }
+func (m *RecPageReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RecPageReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecPageReply{}) }
 
-// AppendWire: Node u32 | MsgEpoch i64 | DeathEpoch i64 | Epoch i64.
-func (m *Fenced) AppendWire(dst []byte) []byte {
-	dst = appendI64(appendU32(dst, uint32(m.Node)), m.MsgEpoch)
-	return appendI64(appendI64(dst, m.DeathEpoch), m.Epoch)
-}
+func (*RecDiffsReq) WireTag() uint8                   { return tagRecDiffsReq }
+func (m RecDiffsReq) WireSize() int                   { return wireSize(&m) }
+func (m *RecDiffsReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RecDiffsReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecDiffsReq{}) }
 
-func (*Fenced) DecodeWire(b []byte) (any, error) {
-	d := wireDec{payload: "Fenced", b: b}
-	m := &Fenced{Node: d.i32("Node"), MsgEpoch: d.i64("MsgEpoch"), DeathEpoch: d.i64("DeathEpoch"), Epoch: d.i64("Epoch")}
-	return d.result(m)
-}
+func (*RecDiffsReply) WireTag() uint8                   { return tagRecDiffsReply }
+func (m *RecDiffsReply) WireSize() int                  { return wireSize(m) }
+func (m *RecDiffsReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RecDiffsReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecDiffsReply{}) }
+
+func (*RecSyncReq) WireTag() uint8                   { return tagRecSyncReq }
+func (m RecSyncReq) WireSize() int                   { return wireSize(&m) }
+func (m *RecSyncReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RecSyncReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecSyncReq{}) }
+
+func (*RecGrantReply) WireTag() uint8                   { return tagRecGrantReply }
+func (m *RecGrantReply) WireSize() int                  { return wireSize(m) }
+func (m *RecGrantReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RecGrantReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecGrantReply{}) }
+
+func (*RecBarrierReply) WireTag() uint8                   { return tagRecBarrierReply }
+func (m *RecBarrierReply) WireSize() int                  { return wireSize(m) }
+func (m *RecBarrierReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RecBarrierReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecBarrierReply{}) }
+
+func (*Obituary) WireTag() uint8                   { return tagObituary }
+func (m Obituary) WireSize() int                   { return wireSize(&m) }
+func (m *Obituary) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*Obituary) DecodeWire(b []byte) (any, error) { return decodeWire(b, &Obituary{}) }
+
+func (*RedirectHome) WireTag() uint8                   { return tagRedirectHome }
+func (m RedirectHome) WireSize() int                   { return wireSize(&m) }
+func (m *RedirectHome) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*RedirectHome) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RedirectHome{}) }
+
+func (*Fenced) WireTag() uint8                   { return tagFenced }
+func (m Fenced) WireSize() int                   { return wireSize(&m) }
+func (m *Fenced) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
+func (*Fenced) DecodeWire(b []byte) (any, error) { return decodeWire(b, &Fenced{}) }

@@ -374,6 +374,21 @@ func TestWireRejectsTruncationAndTrailing(t *testing.T) {
 	}
 }
 
+// TestWireSizeAndAppendAllocateNothing: every simulated send sizes its
+// payload and every tcp send appends it into the link's queue, so neither
+// may allocate — the walk behind them stays on the stack.
+func TestWireSizeAndAppendAllocateNothing(t *testing.T) {
+	for _, tc := range fullValues() {
+		buf := make([]byte, 0, 4096)
+		if allocs := testing.AllocsPerRun(100, func() { tc.v.WireSize() }); allocs != 0 {
+			t.Errorf("%T: WireSize makes %v allocations", tc.v, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { buf = tc.v.AppendWire(buf[:0]) }); allocs != 0 {
+			t.Errorf("%T: AppendWire into a buffer with room makes %v allocations", tc.v, allocs)
+		}
+	}
+}
+
 // TestWireRejectsHostileCountsAndValues: counts far larger than the body
 // fail before anything is sized by them, and the spellings the canonical
 // encoding excludes are refused.

@@ -78,7 +78,8 @@ type Payload interface {
 	// never has to trust the kind.
 	WireTag() uint8
 	// AppendWire appends the payload's encoding to dst. Its length is the
-	// message's accounted size (the fabric checks that on every send).
+	// message's accounted size: the protocol derives both from one layout,
+	// and the fabric checks on every send that the sender charged it.
 	AppendWire(dst []byte) []byte
 	// DecodeWire decodes b — one whole encoding — into a fresh value of
 	// the receiver's type. The receiver is only an exemplar; the result

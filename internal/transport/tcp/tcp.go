@@ -294,8 +294,9 @@ func (l *link) flush(taken []byte) bool {
 // appendChecked encodes one frame onto the batch, failing loudly on
 // encoding errors (a payload type without a codec is a wiring bug, not a
 // runtime condition), on a payload whose encoded length is not the size
-// the cost model charged for the message (the two halves of a payload's
-// codec disagree), and on frames above the decoder's bound.
+// the cost model charged for the message (the caller passed a size other
+// than the payload's own WireSize), and on frames above the decoder's
+// bound.
 func (l *link) appendChecked(buf []byte, f *Frame) []byte {
 	start := len(buf)
 	out, err := AppendFrame(buf, f)
