@@ -62,12 +62,13 @@ bench:
 	go test ./internal/apps/... -run xxx -bench . -benchtime=5x -count=1
 
 # Every fuzz target of the packages that decode bytes they did not write
-# (frames and payloads off a socket, diffs, log records), 10 s each: long
-# enough to replay the seed corpus and mutate past it, short enough for
-# CI. go test takes one -fuzz target per run, hence the loop. (memory's
-# FuzzDecodeDiff is seeded with diffs a ScaleSmall Shallow/ML run sent;
-# wal fuzzes the same decoder again inside the records that embed diffs.)
-FUZZ_PKGS = ./internal/transport/tcp ./internal/hlrc ./internal/memory ./internal/wal
+# (frames and payloads off a socket, diffs, log records, checkpoint meta
+# blocks), 10 s each: long enough to replay the seed corpus and mutate
+# past it, short enough for CI. go test takes one -fuzz target per run,
+# hence the loop. (memory's FuzzDecodeDiff is seeded with diffs a
+# ScaleSmall Shallow/ML run sent; wal fuzzes the same decoder again inside
+# the records that embed diffs.)
+FUZZ_PKGS = ./internal/transport/tcp ./internal/hlrc ./internal/memory ./internal/wal ./internal/checkpoint
 fuzz-smoke:
 	@set -e; for pkg in $(FUZZ_PKGS); do \
 		for target in $$(go test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \

@@ -45,7 +45,7 @@ func (m *Meta) Encode() []byte {
 	return buf
 }
 
-// DecodeMeta deserializes a meta block.
+// DecodeMeta deserializes a meta block; the block must hold exactly one.
 func DecodeMeta(buf []byte) (*Meta, error) {
 	m := &Meta{}
 	if len(buf) < 4 {
@@ -65,6 +65,11 @@ func DecodeMeta(buf []byte) (*Meta, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
+	// Every entry holds at least a page id and an empty vector (6 bytes):
+	// a corrupt count must fail here, not size the tables.
+	if n > len(buf)/6 {
+		return nil, fmt.Errorf("checkpoint: ver table of %d entries in %d bytes", n, len(buf))
+	}
 	m.VerPages = make([]memory.PageID, n)
 	m.Vers = make([]vclock.VC, n)
 	for i := 0; i < n; i++ {
@@ -76,6 +81,9 @@ func DecodeMeta(buf []byte) (*Meta, error) {
 		if m.Vers[i], buf, err = vclock.DecodeVC(buf); err != nil {
 			return nil, err
 		}
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("checkpoint: %d trailing meta bytes", len(buf))
 	}
 	return m, nil
 }

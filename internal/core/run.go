@@ -84,9 +84,10 @@ func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock
 	if hardened {
 		newHooks = wal.NewHardened
 	}
-	hooks := newHooks(c.cfg.Protocol, c.depot.Store(id), stats)
+	store := c.depot.Store(id)
+	hooks := newHooks(c.cfg.Protocol, store, stats)
 	trc := c.cfg.Trace.Tracer(id)
-	c.depot.Store(id).ObserveFlushes(trc.Hist(obsv.HistFlushBytes))
+	store.ObserveFlushes(trc.Hist(obsv.HistFlushBytes))
 	nd := hlrc.NewNode(hlrc.Config{
 		ID: id, N: c.cfg.Nodes,
 		PageSize: c.cfg.PageSize, NumPages: c.cfg.NumPages,
@@ -96,9 +97,9 @@ func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock
 		NoFlushOverlap: c.cfg.NoFlushOverlap,
 		SenderLogs:     hardened,
 		LeaseDuration:  c.lease,
+		LogDiffs:       func(req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply { return recovery.ReadLoggedDiffs(store, req) },
 		Tracer:         trc,
 	}, c.nw, clock, hooks, stats)
-	recovery.InstallService(nd, c.depot.Store(id))
 	c.installCheckpointing(nd)
 	return nd
 }

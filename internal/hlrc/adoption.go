@@ -220,11 +220,11 @@ func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 	}
 	var entries []AdoptedDiff
 	// Own log.
-	if b := bound(nd.cfg.ID); b > 0 && nd.LocalLogDiffs != nil {
-		seqs, sums, diffs, diskBytes := nd.LocalLogDiffs(p, 0, b)
-		scratch.AdvanceSpan(nd.cfg.Model.DiskTime(diskBytes))
-		for i := range seqs {
-			entries = append(entries, AdoptedDiff{int32(nd.cfg.ID), seqs[i], sums[i], diffs[i]})
+	if b := bound(nd.cfg.ID); b > 0 {
+		rd := nd.cfg.LogDiffs(&RecDiffsReq{Page: p, FromSeq: 0, ToSeq: b})
+		scratch.AdvanceSpan(nd.cfg.Model.DiskTime(rd.DiskBytes))
+		for i := range rd.Seqs {
+			entries = append(entries, AdoptedDiff{int32(nd.cfg.ID), rd.Seqs[i], rd.VTSums[i], rd.Diffs[i]})
 		}
 	}
 	// Custody record (ever-crashed writers, including the requester's own

@@ -14,7 +14,7 @@ import (
 // alone: no event on the application track, and no read of the trace
 // context the application goroutine sets per op. The order is forced, not
 // hoped for: the application is inside a traced op when the rebuild
-// starts, and ends the op after the peer has replied and before anything
+// starts, and ends the op once the peer is answering and before anything
 // orders it against the rebuild's wait — so under -race a read of the
 // context from the rebuild is reported, and without -race the stray
 // application-track event is.
@@ -22,24 +22,20 @@ func TestCustodyRebuildLeavesAppTracerAlone(t *testing.T) {
 	model := simtime.DefaultCostModel()
 	nw := transport.NewNetwork(2, model)
 	col := obsv.NewCollector(2)
+	// Node 1's log read tells the application goroutine that the
+	// rebuild's log read is being answered.
+	replied := make(chan struct{})
+	logDiffs := []func(*RecDiffsReq) *RecDiffsReply{nil, func(*RecDiffsReq) *RecDiffsReply {
+		close(replied)
+		return &RecDiffsReply{}
+	}}
 	nodes := make([]*Node, 2)
 	for i := range nodes {
 		nodes[i] = NewNode(Config{
 			ID: i, N: 2, PageSize: accPageSize, NumPages: 2,
 			Homes: []int{0, 1}, Model: model, Tracer: col.Tracer(i),
+			LogDiffs: logDiffs[i],
 		}, nw, simtime.NewClock(0), nil, nil)
-	}
-	// Node 1 plays the recovery service: it answers the rebuild's log
-	// read, then tells the application goroutine it has.
-	replied := make(chan struct{})
-	nodes[1].ExtraHandler = func(m transport.Message) bool {
-		if m.Kind != KindRecDiffsReq {
-			return false
-		}
-		resp := &RecDiffsReply{}
-		nodes[1].ep.ReplyAt(nodes[1].ep.ArrivalOf(m), m, KindRecDiffsReply, resp.WireSize(), resp)
-		close(replied)
-		return true
 	}
 	for _, nd := range nodes {
 		nd.StartService()

@@ -65,6 +65,12 @@ type Config struct {
 	// default) keeps the offline stop-the-world recovery semantics and a
 	// byte-identical wire format.
 	LeaseDuration simtime.Duration
+	// LogDiffs reads this node's own logged diffs for a recovering peer
+	// (a KindRecDiffsReq, answered in handle) and for the node's own
+	// custody rebuilds (RebuildCustody). It is a function because the log
+	// format lives above this package: the cluster binds it to the node's
+	// stable store.
+	LogDiffs func(*RecDiffsReq) *RecDiffsReply
 	// Tracer records the node's coherence events; nil disables tracing at
 	// zero cost.
 	Tracer *obsv.Tracer
@@ -163,11 +169,6 @@ type Node struct {
 	// ops >= the value so the crashed open interval's diffs can be
 	// recomputed and flushed at detach (-1: never, the default).
 	TwinsFromOp int32
-	// LocalLogDiffs, set by recovery.InstallService, reads this node's own
-	// logged diffs for one page and writer intervals in (from, to]. The
-	// adopter's custody backfill uses it for its own writes — a network
-	// call to self would deadlock the service goroutine.
-	LocalLogDiffs func(p memory.PageID, fromSeq, toSeq int32) (seqs []int32, vtSums []int64, diffs []memory.Diff, diskBytes int)
 
 	// Online-recovery state (Config.LeaseDuration > 0), guarded by mu.
 	// adoptedFrom is the dead node whose home pages this node holds in
@@ -181,10 +182,6 @@ type Node struct {
 
 	stopSvc chan struct{}
 	svcDone chan struct{}
-	// ExtraHandler, when set, is offered every service message the engine
-	// does not understand (the recovery-service kinds). It runs on the
-	// service goroutine.
-	ExtraHandler func(m transport.Message) bool
 	// PostBarrier, when set, runs on the application goroutine after each
 	// live barrier completes (op already counted). The runner uses it to
 	// take periodic checkpoints at quiesced points.
@@ -398,10 +395,12 @@ func (nd *Node) handle(m transport.Message) {
 		nd.send(nd.manager(m).senderLog(m, at))
 	case KindObit:
 		nd.handleObit(m, at)
+	case KindRecPageReq:
+		nd.handleRecPageReq(m, at)
+	case KindRecDiffsReq:
+		resp := nd.cfg.LogDiffs(m.Payload.(*RecDiffsReq))
+		nd.ep.ReplyAt(at, m, KindRecDiffsReply, resp.WireSize(), resp)
 	default:
-		if nd.ExtraHandler != nil && nd.ExtraHandler(m) {
-			return
-		}
 		panic(fmt.Sprintf("hlrc: node %d: unexpected message kind %d from %d", nd.cfg.ID, m.Kind, m.From))
 	}
 }
@@ -460,6 +459,22 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 		at-simtime.Time(nd.cfg.Model.MsgHandling), at, m.From, m.SentAt,
 		int64(req.Page), int64(resp.WireSize()))
 	nd.ep.ReplyAt(at, m, KindPageReply, resp.WireSize(), resp)
+}
+
+// handleRecPageReq serves a recovering peer's page fetch at the version
+// its replay needs: from the home copy, rolled back if it has advanced
+// (PageAtVersion), or — for a migrated page, whose adopter this node is
+// (the requester resolves homes through the same ever-crashed registry)
+// — rebuilt from custody.
+func (nd *Node) handleRecPageReq(m transport.Message, at simtime.Time) {
+	req := m.Payload.(*RecPageReq)
+	resp := &RecPageReply{}
+	if nd.OwnsHome(req.Page) {
+		resp.Data, resp.Ver = nd.PageAtVersion(req.Page, req.Need)
+	} else {
+		resp.Data, resp.Ver, at = nd.RebuildCustody(req.Page, req.Need, at)
+	}
+	nd.ep.ReplyAt(at, m, KindRecPageReply, resp.WireSize(), resp)
 }
 
 // handleDiffUpdate applies a writer interval's diffs to the home copies,

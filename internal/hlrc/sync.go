@@ -82,6 +82,17 @@ func (nd *Node) ReleaseLock(lock int) {
 	if d := nd.delegate; d != nil && d.Release(nd, op, l) {
 		return
 	}
+	t0 := nd.syncClose(op)
+	nd.FinishReleaseLive(op, l)
+	nd.trc.Span(obsv.EvLockRelease, t0, nd.clock.Now(), int64(l), int64(op))
+}
+
+// syncClose is the first half of a release or a barrier, and where the
+// injected failure at op strikes: the interval is closed (the logging
+// protocol's sync-entry flush, then the diffs flushed home and logged)
+// before the op communicates with the manager. It returns the op's start
+// time.
+func (nd *Node) syncClose(op int32) simtime.Time {
 	crashing := nd.crashingAt(op)
 	if crashing && nd.PartitionFor > 0 {
 		// Connectivity loss, not fail-stop: the node stays up and keeps
@@ -93,7 +104,7 @@ func (nd *Node) ReleaseLock(lock int) {
 		nd.StopService()
 		if nd.CrashPoint != fault.PointSyncExit {
 			// Non-quiescent crash points fire before anything of this op
-			// runs: the victim dies holding the lock, its final interval
+			// runs: the victim dies holding a lock, its final interval
 			// neither flushed to the homes nor logged.
 			nd.assertCrashPoint(op)
 			nd.failStop(op)
@@ -105,8 +116,7 @@ func (nd *Node) ReleaseLock(lock int) {
 	if crashing {
 		nd.failStop(op)
 	}
-	nd.FinishReleaseLive(op, l)
-	nd.trc.Span(obsv.EvLockRelease, t0, nd.clock.Now(), int64(l), int64(op))
+	return t0
 }
 
 // FinishReleaseLive performs the post-crash-point part of a release: the
@@ -144,25 +154,7 @@ func (nd *Node) Barrier(barrier int) {
 	if d := nd.delegate; d != nil && d.Barrier(nd, op, b) {
 		return
 	}
-	crashing := nd.crashingAt(op)
-	if crashing && nd.PartitionFor > 0 {
-		// Connectivity loss, not fail-stop (see ReleaseLock).
-		nd.partitionOnset(op)
-		crashing = false
-	}
-	if crashing {
-		nd.StopService()
-		if nd.CrashPoint != fault.PointSyncExit {
-			nd.assertCrashPoint(op)
-			nd.failStop(op)
-		}
-	}
-	t0 := nd.clock.Now()
-	nd.syncEntryFlush(op)
-	nd.closeAndPropagate(op)
-	if crashing {
-		nd.failStop(op)
-	}
+	t0 := nd.syncClose(op)
 	nd.FinishBarrierLive(op, b)
 	end := nd.clock.Now()
 	nd.trc.Span(obsv.EvBarrierWait, t0, end, int64(b), int64(op))

@@ -7,7 +7,9 @@ import (
 
 	"sdsm/internal/hlrc"
 	"sdsm/internal/memory"
+	"sdsm/internal/simtime"
 	"sdsm/internal/stable"
+	"sdsm/internal/transport"
 	"sdsm/internal/wal"
 )
 
@@ -135,5 +137,53 @@ func TestLoggedDiffsStampsWriter(t *testing.T) {
 	}
 	if got[0].Seq != 1 || got[1].Seq != 2 || got[0].VTSum != 2 || got[1].VTSum != 5 {
 		t.Fatalf("keys = (%d,%d) (%d,%d)", got[0].Seq, got[0].VTSum, got[1].Seq, got[1].VTSum)
+	}
+}
+
+// TestFetchedDiffsApplyInCausalOrder drives the replayer's one logged-diff
+// fetch end to end. Writers 1 and 2 wrote the same word of the victim's
+// home page in lock-serialized intervals (writer 2's saw writer 1's, so
+// its vector-time sum is larger), and the victim's log names the two
+// update events in reverse causal order. The home copy must end with the
+// later writer's value whatever the request order, and fetching the same
+// events again must change nothing.
+func TestFetchedDiffsApplyInCausalOrder(t *testing.T) {
+	model := simtime.DefaultCostModel()
+	nw := transport.NewNetwork(3, model)
+	homes := []int{0, 1}
+	for w, val := range map[int32]byte{1: 10, 2: 20} {
+		store := stable.NewStore()
+		store.Flush([]stable.Record{{Kind: wal.RecDiffBatch, Op: 1,
+			Data: wal.EncodeDiffBatchRecord(nil, -1, 1, int64(2*w-1), []memory.Diff{mkDiff(0, 0, val)})}})
+		nd := hlrc.NewNode(hlrc.Config{
+			ID: int(w), N: 3, PageSize: 128, NumPages: 2, Homes: homes, Model: model,
+			LogDiffs: storeLogDiffs(store),
+		}, nw, simtime.NewClock(0), nil, nil)
+		nd.StartService()
+		defer nd.StopService()
+	}
+	events := wal.EncodeEventsRecord(nil, []hlrc.UpdateEvent{{Page: 0, Writer: 2, Seq: 1}, {Page: 0, Writer: 1, Seq: 1}})
+	log := stable.NewStore()
+	log.Flush([]stable.Record{{Kind: wal.RecEvents, Op: 0, Data: events}, {Kind: wal.RecEvents, Op: 1, Data: events}})
+	victim := hlrc.NewNode(hlrc.Config{
+		ID: 0, N: 3, PageSize: 128, NumPages: 2, Homes: homes, Model: model,
+	}, nw, simtime.NewClock(0), nil, nil)
+	r := NewReplayer(CCLRecovery, victim, log, 9, false)
+
+	r.Acquire(victim, 0, 1)
+	first := victim.PageTable().CopyPage(0)
+	if first[0] != 20 {
+		t.Fatalf("home word = %d after the fetch, want the later writer's 20", first[0])
+	}
+	if ver := victim.HomeVersion(0); ver[1] != 1 || ver[2] != 1 {
+		t.Fatalf("home version = %v, want both writers' first intervals", ver)
+	}
+	r.Acquire(victim, 1, 2)
+	if again := victim.PageTable().CopyPage(0); !bytes.Equal(again, first) {
+		t.Fatalf("fetching the same events again changed the home copy: word %d", again[0])
+	}
+	if ph := r.phases; ph.Ops[PhaseDiffFetch] != 2 || ph.Bytes[PhaseDiffFetch] == 0 {
+		t.Fatalf("diff-fetch phase ran %d times over %d bytes, want 2 runs reading the writers' logs",
+			ph.Ops[PhaseDiffFetch], ph.Bytes[PhaseDiffFetch])
 	}
 }

@@ -19,8 +19,8 @@
 //     replay needs. Page faults never happen during replay.
 //
 // Surviving nodes answer the recovery's versioned page fetches and logged
-// diff reads through a service handler installed on every node
-// (InstallService).
+// diff reads in hlrc.Node.handle; a node's log is read for the latter by
+// ReadLoggedDiffs, which the cluster binds to hlrc.Config.LogDiffs.
 package recovery
 
 import (
@@ -66,56 +66,12 @@ func (k Kind) String() string {
 	}
 }
 
-// InstallService installs the recovery-service handler on a node: it
-// serves versioned page fetches (RecPageReq) from the node's home copies
-// (rolling back with the undo history when the copy has advanced past the
-// needed version) and logged-diff reads (RecDiffsReq) from the node's
-// stable store. Every node gets this at cluster construction, so any
-// single peer can recover.
-func InstallService(nd *hlrc.Node, store *stable.Store) {
-	ep := nd.Endpoint()
-	// The adopter's custody rebuilds read this node's own logged diffs
-	// through a direct call — a network round trip to self would deadlock
-	// the service goroutine.
-	nd.LocalLogDiffs = func(p memory.PageID, fromSeq, toSeq int32) ([]int32, []int64, []memory.Diff, int) {
-		resp := readLoggedDiffs(store, &hlrc.RecDiffsReq{Page: p, FromSeq: fromSeq, ToSeq: toSeq})
-		return resp.Seqs, resp.VTSums, resp.Diffs, resp.DiskBytes
-	}
-	nd.ExtraHandler = func(m transport.Message) bool {
-		at := ep.ArrivalOf(m) + simtime.Time(nd.Model().MsgHandling)
-		switch m.Kind {
-		case hlrc.KindRecPageReq:
-			req := m.Payload.(*hlrc.RecPageReq)
-			if !nd.OwnsHome(req.Page) {
-				// Migrated page: this node is its adopter (a recovering peer
-				// resolves homes through the same ever-crashed registry, so
-				// the request only lands here when nd is the effective home).
-				data, ver, done := nd.RebuildCustody(req.Page, req.Need, at)
-				resp := &hlrc.RecPageReply{Data: data, Ver: ver}
-				ep.ReplyAt(done, m, hlrc.KindRecPageReply, resp.WireSize(), resp)
-				return true
-			}
-			data, ver := nd.PageAtVersion(req.Page, req.Need)
-			resp := &hlrc.RecPageReply{Data: data, Ver: ver}
-			ep.ReplyAt(at, m, hlrc.KindRecPageReply, resp.WireSize(), resp)
-			return true
-		case hlrc.KindRecDiffsReq:
-			req := m.Payload.(*hlrc.RecDiffsReq)
-			resp := readLoggedDiffs(store, req)
-			ep.ReplyAt(at, m, hlrc.KindRecDiffsReply, resp.WireSize(), resp)
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// readLoggedDiffs scans a writer's log for its own diffs of one page in
+// ReadLoggedDiffs scans a writer's log for its own diffs of one page in
 // the interval range (FromSeq, ToSeq]. DiskBytes accounts the log bytes
 // read on the writer's disk; the recovering node charges that time.
 // A record outside the window is passed over on its prefix alone, and
 // inside the window only the wanted page's diffs are copied out.
-func readLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
+func ReadLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
 	resp := &hlrc.RecDiffsReply{}
 	for _, rec := range store.Records() {
 		if rec.Kind != wal.RecDiffBatch {
@@ -162,7 +118,7 @@ func readLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsR
 // runner and the sdsminspect audit use it to assemble the authoritative
 // content of migrated pages offline (hlrc.RebuildAdoptedImage).
 func LoggedDiffs(store *stable.Store, writer int32, page memory.PageID, fromSeq, toSeq int32) []hlrc.AdoptedDiff {
-	resp := readLoggedDiffs(store, &hlrc.RecDiffsReq{Page: page, FromSeq: fromSeq, ToSeq: toSeq})
+	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: page, FromSeq: fromSeq, ToSeq: toSeq})
 	out := make([]hlrc.AdoptedDiff, 0, len(resp.Seqs))
 	for i := range resp.Seqs {
 		out = append(out, hlrc.AdoptedDiff{Writer: writer, Seq: resp.Seqs[i], VTSum: resp.VTSums[i], Diff: resp.Diffs[i]})
@@ -183,7 +139,7 @@ type Replayer struct {
 	cfg hlrc.Config
 
 	byOp      map[int32][]stable.Record
-	pagesByOp map[int32]map[memory.PageID][]byte // ML page copies
+	pagesByOp map[int32]map[memory.PageID]loggedPage // ML page copies
 
 	replayTime simtime.Time
 	detached   bool
@@ -234,6 +190,13 @@ type Replayer struct {
 	reexec bool
 }
 
+// loggedPage is an ML page copy read from the log: its bytes, and the
+// size of the record that holds them (what reading it off the disk costs).
+type loggedPage struct {
+	data []byte
+	size int
+}
+
 // NewReplayer indexes the log of nd — the victim's new incarnation, just
 // restored from its checkpoint — for replay up to crashOp. The replay's
 // time base is nd's clock as handed over, and where the managers live and
@@ -264,7 +227,7 @@ func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, r
 		base:      nd.Clock().Now(),
 		reexec:    reexec,
 		byOp:      make(map[int32][]stable.Record),
-		pagesByOp: make(map[int32]map[memory.PageID][]byte),
+		pagesByOp: make(map[int32]map[memory.PageID]loggedPage),
 	}
 	if reexec {
 		nd.TwinsFromOp = 0
@@ -302,10 +265,10 @@ func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, r
 			}
 			m := r.pagesByOp[rec.Op]
 			if m == nil {
-				m = make(map[memory.PageID][]byte)
+				m = make(map[memory.PageID]loggedPage)
 				r.pagesByOp[rec.Op] = m
 			}
-			m[page] = data
+			m[page] = loggedPage{data: data, size: rec.WireSize()}
 			continue
 		}
 		r.byOp[rec.Op] = append(r.byOp[rec.Op], rec)
@@ -360,18 +323,19 @@ func (r *Replayer) Acquire(nd *hlrc.Node, op int32, lock int32) bool {
 	idx := r.acquireIdx
 	r.acquireIdx++
 	if r.tailActive(op) {
-		r.tailAcquire(nd, op, lock, idx)
-		nd.BumpOp()
-		return true
+		// The live acquire records the grant's own horizon, and here we
+		// hold the very grant the pre-crash acquire received.
+		nd.SetGrantVT(lock, r.tailSync(nd, hlrc.KindRecGrantReq, idx))
+	} else {
+		r.enterPhase(nd, op, true)
+		// The merged vector time equals the grant's knowledge horizon on
+		// every foreign component (all knowledge routes through the
+		// centralized manager); on the victim's own component the manager
+		// only knows what the victim last reported.
+		gvt := nd.VT()
+		gvt[nd.ID()] = r.reportedSelf
+		nd.SetGrantVT(lock, gvt)
 	}
-	r.enterPhase(nd, op, true)
-	// The merged vector time equals the grant's knowledge horizon on
-	// every foreign component (all knowledge routes through the
-	// centralized manager); on the victim's own component the manager
-	// only knows what the victim last reported.
-	gvt := nd.VT()
-	gvt[nd.ID()] = r.reportedSelf
-	nd.SetGrantVT(lock, gvt)
 	nd.BumpOp()
 	return true
 }
@@ -432,15 +396,14 @@ func (r *Replayer) Barrier(nd *hlrc.Node, op int32, barrier int32) bool {
 		nd.FinishBarrierLive(op, barrier)
 		return true
 	}
-	if r.tailActive(op) {
-		r.tailBarrier(nd, op, r.barrierIdx)
-		r.barrierIdx++
-		nd.BumpOp()
-		return true
-	}
+	idx := r.barrierIdx
 	r.barrierIdx++
-	r.enterPhase(nd, op, false)
-	nd.SetLastBarrierVT(nd.VT())
+	if r.tailActive(op) {
+		nd.SetLastBarrierVT(r.tailSync(nd, hlrc.KindRecBarrierReq, idx))
+	} else {
+		r.enterPhase(nd, op, false)
+		nd.SetLastBarrierVT(nd.VT())
+	}
 	nd.BumpOp()
 	return true
 }
@@ -454,8 +417,8 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 		// read from the local disk — one seek per miss (the memory miss
 		// idle time the paper charges against ML-recovery).
 		op := nd.OpIndex()
-		data := r.pagesByOp[op][page]
-		if data == nil {
+		lp, ok := r.pagesByOp[op][page]
+		if !ok {
 			if r.torn {
 				// The logged copy was in the torn tail: fall back to a
 				// versioned fetch from the live home (which needs the homes'
@@ -465,13 +428,13 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 			}
 			panic(fmt.Sprintf("recovery: ML replay diverged: no logged copy of page %d at op %d", page, op))
 		}
-		n := r.store.NoteRead(stable.HeaderSize + 4 + len(data))
+		n := r.store.NoteRead(lp.size)
 		t0, t1 := nd.Clock().AdvanceSpan(r.cfg.Model.DiskTime(n))
 		nd.Tracer().Seg(obsv.EvReplayOp, obsv.CatRecovery, t0, t1, int64(page), int64(n))
 		r.phases.note(PhaseLogRead, t0, t1, int64(n))
-		// data aliases the log record, which later reads and audits of the
-		// store still need: the node gets its own copy.
-		nd.InstallPage(page, bytes.Clone(data))
+		// The data aliases the log record, which later reads and audits of
+		// the store still need: the node gets its own copy.
+		nd.InstallPage(page, bytes.Clone(lp.data))
 		return true
 	case CCLRecovery:
 		// Prefetch should have validated everything; as a safety net,
@@ -568,29 +531,76 @@ func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
 		// path so the interval numbering stays aligned.
 		r.closeInterval(nd)
 	}
-
-	// Merge knowledge.
-	if len(notices) > 0 {
-		vt := vclock.New(nd.N())
-		for _, n := range notices {
-			if n.Seq > vt[int(n.Proc)] {
-				vt[int(n.Proc)] = n.Seq
-			}
+	vt := vclock.New(nd.N())
+	for _, n := range notices {
+		if n.Seq > vt[int(n.Proc)] {
+			vt[int(n.Proc)] = n.Seq
 		}
-		nd.Notices().AddAll(notices)
-		nd.MergeVT(vt)
 	}
+	r.learn(nd, notices, vt, events)
+}
 
+// tailSync replays an acquire (kind KindRecGrantReq) or a barrier
+// (KindRecBarrierReq) whose disk records were lost to the torn tail: the
+// idx-th grant or release the manager issued to this node before the
+// crash is re-fetched from its sender log and handled like the live
+// protocol handled it. It returns the grant's or release's vector time.
+func (r *Replayer) tailSync(nd *hlrc.Node, kind transport.Kind, idx int) vclock.VC {
+	r.TailOps++
+	start := nd.Clock().Now()
+	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
+	m := nd.Endpoint().CallAsync(hlrc.ManagerNode, kind, req.WireSize(), req).WaitDetached(nd.Clock())
+	var notices []hlrc.Notice
+	var vt vclock.VC
+	logged := false
+	switch p := m.Payload.(type) {
+	case *hlrc.RecGrantReply:
+		if logged = p.Grant != nil; logged {
+			notices, vt = p.Grant.Notices, p.Grant.VT
+		}
+	case *hlrc.RecBarrierReply:
+		if logged = p.Rel != nil; logged {
+			notices, vt = p.Rel.Notices, p.Rel.VT
+		}
+	}
+	if !logged {
+		panic(fmt.Sprintf("recovery: manager %d has no sender-logged reply %d to %s for node %d",
+			hlrc.ManagerNode, idx, obsv.KindName(uint8(kind)), nd.ID()))
+	}
+	end := nd.Clock().Now()
+	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)
+	r.phases.note(PhaseTailSync, start, end, 0)
+
+	if kind == hlrc.KindRecGrantReq && nd.AnyDirty(notices) {
+		// The early close of the live acquire (see enterPhase).
+		r.closeInterval(nd)
+	}
+	r.reconstructHomeDiffs(nd, notices)
+	r.learn(nd, notices, vt, nil)
+	return vt
+}
+
+// learn applies the knowledge a replayed sync op received — its write
+// notices and their vector time vt, read from the disk log or re-fetched
+// from a sender log — and validates pages per scheme: CCL fetches the
+// logged update events' diffs for the victim's home copies and prefetches
+// every remote page the notices name, eliminating the memory-miss idle
+// time during the coming interval; ML invalidates as the original run did,
+// and its misses will read logged copies from disk.
+func (r *Replayer) learn(nd *hlrc.Node, notices []hlrc.Notice, vt vclock.VC, events []hlrc.UpdateEvent) {
+	nd.Notices().AddAll(notices)
+	nd.MergeVT(vt)
 	switch r.kind {
 	case CCLRecovery:
-		r.fetchEvents(nd, events)
-		// Prefetch every remote page the notices name, eliminating the
-		// memory-miss idle time during the coming interval.
-		pages := pagesToValidate(nd, notices)
-		r.fetchPages(nd, pages)
+		// "The recovery process fetches the corresponding logs of updates
+		// (i.e., diffs) for its home copy from the writer process(es)."
+		reqs := make([]diffReq, 0, len(events))
+		for _, ev := range events {
+			reqs = append(reqs, diffReq{ev.Writer, &hlrc.RecDiffsReq{Page: ev.Page, FromSeq: ev.Seq - 1, ToSeq: ev.Seq}})
+		}
+		r.fetchDiffs(nd, reqs, obsv.EvDiffFetch, PhaseDiffFetch)
+		r.fetchPages(nd, pagesToValidate(nd, notices))
 	case MLRecovery:
-		// No prefetch: invalidate as the original run did; misses will
-		// read logged copies from disk.
 		for _, n := range notices {
 			for _, p := range n.Pages {
 				nd.InvalidatePage(p)
@@ -614,60 +624,6 @@ func pagesToValidate(nd *hlrc.Node, notices []hlrc.Notice) []memory.PageID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// fetchEvents retrieves the diffs named by the logged update events from
-// the writers' logs, all round trips overlapped, and applies them to the
-// victim's home copies — "the recovery process fetches the corresponding
-// logs of updates (i.e., diffs) for its home copy from the writer
-// process(es)".
-func (r *Replayer) fetchEvents(nd *hlrc.Node, events []hlrc.UpdateEvent) {
-	if len(events) == 0 {
-		return
-	}
-	ep := nd.Endpoint()
-	start := nd.Clock().Now()
-	type call struct {
-		ev      hlrc.UpdateEvent
-		pending *transport.Pending
-	}
-	calls := make([]call, 0, len(events))
-	for _, ev := range events {
-		req := &hlrc.RecDiffsReq{Page: ev.Page, FromSeq: ev.Seq - 1, ToSeq: ev.Seq}
-		calls = append(calls, call{
-			ev:      ev,
-			pending: ep.CallAsync(int(ev.Writer), hlrc.KindRecDiffsReq, req.WireSize(), req),
-		})
-	}
-	diskByWriter := make(map[int32]int)
-	for _, c := range calls {
-		m := c.pending.WaitDetached(nd.Clock())
-		resp := m.Payload.(*hlrc.RecDiffsReply)
-		if len(resp.Diffs) == 0 {
-			panic(fmt.Sprintf("recovery: writer %d has no logged diff for page %d seq %d",
-				c.ev.Writer, c.ev.Page, c.ev.Seq))
-		}
-		diskByWriter[c.ev.Writer] += resp.DiskBytes
-		for i, d := range resp.Diffs {
-			nd.ApplyDiffAsHome(d, c.ev.Writer, resp.Seqs[i])
-		}
-	}
-	// The writers' disk reads are on the recovery critical path, but the
-	// writers' disks work in parallel: charge the slowest one.
-	var worst simtime.Duration
-	worstBytes, totalBytes := 0, 0
-	for _, bytes := range diskByWriter {
-		totalBytes += bytes
-		if d := r.cfg.Model.DiskTime(bytes); d > worst {
-			worst = d
-			worstBytes = bytes
-		}
-	}
-	t0, t1 := nd.Clock().AdvanceSpan(worst)
-	nd.Tracer().Seg(obsv.EvReplayOp, obsv.CatRecovery, t0, t1, -1, int64(worstBytes))
-	end := nd.Clock().Now()
-	nd.Tracer().Span(obsv.EvDiffFetch, start, end, int64(len(calls)), int64(totalBytes))
-	r.phases.note(PhaseDiffFetch, start, end, int64(totalBytes))
 }
 
 // fetchPages prefetches remote pages at exactly the replay's current
@@ -696,91 +652,6 @@ func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID) {
 	r.phases.note(PhasePageFetch, start, end, 0)
 }
 
-// --- torn-tail (sender-log) replay -------------------------------------
-
-// tailAcquire replays an acquire whose disk records were lost to the torn
-// tail: the exact grant the manager issued before the crash is re-fetched
-// from its sender log and handled like the live protocol handled it.
-func (r *Replayer) tailAcquire(nd *hlrc.Node, op int32, lock int32, idx int) {
-	r.TailOps++
-	g := r.fetchLoggedGrant(nd, idx)
-	if nd.AnyDirty(g.Notices) {
-		// Mirror the live protocol's early close on the false-sharing path
-		// so the interval numbering stays aligned.
-		r.closeInterval(nd)
-	}
-	r.reconstructHomeDiffs(nd, g.Notices)
-	r.applyTailNotices(nd, g.Notices, g.VT)
-	// The live acquire records the grant's own horizon, and here we hold
-	// the very grant the pre-crash acquire received.
-	nd.SetGrantVT(lock, g.VT)
-}
-
-// tailBarrier replays a barrier whose disk records were lost: the exact
-// release the manager issued is re-fetched from its sender log.
-func (r *Replayer) tailBarrier(nd *hlrc.Node, op int32, idx int) {
-	r.TailOps++
-	rel := r.fetchLoggedRelease(nd, idx)
-	r.reconstructHomeDiffs(nd, rel.Notices)
-	r.applyTailNotices(nd, rel.Notices, rel.VT)
-	nd.SetLastBarrierVT(rel.VT)
-}
-
-// applyTailNotices applies a re-fetched grant's or release's knowledge the
-// way enterPhase applies logged notices, then validates pages per scheme.
-func (r *Replayer) applyTailNotices(nd *hlrc.Node, notices []hlrc.Notice, vt vclock.VC) {
-	if len(notices) > 0 {
-		nd.Notices().AddAll(notices)
-	}
-	nd.MergeVT(vt)
-	switch r.kind {
-	case CCLRecovery:
-		r.fetchPages(nd, pagesToValidate(nd, notices))
-	case MLRecovery:
-		for _, n := range notices {
-			for _, p := range n.Pages {
-				nd.InvalidatePage(p)
-			}
-		}
-	}
-}
-
-// fetchLoggedGrant reads the idx-th grant issued to this node from the
-// lock manager's sender log.
-func (r *Replayer) fetchLoggedGrant(nd *hlrc.Node, idx int) *hlrc.LockGrant {
-	ep := nd.Endpoint()
-	start := nd.Clock().Now()
-	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
-	m := ep.CallAsync(hlrc.ManagerNode, hlrc.KindRecGrantReq, req.WireSize(), req).WaitDetached(nd.Clock())
-	g := m.Payload.(*hlrc.RecGrantReply).Grant
-	if g == nil {
-		panic(fmt.Sprintf("recovery: lock manager %d has no sender-logged grant %d for node %d",
-			hlrc.ManagerNode, idx, nd.ID()))
-	}
-	end := nd.Clock().Now()
-	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)
-	r.phases.note(PhaseTailSync, start, end, 0)
-	return g
-}
-
-// fetchLoggedRelease reads the idx-th barrier release issued to this node
-// from the barrier manager's sender log.
-func (r *Replayer) fetchLoggedRelease(nd *hlrc.Node, idx int) *hlrc.BarrierRelease {
-	ep := nd.Endpoint()
-	start := nd.Clock().Now()
-	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
-	m := ep.CallAsync(hlrc.ManagerNode, hlrc.KindRecBarrierReq, req.WireSize(), req).WaitDetached(nd.Clock())
-	rel := m.Payload.(*hlrc.RecBarrierReply).Rel
-	if rel == nil {
-		panic(fmt.Sprintf("recovery: barrier manager %d has no sender-logged release %d for node %d",
-			hlrc.ManagerNode, idx, nd.ID()))
-	}
-	end := nd.Clock().Now()
-	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)
-	r.phases.note(PhaseTailSync, start, end, 0)
-	return rel
-}
-
 // reconstructHomeDiffs re-fetches the asynchronous updates to the victim's
 // home pages whose event/diff records were lost with the torn tail. The
 // incoming notices bound which writer intervals the coming replay interval
@@ -791,8 +662,7 @@ func (r *Replayer) fetchLoggedRelease(nd *hlrc.Node, idx int) *hlrc.BarrierRelea
 // horizon reproduces every replayed read; updates never covered by any
 // notice are restored by the detach-time catch-up.)
 func (r *Replayer) reconstructHomeDiffs(nd *hlrc.Node, notices []hlrc.Notice) {
-	ep := nd.Endpoint()
-	var calls []diffFetch
+	var reqs []diffReq
 	for _, n := range notices {
 		if int(n.Proc) == nd.ID() {
 			continue // own intervals: the writes replay themselves
@@ -801,25 +671,12 @@ func (r *Replayer) reconstructHomeDiffs(nd *hlrc.Node, notices []hlrc.Notice) {
 			if !nd.OwnsHome(p) {
 				continue
 			}
-			have := nd.HomeVersion(p)[n.Proc]
-			if n.Seq <= have {
-				continue
+			if have := nd.HomeVersion(p)[n.Proc]; n.Seq > have {
+				reqs = append(reqs, diffReq{n.Proc, &hlrc.RecDiffsReq{Page: p, FromSeq: have, ToSeq: n.Seq}})
 			}
-			req := &hlrc.RecDiffsReq{Page: p, FromSeq: have, ToSeq: n.Seq}
-			calls = append(calls, diffFetch{
-				writer:  n.Proc,
-				pending: ep.CallAsync(int(n.Proc), hlrc.KindRecDiffsReq, req.WireSize(), req),
-			})
 		}
 	}
-	if len(calls) == 0 {
-		return
-	}
-	start := nd.Clock().Now()
-	bytes := r.applyFetchedDiffs(nd, calls)
-	end := nd.Clock().Now()
-	nd.Tracer().Span(obsv.EvHomeRebuild, start, end, int64(len(calls)), int64(bytes))
-	r.phases.note(PhaseHomeRebuild, start, end, int64(bytes))
+	r.fetchDiffs(nd, reqs, obsv.EvHomeRebuild, PhaseHomeRebuild)
 }
 
 // catchUpHomePages restores every remaining lost home update before the
@@ -828,8 +685,7 @@ func (r *Replayer) reconstructHomeDiffs(nd *hlrc.Node, notices []hlrc.Notice) {
 // skipped idempotently, and DiffUpdates still queued in the victim's inbox
 // re-apply as no-ops once the service loop drains them.
 func (r *Replayer) catchUpHomePages(nd *hlrc.Node) {
-	ep := nd.Endpoint()
-	var calls []diffFetch
+	var reqs []diffReq
 	for p := 0; p < nd.NumPages(); p++ {
 		pg := memory.PageID(p)
 		// Migrated pages (online recovery after a crash) are no longer this
@@ -839,49 +695,44 @@ func (r *Replayer) catchUpHomePages(nd *hlrc.Node) {
 		}
 		ver := nd.HomeVersion(pg)
 		for w := 0; w < nd.N(); w++ {
-			if w == nd.ID() {
-				continue
+			if w != nd.ID() {
+				reqs = append(reqs, diffReq{int32(w), &hlrc.RecDiffsReq{Page: pg, FromSeq: ver[w], ToSeq: math.MaxInt32}})
 			}
-			req := &hlrc.RecDiffsReq{Page: pg, FromSeq: ver[w], ToSeq: math.MaxInt32}
-			calls = append(calls, diffFetch{
-				writer:  int32(w),
-				pending: ep.CallAsync(w, hlrc.KindRecDiffsReq, req.WireSize(), req),
-			})
 		}
 	}
-	if len(calls) == 0 {
-		return
-	}
-	start := nd.Clock().Now()
-	bytes := r.applyFetchedDiffs(nd, calls)
-	end := nd.Clock().Now()
-	nd.Tracer().Span(obsv.EvCatchUp, start, end, int64(len(calls)), int64(bytes))
-	r.phases.note(PhaseCatchUp, start, end, int64(bytes))
+	r.fetchDiffs(nd, reqs, obsv.EvCatchUp, PhaseCatchUp)
 }
 
-// diffFetch is one in-flight RecDiffsReq round trip.
-type diffFetch struct {
-	writer  int32
-	pending *transport.Pending
+// diffReq is one logged-diff read addressed to a writer.
+type diffReq struct {
+	writer int32
+	req    *hlrc.RecDiffsReq
 }
 
-// applyFetchedDiffs collects overlapped RecDiffsReq round trips, applies
-// the returned diffs to the victim's home copies (idempotently, keyed by
-// writer interval), charges the slowest writer's disk-read time (the
-// writers' disks work in parallel), and returns the total disk bytes the
-// writers read.
+// fetchDiffs reads logged diffs from the writers' logs, all round trips
+// overlapped, applies them to the victim's home copies (idempotently,
+// keyed by writer interval), charges the slowest writer's disk-read time
+// (the writers' disks work in parallel), and records the round as span ev
+// and as phase. A PhaseDiffFetch request names an interval a logged update
+// event says its writer logged, so an empty reply is a replay divergence.
 //
 // Diffs from different writers may target the same bytes when their
 // intervals were lock-serialized (the home applied them in arrival order
 // pre-crash), so the batch is applied in ascending vector-time-sum order
-// — a linear extension of the intervals' causal order. Intervals the sum
-// cannot order are causally concurrent, and under a data-race-free
-// program concurrent diffs touch disjoint bytes, so their relative order
-// is immaterial (the writer/seq tiebreak just keeps replay
-// deterministic).
-func (r *Replayer) applyFetchedDiffs(nd *hlrc.Node, calls []diffFetch) int {
-	if len(calls) == 0 {
-		return 0
+// — a linear extension of the intervals' causal order, which keeps each
+// writer's intervals in seq order. Intervals the sum cannot order are
+// causally concurrent, and under a data-race-free program concurrent diffs
+// touch disjoint bytes, so their relative order is immaterial (the
+// writer/seq tiebreak just keeps replay deterministic).
+func (r *Replayer) fetchDiffs(nd *hlrc.Node, reqs []diffReq, ev obsv.EventKind, phase Phase) {
+	if len(reqs) == 0 {
+		return
+	}
+	ep := nd.Endpoint()
+	start := nd.Clock().Now()
+	pendings := make([]*transport.Pending, len(reqs))
+	for i, q := range reqs {
+		pendings[i] = ep.CallAsync(int(q.writer), hlrc.KindRecDiffsReq, q.req.WireSize(), q.req)
 	}
 	type fetched struct {
 		writer int32
@@ -891,12 +742,16 @@ func (r *Replayer) applyFetchedDiffs(nd *hlrc.Node, calls []diffFetch) int {
 	}
 	var all []fetched
 	diskByWriter := make(map[int32]int)
-	for _, c := range calls {
-		m := c.pending.WaitDetached(nd.Clock())
-		resp := m.Payload.(*hlrc.RecDiffsReply)
-		diskByWriter[c.writer] += resp.DiskBytes
-		for i, d := range resp.Diffs {
-			all = append(all, fetched{c.writer, resp.Seqs[i], resp.VTSums[i], d})
+	for i, pd := range pendings {
+		q := reqs[i]
+		resp := pd.WaitDetached(nd.Clock()).Payload.(*hlrc.RecDiffsReply)
+		if phase == PhaseDiffFetch && len(resp.Diffs) == 0 {
+			panic(fmt.Sprintf("recovery: writer %d has no logged diff for page %d seq %d",
+				q.writer, q.req.Page, q.req.ToSeq))
+		}
+		diskByWriter[q.writer] += resp.DiskBytes
+		for j, d := range resp.Diffs {
+			all = append(all, fetched{q.writer, resp.Seqs[j], resp.VTSums[j], d})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -923,5 +778,7 @@ func (r *Replayer) applyFetchedDiffs(nd *hlrc.Node, calls []diffFetch) int {
 	}
 	t0, t1 := nd.Clock().AdvanceSpan(worst)
 	nd.Tracer().Seg(obsv.EvReplayOp, obsv.CatRecovery, t0, t1, -1, int64(worstBytes))
-	return totalBytes
+	end := nd.Clock().Now()
+	nd.Tracer().Span(ev, start, end, int64(len(reqs)), int64(totalBytes))
+	r.phases.note(phase, start, end, int64(totalBytes))
 }

@@ -49,7 +49,7 @@ func TestReadLoggedDiffs(t *testing.T) {
 		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, -1, 3, 9, []memory.Diff{mkDiff(1, 8, 6)})},
 		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, 3, 5, 0, []memory.Diff{mkDiff(1, 12, 5)})},
 	})
-	resp := readLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 3})
+	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 3})
 	if len(resp.Diffs) != 2 { // seqs 2 and 3 for page 1, own only
 		t.Fatalf("got %d diffs, want 2 (seqs %v)", len(resp.Diffs), resp.Seqs)
 	}
@@ -155,8 +155,8 @@ func TestReplayerIndexesByOp(t *testing.T) {
 	if len(r.byOp[1]) != 1 || len(r.byOp[2]) != 1 {
 		t.Fatalf("byOp index: %d/%d", len(r.byOp[1]), len(r.byOp[2]))
 	}
-	if r.pagesByOp[2][1] == nil {
-		t.Fatal("page index missing")
+	if lp := r.pagesByOp[2][1]; lp.data == nil || lp.size != stable.HeaderSize+wal.PageRecordSize(lp.data) {
+		t.Fatalf("page index: %d bytes in a record of %d", len(lp.data), lp.size)
 	}
 	// CCL replayer keeps pages in byOp untouched (it never logs them).
 	r2 := NewReplayer(CCLRecovery, victimNode(false, 0), store, 5, false)
@@ -165,9 +165,9 @@ func TestReplayerIndexesByOp(t *testing.T) {
 	}
 }
 
-// TestInstallServiceVersionedFetch drives the recovery service directly:
-// a live home with an advanced page must serve the rolled-back version.
-func TestInstallServiceVersionedFetch(t *testing.T) {
+// TestServiceVersionedFetch drives the recovery service directly: a live
+// home with an advanced page must serve the rolled-back version.
+func TestServiceVersionedFetch(t *testing.T) {
 	model := simtime.DefaultCostModel()
 	nw := transport.NewNetwork(2, model)
 	homes := []int{0, 0}
@@ -175,8 +175,6 @@ func TestInstallServiceVersionedFetch(t *testing.T) {
 		ID: 0, N: 2, PageSize: 128, NumPages: 2, Homes: homes,
 		Model: model, HomeUndo: true,
 	}, nw, simtime.NewClock(0), nil, nil)
-	store := stable.NewStore()
-	InstallService(home, store)
 	home.StartService()
 	defer home.StopService()
 
@@ -224,7 +222,7 @@ func TestReadLoggedDiffsFromBatches(t *testing.T) {
 		{Kind: wal.RecDiffBatch, Op: 5, Data: []byte{1, 2, 3}},
 	}
 	store.Flush(recs[:5])
-	resp := readLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 4})
+	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 4})
 	if len(resp.Diffs) != 3 || resp.Seqs[0] != 2 || resp.Seqs[1] != 4 || resp.Seqs[2] != 4 ||
 		resp.VTSums[0] != 4 || resp.VTSums[1] != 12 {
 		t.Fatalf("got seqs %v vt sums %v, want [2 4 4] / [4 12 12]", resp.Seqs, resp.VTSums)
@@ -253,21 +251,26 @@ func TestReadLoggedDiffsFromBatches(t *testing.T) {
 			t.Fatal("corrupt batch prefix must panic")
 		}
 	}()
-	readLoggedDiffs(bad, &hlrc.RecDiffsReq{Page: 1, FromSeq: 0, ToSeq: 9})
+	ReadLoggedDiffs(bad, &hlrc.RecDiffsReq{Page: 1, FromSeq: 0, ToSeq: 9})
 }
 
-// TestInstallServiceLoggedDiffs drives the RecDiffsReq path end to end.
-func TestInstallServiceLoggedDiffs(t *testing.T) {
+// storeLogDiffs binds hlrc.Config.LogDiffs to store, as the cluster does.
+func storeLogDiffs(store *stable.Store) func(*hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
+	return func(req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply { return ReadLoggedDiffs(store, req) }
+}
+
+// TestServiceLoggedDiffs drives the RecDiffsReq path end to end.
+func TestServiceLoggedDiffs(t *testing.T) {
 	model := simtime.DefaultCostModel()
 	nw := transport.NewNetwork(2, model)
-	nd := hlrc.NewNode(hlrc.Config{
-		ID: 0, N: 2, PageSize: 128, NumPages: 2, Homes: []int{1, 1}, Model: model,
-	}, nw, simtime.NewClock(0), nil, nil)
 	store := stable.NewStore()
 	store.Flush([]stable.Record{
 		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, -1, 4, 7, []memory.Diff{mkDiff(1, 0, 42)})},
 	})
-	InstallService(nd, store)
+	nd := hlrc.NewNode(hlrc.Config{
+		ID: 0, N: 2, PageSize: 128, NumPages: 2, Homes: []int{1, 1}, Model: model,
+		LogDiffs: storeLogDiffs(store),
+	}, nw, simtime.NewClock(0), nil, nil)
 	nd.StartService()
 	defer nd.StopService()
 

@@ -123,23 +123,17 @@ type Network struct {
 	fencing   []atomic.Bool
 	fenceWake []chan struct{}
 
-	// Liveness registry (online recovery): crashed[i] holds the victim's
-	// fail-stop virtual time + 1 while node i is down, 0 while it is up.
-	// It is the simulation's ground truth of node death; the protocol
-	// layer is only allowed to act on it after the victim's lease has
-	// expired (see internal/hlrc). MarkRejoined clears the entry when the
-	// recovered incarnation resumes live operation.
-	crashed []atomic.Int64
-	// down[i] is closed by node i's next MarkCrashed and replaced by a
-	// fresh channel at MarkRejoined (under downMu): a WaitRedirect parked
-	// on a call to node i wakes on it.
-	downMu sync.Mutex
-	down   []atomic.Pointer[chan struct{}]
-	// failedAt[i] holds the virtual time + 1 of node i's first fail-stop
-	// and is never cleared: "has node i ever crashed" is the key of the
-	// permanent home-migration rule (a crashed node's static homes move to
-	// its successor for the rest of the run; see internal/hlrc).
+	// Liveness registry (online recovery): failedAt[i] holds the virtual
+	// time + 1 of node i's first fail-stop and is never cleared. It is the
+	// simulation's ground truth of node death — the protocol layer is only
+	// allowed to act on it after the victim's lease has expired — and "has
+	// node i ever crashed" is the key of the permanent home-migration rule
+	// (a crashed node's static homes move to its successor for the rest of
+	// the run; see internal/hlrc).
 	failedAt []atomic.Int64
+	// down[i] is closed when failedAt[i] is set: a WaitRedirect parked on
+	// a call to node i wakes on it.
+	down []chan struct{}
 
 	// Membership epochs (partition-safe fencing): epoch is the cluster
 	// membership epoch, bumped by every death declaration and every
@@ -251,9 +245,8 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 		syncWait:   make([]atomic.Pointer[SyncPark], n),
 		fencing:    make([]atomic.Bool, n),
 		fenceWake:  make([]chan struct{}, n),
-		crashed:    make([]atomic.Int64, n),
-		down:       make([]atomic.Pointer[chan struct{}], n),
 		failedAt:   make([]atomic.Int64, n),
+		down:       make([]chan struct{}, n),
 		deathEpoch: make([]atomic.Int64, n),
 		view:       make([]atomic.Int64, n),
 		replies:    make([]replyTable, n),
@@ -265,8 +258,7 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 	for i := range nw.inboxes {
 		nw.inboxes[i].win = make(chan Message, inboxWindow)
 		nw.fenceWake[i] = make(chan struct{}, 1)
-		down := make(chan struct{})
-		nw.down[i].Store(&down)
+		nw.down[i] = make(chan struct{})
 	}
 	nw.fabric = procFabric{nw}
 	return nw
@@ -357,48 +349,10 @@ func (nw *Network) KindCounts() []obsv.KindCount {
 // Pending.WaitRedirect instead of blocking until the node's recovered
 // incarnation drains its inbox.
 func (nw *Network) MarkCrashed(id int, at simtime.Time) {
-	nw.crashed[id].Store(int64(at) + 1)
-	nw.failedAt[id].CompareAndSwap(0, int64(at)+1)
-	nw.downMu.Lock()
-	if down := *nw.down[id].Load(); !closed(down) {
-		close(down)
+	if nw.failedAt[id].CompareAndSwap(0, int64(at)+1) {
+		close(nw.down[id])
 	}
-	nw.downMu.Unlock()
 	nw.wakeFencers()
-}
-
-// MarkRejoined clears a node's crashed mark: its recovered incarnation
-// is live again and will answer its inbox. The next crash signal is
-// installed before the mark clears, so a waiter that sees the node up
-// never holds the spent (closed) one.
-func (nw *Network) MarkRejoined(id int) {
-	nw.downMu.Lock()
-	if closed(*nw.down[id].Load()) {
-		down := make(chan struct{})
-		nw.down[id].Store(&down)
-	}
-	nw.downMu.Unlock()
-	nw.crashed[id].Store(0)
-	nw.wakeFencers()
-}
-
-func closed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// CrashedAt reports whether a node is currently down and, if so, the
-// virtual time of its fail-stop.
-func (nw *Network) CrashedAt(id int) (simtime.Time, bool) {
-	v := nw.crashed[id].Load()
-	if v == 0 {
-		return 0, false
-	}
-	return simtime.Time(v - 1), true
 }
 
 // EverCrashed reports whether a node has ever fail-stopped (even if its
@@ -678,7 +632,7 @@ func (e *Endpoint) ClearLockHeld(lock int64) {
 // path, and on the TCP backend that path is where socket readiness is
 // noticed. The park is woken by exactly the writers of what the
 // predicates read — BeginSyncWait/EndSyncWait, PublishLockHeld/
-// ClearLockHeld, MarkCrashed/MarkRejoined, NewEndpoint replacing a
+// ClearLockHeld, MarkCrashed, NewEndpoint replacing a
 // clock, MarkHandled, and the watched clock passing its threshold
 // (simtime.Clock.NotifyPast). Each stores first and pokes second, the
 // fence raises its fencing flag before it reads, and the wake channel
@@ -694,7 +648,7 @@ func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer 
 			continue
 		}
 		for tries := 0; ; tries++ {
-			if _, down := nw.CrashedAt(i); down {
+			if _, down := nw.EverCrashed(i); down {
 				break
 			}
 			if p := nw.syncWait[i].Load(); p != nil {
@@ -1065,17 +1019,14 @@ func (p *Pending) WaitDetached(clock *simtime.Clock) Message {
 // the caller's clock, and the caller re-resolves the request (waiting out
 // the peer's lease and redirecting to the adopting node — see
 // internal/hlrc). The wait parks on the reply slot and on the peer's
-// crash signal, so a crash wakes it at once. A peer that crashes and
-// rejoins before the wait looks stays on the normal path: its recovered
-// incarnation answers from the drained inbox.
+// crash signal, so a crash wakes it at once. A peer that has ever crashed
+// fails over at once, even after its recovered incarnation is back: its
+// homes stay with their adopter for the rest of the run.
 func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
 	p.checkLive()
 	nw := p.ep.nw
 	for {
-		// The signal is loaded before the registry is read: a crash after
-		// the read closes the channel this wait parks on.
-		down := *nw.down[p.to].Load()
-		if _, crashed := nw.CrashedAt(p.to); crashed {
+		if _, crashed := nw.EverCrashed(p.to); crashed {
 			p.cancel()
 			return Message{}, false
 		}
@@ -1088,16 +1039,13 @@ func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
 			p.receive(clock, m)
 			p.release()
 			return m, true
-		case <-down:
+		case <-nw.down[p.to]:
 		}
 	}
 }
 
 // MarkCrashed records this node's own fail-stop in the liveness registry.
 func (e *Endpoint) MarkCrashed(at simtime.Time) { e.nw.MarkCrashed(e.id, at) }
-
-// MarkRejoined clears this node's crashed mark (recovered incarnation).
-func (e *Endpoint) MarkRejoined() { e.nw.MarkRejoined(e.id) }
 
 // EverCrashed reports whether a peer (or this node itself) has ever
 // fail-stopped, and if so when it first did.
