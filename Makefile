@@ -105,10 +105,13 @@ churn-smoke:
 # partition tests (wrong death declaration, post-heal fencing, epoch
 # bump, log truncation, rejoin replay, failure-free image equality on
 # both wire backends, and the partition x crash-point cross,
-# TestChurnCrossPartition) repeated, then the churn sweep's
-# partition cells and the partition-aware adopted-home audit.
+# TestChurnCrossPartition) repeated, the home-failover outcomes (a
+# crash races the reply slot against the peer's crash channel in real
+# time) soaked, then the churn sweep's partition cells and the
+# partition-aware adopted-home audit.
 rejoin-smoke:
 	go test -race ./internal/core/ -run 'Partition' -count=5
+	go test -race ./internal/hlrc/ -run 'TestHomeFailoverOutcomes' -count=20
 	go run -race ./cmd/sdsmbench -nodes 4 -churn
 	go run -race ./cmd/sdsminspect -mode audit -churn -nodes 4
 	@echo "rejoin-smoke: OK"
