@@ -154,7 +154,9 @@ func grantServer(tb testing.TB, install func(testing.TB, *transport.Network)) *t
 }
 
 // TestCallAllocations pins what a warm request/reply round trip costs
-// the heap, counted across every goroutine it touches.
+// the heap, counted across every goroutine it touches: a Call, and a
+// CallAsync waited on with WaitRedirect (how every page miss and diff
+// ack waits).
 func TestCallAllocations(t *testing.T) {
 	want := map[string]struct {
 		allocs float64
@@ -167,13 +169,25 @@ func TestCallAllocations(t *testing.T) {
 		t.Run(be.name, func(t *testing.T) {
 			client := grantServer(t, be.install)
 			req := &hlrc.LockReq{Lock: 1, VT: vclock.New(4)}
-			call := func() { client.Call(1, hlrc.KindLockReq, req.WireSize(), req) }
-			for i := 0; i < 100; i++ {
-				call() // grow the slot table, link buffers and connections
+			calls := []struct {
+				name string
+				call func()
+			}{
+				{"Call", func() { client.Call(1, hlrc.KindLockReq, req.WireSize(), req) }},
+				{"WaitRedirect", func() {
+					if _, ok := client.CallAsync(1, hlrc.KindLockReq, req.WireSize(), req).WaitRedirect(client.Clock()); !ok {
+						t.Fatal("WaitRedirect failed over from a live peer")
+					}
+				}},
 			}
 			w := want[be.name]
-			if got := testing.AllocsPerRun(500, call); got > w.allocs {
-				t.Errorf("Call round trip on %s: %v allocs, want <= %v (%s)", be.name, got, w.allocs, w.what)
+			for _, c := range calls {
+				for i := 0; i < 100; i++ {
+					c.call() // grow the slot table, link buffers and connections
+				}
+				if got := testing.AllocsPerRun(500, c.call); got > w.allocs {
+					t.Errorf("%s round trip on %s: %v allocs, want <= %v (%s)", c.name, be.name, got, w.allocs, w.what)
+				}
 			}
 		})
 	}

@@ -309,7 +309,7 @@ func (nw *Network) cutAt(from, to int, at simtime.Time) bool {
 }
 
 // partitionsActive reports whether any partition window is installed;
-// the send paths consult the window schedule only then.
+// put consults the window schedule only then.
 func (nw *Network) partitionsActive() bool { return nw.partitions.Load() != nil }
 
 // Nodes returns the number of nodes.
@@ -392,16 +392,6 @@ func (nw *Network) Rejoin(id int) int64 {
 // DeathEpoch returns the epoch at which node id was most recently
 // declared dead, or 0 if it never was. It is not cleared by rejoin.
 func (nw *Network) DeathEpoch(id int) int64 { return nw.deathEpoch[id].Load() }
-
-// adoptView raises node id's epoch view to at least e (monotone).
-func (nw *Network) adoptView(id int, e int64) {
-	for {
-		v := nw.view[id].Load()
-		if v >= e || nw.view[id].CompareAndSwap(v, e) {
-			return
-		}
-	}
-}
 
 // nextSeq issues the next wire sequence number for the link from→to.
 // Link counters survive node crashes, so sequence numbers stay monotone
@@ -757,58 +747,76 @@ func (e *Endpoint) holderBoundsPark(p *SyncPark, cutoff, minTransit simtime.Time
 	return now+3*minTransit > cutoff, hc
 }
 
-// Send delivers a one-way message. Under a fault plan, lost copies are
-// retransmitted in the background (sender-based ARQ): the surviving copy
-// arrives with the accumulated retransmission timeouts as extra delay,
-// and the sender's clock is not charged — exactly like a kernel-level
-// reliable datagram layer under the application.
-func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
-	nw := e.nw
-	m := Message{
+// stamp builds a copy of a message from this node: departure time at,
+// the given trace context, and this node's current epoch view.
+func (e *Endpoint) stamp(to int, kind Kind, at simtime.Time, size int, payload any, trace obsv.TraceCtx) Message {
+	return Message{
 		From: e.id, To: to, Kind: kind,
-		SentAt: e.clock.Now(), Size: size, Payload: payload,
-		Trace: e.trc.Trace(),
-		Epoch: nw.view[e.id].Load(),
+		SentAt: at, Size: size, Payload: payload,
+		Trace: trace,
+		Epoch: e.nw.view[e.id].Load(),
 	}
+}
+
+// put numbers one copy of m on its link and injects it: the one fate
+// rule of the wire. An unfated copy (SendDetector), a self-addressed one,
+// and every copy while neither the fault plan nor a partition window is
+// installed is delivered as is. Otherwise a copy departing inside a
+// partition window (at SentAt plus the retransmission delay it already
+// carries) is lost exactly like a drop fault; a surviving copy gets the
+// plan's extra delay, the fate of its reply if it is a request (the
+// receiver-side effects of a copy whose reply is lost still happen, which
+// is why protocol handlers must be idempotent), and possibly a duplicate.
+// put reports whether the copy was delivered; a lost one is still
+// counted on the wire. The fault plan decides as a pure function of
+// (seed, link, sequence).
+func (nw *Network) put(m *Message, fated bool) bool {
+	link := nw.lockLink(m.From, m.To)
+	defer link.Unlock()
+	m.Seq = nw.nextSeq(m.From, m.To)
 	f := nw.faults
 	// Partition windows live outside the fault plan, so a zero plan must
 	// still route through the fate checks once any window exists (the
 	// zero plan's drop/dup/delay rolls all miss).
-	if to == e.id || (!f.Enabled() && !nw.partitionsActive()) {
-		link := nw.lockLink(e.id, to)
-		m.Seq = nw.nextSeq(e.id, to)
-		nw.deliver(m)
-		link.Unlock()
-		return
+	if !fated || m.To == m.From || (!f.Enabled() && !nw.partitionsActive()) {
+		nw.deliver(*m)
+		return true
 	}
-	var extra simtime.Duration
-	for attempt := 1; ; attempt++ {
-		link := nw.lockLink(e.id, to)
-		seq := nw.nextSeq(e.id, to)
-		// A copy departing inside a partition window is lost exactly like
-		// a drop fault: the background ARQ keeps retransmitting, each
-		// retry departing one RTO later in virtual time, until the window
-		// heals and a copy gets through.
-		cut := nw.cutAt(e.id, to, m.SentAt+simtime.Time(extra))
-		if cut || f.DropCopy(e.id, to, seq) {
-			link.Unlock()
-			nw.countWire(kind, size)
-			if attempt >= fault.DefaultMaxAttempts {
-				panic(fmt.Sprintf(
-					"transport: node %d: one-way kind %d to node %d lost %d times — peer unreachable",
-					e.id, kind, to, attempt))
-			}
-			extra += fault.RTO(attempt)
-			continue
+	// The cut is evaluated at the copy's departure only: a copy that got
+	// through before the window opened also gets its reply (in-flight
+	// traffic drains; the partition severs new injections, not the
+	// fabric).
+	if nw.cutAt(m.From, m.To, m.SentAt+simtime.Time(m.extraDelay)) || f.DropCopy(m.From, m.To, m.Seq) {
+		nw.countWire(m.Kind, m.Size)
+		return false
+	}
+	m.extraDelay += f.DelayCopy(m.From, m.To, m.Seq)
+	if m.replyKey != 0 {
+		m.dropReply = f.DropReply(m.From, m.To, m.Seq)
+	}
+	nw.deliver(*m)
+	if f.DuplicateCopy(m.From, m.To, m.Seq) {
+		nw.deliver(*m)
+	}
+	return true
+}
+
+// Send delivers a one-way message. Under a fault plan, lost copies are
+// retransmitted in the background (sender-based ARQ): each retry departs
+// one RTO later in virtual time, so the surviving copy arrives with the
+// accumulated retransmission timeouts as extra delay, and the sender's
+// clock is not charged — exactly like a kernel-level reliable datagram
+// layer under the application. A copy cut by a partition window is
+// retried the same way until the window heals.
+func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
+	m := e.stamp(to, kind, e.clock.Now(), size, payload, e.trc.Trace())
+	for attempt := 1; !e.nw.put(&m, true); attempt++ {
+		if attempt >= fault.DefaultMaxAttempts {
+			panic(fmt.Sprintf(
+				"transport: node %d: one-way kind %d to node %d lost %d times — peer unreachable",
+				e.id, kind, to, attempt))
 		}
-		m.Seq = seq
-		m.extraDelay = extra + f.DelayCopy(e.id, to, seq)
-		nw.deliver(m)
-		if f.DuplicateCopy(e.id, to, seq) {
-			nw.deliver(m)
-		}
-		link.Unlock()
-		return
+		m.extraDelay += fault.RTO(attempt)
 	}
 }
 
@@ -819,17 +827,8 @@ func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
 // death declarations propagate even while the declared node is
 // partitioned from the cluster.
 func (e *Endpoint) SendDetector(to int, kind Kind, size int, payload any) {
-	nw := e.nw
-	m := Message{
-		From: e.id, To: to, Kind: kind,
-		SentAt: e.clock.Now(), Size: size, Payload: payload,
-		Trace: e.trc.Trace(),
-		Epoch: nw.view[e.id].Load(),
-	}
-	link := nw.lockLink(e.id, to)
-	m.Seq = nw.nextSeq(e.id, to)
-	nw.deliver(m)
-	link.Unlock()
+	m := e.stamp(to, kind, e.clock.Now(), size, payload, e.trc.Trace())
+	e.nw.put(&m, false)
 }
 
 // Pending is an outstanding request. It lives in one of the requesting
@@ -902,46 +901,13 @@ func (e *Endpoint) call(at simtime.Time, trc *obsv.Tracer, trace obsv.TraceCtx, 
 }
 
 // attemptSend puts one copy of the request on the wire and records
-// whether its reply will ever arrive (the fault plan decides both the
-// request's and the reply's fate up front; the receiver-side effects of a
-// copy whose reply is lost still happen, which is why protocol handlers
-// must be idempotent).
+// whether its reply will ever arrive (see Network.put). The caller's
+// retransmission loop re-attempts with later departure stamps until a
+// copy's reply is due.
 func (e *Endpoint) attemptSend(p *Pending) {
-	nw := e.nw
-	m := Message{
-		From: e.id, To: p.to, Kind: p.kind,
-		SentAt: p.sentAt, Size: p.reqSize, Payload: p.payload,
-		Trace: p.trace, ReqID: p.reqID, replyKey: p.key(),
-		Epoch: nw.view[e.id].Load(),
-	}
-	link := nw.lockLink(e.id, p.to)
-	defer link.Unlock()
-	m.Seq = nw.nextSeq(e.id, p.to)
-	f := nw.faults
-	// See Send: installed partition windows cut links even under a zero
-	// fault plan.
-	if p.local || (!f.Enabled() && !nw.partitionsActive()) {
-		p.live = true
-		nw.deliver(m)
-		return
-	}
-	// A partition cut is evaluated at the attempt's departure time only:
-	// a request that got through before the window opened also gets its
-	// reply (in-flight traffic drains; the partition severs new
-	// injections, not the fabric). The caller's retransmission loop
-	// re-attempts with later departure stamps until the window heals.
-	if nw.cutAt(e.id, p.to, p.sentAt) || f.DropCopy(e.id, p.to, m.Seq) {
-		nw.countWire(m.Kind, m.Size)
-		p.live = false
-		return
-	}
-	m.extraDelay = f.DelayCopy(e.id, p.to, m.Seq)
-	m.dropReply = f.DropReply(e.id, p.to, m.Seq)
-	p.live = !m.dropReply
-	nw.deliver(m)
-	if f.DuplicateCopy(e.id, p.to, m.Seq) {
-		nw.deliver(m)
-	}
+	m := e.stamp(p.to, p.kind, p.sentAt, p.reqSize, p.payload, p.trace)
+	m.ReqID, m.replyKey = p.reqID, p.key()
+	p.live = e.nw.put(&m, true) && !m.dropReply
 }
 
 // retransmit charges the current attempt's retransmission timeout
@@ -961,13 +927,28 @@ func (p *Pending) retransmit(clock *simtime.Clock) {
 }
 
 // await retransmits until an attempt's reply is due, then blocks for the
-// reply.
-func (p *Pending) await(clock *simtime.Clock) Message {
+// reply. down is the peer's crash signal (WaitRedirect) or nil (Wait,
+// WaitDetached): with it, a peer that has ever crashed cancels the call
+// and await reports ok=false without charging the clock.
+func (p *Pending) await(clock *simtime.Clock, down <-chan struct{}) (Message, bool) {
 	p.checkLive()
-	for !p.live {
-		p.retransmit(clock)
+	for {
+		if down != nil {
+			if _, crashed := p.ep.nw.EverCrashed(p.to); crashed {
+				p.cancel()
+				return Message{}, false
+			}
+		}
+		if !p.live {
+			p.retransmit(clock)
+			continue
+		}
+		select {
+		case m := <-p.slot.ch:
+			return m, true
+		case <-down:
+		}
 	}
-	return <-p.slot.ch
 }
 
 // receive charges a reply's receipt to the caller's clock with the
@@ -988,7 +969,7 @@ func (p *Pending) receive(clock *simtime.Clock, m Message) {
 // manager) carry no wire cost, only the handling already charged. Lost
 // requests or replies cost the retransmission timeouts on top.
 func (p *Pending) Wait(clock *simtime.Clock) Message {
-	m := p.await(clock)
+	m, _ := p.await(clock, nil)
 	p.receive(clock, m)
 	p.release()
 	return m
@@ -1001,7 +982,7 @@ func (p *Pending) Wait(clock *simtime.Clock) Message {
 // recovery-time measurement. The responder is idle, so the fixed
 // round-trip is the faithful cost.
 func (p *Pending) WaitDetached(clock *simtime.Clock) Message {
-	m := p.await(clock)
+	m, _ := p.await(clock, nil)
 	var t0, t1 simtime.Time
 	if p.local {
 		t0, t1 = clock.MergePlusSpan(p.sentAt, 2*p.ep.nw.model.MsgHandling)
@@ -1018,30 +999,17 @@ func (p *Pending) WaitDetached(clock *simtime.Clock) Message {
 // outstanding, it cancels the call and returns ok=false without charging
 // the caller's clock, and the caller re-resolves the request (waiting out
 // the peer's lease and redirecting to the adopting node — see
-// internal/hlrc). The wait parks on the reply slot and on the peer's
-// crash signal, so a crash wakes it at once. A peer that has ever crashed
-// fails over at once, even after its recovered incarnation is back: its
-// homes stay with their adopter for the rest of the run.
+// internal/hlrc). It runs Wait's one retransmit-and-receive loop (await)
+// with the peer's crash signal added, so a crash wakes it at once. A peer
+// that has ever crashed fails over at once, even after its recovered
+// incarnation is back: its homes stay with their adopter for the rest of
+// the run.
 func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
-	p.checkLive()
-	nw := p.ep.nw
-	for {
-		if _, crashed := nw.EverCrashed(p.to); crashed {
-			p.cancel()
-			return Message{}, false
-		}
-		if !p.live {
-			p.retransmit(clock)
-			continue
-		}
-		select {
-		case m := <-p.slot.ch:
-			p.receive(clock, m)
-			p.release()
-			return m, true
-		case <-nw.down[p.to]:
-		}
+	if m, ok = p.await(clock, p.ep.nw.down[p.to]); ok {
+		p.receive(clock, m)
+		p.release()
 	}
+	return m, ok
 }
 
 // MarkCrashed records this node's own fail-stop in the liveness registry.
@@ -1056,13 +1024,18 @@ func (e *Endpoint) EpochView() int64 { return e.nw.view[e.id].Load() }
 
 // AdoptEpoch raises this node's epoch view to at least ep (monotone).
 // Handlers call it when a membership message (obituary, rejoin notice)
-// carries a newer epoch; returns true if the view actually advanced.
+// carries a newer epoch; returns true if this call advanced the view.
 func (e *Endpoint) AdoptEpoch(ep int64) bool {
-	if e.nw.view[e.id].Load() >= ep {
-		return false
+	view := &e.nw.view[e.id]
+	for {
+		v := view.Load()
+		if v >= ep {
+			return false
+		}
+		if view.CompareAndSwap(v, ep) {
+			return true
+		}
 	}
-	e.nw.adoptView(e.id, ep)
-	return true
 }
 
 // DeathEpoch returns the epoch at which a peer (or this node itself)
@@ -1136,12 +1109,7 @@ func (e *Endpoint) ReplyAt(at simtime.Time, m Message, kind Kind, size int, payl
 	// lock handoffs reply to the queued requester's copy, barrier
 	// releases to each waiter's check-in), so every hop of a traced op
 	// stays joined without the handler doing anything.
-	r := Message{
-		From: e.id, To: m.From, Kind: kind,
-		SentAt: at, Size: size, Payload: payload,
-		Trace: m.Trace,
-		Epoch: e.nw.view[e.id].Load(),
-	}
+	r := e.stamp(m.From, kind, at, size, payload, m.Trace)
 	if m.From != e.id && e.nw.faults.Enabled() {
 		if m.dropReply {
 			// The reply to this request copy is lost on the wire. Do not

@@ -301,9 +301,10 @@ func TestTwoSendersOneLink(t *testing.T) {
 // cross-group links for copies departing inside [Start, End). A one-way
 // copy cut there is lost and retransmitted by the background ARQ, one
 // RTO later each time, until a copy departs at or after End; a copy
-// departing at End is not cut at all. Nodes the window does not list
-// form the implicit far side and stay connected to each other, and a
-// self-send is never cut.
+// departing at End is not cut at all. A request copy is cut by the same
+// rule, and the caller's retransmission loop charges each RTO to its
+// clock. Nodes the window does not list form the implicit far side and
+// stay connected to each other, and a self-send is never cut.
 func TestInstallPartitionCutsSends(t *testing.T) {
 	const start, dur = simtime.Time(1_000_000), simtime.Duration(10_000_000)
 	nw := NewNetwork(4, simtime.DefaultCostModel())
@@ -350,5 +351,28 @@ func TestInstallPartitionCutsSends(t *testing.T) {
 	}
 	if d, copies := send(1, 0, w.End()); d != 0 || copies != 1 {
 		t.Errorf("cross-group copy departing at End: delay %v over %d copies, want 0 over 1", d, copies)
+	}
+
+	// A request departing at start+1ms: the copies departing then and at
+	// +4ms are cut, and the third departs after End.
+	c := NewNetwork(2, simtime.DefaultCostModel())
+	a, b := c.NewEndpoint(0, simtime.NewClock(0)), c.NewEndpoint(1, simtime.NewClock(0))
+	c.InstallPartition(w)
+	a.Clock().AdvanceTo(inside)
+	go func() { // only the copy departing after End arrives
+		m := <-b.Inbox()
+		b.ReplyAt(b.ArrivalOf(m), m, Kind(5), 8, nil)
+		b.MarkHandled()
+	}()
+	r := a.Call(1, Kind(4), 8, nil)
+	rtos := simtime.Time(fault.RTO(1) + fault.RTO(2))
+	if r.SentAt < inside+rtos || r.SentAt < w.End() {
+		t.Errorf("request answered at %d, want its delivered copy to depart at %d, after End %d", r.SentAt, inside+rtos, w.End())
+	}
+	if now := a.Clock().Now(); now < inside+rtos {
+		t.Errorf("caller's clock %d after the cut request, want >= %d + RTO(1) + RTO(2)", now, inside)
+	}
+	if got := c.kindMsgs[4].Load(); got != 3 {
+		t.Errorf("%d request copies on the wire, want 3", got)
 	}
 }
