@@ -7,7 +7,6 @@ import (
 
 	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
-	"sdsm/internal/transport"
 )
 
 // Compute charges the node's virtual clock for application computation,
@@ -40,56 +39,23 @@ func (nd *Node) validate(p memory.PageID) {
 	nd.fetchPage(p)
 }
 
-// fetchPage performs the miss: fault cost, round trip to the (effective)
-// home, install. With leases enabled the destination is re-resolved on
-// redirects and crashed-peer failovers; with leases off the path is the
-// original single call, byte-identical on the wire.
+// fetchPage performs the miss: fault cost, one round trip to the page's
+// effective home (awaitHome follows the home if it has moved), install.
 func (nd *Node) fetchPage(p memory.PageID) {
 	if nd.OwnsHome(p) {
 		panic(fmt.Sprintf("hlrc: node %d: home page %d is invalid", nd.cfg.ID, p))
 	}
-	leases := nd.cfg.LeaseDuration > 0
-	home := nd.HomeOf(p)
-	if leases {
-		home = nd.effectiveNode(home)
-	}
+	home := nd.EffectiveHome(p)
 	nd.stats.Faults.Add(1)
 	t0, t1 := nd.clock.AdvanceSpan(nd.cfg.Model.FaultCost)
 	nd.trc.Seg(obsv.EvPageFault, obsv.CatFault, t0, t1, int64(p), 0)
 	req := &PageReq{Page: p}
-	if leases {
+	if nd.cfg.LeaseDuration > 0 {
 		// The requester's vector time bounds a custody rebuild at an
 		// adopter (the reply must cover every interval this node knows of).
 		req.VT = nd.VT()
 	}
-	var resp transport.Message
-	if !leases {
-		resp = nd.ep.Call(home, KindPageReq, req.WireSize(), req)
-	} else {
-		for {
-			m, ok := nd.ep.CallAsync(home, KindPageReq, req.WireSize(), req).WaitRedirect(nd.clock)
-			if !ok {
-				// The home crashed with the reply outstanding: wait out its
-				// lease, re-resolve, retry against whoever serves it now.
-				nd.waitOutLease(home)
-				nd.stats.RedirectedCalls.Add(1)
-				home = nd.effectiveNode(home)
-				continue
-			}
-			if m.Kind == KindFenced {
-				// This incarnation was declared dead while partitioned:
-				// unwind to the runner for re-admission via rejoin.
-				panic(ErrFenced)
-			}
-			if m.Kind == KindRedirectHome {
-				nd.stats.RedirectedCalls.Add(1)
-				home = int(m.Payload.(*RedirectHome).Home)
-				continue
-			}
-			resp = m
-			break
-		}
-	}
+	resp := nd.awaitHome(nd.ep.CallAsync(home, KindPageReq, req.WireSize(), req), home, KindPageReq, req)
 	pr := resp.Payload.(*PageReply)
 	nd.mu.Lock()
 	nd.pt.Install(p, pr.Data)
@@ -138,7 +104,7 @@ func (nd *Node) writeFaultLocked(p memory.PageID) {
 		// custody; see FlushReplayDiffs).
 		replayTwin := inRecovery &&
 			((nd.TwinsFromOp >= 0 && nd.opIndex >= nd.TwinsFromOp) ||
-				(nd.cfg.LeaseDuration > 0 && nd.IsHome(p) && !isHome))
+				(nd.IsHome(p) && !isHome))
 		switch {
 		case isHome:
 			if nd.undoArmed(p) && !inRecovery && !nd.pt.HasTwin(p) {

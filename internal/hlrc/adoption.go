@@ -1,9 +1,12 @@
 package hlrc
 
 // Online recovery: lease-based liveness, permanent home migration, and
-// custody service (DESIGN.md §2.9). All of it is gated on
-// Config.LeaseDuration > 0; with leases disabled none of this code runs
-// and the wire format stays byte-identical to the offline protocol.
+// custody service (DESIGN.md §2.9). Only a leased fail-stop or a
+// partition onset (Config.LeaseDuration > 0) writes the transport's
+// liveness registry and death epochs, so without a lease every home
+// resolves to its static owner, awaitHome is one plain wait, nothing
+// answers RedirectHome or Fenced, and the wire format stays
+// byte-identical to the offline protocol.
 //
 // The design avoids a custody-handback protocol entirely: once a node
 // has crashed, its statically-assigned home pages are served by its
@@ -70,23 +73,17 @@ func (nd *Node) effectiveNode(h int) int {
 // EffectiveHome resolves the current home of a page under permanent
 // migration.
 func (nd *Node) EffectiveHome(p memory.PageID) int {
-	if nd.cfg.LeaseDuration <= 0 {
-		return nd.cfg.Homes[p]
-	}
 	return nd.effectiveNode(nd.cfg.Homes[p])
 }
 
 // OwnsHome reports whether this node serves page p from its own page
 // table: it is the static home and has never crashed. A recovered
 // incarnation's statically-assigned pages stay migrated for the rest of
-// the run and are accessed like remote pages. With leases disabled this
-// is exactly IsHome.
+// the run and are accessed like remote pages. Without a lease no node is
+// ever marked crashed, so this is exactly IsHome.
 func (nd *Node) OwnsHome(p memory.PageID) bool {
 	if nd.cfg.Homes[p] != nd.cfg.ID {
 		return false
-	}
-	if nd.cfg.LeaseDuration <= 0 {
-		return true
 	}
 	_, ever := nd.ep.EverCrashed(nd.cfg.ID)
 	return !ever
@@ -104,6 +101,39 @@ func (nd *Node) waitOutLease(dead int) {
 	t0, t1 := nd.clock.MergePlusSpan(d, 0)
 	nd.trc.Seg(obsv.EvLeaseWait, obsv.CatCoherence, t0, t1, int64(dead), 0)
 	nd.stats.LeaseWaitsServed.Add(1)
+}
+
+// awaitHome waits for the reply to a request sent to the node serving a
+// home — a page miss or a release's diff batch — and follows the home
+// when it has moved: a crash with the reply outstanding waits out the
+// dead node's lease and resends to whoever serves its pages now, and a
+// RedirectHome reply resends to the node it names (bounded: custody only
+// walks dead-node chains). A Fenced reply means the receiver's cluster
+// has declared this incarnation dead: its request must not land
+// anywhere, so the op unwinds to the runner, which re-admits the node
+// via rejoin. Without a lease nothing marks a node crashed and nothing
+// answers RedirectHome or Fenced, so this is one plain wait.
+func (nd *Node) awaitHome(pd *transport.Pending, to int, kind transport.Kind, req interface{ WireSize() int }) transport.Message {
+	for {
+		m, ok := pd.WaitRedirect(nd.clock)
+		switch {
+		case !ok:
+			// The failover itself charges no virtual time, so this path
+			// costs the same whether the death was noticed here or via
+			// the obituary.
+			nd.waitOutLease(to)
+			nd.stats.RedirectedCalls.Add(1)
+			to = nd.effectiveNode(to)
+		case m.Kind == KindFenced:
+			panic(ErrFenced)
+		case m.Kind == KindRedirectHome:
+			nd.stats.RedirectedCalls.Add(1)
+			to = int(m.Payload.(*RedirectHome).Home)
+		default:
+			return m
+		}
+		pd = nd.ep.CallAsync(to, kind, req.WireSize(), req)
+	}
 }
 
 // handleObit processes a death declaration: the successor takes the
@@ -294,8 +324,7 @@ func (nd *Node) AdoptedState() []AdoptedPageState {
 // RebuildAdoptedImage assembles the authoritative final content of one
 // page from an arbitrary mix of logged and custody-recorded diffs: dedup
 // by (writer, seq), canonical custody order, apply onto the zero page.
-// The runner uses it for migrated pages in the final memory image, and
-// the audit to cross-check the custody record against the writers' logs.
+// The runner uses it for migrated pages in the final memory image.
 func RebuildAdoptedImage(pageSize int, diffs []AdoptedDiff) ([]byte, vclock.VC, error) {
 	entries := make([]AdoptedDiff, 0, len(diffs))
 	type key struct{ w, s int32 }

@@ -361,7 +361,7 @@ func (nd *Node) serve(stop <-chan struct{}, done chan<- struct{}) {
 // artificially serialize remote misses behind it).
 func (nd *Node) handle(m transport.Message) {
 	at := nd.ep.ArrivalOf(m) + simtime.Time(nd.cfg.Model.MsgHandling)
-	if nd.cfg.LeaseDuration > 0 && m.From != nd.cfg.ID && m.Kind != KindObit && m.Kind != KindFenced {
+	if m.From != nd.cfg.ID && m.Kind != KindObit && m.Kind != KindFenced {
 		// Membership fence: a message stamped with an epoch older than
 		// the sender's own death epoch was sent by an incarnation the
 		// cluster has already declared dead — typically a partitioned
@@ -370,7 +370,8 @@ func (nd *Node) handle(m transport.Message) {
 		// split-brain; instead the request is NACKed with a typed
 		// diagnostic so the sender's wait-site can escalate to rejoin.
 		// Obituaries are exempt (they carry the epoch bump itself) and
-		// so are fence NACKs.
+		// so are fence NACKs. Without a lease no node is ever declared
+		// dead, so every death epoch is 0 and nothing is fenced.
 		if de := nd.ep.DeathEpoch(m.From); de > 0 && m.Epoch < de {
 			nd.stats.FencedMsgs.Add(1)
 			if m.WantsReply() {

@@ -116,9 +116,6 @@ func (nd *Node) CloseIntervalLocal() int32 {
 // awaited with a detached fixed-round-trip charge so a successor clock
 // far ahead of the replay cannot catapult the replay clock forward.
 func (nd *Node) FlushReplayDiffs() {
-	if nd.cfg.LeaseDuration <= 0 {
-		return
-	}
 	nd.mu.Lock()
 	var diffs []memory.Diff
 	compareBytes := 0

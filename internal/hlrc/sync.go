@@ -470,8 +470,8 @@ func (nd *Node) closeAndPropagate(op int32) {
 	}
 	sort.Ints(homes)
 	// Batches are keyed by static home (all pages of one batch share one
-	// effective home) and addressed to whoever currently serves it.
-	leases := nd.cfg.LeaseDuration > 0
+	// effective home) and addressed to whoever currently serves it. Every
+	// batch is in flight before any ack is awaited.
 	type flight struct {
 		to int
 		du *DiffUpdate
@@ -480,56 +480,20 @@ func (nd *Node) closeAndPropagate(op int32) {
 	flights := make([]flight, 0, len(homes))
 	var sentBytes int64
 	for _, h := range homes {
-		dest := h
+		to := nd.effectiveNode(h)
 		du := &DiffUpdate{Writer: int32(nd.cfg.ID), Seq: seq, Diffs: perHome[h]}
-		if leases {
-			dest = nd.effectiveNode(h)
+		if nd.cfg.LeaseDuration > 0 {
 			// The custody-application ordering key, recorded by an adopter
 			// if this batch lands in a migrated home's custody.
 			du.VTSum = vtSum
 		}
 		sz := du.WireSize()
 		sentBytes += int64(sz)
-		flights = append(flights, flight{to: dest, du: du, pd: nd.ep.CallAsync(dest, KindDiffUpdate, sz, du)})
+		flights = append(flights, flight{to: to, du: du, pd: nd.ep.CallAsync(to, KindDiffUpdate, sz, du)})
 	}
 	nd.stats.DiffBytesSent.Add(sentBytes)
-
-	for i := range flights {
-		f := &flights[i]
-		if !leases {
-			f.pd.Wait(nd.clock)
-			continue
-		}
-		for {
-			resp, ok := f.pd.WaitRedirect(nd.clock)
-			if !ok {
-				// The home crashed with the ack outstanding. Wait out its
-				// lease, then resend to whoever serves its pages now. The
-				// failover itself charges no virtual time, so this path
-				// costs the same whether the death was noticed here or via
-				// the obituary.
-				nd.waitOutLease(f.to)
-				nd.stats.RedirectedCalls.Add(1)
-				f.to = nd.effectiveNode(f.to)
-				f.pd = nd.ep.CallAsync(f.to, KindDiffUpdate, f.du.WireSize(), f.du)
-				continue
-			}
-			if resp.Kind == KindFenced {
-				// The receiver's cluster has declared this sender dead:
-				// this incarnation's diffs must not land anywhere. Unwind
-				// to the runner, which re-admits the node via rejoin.
-				panic(ErrFenced)
-			}
-			if resp.Kind == KindRedirectHome {
-				// The receiver no longer serves these pages: follow the
-				// referral (bounded: custody only walks dead-node chains).
-				nd.stats.RedirectedCalls.Add(1)
-				f.to = int(resp.Payload.(*RedirectHome).Home)
-				f.pd = nd.ep.CallAsync(f.to, KindDiffUpdate, f.du.WireSize(), f.du)
-				continue
-			}
-			break // the DiffAck
-		}
+	for _, f := range flights {
+		nd.awaitHome(f.pd, f.to, KindDiffUpdate, f.du)
 	}
 	// Only the disk time not hidden behind the ack round trips remains on
 	// the critical path.
