@@ -82,10 +82,10 @@ bench-faults:
 	go run ./cmd/sdsmbench -nodes 8 -faults
 
 # End-to-end check of the tracing pipeline: export a Chrome trace from a
-# real run (sdsmtrace re-reads the file and fails unless it is valid
-# JSON, so the check needs nothing beyond the Go toolchain).
+# real run (sdsminspect -mode run re-reads the file and fails unless it
+# is valid JSON, so the check needs nothing beyond the Go toolchain).
 trace-smoke:
-	go run ./cmd/sdsmtrace -app 3d-fft -protocol ccl -trace-out /tmp/sdsm-trace-smoke.json -breakdown
+	go run ./cmd/sdsminspect -mode run -app 3d-fft -protocol ccl -trace-out /tmp/sdsm-trace-smoke.json -breakdown
 	@echo "trace-smoke: OK"
 
 # Reproduce the paper's log-volume comparison from the stable logs of
@@ -94,11 +94,12 @@ inspect-volume:
 	go run ./cmd/sdsminspect -mode volume -nodes 8 -scale small
 
 # End-to-end check of online recovery: run the churn sweep (every crash
-# point × restart delay, each run passed through the log auditor), then
-# verify the adopted-home page state against the writers' logs.
+# point x restart delay, then the partition/rejoin cells). Every run
+# passes the log auditor, ends with the failure-free run's image, and has
+# each adopted home's custody entries from never-crashed writers match
+# the diffs those writers logged.
 churn-smoke:
 	go run ./cmd/sdsmbench -nodes 4 -churn
-	go run ./cmd/sdsminspect -mode audit -churn -nodes 4
 	@echo "churn-smoke: OK"
 
 # Partition-heal + rejoin soak under the race detector: the core
@@ -107,20 +108,20 @@ churn-smoke:
 # both wire backends, and the partition x crash-point cross,
 # TestChurnCrossPartition) repeated, the home-failover outcomes (a
 # crash races the reply slot against the peer's crash channel in real
-# time) soaked, then the churn sweep's partition cells and the
-# partition-aware adopted-home audit.
+# time) soaked, then the churn sweep, its partition cells and their
+# log, image and custody checks included.
 rejoin-smoke:
 	go test -race ./internal/core/ -run 'Partition' -count=5
 	go test -race ./internal/hlrc/ -run 'TestHomeFailoverOutcomes' -count=20
 	go run -race ./cmd/sdsmbench -nodes 4 -churn
-	go run -race ./cmd/sdsminspect -mode audit -churn -nodes 4
 	@echo "rejoin-smoke: OK"
 
 # End-to-end check of the kv serving workload over both wire backends:
 # the sim cell runs the full matrix (failure-free + crash-during-traffic
 # on both backends, image-equality enforced inside the bench), the tcp
 # backend additionally runs under the race detector, and sdsminspect
-# re-runs the tcp churn cell and audits its stable log. Last, the
+# re-runs the sim cell and the tcp churn cell through the same kv cell
+# runner and dissects their stable logs. Last, the
 # slowest op's trace id (a pure function of seed, node and op index) is
 # taken from the trace-mode table of one run and resolved into its
 # cross-node span tree by a second, independent run (an empty id leaves

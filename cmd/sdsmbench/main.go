@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"sdsm/internal/apps"
-	kvapp "sdsm/internal/apps/kv"
 	"sdsm/internal/bench"
 	"sdsm/internal/core"
 )
@@ -30,12 +29,7 @@ func main() {
 	scaleFlag := flag.String("scale", "medium", "problem scale: small|medium|large")
 	appFlag := flag.String("app", "all", "application: all|3d-fft|mg|shallow|water|kv")
 	transportFlag := flag.String("transport", "both", "kv wire backend: both|sim|tcp")
-	kvKeys := flag.Int("kv-keys", 0, "kv: table size (0 = default 64)")
-	kvValue := flag.Int("kv-value", 0, "kv: value bytes, multiple of 8 (0 = default 32)")
-	kvOps := flag.Int("kv-ops", 0, "kv: transactions per client (0 = default 160)")
-	kvReadPct := flag.Int("kv-readpct", 0, "kv: read percentage 1..100, -1 = pure writes (0 = default 80)")
-	kvZipf := flag.Float64("kv-zipf", 1.2, "kv: zipf key skew s > 1, or 0 for uniform")
-	kvSeed := flag.Int64("kv-seed", 0, "kv: op-stream seed (0 = default 1)")
+	kvCfg := bench.KVFlags(flag.CommandLine)
 	skipRecovery := flag.Bool("skip-recovery", false, "skip the Figure 5 recovery experiments")
 	ablations := flag.Bool("ablations", false, "run only the ablation studies (overlap, placement, page size, scaling, checkpoints)")
 	faults := flag.Bool("faults", false, "run only the fault-injection sweep (execution time under seeded message loss)")
@@ -50,27 +44,19 @@ func main() {
 		log.Fatal(err)
 	}
 	if strings.EqualFold(*appFlag, "kv") {
-		kvCfg := kvapp.Config{Keys: *kvKeys, ValueSize: *kvValue, Ops: *kvOps,
-			ReadPct: *kvReadPct, ZipfS: *kvZipf, Seed: *kvSeed}
-		if err := kvCfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		var transports []core.Transport
-		if strings.EqualFold(*transportFlag, "both") {
-			transports = bench.KVTransports
-		} else {
+		var transports []core.Transport // none: bench.KVTransports
+		if !strings.EqualFold(*transportFlag, "both") {
 			tr, err := core.ParseTransport(*transportFlag)
 			if err != nil {
 				log.Fatal(err)
 			}
 			transports = []core.Transport{tr}
 		}
-
-		rows, err := bench.RunKVBench(*nodes, kvCfg, transports)
+		rows, err := bench.RunKVBench(*nodes, *kvCfg, transports)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(bench.FormatKV(*nodes, kvCfg, rows))
+		fmt.Print(bench.FormatKV(*nodes, *kvCfg, rows))
 		return
 	}
 	if *churn {

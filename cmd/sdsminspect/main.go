@@ -1,9 +1,18 @@
-// Command sdsminspect dissects and audits the stable logs the logging
-// protocols write: the introspection side of the paper's log-volume and
-// recovery-time evaluation.
+// Command sdsminspect runs the evaluation applications one at a time and
+// inspects what a run leaves behind: its protocol trace, the stable logs
+// the logging protocols write (the introspection side of the paper's
+// log-volume and recovery-time evaluation), and the kv workload's causal
+// span trees.
 //
 // Modes:
 //
+//	run       run one app under one protocol (none|ml|ccl) and print its
+//	          protocol trace: per-node virtual times and counters, log
+//	          and network totals, latency histograms, the per-kind
+//	          message breakdown; with -crash, the recovery under the
+//	          protocol's own scheme and its phase breakdown; with
+//	          -breakdown, the runtime along the virtual-time critical
+//	          path by category (compute, coherence, logging, faults)
 //	volume    run each selected app under ML and CCL and print the
 //	          per-kind log-volume comparison (the paper's ML-vs-CCL
 //	          log-size table), with byte totals reconciled exactly
@@ -12,15 +21,10 @@
 //	          record dissected into typed form
 //	audit     run one app (optionally with -crash) and run the
 //	          post-run consistency auditor over the depot; with
-//	          -churn, run the online-recovery churn scenario at every
-//	          crash point instead and additionally verify the
-//	          adopted-home page state against the writers' logs;
-//	          with -app kv, run the kv serving workload over the wire
+//	          -app kv, run the kv serving workload over the wire
 //	          backend selected by -transport (with -churn, crashed
-//	          mid-traffic) and audit its log and final image
-//	recovery  crash one app and print the recovery-phase breakdown
-//	          (log-read / diff-fetch / page-fetch / tail-sync /
-//	          home-rebuild / catch-up / replay)
+//	          mid-traffic) and audit its log and final image (the churn
+//	          sweep audits its own runs: sdsmbench -churn)
 //	trace     re-run the kv serving workload (same seed => identical
 //	          deterministic trace ids) and reconstruct causal span
 //	          trees: with -trace-id, print the named op's cross-node
@@ -28,13 +32,17 @@
 //	          span-phase attribution table (slowest traces, whose ids
 //	          -trace-id resolves, plus per-tag aggregate)
 //
+// In run and trace mode, -trace-out exports the run as Chrome
+// trace-event JSON (load in Perfetto / chrome://tracing), -node and
+// -kind narrowing it; the file is read back and must be valid JSON.
+//
 // Usage:
 //
-//	sdsminspect [-mode volume|dump|audit|recovery|trace]
-//	            [-app all|3d-fft|mg|shallow|water|kv] [-protocol ml|ccl]
+//	sdsminspect [-mode run|volume|dump|audit|trace]
+//	            [-app all|3d-fft|mg|shallow|water|kv] [-protocol none|ml|ccl]
 //	            [-nodes 8] [-scale small|medium|large] [-transport sim|tcp]
-//	            [-crash] [-churn] [-victim N] [-node N]
-//	            [-max N]
+//	            [-crash] [-churn] [-victim N] [-breakdown]
+//	            [-node N] [-kind event-name] [-max N]
 //	            [-trace-id hex] [-trace-out trace.json]
 //	            [-kv-keys N] [-kv-value N] [-kv-ops N]
 //	            [-kv-readpct N] [-kv-zipf S] [-kv-seed N]
@@ -42,10 +50,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"sort"
 	"strings"
@@ -55,7 +63,6 @@ import (
 	"sdsm/internal/bench"
 	"sdsm/internal/core"
 	"sdsm/internal/logview"
-	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
 	"sdsm/internal/recovery"
 	"sdsm/internal/simtime"
@@ -63,72 +70,90 @@ import (
 )
 
 type options struct {
-	nodes  int
-	scale  bench.Scale
-	proto  wal.Protocol
-	crash  bool
-	victim int
-	node   int
-	max    int
+	nodes     int
+	scale     bench.Scale
+	proto     wal.Protocol
+	crash     bool
+	victim    int
+	max       int
+	breakdown bool
+	traceOut  string
+	filter    obsv.ChromeFilter
 }
 
 func main() {
-	mode := flag.String("mode", "volume", "volume|dump|audit|recovery|trace")
-	appFlag := flag.String("app", "all", "application: all|3d-fft|mg|shallow|water")
-	protoFlag := flag.String("protocol", "ccl", "logging protocol for dump/audit/recovery: ml|ccl")
+	mode := flag.String("mode", "volume", "run|volume|dump|audit|trace")
+	appFlag := flag.String("app", "all", "application: all|3d-fft|mg|shallow|water, or kv for audit/trace (all: a single-app mode runs 3d-fft)")
+	protoFlag := flag.String("protocol", "ccl", "logging protocol for run/dump/audit: none|ml|ccl (dump and audit need ml or ccl)")
 	nodes := flag.Int("nodes", 8, "cluster size")
 	scaleFlag := flag.String("scale", "small", "problem scale: small|medium|large")
-	crash := flag.Bool("crash", false, "audit mode: inject a fail-stop crash before auditing")
-	churn := flag.Bool("churn", false, "audit mode: run the online-recovery churn scenario and verify adopted-home state against the writers' logs")
+	crash := flag.Bool("crash", false, "run/dump/audit/volume: inject a fail-stop crash and recover")
+	churn := flag.Bool("churn", false, "kv audit/trace: crash a node mid-traffic and recover it online")
 	victim := flag.Int("victim", -1, "crash victim (default: last node)")
-	nodeFlag := flag.Int("node", -1, "dump mode: only this node's log")
-	max := flag.Int("max", 0, "dump mode: print at most this many records per node (0 = all)")
+	breakdown := flag.Bool("breakdown", false, "run mode: print the critical-path runtime breakdown")
+	nodeFlag := flag.Int("node", -1, "dump mode: only this node's log; with -trace-out: only this node's process")
+	kindFlag := flag.String("kind", "", "with -trace-out: export only events of this kind (e.g. lock-acquire, page-serve)")
+	max := flag.Int("max", 0, "dump mode: at most this many records per node (0 = all); trace mode: this many slowest traces (0 = 10)")
 	transportFlag := flag.String("transport", "sim", "kv audit/trace: wire backend, sim|tcp")
 	traceID := flag.String("trace-id", "", "trace mode: resolve this 16-hex-digit trace id into its span tree")
-	kvKeys := flag.Int("kv-keys", 0, "trace mode: kv table size (0 = default 64; match the run that minted the trace ids)")
-	kvValue := flag.Int("kv-value", 0, "trace mode: kv value bytes (0 = default 32)")
-	kvOps := flag.Int("kv-ops", 0, "trace mode: kv transactions per client (0 = default 160)")
-	kvReadPct := flag.Int("kv-readpct", 0, "trace mode: kv read percentage (0 = default 80)")
-	kvZipf := flag.Float64("kv-zipf", 1.2, "trace mode: kv zipf skew (sdsmbench's default)")
-	kvSeed := flag.Int64("kv-seed", 0, "trace mode: kv op-stream seed (0 = default 1)")
-	traceOut := flag.String("trace-out", "", "trace mode: also export the run as Chrome trace-event JSON (flow arrows included) to this file")
+	traceOut := flag.String("trace-out", "", "run/trace mode: also export the run as Chrome trace-event JSON to this file")
+	kvCfg := bench.KVFlags(flag.CommandLine)
 	flag.Parse()
 
 	scale, err := bench.ParseScale(*scaleFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
+	tr, err := core.ParseTransport(*transportFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var proto wal.Protocol
 	switch strings.ToLower(*protoFlag) {
+	case "none":
+		proto = wal.ProtocolNone
 	case "ml":
 		proto = wal.ProtocolML
 	case "ccl":
 		proto = wal.ProtocolCCL
 	default:
-		log.Fatalf("unknown -protocol %q (dissection needs a logging protocol)", *protoFlag)
+		log.Fatalf("unknown -protocol %q", *protoFlag)
+	}
+	filter := obsv.NoChromeFilter()
+	filter.Node = *nodeFlag
+	if *kindFlag != "" {
+		k, ok := obsv.EventKindByName(*kindFlag)
+		if !ok {
+			log.Fatalf("unknown -kind %q (use an event name as it appears in the trace, e.g. lock-acquire)", *kindFlag)
+		}
+		filter.Kind = k
 	}
 	opts := options{nodes: *nodes, scale: scale, proto: proto,
-		crash: *crash, victim: *victim, node: *nodeFlag, max: *max}
+		crash: *crash, victim: *victim, max: *max,
+		breakdown: *breakdown, traceOut: *traceOut, filter: filter}
+	isKV := strings.EqualFold(*appFlag, "kv")
+	if proto == wal.ProtocolNone && (*mode == "dump" || *mode == "audit" && !isKV) {
+		log.Fatalf("-mode %s -protocol none: there is no log to dissect (use ml or ccl)", *mode)
+	}
 
 	switch *mode {
+	case "run":
+		err = runMode(oneApp(*appFlag, opts), opts)
 	case "volume":
 		err = volumeMode(selectApps(*appFlag, opts), opts)
 	case "dump":
 		err = dumpMode(oneApp(*appFlag, opts), opts)
 	case "audit":
-		if strings.EqualFold(*appFlag, "kv") {
-			err = kvAuditMode(opts, *transportFlag, *churn)
-		} else if *churn {
-			err = churnAuditMode(opts)
-		} else {
+		switch {
+		case isKV:
+			err = kvAuditMode(opts, *kvCfg, tr, *churn)
+		case *churn:
+			err = fmt.Errorf("-mode audit -churn takes -app kv; the churn sweep audits every run itself: sdsmbench -churn")
+		default:
 			err = auditMode(oneApp(*appFlag, opts), opts)
 		}
-	case "recovery":
-		err = recoveryMode(oneApp(*appFlag, opts), opts)
 	case "trace":
-		kvCfg := kv.Config{Keys: *kvKeys, ValueSize: *kvValue, Ops: *kvOps,
-			ReadPct: *kvReadPct, ZipfS: *kvZipf, Seed: *kvSeed}
-		err = traceMode(opts, *transportFlag, *churn, kvCfg, *traceID, *traceOut)
+		err = traceMode(opts, *kvCfg, tr, *churn, *traceID)
 	default:
 		log.Fatalf("unknown -mode %q", *mode)
 	}
@@ -157,34 +182,135 @@ func oneApp(name string, opts options) *apps.Workload {
 	return selectApps(name, opts)[0]
 }
 
-// run executes one workload and returns its report; with crash set it
-// injects a fail-stop crash at the workload's canonical crash op.
-func run(w *apps.Workload, proto wal.Protocol, opts options) (*core.Report, error) {
+// run executes one workload, traced into col when col is non-nil, and
+// checks its final image; with crash set it injects a fail-stop crash at
+// the workload's canonical crash op and recovers under the protocol's
+// own scheme (a scheme replays only the log its own protocol wrote).
+func run(w *apps.Workload, proto wal.Protocol, opts options, col *obsv.Collector) (*core.Report, error) {
 	cfg := w.BaseConfig(opts.nodes)
 	cfg.Protocol = proto
+	cfg.Trace = col
+	var rep *core.Report
+	var err error
 	if !opts.crash {
 		cfg.SkipInitialCheckpoint = true
-		rep, err := core.Run(cfg, w.Prog)
-		if err != nil {
-			return nil, err
+		rep, err = core.Run(cfg, w.Prog)
+	} else {
+		kind := recovery.CCLRecovery
+		if proto == wal.ProtocolML {
+			kind = recovery.MLRecovery
 		}
-		return rep, w.Check(rep.MemoryImage())
+		v := opts.victim
+		if v < 0 {
+			v = opts.nodes - 1
+		}
+		rep, err = core.RunWithCrash(cfg, w.Prog, core.CrashPlan{
+			Victim: v, AtOp: w.CrashOp, Recovery: kind,
+		})
 	}
-	kind := recovery.CCLRecovery
-	if proto == wal.ProtocolML {
-		kind = recovery.MLRecovery
-	}
-	v := opts.victim
-	if v < 0 {
-		v = opts.nodes - 1
-	}
-	rep, err := core.RunWithCrash(cfg, w.Prog, core.CrashPlan{
-		Victim: v, AtOp: w.CrashOp, Recovery: kind,
-	})
 	if err != nil {
 		return nil, err
 	}
-	return rep, w.Check(rep.MemoryImage())
+	if err := w.Check(rep.MemoryImage()); err != nil {
+		return nil, fmt.Errorf("result validation failed: %w", err)
+	}
+	return rep, nil
+}
+
+// exportTrace writes the collector's events, narrowed by filter, as
+// Chrome trace-event JSON to path, reads the file back and fails unless
+// it is valid JSON.
+func exportTrace(path string, c *obsv.Collector, filter obsv.ChromeFilter) error {
+	var buf bytes.Buffer
+	if err := obsv.WriteChromeTraceFiltered(&buf, c, filter); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if !json.Valid(data) {
+		return fmt.Errorf("%s: exported trace is not valid JSON", path)
+	}
+	fmt.Printf("wrote %s (%d events, %d bytes)\n", path, c.EventCount(), len(data))
+	return nil
+}
+
+// runMode runs one app traced and prints its protocol trace, the
+// recovery (with -crash), the critical path (with -breakdown) and the
+// Chrome export (with -trace-out).
+func runMode(w *apps.Workload, opts options) error {
+	col := obsv.NewCollector(opts.nodes)
+	rep, err := run(w, opts.proto, opts, col)
+	if err != nil {
+		return err
+	}
+
+	fmt.Printf("%s under %v on %d nodes (%s)\n", w.Name, opts.proto, opts.nodes, w.DataSet)
+	fmt.Printf("execution time: %.3f virtual seconds\n", rep.ExecTime.Seconds())
+	fmt.Printf("network: %d messages, %.2f MB\n", rep.NetMsgs, float64(rep.NetBytes)/(1<<20))
+	if rep.TotalFlushes > 0 {
+		fmt.Printf("log: %.2f MB in %d flushes (mean %.1f KB)\n",
+			float64(rep.TotalLogBytes)/(1<<20), rep.TotalFlushes, rep.MeanFlushBytes/1024)
+	}
+	fmt.Printf("\n%-5s %12s %8s %8s %8s %8s %8s %9s %8s\n",
+		"node", "time(s)", "ops", "faults", "fetches", "twins", "diffs", "diffKB", "flushes")
+	for i := range rep.NodeTimes {
+		s := rep.Stats[i]
+		fmt.Printf("%-5d %12.3f %8d %8d %8d %8d %8d %9.1f %8d\n",
+			i, rep.NodeTimes[i].Seconds(), rep.NodeOps[i], s.Faults, s.PageFetches,
+			s.TwinsCreated, s.DiffsCreated, float64(s.DiffBytesSent)/1024,
+			rep.StoreStats[i].Flushes)
+	}
+	fmt.Printf("\n%-18s %10s %12s\n", "message kind", "msgs", "KB")
+	for _, kc := range rep.MsgKinds {
+		fmt.Printf("%-18s %10d %12.1f\n", kc.Name, kc.Msgs, float64(kc.Bytes)/1024)
+	}
+
+	fmt.Printf("\n%-18s %10s %12s %12s %12s\n", "latency", "count", "mean(us)", "p50(us)", "p99(us)")
+	for _, id := range []obsv.HistID{obsv.HistFetchLatency, obsv.HistLockStall, obsv.HistBarrierStall, obsv.HistFlushDisk} {
+		h := col.MergedHist(id)
+		if h.Count == 0 {
+			continue
+		}
+		fmt.Printf("%-18s %10d %12.1f %12.1f %12.1f\n", id.String(), h.Count,
+			h.Mean()/1e3, float64(h.Quantile(0.5))/1e3, float64(h.Quantile(0.99))/1e3)
+	}
+
+	if rep.Recovery != nil {
+		fmt.Printf("\ncrash: node %d at op %d; %v replay took %.3f virtual seconds\n",
+			rep.Recovery.Victim, rep.Recovery.CrashOp, rep.Recovery.Kind,
+			rep.Recovery.ReplayTime.Seconds())
+		fmt.Print(logview.FormatRecoveryBreakdown(&rep.Recovery.Phases))
+	}
+
+	if opts.breakdown {
+		pr, err := col.CriticalPath(rep.NodeTimes)
+		if err != nil {
+			fmt.Printf("\ncritical path: unavailable (%v)\n", err)
+		} else {
+			fmt.Printf("\ncritical path (%d hops), %.3f virtual seconds:\n", pr.Hops, pr.Total.Seconds())
+			for c := obsv.Cat(0); c < obsv.NumCats; c++ {
+				if pr.Dur[c] == 0 {
+					continue
+				}
+				fmt.Printf("  %-10s %10.3fs  %5.1f%%\n", c.String(), pr.Dur[c].Seconds(), pr.Share(c)*100)
+			}
+		}
+	}
+
+	if opts.traceOut != "" {
+		fmt.Println()
+		if err := exportTrace(opts.traceOut, col, opts.filter); err != nil {
+			return err
+		}
+	}
+
+	fmt.Println("\nresult validation: OK")
+	return nil
 }
 
 // volumeMode reproduces the paper's log-volume comparison: per app, the
@@ -196,7 +322,7 @@ func volumeMode(ws []*apps.Workload, opts options) error {
 	for _, w := range ws {
 		vols := make([]*logview.Volume, 0, 2)
 		for _, proto := range []wal.Protocol{wal.ProtocolML, wal.ProtocolCCL} {
-			rep, err := run(w, proto, opts)
+			rep, err := run(w, proto, opts, nil)
 			if err != nil {
 				return fmt.Errorf("%s/%v: %w", w.Name, proto, err)
 			}
@@ -224,12 +350,12 @@ func volumeMode(ws []*apps.Workload, opts options) error {
 }
 
 func dumpMode(w *apps.Workload, opts options) error {
-	rep, err := run(w, opts.proto, opts)
+	rep, err := run(w, opts.proto, opts, nil)
 	if err != nil {
 		return err
 	}
 	for node := 0; node < rep.Depot.Nodes(); node++ {
-		if opts.node >= 0 && node != opts.node {
+		if opts.filter.Node >= 0 && node != opts.filter.Node {
 			continue
 		}
 		prefix, dropped := rep.Depot.Store(node).ValidPrefix()
@@ -251,7 +377,7 @@ func dumpMode(w *apps.Workload, opts options) error {
 }
 
 func auditMode(w *apps.Workload, opts options) error {
-	rep, err := run(w, opts.proto, opts)
+	rep, err := run(w, opts.proto, opts, nil)
 	if err != nil {
 		return err
 	}
@@ -271,47 +397,22 @@ func auditMode(w *apps.Workload, opts options) error {
 }
 
 // kvAuditMode runs the kv serving workload over the selected wire
-// backend — with churn, crashed mid-traffic and recovered online — then
-// audits the stable logs and verifies the final image against the
-// workload's exact replay-computed expectation.
-func kvAuditMode(opts options, transport string, churn bool) error {
-	tr, err := core.ParseTransport(transport)
-	if err != nil {
-		return err
-	}
-	kvCfg := kv.Config{Keys: 32, Ops: 80, ZipfS: 1.2, Seed: 7}
-	cc := bench.KVCoreConfig(opts.nodes, kvCfg, tr)
-	var rep *core.Report
-	if churn {
-		if opts.nodes < 2 {
-			return fmt.Errorf("kv churn audit needs at least 2 nodes")
-		}
-		rep, err = core.RunWithChurn(cc, kv.Prog(kvCfg), core.ChurnPlan{
-			Victim:        opts.nodes - 1,
-			AtOp:          int32(kvCfg.Ops),
-			Recovery:      recovery.CCLRecovery,
-			LeaseDuration: simtime.Duration(bench.KVLeaseMs * 1e6),
-		})
-	} else {
-		rep, err = core.Run(cc, kv.Prog(kvCfg))
-	}
-	if err != nil {
-		return err
-	}
-	if err := kv.Check(kvCfg, opts.nodes, rep.MemoryImage()); err != nil {
-		return fmt.Errorf("kv image check: %w", err)
-	}
-	audit, err := logview.Audit(rep.Depot, logview.AuditOptions{})
+// backend — with churn, crashed mid-traffic and recovered online —
+// through the bench's kv cell, which audits the stable logs and verifies
+// the final image against the workload's exact replay-computed
+// expectation, then dissects the logs.
+func kvAuditMode(opts options, cfg kv.Config, tr core.Transport, churn bool) error {
+	rep, _, row, err := bench.RunKV(opts.nodes, cfg, tr, churn)
 	if err != nil {
 		return err
 	}
 	what := "failure-free"
 	if churn {
-		what = fmt.Sprintf("crash-during-traffic (victim %d rejoined at %.4fs%s)",
-			rep.Recovery.Victim, rep.Recovery.RejoinTime.Seconds(), tailOpsNote(rep.Recovery))
+		what = fmt.Sprintf("crash-during-traffic (victim %d rejoined at %.4fs)",
+			rep.Recovery.Victim, rep.Recovery.RejoinTime.Seconds())
 	}
 	fmt.Printf("kv audit OK over %s, %s: %d nodes, %d records, image matches the replay-computed expectation\n",
-		tr, what, audit.Nodes, audit.Records)
+		tr, what, rep.Depot.Nodes(), row.AuditRecords)
 	vol, err := logview.DissectDepot(rep.Depot)
 	if err != nil {
 		return err
@@ -325,50 +426,21 @@ func kvAuditMode(opts options, transport string, churn bool) error {
 // exactly the ids any earlier same-config run printed or stamped into
 // its Chrome trace — and reconstructs causal span trees from the
 // collected events.
-func traceMode(opts options, transport string, churn bool, kvCfg kv.Config, traceIDHex, traceOut string) error {
-	tr, err := core.ParseTransport(transport)
+func traceMode(opts options, cfg kv.Config, tr core.Transport, churn bool, traceIDHex string) error {
+	_, col, _, err := bench.RunKV(opts.nodes, cfg, tr, churn)
 	if err != nil {
 		return err
 	}
-	if err := kvCfg.Validate(); err != nil {
-		return err
-	}
-	cc := bench.KVCoreConfig(opts.nodes, kvCfg, tr)
-	cc.Trace = obsv.NewCollector(opts.nodes)
-	if churn {
-		if opts.nodes < 2 {
-			return fmt.Errorf("kv churn trace needs at least 2 nodes")
-		}
-		_, err = core.RunWithChurn(cc, kv.Prog(kvCfg), core.ChurnPlan{
-			Victim:        opts.nodes - 1,
-			AtOp:          int32(kvCfg.WithDefaults().Ops),
-			Recovery:      recovery.CCLRecovery,
-			LeaseDuration: simtime.Duration(bench.KVLeaseMs * 1e6),
-		})
-	} else {
-		_, err = core.Run(cc, kv.Prog(kvCfg))
-	}
-	if err != nil {
-		return err
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+	if opts.traceOut != "" {
+		if err := exportTrace(opts.traceOut, col, opts.filter); err != nil {
 			return err
 		}
-		if err := obsv.WriteChromeTrace(f, cc.Trace); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d events)\n\n", traceOut, cc.Trace.EventCount())
+		fmt.Println()
 	}
 	if traceIDHex != "" {
-		return printSpanTree(cc.Trace, traceIDHex)
+		return printSpanTree(col, traceIDHex)
 	}
-	return printTraceTable(cc.Trace, opts.max)
+	return printTraceTable(col, opts.max)
 }
 
 func evName(ev obsv.Event) string {
@@ -488,152 +560,5 @@ func printTraceTable(c *obsv.Collector, max int) error {
 		}
 		fmt.Println()
 	}
-	return nil
-}
-
-// churnAuditMode runs the online-recovery churn scenario at every crash
-// point and audits the result twice: the stable logs go through the
-// standard consistency auditor, and the adopted-home page state is
-// verified against its ground truth — every custody-record entry from a
-// never-crashed writer must match, byte for byte, a diff that writer
-// logged for the page, and the run's final image must equal the
-// failure-free run's.
-func churnAuditMode(opts options) error {
-	base, err := bench.ChurnBaseline(opts.nodes)
-	if err != nil {
-		return err
-	}
-	want := base.MemoryImage()
-	for _, point := range bench.ChurnPoints {
-		rep, err := bench.RunChurnScenario(opts.nodes, point)
-		if err != nil {
-			return err
-		}
-		audit, err := logview.Audit(rep.Depot, logview.AuditOptions{})
-		if err != nil {
-			return fmt.Errorf("%v: %w", point, err)
-		}
-		sum, err := auditAdoptedHomes(rep, want)
-		if err != nil {
-			return fmt.Errorf("%v: adopted-home audit: %w", point, err)
-		}
-		fmt.Printf("%v: log audit OK (%d records); adopted-home audit OK: %d migrated pages, %d custody entries matched the writers' logs, %d replay-only entries, image equals the failure-free run's%s\n",
-			point, audit.Records, sum.pages, sum.matched, sum.replayOnly, tailOpsNote(rep.Recovery))
-	}
-	// Partition-rejoin scenarios: the victim is wrongly declared dead
-	// while merely cut off, fenced on heal, and re-admitted at a fresh
-	// epoch. The same two audits must reconcile — the truncated stale log
-	// suffix and the re-executed ops must leave logs and custody records
-	// that match, and the failure-free image.
-	for _, partMs := range bench.ChurnPartitionsMs {
-		rep, err := bench.RunChurnPartitionScenario(opts.nodes, partMs)
-		if err != nil {
-			return err
-		}
-		audit, err := logview.Audit(rep.Depot, logview.AuditOptions{})
-		if err != nil {
-			return fmt.Errorf("partition %gms: %w", partMs, err)
-		}
-		sum, err := auditAdoptedHomes(rep, want)
-		if err != nil {
-			return fmt.Errorf("partition %gms: adopted-home audit: %w", partMs, err)
-		}
-		var fenced int64
-		for _, s := range rep.Stats {
-			fenced += s.FencedMsgs
-		}
-		fmt.Printf("partition %gms: log audit OK (%d records, %d stale truncated); adopted-home audit OK: %d migrated pages, %d custody entries matched, %d replay-only; rejoined at epoch %d, %d stale messages fenced, image equals the failure-free run's%s\n",
-			partMs, audit.Records, rep.Recovery.TruncatedRecords, sum.pages, sum.matched, sum.replayOnly,
-			rep.Recovery.RejoinEpoch, fenced, tailOpsNote(rep.Recovery))
-	}
-	return nil
-}
-
-// tailOpsNote says how many of the victim's sync ops replayed from the
-// managers' sender logs instead of its disk log; empty when none did.
-func tailOpsNote(rec *core.RecoveryReport) string {
-	if rec.TailOps == 0 {
-		return ""
-	}
-	return fmt.Sprintf("; %d tail ops replayed from sender logs", rec.TailOps)
-}
-
-type adoptedAudit struct {
-	pages      int // migrated pages checked
-	matched    int // custody entries matched against a logged diff
-	replayOnly int // entries from the crashed writer (replay flushes are not re-logged)
-}
-
-// auditAdoptedHomes matches every custody-record entry against the diff
-// its writer logged for the page, and the run's final image against the
-// failure-free image want.
-func auditAdoptedHomes(rep *core.Report, want []byte) (*adoptedAudit, error) {
-	if rep.Recovery == nil {
-		return nil, fmt.Errorf("run has no recovery report")
-	}
-	victim := rep.Recovery.Victim
-
-	// Ground truth: every writer's own-diff log entries for the migrated
-	// pages, keyed by (writer, seq, page) with the diff content encoded
-	// for byte comparison.
-	type key struct {
-		writer, seq int32
-		page        memory.PageID
-	}
-	out := &adoptedAudit{}
-	loggedKey := map[key][]byte{}
-	for p := range rep.Homes {
-		if rep.Homes[p] != victim {
-			continue
-		}
-		out.pages++
-		pg := memory.PageID(p)
-		for w := range rep.NodeOps {
-			for _, d := range recovery.LoggedDiffs(rep.Depot.Store(w), int32(w), pg, 0, math.MaxInt32) {
-				loggedKey[key{d.Writer, d.Seq, pg}] = d.Diff.Encode(nil)
-			}
-		}
-	}
-
-	for _, st := range rep.AdoptedPages {
-		if rep.Homes[st.Page] != victim {
-			return nil, fmt.Errorf("custody record for page %d, whose home %d never crashed", st.Page, rep.Homes[st.Page])
-		}
-		for _, e := range st.Applied {
-			if int(e.Writer) == victim {
-				// The victim's replay flushes carry predicted interval
-				// stamps and are not re-logged; custody-only is legal.
-				out.replayOnly++
-				continue
-			}
-			enc, ok := loggedKey[key{e.Writer, e.Seq, st.Page}]
-			if !ok {
-				return nil, fmt.Errorf("page %d: custody entry (writer %d, seq %d) has no logged diff", st.Page, e.Writer, e.Seq)
-			}
-			if !bytes.Equal(enc, e.Diff.Encode(nil)) {
-				return nil, fmt.Errorf("page %d: custody entry (writer %d, seq %d) differs from the writer's logged diff", st.Page, e.Writer, e.Seq)
-			}
-			out.matched++
-		}
-	}
-	if !bytes.Equal(rep.MemoryImage(), want) {
-		return nil, fmt.Errorf("final image differs from the failure-free run's")
-	}
-	return out, nil
-}
-
-func recoveryMode(w *apps.Workload, opts options) error {
-	opts.crash = true
-	rep, err := run(w, opts.proto, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s under %v: node %d crashed at op %d; %v replay took %.3f virtual seconds\n",
-		w.Name, opts.proto, rep.Recovery.Victim, rep.Recovery.CrashOp,
-		rep.Recovery.Kind, rep.Recovery.ReplayTime.Seconds())
-	if rep.Recovery.TornTail {
-		fmt.Println("the crash tore the victim's final log flush")
-	}
-	fmt.Print(logview.FormatRecoveryBreakdown(&rep.Recovery.Phases))
 	return nil
 }

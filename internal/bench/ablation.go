@@ -29,7 +29,7 @@ func RunOverlapAblation(w *apps.Workload, nodes int) (*OverlapAblation, error) {
 	res := &OverlapAblation{App: w.Name}
 	base := w.BaseConfig(nodes)
 	base.Protocol = wal.ProtocolNone
-	rep, err := core.Run(base, w.Prog)
+	rep, err := runChecked(w, base, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func RunOverlapAblation(w *apps.Workload, nodes int) (*OverlapAblation, error) {
 		cfg := w.BaseConfig(nodes)
 		cfg.Protocol = wal.ProtocolCCL
 		cfg.NoFlushOverlap = sans
-		rep, err := core.Run(cfg, w.Prog)
+		rep, err := runChecked(w, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ func RunPlacementAblation(w *apps.Workload, nodes int) (*PlacementAblation, erro
 		if rr {
 			cfg.Homes = core.RoundRobinHomes(w.Pages, nodes)
 		}
-		rep, err := core.Run(cfg, w.Prog)
+		rep, err := runChecked(w, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func RunPageSizeSweep(nodes int, sizes []int) ([]PageSizeRow, error) {
 		for _, proto := range Protocols {
 			cfg := w.BaseConfig(nodes)
 			cfg.Protocol = proto
-			rep, err := core.Run(cfg, w.Prog)
+			rep, err := runChecked(w, cfg, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +151,7 @@ func RunScalingSweep(sizes []int) ([]ScalingRow, error) {
 		for _, proto := range Protocols {
 			cfg := w.BaseConfig(n)
 			cfg.Protocol = proto
-			rep, err := core.Run(cfg, w.Prog)
+			rep, err := runChecked(w, cfg, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +192,7 @@ func RunCheckpointSweep(nodes int, intervals []int) ([]CheckpointRow, error) {
 		cfg := w.BaseConfig(nodes)
 		cfg.Protocol = wal.ProtocolCCL
 		cfg.CheckpointEveryBarriers = k
-		rep, err := core.Run(cfg, w.Prog)
+		rep, err := runChecked(w, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

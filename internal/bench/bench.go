@@ -25,6 +25,7 @@ import (
 	"sdsm/internal/apps/shallow"
 	"sdsm/internal/apps/water"
 	"sdsm/internal/core"
+	"sdsm/internal/logview"
 	"sdsm/internal/recovery"
 	"sdsm/internal/wal"
 )
@@ -134,6 +135,35 @@ func (t *Table2Result) LogRatio() float64 {
 	return ccl / ml
 }
 
+// runChecked runs one paper, ablation or fault-sweep cell — crashed and
+// recovered when plan is non-nil — and fails unless the final image
+// passes the workload's check and, under a logging protocol, the stable
+// logs pass the consistency auditor (a torn tail allowed only where the
+// recovery tore one). A cell that computes the wrong answer or leaves an
+// inconsistent log has no number worth printing.
+func runChecked(w *apps.Workload, cfg core.Config, plan *core.CrashPlan) (*core.Report, error) {
+	var rep *core.Report
+	var err error
+	if plan == nil {
+		rep, err = core.Run(cfg, w.Prog)
+	} else {
+		rep, err = core.RunWithCrash(cfg, w.Prog, *plan)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Check(rep.MemoryImage()); err != nil {
+		return nil, err
+	}
+	if cfg.Protocol != wal.ProtocolNone {
+		torn := rep.Recovery != nil && rep.Recovery.TornTail
+		if _, err := logview.Audit(rep.Depot, logview.AuditOptions{AllowTorn: torn}); err != nil {
+			return nil, fmt.Errorf("log audit: %w", err)
+		}
+	}
+	return rep, nil
+}
+
 // RunTable2 measures one application under all three protocols.
 func RunTable2(w *apps.Workload, nodes int) (*Table2Result, error) {
 	res := &Table2Result{App: w.Name}
@@ -141,11 +171,8 @@ func RunTable2(w *apps.Workload, nodes int) (*Table2Result, error) {
 		cfg := w.BaseConfig(nodes)
 		cfg.Protocol = proto
 		cfg.SkipInitialCheckpoint = true // the paper takes no checkpoints here
-		rep, err := core.Run(cfg, w.Prog)
+		rep, err := runChecked(w, cfg, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s/%v: %w", w.Name, proto, err)
-		}
-		if err := w.Check(rep.MemoryImage()); err != nil {
 			return nil, fmt.Errorf("bench: %s/%v: %w", w.Name, proto, err)
 		}
 		res.Rows = append(res.Rows, ProtoRow{
@@ -176,7 +203,7 @@ func RunFigure5(w *apps.Workload, nodes int) (*Figure5Result, error) {
 
 	cfg := w.BaseConfig(nodes)
 	cfg.Protocol = wal.ProtocolNone
-	rep, err := core.Run(cfg, w.Prog)
+	rep, err := runChecked(w, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s re-exec: %w", w.Name, err)
 	}
@@ -199,14 +226,11 @@ func RunFigure5(w *apps.Workload, nodes int) (*Figure5Result, error) {
 	} {
 		cfg := w.BaseConfig(nodes)
 		cfg.Protocol = tc.proto
-		crep, err := core.RunWithCrash(cfg, w.Prog, core.CrashPlan{
+		crep, err := runChecked(w, cfg, &core.CrashPlan{
 			Victim: victim, AtOp: atOp, Recovery: tc.kind,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s/%v: %w", w.Name, tc.kind, err)
-		}
-		if err := w.Check(crep.MemoryImage()); err != nil {
-			return nil, fmt.Errorf("bench: %s/%v post-recovery: %w", w.Name, tc.kind, err)
 		}
 		switch tc.kind {
 		case recovery.MLRecovery:

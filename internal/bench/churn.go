@@ -3,11 +3,13 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 
 	"sdsm/internal/core"
 	"sdsm/internal/fault"
 	"sdsm/internal/logview"
+	"sdsm/internal/memory"
 	"sdsm/internal/recovery"
 	"sdsm/internal/simtime"
 	"sdsm/internal/wal"
@@ -55,7 +57,10 @@ type ChurnRow struct {
 	// TailOps counts the victim's sync ops replayed from the managers'
 	// sender logs (a torn log tail); 0 on an intact log.
 	TailOps int
-	// Partition-rejoin cells only (zero on fail-stop rows):
+	// CustodyMatched counts the adopted homes' custody entries found
+	// byte-identical to the diffs their writers logged (checkCustody).
+	CustodyMatched int
+	// Partition-rejoin counters (zero on fail-stop rows):
 	FencedMsgs    int64   // stale-epoch messages survivors fenced post-heal
 	EpochBumps    int64   // membership-epoch adoptions across the cluster
 	TruncatedRecs int     // stale log records discarded at rejoin
@@ -63,10 +68,15 @@ type ChurnRow struct {
 	AvailablePct  float64 // VictimServed over the victim's total sync ops
 }
 
-// churnWorkload builds the gated lock-phase program. stamps[node][round]
+// churnWorkload builds the gated lock-phase program for a cluster of
+// nodes, and the per-node round stamps it fills: stamps[node][round]
 // receives the node's virtual clock after each finished round; rows are
 // written only by that node's goroutine.
-func churnWorkload(stamps [][]simtime.Time) core.Program {
+func churnWorkload(nodes int) (core.Program, [][]simtime.Time) {
+	stamps := make([][]simtime.Time, nodes)
+	for i := range stamps {
+		stamps[i] = make([]simtime.Time, ChurnRounds)
+	}
 	return func(p *core.Proc) {
 		ps := p.PageSize()
 		n := p.N()
@@ -90,28 +100,19 @@ func churnWorkload(stamps [][]simtime.Time) core.Program {
 		p.WriteI64(myBase+2*ps, sum)
 		// Every node signs a private slot on a migrated page (the victim's
 		// region): these post-rejoin diffs land in the adopter's custody
-		// record, giving the adopted-home audit survivor-written entries to
+		// record, giving the custody check survivor-written entries to
 		// match against the writers' own logs.
 		p.WriteI64((n-1)*per*ps+3*ps+8*p.ID(), int64(p.ID()+1))
 		p.Barrier(2)
-	}
+	}, stamps
 }
 
-// churnStamps allocates the per-node round stamps churnWorkload fills.
-func churnStamps(nodes int) [][]simtime.Time {
-	stamps := make([][]simtime.Time, nodes)
-	for i := range stamps {
-		stamps[i] = make([]simtime.Time, ChurnRounds)
-	}
-	return stamps
-}
-
-// ChurnBaseline runs the churn workload failure-free, leases off. The
+// churnBaseline runs the churn workload failure-free, leases off. The
 // workload is data-race free, so every fail-stop and partition-rejoin run
-// of it must end with this run's memory image: RunChurnBench and
-// sdsminspect's churn audit check that.
-func ChurnBaseline(nodes int) (*core.Report, error) {
-	rep, err := core.Run(churnConfig(nodes), churnWorkload(churnStamps(nodes)))
+// of it must end with this run's memory image.
+func churnBaseline(nodes int) (*core.Report, error) {
+	prog, _ := churnWorkload(nodes)
+	rep, err := core.Run(churnConfig(nodes), prog)
 	if err != nil {
 		return nil, fmt.Errorf("bench: churn baseline: %w", err)
 	}
@@ -146,45 +147,6 @@ func churnConfig(nodes int) core.Config {
 	}
 }
 
-// RunChurnScenario runs the churn workload once at the given crash
-// point (the sweep's lease, a 10 ms restart, victim nodes-1) and
-// returns the full report, custody state included. sdsminspect's
-// adopted-home audit drives it.
-func RunChurnScenario(nodes int, point fault.CrashPoint) (*core.Report, error) {
-	if nodes < 2 {
-		return nil, fmt.Errorf("bench: churn needs at least 2 nodes, got %d", nodes)
-	}
-	plan := core.ChurnPlan{
-		Victim:        nodes - 1,
-		AtOp:          2 * churnCrashRound,
-		Point:         point,
-		Recovery:      recovery.CCLRecovery,
-		LeaseDuration: simtime.Duration(churnLeaseMs * 1e6),
-		RestartDelay:  simtime.Duration(10 * 1e6),
-	}
-	return core.RunWithChurn(churnConfig(nodes), churnWorkload(churnStamps(nodes)), plan)
-}
-
-// RunChurnPartitionScenario runs the churn workload with a partition
-// instead of a fail-stop: the victim is cut off for partitionMs, wrongly
-// declared dead inside the window, fenced after the heal, and re-admitted
-// through the rejoin protocol. sdsminspect's adopted-home audit drives it
-// alongside the fail-stop scenarios.
-func RunChurnPartitionScenario(nodes int, partitionMs float64) (*core.Report, error) {
-	if nodes < 2 {
-		return nil, fmt.Errorf("bench: churn needs at least 2 nodes, got %d", nodes)
-	}
-	plan := core.ChurnPlan{
-		Victim:        nodes - 1,
-		AtOp:          2 * churnCrashRound,
-		Recovery:      recovery.CCLRecovery,
-		LeaseDuration: simtime.Duration(churnLeaseMs * 1e6),
-		RestartDelay:  simtime.Duration(10 * 1e6),
-		PartitionFor:  simtime.Duration(partitionMs * 1e6),
-	}
-	return core.RunWithChurn(churnConfig(nodes), churnWorkload(churnStamps(nodes)), plan)
-}
-
 // ChurnPoints are the swept crash points.
 var ChurnPoints = []fault.CrashPoint{fault.PointSyncExit, fault.PointHoldingLock, fault.PointDirtyHome}
 
@@ -201,111 +163,140 @@ var ChurnPartitionsMs = []float64{20, 60}
 // churnLeaseMs is the lease duration used by every sweep point.
 const churnLeaseMs = 3.0
 
-// RunChurnBench sweeps crash points and restart delays over the churn
-// workload. Every run's stable logs are passed through the consistency
-// auditor, and every run's final image must equal the failure-free
-// run's — an online recovery that leaves an inconsistent log or a wrong
-// image is a correctness bug regardless of its timings.
+// churnCells lists the sweep as rows with only their configuration
+// filled: every crash point x restart delay, then the partition windows
+// (the victim cut off at a sync exit, restarting 10 ms after the heal).
+func churnCells() []ChurnRow {
+	var cells []ChurnRow
+	for _, point := range ChurnPoints {
+		for _, restartMs := range ChurnRestartsMs {
+			cells = append(cells, ChurnRow{Point: point, LeaseMs: churnLeaseMs, RestartMs: restartMs})
+		}
+	}
+	for _, partMs := range ChurnPartitionsMs {
+		cells = append(cells, ChurnRow{Point: fault.PointSyncExit, LeaseMs: churnLeaseMs, RestartMs: 10, PartitionMs: partMs})
+	}
+	return cells
+}
+
+// cell names the row's configuration.
+func (r *ChurnRow) cell() string {
+	if r.PartitionMs > 0 {
+		return fmt.Sprintf("partition %gms", r.PartitionMs)
+	}
+	return fmt.Sprintf("%v restart %gms", r.Point, r.RestartMs)
+}
+
+// runChurnCell runs the churn workload once under cell's configuration,
+// the victim (node nodes-1) crashing or cut off at the release of round
+// churnCrashRound-1, and returns the report and the per-node round
+// stamps.
+func runChurnCell(nodes int, cell ChurnRow) (*core.Report, [][]simtime.Time, error) {
+	prog, stamps := churnWorkload(nodes)
+	rep, err := core.RunWithChurn(churnConfig(nodes), prog, core.ChurnPlan{
+		Victim:        nodes - 1,
+		AtOp:          2 * churnCrashRound,
+		Point:         cell.Point,
+		Recovery:      recovery.CCLRecovery,
+		LeaseDuration: simtime.Duration(cell.LeaseMs * 1e6),
+		RestartDelay:  simtime.Duration(cell.RestartMs * 1e6),
+		PartitionFor:  simtime.Duration(cell.PartitionMs * 1e6),
+	})
+	return rep, stamps, err
+}
+
+// checkChurnRun holds one churn run to its ground truth: the stable logs
+// pass the consistency auditor, the final image equals the failure-free
+// image want, and the custody records agree with the writers' logs. It
+// returns the custody entries matched.
+func checkChurnRun(rep *core.Report, want []byte) (int, error) {
+	if _, err := logview.Audit(rep.Depot, logview.AuditOptions{}); err != nil {
+		return 0, fmt.Errorf("log audit: %w", err)
+	}
+	if !bytes.Equal(rep.MemoryImage(), want) {
+		return 0, fmt.Errorf("final image differs from the failure-free run's")
+	}
+	return checkCustody(rep)
+}
+
+// checkCustody matches every custody-record entry of the victim's
+// adopted homes against its writer's log: an entry from a never-crashed
+// writer must equal, byte for byte, the diff that writer logged for the
+// page under the same seq. The victim's own entries are skipped — its
+// replay flushes carry predicted interval stamps and are not re-logged.
+// It returns the number of entries matched.
+func checkCustody(rep *core.Report) (int, error) {
+	victim := rep.Recovery.Victim
+	type key struct {
+		writer, seq int32
+		page        memory.PageID
+	}
+	logged := map[key][]byte{}
+	for p, home := range rep.Homes {
+		if home != victim {
+			continue
+		}
+		for w := range rep.NodeOps {
+			for _, d := range recovery.LoggedDiffs(rep.Depot.Store(w), int32(w), memory.PageID(p), 0, math.MaxInt32) {
+				logged[key{d.Writer, d.Seq, memory.PageID(p)}] = d.Diff.Encode(nil)
+			}
+		}
+	}
+	matched := 0
+	for _, st := range rep.AdoptedPages {
+		if rep.Homes[st.Page] != victim {
+			return 0, fmt.Errorf("custody record for page %d, whose home %d never crashed", st.Page, rep.Homes[st.Page])
+		}
+		for _, e := range st.Applied {
+			if int(e.Writer) == victim {
+				continue
+			}
+			if enc, ok := logged[key{e.Writer, e.Seq, st.Page}]; !ok || !bytes.Equal(enc, e.Diff.Encode(nil)) {
+				return 0, fmt.Errorf("page %d: custody entry (writer %d, seq %d) matches no diff the writer logged", st.Page, e.Writer, e.Seq)
+			}
+			matched++
+		}
+	}
+	return matched, nil
+}
+
+// RunChurnBench runs every churn cell. Each run must pass checkChurnRun:
+// an online recovery that leaves an inconsistent log, a wrong image or a
+// custody record its writers' logs disagree with is a correctness bug
+// regardless of its timings. Availability on the partition rows is the
+// share of the victim's sync ops it served live, after the heal.
 func RunChurnBench(nodes int) ([]ChurnRow, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("bench: churn needs at least 2 nodes, got %d", nodes)
 	}
 	victim := nodes - 1
-
-	baseRep, err := ChurnBaseline(nodes)
+	baseRep, err := churnBaseline(nodes)
 	if err != nil {
 		return nil, err
 	}
 	baseSec := baseRep.ExecTime.Seconds()
 	want := baseRep.MemoryImage()
 
-	var rows []ChurnRow
-	for _, point := range ChurnPoints {
-		for _, restartMs := range ChurnRestartsMs {
-			stamps := churnStamps(nodes)
-			plan := core.ChurnPlan{
-				Victim:        victim,
-				AtOp:          2 * churnCrashRound, // the release of round churnCrashRound-1
-				Point:         point,
-				Recovery:      recovery.CCLRecovery,
-				LeaseDuration: simtime.Duration(churnLeaseMs * 1e6),
-				RestartDelay:  simtime.Duration(restartMs * 1e6),
-			}
-			rep, err := core.RunWithChurn(churnConfig(nodes), churnWorkload(stamps), plan)
-			if err != nil {
-				return nil, fmt.Errorf("bench: churn %v restart %gms: %w", point, restartMs, err)
-			}
-			if _, err := logview.Audit(rep.Depot, logview.AuditOptions{}); err != nil {
-				return nil, fmt.Errorf("bench: churn %v restart %gms: log audit: %w", point, restartMs, err)
-			}
-			if !bytes.Equal(rep.MemoryImage(), want) {
-				return nil, fmt.Errorf("bench: churn %v restart %gms: final image differs from the failure-free run's", point, restartMs)
-			}
-			rec := rep.Recovery
-			row := ChurnRow{
-				Point:       point,
-				LeaseMs:     churnLeaseMs,
-				RestartMs:   restartMs,
-				CrashSec:    rec.CrashTime.Seconds(),
-				DeclareSec:  rec.DeclareTime.Seconds(),
-				RejoinSec:   rec.RejoinTime.Seconds(),
-				CatchUpSec:  rec.ReplayTime.Seconds(),
-				ExecSec:     rep.ExecTime.Seconds(),
-				BaselineSec: baseSec,
-				OverheadPct: (rep.ExecTime.Seconds()/baseSec - 1) * 100,
-				TailOps:     rec.TailOps,
-			}
-			row.countSurvivorOps(stamps, victim, rec)
-			for _, s := range rep.Stats {
-				row.Adoptions += s.HomeAdoptions
-				row.Revocations += s.LockRevocations
-				row.Redirects += s.RedirectedCalls
-				row.AdoptedDiffs += s.AdoptedDiffs
-				row.LeaseWaits += s.LeaseWaitsServed
-			}
-			rows = append(rows, row)
+	rows := churnCells()
+	for i := range rows {
+		row := &rows[i]
+		rep, stamps, err := runChurnCell(nodes, *row)
+		if err == nil {
+			row.CustodyMatched, err = checkChurnRun(rep, want)
 		}
-	}
-	// Partition-rejoin cells: the same workload, but the victim is merely
-	// cut off and re-admitted after the heal. Availability is the fraction
-	// of the victim's sync ops it served live (everything past the onset
-	// op ran against the healed cluster, not from the log).
-	for _, partMs := range ChurnPartitionsMs {
-		stamps := churnStamps(nodes)
-		plan := core.ChurnPlan{
-			Victim:        victim,
-			AtOp:          2 * churnCrashRound,
-			Recovery:      recovery.CCLRecovery,
-			LeaseDuration: simtime.Duration(churnLeaseMs * 1e6),
-			RestartDelay:  simtime.Duration(10 * 1e6),
-			PartitionFor:  simtime.Duration(partMs * 1e6),
-		}
-		rep, err := core.RunWithChurn(churnConfig(nodes), churnWorkload(stamps), plan)
 		if err != nil {
-			return nil, fmt.Errorf("bench: churn partition %gms: %w", partMs, err)
-		}
-		if _, err := logview.Audit(rep.Depot, logview.AuditOptions{}); err != nil {
-			return nil, fmt.Errorf("bench: churn partition %gms: log audit: %w", partMs, err)
-		}
-		if !bytes.Equal(rep.MemoryImage(), want) {
-			return nil, fmt.Errorf("bench: churn partition %gms: final image differs from the failure-free run's", partMs)
+			return nil, fmt.Errorf("bench: churn %s: %w", row.cell(), err)
 		}
 		rec := rep.Recovery
-		row := ChurnRow{
-			Point:         fault.PointSyncExit,
-			LeaseMs:       churnLeaseMs,
-			RestartMs:     10,
-			PartitionMs:   partMs,
-			CrashSec:      rec.CrashTime.Seconds(),
-			DeclareSec:    rec.DeclareTime.Seconds(),
-			RejoinSec:     rec.RejoinTime.Seconds(),
-			CatchUpSec:    rec.ReplayTime.Seconds(),
-			ExecSec:       rep.ExecTime.Seconds(),
-			BaselineSec:   baseSec,
-			OverheadPct:   (rep.ExecTime.Seconds()/baseSec - 1) * 100,
-			TruncatedRecs: rec.TruncatedRecords,
-			TailOps:       rec.TailOps,
-		}
+		row.CrashSec = rec.CrashTime.Seconds()
+		row.DeclareSec = rec.DeclareTime.Seconds()
+		row.RejoinSec = rec.RejoinTime.Seconds()
+		row.CatchUpSec = rec.ReplayTime.Seconds()
+		row.ExecSec = rep.ExecTime.Seconds()
+		row.BaselineSec = baseSec
+		row.OverheadPct = (row.ExecSec/baseSec - 1) * 100
+		row.TailOps = rec.TailOps
+		row.TruncatedRecs = rec.TruncatedRecords
 		row.countSurvivorOps(stamps, victim, rec)
 		for _, s := range rep.Stats {
 			row.Adoptions += s.HomeAdoptions
@@ -320,12 +311,12 @@ func RunChurnBench(nodes int) ([]ChurnRow, error) {
 		if total := rep.NodeOps[victim]; total > 0 {
 			row.AvailablePct = float64(row.VictimServed) / float64(total) * 100
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// FormatChurn renders the churn sweep.
+// FormatChurn renders the churn sweep: the fail-stop table, then the
+// partition-rejoin table.
 func FormatChurn(nodes int, rows []ChurnRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Online recovery under churn: %d nodes, %d lock rounds, victim %d crashes at round %d\n",
@@ -334,10 +325,8 @@ func FormatChurn(nodes int, rows []ChurnRow) string {
 	b.WriteString(" catch-up is the victim's concurrent replay; overhead is vs the crash-free run)\n\n")
 	fmt.Fprintf(&b, "%-13s %8s %9s %9s %9s %9s %10s %9s %7s %6s %6s\n",
 		"crash point", "lease", "restart", "crash s", "rejoin s", "catchup s", "surv ops/s", "exec s", "ovh%", "adopt", "revoke")
-	partitions := false
 	for _, r := range rows {
 		if r.PartitionMs > 0 {
-			partitions = true
 			continue
 		}
 		fmt.Fprintf(&b, "%-13s %6gms %7gms %9.4f %9.4f %9.4f %10.0f %9.4f %6.1f%% %6d %6d\n",
@@ -346,15 +335,8 @@ func FormatChurn(nodes int, rows []ChurnRow) string {
 	}
 	for _, r := range rows {
 		if r.TailOps > 0 {
-			cell := fmt.Sprintf("%v restart %gms", r.Point, r.RestartMs)
-			if r.PartitionMs > 0 {
-				cell = fmt.Sprintf("partition %gms", r.PartitionMs)
-			}
-			fmt.Fprintf(&b, "%s: %d sync ops replayed from the managers' sender logs\n", cell, r.TailOps)
+			fmt.Fprintf(&b, "%s: %d sync ops replayed from the managers' sender logs\n", r.cell(), r.TailOps)
 		}
-	}
-	if !partitions {
-		return b.String()
 	}
 	b.WriteString("\nPartition-rejoin cells: the victim is cut off (not crashed), wrongly declared\n")
 	b.WriteString("dead inside the window, fenced on heal, and re-admitted at a fresh epoch;\n")

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"sdsm/internal/apps"
-	"sdsm/internal/core"
 	"sdsm/internal/fault"
 	"sdsm/internal/wal"
 )
@@ -45,7 +44,7 @@ func RunFaultSweep(w *apps.Workload, nodes int) ([]FaultSweepRow, error) {
 			cfg := w.BaseConfig(nodes)
 			cfg.Protocol = proto
 			cfg.Faults = fault.Plan{Seed: 1, DropProb: rate, DupProb: rate}
-			rep, err := core.Run(cfg, w.Prog)
+			rep, err := runChecked(w, cfg, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s %v rate %g: %w", w.Name, proto, rate, err)
 			}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"strings"
 
@@ -73,11 +74,32 @@ func KVCoreConfig(nodes int, cfg kv.Config, tr core.Transport) core.Config {
 	}
 }
 
+// KVFlags registers the kv workload's -kv-* flags on fs and returns the
+// config they fill when fs is parsed. Same flags, same op streams: a
+// trace id one command printed resolves in another.
+func KVFlags(fs *flag.FlagSet) *kv.Config {
+	cfg := &kv.Config{}
+	fs.IntVar(&cfg.Keys, "kv-keys", 0, "kv: table size (0 = default 64)")
+	fs.IntVar(&cfg.ValueSize, "kv-value", 0, "kv: value bytes, multiple of 8 (0 = default 32)")
+	fs.IntVar(&cfg.Ops, "kv-ops", 0, "kv: transactions per client (0 = default 160)")
+	fs.IntVar(&cfg.ReadPct, "kv-readpct", 0, "kv: read percentage 1..100, -1 = pure writes (0 = default 80)")
+	fs.Float64Var(&cfg.ZipfS, "kv-zipf", 1.2, "kv: zipf key skew s > 1, or 0 for uniform")
+	fs.Int64Var(&cfg.Seed, "kv-seed", 0, "kv: op-stream seed (0 = default 1)")
+	return cfg
+}
+
 func usQ(h obsv.HistSnapshot, q float64) float64 { return float64(h.Quantile(q)) / 1e3 }
 
-// runKVCell executes one matrix cell and fills a row; it also returns
-// the cell's trace collector. The caller owns image verification.
-func runKVCell(nodes int, cfg kv.Config, tr core.Transport, churn bool) (*core.Report, *obsv.Collector, KVRow, error) {
+// RunKV runs one matrix cell — failure-free, or with churn crashed
+// mid-traffic and recovered online — under a trace collector, checks the
+// final image against the workload's replay-computed expectation and
+// audits the stable logs, and fills the cell's row. It also returns the
+// report and the collector. Comparing images across cells is the
+// caller's.
+func RunKV(nodes int, cfg kv.Config, tr core.Transport, churn bool) (*core.Report, *obsv.Collector, KVRow, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, KVRow{}, err
+	}
 	cc := KVCoreConfig(nodes, cfg, tr)
 	cc.Trace = obsv.NewCollector(nodes)
 	var rep *core.Report
@@ -140,9 +162,6 @@ func RunKVBench(nodes int, cfg kv.Config, transports []core.Transport) ([]KVRow,
 	if nodes < 2 {
 		return nil, fmt.Errorf("bench: kv needs at least 2 nodes, got %d", nodes)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
-	}
 	if len(transports) == 0 {
 		transports = KVTransports
 	}
@@ -150,7 +169,7 @@ func RunKVBench(nodes int, cfg kv.Config, transports []core.Transport) ([]KVRow,
 	var baseline []byte
 	for _, tr := range transports {
 		for _, churn := range []bool{false, true} {
-			rep, _, row, err := runKVCell(nodes, cfg, tr, churn)
+			rep, _, row, err := RunKV(nodes, cfg, tr, churn)
 			if err != nil {
 				return nil, fmt.Errorf("bench: kv %s churn=%v: %w", tr, churn, err)
 			}

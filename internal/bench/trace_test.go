@@ -14,7 +14,7 @@ import (
 // collector recorded, plus the collector for further inspection.
 func traceIDSet(t *testing.T, nodes int, cfg kv.Config, tr core.Transport, churn bool) (map[uint64]bool, *obsv.Collector) {
 	t.Helper()
-	_, col, _, err := runKVCell(nodes, cfg, tr, churn)
+	_, col, _, err := RunKV(nodes, cfg, tr, churn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestKVOnOpDeliversTraceIDs(t *testing.T) {
 		recs = append(recs, r)
 		mu.Unlock()
 	}
-	_, _, _, err := runKVCell(nodes, cfg, core.TransportSim, false)
+	_, _, _, err := RunKV(nodes, cfg, core.TransportSim, false)
 	if err != nil {
 		t.Fatal(err)
 	}

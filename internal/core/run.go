@@ -193,7 +193,8 @@ type Report struct {
 	PageSize int
 	// AdoptedPages holds every node's custody state for homes adopted
 	// from crashed nodes, in node order. Set only by RunWithChurn; the
-	// adopted-home auditor cross-checks it against the writers' logs.
+	// custody check of the churn sweep (internal/bench) cross-checks it
+	// against the writers' logs.
 	AdoptedPages []hlrc.AdoptedPageState
 
 	// frames holds the authoritative copy of every page by reference —

@@ -113,9 +113,9 @@ func TestReplayOrderingLinearExtension(t *testing.T) {
 }
 
 // TestLoggedDiffsStampsWriter checks the offline log reader the churn
-// runner and the sdsminspect audit share: it must return the store's own
-// diffs for the page, stamped with the caller's writer id, over the full
-// seq range.
+// runner and the churn sweep's custody check share: it must return the
+// store's own diffs for the page, stamped with the caller's writer id,
+// over the full seq range.
 func TestLoggedDiffsStampsWriter(t *testing.T) {
 	store := stable.NewStore()
 	store.Flush([]stable.Record{

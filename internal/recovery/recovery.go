@@ -115,8 +115,9 @@ func ReadLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsR
 
 // LoggedDiffs reads writer's own logged diffs of one page for the
 // interval range (fromSeq, toSeq], as custody-record entries. The churn
-// runner and the sdsminspect audit use it to assemble the authoritative
-// content of migrated pages offline (hlrc.RebuildAdoptedImage).
+// runner uses it to assemble the authoritative content of migrated pages
+// offline (hlrc.RebuildAdoptedImage), and the churn sweep's custody check
+// to compare custody records with the writers' logs.
 func LoggedDiffs(store *stable.Store, writer int32, page memory.PageID, fromSeq, toSeq int32) []hlrc.AdoptedDiff {
 	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: page, FromSeq: fromSeq, ToSeq: toSeq})
 	out := make([]hlrc.AdoptedDiff, 0, len(resp.Seqs))
