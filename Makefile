@@ -5,7 +5,9 @@
 # benchmark module (benchmark-test), which `go build ./...` and
 # `go test ./...` at the root never compile.
 # tier2 adds the race detector; -short skips the heavier fault-soak and
-# crash sweeps so the race run stays fast.
+# crash sweeps so the race run stays fast. Sent clocks are read by other
+# goroutines without a copy (DESIGN.md §2.8), so the test that no sent
+# payload changes runs ten times more under the detector.
 
 .PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke
 
@@ -28,6 +30,7 @@ benchmark-test:
 tier2:
 	go vet ./...
 	go test -race -short ./...
+	go test -race -count=10 -run TestSentPayloadsNeverChange ./internal/hlrc
 
 # The bulk accessors copy page bytes natively on little-endian hosts and
 # decode word by word elsewhere (internal/memory/f64s_{native,portable}.go).

@@ -53,7 +53,9 @@ func (nd *Node) fetchPage(p memory.PageID) {
 	if nd.cfg.LeaseDuration > 0 {
 		// The requester's vector time bounds a custody rebuild at an
 		// adopter (the reply must cover every interval this node knows of).
-		req.VT = nd.VT()
+		nd.mu.Lock()
+		req.VT = nd.vt.Share()
+		nd.mu.Unlock()
 	}
 	resp := nd.awaitHome(nd.ep.CallAsync(home, KindPageReq, req.WireSize(), req), home, KindPageReq, req)
 	pr := resp.Payload.(*PageReply)

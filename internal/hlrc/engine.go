@@ -107,18 +107,23 @@ type Node struct {
 	stats *Stats
 	trc   *obsv.Tracer
 
-	mu      sync.Mutex
-	pt      *memory.PageTable
-	vt      vclock.VC
+	mu sync.Mutex
+	pt *memory.PageTable
+	// vt is the node's vector time. Sent messages carry it shared
+	// (DESIGN.md §2.8): the next Tick or Merge copies it.
+	vt      vclock.COW
 	notices *NoticeStore
 	// grantVT[l] is the lock manager's knowledge horizon received with
 	// the grant of lock l (still held); release deltas are relative to it.
+	// It is the grant's own vector, kept, never written.
 	grantVT map[int32]vclock.VC
-	// lastBarrierVT is the knowledge horizon of the last barrier release.
+	// lastBarrierVT is the knowledge horizon of the last barrier release
+	// (the release's own vector, kept, never written).
 	lastBarrierVT vclock.VC
 	// ver[p] is the version vector of home page p (nil for non-home
-	// pages): ver[p][w] = last interval of writer w applied to p.
-	ver  []vclock.VC
+	// pages): ver[p][w] = last interval of writer w applied to p. Replies
+	// carry it shared, like vt; the vectors are cut from one slab.
+	ver  []vclock.COW
 	undo map[memory.PageID][]undoEntry
 	// served[p] is set once a reply has been built from home frame p
 	// (HomeUndo only, nil otherwise): it arms p's undo history.
@@ -148,6 +153,13 @@ type Node struct {
 	// crashedAt records the op at which the injected crash fired (-1
 	// until then).
 	crashedAt int32
+	// flights is closeAndPropagate's in-flight batch list (application
+	// goroutine only), reused across intervals.
+	flights []flight
+	// svcEvents and svcApplied are handleDiffUpdate's scratch (service
+	// goroutine only): the hooks read them during the call, never after.
+	svcEvents  []UpdateEvent
+	svcApplied []memory.Diff
 
 	delegate SyncDelegate
 	// CrashOp: the node fail-stops at the first release/barrier whose op
@@ -209,12 +221,12 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 		stats:         stats,
 		trc:           cfg.Tracer,
 		pt:            memory.NewPageTable(cfg.NumPages, cfg.PageSize),
-		vt:            vclock.New(cfg.N),
+		vt:            vclock.Own(vclock.New(cfg.N)),
 		notices:       NewNoticeStore(cfg.N),
 		grantVT:       make(map[int32]vclock.VC),
 		lastBarrierVT: vclock.New(cfg.N),
 		barrierRound:  make(map[int32]int64),
-		ver:           make([]vclock.VC, cfg.NumPages),
+		ver:           make([]vclock.COW, cfg.NumPages),
 		undo:          make(map[memory.PageID][]undoEntry),
 		CrashOp:       -1,
 		crashedAt:     -1,
@@ -225,10 +237,19 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 	if cfg.ID == ManagerNode {
 		nd.mgr = newManager(cfg, stats)
 	}
+	// Home version vectors are cut from one slab, as home frames are.
+	homes := 0
+	for _, h := range cfg.Homes {
+		if h == cfg.ID {
+			homes++
+		}
+	}
+	slab := vclock.New(homes * cfg.N)
 	var owned []memory.PageID
 	for p := range cfg.Homes {
 		if nd.cfg.Homes[p] == cfg.ID {
-			nd.ver[p] = vclock.New(cfg.N)
+			nd.ver[p] = vclock.Own(slab[:cfg.N:cfg.N])
+			slab = slab[cfg.N:]
 			if nd.OwnsHome(memory.PageID(p)) {
 				owned = append(owned, memory.PageID(p))
 			}
@@ -289,17 +310,24 @@ func (nd *Node) HomeOf(p memory.PageID) int { return nd.cfg.Homes[p] }
 // IsHome reports whether this node is the page's home.
 func (nd *Node) IsHome(p memory.PageID) bool { return nd.cfg.Homes[p] == nd.cfg.ID }
 
-// VT returns a copy of the node's vector time.
+// VT returns a copy of the node's vector time, the caller's to write.
 func (nd *Node) VT() vclock.VC {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.vt.Clone()
+	return nd.vt.Get().Clone()
+}
+
+// VTAt returns component proc of the node's vector time.
+func (nd *Node) VTAt(proc int) int32 {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return nd.vt.Get()[proc]
 }
 
 // SetVT overwrites the node's vector time (recovery restore).
 func (nd *Node) SetVT(v vclock.VC) {
 	nd.mu.Lock()
-	nd.vt = v.Clone()
+	nd.vt.Set(v.Clone())
 	nd.mu.Unlock()
 }
 
@@ -452,7 +480,7 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 		panic(fmt.Sprintf("hlrc: node %d asked for page %d homed at %d", nd.cfg.ID, req.Page, nd.HomeOf(req.Page)))
 	}
 	data := nd.pt.CopyPage(req.Page)
-	ver := nd.ver[req.Page].Clone()
+	ver := nd.ver[req.Page].Share()
 	nd.markServedLocked(req.Page)
 	nd.mu.Unlock()
 	resp := &PageReply{Data: data, Ver: ver}
@@ -491,8 +519,7 @@ func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 	}
 	var copied int
 	nd.mu.Lock()
-	events := make([]UpdateEvent, 0, len(du.Diffs))
-	applied := make([]memory.Diff, 0, len(du.Diffs))
+	events, applied := nd.svcEvents[:0], nd.svcApplied[:0]
 	for _, d := range du.Diffs {
 		if !nd.IsHome(d.Page) {
 			nd.mu.Unlock()
@@ -519,6 +546,8 @@ func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 	for _, d := range applied {
 		nd.trc.SvcInstantT(svcTrace(m), obsv.EvDiffApply, at, int64(d.Page), int64(d.DataBytes()))
 	}
+	clear(applied) // hold no payload past its message
+	nd.svcEvents, nd.svcApplied = events[:0], applied[:0]
 	nd.ep.ReplyAt(at, m, KindDiffAck, DiffAck{}.WireSize(), DiffAck{})
 }
 
@@ -532,7 +561,7 @@ func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 // overwritten. The frame must exist: the service writes page contents,
 // never a frame slot. Callers hold nd.mu.
 func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
-	v := nd.ver[d.Page]
+	v := nd.ver[d.Page].Get()
 	tracked := int(writer) >= 0 && int(writer) < len(v)
 	if tracked && seq <= v[writer] {
 		// The writer interval is already applied: this is a retransmitted
@@ -555,7 +584,7 @@ func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
 		d.Apply(twin)
 	}
 	if tracked {
-		v[writer] = seq
+		nd.ver[d.Page].SetAt(int(writer), seq)
 	}
 	return true
 }
@@ -600,14 +629,14 @@ func (nd *Node) undoArmed(p memory.PageID) bool {
 // freedom keeps its words out of what the peer reads); see DESIGN.md.
 // With HomeUndo disabled, or when the current copy already satisfies
 // need, the current copy is returned. The second result is the version
-// vector of the returned copy.
+// vector of the returned copy; nobody may write it (it is the page's own
+// vector, shared, unless something rolled back).
 func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.VC) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	data := nd.pt.CopyPage(p)
-	ver := nd.ver[p].Clone()
 	if !nd.cfg.HomeUndo {
-		return data, ver // documented fallback: current copy
+		return data, nd.ver[p].Share() // documented fallback: current copy
 	}
 	nd.markServedLocked(p)
 	// Strip the open interval's provisional self-writes: the home may be
@@ -620,12 +649,13 @@ func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.V
 	if nd.pt.IsDirty(p) && nd.pt.HasTwin(p) {
 		copy(data, nd.pt.Twin(p))
 	}
-	if need.Covers(ver) {
-		return data, ver
+	if need.Covers(nd.ver[p].Get()) {
+		return data, nd.ver[p].Share()
 	}
 	// Roll back every update beyond need, oldest first: each word ends at
 	// the pre-image of the oldest rolled-back entry that covers it, and is
 	// written once.
+	ver := nd.ver[p].Get().Clone()
 	done := nd.undoDone
 	clear(done)
 	for _, e := range nd.undo[p] {

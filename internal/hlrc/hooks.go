@@ -23,7 +23,9 @@ type UpdateEvent struct {
 //
 // All hook methods are called with the engine's mutex held except
 // AtSyncEntry and AtRelease, which are called from the application
-// goroutine at well-defined protocol points.
+// goroutine at well-defined protocol points. A hook must not keep the
+// events, diffs or notices slices after the call returns: the engine
+// reuses the first two, and the notices belong to a received message.
 type LogHooks interface {
 	// OnAcquireNotices reports the write-invalidation notices received
 	// with a lock grant or barrier release during sync op `op`.

@@ -78,7 +78,9 @@ type manager struct {
 	handling   simtime.Duration // the cost model's MsgHandling
 	stats      *Stats
 
-	vt       vclock.VC
+	// vt is the manager's knowledge horizon. Grants and barrier releases
+	// carry it shared: the next merge that raises it copies it.
+	vt       vclock.COW
 	notices  *NoticeStore
 	locks    map[int32]*lockState
 	barriers map[int32]*barrierState
@@ -101,7 +103,7 @@ func newManager(cfg Config, stats *Stats) *manager {
 		senderLogs: cfg.SenderLogs,
 		handling:   cfg.Model.MsgHandling,
 		stats:      stats,
-		vt:         vclock.New(cfg.N),
+		vt:         vclock.Own(vclock.New(cfg.N)),
 		notices:    NewNoticeStore(cfg.N),
 		locks:      make(map[int32]*lockState),
 		barriers:   make(map[int32]*barrierState),
@@ -119,7 +121,7 @@ func (mg *manager) reply(req transport.Message, kind transport.Kind, payload int
 // requester at since lacks, and records it as the lock's current grant to
 // (to, reqID) at virtual time at (with SenderLogs, also in to's log).
 func (mg *manager) grant(ls *lockState, to int, reqID int64, since vclock.VC, at simtime.Time) *LockGrant {
-	g := &LockGrant{VT: mg.vt.Clone(), Notices: mg.notices.Delta(since)}
+	g := &LockGrant{VT: mg.vt.Share(), Notices: mg.notices.Delta(since)}
 	if mg.lease > 0 {
 		g.LeaseUntil = at + simtime.Time(mg.lease)
 	}
@@ -275,11 +277,13 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 	span := mgrSpan{tc: svcTrace(last.m), ev: obsv.EvBarrierRelease,
 		t0: releaseAt - simtime.Time(mg.handling), t1: releaseAt,
 		from: last.m.From, sentAt: last.m.SentAt, a1: int64(ci.Barrier), a2: int64(len(bs.waiting))}
-	for _, w := range bs.waiting {
-		rel := &BarrierRelease{
-			VT:      mg.vt.Clone(),
-			Notices: mg.notices.Delta(w.m.Payload.(*BarrierCheckin).VT),
-		}
+	// One clock snapshot and one release slab per round.
+	vt := mg.vt.Share()
+	rels := make([]BarrierRelease, len(bs.waiting))
+	for i, w := range bs.waiting {
+		rel := &rels[i]
+		rel.VT = vt
+		rel.Notices = mg.notices.Delta(w.m.Payload.(*BarrierCheckin).VT)
 		if mg.lease > 0 {
 			rel.LeaseUntil = releaseAt + simtime.Time(mg.lease)
 		}

@@ -166,16 +166,26 @@ func (s *NoticeStore) Pages(proc int, seq int32) []memory.PageID {
 }
 
 // Delta returns every stored notice not covered by since, ordered by
-// process and ascending interval.
+// process and ascending interval, in one allocation of its exact size
+// (nil when nothing is missing).
 func (s *NoticeStore) Delta(since vclock.VC) []Notice {
-	var out []Notice
-	for p := range s.byProc {
-		var from int32
+	from := func(p int) int {
 		if p < len(since) {
-			from = since[p]
+			return max(int(since[p]), 0)
 		}
-		for seq := from + 1; int(seq) <= len(s.byProc[p]); seq++ {
-			out = append(out, Notice{Proc: int32(p), Seq: seq, Pages: s.byProc[p][seq-1]})
+		return 0
+	}
+	n := 0
+	for p, ivs := range s.byProc {
+		n += max(len(ivs)-from(p), 0)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Notice, 0, n)
+	for p, ivs := range s.byProc {
+		for i := from(p); i < len(ivs); i++ {
+			out = append(out, Notice{Proc: int32(p), Seq: int32(i + 1), Pages: ivs[i]})
 		}
 	}
 	return out

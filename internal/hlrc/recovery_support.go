@@ -38,18 +38,19 @@ func (nd *Node) SetOpIndex(op int32) {
 
 // SetGrantVT records the knowledge horizon associated with a held lock,
 // reconstructed during replay, so the eventual live release computes the
-// right delta.
+// right delta. The node keeps vt: nobody may write it afterwards.
 func (nd *Node) SetGrantVT(lock int32, vt vclock.VC) {
 	nd.mu.Lock()
-	nd.grantVT[lock] = vt.Clone()
+	nd.grantVT[lock] = vt
 	nd.mu.Unlock()
 }
 
 // SetLastBarrierVT overwrites the last-barrier knowledge horizon
-// (replay bookkeeping for the first live check-in after recovery).
+// (replay bookkeeping for the first live check-in after recovery). The
+// node keeps vt: nobody may write it afterwards.
 func (nd *Node) SetLastBarrierVT(vt vclock.VC) {
 	nd.mu.Lock()
-	nd.lastBarrierVT = vt.Clone()
+	nd.lastBarrierVT = vt
 	nd.mu.Unlock()
 }
 
@@ -65,10 +66,10 @@ func (nd *Node) MergeVT(v vclock.VC) {
 func (nd *Node) SetVer(p memory.PageID, v vclock.VC) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.ver[p] == nil {
+	if nd.ver[p].Get() == nil {
 		return
 	}
-	nd.ver[p] = v.Clone()
+	nd.ver[p].Set(v.Clone())
 }
 
 // ResetUndo clears the home-side undo history (taken checkpoints bound
@@ -97,7 +98,7 @@ func (nd *Node) CloseIntervalLocal() int32 {
 	for _, p := range dirty {
 		pages = append(pages, p)
 		if nd.OwnsHome(p) {
-			nd.ver[p][nd.cfg.ID] = seq
+			nd.ver[p].SetAt(nd.cfg.ID, seq)
 		}
 	}
 	nd.notices.Add(Notice{Proc: int32(nd.cfg.ID), Seq: seq, Pages: pages})
@@ -131,8 +132,9 @@ func (nd *Node) FlushReplayDiffs() {
 		diffs = append(diffs, d)
 	}
 	// The keys CloseIntervalLocal will assign to this interval.
-	seq := nd.vt[nd.cfg.ID] + 1
-	vtSum := nd.vt.Sum() + 1
+	vt := nd.vt.Get()
+	seq := vt[nd.cfg.ID] + 1
+	vtSum := vt.Sum() + 1
 	nd.mu.Unlock()
 	if len(diffs) == 0 {
 		return
@@ -167,6 +169,7 @@ func (nd *Node) HoldsLocks() bool {
 }
 
 // FrozenState is an atomic snapshot of everything a checkpoint saves.
+// Its vectors are the node's own, shared: nobody may write them.
 type FrozenState struct {
 	// Pages is the sparse shared-memory image (see
 	// memory.PageTable.Snapshot) and ChangedPages the number of pages
@@ -189,15 +192,15 @@ func (nd *Node) Freeze(prev [][]byte) *FrozenState {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	fs := &FrozenState{
-		VT:      nd.vt.Clone(),
+		VT:      nd.vt.Share(),
 		Op:      nd.opIndex,
 		Notices: nd.notices.Delta(nil),
 	}
 	fs.Pages, fs.ChangedPages = nd.pt.Snapshot(prev)
 	for p := 0; p < nd.cfg.NumPages; p++ {
-		if nd.ver[p] != nil {
+		if nd.ver[p].Get() != nil {
 			fs.VerPages = append(fs.VerPages, memory.PageID(p))
-			fs.Vers = append(fs.Vers, nd.ver[p].Clone())
+			fs.Vers = append(fs.Vers, nd.ver[p].Share())
 		}
 	}
 	return fs
@@ -241,8 +244,19 @@ func (nd *Node) NumPages() int { return nd.cfg.NumPages }
 func (nd *Node) HomeVersion(p memory.PageID) vclock.VC {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.ver[p] == nil {
+	if nd.ver[p].Get() == nil {
 		return nil
 	}
-	return nd.ver[p].Clone()
+	return nd.ver[p].Get().Clone()
+}
+
+// HomeVersionAt returns component w of home page p's version vector (0
+// if the page is not homed here).
+func (nd *Node) HomeVersionAt(p memory.PageID, w int) int32 {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	if v := nd.ver[p].Get(); v != nil {
+		return v[w]
+	}
+	return 0
 }

@@ -1,8 +1,9 @@
 package hlrc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdsm/internal/fault"
 	"sdsm/internal/memory"
@@ -22,7 +23,7 @@ func (nd *Node) AcquireLock(lock int) {
 	t0 := nd.clock.Now()
 	nd.syncEntryFlush(op)
 	nd.mu.Lock()
-	req := &LockReq{Lock: l, VT: nd.vt.Clone()}
+	req := &LockReq{Lock: l, VT: nd.vt.Share()}
 	nd.mu.Unlock()
 	// The sync-wait mark lets peers' arrival fences skip this node while
 	// it blocks for the grant (see transport.Endpoint.FenceArrivalsBefore);
@@ -52,7 +53,7 @@ func (nd *Node) AcquireLock(lock int) {
 	nd.mu.Lock()
 	nd.applyNoticesLocked(g.Notices)
 	nd.vt.Merge(g.VT)
-	nd.grantVT[l] = g.VT.Clone()
+	nd.grantVT[l] = g.VT
 	nd.opIndex++
 	nd.mu.Unlock()
 	// Holder registry: visible from here until just before the release
@@ -131,7 +132,7 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 		panic(fmt.Sprintf("hlrc: node %d releases lock %d it does not hold", nd.cfg.ID, l))
 	}
 	delete(nd.grantVT, l)
-	rel := &LockRelease{Lock: l, VT: nd.vt.Clone(), Notices: nd.notices.Delta(gvt)}
+	rel := &LockRelease{Lock: l, VT: nd.vt.Share(), Notices: nd.notices.Delta(gvt)}
 	nd.opIndex++
 	nd.mu.Unlock()
 	// Strictly before the release leaves: the fence's holder-bound skip
@@ -165,7 +166,7 @@ func (nd *Node) Barrier(barrier int) {
 // check-in, wait for the release, apply its notices.
 func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	nd.mu.Lock()
-	ci := &BarrierCheckin{Barrier: b, VT: nd.vt.Clone(), Notices: nd.notices.Delta(nd.lastBarrierVT)}
+	ci := &BarrierCheckin{Barrier: b, VT: nd.vt.Share(), Notices: nd.notices.Delta(nd.lastBarrierVT)}
 	round := nd.barrierRound[b]
 	nd.mu.Unlock()
 	// Sync-wait mark: peers' arrival fences skip a node parked at the
@@ -184,7 +185,7 @@ func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	nd.hooks.OnAcquireNotices(op, rel.Notices)
 	nd.applyNoticesLocked(rel.Notices)
 	nd.vt.Merge(rel.VT)
-	nd.lastBarrierVT = rel.VT.Clone()
+	nd.lastBarrierVT = rel.VT
 	nd.barrierRound[b] = round + 1
 	nd.opIndex++
 	nd.mu.Unlock()
@@ -324,7 +325,7 @@ func (nd *Node) syncEntryFlush(op int32) {
 // vt) names a page that is dirty in the open interval.
 func (nd *Node) anyDirtyLocked(ns []Notice) bool {
 	for _, n := range ns {
-		if nd.vt.CoversInterval(int(n.Proc), n.Seq) {
+		if nd.vt.Get().CoversInterval(int(n.Proc), n.Seq) {
 			continue
 		}
 		for _, p := range n.Pages {
@@ -341,7 +342,7 @@ func (nd *Node) anyDirtyLocked(ns []Notice) bool {
 // directly). Callers hold nd.mu and have resolved dirty conflicts.
 func (nd *Node) applyNoticesLocked(ns []Notice) {
 	for _, n := range ns {
-		if nd.vt.CoversInterval(int(n.Proc), n.Seq) {
+		if nd.vt.Get().CoversInterval(int(n.Proc), n.Seq) {
 			nd.notices.Add(n) // duplicate-safe
 			continue
 		}
@@ -356,6 +357,13 @@ func (nd *Node) applyNoticesLocked(ns []Notice) {
 		}
 		nd.notices.Add(n)
 	}
+}
+
+// flight is one diff batch of closeAndPropagate awaiting its ack.
+type flight struct {
+	to int
+	du *DiffUpdate
+	pd *transport.Pending
 }
 
 // closeAndPropagate closes the current interval: diffs of dirty remote
@@ -386,7 +394,7 @@ func (nd *Node) closeAndPropagate(op int32) {
 	nd.mu.Lock()
 	dirty := nd.pt.DirtyPages()
 	if len(dirty) == 0 {
-		vtSum := nd.vt.Sum()
+		vtSum := nd.vt.Get().Sum()
 		nd.mu.Unlock()
 		if n := nd.hooks.AtRelease(op, 0, vtSum, cutoff, nil); n > 0 {
 			d := nd.cfg.Model.DiskTime(n)
@@ -401,9 +409,8 @@ func (nd *Node) closeAndPropagate(op int32) {
 	}
 
 	seq := nd.vt.Tick(nd.cfg.ID)
-	vtSum := nd.vt.Sum()
-	perHome := make(map[int][]memory.Diff)
-	var created []memory.Diff
+	vtSum := nd.vt.Get().Sum()
+	var created []memory.Diff // in page order, as CCL logs them
 	pages := make([]memory.PageID, 0, len(dirty))
 	compareBytes := 0
 	for _, p := range dirty {
@@ -413,7 +420,7 @@ func (nd *Node) closeAndPropagate(op int32) {
 			// read/write to a page on its home node ... requires no
 			// summary of write modifications"), but the write notice and
 			// the version vector still advance.
-			nd.ver[p][nd.cfg.ID] = seq
+			nd.ver[p].SetAt(nd.cfg.ID, seq)
 			if nd.cfg.HomeUndo && nd.pt.HasTwin(p) {
 				// The undo entry of a self-write interval is what turns
 				// the page back into its twin, which has absorbed every
@@ -429,8 +436,6 @@ func (nd *Node) closeAndPropagate(op int32) {
 		if d.Empty() {
 			continue // silent rewrite of identical values: nothing to send
 		}
-		home := nd.HomeOf(p)
-		perHome[home] = append(perHome[home], d)
 		created = append(created, d)
 	}
 	nd.notices.Add(Notice{Proc: int32(nd.cfg.ID), Seq: seq, Pages: pages})
@@ -464,29 +469,31 @@ func (nd *Node) closeAndPropagate(op int32) {
 			nd.trc.DiskSpan(obsv.EvLogFlush, flushDone-simtime.Time(d), flushDone, flushBytes, 0)
 		}
 	}
-	homes := make([]int, 0, len(perHome))
-	for h := range perHome {
-		homes = append(homes, h)
-	}
-	sort.Ints(homes)
 	// Batches are keyed by static home (all pages of one batch share one
-	// effective home) and addressed to whoever currently serves it. Every
-	// batch is in flight before any ack is awaited.
-	type flight struct {
-		to int
-		du *DiffUpdate
-		pd *transport.Pending
-	}
-	flights := make([]flight, 0, len(homes))
+	// effective home), ascending, each in page order, and addressed to
+	// whoever currently serves the home. Every batch is in flight before
+	// any ack is awaited. The grouped list is new per interval: in-flight
+	// copies of its batches may outlive the call.
+	byHome := slices.Clone(created)
+	slices.SortStableFunc(byHome, func(a, b memory.Diff) int {
+		return cmp.Compare(nd.HomeOf(a.Page), nd.HomeOf(b.Page))
+	})
+	flights := nd.flights[:0]
 	var sentBytes int64
-	for _, h := range homes {
-		to := nd.effectiveNode(h)
-		du := &DiffUpdate{Writer: int32(nd.cfg.ID), Seq: seq, Diffs: perHome[h]}
+	for len(byHome) > 0 {
+		h := nd.HomeOf(byHome[0].Page)
+		n := 1
+		for n < len(byHome) && nd.HomeOf(byHome[n].Page) == h {
+			n++
+		}
+		du := &DiffUpdate{Writer: int32(nd.cfg.ID), Seq: seq, Diffs: byHome[:n:n]}
+		byHome = byHome[n:]
 		if nd.cfg.LeaseDuration > 0 {
 			// The custody-application ordering key, recorded by an adopter
 			// if this batch lands in a migrated home's custody.
 			du.VTSum = vtSum
 		}
+		to := nd.effectiveNode(h)
 		sz := du.WireSize()
 		sentBytes += int64(sz)
 		flights = append(flights, flight{to: to, du: du, pd: nd.ep.CallAsync(to, KindDiffUpdate, sz, du)})
@@ -495,6 +502,8 @@ func (nd *Node) closeAndPropagate(op int32) {
 	for _, f := range flights {
 		nd.awaitHome(f.pd, f.to, KindDiffUpdate, f.du)
 	}
+	clear(flights)
+	nd.flights = flights[:0]
 	// Only the disk time not hidden behind the ack round trips remains on
 	// the critical path.
 	wt0, wt1 := nd.clock.MergePlusSpan(flushDone, 0)

@@ -250,15 +250,28 @@ func hasWord(m map[int]uint32, w int) bool {
 }
 
 // A warm versioned fetch allocates only the arena page buffer it returns
-// and the clone of the version vector: the coverage bitmap is the node's.
+// and, when it rolls something back, the clone of the version vector: the
+// coverage bitmap is the node's, and a copy that needs no rollback
+// carries the page's own vector, shared.
 func TestPageAtVersionAllocations(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	nd, need := pageAtVersionHistory(undoShapes[0])
-	nd.PageAtVersion(0, need)
-	if a := testing.AllocsPerRun(100, func() { nd.PageAtVersion(0, need) }); a > 2 {
-		t.Fatalf("warm PageAtVersion: %.1f allocs/op, want <= 2 (page buffer, version clone)", a)
+	current := nd.HomeVersion(0)
+	for _, c := range []struct {
+		name string
+		need vclock.VC
+		want float64
+		what string
+	}{
+		{"rollback", need, 2, "page buffer, version clone"},
+		{"no rollback", current, 1, "page buffer"},
+	} {
+		nd.PageAtVersion(0, c.need)
+		if a := testing.AllocsPerRun(100, func() { nd.PageAtVersion(0, c.need) }); a > c.want {
+			t.Errorf("warm PageAtVersion, %s: %.1f allocs/op, want <= %v (%s)", c.name, a, c.want, c.what)
+		}
 	}
 }
 

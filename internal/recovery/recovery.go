@@ -332,7 +332,8 @@ func (r *Replayer) Acquire(nd *hlrc.Node, op int32, lock int32) bool {
 		// The merged vector time equals the grant's knowledge horizon on
 		// every foreign component (all knowledge routes through the
 		// centralized manager); on the victim's own component the manager
-		// only knows what the victim last reported.
+		// only knows what the victim last reported. VT is a copy, which
+		// the node keeps.
 		gvt := nd.VT()
 		gvt[nd.ID()] = r.reportedSelf
 		nd.SetGrantVT(lock, gvt)
@@ -354,7 +355,7 @@ func (r *Replayer) Release(nd *hlrc.Node, op int32, lock int32) bool {
 		return false
 	}
 	r.closeInterval(nd)
-	r.reportedSelf = nd.VT()[nd.ID()]
+	r.reportedSelf = nd.VTAt(nd.ID())
 	if r.tailActive(op) {
 		// A release receives nothing from the managers; the disk records
 		// this op lost were asynchronous home updates, which the tail
@@ -385,7 +386,7 @@ func (r *Replayer) Barrier(nd *hlrc.Node, op int32, barrier int32) bool {
 		return false
 	}
 	r.closeInterval(nd)
-	r.reportedSelf = nd.VT()[nd.ID()]
+	r.reportedSelf = nd.VTAt(nd.ID())
 	if op >= r.crashOp {
 		// The victim never checked in to this barrier before the crash
 		// (so the manager issued no release for it): no sender-log entry
@@ -672,7 +673,7 @@ func (r *Replayer) reconstructHomeDiffs(nd *hlrc.Node, notices []hlrc.Notice) {
 			if !nd.OwnsHome(p) {
 				continue
 			}
-			if have := nd.HomeVersion(p)[n.Proc]; n.Seq > have {
+			if have := nd.HomeVersionAt(p, int(n.Proc)); n.Seq > have {
 				reqs = append(reqs, diffReq{n.Proc, &hlrc.RecDiffsReq{Page: p, FromSeq: have, ToSeq: n.Seq}})
 			}
 		}

@@ -139,6 +139,64 @@ func DecodeVC(buf []byte) (VC, []byte, error) {
 	return v, buf, nil
 }
 
+// COW holds a vector its owner changes in place and hands out without a
+// copy. Share returns the current value and marks it shared: whoever
+// received it may keep it, nobody writes it again, and the holder's next
+// change (Tick, Merge, SetAt) copies it first. A vector is thus copied
+// once per change that follows a send, not once per send. The zero COW
+// holds nil. A COW is not safe for concurrent use: its owner serializes
+// every call.
+type COW struct {
+	v      VC
+	shared bool
+}
+
+// Own returns a holder that takes ownership of v.
+func Own(v VC) COW { return COW{v: v} }
+
+// Get returns the current value for reading. The caller must not write
+// it, nor keep it past the holder's next change.
+func (c *COW) Get() VC { return c.v }
+
+// Share returns the current value for keeping. Nobody may write it.
+func (c *COW) Share() VC {
+	c.shared = true
+	return c.v
+}
+
+// Set replaces the held value with v, which the holder takes ownership
+// of.
+func (c *COW) Set(v VC) { c.v, c.shared = v, false }
+
+// own returns the value, first copying it if it was shared.
+func (c *COW) own() VC {
+	if c.shared {
+		c.v, c.shared = c.v.Clone(), false
+	}
+	return c.v
+}
+
+// Tick advances component p (VC.Tick).
+func (c *COW) Tick(p int) int32 { return c.own().Tick(p) }
+
+// SetAt sets component p to x.
+func (c *COW) SetAt(p int, x int32) {
+	if c.v[p] != x {
+		c.own()[p] = x
+	}
+}
+
+// Merge merges o into the value (VC.Merge). A merge that raises no
+// component changes nothing, so it copies nothing either.
+func (c *COW) Merge(o VC) {
+	for i, x := range c.v {
+		if i < len(o) && o[i] > x {
+			c.own().Merge(o)
+			return
+		}
+	}
+}
+
 // Interval identifies one interval of one process.
 type Interval struct {
 	Proc int32 // process id

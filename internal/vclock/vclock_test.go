@@ -3,6 +3,8 @@ package vclock
 import (
 	"testing"
 	"testing/quick"
+
+	"sdsm/internal/racedetect"
 )
 
 func TestNewIsZero(t *testing.T) {
@@ -140,5 +142,40 @@ func TestStrings(t *testing.T) {
 	iv := Interval{Proc: 2, Seq: 9}
 	if iv.String() != "p2:9" {
 		t.Fatal("Interval string")
+	}
+}
+
+// A shared value is never written again: every change after Share lands
+// in a copy, a change before the next Share writes in place, and a merge
+// that raises nothing copies nothing.
+func TestCOWCopiesOnlyOnChangeAfterShare(t *testing.T) {
+	c := Own(VC{1, 0, 2})
+	sent := c.Share()
+	c.Merge(VC{1, 0, 1}) // raises nothing
+	if &c.Get()[0] != &sent[0] {
+		t.Fatal("a merge that raised nothing copied the shared value")
+	}
+	c.Tick(1)
+	c.SetAt(2, 5)
+	c.Merge(VC{4, 0, 0})
+	if !sent.Equal(VC{1, 0, 2}) {
+		t.Fatalf("shared value changed to %v", sent)
+	}
+	if got := c.Get(); !got.Equal(VC{4, 1, 5}) {
+		t.Fatalf("holder = %v, want <4 1 5>", got)
+	}
+	own := c.Get()
+	c.Tick(0)
+	if own[0] != 5 {
+		t.Fatal("a change with nothing shared copied the value")
+	}
+	if racedetect.Enabled {
+		return // allocation counts are not meaningful under -race
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		c.Share()
+		c.Tick(0)
+	}); a != 1 {
+		t.Fatalf("share then tick: %v allocs, want 1 (the copy)", a)
 	}
 }
