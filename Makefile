@@ -9,7 +9,7 @@
 # goroutines without a copy (DESIGN.md §2.8), so the test that no sent
 # payload changes runs ten times more under the detector.
 
-.PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke
+.PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke loc
 
 all: tier1 tier2
 
@@ -151,3 +151,16 @@ wal-smoke:
 	go run ./cmd/sdsminspect -mode volume -app 3d-fft -nodes 4 -scale small
 	go run ./cmd/sdsminspect -mode audit -app kv -nodes 4 -transport sim -churn
 	@echo "wal-smoke: OK"
+
+# Go source lines per package of module sdsm, non-test and test files
+# apart, then the totals. benchmark/ is a module of its own and is not
+# counted, nor is anything under a dot directory (build caches).
+loc:
+	@find . -name '.?*' -prune -o -path ./benchmark -prune -o -name '*.go' -print \
+		| xargs wc -l | awk '$$2 != "total" { \
+			d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\./, "sdsm", d); \
+			if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { n[d] += $$1; nt += $$1 } \
+			seen[d] = 1 } \
+		END { printf "%-32s %9s %9s\n", "package", "non-test", "test"; \
+			for (d in seen) printf "%-32s %9d %9d\n", d, n[d], t[d] | "sort"; close("sort"); \
+			printf "%-32s %9d %9d\n", "total", nt, tt }'

@@ -126,7 +126,7 @@ func (c *cluster) assembleMigratedImage(rep *Report) error {
 		}
 	}
 	for p := 0; p < c.cfg.NumPages; p++ {
-		if _, ever := c.nw.EverCrashed(c.cfg.Homes[p]); !ever {
+		if _, ever := c.nw.Members().Crashed(c.cfg.Homes[p]); !ever {
 			continue
 		}
 		pg := memory.PageID(p)

@@ -499,9 +499,9 @@ func (c *cluster) recover(prog Program, plan ChurnPlan) (*RecoveryReport, error)
 	// is just the re-admission delay past that.
 	var start simtime.Time
 	if out.Online {
-		tc, ever := c.nw.EverCrashed(v)
+		tc, ever := c.nw.Members().Crashed(v)
 		if !ever {
-			return nil, fmt.Errorf("core: victim %d is down but not in the liveness registry", v)
+			return nil, fmt.Errorf("core: victim %d is down but has not crashed in the membership", v)
 		}
 		out.CrashTime = tc
 		out.DeclareTime = tc + simtime.Time(plan.LeaseDuration)
@@ -521,10 +521,10 @@ func (c *cluster) recover(prog Program, plan ChurnPlan) (*RecoveryReport, error)
 		// The stale incarnation's post-onset work never landed anywhere
 		// (cut inside the window, fenced after the heal), but it kept
 		// logging locally. Re-admit the node at a fresh epoch past the
-		// death epoch — nothing the new incarnation sends can be fenced,
+		// burial epoch — nothing the new incarnation sends can be fenced,
 		// while whatever the buried one still has in flight stays
 		// fenceable forever — and drop the unacknowledged log suffix.
-		out.RejoinEpoch = c.nw.Rejoin(v)
+		out.RejoinEpoch = c.nw.Members().Rejoin(v)
 		stats.EpochBumps.Add(1)
 		out.TruncatedRecords = store.TruncateFromOp(crashOp)
 	case c.cfg.Faults.TornWriteOnCrash:

@@ -103,7 +103,7 @@ func (nd *Node) writeFaultLocked(p memory.PageID) {
 		// left the node), and writes to this node's own migrated pages
 		// under online recovery (their pre-crash self-writes reached no
 		// other node, so the replay re-creates them in the successor's
-		// custody; see FlushReplayDiffs).
+		// custody; see CloseIntervalLocal).
 		replayTwin := inRecovery &&
 			((nd.TwinsFromOp >= 0 && nd.opIndex >= nd.TwinsFromOp) ||
 				(nd.IsHome(p) && !isHome))

@@ -2,19 +2,19 @@ package hlrc
 
 // Online recovery: lease-based liveness, permanent home migration, and
 // custody service (DESIGN.md §2.9). Only a leased fail-stop or a
-// partition onset (Config.LeaseDuration > 0) writes the transport's
-// liveness registry and death epochs, so without a lease every home
-// resolves to its static owner, awaitHome is one plain wait, nothing
-// answers RedirectHome or Fenced, and the wire format stays
-// byte-identical to the offline protocol.
+// partition onset (Config.LeaseDuration > 0) writes the cluster's
+// transport.Membership, so without a lease every home resolves to its
+// static owner, awaitHome is one plain wait, nothing answers
+// RedirectHome or Fenced, and the wire format stays byte-identical to
+// the offline protocol.
 //
 // The design avoids a custody-handback protocol entirely: once a node
 // has crashed, its statically-assigned home pages are served by its
-// successor for the rest of the run, keyed off the transport's
-// never-cleared ever-crashed registry. Home resolution is therefore a
-// pure function of the page id and the registry, identical at every node
-// and stable over time — there is no handback window during which two
-// nodes could both claim a page.
+// successor for the rest of the run (Membership.Serving), keyed off the
+// never-cleared crash record. Home resolution is therefore a pure
+// function of the page id and that record, identical at every node and
+// stable over time — there is no handback window during which two nodes
+// could both claim a page.
 //
 // The successor keeps no materialized custody copies. It serves a page
 // request by rebuilding a scratch copy from the zero page plus the
@@ -47,33 +47,10 @@ type adoptedPage struct {
 	ver     vclock.VC
 }
 
-// successorOf returns the node that adopts a crashed node's homes: the
-// next node id (mod N) that has never crashed. Every node computes the
-// same answer from the shared ever-crashed registry.
-func (nd *Node) successorOf(dead int) int {
-	for i := 1; i < nd.cfg.N; i++ {
-		cand := (dead + i) % nd.cfg.N
-		if _, ever := nd.ep.EverCrashed(cand); !ever {
-			return cand
-		}
-	}
-	panic(fmt.Sprintf("hlrc: node %d: every node has crashed, no successor for %d", nd.cfg.ID, dead))
-}
-
-// effectiveNode resolves a (possibly crashed) node id to the live node
-// currently serving its home pages: the id itself while it has never
-// crashed, else the walk to its successor.
-func (nd *Node) effectiveNode(h int) int {
-	if _, ever := nd.ep.EverCrashed(h); !ever {
-		return h
-	}
-	return nd.successorOf(h)
-}
-
 // EffectiveHome resolves the current home of a page under permanent
-// migration.
+// migration (see transport.Membership.Serving).
 func (nd *Node) EffectiveHome(p memory.PageID) int {
-	return nd.effectiveNode(nd.cfg.Homes[p])
+	return nd.members.Serving(nd.cfg.Homes[p])
 }
 
 // OwnsHome reports whether this node serves page p from its own page
@@ -85,7 +62,7 @@ func (nd *Node) OwnsHome(p memory.PageID) bool {
 	if nd.cfg.Homes[p] != nd.cfg.ID {
 		return false
 	}
-	_, ever := nd.ep.EverCrashed(nd.cfg.ID)
+	_, ever := nd.members.Crashed(nd.cfg.ID)
 	return !ever
 }
 
@@ -93,7 +70,7 @@ func (nd *Node) OwnsHome(p memory.PageID) bool {
 // expiry, the earliest instant any survivor may act on its death (a
 // no-op if the clock is already past it), and counts the stall.
 func (nd *Node) waitOutLease(dead int) {
-	at, ever := nd.ep.EverCrashed(dead)
+	at, ever := nd.members.Crashed(dead)
 	if !ever {
 		return
 	}
@@ -123,7 +100,7 @@ func (nd *Node) awaitHome(pd *transport.Pending, to int, kind transport.Kind, re
 			// the obituary.
 			nd.waitOutLease(to)
 			nd.stats.RedirectedCalls.Add(1)
-			to = nd.effectiveNode(to)
+			to = nd.members.Serving(to)
 		case m.Kind == KindFenced:
 			panic(ErrFenced)
 		case m.Kind == KindRedirectHome:
@@ -146,7 +123,7 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	ob := m.Payload.(*Obituary)
 	dead := int(ob.Node)
 	nd.trc.SvcInstant(obsv.EvObit, at, int64(dead), int64(ob.At))
-	if ob.Epoch > 0 && nd.ep.AdoptEpoch(ob.Epoch) {
+	if ob.Epoch > 0 && nd.members.Adopt(nd.cfg.ID, ob.Epoch) {
 		// Partition-flow obituary: carries the membership epoch the
 		// death declaration bumped the cluster to. Adopting it makes
 		// every message this node sends from here on fence-proof
@@ -155,7 +132,7 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	}
 
 	nd.mu.Lock()
-	if nd.adoptedFrom < 0 && nd.successorOf(dead) == nd.cfg.ID {
+	if nd.adoptedFrom < 0 && nd.members.Serving(dead) == nd.cfg.ID {
 		nd.adoptedFrom = dead
 		nd.stats.HomeAdoptions.Add(1)
 	}
@@ -277,7 +254,7 @@ func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 		if w == nd.cfg.ID {
 			continue
 		}
-		if _, ever := nd.ep.EverCrashed(w); ever {
+		if _, ever := nd.members.Crashed(w); ever {
 			continue
 		}
 		b := bound(w)

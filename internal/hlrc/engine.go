@@ -100,12 +100,13 @@ type undoEntry struct {
 // and access methods; a service goroutine started by StartService
 // handles incoming protocol messages.
 type Node struct {
-	cfg   Config
-	ep    *transport.Endpoint
-	clock *simtime.Clock
-	hooks LogHooks
-	stats *Stats
-	trc   *obsv.Tracer
+	cfg     Config
+	ep      *transport.Endpoint
+	members *transport.Membership
+	clock   *simtime.Clock
+	hooks   LogHooks
+	stats   *Stats
+	trc     *obsv.Tracer
 
 	mu sync.Mutex
 	pt *memory.PageTable
@@ -216,6 +217,7 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 	nd := &Node{
 		cfg:           cfg,
 		ep:            nw.NewEndpoint(cfg.ID, clock),
+		members:       nw.Members(),
 		clock:         clock,
 		hooks:         hooks,
 		stats:         stats,
@@ -391,7 +393,7 @@ func (nd *Node) handle(m transport.Message) {
 	at := nd.ep.ArrivalOf(m) + simtime.Time(nd.cfg.Model.MsgHandling)
 	if m.From != nd.cfg.ID && m.Kind != KindObit && m.Kind != KindFenced {
 		// Membership fence: a message stamped with an epoch older than
-		// the sender's own death epoch was sent by an incarnation the
+		// the sender's own burial epoch was sent by an incarnation the
 		// cluster has already declared dead — typically a partitioned
 		// node whose pre-heal state is arriving late. Acting on it
 		// (serving a home update, accepting a lock release) would be
@@ -399,11 +401,11 @@ func (nd *Node) handle(m transport.Message) {
 		// diagnostic so the sender's wait-site can escalate to rejoin.
 		// Obituaries are exempt (they carry the epoch bump itself) and
 		// so are fence NACKs. Without a lease no node is ever declared
-		// dead, so every death epoch is 0 and nothing is fenced.
-		if de := nd.ep.DeathEpoch(m.From); de > 0 && m.Epoch < de {
+		// dead, so nobody is buried and nothing is fenced.
+		if buried, stale := nd.members.Stale(m.From, m.Epoch); stale {
 			nd.stats.FencedMsgs.Add(1)
 			if m.WantsReply() {
-				f := &Fenced{Node: int32(m.From), MsgEpoch: m.Epoch, DeathEpoch: de, Epoch: nd.ep.EpochView()}
+				f := &Fenced{Node: int32(m.From), MsgEpoch: m.Epoch, Buried: buried, Epoch: nd.members.View(nd.cfg.ID)}
 				nd.ep.ReplyAt(at, m, KindFenced, f.WireSize(), f)
 			}
 			return
@@ -493,11 +495,11 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 // handleRecPageReq serves a recovering peer's page fetch at the version
 // its replay needs: from the home copy, rolled back if it has advanced
 // (PageAtVersion), or — for a migrated page, whose adopter this node is
-// (the requester resolves homes through the same ever-crashed registry)
+// (the requester resolves homes through the same membership)
 // — rebuilt from custody.
 func (nd *Node) handleRecPageReq(m transport.Message, at simtime.Time) {
 	req := m.Payload.(*RecPageReq)
-	resp := &RecPageReply{}
+	resp := &PageReply{}
 	if nd.OwnsHome(req.Page) {
 		resp.Data, resp.Ver = nd.PageAtVersion(req.Page, req.Need)
 	} else {

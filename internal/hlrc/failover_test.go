@@ -129,7 +129,7 @@ func TestHomeFailoverOutcomes(t *testing.T) {
 		case redirect:
 			r.answer(1, m, KindRedirectHome, &RedirectHome{Page: 0, Home: 2})
 		case fenced:
-			r.answer(1, m, KindFenced, &Fenced{Node: 0, MsgEpoch: 1, DeathEpoch: 2, Epoch: 2})
+			r.answer(1, m, KindFenced, &Fenced{Node: 0, MsgEpoch: 1, Buried: 2, Epoch: 2})
 		}
 		return 0
 	}

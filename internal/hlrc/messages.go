@@ -85,7 +85,7 @@ func WirePayloads() []any {
 		&BarrierCheckin{}, &BarrierRelease{},
 		&DiffUpdate{}, DiffAck{},
 		&PageReq{}, &PageReply{},
-		&RecPageReq{}, &RecPageReply{},
+		&RecPageReq{},
 		&RecDiffsReq{}, &RecDiffsReply{},
 		&RecSyncReq{}, &RecGrantReply{}, &RecBarrierReply{},
 		&Obituary{}, &RedirectHome{}, &Fenced{},
@@ -165,7 +165,8 @@ type PageReq struct {
 }
 
 // PageReply carries the home copy and its version vector (the latter is
-// ignored during failure-free operation and used by recovery).
+// ignored during failure-free operation and used by recovery). It answers
+// a PageReq (KindPageReply) and a RecPageReq (KindRecPageReply) alike.
 type PageReply struct {
 	Data []byte
 	Ver  vclock.VC
@@ -178,12 +179,6 @@ type PageReply struct {
 type RecPageReq struct {
 	Page memory.PageID
 	Need vclock.VC
-}
-
-// RecPageReply answers a RecPageReq.
-type RecPageReply struct {
-	Data []byte
-	Ver  vclock.VC
 }
 
 // RecDiffsReq asks a live writer for the diffs it logged for one page,
@@ -253,12 +248,12 @@ type RedirectHome struct {
 // was declared dead (rightly or wrongly) and must not act as home, lock
 // holder or barrier participant with pre-declaration state. The fenced
 // node aborts its current incarnation and re-admits itself through the
-// rejoin path (see internal/core), which bumps it past DeathEpoch.
+// rejoin path (see internal/core), which bumps it past Buried.
 type Fenced struct {
-	Node       int32 // the fenced (stale) node
-	MsgEpoch   int64 // the stale epoch the offending message carried
-	DeathEpoch int64 // the epoch of the sender's death declaration
-	Epoch      int64 // the responder's current epoch view
+	Node     int32 // the fenced (stale) node
+	MsgEpoch int64 // the stale epoch the offending message carried
+	Buried   int64 // the epoch of the sender's burial (death declaration)
+	Epoch    int64 // the responder's current epoch view
 }
 
 // AdoptedDiff is one diff received directly by an adopter for a page in

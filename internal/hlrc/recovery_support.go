@@ -80,70 +80,55 @@ func (nd *Node) ResetUndo() {
 	nd.mu.Unlock()
 }
 
-// CloseIntervalLocal performs the local half of an interval close during
-// recovery replay: the dirty set becomes this node's next write notice,
-// home-page version vectors advance, the page table ends the interval —
-// but no diffs are computed, sent or flushed (the homes received them
-// before the failure, and the log already holds them). Returns the
+// CloseIntervalLocal closes an interval during recovery replay: the
+// dirty set becomes this node's next write notice, home-page version
+// vectors advance, the page table ends the interval. Diffs of pages homed
+// elsewhere are neither computed nor sent (the homes received them
+// before the failure, and the log already holds them). The dirty
+// migrated pages (statically homed here, but in a successor's custody
+// since the crash) are the exception: their self-writes never reached
+// another node, so they are diffed before the close drops their twins and
+// flushed to their effective home under the interval's (writer, seq,
+// vtSum) key, the one the live run would have used. The ack is awaited
+// with a detached fixed-round-trip charge so a successor clock far ahead
+// of the replay cannot catapult the replay clock forward. Returns the
 // closed interval's sequence number, or 0 when the interval was empty.
 func (nd *Node) CloseIntervalLocal() int32 {
 	nd.mu.Lock()
-	defer nd.mu.Unlock()
 	dirty := nd.pt.DirtyPages()
 	if len(dirty) == 0 {
+		nd.mu.Unlock()
 		return 0
 	}
 	seq := nd.vt.Tick(nd.cfg.ID)
+	vtSum := nd.vt.Get().Sum()
 	pages := make([]memory.PageID, 0, len(dirty))
+	var diffs []memory.Diff
+	compareBytes := 0
 	for _, p := range dirty {
 		pages = append(pages, p)
-		if nd.OwnsHome(p) {
+		switch {
+		case nd.OwnsHome(p):
 			nd.ver[p].SetAt(nd.cfg.ID, seq)
+		case nd.IsHome(p) && nd.pt.HasTwin(p):
+			compareBytes += nd.cfg.PageSize
+			if d := nd.pt.MakeDiff(p); !d.Empty() {
+				diffs = append(diffs, d)
+			}
 		}
 	}
 	nd.notices.Add(Notice{Proc: int32(nd.cfg.ID), Seq: seq, Pages: pages})
 	nd.pt.EndInterval()
 	nd.stats.Intervals.Add(1)
-	return seq
-}
-
-// FlushReplayDiffs recomputes and flushes the diffs of this node's dirty
-// migrated pages (statically homed here, but in a successor's custody
-// since the crash) to their effective home. The online replay calls it
-// before each CloseIntervalLocal — the close drops the twins — so the
-// victim's self-writes, which never reached another node before the
-// crash, are re-created in the successor's custody record under the same
-// (writer, seq, vtSum) key the live run would have used. The ack is
-// awaited with a detached fixed-round-trip charge so a successor clock
-// far ahead of the replay cannot catapult the replay clock forward.
-func (nd *Node) FlushReplayDiffs() {
-	nd.mu.Lock()
-	var diffs []memory.Diff
-	compareBytes := 0
-	for _, p := range nd.pt.DirtyPages() {
-		if !nd.IsHome(p) || nd.OwnsHome(p) || !nd.pt.HasTwin(p) {
-			continue
-		}
-		compareBytes += nd.cfg.PageSize
-		d := nd.pt.MakeDiff(p)
-		if d.Empty() {
-			continue
-		}
-		diffs = append(diffs, d)
-	}
-	// The keys CloseIntervalLocal will assign to this interval.
-	vt := nd.vt.Get()
-	seq := vt[nd.cfg.ID] + 1
-	vtSum := vt.Sum() + 1
 	nd.mu.Unlock()
 	if len(diffs) == 0 {
-		return
+		return seq
 	}
 	t0, t1 := nd.clock.AdvanceSpan(nd.cfg.Model.CopyTime(compareBytes))
 	nd.trc.Seg(obsv.EvDiffMake, obsv.CatRecovery, t0, t1, int64(compareBytes), int64(len(diffs)))
 	nd.stats.DiffsCreated.Add(int64(len(diffs)))
 	du := &DiffUpdate{Writer: int32(nd.cfg.ID), Seq: seq, VTSum: vtSum, Diffs: diffs}
-	to := nd.effectiveNode(nd.cfg.ID)
+	to := nd.members.Serving(nd.cfg.ID)
 	for {
 		sz := du.WireSize()
 		nd.stats.DiffBytesSent.Add(int64(sz))
@@ -151,12 +136,11 @@ func (nd *Node) FlushReplayDiffs() {
 		if resp.Kind == KindFenced {
 			panic(ErrFenced)
 		}
-		if resp.Kind == KindRedirectHome {
-			nd.stats.RedirectedCalls.Add(1)
-			to = int(resp.Payload.(*RedirectHome).Home)
-			continue
+		if resp.Kind != KindRedirectHome {
+			return seq
 		}
-		break
+		nd.stats.RedirectedCalls.Add(1)
+		to = int(resp.Payload.(*RedirectHome).Home)
 	}
 }
 

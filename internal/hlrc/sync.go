@@ -208,7 +208,7 @@ func (nd *Node) failStop(op int32) {
 	nd.crashedAt = op
 	nd.mu.Unlock()
 	if nd.cfg.LeaseDuration > 0 {
-		// Record the death in the liveness registry and announce it. The
+		// Record the death in the membership and announce it. The
 		// obituary is a simulator shortcut for every peer running an
 		// independent lease-expiry detector: all of its effects are
 		// stamped at D = crash time + LeaseDuration, so the timing matches
@@ -244,7 +244,7 @@ func (nd *Node) partitionOnset(op int32) {
 	nd.mu.Unlock()
 	nd.CrashOp = -1 // fire once; later ops run normally until fenced
 	nd.ep.MarkCrashed(tc)
-	e := nd.ep.DeclareDead(nd.cfg.ID)
+	e := nd.members.Bury(nd.cfg.ID)
 	ob := &Obituary{Node: int32(nd.cfg.ID), At: tc, Epoch: e}
 	for i := 0; i < nd.cfg.N; i++ {
 		if i != nd.cfg.ID {
@@ -493,7 +493,7 @@ func (nd *Node) closeAndPropagate(op int32) {
 			// if this batch lands in a migrated home's custody.
 			du.VTSum = vtSum
 		}
-		to := nd.effectiveNode(h)
+		to := nd.members.Serving(h)
 		sz := du.WireSize()
 		sentBytes += int64(sz)
 		flights = append(flights, flight{to: to, du: du, pd: nd.ep.CallAsync(to, KindDiffUpdate, sz, du)})

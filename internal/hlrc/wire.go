@@ -47,7 +47,6 @@ const (
 	tagPageReq
 	tagPageReply
 	tagRecPageReq
-	tagRecPageReply
 	tagRecDiffsReq
 	tagRecDiffsReply
 	tagRecSyncReq
@@ -178,9 +177,6 @@ func (w *wire) walk(p any) {
 	case *RecPageReq:
 		w.page8(&m.Page)
 		w.vc("Need", &m.Need)
-	case *RecPageReply:
-		w.vc("Ver", &m.Ver)
-		w.rest(&m.Data)
 	case *RecDiffsReq:
 		u32(w, "Page", &m.Page)
 		u32(w, "FromSeq", &m.FromSeq)
@@ -236,7 +232,7 @@ func (w *wire) walk(p any) {
 	case *Fenced:
 		u32(w, "Node", &m.Node)
 		i64(w, "MsgEpoch", &m.MsgEpoch)
-		i64(w, "DeathEpoch", &m.DeathEpoch)
+		i64(w, "Buried", &m.Buried)
 		i64(w, "Epoch", &m.Epoch)
 	default:
 		panic("hlrc: no wire layout for " + reflect.TypeOf(p).String())
@@ -536,11 +532,6 @@ func (*RecPageReq) WireTag() uint8                   { return tagRecPageReq }
 func (m *RecPageReq) WireSize() int                  { return wireSize(m) }
 func (m *RecPageReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
 func (*RecPageReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecPageReq{}) }
-
-func (*RecPageReply) WireTag() uint8                   { return tagRecPageReply }
-func (m *RecPageReply) WireSize() int                  { return wireSize(m) }
-func (m *RecPageReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RecPageReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecPageReply{}) }
 
 func (*RecDiffsReq) WireTag() uint8                   { return tagRecDiffsReq }
 func (m RecDiffsReq) WireSize() int                   { return wireSize(&m) }

@@ -277,12 +277,10 @@ func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, r
 	return r
 }
 
-// closeInterval closes the replayed interval. The victim's dirty migrated
-// pages (there are none unless the cluster ran on without it) are
-// re-flushed to their adopter first, because the close drops the twins the
-// diffs are computed from.
+// closeInterval closes the replayed interval. The close also re-flushes
+// the victim's dirty migrated pages (there are none unless the cluster ran
+// on without it) to their adopter.
 func (r *Replayer) closeInterval(nd *hlrc.Node) {
-	nd.FlushReplayDiffs()
 	nd.CloseIntervalLocal()
 	if r.reexec {
 		// The open interval restarts here: only writes from the next op on
@@ -646,7 +644,7 @@ func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID) {
 	}
 	for i, pd := range pendings {
 		m := pd.WaitDetached(nd.Clock())
-		resp := m.Payload.(*hlrc.RecPageReply)
+		resp := m.Payload.(*hlrc.PageReply)
 		nd.InstallPage(pages[i], resp.Data)
 	}
 	end := nd.Clock().Now()

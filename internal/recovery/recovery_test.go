@@ -191,14 +191,14 @@ func TestServiceVersionedFetch(t *testing.T) {
 	// rolled back.
 	req := &hlrc.RecPageReq{Page: 0, Need: []int32{0, 1}}
 	resp := requester.Call(0, hlrc.KindRecPageReq, req.WireSize(), req)
-	pr := resp.Payload.(*hlrc.RecPageReply)
+	pr := resp.Payload.(*hlrc.PageReply)
 	if pr.Data[0] != 11 || pr.Data[4] != 0 {
 		t.Fatalf("versioned fetch: data[0]=%d data[4]=%d, want 11, 0", pr.Data[0], pr.Data[4])
 	}
 	// Current version request returns everything.
 	req = &hlrc.RecPageReq{Page: 0, Need: []int32{0, 2}}
 	resp = requester.Call(0, hlrc.KindRecPageReq, req.WireSize(), req)
-	pr = resp.Payload.(*hlrc.RecPageReply)
+	pr = resp.Payload.(*hlrc.PageReply)
 	if pr.Data[0] != 11 || pr.Data[4] != 22 {
 		t.Fatalf("current fetch: %d, %d", pr.Data[0], pr.Data[4])
 	}

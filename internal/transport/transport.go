@@ -74,9 +74,9 @@ type Message struct {
 
 	// Epoch is the sender's membership-epoch view when the message left.
 	// Handlers fence a message whose epoch predates the sender's own
-	// death declaration (see Network.DeathEpoch): a node buried while
-	// merely partitioned keeps stamping its pre-burial epoch, so its
-	// post-heal traffic is recognizably stale no matter how it is routed.
+	// burial (see Membership.Stale): a node buried while merely
+	// partitioned keeps stamping its pre-burial epoch, so its post-heal
+	// traffic is recognizably stale no matter how it is routed.
 	Epoch int64
 
 	extraDelay simtime.Duration // fault-injected extra wire latency
@@ -123,31 +123,10 @@ type Network struct {
 	fencing   []atomic.Bool
 	fenceWake []chan struct{}
 
-	// Liveness registry (online recovery): failedAt[i] holds the virtual
-	// time + 1 of node i's first fail-stop and is never cleared. It is the
-	// simulation's ground truth of node death — the protocol layer is only
-	// allowed to act on it after the victim's lease has expired — and "has
-	// node i ever crashed" is the key of the permanent home-migration rule
-	// (a crashed node's static homes move to its successor for the rest of
-	// the run; see internal/hlrc).
-	failedAt []atomic.Int64
-	// down[i] is closed when failedAt[i] is set: a WaitRedirect parked on
-	// a call to node i wakes on it.
-	down []chan struct{}
-
-	// Membership epochs (partition-safe fencing): epoch is the cluster
-	// membership epoch, bumped by every death declaration and every
-	// rejoin. The network doubles as the membership manager that stamps
-	// it — the simulator shortcut for an external membership service.
-	// deathEpoch[i] is the post-bump epoch of node i's most recent death
-	// declaration (0 = never declared dead); it survives rejoin so that
-	// the buried incarnation's in-flight traffic stays fenceable.
-	// view[i] is node i's last-adopted epoch, stamped on its outgoing
-	// messages; a buried node's view is deliberately NOT advanced by its
-	// own declaration, so everything it sends afterwards is stale.
-	epoch      atomic.Int64
-	deathEpoch []atomic.Int64
-	view       []atomic.Int64
+	// members is the cluster membership (see membership.go). The wire
+	// reads it for the epoch stamped on every copy, WaitRedirect's crash
+	// wake-up and the arrival fence's crashed-peer skip.
+	members *Membership
 
 	// partitions is the live schedule of partition windows, all installed
 	// at runtime (a churn scenario computes its window from the victim's
@@ -235,30 +214,22 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 	}
 	nw := &Network{
 		n: n, model: model,
-		inboxes:    make([]inbox, n),
-		linkSeq:    make([]atomic.Int64, n*n),
-		linkMu:     make([]sync.Mutex, n*n),
-		reqSeq:     make([]atomic.Int64, n*n),
-		clocks:     make([]atomic.Pointer[simtime.Clock], n),
-		delivered:  make([]atomic.Int64, n),
-		handled:    make([]atomic.Int64, n),
-		syncWait:   make([]atomic.Pointer[SyncPark], n),
-		fencing:    make([]atomic.Bool, n),
-		fenceWake:  make([]chan struct{}, n),
-		failedAt:   make([]atomic.Int64, n),
-		down:       make([]chan struct{}, n),
-		deathEpoch: make([]atomic.Int64, n),
-		view:       make([]atomic.Int64, n),
-		replies:    make([]replyTable, n),
-	}
-	nw.epoch.Store(1)
-	for i := range nw.view {
-		nw.view[i].Store(1)
+		inboxes:   make([]inbox, n),
+		linkSeq:   make([]atomic.Int64, n*n),
+		linkMu:    make([]sync.Mutex, n*n),
+		reqSeq:    make([]atomic.Int64, n*n),
+		clocks:    make([]atomic.Pointer[simtime.Clock], n),
+		delivered: make([]atomic.Int64, n),
+		handled:   make([]atomic.Int64, n),
+		syncWait:  make([]atomic.Pointer[SyncPark], n),
+		fencing:   make([]atomic.Bool, n),
+		fenceWake: make([]chan struct{}, n),
+		members:   newMembership(n),
+		replies:   make([]replyTable, n),
 	}
 	for i := range nw.inboxes {
 		nw.inboxes[i].win = make(chan Message, inboxWindow)
 		nw.fenceWake[i] = make(chan struct{}, 1)
-		nw.down[i] = make(chan struct{})
 	}
 	nw.fabric = procFabric{nw}
 	return nw
@@ -344,54 +315,17 @@ func (nw *Network) KindCounts() []obsv.KindCount {
 	return out
 }
 
+// Members returns the cluster membership.
+func (nw *Network) Members() *Membership { return nw.members }
+
 // MarkCrashed records that a node fail-stopped at the given virtual
 // time. Requests already in flight to it can then resolve via
 // Pending.WaitRedirect instead of blocking until the node's recovered
-// incarnation drains its inbox.
+// incarnation drains its inbox, and parked arrival fences re-read.
 func (nw *Network) MarkCrashed(id int, at simtime.Time) {
-	if nw.failedAt[id].CompareAndSwap(0, int64(at)+1) {
-		close(nw.down[id])
-	}
+	nw.members.crash(id, at)
 	nw.wakeFencers()
 }
-
-// EverCrashed reports whether a node has ever fail-stopped (even if its
-// recovered incarnation has since rejoined) and, if so, the virtual time
-// of its first fail-stop. Once set it never reverts: home migration is
-// permanent, so routing decisions keyed off it are stable.
-func (nw *Network) EverCrashed(id int) (simtime.Time, bool) {
-	v := nw.failedAt[id].Load()
-	if v == 0 {
-		return 0, false
-	}
-	return simtime.Time(v - 1), true
-}
-
-// DeclareDead bumps the membership epoch and records the new epoch as
-// node id's death epoch. Every message the declared-dead incarnation
-// sends afterwards carries a view below the returned epoch and is
-// fenceable by handlers. The victim's own view is left untouched on
-// purpose: a partitioned-but-alive node must keep stamping its stale
-// view so survivors can recognize its post-heal traffic.
-func (nw *Network) DeclareDead(id int) int64 {
-	e := nw.epoch.Add(1)
-	nw.deathEpoch[id].Store(e)
-	return e
-}
-
-// Rejoin bumps the membership epoch and admits node id at the new one:
-// its view jumps past its death epoch, so everything its recovered
-// incarnation sends is fresh, while deathEpoch keeps fencing whatever
-// the buried incarnation still has in flight. Returns the new epoch.
-func (nw *Network) Rejoin(id int) int64 {
-	e := nw.epoch.Add(1)
-	nw.view[id].Store(e)
-	return e
-}
-
-// DeathEpoch returns the epoch at which node id was most recently
-// declared dead, or 0 if it never was. It is not cleared by rejoin.
-func (nw *Network) DeathEpoch(id int) int64 { return nw.deathEpoch[id].Load() }
 
 // nextSeq issues the next wire sequence number for the link from→to.
 // Link counters survive node crashes, so sequence numbers stay monotone
@@ -638,7 +572,7 @@ func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer 
 			continue
 		}
 		for tries := 0; ; tries++ {
-			if _, down := nw.EverCrashed(i); down {
+			if _, down := nw.members.Crashed(i); down {
 				break
 			}
 			if p := nw.syncWait[i].Load(); p != nil {
@@ -754,7 +688,7 @@ func (e *Endpoint) stamp(to int, kind Kind, at simtime.Time, size int, payload a
 		From: e.id, To: to, Kind: kind,
 		SentAt: at, Size: size, Payload: payload,
 		Trace: trace,
-		Epoch: e.nw.view[e.id].Load(),
+		Epoch: e.nw.members.View(e.id),
 	}
 }
 
@@ -934,7 +868,7 @@ func (p *Pending) await(clock *simtime.Clock, down <-chan struct{}) (Message, bo
 	p.checkLive()
 	for {
 		if down != nil {
-			if _, crashed := p.ep.nw.EverCrashed(p.to); crashed {
+			if _, crashed := p.ep.nw.members.Crashed(p.to); crashed {
 				p.cancel()
 				return Message{}, false
 			}
@@ -1005,46 +939,15 @@ func (p *Pending) WaitDetached(clock *simtime.Clock) Message {
 // incarnation is back: its homes stay with their adopter for the rest of
 // the run.
 func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
-	if m, ok = p.await(clock, p.ep.nw.down[p.to]); ok {
+	if m, ok = p.await(clock, p.ep.nw.members.down[p.to]); ok {
 		p.receive(clock, m)
 		p.release()
 	}
 	return m, ok
 }
 
-// MarkCrashed records this node's own fail-stop in the liveness registry.
+// MarkCrashed records this node's own fail-stop (see Network.MarkCrashed).
 func (e *Endpoint) MarkCrashed(at simtime.Time) { e.nw.MarkCrashed(e.id, at) }
-
-// EverCrashed reports whether a peer (or this node itself) has ever
-// fail-stopped, and if so when it first did.
-func (e *Endpoint) EverCrashed(id int) (simtime.Time, bool) { return e.nw.EverCrashed(id) }
-
-// EpochView returns this node's current membership-epoch view.
-func (e *Endpoint) EpochView() int64 { return e.nw.view[e.id].Load() }
-
-// AdoptEpoch raises this node's epoch view to at least ep (monotone).
-// Handlers call it when a membership message (obituary, rejoin notice)
-// carries a newer epoch; returns true if this call advanced the view.
-func (e *Endpoint) AdoptEpoch(ep int64) bool {
-	view := &e.nw.view[e.id]
-	for {
-		v := view.Load()
-		if v >= ep {
-			return false
-		}
-		if view.CompareAndSwap(v, ep) {
-			return true
-		}
-	}
-}
-
-// DeathEpoch returns the epoch at which a peer (or this node itself)
-// was most recently declared dead, or 0 if it never was.
-func (e *Endpoint) DeathEpoch(id int) int64 { return e.nw.DeathEpoch(id) }
-
-// DeclareDead declares a node dead through the membership manager and
-// returns the bumped epoch (see Network.DeclareDead).
-func (e *Endpoint) DeclareDead(id int) int64 { return e.nw.DeclareDead(id) }
 
 // InstallPartition installs a partition window on the shared network
 // (see Network.InstallPartition). The protocol layer's partition-onset
