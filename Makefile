@@ -105,8 +105,10 @@ churn-smoke:
 	go run ./cmd/sdsmbench -nodes 4 -churn
 	@echo "churn-smoke: OK"
 
-# Partition-heal + rejoin soak under the race detector: the core
-# partition tests (wrong death declaration, post-heal fencing, epoch
+# Partition-heal + rejoin soak under the race detector: the membership's
+# event orders and the partition cut on the wire (the onset writes the
+# heal time on the victim's goroutine, and every sender reads it), the
+# core partition tests (wrong death declaration, post-heal fencing, epoch
 # bump, log truncation, rejoin replay, failure-free image equality on
 # both wire backends, and the partition x crash-point cross,
 # TestChurnCrossPartition) repeated, the home-failover outcomes (a
@@ -114,6 +116,7 @@ churn-smoke:
 # time) soaked, then the churn sweep, its partition cells and their
 # log, image and custody checks included.
 rejoin-smoke:
+	go test -race -count=5 ./internal/transport -run 'TestMembershipEventOrders|TestPartitionCutsSends'
 	go test -race ./internal/core/ -run 'Partition' -count=5
 	go test -race ./internal/hlrc/ -run 'TestHomeFailoverOutcomes' -count=20
 	go run -race ./cmd/sdsmbench -nodes 4 -churn

@@ -11,7 +11,6 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
 	"sdsm/internal/core"
@@ -67,11 +66,6 @@ func leU64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// PagesFor returns the number of pages covering n bytes.
-func PagesFor(bytes, pageSize int) int {
-	return (bytes + pageSize - 1) / pageSize
-}
-
 // AlignUp rounds n up to a multiple of align.
 func AlignUp(n, align int) int {
 	return (n + align - 1) / align * align
@@ -97,15 +91,4 @@ func BlockHomesForRegions(pages, pageSize, nodes int, regions func(node int) [][
 		}
 	}
 	return homes
-}
-
-// CheckFinite validates that every float64 in a region is finite.
-func CheckFinite(img []byte, base, count int) error {
-	for i := 0; i < count; i++ {
-		v := F64at(img, base+8*i)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("non-finite value %v at element %d", v, i)
-		}
-	}
-	return nil
 }

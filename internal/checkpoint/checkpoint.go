@@ -154,10 +154,3 @@ func restoreFrom(nd *hlrc.Node, cp stable.Checkpoint) (int32, bool) {
 	nd.ResetUndo()
 	return meta.Op, true
 }
-
-// TakeInitial records the op-0 checkpoint of a freshly built node (the
-// all-zero image). The paper's experiments start from here; its cost is
-// outside the timed region.
-func TakeInitial(nd *hlrc.Node, store *stable.Store) int {
-	return Take(nd, store)
-}

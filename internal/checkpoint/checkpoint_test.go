@@ -58,7 +58,7 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 	store := stable.NewStore()
 
 	// Initial checkpoint of the zero image.
-	n0 := TakeInitial(nd, store)
+	n0 := Take(nd, store)
 	if n0 < 4*64 {
 		t.Fatalf("first checkpoint accounted %d bytes, want full image", n0)
 	}
@@ -241,7 +241,7 @@ func TestTakeInitialOnFreshNodeCopiesNoPages(t *testing.T) {
 		nd, store := fresh(), stable.NewStore()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		accounted := TakeInitial(nd, store)
+		accounted := Take(nd, store)
 		runtime.ReadMemStats(&m1)
 		if accounted < pages*pageSize {
 			t.Fatalf("accounted %d bytes, want the full %d-byte image", accounted, pages*pageSize)
@@ -250,6 +250,6 @@ func TestTakeInitialOnFreshNodeCopiesNoPages(t *testing.T) {
 	}
 	frameTable := uint64(pages * 24) // one slice header per page
 	if least >= frameTable+pageSize {
-		t.Fatalf("TakeInitial allocated %d bytes; the frame table is %d and the budget beyond it one page", least, frameTable)
+		t.Fatalf("the op-0 Take allocated %d bytes; the frame table is %d and the budget beyond it one page", least, frameTable)
 	}
 }

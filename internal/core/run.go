@@ -69,7 +69,7 @@ func buildCluster(cfg Config, lease simtime.Duration) (*cluster, error) {
 	}
 	if !cfg.SkipInitialCheckpoint {
 		for i := 0; i < cfg.Nodes; i++ {
-			checkpoint.TakeInitial(c.nodes[i], c.depot.Store(i))
+			checkpoint.Take(c.nodes[i], c.depot.Store(i))
 		}
 	}
 	return c, nil

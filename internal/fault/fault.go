@@ -10,11 +10,10 @@
 // produces the same fault schedule regardless of goroutine interleaving —
 // the whole simulation stays replayable.
 //
-// Partition windows are not part of the plan. The protocol layer installs
-// each one at runtime (transport.Network.InstallPartition) once it knows
-// the onset clock, and whether a window cuts a link is a pure function of
-// virtual time (PartitionWindow.Cuts), so partitions replay identically
-// too.
+// Partitions are not part of the plan: a partitioned node's burial in the
+// cluster membership carries its heal time, and whether a link is cut is
+// a pure function of virtual time (transport.Membership.Cut), so
+// partitions replay identically too.
 package fault
 
 import (
@@ -58,42 +57,6 @@ type Plan struct {
 	// when a crash is injected, forcing recovery to validate the log and
 	// re-fetch the lost suffix from live nodes.
 	TornWriteOnCrash bool
-}
-
-// PartitionWindow isolates link-groups of the cluster for one
-// virtual-time window [Start, Start+Duration). Nodes listed in different
-// groups cannot exchange messages during the window; nodes not listed in
-// any group form one implicit group of their own (they stay connected to
-// each other but are cut from every explicit group).
-type PartitionWindow struct {
-	Start    simtime.Time
-	Duration simtime.Duration
-	Groups   [][]int
-}
-
-// End returns the first instant after the window has healed.
-func (w PartitionWindow) End() simtime.Time { return w.Start + simtime.Time(w.Duration) }
-
-// groupOf returns the index of the explicit group containing the node,
-// or -1 when the node is unlisted (the implicit group).
-func (w PartitionWindow) groupOf(node int) int {
-	for gi, g := range w.Groups {
-		for _, n := range g {
-			if n == node {
-				return gi
-			}
-		}
-	}
-	return -1
-}
-
-// Cuts reports whether the window severs the link between the two nodes
-// at the given instant.
-func (w PartitionWindow) Cuts(from, to int, at simtime.Time) bool {
-	if at < w.Start || at >= w.End() {
-		return false
-	}
-	return w.groupOf(from) != w.groupOf(to)
 }
 
 // CrashPoint selects where, relative to a synchronization operation, an

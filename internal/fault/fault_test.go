@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"testing"
-
-	"sdsm/internal/simtime"
-)
+import "testing"
 
 func TestZeroPlanInjectsNothing(t *testing.T) {
 	var p Plan
@@ -81,33 +77,6 @@ func TestRTOBacksOffAndCaps(t *testing.T) {
 	}
 	if RTO(50) != 64*DefaultRetryTimeout {
 		t.Fatalf("RTO(50) = %v, want capped at 64 × DefaultRetryTimeout", RTO(50))
-	}
-}
-
-func TestPartitionCutSemantics(t *testing.T) {
-	w := PartitionWindow{Start: 100, Duration: 50, Groups: [][]int{{1}, {2}}}
-	// Cross-group links are cut inside [Start, End), healed at End.
-	for _, at := range []int64{100, 125, 149} {
-		if !w.Cuts(1, 2, simtime.Time(at)) || !w.Cuts(2, 1, simtime.Time(at)) {
-			t.Fatalf("link 1-2 not cut at %d", at)
-		}
-	}
-	for _, at := range []int64{99, 150, 200} {
-		if w.Cuts(1, 2, simtime.Time(at)) {
-			t.Fatalf("link 1-2 cut outside the window at %d", at)
-		}
-	}
-	// Unlisted nodes form the implicit far side: connected to each other,
-	// cut from every explicit group.
-	if w.Cuts(0, 3, 125) {
-		t.Fatal("implicit-group link 0-3 cut")
-	}
-	if !w.Cuts(0, 1, 125) || !w.Cuts(3, 2, 125) {
-		t.Fatal("implicit group not cut from explicit groups")
-	}
-	// Self-links are never cut.
-	if w.Cuts(1, 1, 125) || w.Cuts(0, 0, 125) {
-		t.Fatal("self-link cut")
 	}
 }
 

@@ -210,13 +210,18 @@ func (nd *Node) handleForeignDiffUpdate(m transport.Message, du *DiffUpdate, at 
 // requester must see; nil bounds nothing and yields the zero page). It
 // runs on the service goroutine; at anchors the sub-requests, and the
 // returned done time includes the parallel log-read round trips plus the
-// charged disk time. The writer sets of the three sources are disjoint:
-// this node's own log is read locally (a network call to self would
-// deadlock the service loop), never-crashed peers' logs over the wire,
-// and ever-crashed writers' diffs come from the custody record — their
+// charged disk time. Entries come from three sources: this node's own log
+// is read locally (a network call to self would deadlock the service
+// loop), never-crashed peers' logs over the wire, and the custody record.
+// Ever-crashed writers' diffs come from the custody record alone — their
 // causally-required entries are always present, because a DiffUpdate is
 // acknowledged (and recorded) before its writer's interval can become
-// visible to any requester.
+// visible to any requester. The record also holds every diff it received
+// from never-crashed writers, this node included, and every entry need
+// bounds is taken, so those diffs arrive twice: once from custody and
+// once from the writer's log. The two copies have equal keys and equal
+// bytes (the churn sweep's custody check compares them), so they sort
+// next to each other and the second apply rewrites the same bytes.
 func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, vclock.VC, simtime.Time) {
 	scratch := simtime.NewClock(at)
 	bound := func(w int) int32 {
@@ -234,10 +239,11 @@ func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 			entries = append(entries, AdoptedDiff{int32(nd.cfg.ID), rd.Seqs[i], rd.VTSums[i], rd.Diffs[i]})
 		}
 	}
-	// Custody record (ever-crashed writers, including the requester's own
-	// pre-rejoin replay flushes). No virtual cost: the record is volatile
-	// local state, and charging per entry would make the reply time depend
-	// on how much of the victim's replay has raced in.
+	// Custody record (any writer; an ever-crashed requester's entries
+	// include its own pre-rejoin replay flushes). No virtual cost: the
+	// record is volatile local state, and charging per entry would make
+	// the reply time depend on how much of the victim's replay has raced
+	// in.
 	nd.mu.Lock()
 	if ap := nd.adopted[p]; ap != nil {
 		for _, ad := range ap.applied {
@@ -324,14 +330,16 @@ func RebuildAdoptedImage(pageSize int, diffs []AdoptedDiff) ([]byte, vclock.VC, 
 	return data, ver, nil
 }
 
-// applyCustody applies entries onto the zero page in the canonical
-// custody order — ascending (VTSum, Writer, Seq), a fixed linear
-// extension of causal order, so every rebuild of the same entry set
-// yields the same bytes — and raises ver[w] to writer w's newest applied
-// interval. Entries are sorted in place; every diff is validated first.
-func applyCustody(pageSize int, entries []AdoptedDiff, ver vclock.VC) ([]byte, error) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
+// SortCanonical sorts writer-interval diffs in place into the canonical
+// apply order: ascending (VTSum, Writer, Seq). The vector-time sum makes
+// it a fixed linear extension of the intervals' causal order, which keeps
+// each writer's intervals in seq order; intervals the sum cannot order
+// are causally concurrent, and under a data-race-free program concurrent
+// diffs touch disjoint bytes, so the writer/seq tiebreak only keeps every
+// apply of the same set deterministic.
+func SortCanonical(diffs []AdoptedDiff) {
+	sort.Slice(diffs, func(i, j int) bool {
+		a, b := diffs[i], diffs[j]
 		if a.VTSum != b.VTSum {
 			return a.VTSum < b.VTSum
 		}
@@ -340,6 +348,14 @@ func applyCustody(pageSize int, entries []AdoptedDiff, ver vclock.VC) ([]byte, e
 		}
 		return a.Seq < b.Seq
 	})
+}
+
+// applyCustody applies entries onto the zero page in the canonical order
+// (SortCanonical), so every rebuild of the same entry set yields the same
+// bytes, and raises ver[w] to writer w's newest applied interval. Entries
+// are sorted in place; every diff is validated first.
+func applyCustody(pageSize int, entries []AdoptedDiff, ver vclock.VC) ([]byte, error) {
+	SortCanonical(entries)
 	data := make([]byte, pageSize)
 	for _, e := range entries {
 		if err := e.Diff.Validate(pageSize); err != nil {

@@ -256,9 +256,11 @@ type Fenced struct {
 	Epoch    int64 // the responder's current epoch view
 }
 
-// AdoptedDiff is one diff received directly by an adopter for a page in
-// its custody, with the ordering key it is applied under. Custody rebuilds
-// and the post-run audit replay these against the writers' logged diffs.
+// AdoptedDiff is one writer-interval diff with the ordering key it is
+// applied under (SortCanonical): a diff received directly by an adopter
+// for a page in its custody, or one read back from its writer's log.
+// Custody rebuilds and the post-run audit replay the former against the
+// writers' logged diffs.
 type AdoptedDiff struct {
 	Writer int32
 	Seq    int32

@@ -227,9 +227,11 @@ func (nd *Node) failStop(op int32) {
 
 // partitionOnset is the connectivity-loss variant of failStop: instead of
 // unwinding, the node is cut off from every peer for PartitionFor of
-// virtual time while the cluster — whose lease detectors cannot tell a
-// partitioned node from a dead one — declares it dead, bumps the
-// membership epoch, and fails over its homes and locks. The victim keeps
+// virtual time (its burial carries the heal time, and until then the
+// membership cuts its links: transport.Membership.Cut) while the
+// cluster — whose lease detectors cannot tell a partitioned node from a
+// dead one — declares it dead, bumps the membership epoch, and fails
+// over its homes and locks. The victim keeps
 // running (service loop up, state intact): its in-window sends burn
 // retransmission timeouts against the cut, and the first post-heal
 // request is fenced by the receiver's epoch gate, unwinding the
@@ -244,18 +246,13 @@ func (nd *Node) partitionOnset(op int32) {
 	nd.mu.Unlock()
 	nd.CrashOp = -1 // fire once; later ops run normally until fenced
 	nd.ep.MarkCrashed(tc)
-	e := nd.members.Bury(nd.cfg.ID)
+	e := nd.members.Bury(nd.cfg.ID, tc+simtime.Time(nd.PartitionFor))
 	ob := &Obituary{Node: int32(nd.cfg.ID), At: tc, Epoch: e}
 	for i := 0; i < nd.cfg.N; i++ {
 		if i != nd.cfg.ID {
 			nd.ep.SendDetector(i, KindObit, ob.WireSize(), ob)
 		}
 	}
-	nd.ep.InstallPartition(fault.PartitionWindow{
-		Start:    tc,
-		Duration: nd.PartitionFor,
-		Groups:   [][]int{{nd.cfg.ID}}, // everyone else: implicit far side
-	})
 }
 
 // gatesPeerPark is the arrival fence's gatedByMe callback: it reports

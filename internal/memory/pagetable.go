@@ -176,29 +176,18 @@ func (pt *PageTable) IsDirty(id PageID) bool { return pt.dirty[id] }
 
 // DirtyPages returns the ids of all pages written during the current
 // interval, in ascending order. The slice is the table's own: it is valid
-// until the next MarkDirty, ClearDirty, EndInterval or Restore, and
-// callers must not modify it.
+// until the next MarkDirty, EndInterval or Restore, and callers must not
+// modify it.
 func (pt *PageTable) DirtyPages() []PageID {
 	slices.Sort(pt.dirtyIDs)
 	return pt.dirtyIDs
 }
 
-// ClearDirty resets the dirty bit of one page (used when a page's diff is
-// flushed early at an acquire because the page is being invalidated).
-func (pt *PageTable) ClearDirty(id PageID) {
-	if !pt.dirty[id] {
-		return
-	}
-	pt.dirty[id] = false
-	i := slices.Index(pt.dirtyIDs, id)
-	pt.dirtyIDs = slices.Delete(pt.dirtyIDs, i, i+1)
-}
-
 // EndInterval clears all dirty bits and drops all twins (returning their
 // buffers to the arena); called once the interval's diffs have been
 // produced. It walks the dirty list, which covers every twin the
-// protocol creates; a twin on a page that is not dirty (made directly, or
-// left behind by ClearDirty) costs one scan of the table.
+// protocol creates; a twin on a page that is not dirty (made directly)
+// costs one scan of the table.
 func (pt *PageTable) EndInterval() {
 	for _, id := range pt.dirtyIDs {
 		pt.dirty[id] = false
@@ -218,9 +207,6 @@ func (pt *PageTable) MakeDiff(id PageID) Diff {
 	}
 	return MakeDiff(id, t, pt.Page(id))
 }
-
-// ApplyDiff applies d to the local copy of its page.
-func (pt *PageTable) ApplyDiff(d Diff) { d.Apply(pt.Page(d.Page)) }
 
 // Install makes data (a fetched home copy) the frame of page id and marks
 // the page ReadOnly. The table takes ownership of data: the caller must

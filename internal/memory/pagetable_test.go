@@ -97,9 +97,8 @@ func TestDirtyTracking(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("DirtyPages = %v", got)
 	}
-	pt.ClearDirty(0)
-	if pt.IsDirty(0) || !pt.IsDirty(2) {
-		t.Fatal("ClearDirty wrong")
+	if !pt.IsDirty(0) || !pt.IsDirty(2) || pt.IsDirty(1) {
+		t.Fatal("IsDirty wrong")
 	}
 	pt.MakeTwin(2)
 	pt.EndInterval()
@@ -167,19 +166,6 @@ func TestRestoreSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	pt.Restore(make([][]byte, 3))
-}
-
-func TestApplyDiffToTable(t *testing.T) {
-	pt := newPT(t)
-	other := make([]byte, 64)
-	cur := make([]byte, 64)
-	copy(cur, other)
-	cur[8] = 200
-	d := MakeDiff(2, other, cur)
-	pt.ApplyDiff(d)
-	if pt.Page(2)[8] != 200 {
-		t.Fatal("ApplyDiff")
-	}
 }
 
 func TestPageOf(t *testing.T) {
@@ -384,10 +370,8 @@ func TestDirtyPagesAscendingAcrossIntervals(t *testing.T) {
 		t.Fatalf("DirtyPages = %v", got)
 	}
 	pt.MarkDirty(0) // after a sort, a smaller id must still come out first
-	pt.ClearDirty(5)
-	pt.ClearDirty(6) // not dirty: nothing to patch
-	if got := pt.DirtyPages(); !slices.Equal(got, []PageID{0, 1, 3, 7}) {
-		t.Fatalf("DirtyPages after patching = %v", got)
+	if got := pt.DirtyPages(); !slices.Equal(got, []PageID{0, 1, 3, 5, 7}) {
+		t.Fatalf("DirtyPages after a later mark = %v", got)
 	}
 	pt.EndInterval()
 	pt.MarkDirty(4)

@@ -718,12 +718,8 @@ type diffReq struct {
 //
 // Diffs from different writers may target the same bytes when their
 // intervals were lock-serialized (the home applied them in arrival order
-// pre-crash), so the batch is applied in ascending vector-time-sum order
-// — a linear extension of the intervals' causal order, which keeps each
-// writer's intervals in seq order. Intervals the sum cannot order are
-// causally concurrent, and under a data-race-free program concurrent diffs
-// touch disjoint bytes, so their relative order is immaterial (the
-// writer/seq tiebreak just keeps replay deterministic).
+// pre-crash), so the batch is applied in the canonical order of
+// hlrc.SortCanonical, a linear extension of the intervals' causal order.
 func (r *Replayer) fetchDiffs(nd *hlrc.Node, reqs []diffReq, ev obsv.EventKind, phase Phase) {
 	if len(reqs) == 0 {
 		return
@@ -734,13 +730,7 @@ func (r *Replayer) fetchDiffs(nd *hlrc.Node, reqs []diffReq, ev obsv.EventKind, 
 	for i, q := range reqs {
 		pendings[i] = ep.CallAsync(int(q.writer), hlrc.KindRecDiffsReq, q.req.WireSize(), q.req)
 	}
-	type fetched struct {
-		writer int32
-		seq    int32
-		vtSum  int64
-		diff   memory.Diff
-	}
-	var all []fetched
+	var all []hlrc.AdoptedDiff
 	diskByWriter := make(map[int32]int)
 	for i, pd := range pendings {
 		q := reqs[i]
@@ -751,21 +741,12 @@ func (r *Replayer) fetchDiffs(nd *hlrc.Node, reqs []diffReq, ev obsv.EventKind, 
 		}
 		diskByWriter[q.writer] += resp.DiskBytes
 		for j, d := range resp.Diffs {
-			all = append(all, fetched{q.writer, resp.Seqs[j], resp.VTSums[j], d})
+			all = append(all, hlrc.AdoptedDiff{Writer: q.writer, Seq: resp.Seqs[j], VTSum: resp.VTSums[j], Diff: d})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.vtSum != b.vtSum {
-			return a.vtSum < b.vtSum
-		}
-		if a.writer != b.writer {
-			return a.writer < b.writer
-		}
-		return a.seq < b.seq
-	})
+	hlrc.SortCanonical(all)
 	for _, f := range all {
-		nd.ApplyDiffAsHome(f.diff, f.writer, f.seq)
+		nd.ApplyDiffAsHome(f.Diff, f.Writer, f.Seq)
 	}
 	var worst simtime.Duration
 	worstBytes, totalBytes := 0, 0

@@ -9,8 +9,8 @@ import (
 
 // Membership is the cluster's membership (online recovery, DESIGN.md
 // §2.9 and §2.13): events go in (Network.MarkCrashed, Bury, Rejoin,
-// Adopt), decisions come out (Crashed, Serving, Stale, View). It holds
-// atomics and close-once channels only; the network doubles as the
+// Adopt), decisions come out (Crashed, Serving, Stale, View, Cut). It
+// holds atomics and close-once channels only; the network doubles as the
 // membership service that owns it, the simulator shortcut for an
 // external one.
 //
@@ -21,13 +21,17 @@ import (
 // epoch is the cluster epoch, bumped by every burial and every rejoin.
 // buried[i] is the epoch of node i's latest burial (0 = never); it
 // survives rejoin, so the buried incarnation's traffic stays fenceable.
+// heal[i] is the virtual time at which the partition that got node i
+// buried heals, and anyBuried is set by the first burial.
 // view[i] is node i's last-adopted epoch, stamped on its messages.
 type Membership struct {
-	failedAt []atomic.Int64
-	down     []chan struct{}
-	epoch    atomic.Int64
-	buried   []atomic.Int64
-	view     []atomic.Int64
+	failedAt  []atomic.Int64
+	down      []chan struct{}
+	epoch     atomic.Int64
+	buried    []atomic.Int64
+	heal      []atomic.Int64
+	anyBuried atomic.Bool
+	view      []atomic.Int64
 }
 
 func newMembership(n int) *Membership {
@@ -35,6 +39,7 @@ func newMembership(n int) *Membership {
 		failedAt: make([]atomic.Int64, n),
 		down:     make([]chan struct{}, n),
 		buried:   make([]atomic.Int64, n),
+		heal:     make([]atomic.Int64, n),
 		view:     make([]atomic.Int64, n),
 	}
 	ms.epoch.Store(1)
@@ -79,13 +84,33 @@ func (ms *Membership) Serving(h int) int {
 }
 
 // Bury declares node id dead: it bumps the epoch and records the new one,
-// which it returns, as id's burial epoch. id's own view is left behind on
-// purpose: a node buried while merely partitioned keeps stamping it, so
-// everything it sends afterwards is stale.
-func (ms *Membership) Bury(id int) int64 {
+// which it returns, as id's burial epoch, beside heal, the virtual time
+// at which id's partition heals (see Cut). id's own view is left behind
+// on purpose: a node buried while merely partitioned keeps stamping it,
+// so everything it sends afterwards is stale.
+func (ms *Membership) Bury(id int, heal simtime.Time) int64 {
+	ms.heal[id].Store(int64(heal))
 	e := ms.epoch.Add(1)
 	ms.buried[id].Store(e)
+	ms.anyBuried.Store(true)
 	return e
+}
+
+// Cut reports whether the link from→to is severed at virtual time at:
+// either end is buried and at lies in [its fail-stop time, its heal).
+// The window is a pure function of virtual time, so cut decisions replay
+// identically whichever goroutine asks.
+func (ms *Membership) Cut(from, to int, at simtime.Time) bool {
+	return ms.partitioned(from, at) || ms.partitioned(to, at)
+}
+
+// partitioned reports whether node id is cut off at virtual time at.
+func (ms *Membership) partitioned(id int, at simtime.Time) bool {
+	if ms.buried[id].Load() == 0 {
+		return false
+	}
+	tc, ok := ms.Crashed(id)
+	return ok && at >= tc && at < simtime.Time(ms.heal[id].Load())
 }
 
 // Rejoin bumps the epoch and admits node id at the new one, which it

@@ -9,12 +9,13 @@ import (
 
 // TestMembershipEventOrders drives the membership through every order of
 // the events one victim of a 4-node run can produce — a fail-stop alone,
-// or a partition: the crash, the burial, each survivor adopting the
-// burial epoch its obituary carries, and the victim's rejoin — and checks
-// every decision for every node after each step.
+// or a partition: the crash, the burial with its heal time, each
+// survivor adopting the burial epoch its obituary carries, and the
+// victim's rejoin — and checks every decision for every node, and the cut
+// of every link, after each step.
 func TestMembershipEventOrders(t *testing.T) {
 	const n = 4
-	const crashAt = simtime.Time(7000)
+	const crashAt, healAt = simtime.Time(7000), simtime.Time(12000)
 	// The epochs the burial and the rejoin bump the cluster to, and the
 	// one every node starts at, which the victim stamps until it rejoins.
 	const birth, burial, rejoined = int64(1), int64(2), int64(3)
@@ -78,6 +79,22 @@ func TestMembershipEventOrders(t *testing.T) {
 				}
 			}
 		}
+		// Once buried, every link to or from the victim is cut over
+		// [crash, heal), in both directions, rejoin or not; no other
+		// link ever is.
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if from == to {
+					continue
+				}
+				for _, at := range []simtime.Time{crashAt - 1, crashAt, healAt - 1, healAt} {
+					want := h.buried && (from == v || to == v) && at >= crashAt && at < healAt
+					if got := ms.Cut(from, to, at); got != want {
+						t.Errorf("Cut(%d, %d, %d) = %v, want %v", from, to, at, got, want)
+					}
+				}
+			}
+		}
 	}
 
 	for v := 0; v < n; v++ {
@@ -114,7 +131,7 @@ func TestMembershipEventOrders(t *testing.T) {
 						nw.MarkCrashed(v, crashAt+1) // only the first fail-stop counts
 						h.crashed = true
 					case "bury":
-						if e := ms.Bury(v); e != burial {
+						if e := ms.Bury(v, healAt); e != burial {
 							t.Fatalf("Bury(%d) = %d, want %d", v, e, burial)
 						}
 						h.buried = true

@@ -124,14 +124,10 @@ type Network struct {
 	fenceWake []chan struct{}
 
 	// members is the cluster membership (see membership.go). The wire
-	// reads it for the epoch stamped on every copy, WaitRedirect's crash
-	// wake-up and the arrival fence's crashed-peer skip.
+	// reads it for the epoch stamped on every copy, the partition cut,
+	// WaitRedirect's crash wake-up and the arrival fence's crashed-peer
+	// skip.
 	members *Membership
-
-	// partitions is the live schedule of partition windows, all installed
-	// at runtime (a churn scenario computes its window from the victim's
-	// onset clock).
-	partitions atomic.Pointer[[]fault.PartitionWindow]
 
 	// lockHolders is the network-wide registry of current lock holders
 	// (lock id → int32 node), maintained by PublishLockHeld and
@@ -236,52 +232,15 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 }
 
 // SetFaultPlan installs the fault-injection plan: per-copy loss,
-// duplication and delay, and torn log writes. Partition windows are not
-// part of it (see InstallPartition). Call it once, before any traffic
-// flows; it panics on an invalid plan.
+// duplication and delay, and torn log writes. Partitions are not part of
+// it (see Membership.Cut). Call it once, before any traffic flows; it
+// panics on an invalid plan.
 func (nw *Network) SetFaultPlan(p fault.Plan) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	nw.faults = p
 }
-
-// InstallPartition adds a partition window at runtime. Churn scenarios
-// use it: the window's start is the victim's onset clock, which is only
-// known once the victim reaches its trigger op. The window is still a
-// pure function of virtual time, so cut decisions stay deterministic.
-func (nw *Network) InstallPartition(w fault.PartitionWindow) {
-	for {
-		old := nw.partitions.Load()
-		var ws []fault.PartitionWindow
-		if old != nil {
-			ws = append(ws, *old...)
-		}
-		ws = append(ws, w)
-		if nw.partitions.CompareAndSwap(old, &ws) {
-			return
-		}
-	}
-}
-
-// cutAt reports whether the link from→to is severed by a partition
-// window at the given virtual instant.
-func (nw *Network) cutAt(from, to int, at simtime.Time) bool {
-	ws := nw.partitions.Load()
-	if ws == nil {
-		return false
-	}
-	for _, w := range *ws {
-		if w.Cuts(from, to, at) {
-			return true
-		}
-	}
-	return false
-}
-
-// partitionsActive reports whether any partition window is installed;
-// put consults the window schedule only then.
-func (nw *Network) partitionsActive() bool { return nw.partitions.Load() != nil }
 
 // Nodes returns the number of nodes.
 func (nw *Network) Nodes() int { return nw.n }
@@ -694,10 +653,10 @@ func (e *Endpoint) stamp(to int, kind Kind, at simtime.Time, size int, payload a
 
 // put numbers one copy of m on its link and injects it: the one fate
 // rule of the wire. An unfated copy (SendDetector), a self-addressed one,
-// and every copy while neither the fault plan nor a partition window is
-// installed is delivered as is. Otherwise a copy departing inside a
-// partition window (at SentAt plus the retransmission delay it already
-// carries) is lost exactly like a drop fault; a surviving copy gets the
+// and every copy while there is neither a fault plan nor a burial is
+// delivered as is. Otherwise a copy the membership cuts at its departure
+// (SentAt plus the retransmission delay it already carries) is lost
+// exactly like a drop fault; a surviving copy gets the
 // plan's extra delay, the fate of its reply if it is a request (the
 // receiver-side effects of a copy whose reply is lost still happen, which
 // is why protocol handlers must be idempotent), and possibly a duplicate.
@@ -709,18 +668,18 @@ func (nw *Network) put(m *Message, fated bool) bool {
 	defer link.Unlock()
 	m.Seq = nw.nextSeq(m.From, m.To)
 	f := nw.faults
-	// Partition windows live outside the fault plan, so a zero plan must
-	// still route through the fate checks once any window exists (the
-	// zero plan's drop/dup/delay rolls all miss).
-	if !fated || m.To == m.From || (!f.Enabled() && !nw.partitionsActive()) {
+	// Partitions live outside the fault plan, so a zero plan must still
+	// route through the fate checks once anyone is buried (the zero
+	// plan's drop/dup/delay rolls all miss).
+	if !fated || m.To == m.From || (!f.Enabled() && !nw.members.anyBuried.Load()) {
 		nw.deliver(*m)
 		return true
 	}
 	// The cut is evaluated at the copy's departure only: a copy that got
-	// through before the window opened also gets its reply (in-flight
+	// through before the partition began also gets its reply (in-flight
 	// traffic drains; the partition severs new injections, not the
 	// fabric).
-	if nw.cutAt(m.From, m.To, m.SentAt+simtime.Time(m.extraDelay)) || f.DropCopy(m.From, m.To, m.Seq) {
+	if nw.members.Cut(m.From, m.To, m.SentAt+simtime.Time(m.extraDelay)) || f.DropCopy(m.From, m.To, m.Seq) {
 		nw.countWire(m.Kind, m.Size)
 		return false
 	}
@@ -740,8 +699,8 @@ func (nw *Network) put(m *Message, fated bool) bool {
 // one RTO later in virtual time, so the surviving copy arrives with the
 // accumulated retransmission timeouts as extra delay, and the sender's
 // clock is not charged — exactly like a kernel-level reliable datagram
-// layer under the application. A copy cut by a partition window is
-// retried the same way until the window heals.
+// layer under the application. A copy cut by a partition is retried the
+// same way until the partition heals.
 func (e *Endpoint) Send(to int, kind Kind, size int, payload any) {
 	m := e.stamp(to, kind, e.clock.Now(), size, payload, e.trc.Trace())
 	for attempt := 1; !e.nw.put(&m, true); attempt++ {
@@ -948,11 +907,6 @@ func (p *Pending) WaitRedirect(clock *simtime.Clock) (m Message, ok bool) {
 
 // MarkCrashed records this node's own fail-stop (see Network.MarkCrashed).
 func (e *Endpoint) MarkCrashed(at simtime.Time) { e.nw.MarkCrashed(e.id, at) }
-
-// InstallPartition installs a partition window on the shared network
-// (see Network.InstallPartition). The protocol layer's partition-onset
-// path uses it to cut the victim off at the injected fault time.
-func (e *Endpoint) InstallPartition(w fault.PartitionWindow) { e.nw.InstallPartition(w) }
 
 // Call is CallAsync followed by Wait.
 func (e *Endpoint) Call(to int, kind Kind, size int, payload any) Message {

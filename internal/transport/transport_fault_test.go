@@ -297,23 +297,26 @@ func TestTwoSendersOneLink(t *testing.T) {
 	}
 }
 
-// TestInstallPartitionCutsSends: a window installed at runtime severs
-// cross-group links for copies departing inside [Start, End). A one-way
-// copy cut there is lost and retransmitted by the background ARQ, one
-// RTO later each time, until a copy departs at or after End; a copy
-// departing at End is not cut at all. A request copy is cut by the same
-// rule, and the caller's retransmission loop charges each RTO to its
-// clock. Nodes the window does not list form the implicit far side and
-// stay connected to each other, and a self-send is never cut.
-func TestInstallPartitionCutsSends(t *testing.T) {
-	const start, dur = simtime.Time(1_000_000), simtime.Duration(10_000_000)
+// TestPartitionCutsSends: a node crashed at start and buried with a
+// heal time is cut off from every peer for copies departing inside
+// [start, heal). A one-way copy cut there is lost and retransmitted by
+// the background ARQ, one RTO later each time, until a copy departs at or
+// after the heal; a copy departing at the heal is not cut at all. A
+// request copy is cut by the same rule, and the caller's retransmission
+// loop charges each RTO to its clock. Links between the other nodes stay
+// up, and a self-send is never cut.
+func TestPartitionCutsSends(t *testing.T) {
+	const start, heal = simtime.Time(1_000_000), simtime.Time(11_000_000)
+	bury := func(nw *Network) {
+		nw.MarkCrashed(0, start)
+		nw.Members().Bury(0, heal)
+	}
 	nw := NewNetwork(4, simtime.DefaultCostModel())
 	ep := make([]*Endpoint, 4)
 	for i := range ep {
 		ep[i] = nw.NewEndpoint(i, simtime.NewClock(0))
 	}
-	w := fault.PartitionWindow{Start: start, Duration: dur, Groups: [][]int{{0}, {1}}}
-	nw.InstallPartition(w)
+	bury(nw)
 
 	// send puts one copy on from→to at the given departure time and
 	// returns the retransmission delay the delivered copy carries, and how
@@ -331,43 +334,43 @@ func TestInstallPartitionCutsSends(t *testing.T) {
 	}
 
 	// Departing at start+1ms, the first copy and its retry at +4ms are
-	// cut; the third copy departs at start+13ms, after End.
+	// cut; the third copy departs at start+13ms, after the heal.
 	inside := start + 1_000_000
 	if d, copies := send(0, 1, inside); d != fault.RTO(1)+fault.RTO(2) || copies != 3 {
-		t.Errorf("cross-group copy inside the window: delay %v over %d copies, want %v over 3",
+		t.Errorf("copy from the partitioned node: delay %v over %d copies, want %v over 3",
 			d, copies, fault.RTO(1)+fault.RTO(2))
 	}
-	if inside+simtime.Time(fault.RTO(1)+fault.RTO(2)) < w.End() {
-		t.Fatal("the delivered copy departed before the window healed")
+	if inside+simtime.Time(fault.RTO(1)+fault.RTO(2)) < heal {
+		t.Fatal("the delivered copy departed before the partition healed")
 	}
 	if d, copies := send(2, 3, inside); d != 0 || copies != 1 {
-		t.Errorf("implicit-group copy 2→3 inside the window: delay %v over %d copies, want 0 over 1", d, copies)
+		t.Errorf("copy 2→3 between connected nodes: delay %v over %d copies, want 0 over 1", d, copies)
 	}
-	if d, copies := send(1, 1, inside); d != 0 || copies != 1 {
-		t.Errorf("self-send inside the window: delay %v over %d copies, want 0 over 1", d, copies)
+	if d, copies := send(0, 0, inside); d != 0 || copies != 1 {
+		t.Errorf("self-send of the partitioned node: delay %v over %d copies, want 0 over 1", d, copies)
 	}
-	if d, _ := send(3, 1, inside); d == 0 {
-		t.Error("implicit-group copy 3→1 to an explicit group was not cut")
+	if d, _ := send(3, 0, inside); d == 0 {
+		t.Error("copy 3→0 to the partitioned node was not cut")
 	}
-	if d, copies := send(1, 0, w.End()); d != 0 || copies != 1 {
-		t.Errorf("cross-group copy departing at End: delay %v over %d copies, want 0 over 1", d, copies)
+	if d, copies := send(1, 0, heal); d != 0 || copies != 1 {
+		t.Errorf("copy to the partitioned node departing at the heal: delay %v over %d copies, want 0 over 1", d, copies)
 	}
 
 	// A request departing at start+1ms: the copies departing then and at
-	// +4ms are cut, and the third departs after End.
+	// +4ms are cut, and the third departs after the heal.
 	c := NewNetwork(2, simtime.DefaultCostModel())
 	a, b := c.NewEndpoint(0, simtime.NewClock(0)), c.NewEndpoint(1, simtime.NewClock(0))
-	c.InstallPartition(w)
+	bury(c)
 	a.Clock().AdvanceTo(inside)
-	go func() { // only the copy departing after End arrives
+	go func() { // only the copy departing after the heal arrives
 		m := <-b.Inbox()
 		b.ReplyAt(b.ArrivalOf(m), m, Kind(5), 8, nil)
 		b.MarkHandled()
 	}()
 	r := a.Call(1, Kind(4), 8, nil)
 	rtos := simtime.Time(fault.RTO(1) + fault.RTO(2))
-	if r.SentAt < inside+rtos || r.SentAt < w.End() {
-		t.Errorf("request answered at %d, want its delivered copy to depart at %d, after End %d", r.SentAt, inside+rtos, w.End())
+	if r.SentAt < inside+rtos || r.SentAt < heal {
+		t.Errorf("request answered at %d, want its delivered copy to depart at %d, after the heal %d", r.SentAt, inside+rtos, heal)
 	}
 	if now := a.Clock().Now(); now < inside+rtos {
 		t.Errorf("caller's clock %d after the cut request, want >= %d + RTO(1) + RTO(2)", now, inside)
