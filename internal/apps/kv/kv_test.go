@@ -62,8 +62,9 @@ func TestKVDeterministicSameSeed(t *testing.T) {
 	if !bytes.Equal(images[0], images[1]) {
 		t.Fatal("same-seed kv runs produced different memory images")
 	}
-	// Virtual times jitter with real arrival order (the repo-wide
-	// contract: only the image is bit-exact); hold them to a band.
+	// The manager decides grants in virtual-arrival order, so same-seed
+	// virtual times repeat (core.TestRunWithChurnDeterministic pins
+	// that); here they are only held to a band.
 	lo, hi := float64(times[0]), float64(times[1])
 	if lo > hi {
 		lo, hi = hi, lo

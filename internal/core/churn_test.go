@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sdsm/internal/fault"
-	"sdsm/internal/racedetect"
 	"sdsm/internal/recovery"
 	"sdsm/internal/simtime"
 	"sdsm/internal/wal"
@@ -140,12 +139,9 @@ func TestRunWithChurnDeterministic(t *testing.T) {
 	if !bytes.Equal(a.MemoryImage(), b.MemoryImage()) {
 		t.Error("memory image differs across same-seed churn runs")
 	}
-	// The workload contends on lock 1, so grant order — and with it every
-	// virtual timestamp — is only reproducible under the normal scheduler
-	// (see racedetect.Enabled).
-	if racedetect.Enabled {
-		return
-	}
+	// The workload contends on lock 1. The manager decides grants in
+	// virtual-arrival order, so grant order, and with it every virtual
+	// timestamp, replays exactly under any scheduler.
 	if a.ExecTime != b.ExecTime {
 		t.Errorf("exec time differs across same-seed churn runs: %d vs %d", a.ExecTime, b.ExecTime)
 	}

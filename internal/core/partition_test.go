@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sdsm/internal/fault"
-	"sdsm/internal/racedetect"
 	"sdsm/internal/simtime"
 )
 
@@ -119,21 +118,15 @@ func TestRunWithChurnPartitionDeterministic(t *testing.T) {
 	if !bytes.Equal(a.MemoryImage(), b.MemoryImage()) {
 		t.Error("memory image differs across same-seed partition runs")
 	}
-	// The protocol outcome is scheduler-independent even when the virtual
-	// timestamps are not.
+	// The protocol outcome is scheduler-independent.
 	ra, rb := a.Recovery, b.Recovery
 	if ra.RejoinEpoch != rb.RejoinEpoch || ra.TruncatedRecords != rb.TruncatedRecords {
 		t.Errorf("rejoin outcome differs across same-seed partition runs: %+v vs %+v", ra, rb)
 	}
 	// The onset, heal, fence and rejoin milestones are pure functions of
-	// virtual time; like every timestamp of this contended workload they
-	// only replay exactly under the normal scheduler (see
-	// TestRunWithChurnDeterministic). Total exec time is not compared
-	// even then: survivor grant order past the rejoin stays
-	// load-sensitive.
-	if racedetect.Enabled {
-		return
-	}
+	// virtual time, and the manager decides every grant of this contended
+	// workload in virtual-arrival order, so they replay exactly under any
+	// scheduler (as in TestRunWithChurnDeterministic).
 	if ra.CrashTime != rb.CrashTime || ra.HealTime != rb.HealTime || ra.FencedTime != rb.FencedTime {
 		t.Errorf("rejoin milestones differ across same-seed partition runs: %+v vs %+v", ra, rb)
 	}

@@ -346,12 +346,19 @@ func (c *cluster) run(prog Program, down func(node int, fenced bool) error) (*Re
 		err  error
 	}
 	ch := make(chan done, c.cfg.Nodes)
+	// Every node runs before any starts, so the manager's horizon is
+	// bounded by all of them from the first message on; a node stops
+	// bounding it once its program, recovery included, has returned.
+	for i := range c.nodes {
+		c.nw.SetRunning(i, true)
+	}
 	for i, nd := range c.nodes {
 		go func(i int, nd *hlrc.Node) {
 			crashed, fenced, err := runNode(nd, prog)
 			if err == nil && (crashed || fenced) {
 				err = down(i, fenced)
 			}
+			c.nw.SetRunning(i, false)
 			ch <- done{node: i, err: err}
 		}(i, nd)
 	}

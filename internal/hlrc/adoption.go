@@ -114,11 +114,12 @@ func (nd *Node) awaitHome(pd *transport.Pending, to int, kind transport.Kind, re
 }
 
 // handleObit processes a death declaration: the successor takes the
-// victim's homes into custody, and the manager sweeps its lock state
-// (manager.obit). The obituary itself is a simulator shortcut for each
-// peer's independent lease-expiry detector: every effect is stamped at
-// D = crash time + lease duration, so the timing matches a real detector
-// without per-peer timers.
+// victim's homes into custody at once, and the manager holds the
+// obituary for its lock sweep (manager.obit), decided in key order. The
+// obituary itself is a simulator shortcut for each peer's independent
+// lease-expiry detector: every effect is stamped at D = crash time +
+// lease duration, so the timing matches a real detector without per-peer
+// timers.
 func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	ob := m.Payload.(*Obituary)
 	dead := int(ob.Node)
@@ -138,7 +139,7 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	}
 	nd.mu.Unlock()
 	if nd.mgr != nil {
-		nd.send(nd.mgr.obit(m, at))
+		nd.mgr.admit(m, nd.ep.ArrivalOf(m))
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // (the manager's and the home's service loops included), warm and with
 // nothing written, so no notice, diff or merge is involved: what is left
 // is the payload structs and the arrival fence's sync-wait marks (ROADMAP
-// item 1). The clocks the payloads carry are shared, not copied
+// item 1). The manager's queue of held messages is a reused slice, so
+// holding a message allocates nothing. The clocks the payloads carry are shared, not copied
 // (DESIGN.md §2.8), and a round trip itself allocates nothing
 // (transport.TestCallAllocations).
 func TestSyncAllocations(t *testing.T) {

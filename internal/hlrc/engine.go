@@ -368,18 +368,77 @@ func (nd *Node) StopService() {
 
 func (nd *Node) serve(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
+	var horizon <-chan struct{} // nil, never ready, on all but the manager
+	if nd.mgr != nil {
+		horizon = nd.ep.HorizonWake()
+	}
+	inbox := nd.ep.Inbox()
 	for {
+		var m transport.Message
+		got, woken := false, false
+		// A stop is seen first, and a waiting message is taken without the
+		// full select, which locks every channel it names.
 		select {
 		case <-stop:
 			return
-		case m := <-nd.ep.Inbox():
-			if nd.ep.WireDup(m) {
-				nd.ep.MarkHandled()
-				continue // fault-injected duplicate copy
+		default:
+		}
+		select {
+		case m = <-inbox:
+			got = true
+		default:
+			select {
+			case <-stop:
+				return
+			case m = <-inbox:
+				got = true
+			case <-horizon:
+				woken = true
 			}
-			nd.handle(m)
+		}
+		if got {
+			// A fault-injected duplicate copy is discarded.
+			if !nd.ep.WireDup(m) {
+				nd.handle(m)
+			}
 			nd.ep.MarkHandled()
 		}
+		if nd.mgr != nil {
+			nd.decideHeld(woken)
+		}
+	}
+}
+
+// decideHeld decides the manager's held traffic up to the horizon, one
+// message at a time, sends the replies, and publishes how far it got to
+// the arrival fence. When the head is blocked by a running node's clock
+// it watches that clock, so the loop wakes when the clock moves and never
+// blocks on it. A pass runs only when something it reads may have
+// changed: a message was admitted, the last pass found the inbox not
+// drained, or the loop was woken (with nothing held, that is an arrival
+// fence asking for a fresh bound).
+func (nd *Node) decideHeld(woken bool) {
+	mg := nd.mgr
+	if !woken && !mg.due {
+		return
+	}
+	mg.due = false
+	defer func() { nd.ep.PublishDecided(mg.decided, mg.quiet) }()
+	for len(mg.held) > 0 || woken {
+		woken = false
+		h, low := nd.ep.Horizon(mg.quiet)
+		rs, ok := mg.decide(h)
+		if !ok {
+			switch {
+			case len(mg.held) == 0:
+			case low >= 0:
+				nd.ep.WatchHorizon(low, mg.held[0].arrival)
+			default: // the inbox is not drained: pass again after the next message
+				mg.due = true
+			}
+			return
+		}
+		nd.send(rs)
 	}
 }
 
@@ -416,12 +475,8 @@ func (nd *Node) handle(m transport.Message) {
 		nd.handlePageReq(m, at)
 	case KindDiffUpdate:
 		nd.handleDiffUpdate(m, at)
-	case KindLockReq:
-		nd.send(nd.manager(m).lockReq(m, at))
-	case KindLockRelease:
-		nd.send(nd.manager(m).lockRelease(m, at))
-	case KindBarrierCheckin:
-		nd.send(nd.manager(m).checkin(m, at))
+	case KindLockReq, KindLockRelease, KindBarrierCheckin:
+		nd.manager(m).admit(m, nd.ep.ArrivalOf(m))
 	case KindRecGrantReq, KindRecBarrierReq:
 		nd.send(nd.manager(m).senderLog(m, at))
 	case KindObit:

@@ -2,6 +2,8 @@ package hlrc
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"sdsm/internal/obsv"
@@ -15,11 +17,32 @@ import (
 // it never sends either. Each handler decides its replies and returns
 // them in a buffer that the next call reuses; Node.handle records their
 // spans and sends them.
+//
+// The messages that change the manager's state (lock requests and
+// releases, barrier check-ins, obituaries) are decided in key order, the
+// order of (virtual arrival, sender, link sequence number), not in the
+// order they reach the inbox: admit holds each one, and decide takes the
+// lowest-keyed one once its key lies below the horizon — the arrival
+// below which no node can still send the manager anything (see
+// transport.Endpoint.Horizon). Which requester gets a lock, and every
+// stamp that follows from it, is then a function of virtual time alone.
 
-// pendingMsg is a queued request together with its virtual arrival time.
+// pendingMsg is a held or queued message together with its virtual
+// arrival time.
 type pendingMsg struct {
 	m       transport.Message
 	arrival simtime.Time
+}
+
+// before reports whether p's key is lower than q's.
+func (p pendingMsg) before(q pendingMsg) bool {
+	if p.arrival != q.arrival {
+		return p.arrival < q.arrival
+	}
+	if p.m.From != q.m.From {
+		return p.m.From < q.m.From
+	}
+	return p.m.Seq < q.m.Seq
 }
 
 type lockState struct {
@@ -93,6 +116,26 @@ type manager struct {
 	grantLog   map[int][]*LockGrant
 	releaseLog map[int][]*BarrierRelease
 
+	// held is the admitted traffic not yet decided, in key order, and
+	// last[i] the arrival of node i's latest admitted message. A link
+	// delivers in order, so a message arrives at
+	// transport.Endpoint.ArrivalOf or at its sender's previous arrival,
+	// whichever is later: a release carrying many notices is not
+	// overtaken by its sender's smaller next message. asks[i] counts node
+	// i's requests the manager holds unanswered: held, queued on a lock or
+	// waiting in a barrier round. A node with one sends the manager
+	// nothing until it is answered (quiet).
+	held []pendingMsg
+	last []simtime.Time
+	asks []int32
+	// due is set when a message is admitted (Node.decideHeld's cue).
+	due bool
+	// decided is the highest key decided, or horizon at which decide found
+	// nothing to decide: every message below it is decided, and none still
+	// to come arrives below it, so a quiet node is answered at or above
+	// it. Decided keys never decrease.
+	decided simtime.Time
+
 	out []mgrReply
 }
 
@@ -110,7 +153,62 @@ func newManager(cfg Config, stats *Stats) *manager {
 		revoked:    make(map[int32]int),
 		grantLog:   make(map[int][]*LockGrant),
 		releaseLog: make(map[int][]*BarrierRelease),
+		last:       make([]simtime.Time, cfg.N),
+		asks:       make([]int32, cfg.N),
+		decided:    simtime.Time(math.MinInt64),
 	}
+}
+
+// admit holds one message of the manager's ordered traffic until decide
+// reaches its key. The slice is reused, so admitting allocates nothing
+// once it has grown to the deepest backlog.
+func (mg *manager) admit(m transport.Message, arrival simtime.Time) {
+	arrival = max(arrival, mg.last[m.From])
+	mg.last[m.From] = arrival
+	p := pendingMsg{m: m, arrival: arrival}
+	i := len(mg.held)
+	for i > 0 && p.before(mg.held[i-1]) {
+		i--
+	}
+	mg.held = slices.Insert(mg.held, i, p)
+	mg.due = true
+	if m.Kind == KindLockReq || m.Kind == KindBarrierCheckin {
+		mg.asks[m.From]++
+	}
+}
+
+// quiet reports whether node sends the manager nothing until the manager
+// answers it: it waits for a grant or a barrier release.
+func (mg *manager) quiet(node int) bool { return mg.asks[node] > 0 }
+
+// decide decides the held message with the lowest key if its arrival lies
+// below horizon and returns the replies (ok reports whether it decided
+// one). It is a pure step: the caller computes the horizon, and computes
+// it anew after every step, since a reply can end a node's quiet.
+func (mg *manager) decide(horizon simtime.Time) (out []mgrReply, ok bool) {
+	if len(mg.held) == 0 || mg.held[0].arrival >= horizon {
+		mg.decided = max(mg.decided, horizon)
+		return nil, false
+	}
+	p := mg.held[0]
+	mg.decided = max(mg.decided, p.arrival)
+	n := copy(mg.held, mg.held[1:])
+	mg.held[n] = pendingMsg{}
+	mg.held = mg.held[:n]
+	at := p.arrival + simtime.Time(mg.handling)
+	switch p.m.Kind {
+	case KindLockReq:
+		mg.asks[p.m.From]--
+		return mg.lockReq(p.m, at), true
+	case KindLockRelease:
+		return mg.lockRelease(p.m, at), true
+	case KindBarrierCheckin:
+		mg.asks[p.m.From]--
+		return mg.checkin(p.m, at), true
+	case KindObit:
+		return mg.obit(p.m, at), true
+	}
+	panic(fmt.Sprintf("hlrc: manager holds unexpected kind %d from %d", p.m.Kind, p.m.From))
 }
 
 func (mg *manager) reply(req transport.Message, kind transport.Kind, payload interface{ WireSize() int }, at simtime.Time, span mgrSpan) {
@@ -166,6 +264,7 @@ func (mg *manager) lockReq(m transport.Message, at simtime.Time) []mgrReply {
 			}
 		}
 		ls.queue = append(ls.queue, pendingMsg{m: m, arrival: at})
+		mg.asks[m.From]++
 		return mg.out
 	}
 	g := mg.grant(ls, m.From, m.ReqID, req.VT, at)
@@ -205,6 +304,7 @@ func (mg *manager) handOff(l int32, ls *lockState, cause transport.Message, at, 
 	}
 	next := ls.queue[0]
 	ls.queue = ls.queue[1:]
+	mg.asks[next.m.From]--
 	grantAt := max(free, next.arrival)
 	g := mg.grant(ls, next.m.From, next.m.ReqID, next.m.Payload.(*LockReq).VT, grantAt)
 	span := mgrSpan{ev: obsv.EvLockGrant, t0: at - simtime.Time(mg.handling), t1: grantAt,
@@ -259,6 +359,7 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 	mg.notices.AddAll(ci.Notices)
 	mg.vt.Merge(ci.VT)
 	bs.waiting = append(bs.waiting, pendingMsg{m: m, arrival: at})
+	mg.asks[m.From]++
 	if len(bs.waiting) < mg.n {
 		return mg.out
 	}
@@ -288,6 +389,7 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 			rel.LeaseUntil = releaseAt + simtime.Time(mg.lease)
 		}
 		bs.lastReply[w.m.From] = barrierReply{reqID: w.m.ReqID, rel: rel, at: releaseAt}
+		mg.asks[w.m.From]--
 		if mg.senderLogs {
 			mg.releaseLog[w.m.From] = append(mg.releaseLog[w.m.From], rel)
 		}
@@ -319,6 +421,8 @@ func (mg *manager) obit(m transport.Message, at simtime.Time) []mgrReply {
 		for _, w := range ls.queue {
 			if w.m.From != dead {
 				q = append(q, w)
+			} else {
+				mg.asks[dead]--
 			}
 		}
 		ls.queue = q

@@ -2,10 +2,13 @@ package hlrc
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"sdsm/internal/memory"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
 	"sdsm/internal/vclock"
@@ -31,27 +34,79 @@ func checkinMsg(from int, reqID int64, b int32, vt vclock.VC) transport.Message 
 		Payload: &BarrierCheckin{Barrier: b, VT: vt}}
 }
 
+// replyTrace renders decided replies for comparison across arrival
+// orders: recipient, kind, stamp and the payload's content.
+func replyTrace(b *strings.Builder, out []mgrReply) {
+	for _, rp := range out {
+		fmt.Fprintf(b, "%d k%d @%d ", rp.req.From, rp.kind, rp.at)
+		switch p := rp.payload.(type) {
+		case *LockGrant:
+			fmt.Fprintf(b, "lock %d vt %v notices %v lease %d;", rp.req.Payload.(*LockReq).Lock, p.VT, p.Notices, p.LeaseUntil)
+		case *BarrierRelease:
+			fmt.Fprintf(b, "vt %v notices %v lease %d;", p.VT, p.Notices, p.LeaseUntil)
+		default:
+			fmt.Fprintf(b, "%+v;", p)
+		}
+	}
+}
+
 // lockModel is the reference the lock orders are checked against: FIFO
-// queues, one holder per lock, and each requester's program
-// acquire(0) acquire(1) release(1) release(0).
+// queues in key order, one holder per lock, and each requester's program
+// acquire(0) acquire(1) release(1) release(0). A requester's message is
+// admitted when it is sent, and the manager may decide the message with
+// the lowest key at any later point once the model's horizon (the lowest
+// arrival any requester can still send) has passed it.
 type lockModel struct {
 	mg     *manager
 	holder [2]int   // -1: free
-	queue  [2][]int // requesters waiting, in handling order
+	queue  [2][]int // requesters waiting, in key order
 	// Per requester (index = node id; node 0 is the manager and idle).
 	pc      [mgrTestN]int // next op of the program
 	waiting [mgrTestN]bool
+	owns    [mgrTestN]int // locks granted and not yet released, as the requester sees it
 	clock   [mgrTestN]simtime.Time
 	arrival [mgrTestN]simtime.Time // of the request being waited on
 	grants  [mgrTestN]int
 	rels    [mgrTestN]int32 // releases sent, the node's interval count
 	// handled[w] is the number of w's releases the manager has merged.
 	handled vclock.VC
-	// The crash: dead is the obituary's node (0: none yet) and replay the
-	// locks whose replayed release it still owes.
-	dead   int
-	replay []int32
-	free   simtime.Time // when the lock being handed off was freed
+	// The crash: dead is the obituary's node (0: none yet), obitHeld is
+	// set until the obituary is decided, and replay the locks whose
+	// replayed release it still owes.
+	dead     int
+	obitHeld bool
+	replay   []int32
+	free     simtime.Time // when the lock being handed off was freed
+	// sent holds the admitted messages not yet decided, in key order;
+	// seq numbers them. all holds every message sent and replies every
+	// decided reply, compared across orders.
+	sent    []modelMsg
+	seq     int64
+	all     []modelMsg
+	replies []mgrReply
+}
+
+// modelMsg is one message a requester sent: a lock request or release
+// (replay marks the dead node's replayed release) or an obituary, with
+// its arrival at the manager and, for a release, its interval count.
+type modelMsg struct {
+	r      int
+	kind   transport.Kind
+	lock   int32
+	at     simtime.Time
+	seq    int64
+	rel    int32
+	replay bool
+}
+
+func (e modelMsg) before(o modelMsg) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	if e.r != o.r {
+		return e.r < o.r
+	}
+	return e.seq < o.seq
 }
 
 // progLock is the lock of op pc in every requester's program.
@@ -63,18 +118,22 @@ const (
 )
 
 // delay is requester r's message latency: distinct per requester, so
-// virtual arrival order differs from handling order.
+// virtual arrival order differs from the order messages are sent in.
+// obitDelay is below every delay: the model's one-way latency.
 func delay(r int) simtime.Time { return simtime.Time(9 - 2*r) }
 
-// event is one choice of the exploration: requester r's next message,
-// the obituary of r (obit), or r's replayed release after it (replay).
+// event is one choice of the exploration: requester r sends its next
+// message, the obituary of r (obit), or r's replayed release after it
+// (replay); or the manager decides one message (decide).
 type event struct {
-	r            int
-	obit, replay bool
+	r                    int
+	obit, replay, decide bool
 }
 
 func (e event) String() string {
 	switch {
+	case e.decide:
+		return "decide"
 	case e.obit:
 		return fmt.Sprintf("obit(%d)", e.r)
 	case e.replay:
@@ -85,9 +144,12 @@ func (e event) String() string {
 
 func (lm *lockModel) enabled(withObit bool) []event {
 	var ev []event
+	if len(lm.sent) > 0 && lm.sent[0].at < lm.horizon() {
+		ev = append(ev, event{decide: true})
+	}
 	for r := 1; r < mgrTestN; r++ {
 		if r == lm.dead {
-			if len(lm.replay) > 0 {
+			if !lm.obitHeld && len(lm.replay) > 0 {
 				ev = append(ev, event{r: r, replay: true})
 			}
 			continue
@@ -95,52 +157,139 @@ func (lm *lockModel) enabled(withObit bool) []event {
 		if !lm.waiting[r] && lm.pc[r] < len(progLock) {
 			ev = append(ev, event{r: r})
 		}
-		if withObit && lm.dead == 0 && (lm.holder[0] == r || lm.holder[1] == r) {
+		if withObit && lm.dead == 0 && lm.owns[r] > 0 {
 			ev = append(ev, event{r: r, obit: true})
 		}
 	}
 	return ev
 }
 
+// horizon is the lowest arrival any requester can still send: a live
+// requester that is not waiting sends at its clock plus at least the
+// latency, the dead one replays at its clock plus its delay, and a
+// waiting or finished requester sends nothing.
+func (lm *lockModel) horizon() simtime.Time {
+	h := simtime.Time(math.MaxInt64)
+	for r := 1; r < mgrTestN; r++ {
+		switch {
+		case r == lm.dead:
+			if lm.obitHeld || len(lm.replay) > 0 {
+				h = min(h, lm.clock[r]+delay(r))
+			}
+		case !lm.waiting[r] && lm.pc[r] < len(progLock):
+			h = min(h, lm.clock[r]+obitDelay)
+		}
+	}
+	return h
+}
+
+// send admits one message to the manager and to the model's key order.
+func (lm *lockModel) send(e modelMsg, m transport.Message) {
+	lm.seq++
+	e.seq, m.Seq = lm.seq, lm.seq
+	lm.mg.admit(m, e.at)
+	i := len(lm.sent)
+	for i > 0 && e.before(lm.sent[i-1]) {
+		i--
+	}
+	lm.sent = slices.Insert(lm.sent, i, e)
+	lm.all = append(lm.all, e)
+}
+
 func (lm *lockModel) step(e event) error {
 	r := e.r
 	switch {
+	case e.decide:
+		return lm.decideOne()
 	case e.obit:
-		return lm.obit(r)
+		lm.dead, lm.obitHeld = r, true
+		ob := transport.Message{From: r, Kind: KindObit, Payload: &Obituary{Node: int32(r), At: lm.clock[r]}}
+		lm.send(modelMsg{r: r, kind: KindObit, at: lm.clock[r] + obitDelay}, ob)
 	case e.replay:
 		l := lm.replay[0]
 		lm.replay = lm.replay[1:]
 		lm.rels[r]++
-		lm.handled[r] = lm.rels[r]
-		out := lm.mg.lockRelease(lm.releaseMsg(r, l), lm.clock[r]+delay(r))
+		lm.send(modelMsg{r: r, kind: KindLockRelease, lock: l, at: lm.clock[r] + delay(r), rel: lm.rels[r], replay: true},
+			lm.releaseMsg(r, l))
+	default:
+		l := progLock[lm.pc[r]]
+		at := lm.clock[r] + delay(r)
+		lm.clock[r] = at
+		if lm.pc[r] == 0 || lm.pc[r] == 1 {
+			lm.waiting[r] = true
+			lm.arrival[r] = at
+			lm.send(modelMsg{r: r, kind: KindLockReq, lock: l, at: at}, lockReqMsg(r, int64(lm.pc[r]+1), l))
+			break
+		}
+		lm.pc[r]++
+		lm.rels[r]++
+		lm.owns[r]--
+		lm.send(modelMsg{r: r, kind: KindLockRelease, lock: l, at: at, rel: lm.rels[r]}, lm.releaseMsg(r, l))
+	}
+	// Above the horizon nothing is decided.
+	if h := lm.horizon(); len(lm.sent) == 0 || lm.sent[0].at >= h {
+		if _, ok := lm.mg.decide(h); ok {
+			return fmt.Errorf("manager decided at horizon %v with nothing below it", h)
+		}
+	}
+	return lm.checkQuiet()
+}
+
+// decideOne has the manager decide at the model's horizon and checks the
+// decision against the model's prediction for the message with the lowest
+// key.
+func (lm *lockModel) decideOne() error {
+	out, ok := lm.mg.decide(lm.horizon())
+	if !ok {
+		return fmt.Errorf("manager held back %+v below the horizon %v", lm.sent[0], lm.horizon())
+	}
+	e := lm.sent[0]
+	lm.sent = lm.sent[1:]
+	if err := lm.decided(e, out); err != nil {
+		return fmt.Errorf("deciding %+v: %w", e, err)
+	}
+	lm.replies = append(lm.replies, out...)
+	return lm.checkQuiet()
+}
+
+// checkQuiet checks that the manager's quiet set is the model's: the
+// requesters waiting for a grant, the dead one until its obituary is
+// decided.
+func (lm *lockModel) checkQuiet() error {
+	for r := 1; r < mgrTestN; r++ {
+		if want := lm.waiting[r] && (r != lm.dead || lm.obitHeld); lm.mg.quiet(r) != want {
+			return fmt.Errorf("manager quiet(%d) = %v, want %v", r, lm.mg.quiet(r), want)
+		}
+	}
+	return nil
+}
+
+// decided predicts the replies to the decision of e and checks out.
+func (lm *lockModel) decided(e modelMsg, out []mgrReply) error {
+	r, l := e.r, e.lock
+	switch {
+	case e.kind == KindObit:
+		return lm.obit(r, out)
+	case e.replay:
+		lm.handled[r] = e.rel
 		if len(out) != 0 {
 			return fmt.Errorf("replayed release of revoked lock %d by %d answered with %d replies", l, r, len(out))
 		}
 		return nil
-	}
-	l := progLock[lm.pc[r]]
-	at := lm.clock[r] + delay(r)
-	lm.clock[r] = at
-	if lm.pc[r] == 0 || lm.pc[r] == 1 {
-		lm.waiting[r] = true
-		lm.arrival[r] = at
-		out := lm.mg.lockReq(lockReqMsg(r, int64(lm.pc[r]+1), l), at)
+	case e.kind == KindLockReq:
 		if lm.holder[l] >= 0 || len(lm.queue[l]) > 0 {
 			lm.queue[l] = append(lm.queue[l], r)
 			return lm.expect(out, -1, l)
 		}
-		lm.free = at
+		lm.free = e.at
 		return lm.expect(out, r, l)
 	}
-	lm.pc[r]++
-	lm.rels[r]++
-	lm.handled[r] = lm.rels[r]
-	out := lm.mg.lockRelease(lm.releaseMsg(r, l), at)
+	lm.handled[r] = e.rel
 	if lm.holder[l] != r {
 		return fmt.Errorf("model: %d releases lock %d held by %d", r, l, lm.holder[l])
 	}
 	lm.holder[l] = -1
-	lm.free = at
+	lm.free = e.at
 	return lm.expect(out, lm.popQueue(l), l)
 }
 
@@ -160,10 +309,9 @@ func (lm *lockModel) popQueue(l int32) int {
 	return next
 }
 
-func (lm *lockModel) obit(dead int) error {
-	lm.dead = dead
-	at := lm.clock[dead]
-	lm.free = at + mgrLease
+func (lm *lockModel) obit(dead int, out []mgrReply) error {
+	lm.obitHeld = false
+	lm.free = lm.clock[dead] + mgrLease
 	for l := range lm.queue {
 		q := lm.queue[l][:0]
 		for _, w := range lm.queue[l] {
@@ -186,8 +334,6 @@ func (lm *lockModel) obit(dead int) error {
 			want[l] = lm.popQueue(int32(l))
 		}
 	}
-	ob := transport.Message{From: dead, Kind: KindObit, Payload: &Obituary{Node: int32(dead), At: at}}
-	out := lm.mg.obit(ob, at+obitDelay)
 	k := 0
 	for l, w := range want {
 		if w < 0 {
@@ -207,7 +353,7 @@ func (lm *lockModel) obit(dead int) error {
 	return nil
 }
 
-// expect checks a handler's replies against the model's prediction: one
+// expect checks a decision's replies against the model's prediction: one
 // grant of lock l to requester to, or none when to < 0.
 func (lm *lockModel) expect(out []mgrReply, to int, l int32) error {
 	if to < 0 {
@@ -228,7 +374,7 @@ func (lm *lockModel) expect(out []mgrReply, to int, l int32) error {
 		return fmt.Errorf("grant of lock %d, want lock %d", got, l)
 	}
 	if rp.req.From != to {
-		return fmt.Errorf("lock %d handed to %d, want %d (FIFO)", l, rp.req.From, to)
+		return fmt.Errorf("lock %d handed to %d, want %d (FIFO in key order)", l, rp.req.From, to)
 	}
 	if lm.holder[l] >= 0 {
 		return fmt.Errorf("lock %d granted to %d while held by %d", l, to, lm.holder[l])
@@ -245,6 +391,7 @@ func (lm *lockModel) expect(out []mgrReply, to int, l int32) error {
 	}
 	lm.holder[l] = to
 	lm.waiting[to] = false
+	lm.owns[to]++
 	lm.pc[to]++
 	lm.grants[to]++
 	lm.clock[to] = max(lm.clock[to], rp.at)
@@ -262,6 +409,9 @@ func (lm *lockModel) done() error {
 			return fmt.Errorf("blocked: node %d at op %d with %d grants (waiting %v)", r, lm.pc[r], lm.grants[r], lm.waiting[r])
 		}
 	}
+	if len(lm.mg.held) != 0 {
+		return fmt.Errorf("%d messages still held at the end", len(lm.mg.held))
+	}
 	for l, ls := range lm.mg.locks {
 		if ls.held || len(ls.queue) != 0 {
 			return fmt.Errorf("lock %d still held by %d (queue %d) at the end", l, ls.holder, len(ls.queue))
@@ -277,11 +427,13 @@ func newLockModel() *lockModel {
 	return &lockModel{mg: testManager(mgrLease), holder: [2]int{-1, -1}, handled: vclock.New(mgrTestN)}
 }
 
-// exploreLocks visits every arrival order reachable from the empty
-// manager (depth-first, replaying each prefix on a fresh manager) and
-// returns the number of complete orders.
-func exploreLocks(t *testing.T, withObit bool) int {
-	var orders int
+// exploreLocks visits every order in which the requesters' messages can
+// reach the manager (depth-first, replaying each prefix on a fresh
+// manager). Orders that send the same message set must get the same
+// replies: recipient, payload and stamp. It returns the number of
+// complete orders and of distinct message sets.
+func exploreLocks(t *testing.T, withObit bool) (orders, sets int) {
+	replies := map[string]string{} // message set -> reply trace
 	var prefix []event
 	var walk func() bool
 	walk = func() bool {
@@ -299,6 +451,20 @@ func exploreLocks(t *testing.T, withObit bool) int {
 				t.Errorf("order %v: %v", prefix, err)
 				return false
 			}
+			var msgs []string
+			for _, e := range lm.all {
+				msgs = append(msgs, fmt.Sprintf("%d k%d l%d @%d", e.r, e.kind, e.lock, e.at))
+			}
+			slices.Sort(msgs)
+			set := strings.Join(msgs, "; ")
+			var trace strings.Builder
+			replyTrace(&trace, lm.replies)
+			if prev, ok := replies[set]; !ok {
+				replies[set] = trace.String()
+			} else if prev != trace.String() {
+				t.Errorf("order %v: replies differ from another order of the same messages:\n got %s\nwant %s", prefix, trace.String(), prev)
+				return false
+			}
 			return true
 		}
 		for _, e := range ev {
@@ -312,28 +478,30 @@ func exploreLocks(t *testing.T, withObit bool) int {
 		return true
 	}
 	walk()
-	return orders
+	return orders, len(replies)
 }
 
-// Every arrival order of three requesters that each take two nested
-// locks, without and with an obituary of a current holder at every
-// point.
+// Every order in which three requesters that each take two nested locks
+// can send, without and with an obituary of a current holder at every
+// point: grants follow key order, and every order of one message set
+// gets identical replies.
 func TestManagerLockArrivalOrders(t *testing.T) {
 	start := time.Now()
-	plain := exploreLocks(t, false)
-	crashed := exploreLocks(t, true)
-	t.Logf("%d orders, %d with an obituary, in %v", plain, crashed, time.Since(start))
-	if plain == 0 || crashed <= plain {
-		t.Fatalf("explored %d and %d orders", plain, crashed)
+	plain, plainSets := exploreLocks(t, false)
+	crashed, crashedSets := exploreLocks(t, true)
+	t.Logf("%d orders of %d message set(s), %d with an obituary (%d sets), in %v",
+		plain, plainSets, crashed, crashedSets, time.Since(start))
+	if plain == 0 || crashed <= plain || plainSets != 1 {
+		t.Fatalf("explored %d and %d orders, %d plain message sets (want 1)", plain, crashed, plainSets)
 	}
 }
 
-// Every order of four barrier check-ins, as consecutive rounds of one
-// barrier: nothing is released before the last check-in, and then every
+// Every order of four barrier check-ins, two rounds of one barrier: each
+// check-in is admitted and then decided at the horizon of the check-ins
+// still to come, so nothing is released before the last one; then every
 // node gets one release stamped at the latest arrival, covering every
-// check-in's knowledge.
+// check-in's knowledge, and every order gets identical replies.
 func TestManagerBarrierArrivalOrders(t *testing.T) {
-	mg := testManager(0)
 	arrivals := [mgrTestN]simtime.Time{30, 10, 40, 20}
 	var perms [][]int
 	var permute func(p []int, k int)
@@ -349,36 +517,107 @@ func TestManagerBarrierArrivalOrders(t *testing.T) {
 		}
 	}
 	permute([]int{0, 1, 2, 3}, 0)
-	for round, order := range perms {
-		base := simtime.Time(100 * round)
-		all := vclock.New(mgrTestN)
-		var out []mgrReply
-		for i, node := range order {
-			vt := vclock.New(mgrTestN)
-			vt[node] = int32(round + 1)
-			all.Merge(vt)
-			out = mg.checkin(checkinMsg(node, int64(round), 0, vt), base+arrivals[node])
-			if i < len(order)-1 && len(out) != 0 {
-				t.Fatalf("order %v: released after %d check-ins", order, i+1)
+	var first string
+	for _, order := range perms {
+		mg := testManager(mgrLease)
+		var trace strings.Builder
+		for round := 0; round < 2; round++ {
+			base := simtime.Time(100 * round)
+			all := vclock.New(mgrTestN)
+			var out []mgrReply
+			for i, node := range order {
+				vt := vclock.New(mgrTestN)
+				vt[node] = int32(round + 1)
+				all.Merge(vt)
+				m := checkinMsg(node, int64(round), 0, vt)
+				m.Seq = int64(round + 1)
+				m.Payload.(*BarrierCheckin).Notices = []Notice{{Proc: int32(node), Seq: int32(round + 1), Pages: []memory.PageID{memory.PageID(node)}}}
+				mg.admit(m, base+arrivals[node])
+				h := simtime.Time(math.MaxInt64)
+				for _, later := range order[i+1:] {
+					h = min(h, base+arrivals[later])
+				}
+				for {
+					rs, ok := mg.decide(h)
+					if !ok {
+						break
+					}
+					out = append(out, rs...)
+				}
+				if i < len(order)-1 && len(out) != 0 {
+					t.Fatalf("order %v: released after %d check-ins", order, i+1)
+				}
 			}
+			if len(out) != mgrTestN {
+				t.Fatalf("order %v: %d releases, want %d", order, len(out), mgrTestN)
+			}
+			seen := map[int]bool{}
+			for _, rp := range out {
+				rel := rp.payload.(*BarrierRelease)
+				if rp.kind != KindBarrierRelease || seen[rp.req.From] {
+					t.Fatalf("order %v: reply kind %d to %d (seen %v)", order, rp.kind, rp.req.From, seen)
+				}
+				seen[rp.req.From] = true
+				if rp.at != base+40 {
+					t.Fatalf("order %v: node %d released at %v, want the last arrival %v", order, rp.req.From, rp.at, base+40)
+				}
+				if !rel.VT.Covers(all) {
+					t.Fatalf("order %v: release VT %v misses %v", order, rel.VT, all)
+				}
+			}
+			replyTrace(&trace, out)
 		}
-		if len(out) != mgrTestN {
-			t.Fatalf("order %v: %d releases, want %d", order, len(out), mgrTestN)
+		if first == "" {
+			first = trace.String()
+		} else if trace.String() != first {
+			t.Fatalf("order %v: replies differ from order %v:\n got %s\nwant %s", order, perms[0], trace.String(), first)
 		}
-		seen := map[int]bool{}
-		for _, rp := range out {
-			rel := rp.payload.(*BarrierRelease)
-			if rp.kind != KindBarrierRelease || seen[rp.req.From] {
-				t.Fatalf("order %v: reply kind %d to %d (seen %v)", order, rp.kind, rp.req.From, seen)
+	}
+}
+
+// A link delivers in order: a release that carries notices is decided
+// before the sender's next messages even when those, being smaller,
+// would arrive earlier, so the manager's notice store sees each interval
+// in turn; they arrive, and are stamped, no earlier than it.
+func TestManagerLinkOrder(t *testing.T) {
+	mg := testManager(0)
+	var out []mgrReply
+	drain := func() {
+		out = out[:0]
+		for {
+			rs, ok := mg.decide(math.MaxInt64)
+			if !ok {
+				return
 			}
-			seen[rp.req.From] = true
-			if rp.at != base+40 {
-				t.Fatalf("order %v: node %d released at %v, want the last arrival %v", order, rp.req.From, rp.at, base+40)
-			}
-			if !rel.VT.Covers(all) {
-				t.Fatalf("order %v: release VT %v misses %v", order, rel.VT, all)
-			}
+			out = append(out, rs...)
 		}
+	}
+	for l := int32(0); l < 2; l++ {
+		m := lockReqMsg(1, int64(l+1), l)
+		m.Seq = int64(l + 1)
+		mg.admit(m, simtime.Time(10*(l+1)))
+	}
+	drain()
+	if len(out) != 2 {
+		t.Fatalf("grants: %+v", out)
+	}
+	release := func(seq int64, l int32, interval int32, at simtime.Time) {
+		vt := vclock.New(mgrTestN)
+		vt[1] = interval
+		mg.admit(transport.Message{From: 1, Kind: KindLockRelease, Seq: seq,
+			Payload: &LockRelease{Lock: l, VT: vt, Notices: []Notice{{Proc: 1, Seq: interval}}}}, at)
+	}
+	release(3, 1, 1, 60) // the bigger message, sent first
+	release(4, 0, 2, 55)
+	req := lockReqMsg(1, 3, 0)
+	req.Seq = 5
+	mg.admit(req, 58)
+	drain()
+	if len(out) != 1 || out[0].at != 60 || out[0].req.Seq != 5 {
+		t.Fatalf("re-acquire after both releases: %+v, want one grant stamped at 60, behind the first release", out)
+	}
+	if !out[0].payload.(*LockGrant).VT.Covers(vclock.VC{0, 2, 0, 0}) {
+		t.Fatalf("grant VT %v misses both releases", out[0].payload.(*LockGrant).VT)
 	}
 }
 

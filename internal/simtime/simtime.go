@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,6 +37,9 @@ func (t Time) String() string { return fmt.Sprintf("%.3fms", float64(t)/1e6) }
 type Clock struct {
 	mu  sync.Mutex
 	now Time
+	// pub mirrors now for Now, which takes no lock: the manager reads
+	// every node's clock each time it computes its horizon.
+	pub atomic.Int64
 
 	// Threshold watches (see NotifyPast). watchAt is the lowest threshold
 	// any watch waits for, noWatch when there is none, so a clock nobody
@@ -53,14 +57,14 @@ type watch struct {
 const noWatch = Time(math.MaxInt64)
 
 // NewClock returns a clock set to the given start time.
-func NewClock(start Time) *Clock { return &Clock{now: start, watchAt: noWatch} }
+func NewClock(start Time) *Clock {
+	c := &Clock{now: start, watchAt: noWatch}
+	c.pub.Store(int64(start))
+	return c
+}
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Time { return Time(c.pub.Load()) }
 
 // NotifyPast arranges for one non-blocking send on ch as soon as the
 // clock reads later than t — the "wait until a peer's clock passes T"
@@ -89,9 +93,10 @@ func (c *Clock) StopNotify(ch chan<- struct{}) {
 	c.sweep(func(w watch) bool { return w.ch != ch })
 }
 
-// moved runs after every mutation, with c.mu held: the one compare an
-// unwatched clock pays.
+// moved runs after every mutation, with c.mu held: it publishes the new
+// time, and the one compare is all an unwatched clock pays.
 func (c *Clock) moved() {
+	c.pub.Store(int64(c.now))
 	if c.now > c.watchAt {
 		c.sweep(func(w watch) bool {
 			if c.now <= w.past {

@@ -123,6 +123,19 @@ type Network struct {
 	fencing   []atomic.Bool
 	fenceWake []chan struct{}
 
+	// Key-horizon state (see horizon.go): running[i] is set while node
+	// i's application runs a program, and horizonWake[i] (capacity one)
+	// is where node i's service loop learns that its horizon may have
+	// risen.
+	running     []atomic.Bool
+	horizonWake []chan struct{}
+	// What the deciding node has published of its progress for the
+	// arrival fence (see PublishDecided): every message with an arrival
+	// below decided is decided, and awaiting[i] is set while node i's
+	// request waits there unanswered.
+	decided  atomic.Int64
+	awaiting []atomic.Bool
+
 	// members is the cluster membership (see membership.go). The wire
 	// reads it for the epoch stamped on every copy, the partition cut,
 	// WaitRedirect's crash wake-up and the arrival fence's crashed-peer
@@ -222,10 +235,16 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 		fenceWake: make([]chan struct{}, n),
 		members:   newMembership(n),
 		replies:   make([]replyTable, n),
+
+		running:     make([]atomic.Bool, n),
+		horizonWake: make([]chan struct{}, n),
+		awaiting:    make([]atomic.Bool, n),
 	}
+	nw.decided.Store(int64(noHorizon))
 	for i := range nw.inboxes {
 		nw.inboxes[i].win = make(chan Message, inboxWindow)
 		nw.fenceWake[i] = make(chan struct{}, 1)
+		nw.horizonWake[i] = make(chan struct{}, 1)
 	}
 	nw.fabric = procFabric{nw}
 	return nw
@@ -345,6 +364,11 @@ type Endpoint struct {
 	// for duplicate suppression. Only the node's service goroutine
 	// touches it (via WireDup), so it needs no lock.
 	seen map[int]int64
+
+	// watched and watchedPast are the clock and threshold of the last
+	// WatchHorizon (service goroutine only).
+	watched     *simtime.Clock
+	watchedPast simtime.Time
 }
 
 // NewEndpoint attaches node id with its clock to the network.
@@ -353,7 +377,10 @@ func (nw *Network) NewEndpoint(id int, clock *simtime.Clock) *Endpoint {
 		panic(fmt.Sprintf("transport: invalid endpoint id %d", id))
 	}
 	nw.clocks[id].Store(clock)
-	nw.wakeFencers() // a reincarnation replaces the clock a fence may be watching
+	// A reincarnation replaces the clock a fence or a horizon watch may be
+	// watching.
+	nw.wakeFencers()
+	nw.wakeHorizons()
 	return &Endpoint{id: id, nw: nw, clock: clock, seen: make(map[int]int64)}
 }
 
@@ -489,7 +516,16 @@ func (e *Endpoint) ClearLockHeld(lock int64) {
 //     the revocation re-grant is stamped from its lease expiry, which is
 //     later still;
 //   - the peer is marked crashed: a buried node's future traffic is
-//     fenced by the epoch layer before it can enter any flush set.
+//     fenced by the epoch layer before it can enter any flush set;
+//   - the peer is running and its request waits unanswered at the node
+//     that decides in key order, which has decided every arrival below
+//     D with D + MsgHandling + minTransit > cutoff (PublishDecided; D is
+//     read first). The answer is decided at a key >= D and stamped a
+//     handling later, so the peer wakes, and sends, after the cutoff.
+//     A fencer's own cutoff is the stamp of a decision at a key <= D, a
+//     handling past it, so it never waits on a peer whose answer is held
+//     behind its own clock (a regrant stamped at a lease expiry is the
+//     exception, and pokes the decider to publish a fresh D).
 //
 // A peer parked on an independent lock that satisfies none of these may
 // genuinely wake below the cutoff (its grant can already be in flight
@@ -533,6 +569,16 @@ func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer 
 		for tries := 0; ; tries++ {
 			if _, down := nw.members.Crashed(i); down {
 				break
+			}
+			decided := simtime.Time(nw.decided.Load())
+			if nw.running[i].Load() && nw.awaiting[i].Load() {
+				if decided > cutoff-simtime.Time(nw.model.MsgHandling)-minTransit {
+					break
+				}
+				// A cutoff stamped past its decision (a regrant at lease
+				// expiry) can outrun the published bound; have the decider
+				// publish it afresh from the current clocks.
+				nw.wakeHorizons()
 			}
 			if p := nw.syncWait[i].Load(); p != nil {
 				if p.At+2*minTransit > cutoff {
