@@ -7,7 +7,9 @@
 # tier2 adds the race detector; -short skips the heavier fault-soak and
 # crash sweeps so the race run stays fast. Sent clocks are read by other
 # goroutines without a copy (DESIGN.md §2.8), so the test that no sent
-# payload changes runs ten times more under the detector.
+# payload changes runs ten times more under the detector, and so do the
+# same-seed determinism tests, whose replay rests on the manager's key
+# order and the arrival fence (DESIGN.md §4) holding under any schedule.
 
 .PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke loc
 
@@ -31,6 +33,8 @@ tier2:
 	go vet ./...
 	go test -race -short ./...
 	go test -race -count=10 -run TestSentPayloadsNeverChange ./internal/hlrc
+	go test -race -count=10 -run '^TestRunWithChurn(Partition)?Deterministic$$' ./internal/core
+	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench
 
 # The bulk accessors copy page bytes natively on little-endian hosts and
 # decode word by word elsewhere (internal/memory/f64s_{native,portable}.go).

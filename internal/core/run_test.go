@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"sdsm/internal/fault"
 	"sdsm/internal/recovery"
+	"sdsm/internal/simtime"
 	"sdsm/internal/wal"
 )
 
@@ -411,5 +414,60 @@ func TestAppPanicPropagates(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("app panic swallowed")
+	}
+}
+
+// TestFenceSkipsFinishedPeers runs a lock-only CCL program with no final
+// barrier: node 2 keeps taking lock 1 long after the other nodes' programs
+// have returned. A returned node's clock never moves again, so an arrival
+// fence that waited for it to pass the cutoff would never come back; it
+// sends nothing more, so the fence skips it. Same-seed runs must also
+// replay exactly, the finished peers' early exit included.
+func TestFenceSkipsFinishedPeers(t *testing.T) {
+	prog := func(p *Proc) {
+		rounds := 1
+		if p.ID() == 2 {
+			rounds = 40
+		}
+		for r := 0; r < rounds; r++ {
+			p.AcquireLock(1)
+			p.WriteI64(8, p.ReadI64(8)+1)
+			p.ReleaseLock(1)
+			p.Compute(20000)
+		}
+	}
+	type outcome struct {
+		exec          simtime.Time
+		logs, flushes int64
+	}
+	run := func() outcome {
+		t.Helper()
+		done := make(chan *Report, 1)
+		go func() {
+			rep, err := Run(testCfg(wal.ProtocolCCL), prog)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- rep
+		}()
+		select {
+		case rep := <-done:
+			if rep == nil {
+				t.FailNow()
+			}
+			if got := binary.LittleEndian.Uint64(rep.MemoryImage()[8:]); got != 43 {
+				t.Fatalf("lock counter = %d, want 43", got)
+			}
+			return outcome{rep.ExecTime, rep.TotalLogBytes, rep.TotalFlushes}
+		case <-time.After(30 * time.Second):
+			t.Fatal("run hung: a fence waited on a peer whose program had returned")
+		}
+		return outcome{}
+	}
+	first := run()
+	for i := 0; i < 4; i++ {
+		if got := run(); got != first {
+			t.Fatalf("same-seed runs differ: %+v vs %+v", got, first)
+		}
 	}
 }

@@ -10,11 +10,12 @@ import (
 // the heap on the sim backend, counted across every goroutine they touch
 // (the manager's and the home's service loops included), warm and with
 // nothing written, so no notice, diff or merge is involved: what is left
-// is the payload structs and the arrival fence's sync-wait marks (ROADMAP
-// item 1). The manager's queue of held messages is a reused slice, so
-// holding a message allocates nothing. The clocks the payloads carry are shared, not copied
-// (DESIGN.md §2.8), and a round trip itself allocates nothing
-// (transport.TestCallAllocations).
+// is the payload structs. The arrival fence reads only clocks, counters
+// and the manager's published bound, so it allocates nothing; the
+// manager's queue of held messages is a reused slice, so holding a
+// message allocates nothing either. The clocks the payloads carry are
+// shared, not copied (DESIGN.md §2.8), and a round trip itself allocates
+// nothing (transport.TestCallAllocations).
 func TestSyncAllocations(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -47,12 +48,12 @@ func TestSyncAllocations(t *testing.T) {
 		{"lock acquire+release", func() {
 			nd.AcquireLock(1)
 			nd.ReleaseLock(1)
-		}, 5, "LockReq, LockGrant, LockRelease; the fence's sync-wait mark and lock-holder entry"},
+		}, 3, "LockReq, LockGrant, LockRelease"},
 		{"barrier round", func() {
 			round <- struct{}{}
 			nd.Barrier(0)
 			<-roundDone
-		}, 5, "two BarrierCheckins, one BarrierRelease slab; the fence's two sync-wait marks"},
+		}, 3, "two BarrierCheckins, one BarrierRelease slab"},
 		{"remote page fetch", func() {
 			nd.PageTable().Invalidate(0) // homed at the peer
 			nd.ReadI64(0)

@@ -145,12 +145,6 @@ type Node struct {
 	// fault-injected retransmission charges that exist only on this
 	// node's clock, pushing it above what causality bounds.
 	lastSyncStamp simtime.Time
-	// barrierRound[b] counts the barrier-b releases this node has
-	// consumed (application goroutine only; read under mu by the arrival
-	// fence's gate callback). A peer parked on round r of barrier b is
-	// gated by this node while barrierRound[b] <= r: the release that
-	// wakes it still needs this node's own check-in.
-	barrierRound map[int32]int64
 	// crashedAt records the op at which the injected crash fired (-1
 	// until then).
 	crashedAt int32
@@ -227,7 +221,6 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 		notices:       NewNoticeStore(cfg.N),
 		grantVT:       make(map[int32]vclock.VC),
 		lastBarrierVT: vclock.New(cfg.N),
-		barrierRound:  make(map[int32]int64),
 		ver:           make([]vclock.COW, cfg.NumPages),
 		undo:          make(map[memory.PageID][]undoEntry),
 		CrashOp:       -1,

@@ -25,14 +25,7 @@ func (nd *Node) AcquireLock(lock int) {
 	nd.mu.Lock()
 	req := &LockReq{Lock: l, VT: nd.vt.Share()}
 	nd.mu.Unlock()
-	// The sync-wait mark lets peers' arrival fences skip this node while
-	// it blocks for the grant (see transport.Endpoint.FenceArrivalsBefore);
-	// no DiffUpdate is sent between here and the wake-up, so skipping is
-	// safe for flush composition. The tag names the lock so a fence can
-	// bound this node's wake by the published holder's clock.
-	nd.ep.BeginSyncWait(nd.clock.Now(), transport.LockTag(int64(l)))
 	resp := nd.ep.Call(ManagerNode, KindLockReq, req.WireSize(), req)
-	nd.ep.EndSyncWait()
 	if resp.Kind == KindFenced {
 		panic(ErrFenced)
 	}
@@ -56,10 +49,6 @@ func (nd *Node) AcquireLock(lock int) {
 	nd.grantVT[l] = g.VT
 	nd.opIndex++
 	nd.mu.Unlock()
-	// Holder registry: visible from here until just before the release
-	// leaves (FinishReleaseLive), so a fence reading it can bound a
-	// parked waiter's wake by this node's clock.
-	nd.ep.PublishLockHeld(int64(l))
 	nd.stats.LockAcquires.Add(1)
 	end := nd.clock.Now()
 	// The grant's manager-side stamp is the causal cut separating the
@@ -135,10 +124,6 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 	rel := &LockRelease{Lock: l, VT: nd.vt.Share(), Notices: nd.notices.Delta(gvt)}
 	nd.opIndex++
 	nd.mu.Unlock()
-	// Strictly before the release leaves: the fence's holder-bound skip
-	// relies on "registry entry visible ⇒ release still in this node's
-	// future" (see transport.Endpoint.ClearLockHeld).
-	nd.ep.ClearLockHeld(int64(l))
 	nd.ep.Send(ManagerNode, KindLockRelease, rel.WireSize(), rel)
 	// lastSyncStamp is NOT advanced here: the release is one-way, so
 	// there is no manager-side stamp to adopt; arrivals after it are
@@ -167,16 +152,8 @@ func (nd *Node) Barrier(barrier int) {
 func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	nd.mu.Lock()
 	ci := &BarrierCheckin{Barrier: b, VT: nd.vt.Share(), Notices: nd.notices.Delta(nd.lastBarrierVT)}
-	round := nd.barrierRound[b]
 	nd.mu.Unlock()
-	// Sync-wait mark: peers' arrival fences skip a node parked at the
-	// barrier (anything it sends after the release is past their cutoffs).
-	// The tag names the barrier round so a fencing peer that still owes
-	// its own check-in to this round recognizes the park as gated by
-	// itself and never waits on it (the wake is behind the fencer).
-	nd.ep.BeginSyncWait(nd.clock.Now(), transport.BarrierTag(int64(b), round))
 	resp := nd.ep.Call(ManagerNode, KindBarrierCheckin, ci.WireSize(), ci)
-	nd.ep.EndSyncWait()
 	if resp.Kind == KindFenced {
 		panic(ErrFenced)
 	}
@@ -186,7 +163,6 @@ func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	nd.applyNoticesLocked(rel.Notices)
 	nd.vt.Merge(rel.VT)
 	nd.lastBarrierVT = rel.VT
-	nd.barrierRound[b] = round + 1
 	nd.opIndex++
 	nd.mu.Unlock()
 	nd.stats.Barriers.Add(1)
@@ -253,24 +229,6 @@ func (nd *Node) partitionOnset(op int32) {
 			nd.ep.SendDetector(i, KindObit, ob.WireSize(), ob)
 		}
 	}
-}
-
-// gatesPeerPark is the arrival fence's gatedByMe callback: it reports
-// whether a peer's sync park waits on a resource this node itself gates —
-// a lock this node currently holds, or a barrier round this node has not
-// yet checked into. Such a park's wake is causally behind the fencing
-// node's own next release/check-in, so the fence must skip it (waiting
-// would deadlock) and soundly can: nothing the peer sends after that wake
-// can arrive at or before a cutoff stamped strictly earlier.
-func (nd *Node) gatesPeerPark(peer int, tag int64) bool {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if b, round, ok := transport.TagBarrier(tag); ok {
-		return nd.barrierRound[int32(b)] <= round
-	}
-	l, _ := transport.TagLock(tag)
-	_, held := nd.grantVT[int32(l)]
-	return held
 }
 
 // assertCrashPoint validates the non-quiescent crash-point preconditions
@@ -386,7 +344,7 @@ func (nd *Node) closeAndPropagate(op int32) {
 	// after StopService: the inbox is frozen) and during recovery replay.
 	cutoff := nd.lastSyncStamp
 	if nd.hooks.DeterministicFlush() && nd.stopSvc != nil && nd.delegate == nil {
-		nd.ep.FenceArrivalsBefore(cutoff, nd.gatesPeerPark)
+		nd.ep.FenceArrivalsBefore(cutoff)
 	}
 	nd.mu.Lock()
 	dirty := nd.pt.DirtyPages()

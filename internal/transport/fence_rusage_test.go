@@ -23,7 +23,7 @@ func cpuTime(t *testing.T) time.Duration {
 // one burns a whole core (50 ms of it).
 func TestFenceParksWithoutSpinning(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
-	done := r.fence(nil)
+	done := r.fence()
 	r.blocked(done, "with a peer's clock at zero") // past the yield phase
 	cpu0, wall0 := cpuTime(t), time.Now()
 	time.Sleep(50 * time.Millisecond)

@@ -38,14 +38,21 @@ func newFenceRig(t *testing.T, n int, lagging ...int) *fenceRig {
 	return r
 }
 
+// run marks nodes as running a program (Network.SetRunning).
+func (r *fenceRig) run(ids ...int) {
+	for _, id := range ids {
+		r.nw.SetRunning(id, true)
+	}
+}
+
 func (r *fenceRig) transit() simtime.Time { return simtime.Time(r.nw.Model().NetLatency) }
 
 // fence starts node 0's fence and returns the channel closed when it
 // comes back.
-func (r *fenceRig) fence(gatedByMe func(peer int, tag int64) bool) <-chan struct{} {
+func (r *fenceRig) fence() <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
-		r.eps[0].FenceArrivalsBefore(fenceCutoff, gatedByMe)
+		r.eps[0].FenceArrivalsBefore(fenceCutoff)
 		close(done)
 	}()
 	return done
@@ -73,7 +80,7 @@ func (r *fenceRig) released(done <-chan struct{}, by string) {
 
 func TestFenceWokenByPeerClock(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
-	done := r.fence(nil)
+	done := r.fence()
 	r.blocked(done, "with a peer's clock at zero")
 	// Exactly cutoff-transit is not past it: a send leaving now would
 	// still arrive at the cutoff.
@@ -83,60 +90,67 @@ func TestFenceWokenByPeerClock(t *testing.T) {
 	r.released(done, "the peer's clock passing cutoff - transit")
 }
 
-func TestFenceWokenByHolderClock(t *testing.T) {
-	r := newFenceRig(t, 3, 1, 2)
-	r.eps[2].PublishLockHeld(7)
-	r.eps[1].BeginSyncWait(0, LockTag(7))
-	done := r.fence(nil)
-	r.blocked(done, "with the parked peer's lock holder at clock zero")
-	r.eps[2].Clock().AdvanceTo(fenceCutoff - 3*r.transit())
-	r.blocked(done, "with the holder's clock at the threshold, not past it")
-	// Past cutoff - 3*transit bounds the parked peer; the holder's own
-	// turn in the fence then needs it past cutoff - transit.
-	r.eps[2].Clock().AdvanceTo(fenceCutoff)
-	r.released(done, "the holder's clock passing cutoff - 3*transit")
+// A running peer that waits unanswered at the decider passes once the
+// published decided bound D puts its answer past the cutoff:
+// D + MsgHandling + transit > cutoff. The peer's clock never moves and
+// nothing else changes, so the wake can only come from PublishDecided.
+func TestFenceWokenByDecidedBound(t *testing.T) {
+	r := newFenceRig(t, 3, 1)
+	r.run(0, 1, 2)
+	decider := r.eps[2]
+	awaiting := func(node int) bool { return node == 1 }
+	threshold := fenceCutoff - simtime.Time(r.nw.Model().MsgHandling) - r.transit()
+	done := r.fence()
+	r.blocked(done, "with a running peer's clock at zero")
+	decider.PublishDecided(threshold-r.transit(), awaiting)
+	r.blocked(done, "with the peer awaiting below the decided threshold")
+	decider.PublishDecided(threshold, awaiting)
+	r.blocked(done, "with the decided bound at the threshold, not past it")
+	decider.PublishDecided(threshold+1, awaiting)
+	r.released(done, "PublishDecided raising the bound past the threshold")
 }
 
-func TestFenceWokenByEndSyncWait(t *testing.T) {
-	r := newFenceRig(t, 3)
-	r.eps[1].BeginSyncWait(0, LockTag(7)) // early stamp, no published holder
-	done := r.fence(nil)
-	r.blocked(done, "with a peer parked early on an unheld lock")
-	r.eps[1].EndSyncWait() // its clock is past the cutoff
-	r.released(done, "EndSyncWait")
+// A running peer with a low clock, not waiting at the decider, holds a
+// running fencer until its clock passes cutoff - transit.
+func TestFenceHeldByRunningPeerClock(t *testing.T) {
+	r := newFenceRig(t, 3, 1)
+	r.run(0, 1, 2)
+	done := r.fence()
+	r.blocked(done, "with a running peer's clock at zero")
+	r.eps[1].Clock().AdvanceTo(fenceCutoff - r.transit())
+	r.blocked(done, "with the running peer's clock at the threshold")
+	r.eps[1].Clock().Advance(1)
+	r.released(done, "the running peer's clock passing cutoff - transit")
 }
 
-func TestFenceWokenByReparkWithLaterStamp(t *testing.T) {
-	r := newFenceRig(t, 3)
-	r.eps[1].BeginSyncWait(0, LockTag(7))
-	done := r.fence(nil)
-	r.blocked(done, "with a peer parked early on an unheld lock")
-	r.eps[1].BeginSyncWait(fenceCutoff-2*r.transit(), LockTag(7))
-	r.blocked(done, "with the re-park stamped exactly 2*transit before the cutoff")
-	r.eps[1].BeginSyncWait(fenceCutoff-2*r.transit()+1, LockTag(7))
-	r.released(done, "a re-park stamped within 2*transit of the cutoff")
-}
+// A peer whose program has returned never holds a running fencer, however
+// low its clock: it sends nothing more. What it sent before it finished is
+// still waited for by the drain phase.
+func TestFenceSkipsFinishedPeer(t *testing.T) {
+	r := newFenceRig(t, 3, 1)
+	r.run(0, 2)
+	r.released(r.fence(), "nothing: a finished peer at clock zero held the fence")
 
-// A holder whose clock lags hands the lock to one whose clock is past
-// the bound: the fence must drop its watch on the old holder's clock at
-// ClearLockHeld and take the new holder at PublishLockHeld.
-func TestFenceWokenByHolderHandoff(t *testing.T) {
-	r := newFenceRig(t, 4, 2)
-	r.eps[2].PublishLockHeld(7)
-	r.eps[1].BeginSyncWait(0, LockTag(7))
-	done := r.fence(nil)
-	r.blocked(done, "with the lock held by a node at clock zero")
-	r.eps[2].ClearLockHeld(7)
-	r.blocked(done, "with the lock held by nobody")
-	r.eps[3].PublishLockHeld(7)
-	r.blocked(done, "before the old holder's own clock is past the cutoff")
-	r.eps[2].Clock().AdvanceTo(fenceCutoff)
-	r.released(done, "ClearLockHeld and PublishLockHeld by a holder past the bound")
+	r.run(1)
+	done := r.fence()
+	r.blocked(done, "with the lagging peer running")
+	r.nw.SetRunning(1, false)
+	r.released(done, "SetRunning marking the peer finished")
+
+	r.run(1)
+	done = r.fence()
+	r.blocked(done, "with the lagging peer running again")
+	r.eps[1].Send(0, Kind(1), 8, nil)
+	r.nw.SetRunning(1, false)
+	r.blocked(done, "with the finished peer's last message unhandled")
+	<-r.eps[0].Inbox()
+	r.eps[0].MarkHandled()
+	r.released(done, "MarkHandled after the peer finished")
 }
 
 func TestFenceWokenByCrashMark(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
-	done := r.fence(nil)
+	done := r.fence()
 	r.blocked(done, "with a live peer's clock at zero")
 	r.eps[1].MarkCrashed(0)
 	r.released(done, "the peer's crash mark")
@@ -144,7 +158,7 @@ func TestFenceWokenByCrashMark(t *testing.T) {
 
 func TestFenceWokenByReincarnation(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
-	done := r.fence(nil)
+	done := r.fence()
 	r.blocked(done, "watching the first incarnation's clock")
 	// The recovered incarnation attaches with a clock of its own; the old
 	// one never moves again.
@@ -158,7 +172,7 @@ func TestFenceWokenByMarkHandled(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		r.eps[1].Send(0, Kind(1), 8, i)
 	}
-	done := r.fence(nil)
+	done := r.fence()
 	r.blocked(done, "with the inbox unhandled")
 	for i := 0; i < burst; i++ {
 		if i == burst-1 {

@@ -22,13 +22,15 @@ import (
 const noHorizon = simtime.Time(math.MinInt64)
 
 // SetRunning records whether node id's application is running a
-// program. Only running nodes bound the horizon: an idle node sends
-// nothing, and one whose program has returned never sends again. The slot
+// program. Only running nodes bound the horizon, and a running node's
+// arrival fence skips the others: an idle node sends nothing, and one
+// whose program has returned never sends again. The slot
 // outlives incarnations: a recovered node keeps running under the clock
 // its new endpoint registered.
 func (nw *Network) SetRunning(id int, running bool) {
 	nw.running[id].Store(running)
 	nw.wakeHorizons()
+	nw.wakeFencers()
 }
 
 // Horizon returns a virtual arrival time below which this node has

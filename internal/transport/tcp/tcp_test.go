@@ -122,7 +122,7 @@ func TestFabricFence(t *testing.T) {
 		p := &testPayload{A: int32(i)}
 		a.Send(1, transport.Kind(3), p.WireSize(), p)
 	}
-	b.FenceArrivalsBefore(1, nil)
+	b.FenceArrivalsBefore(1)
 	if got := handled.Load(); got != burst {
 		t.Fatalf("fence passed with %d of %d messages handled", got, burst)
 	}

@@ -104,15 +104,11 @@ type Network struct {
 	kindBytes [256]atomic.Int64 // per-kind bytes on the wire
 
 	// Arrival-fence state (see Endpoint.FenceArrivalsBefore): the nodes'
-	// virtual clocks as registered by NewEndpoint, per-inbox delivery and
-	// handling counters, and a per-node record of an application
-	// goroutine blocked inside a synchronization reply wait (nil when
-	// not parked; the record carries the park's virtual send stamp and
-	// an opaque protocol tag naming the awaited resource).
+	// virtual clocks as registered by NewEndpoint, and per-inbox delivery
+	// and handling counters.
 	clocks    []atomic.Pointer[simtime.Clock]
 	delivered []atomic.Int64 // messages enqueued into each inbox
 	handled   []atomic.Int64 // inbox messages the service loop finished
-	syncWait  []atomic.Pointer[SyncPark]
 
 	// Fence wake-ups: fencing[i] is set while node i's application
 	// goroutine is inside FenceArrivalsBefore, and fenceWake[i] (capacity
@@ -124,7 +120,8 @@ type Network struct {
 	fenceWake []chan struct{}
 
 	// Key-horizon state (see horizon.go): running[i] is set while node
-	// i's application runs a program, and horizonWake[i] (capacity one)
+	// i's application runs a program (the arrival fence reads it too),
+	// and horizonWake[i] (capacity one)
 	// is where node i's service loop learns that its horizon may have
 	// risen.
 	running     []atomic.Bool
@@ -142,15 +139,6 @@ type Network struct {
 	// skip.
 	members *Membership
 
-	// lockHolders is the network-wide registry of current lock holders
-	// (lock id → int32 node), maintained by PublishLockHeld and
-	// ClearLockHeld. An entry is published only after the holder's grant
-	// completed and cleared strictly before its release message leaves,
-	// so while an entry is visible the holder's release is still in that
-	// node's future — the causal bound FenceArrivalsBefore's
-	// independent-lock skip rests on.
-	lockHolders sync.Map
-
 	// replies holds each node's reply slots (see reply.go).
 	replies []replyTable
 
@@ -158,52 +146,6 @@ type Network struct {
 	// (see fabric.go). The default in-process fabric delivers directly
 	// into the inbox channels.
 	fabric Fabric
-}
-
-// SyncPark describes one node's application goroutine parked in a
-// synchronization reply wait: At is the virtual send stamp of the
-// request that parked it, Tag the resource awaited (see LockTag and
-// BarrierTag). Peers' arrival fences use both to decide whether the
-// parked node's post-wake sends can land below their cutoffs.
-type SyncPark struct {
-	At  simtime.Time
-	Tag int64
-}
-
-// Sync-wait tags name the resource a parked node awaits. The transport
-// owns the encoding so FenceArrivalsBefore can recognize lock waits and
-// resolve their holders without a protocol callback.
-const (
-	barrierTagBit   = int64(1) << 62
-	barrierTagShift = 40
-)
-
-// LockTag tags a park awaiting the grant of a lock.
-func LockTag(lock int64) int64 { return lock }
-
-// BarrierTag tags a park awaiting a barrier release: barrier names the
-// barrier object, round how many releases of it the parker has already
-// seen (so successive rounds of one barrier are distinct resources).
-func BarrierTag(barrier, round int64) int64 {
-	return barrierTagBit | barrier<<barrierTagShift | round
-}
-
-// TagLock reports whether tag names a lock wait and, if so, which lock.
-func TagLock(tag int64) (lock int64, ok bool) {
-	if tag&barrierTagBit != 0 {
-		return 0, false
-	}
-	return tag, true
-}
-
-// TagBarrier reports whether tag names a barrier wait and, if so, the
-// barrier and round.
-func TagBarrier(tag int64) (barrier, round int64, ok bool) {
-	if tag&barrierTagBit == 0 {
-		return 0, 0, false
-	}
-	tag &^= barrierTagBit
-	return tag >> barrierTagShift, tag & (1<<barrierTagShift - 1), true
 }
 
 // DefaultInboxCap is the queued depth (window plus spill) at which a
@@ -230,7 +172,6 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 		clocks:    make([]atomic.Pointer[simtime.Clock], n),
 		delivered: make([]atomic.Int64, n),
 		handled:   make([]atomic.Int64, n),
-		syncWait:  make([]atomic.Pointer[SyncPark], n),
 		fencing:   make([]atomic.Bool, n),
 		fenceWake: make([]chan struct{}, n),
 		members:   newMembership(n),
@@ -431,41 +372,6 @@ func (e *Endpoint) MarkHandled() {
 	}
 }
 
-// BeginSyncWait marks this node's application goroutine as blocked in a
-// synchronization reply wait (lock grant, barrier release). at is the
-// virtual send stamp of the parking request, tag an opaque protocol
-// identifier of the awaited resource; peers' arrival fences use both
-// (see FenceArrivalsBefore) to decide whether this node's post-wake
-// sends can land below their cutoffs.
-func (e *Endpoint) BeginSyncWait(at simtime.Time, tag int64) {
-	e.nw.syncWait[e.id].Store(&SyncPark{At: at, Tag: tag})
-	e.nw.wakeFencers()
-}
-
-// EndSyncWait clears the BeginSyncWait mark.
-func (e *Endpoint) EndSyncWait() {
-	e.nw.syncWait[e.id].Store(nil)
-	e.nw.wakeFencers()
-}
-
-// PublishLockHeld records this node as the current holder of a lock in
-// the network-wide holder registry. The protocol layer calls it after a
-// grant completes; the entry lets peers' arrival fences bound the wake
-// of a node parked on the lock by this holder's clock.
-func (e *Endpoint) PublishLockHeld(lock int64) {
-	e.nw.lockHolders.Store(lock, int32(e.id))
-	e.nw.wakeFencers()
-}
-
-// ClearLockHeld removes this node's holder-registry entry for a lock.
-// It MUST be called strictly before the release message is sent: the
-// fence's soundness needs "entry visible ⇒ release still in the
-// holder's future".
-func (e *Endpoint) ClearLockHeld(lock int64) {
-	e.nw.lockHolders.Delete(lock)
-	e.nw.wakeFencers()
-}
-
 // FenceArrivalsBefore blocks (in real time only — no virtual cost) until
 // every message whose virtual arrival at this node is <= cutoff has been
 // handled by this node's service loop. It makes any state derived from
@@ -475,91 +381,55 @@ func (e *Endpoint) ClearLockHeld(lock int64) {
 //
 // The cutoff must be causally meaningful: callers pass the manager-side
 // stamp of the grant/release that opened the interval being closed (see
-// internal/hlrc), NOT a locally observed resume time. The local resume
-// time includes fault-injected retransmission charges that exist only on
-// this node's clock; a cutoff inflated by them is above anything
-// causality bounds and historically let parked peers wake below it
-// (ROADMAP item 4). The manager stamp is the event every in-set arrival
-// causally precedes, and it is stable across retransmissions because
-// managers replay cached grants/releases at the original stamp.
+// internal/hlrc), not the locally observed resume time, which carries
+// retransmission charges that exist only on this node's clock. Managers
+// replay cached grants/releases at their original stamps, so the stamp is
+// stable across retransmissions.
 //
 // Two phases. First, for every peer, wait until one of:
 //
-//   - the peer's clock is close enough to the cutoff that any *future*
-//     send must arrive after it (clocks are monotone and a message needs
-//     at least the wire latency). Sends happen in program order before
-//     the sender's clock advances past them, so once the clock is
-//     observed past cutoff-minTransit, all its <=cutoff sends are
-//     already in the inbox;
-//   - the peer is parked in a synchronization reply wait whose request
-//     stamp At is itself within 2*minTransit of the cutoff: every wake
-//     path (a fresh grant, a cached-grant replay answering a
-//     retransmission, a revocation re-grant) is stamped at or after the
-//     request's arrival at the manager (>= At + transit), so the wake is
-//     >= At + 2*transit and the peer's post-wake sends arrive past the
-//     cutoff;
-//   - the peer is parked on a resource gated by this node (a lock this
-//     node holds, a barrier round this node has not yet checked into,
-//     per the gatedByMe callback): the wake is then stamped from an
-//     arrival of this node's own *future* release/check-in, which
-//     leaves at or after this node's current clock >= cutoff;
-//   - the peer is parked on an independent lock whose current holder H
-//     (per the PublishLockHeld registry) has a clock past
-//     cutoff - 3*minTransit. H's release leaves at or after H's clock
-//     (holders clear their registry entry before the release message is
-//     composed, and the holder check is re-read after the clock read, so
-//     "entry visible" proves the release is still in H's future); the
-//     manager's handoff grant is stamped at or after that release's
-//     arrival, the parked peer's wake one more transit later, and its
-//     post-wake sends land a third transit after that — past the cutoff.
-//     A holder that crashes after the clock read only raises the bound:
-//     the revocation re-grant is stamped from its lease expiry, which is
-//     later still;
-//   - the peer is marked crashed: a buried node's future traffic is
-//     fenced by the epoch layer before it can enter any flush set;
-//   - the peer is running and its request waits unanswered at the node
-//     that decides in key order, which has decided every arrival below
-//     D with D + MsgHandling + minTransit > cutoff (PublishDecided; D is
-//     read first). The answer is decided at a key >= D and stamped a
-//     handling later, so the peer wakes, and sends, after the cutoff.
-//     A fencer's own cutoff is the stamp of a decision at a key <= D, a
-//     handling past it, so it never waits on a peer whose answer is held
-//     behind its own clock (a regrant stamped at a lease expiry is the
-//     exception, and pokes the decider to publish a fresh D).
-//
-// A peer parked on an independent lock that satisfies none of these may
-// genuinely wake below the cutoff (its grant can already be in flight
-// with an early stamp), so this node waits. The wait terminates in real
-// time: barrier wake chains never block on a fencing node (a fence runs
-// before its own check-in, so every peer parked on a round this node
-// still owes a check-in to is skipped as gated; a round this node has
-// already checked into either released — the wake is in flight — or
-// waits on a third node that is itself live), and a hypothetical ring of
-// fencing nodes each waiting on a peer parked on the next fencer's lock
-// cannot close: fencer i waits on a holder-bound peer only while the
-// holder's clock <= cutoff_i - 3*transit, and a fencing holder's clock
-// is at least its own cutoff + transit, so cutoff_{i+1} + 4*transit <=
-// cutoff_i strictly decreases around the ring — impossible. Every wait
-// therefore sits above a peer making real progress, which eventually
-// wakes, re-parks with a later stamp, or passes the clock predicate.
+//   - it is marked crashed: a buried node's future traffic is fenced by
+//     the epoch layer before it can enter any flush set;
+//   - this node runs a program and the peer's has returned: the peer
+//     sends nothing more, and every copy it sent was counted into the
+//     delivery counter before its running flag dropped, so the second
+//     phase waits for them (the argument Horizon rests on);
+//   - it runs and its request waits unanswered at the node that decides
+//     in key order, which has decided every arrival below D with
+//     D + MsgHandling + NetLatency > cutoff (PublishDecided; D is read
+//     before the flag). The answer is decided at a key >= D and stamped
+//     a handling later, so the peer's next send arrives past the cutoff;
+//   - its clock plus NetLatency is past the cutoff: a send leaves at or
+//     after its sender's clock and arrives at least NetLatency later.
 //
 // Second, wait until the inbox is drained (handled catches up with
 // delivered).
+//
+// The wait terminates: a fencer waits only on a peer with a lower clock,
+// or on a decider that is not blocked by it. Its own clock is at or past
+// its cutoff, so a peer it waits on by clock is below it, and no cycle of
+// such waits can close. Its cutoff is the stamp of a decision at a key
+// <= D, a handling past it, so a waiting peer's D predicate normally holds
+// at once; when it does not (a regrant stamped at a lease expiry) the
+// fencer pokes the decider to publish a fresh D from the clocks, and its
+// own clock plus NetLatency, past its cutoff, never holds D below the
+// threshold.
 //
 // Waiting parks the goroutine (after fenceYields yields): a fence that
 // stayed runnable would keep its processor out of the scheduler's idle
 // path, and on the TCP backend that path is where socket readiness is
 // noticed. The park is woken by exactly the writers of what the
-// predicates read — BeginSyncWait/EndSyncWait, PublishLockHeld/
-// ClearLockHeld, MarkCrashed, NewEndpoint replacing a
-// clock, MarkHandled, and the watched clock passing its threshold
-// (simtime.Clock.NotifyPast). Each stores first and pokes second, the
-// fence raises its fencing flag before it reads, and the wake channel
-// holds one token, so a change between the read and the park is never
-// lost; a stale token costs one re-read.
-func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer int, tag int64) bool) {
+// predicates read — MarkCrashed, SetRunning, PublishDecided, NewEndpoint
+// replacing a clock, MarkHandled, and the watched clock passing its
+// threshold (simtime.Clock.NotifyPast). Each stores first and pokes
+// second, the fence raises its fencing flag before it reads, and the wake
+// channel holds one token, so a change between the read and the park is
+// never lost; a stale token costs one re-read.
+func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time) {
 	nw := e.nw
-	minTransit := simtime.Time(nw.model.NetLatency)
+	transit := simtime.Time(nw.model.NetLatency)
+	answered := cutoff - simtime.Time(nw.model.MsgHandling) - transit
+	running := nw.running[e.id].Load() // fixed while this node fences
 	nw.fencing[e.id].Store(true)
 	defer nw.fencing[e.id].Store(false)
 	for i := 0; i < nw.n; i++ {
@@ -571,34 +441,21 @@ func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time, gatedByMe func(peer 
 				break
 			}
 			decided := simtime.Time(nw.decided.Load())
-			if nw.running[i].Load() && nw.awaiting[i].Load() {
-				if decided > cutoff-simtime.Time(nw.model.MsgHandling)-minTransit {
-					break
-				}
-				// A cutoff stamped past its decision (a regrant at lease
-				// expiry) can outrun the published bound; have the decider
-				// publish it afresh from the current clocks.
-				nw.wakeHorizons()
-			}
-			if p := nw.syncWait[i].Load(); p != nil {
-				if p.At+2*minTransit > cutoff {
-					break
-				}
-				if gatedByMe != nil && gatedByMe(i, p.Tag) {
-					break
-				}
-				bounded, holder := e.holderBoundsPark(p, cutoff, minTransit)
-				if bounded {
-					break
-				}
-				e.fenceWait(tries, holder, cutoff-3*minTransit)
-				continue
-			}
-			c := nw.clocks[i].Load()
-			if c == nil || c.Now()+minTransit > cutoff {
+			peerRunning := nw.running[i].Load()
+			if running && !peerRunning {
 				break
 			}
-			e.fenceWait(tries, c, cutoff-minTransit)
+			if peerRunning && nw.awaiting[i].Load() {
+				if decided > answered {
+					break
+				}
+				nw.wakeHorizons() // have the decider publish a fresh D
+			}
+			c := nw.clocks[i].Load()
+			if c == nil || c.Now()+transit > cutoff {
+				break
+			}
+			e.fenceWait(tries, c, cutoff-transit)
 		}
 	}
 	for tries := 0; nw.handled[e.id].Load() < nw.delivered[e.id].Load(); tries++ {
@@ -652,38 +509,6 @@ func (nw *Network) wakeFencer(id int) {
 	case nw.fenceWake[id] <- struct{}{}:
 	default:
 	}
-}
-
-// holderBoundsPark reports whether a peer's lock park is provably woken
-// past the cutoff because the lock's current holder's clock is already
-// close enough to it (see FenceArrivalsBefore). The holder registry is
-// re-read after the clock read: only an entry that stayed visible across
-// the read proves the holder's release had not left yet. When the bound
-// fails only because the holder's clock is not there yet, holder is that
-// clock — the one whose passing cutoff - 3*minTransit a fence waits for.
-func (e *Endpoint) holderBoundsPark(p *SyncPark, cutoff, minTransit simtime.Time) (bounded bool, holder *simtime.Clock) {
-	l, isLock := TagLock(p.Tag)
-	if !isLock {
-		return false, nil
-	}
-	nw := e.nw
-	h, ok := nw.lockHolders.Load(l)
-	if !ok {
-		return false, nil
-	}
-	hid := int(h.(int32))
-	if hid == e.id || hid < 0 || hid >= nw.n {
-		return false, nil
-	}
-	hc := nw.clocks[hid].Load()
-	if hc == nil {
-		return false, nil
-	}
-	now := hc.Now()
-	if h2, ok2 := nw.lockHolders.Load(l); !ok2 || h2 != h {
-		return false, nil
-	}
-	return now+3*minTransit > cutoff, hc
 }
 
 // stamp builds a copy of a message from this node: departure time at,
