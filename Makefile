@@ -10,6 +10,9 @@
 # payload changes runs ten times more under the detector, and so do the
 # same-seed determinism tests, whose replay rests on the manager's key
 # order and the arrival fence (DESIGN.md §4) holding under any schedule.
+# CCL-recovery's prefetch marks and staged pages belong to the victim's
+# application goroutine while the homes serve its versioned fetches, in
+# the online shape too: its two tests run five times more.
 
 .PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke loc
 
@@ -35,6 +38,7 @@ tier2:
 	go test -race -count=10 -run TestSentPayloadsNeverChange ./internal/hlrc
 	go test -race -count=10 -run '^TestRunWithChurn(Partition)?Deterministic$$' ./internal/core
 	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench
+	go test -race -count=5 -run '^(TestCCLPrefetchFollowsUse|TestLateFirstServeRecovery)$$' ./internal/core
 
 # The bulk accessors copy page bytes natively on little-endian hosts and
 # decode word by word elsewhere (internal/memory/f64s_{native,portable}.go).

@@ -25,6 +25,7 @@ import (
 	"sdsm/internal/apps/shallow"
 	"sdsm/internal/apps/water"
 	"sdsm/internal/core"
+	"sdsm/internal/hlrc"
 	"sdsm/internal/logview"
 	"sdsm/internal/recovery"
 	"sdsm/internal/wal"
@@ -192,6 +193,10 @@ type Figure5Result struct {
 	ReExecSec float64 // re-execution baseline: run the program again
 	MLRecSec  float64 // ML-recovery replay time
 	CCLRecSec float64 // CCL-recovery replay time
+	// CCLFetches counts CCL-recovery's versioned page fetches
+	// (rec-page-req), CCLMisses the on-demand ones among them.
+	CCLFetches int64
+	CCLMisses  int
 }
 
 // RunFigure5 measures one application's recovery times. The victim
@@ -237,6 +242,8 @@ func RunFigure5(w *apps.Workload, nodes int) (*Figure5Result, error) {
 			res.MLRecSec = crep.Recovery.ReplayTime.Seconds()
 		case recovery.CCLRecovery:
 			res.CCLRecSec = crep.Recovery.ReplayTime.Seconds()
+			res.CCLFetches = crep.KindMsgs(hlrc.KindRecPageReq)
+			res.CCLMisses = crep.Recovery.Misses
 		}
 	}
 	return res, nil

@@ -69,5 +69,9 @@ func FormatFigure5(results []*Figure5Result) string {
 		fmt.Fprintf(&b, "%-10s ML-Recovery %5.1f%%   CCL-Recovery %5.1f%%\n",
 			r.App, r.Reduction(r.MLRecSec), r.Reduction(r.CCLRecSec))
 	}
+	b.WriteString("\nCCL-recovery versioned page fetches (on demand):\n")
+	for _, r := range results {
+		fmt.Fprintf(&b, "%-10s %6d (%d)\n", r.App, r.CCLFetches, r.CCLMisses)
+	}
 	return b.String()
 }

@@ -220,6 +220,9 @@ type RecoveryReport struct {
 	// instead of the (lost) disk records.
 	TornTail bool
 	TailOps  int
+	// Misses counts CCL-recovery's on-demand page fetches: pages the
+	// replay touched that its prefetch had left invalid.
+	Misses int
 	// Phases is the recovery-time breakdown: per-phase virtual durations
 	// that partition ReplayTime exactly (see recovery.PhaseReport).
 	Phases recovery.PhaseReport
@@ -264,6 +267,16 @@ func (r *Report) MemoryImage() []byte {
 		r.frames = nil
 	})
 	return r.mem
+}
+
+// KindMsgs returns how many messages of kind the run sent.
+func (r *Report) KindMsgs(kind transport.Kind) int64 {
+	for _, k := range r.MsgKinds {
+		if k.Kind == uint8(kind) {
+			return k.Msgs
+		}
+	}
+	return 0
 }
 
 func (c *cluster) report() *Report {
@@ -412,7 +425,7 @@ func validateVictim(cfg Config, victim int, atOp int32) error {
 		return fmt.Errorf("core: invalid victim %d", victim)
 	}
 	// Manager state is volatile and never logged; the paper's experiments
-	// fail a worker, and rebuilding a manager is ROADMAP items 4 and 5.
+	// fail a worker, and rebuilding a manager is ROADMAP item 5(c).
 	if victim == hlrc.ManagerNode {
 		return fmt.Errorf("core: victim %d hosts a manager (outside the paper's failure model)", victim)
 	}
@@ -593,6 +606,7 @@ func (c *cluster) recover(prog Program, plan ChurnPlan) (*RecoveryReport, error)
 	out.ReplayTime = rep.ReplayTime()
 	out.TornTail = rep.Torn()
 	out.TailOps = rep.TailOps
+	out.Misses = rep.Misses
 	out.Phases = rep.Phases()
 	if out.Online {
 		out.RejoinTime = start + out.ReplayTime

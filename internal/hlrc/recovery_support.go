@@ -200,7 +200,7 @@ func (nd *Node) AnyDirty(ns []Notice) bool {
 }
 
 // InstallPage makes fetched or logged contents the local copy of page p
-// and marks it ReadOnly (recovery prefetch / log replay). The node takes
+// and marks it ReadOnly (a recovery miss / ML log replay). The node takes
 // ownership of data, as memory.PageTable.Install does.
 func (nd *Node) InstallPage(p memory.PageID, data []byte) {
 	nd.mu.Lock()
@@ -208,8 +208,27 @@ func (nd *Node) InstallPage(p memory.PageID, data []byte) {
 	nd.mu.Unlock()
 }
 
+// StagePage makes fetched contents the local copy of page p but leaves the
+// page Invalid (CCL-recovery's prefetch): the replay's first access then
+// reaches the recovery delegate, which reveals the copy with RevealPage.
+// The node takes ownership of data, as InstallPage does.
+func (nd *Node) StagePage(p memory.PageID, data []byte) {
+	nd.mu.Lock()
+	nd.pt.Install(p, data)
+	nd.pt.Invalidate(p)
+	nd.mu.Unlock()
+}
+
+// RevealPage marks the copy StagePage left for page p ReadOnly.
+func (nd *Node) RevealPage(p memory.PageID) {
+	nd.mu.Lock()
+	nd.pt.SetState(p, memory.ReadOnly)
+	nd.mu.Unlock()
+}
+
 // InvalidatePage invalidates a local (non-home) copy (ML replay applies
-// logged notices this way). A recovered incarnation's migrated pages are
+// logged notices this way, CCL replay the notices of pages it does not
+// prefetch). A recovered incarnation's migrated pages are
 // non-home for this purpose: their stale copies must not be read.
 func (nd *Node) InvalidatePage(p memory.PageID) {
 	nd.mu.Lock()

@@ -14,9 +14,11 @@
 //   - CCL-recovery (the paper's scheme): at the beginning of each replayed
 //     interval the victim reads its (small) local log once, fetches the
 //     logged update events' diffs from the writers' logs, and prefetches
-//     every remote page named by the interval's write-invalidation
-//     notices directly from the live homes, at exactly the version the
-//     replay needs. Page faults never happen during replay.
+//     the remote pages named by the interval's write-invalidation notices
+//     that the replay will need — those it has used so far, and any on
+//     its first notice — directly from the live homes, at exactly the
+//     version the replay needs. A noticed page left out is invalidated and
+//     fetched at that same version if the replay touches it after all.
 //
 // Surviving nodes answer the recovery's versioned page fetches and logged
 // diff reads in hlrc.Node.handle; a node's log is read for the latter by
@@ -27,7 +29,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sdsm/internal/hlrc"
 	"sdsm/internal/memory"
@@ -130,7 +132,8 @@ func LoggedDiffs(store *stable.Store, writer int32, page memory.PageID, fromSeq,
 // Replayer drives a recovering node through its logged execution. It
 // implements hlrc.SyncDelegate: while installed, synchronization
 // operations replay from the log instead of communicating, and page
-// misses are resolved from the log (ML) or never happen (CCL).
+// misses are resolved from the log (ML) or reveal a prefetched copy (CCL).
+// It is used on the victim's application goroutine only.
 type Replayer struct {
 	kind    Kind
 	store   *stable.Store
@@ -141,6 +144,14 @@ type Replayer struct {
 
 	byOp      map[int32][]stable.Record
 	pagesByOp map[int32]map[memory.PageID]loggedPage // ML page copies
+
+	// marks holds CCL's prefetch state per page (nil under ML), and
+	// scratch the page list prefetchable builds, reused every round.
+	marks   []pageMark
+	scratch []memory.PageID
+	// Misses counts CCL's on-demand fetches: pages the replay touched
+	// that the prefetch had left invalid.
+	Misses int
 
 	replayTime simtime.Time
 	detached   bool
@@ -191,6 +202,15 @@ type Replayer struct {
 	reexec bool
 }
 
+// pageMark is CCL-recovery's prefetch state of one page.
+type pageMark uint8
+
+const (
+	markNoticed pageMark = 1 << iota // a replayed notice named it before
+	markUsed                         // the replay has accessed it
+	markStaged                       // its prefetched copy waits, Invalid, for the first access
+)
+
 // loggedPage is an ML page copy read from the log: its bytes, and the
 // size of the record that holds them (what reading it off the disk costs).
 type loggedPage struct {
@@ -229,6 +249,9 @@ func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, r
 		reexec:    reexec,
 		byOp:      make(map[int32][]stable.Record),
 		pagesByOp: make(map[int32]map[memory.PageID]loggedPage),
+	}
+	if kind == CCLRecovery {
+		r.marks = make([]pageMark, nd.NumPages())
 	}
 	if reexec {
 		nd.TwinsFromOp = 0
@@ -423,7 +446,7 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 				// The logged copy was in the torn tail: fall back to a
 				// versioned fetch from the live home (which needs the homes'
 				// undo histories, enabled for hardened ML runs).
-				r.fetchPages(nd, []memory.PageID{page})
+				r.fetchPages(nd, []memory.PageID{page}, false)
 				return true
 			}
 			panic(fmt.Sprintf("recovery: ML replay diverged: no logged copy of page %d at op %d", page, op))
@@ -437,9 +460,18 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 		nd.InstallPage(page, bytes.Clone(lp.data))
 		return true
 	case CCLRecovery:
-		// Prefetch should have validated everything; as a safety net,
-		// fetch the page at the current replay version.
-		r.fetchPages(nd, []memory.PageID{page})
+		m := r.marks[page]
+		r.marks[page] = m&^markStaged | markUsed
+		if m&markStaged != 0 {
+			// The prefetch fetched this copy at the version the replay
+			// still needs: reveal it, at no virtual cost.
+			nd.RevealPage(page)
+			return true
+		}
+		// A page the prefetch left invalid: fetch it at the replay's
+		// current version.
+		r.Misses++
+		r.fetchPages(nd, []memory.PageID{page}, false)
 		return true
 	}
 	return false
@@ -453,6 +485,14 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 func (r *Replayer) detach(nd *hlrc.Node) {
 	if r.torn {
 		r.catchUpHomePages(nd)
+	}
+	// A staged copy the replay never reached is as current as a valid
+	// prefetched copy: the live protocol keeps it instead of faulting the
+	// page in again.
+	for p, m := range r.marks {
+		if m&markStaged != 0 {
+			nd.RevealPage(memory.PageID(p))
+		}
 	}
 	r.replayTime = nd.Clock().Now() - r.base
 	r.phases.close(r.replayTime)
@@ -584,9 +624,10 @@ func (r *Replayer) tailSync(nd *hlrc.Node, kind transport.Kind, idx int) vclock.
 // notices and their vector time vt, read from the disk log or re-fetched
 // from a sender log — and validates pages per scheme: CCL fetches the
 // logged update events' diffs for the victim's home copies and prefetches
-// every remote page the notices name, eliminating the memory-miss idle
-// time during the coming interval; ML invalidates as the original run did,
-// and its misses will read logged copies from disk.
+// the remote pages the notices name that the replay will need
+// (prefetchable), eliminating the memory-miss idle time during the coming
+// interval; ML invalidates as the original run did, and its misses will
+// read logged copies from disk.
 func (r *Replayer) learn(nd *hlrc.Node, notices []hlrc.Notice, vt vclock.VC, events []hlrc.UpdateEvent) {
 	nd.Notices().AddAll(notices)
 	nd.MergeVT(vt)
@@ -599,7 +640,7 @@ func (r *Replayer) learn(nd *hlrc.Node, notices []hlrc.Notice, vt vclock.VC, eve
 			reqs = append(reqs, diffReq{ev.Writer, &hlrc.RecDiffsReq{Page: ev.Page, FromSeq: ev.Seq - 1, ToSeq: ev.Seq}})
 		}
 		r.fetchDiffs(nd, reqs, obsv.EvDiffFetch, PhaseDiffFetch)
-		r.fetchPages(nd, pagesToValidate(nd, notices))
+		r.fetchPages(nd, r.prefetchable(nd, notices), true)
 	case MLRecovery:
 		for _, n := range notices {
 			for _, p := range n.Pages {
@@ -609,26 +650,43 @@ func (r *Replayer) learn(nd *hlrc.Node, notices []hlrc.Notice, vt vclock.VC, eve
 	}
 }
 
-// pagesToValidate lists the distinct non-home pages named by notices.
-func pagesToValidate(nd *hlrc.Node, notices []hlrc.Notice) []memory.PageID {
-	seen := make(map[memory.PageID]bool)
-	var out []memory.PageID
+// prefetchable returns, in page order, the distinct non-home pages named
+// by notices that the replay has used since it began or that no earlier
+// notice named. Every other one is invalidated: if the replay touches it
+// before another notice names it, Validate fetches it then, at the
+// replay's current version — the one a prefetch here would have fetched,
+// since no interval the replay has learned of since wrote the page. The
+// list lives in r.scratch until the next call.
+func (r *Replayer) prefetchable(nd *hlrc.Node, notices []hlrc.Notice) []memory.PageID {
+	named := r.scratch[:0]
 	for _, n := range notices {
 		for _, p := range n.Pages {
-			if nd.IsHome(p) || seen[p] {
-				continue
+			if !nd.IsHome(p) {
+				named = append(named, p)
 			}
-			seen[p] = true
-			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(named)
+	named = slices.Compact(named)
+	r.scratch = named
+	out := named[:0]
+	for _, p := range named {
+		m := r.marks[p]
+		if m&markUsed != 0 || m&markNoticed == 0 {
+			out = append(out, p)
+		} else {
+			nd.InvalidatePage(p)
+			m &^= markStaged
+		}
+		r.marks[p] = m | markNoticed
+	}
 	return out
 }
 
-// fetchPages prefetches remote pages at exactly the replay's current
-// version, all round trips overlapped.
-func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID) {
+// fetchPages fetches remote pages at exactly the replay's current version,
+// all round trips overlapped, and stages them for the replay's first
+// access (stage) or installs them valid.
+func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID, stage bool) {
 	if len(pages) == 0 {
 		return
 	}
@@ -643,9 +701,13 @@ func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID) {
 		pendings = append(pendings, ep.CallAsync(nd.EffectiveHome(p), hlrc.KindRecPageReq, req.WireSize(), req))
 	}
 	for i, pd := range pendings {
-		m := pd.WaitDetached(nd.Clock())
-		resp := m.Payload.(*hlrc.PageReply)
-		nd.InstallPage(pages[i], resp.Data)
+		resp := pd.WaitDetached(nd.Clock()).Payload.(*hlrc.PageReply)
+		if stage {
+			nd.StagePage(pages[i], resp.Data)
+			r.marks[pages[i]] |= markStaged
+		} else {
+			nd.InstallPage(pages[i], resp.Data)
+		}
 	}
 	end := nd.Clock().Now()
 	nd.Tracer().Span(obsv.EvPrefetch, start, end, int64(len(pages)), 0)
