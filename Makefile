@@ -7,9 +7,11 @@
 # tier2 adds the race detector; -short skips the heavier fault-soak and
 # crash sweeps so the race run stays fast. Sent clocks are read by other
 # goroutines without a copy (DESIGN.md §2.8), so the test that no sent
-# payload changes runs ten times more under the detector, and so do the
-# same-seed determinism tests, whose replay rests on the manager's key
-# order and the arrival fence (DESIGN.md §4) holding under any schedule.
+# payload changes and the one that grows the shared page-request table
+# from several goroutines at once run ten times more under the detector,
+# and so do the same-seed determinism tests, whose replay rests on the
+# manager's key order and the arrival fence (DESIGN.md §4) holding under
+# any schedule.
 # CCL-recovery's prefetch marks and staged pages belong to the victim's
 # application goroutine while the homes serve its versioned fetches, in
 # the online shape too: its two tests run five times more.
@@ -35,7 +37,7 @@ benchmark-test:
 tier2:
 	go vet ./...
 	go test -race -short ./...
-	go test -race -count=10 -run TestSentPayloadsNeverChange ./internal/hlrc
+	go test -race -count=10 -run '^(TestSentPayloadsNeverChange|TestPageReqConstants)$$' ./internal/hlrc
 	go test -race -count=10 -run '^TestRunWithChurn(Partition)?Deterministic$$' ./internal/core
 	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench
 	go test -race -count=5 -run '^(TestCCLPrefetchFollowsUse|TestLateFirstServeRecovery)$$' ./internal/core

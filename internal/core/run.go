@@ -511,7 +511,7 @@ func (c *cluster) recover(prog Program, plan ChurnPlan) (*RecoveryReport, error)
 	}
 
 	// Input 1, the clock start. Offline it is zero, so the victim's final
-	// clock is the replay plus the rest of the run (ROADMAP item 5). Online
+	// clock is the replay plus the rest of the run (ROADMAP item 5(a)). Online
 	// the survivors' clocks kept running: a crashed node is back
 	// RestartDelay after the crash; a partitioned node was up the whole
 	// time, and its stale incarnation's clock at the fence carries every

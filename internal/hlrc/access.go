@@ -49,13 +49,15 @@ func (nd *Node) fetchPage(p memory.PageID) {
 	nd.stats.Faults.Add(1)
 	t0, t1 := nd.clock.AdvanceSpan(nd.cfg.Model.FaultCost)
 	nd.trc.Seg(obsv.EvPageFault, obsv.CatFault, t0, t1, int64(p), 0)
-	req := &PageReq{Page: p}
+	var req *PageReq
 	if nd.cfg.LeaseDuration > 0 {
 		// The requester's vector time bounds a custody rebuild at an
 		// adopter (the reply must cover every interval this node knows of).
 		nd.mu.Lock()
-		req.VT = nd.vt.Share()
+		req = &PageReq{Page: p, VT: nd.vt.Share()}
 		nd.mu.Unlock()
+	} else {
+		req = constPageReq(p, nd.cfg.NumPages) // shared, never written (pageReqs)
 	}
 	resp := nd.awaitHome(nd.ep.CallAsync(home, KindPageReq, req.WireSize(), req), home, KindPageReq, req)
 	pr := resp.Payload.(*PageReply)

@@ -57,7 +57,7 @@ func TestSyncAllocations(t *testing.T) {
 		{"remote page fetch", func() {
 			nd.PageTable().Invalidate(0) // homed at the peer
 			nd.ReadI64(0)
-		}, 2, "PageReq, PageReply; the page buffer is recycled"},
+		}, 1, "PageReply; the PageReq is the page's constant and the page buffer is recycled"},
 	}
 	for _, c := range cases {
 		for i := 0; i < 50; i++ {

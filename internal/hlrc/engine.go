@@ -151,6 +151,11 @@ type Node struct {
 	// flights is closeAndPropagate's in-flight batch list (application
 	// goroutine only), reused across intervals.
 	flights []flight
+	// created is closeAndPropagate's list of the interval's diffs
+	// (application goroutine only), reused across intervals: the hooks
+	// read it during AtRelease and never keep it, and the batches sent
+	// to the homes are cut from a copy.
+	created []memory.Diff
 	// svcEvents and svcApplied are handleDiffUpdate's scratch (service
 	// goroutine only): the hooks read them during the call, never after.
 	svcEvents  []UpdateEvent

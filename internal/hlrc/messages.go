@@ -1,6 +1,9 @@
 package hlrc
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
 	"sdsm/internal/simtime"
@@ -164,9 +167,59 @@ type PageReq struct {
 	VT   vclock.VC
 }
 
-// PageReply carries the home copy and its version vector (the latter is
-// ignored during failure-free operation and used by recovery). It answers
-// a PageReq (KindPageReply) and a RecPageReq (KindRecPageReply) alike.
+// pageReqs is the process-wide table of requests with no VT: entry p is
+// PageReq{Page: p}. Such a request is a pure function of its page and a
+// sent payload is never written again (DESIGN.md §2.8), so every
+// failure-free fetch of page p, on every node and cluster of the process,
+// sends the one value, and the tcp decoder hands it out again. The table
+// only grows, to the largest NumPages a sender has used (constPageReq);
+// an entry is never written after it is published, and readers load the
+// table without a lock.
+var pageReqs struct {
+	mu  sync.Mutex // serializes growth
+	tab atomic.Pointer[[]*PageReq]
+}
+
+// sharedPageReq returns page p's constant request, or nil when the table
+// does not reach p. It never grows the table.
+func sharedPageReq(p memory.PageID) *PageReq {
+	if t := pageReqs.tab.Load(); t != nil && uint(p) < uint(len(*t)) {
+		return (*t)[p]
+	}
+	return nil
+}
+
+// constPageReq returns page p's constant request, first growing the table
+// to numPages entries when it does not reach p. p must be below numPages.
+func constPageReq(p memory.PageID, numPages int) *PageReq {
+	if req := sharedPageReq(p); req != nil {
+		return req
+	}
+	pageReqs.mu.Lock()
+	defer pageReqs.mu.Unlock()
+	var old []*PageReq
+	if t := pageReqs.tab.Load(); t != nil {
+		old = *t
+	}
+	if numPages > len(old) {
+		// Entries already published keep their addresses: the new ones
+		// are cut from one block, and only the index is copied.
+		reqs := make([]PageReq, numPages-len(old))
+		tab := make([]*PageReq, len(old), numPages)
+		copy(tab, old)
+		for i := range reqs {
+			reqs[i].Page = memory.PageID(len(tab))
+			tab = append(tab, &reqs[i])
+		}
+		pageReqs.tab.Store(&tab)
+	}
+	return sharedPageReq(p)
+}
+
+// PageReply carries the home copy and its version vector. Data is all a
+// requester reads (fetchPage and CCL-recovery's fetchPages install it):
+// Ver is sent and charged, but no receiver reads it. It answers a
+// PageReq (KindPageReply) and a RecPageReq (KindRecPageReply) alike.
 type PageReply struct {
 	Data []byte
 	Ver  vclock.VC

@@ -2,13 +2,16 @@ package hlrc
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
 	"sdsm/internal/fault"
+	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
+	"sdsm/internal/vclock"
 )
 
 // wireRecorder is an in-process fabric that records the encoding of every
@@ -135,5 +138,119 @@ func TestSentPayloadsNeverChange(t *testing.T) {
 		if seen[k] == 0 {
 			t.Errorf("no %s was sent: the test no longer covers it", obsv.KindName(uint8(k)))
 		}
+	}
+}
+
+// pageReqTableLen is the length of the process-wide constant request
+// table.
+func pageReqTableLen() int {
+	if t := pageReqs.tab.Load(); t != nil {
+		return len(*t)
+	}
+	return 0
+}
+
+// TestPageReqConstants holds the failure-free page request to being its
+// page's constant: the fetch sends the table's value and the decoder
+// hands the same pointer back without allocating, while a request with
+// a VT, or for a page past the table's end, decodes into a fresh value
+// and leaves the table as it was. Growth from several goroutines at once
+// keeps every published entry where it was (make tier2 runs this under
+// -race).
+func TestPageReqConstants(t *testing.T) {
+	const n, pages, psz = 2, 4, 256
+	model := simtime.DefaultCostModel()
+	nw := transport.NewNetwork(n, model)
+	rec := &wireRecorder{nw: nw}
+	nw.SetFabric(rec)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = NewNode(Config{
+			ID: i, N: n, PageSize: psz, NumPages: pages,
+			Homes: []int{0, 1, 0, 1}, Model: model,
+		}, nw, simtime.NewClock(0), nil, nil)
+		nodes[i].StartService()
+	}
+	nodes[1].PageTable().Invalidate(2) // homed at node 0
+	nodes[1].ReadI64(2 * psz)
+	stopAll(nodes)
+
+	var sent *PageReq
+	for _, s := range rec.sent {
+		if s.kind == KindPageReq {
+			sent = s.payload.(*PageReq)
+		}
+	}
+	if sent == nil || sent.Page != 2 || sent != sharedPageReq(2) {
+		t.Fatalf("fetch of page 2 sent %+v, want the table's constant %p", sent, sharedPageReq(2))
+	}
+	if pageReqTableLen() < pages {
+		t.Fatalf("table holds %d requests after a fetch with NumPages %d", pageReqTableLen(), pages)
+	}
+	body := sent.AppendWire(nil)
+	if got, err := sent.DecodeWire(body); err != nil || got != any(sent) {
+		t.Fatalf("decoding page 2's request: %p, %v; want the sender's %p", got, err, sent)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sent.DecodeWire(body) }); allocs != 0 {
+		t.Errorf("decoding a constant request: %v allocs, want 0", allocs)
+	}
+
+	before := pageReqTableLen()
+	for _, tc := range []struct {
+		name string
+		req  *PageReq
+	}{
+		{"with a VT", &PageReq{Page: 2, VT: vclock.VC{1, 2}}},
+		{"past the table's end", &PageReq{Page: memory.PageID(before)}},
+		{"at the largest page id", &PageReq{Page: 0x7fffffff}},
+	} {
+		body := tc.req.AppendWire(nil)
+		got, err := tc.req.DecodeWire(body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got == any(sent) || !reflect.DeepEqual(got, tc.req) {
+			t.Errorf("%s: decoded %+v (constant %v), want a fresh %+v", tc.name, got, got == any(sent), tc.req)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { tc.req.DecodeWire(body) }); allocs < 1 {
+			t.Errorf("%s: %v allocs, want a fresh value", tc.name, allocs)
+		}
+		if l := pageReqTableLen(); l != before {
+			t.Errorf("%s: decoding moved the table from %d to %d requests", tc.name, before, l)
+		}
+	}
+
+	// Grow from several goroutines at once, each to its own NumPages,
+	// while readers take the entries already published.
+	const growers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < growers; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			numPages := before + 16*(g+1)
+			if req := constPageReq(memory.PageID(numPages-1), numPages); req.Page != memory.PageID(numPages-1) {
+				t.Errorf("grower %d: request for page %d names page %d", g, numPages-1, req.Page)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if req := sharedPageReq(2); req != sent {
+				t.Errorf("reader %d: page 2's request moved from %p to %p", g, sent, req)
+			}
+		}()
+	}
+	wg.Wait()
+	if want := before + 16*growers; pageReqTableLen() != want {
+		t.Fatalf("table holds %d requests after growth to %d", pageReqTableLen(), want)
+	}
+	tab := *pageReqs.tab.Load()
+	for p, req := range tab {
+		if req.Page != memory.PageID(p) || req.VT != nil {
+			t.Fatalf("entry %d is %+v", p, req)
+		}
+	}
+	if tab[2] != sent {
+		t.Errorf("growth moved page 2's request from %p to %p", sent, tab[2])
 	}
 }

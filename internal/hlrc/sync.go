@@ -365,7 +365,7 @@ func (nd *Node) closeAndPropagate(op int32) {
 
 	seq := nd.vt.Tick(nd.cfg.ID)
 	vtSum := nd.vt.Get().Sum()
-	var created []memory.Diff // in page order, as CCL logs them
+	created := nd.created[:0] // in page order, as CCL logs them
 	pages := make([]memory.PageID, 0, len(dirty))
 	compareBytes := 0
 	for _, p := range dirty {
@@ -430,6 +430,8 @@ func (nd *Node) closeAndPropagate(op int32) {
 	// any ack is awaited. The grouped list is new per interval: in-flight
 	// copies of its batches may outlive the call.
 	byHome := slices.Clone(created)
+	clear(created)
+	nd.created = created[:0]
 	slices.SortStableFunc(byHome, func(a, b memory.Diff) int {
 		return cmp.Compare(nd.HomeOf(a.Page), nd.HomeOf(b.Page))
 	})

@@ -518,10 +518,30 @@ func (m DiffAck) WireSize() int                  { return wireSize(m) }
 func (m DiffAck) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
 func (DiffAck) DecodeWire(b []byte) (any, error) { return decodeWire(b, DiffAck{}) }
 
-func (*PageReq) WireTag() uint8                   { return tagPageReq }
-func (m *PageReq) WireSize() int                  { return wireSize(m) }
-func (m *PageReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*PageReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &PageReq{}) }
+func (*PageReq) WireTag() uint8                 { return tagPageReq }
+func (m *PageReq) WireSize() int                { return wireSize(m) }
+func (m *PageReq) AppendWire(dst []byte) []byte { return appendWire(dst, m) }
+
+// DecodeWire hands out the page's constant request (sharedPageReq) for a
+// body with no VT whose page the table reaches, allocating nothing; any
+// other body decodes into a fresh value. It never grows the table, so a
+// hostile page id costs one request, not a table that reaches it.
+func (*PageReq) DecodeWire(b []byte) (any, error) {
+	if len(b) == pageReqNoVTSize {
+		var m PageReq
+		w := wire{op: wireDecoding, b: b}
+		w.walk(&m)
+		if w.err == nil && len(w.b) == 0 {
+			if req := sharedPageReq(m.Page); req != nil {
+				return req, nil
+			}
+		}
+	}
+	return decodeWire(b, &PageReq{})
+}
+
+// pageReqNoVTSize is the length of a PageReq with no VT.
+var pageReqNoVTSize = wireSize(&PageReq{})
 
 func (*PageReply) WireTag() uint8                   { return tagPageReply }
 func (m *PageReply) WireSize() int                  { return wireSize(m) }

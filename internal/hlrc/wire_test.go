@@ -474,12 +474,19 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, p := range recReply {
 		f.Add(p.WireTag(), p.AppendWire(nil))
 	}
+	// A request with no VT for the largest page id: the decoder must not
+	// grow the constant request table to reach it.
+	f.Add(tagPageReq, (&PageReq{Page: 0x7fffffff}).AppendWire(nil))
 	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
 		ex := byTag[tag]
 		if ex == nil {
 			return
 		}
+		tab := pageReqTableLen()
 		got, err := ex.DecodeWire(body)
+		if l := pageReqTableLen(); l != tab {
+			t.Fatalf("%T: decoding %x moved the page request table from %d to %d entries", ex, body, tab, l)
+		}
 		if err != nil {
 			var we *WireError
 			if got != nil || !errors.As(err, &we) {

@@ -694,8 +694,12 @@ func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID, stage bool) 
 	start := nd.Clock().Now()
 	need := nd.VT()
 	pendings := make([]*transport.Pending, 0, len(pages))
-	for _, p := range pages {
-		req := &hlrc.RecPageReq{Page: p, Need: need}
+	// Every request of the round shares need, so the round's requests are
+	// cut from one slice; none is written after it is sent.
+	reqs := make([]hlrc.RecPageReq, len(pages))
+	for i, p := range pages {
+		req := &reqs[i]
+		req.Page, req.Need = p, need
 		// EffectiveHome routes pages whose static home has crashed to their
 		// adopter (it is HomeOf with leases disabled).
 		pendings = append(pendings, ep.CallAsync(nd.EffectiveHome(p), hlrc.KindRecPageReq, req.WireSize(), req))

@@ -81,9 +81,10 @@ type Payload interface {
 	// message's accounted size: the protocol derives both from one layout,
 	// and the fabric checks on every send that the sender charged it.
 	AppendWire(dst []byte) []byte
-	// DecodeWire decodes b — one whole encoding — into a fresh value of
-	// the receiver's type. The receiver is only an exemplar; the result
-	// owns its bytes (b is a connection buffer about to be reused).
+	// DecodeWire decodes b — one whole encoding — into a value of the
+	// receiver's type: a fresh one, or a shared constant nobody writes.
+	// The receiver is only an exemplar; the result never aliases b (a
+	// connection buffer about to be reused).
 	DecodeWire(b []byte) (any, error)
 }
 
