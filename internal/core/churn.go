@@ -135,7 +135,7 @@ func (c *cluster) assembleMigratedImage(rep *Report) error {
 			diffs = append(diffs, recovery.LoggedDiffs(c.depot.Store(w), int32(w), pg, 0, math.MaxInt32)...)
 		}
 		diffs = append(diffs, adopted[pg]...)
-		data, _, err := hlrc.RebuildAdoptedImage(c.cfg.PageSize, diffs)
+		data, err := hlrc.RebuildAdoptedImage(c.cfg.PageSize, diffs)
 		if err != nil {
 			return fmt.Errorf("core: assembling migrated page %d: %w", p, err)
 		}

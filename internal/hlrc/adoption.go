@@ -152,8 +152,8 @@ func (nd *Node) handleForeignPageReq(m transport.Message, req *PageReq, at simti
 		nd.ep.ReplyAt(at, m, KindRedirectHome, rd.WireSize(), rd)
 		return
 	}
-	data, ver, done := nd.RebuildCustody(req.Page, req.VT, at)
-	resp := &PageReply{Data: data, Ver: ver}
+	data, done := nd.RebuildCustody(req.Page, req.VT, at)
+	resp := &PageReply{Data: data}
 	nd.trc.SvcSpan(obsv.EvAdoptServe, obsv.CatCoherence,
 		at-simtime.Time(nd.cfg.Model.MsgHandling), done, m.From, m.SentAt,
 		int64(req.Page), int64(resp.WireSize()))
@@ -223,7 +223,7 @@ func (nd *Node) handleForeignDiffUpdate(m transport.Message, du *DiffUpdate, at 
 // once from the writer's log. The two copies have equal keys and equal
 // bytes (the churn sweep's custody check compares them), so they sort
 // next to each other and the second apply rewrites the same bytes.
-func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, vclock.VC, simtime.Time) {
+func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, simtime.Time) {
 	scratch := simtime.NewClock(at)
 	bound := func(w int) int32 {
 		if w < 0 || w >= len(need) {
@@ -279,12 +279,11 @@ func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 			entries = append(entries, AdoptedDiff{int32(froms[i]), rd.Seqs[j], rd.VTSums[j], rd.Diffs[j]})
 		}
 	}
-	ver := vclock.New(nd.cfg.N) // N entries, whichever writers appear
-	data, err := applyCustody(nd.cfg.PageSize, entries, ver)
+	data, err := applyCustody(nd.cfg.PageSize, entries)
 	if err != nil {
 		panic(fmt.Sprintf("hlrc: node %d rejected rebuilt diff for page %d: %v", nd.cfg.ID, p, err))
 	}
-	return data, ver, scratch.Now()
+	return data, scratch.Now()
 }
 
 // AdoptedState snapshots the custody record, sorted by page id, for the
@@ -309,11 +308,10 @@ func (nd *Node) AdoptedState() []AdoptedPageState {
 // page from an arbitrary mix of logged and custody-recorded diffs: dedup
 // by (writer, seq), canonical custody order, apply onto the zero page.
 // The runner uses it for migrated pages in the final memory image.
-func RebuildAdoptedImage(pageSize int, diffs []AdoptedDiff) ([]byte, vclock.VC, error) {
+func RebuildAdoptedImage(pageSize int, diffs []AdoptedDiff) ([]byte, error) {
 	entries := make([]AdoptedDiff, 0, len(diffs))
 	type key struct{ w, s int32 }
 	seen := make(map[key]bool)
-	maxW := int32(0)
 	for _, ad := range diffs {
 		k := key{ad.Writer, ad.Seq}
 		if seen[k] {
@@ -321,14 +319,12 @@ func RebuildAdoptedImage(pageSize int, diffs []AdoptedDiff) ([]byte, vclock.VC, 
 		}
 		seen[k] = true
 		entries = append(entries, ad)
-		maxW = max(maxW, ad.Writer)
 	}
-	ver := vclock.New(int(maxW) + 1)
-	data, err := applyCustody(pageSize, entries, ver)
+	data, err := applyCustody(pageSize, entries)
 	if err != nil {
-		return nil, nil, fmt.Errorf("hlrc: rebuild %w", err)
+		return nil, fmt.Errorf("hlrc: rebuild %w", err)
 	}
-	return data, ver, nil
+	return data, nil
 }
 
 // SortCanonical sorts writer-interval diffs in place into the canonical
@@ -353,9 +349,8 @@ func SortCanonical(diffs []AdoptedDiff) {
 
 // applyCustody applies entries onto the zero page in the canonical order
 // (SortCanonical), so every rebuild of the same entry set yields the same
-// bytes, and raises ver[w] to writer w's newest applied interval. Entries
-// are sorted in place; every diff is validated first.
-func applyCustody(pageSize int, entries []AdoptedDiff, ver vclock.VC) ([]byte, error) {
+// bytes. Entries are sorted in place; every diff is validated first.
+func applyCustody(pageSize int, entries []AdoptedDiff) ([]byte, error) {
 	SortCanonical(entries)
 	data := make([]byte, pageSize)
 	for _, e := range entries {
@@ -363,9 +358,6 @@ func applyCustody(pageSize int, entries []AdoptedDiff, ver vclock.VC) ([]byte, e
 			return nil, fmt.Errorf("(writer %d, seq %d): %w", e.Writer, e.Seq, err)
 		}
 		e.Diff.Apply(data)
-		if int(e.Writer) < len(ver) && e.Seq > ver[e.Writer] {
-			ver[e.Writer] = e.Seq
-		}
 	}
 	return data, nil
 }

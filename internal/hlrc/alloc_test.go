@@ -15,7 +15,9 @@ import (
 // manager's queue of held messages is a reused slice, so holding a
 // message allocates nothing either. The clocks the payloads carry are
 // shared, not copied (DESIGN.md §2.8), and a round trip itself allocates
-// nothing (transport.TestCallAllocations).
+// nothing (transport.TestCallAllocations). The last case writes a home
+// page another node has just fetched: a page reply carries no version
+// vector, so the release updates the page's vector in place.
 func TestSyncAllocations(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -58,6 +60,13 @@ func TestSyncAllocations(t *testing.T) {
 			nd.PageTable().Invalidate(0) // homed at the peer
 			nd.ReadI64(0)
 		}, 1, "PageReply; the PageReq is the page's constant and the page buffer is recycled"},
+		{"serve then home write", func() {
+			peer.PageTable().Invalidate(1) // homed at nd
+			peer.ReadI64(4096)
+			nd.AcquireLock(1)
+			nd.WriteI64(4096, peer.ReadI64(4096)+1)
+			nd.ReleaseLock(1)
+		}, 8, "PageReply, the three lock payloads, the interval's notice and clock copies"},
 	}
 	for _, c := range cases {
 		for i := 0; i < 50; i++ {

@@ -166,7 +166,7 @@ func BenchmarkPageAtVersion(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				data, _ := nd.PageAtVersion(0, need)
+				data := nd.PageAtVersion(0, need)
 				arena.Put(data) // as the fetching node's Install does
 			}
 		})

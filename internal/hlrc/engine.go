@@ -122,8 +122,9 @@ type Node struct {
 	// (the release's own vector, kept, never written).
 	lastBarrierVT vclock.VC
 	// ver[p] is the version vector of home page p (nil for non-home
-	// pages): ver[p][w] = last interval of writer w applied to p. Replies
-	// carry it shared, like vt; the vectors are cut from one slab.
+	// pages): ver[p][w] = last interval of writer w applied to p. Only
+	// Freeze shares it, so a write copies it only after a checkpoint;
+	// the vectors are cut from one slab.
 	ver  []vclock.COW
 	undo map[memory.PageID][]undoEntry
 	// served[p] is set once a reply has been built from home frame p
@@ -535,10 +536,9 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 		panic(fmt.Sprintf("hlrc: node %d asked for page %d homed at %d", nd.cfg.ID, req.Page, nd.HomeOf(req.Page)))
 	}
 	data := nd.pt.CopyPage(req.Page)
-	ver := nd.ver[req.Page].Share()
 	nd.markServedLocked(req.Page)
 	nd.mu.Unlock()
-	resp := &PageReply{Data: data, Ver: ver}
+	resp := &PageReply{Data: data}
 	nd.trc.SvcSpanT(svcTrace(m), obsv.EvPageServe, obsv.CatCoherence,
 		at-simtime.Time(nd.cfg.Model.MsgHandling), at, m.From, m.SentAt,
 		int64(req.Page), int64(resp.WireSize()))
@@ -554,9 +554,9 @@ func (nd *Node) handleRecPageReq(m transport.Message, at simtime.Time) {
 	req := m.Payload.(*RecPageReq)
 	resp := &PageReply{}
 	if nd.OwnsHome(req.Page) {
-		resp.Data, resp.Ver = nd.PageAtVersion(req.Page, req.Need)
+		resp.Data = nd.PageAtVersion(req.Page, req.Need)
 	} else {
-		resp.Data, resp.Ver, at = nd.RebuildCustody(req.Page, req.Need, at)
+		resp.Data, at = nd.RebuildCustody(req.Page, req.Need, at)
 	}
 	nd.ep.ReplyAt(at, m, KindRecPageReply, resp.WireSize(), resp)
 }
@@ -683,15 +683,13 @@ func (nd *Node) undoArmed(p memory.PageID) bool {
 // precedes that fetch (need covers it) or is concurrent with it (data-race
 // freedom keeps its words out of what the peer reads); see DESIGN.md.
 // With HomeUndo disabled, or when the current copy already satisfies
-// need, the current copy is returned. The second result is the version
-// vector of the returned copy; nobody may write it (it is the page's own
-// vector, shared, unless something rolled back).
-func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.VC) {
+// need, the current copy is returned.
+func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) []byte {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	data := nd.pt.CopyPage(p)
 	if !nd.cfg.HomeUndo {
-		return data, nd.ver[p].Share() // documented fallback: current copy
+		return data // documented fallback: current copy
 	}
 	nd.markServedLocked(p)
 	// Strip the open interval's provisional self-writes: the home may be
@@ -705,21 +703,17 @@ func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) ([]byte, vclock.V
 		copy(data, nd.pt.Twin(p))
 	}
 	if need.Covers(nd.ver[p].Get()) {
-		return data, nd.ver[p].Share()
+		return data
 	}
 	// Roll back every update beyond need, oldest first: each word ends at
 	// the pre-image of the oldest rolled-back entry that covers it, and is
 	// written once.
-	ver := nd.ver[p].Get().Clone()
 	done := nd.undoDone
 	clear(done)
 	for _, e := range nd.undo[p] {
 		if int(e.writer) < len(need) && e.seq > need[e.writer] {
 			e.undo.Restore(data, done)
-			if ver[e.writer] >= e.seq {
-				ver[e.writer] = e.seq - 1
-			}
 		}
 	}
-	return data, ver
+	return data
 }

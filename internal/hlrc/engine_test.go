@@ -53,20 +53,17 @@ func TestPageAtVersionRollback(t *testing.T) {
 	nd.ApplyDiffAsHome(diffAt(0, 16, 3), 1, 3)
 
 	// Full version: everything present.
-	data, ver := nd.PageAtVersion(0, vclock.VC{0, 3})
-	if data[0] != 1 || data[8] != 2 || data[16] != 3 || !ver.Equal(vclock.VC{0, 3}) {
-		t.Fatalf("full version wrong: %v %v", data[:20], ver)
+	data := nd.PageAtVersion(0, vclock.VC{0, 3})
+	if data[0] != 1 || data[8] != 2 || data[16] != 3 {
+		t.Fatalf("full version wrong: %v", data[:20])
 	}
 	// Mid version: interval 3 rolled back.
-	data, ver = nd.PageAtVersion(0, vclock.VC{0, 2})
+	data = nd.PageAtVersion(0, vclock.VC{0, 2})
 	if data[0] != 1 || data[8] != 2 || data[16] != 0 {
 		t.Fatalf("rollback to 2 wrong: %v", data[:20])
 	}
-	if ver[1] != 2 {
-		t.Fatalf("rolled-back ver = %v", ver)
-	}
 	// Oldest version: everything rolled back.
-	data, _ = nd.PageAtVersion(0, vclock.VC{0, 0})
+	data = nd.PageAtVersion(0, vclock.VC{0, 0})
 	if data[0] != 0 || data[8] != 0 || data[16] != 0 {
 		t.Fatalf("rollback to 0 wrong: %v", data[:20])
 	}
@@ -81,9 +78,8 @@ func TestPageAtVersionWithoutUndo(t *testing.T) {
 	nd.ApplyDiffAsHome(diffAt(0, 0, 9), 1, 5)
 	// Without undo history the current copy is returned even when newer
 	// than requested (documented fallback).
-	data, ver := nd.PageAtVersion(0, vclock.VC{0, 1})
-	if data[0] != 9 || ver[1] != 5 {
-		t.Fatalf("fallback fetch: %v %v", data[0], ver)
+	if data := nd.PageAtVersion(0, vclock.VC{0, 1}); data[0] != 9 {
+		t.Fatalf("fallback fetch: %v", data[0])
 	}
 }
 
@@ -175,7 +171,7 @@ func TestPageAtVersionAcrossSelfWrites(t *testing.T) {
 	servePage(nd, 0)
 	check := func(when string, need vclock.VC, want0, want8, want16 byte) {
 		t.Helper()
-		data, _ := nd.PageAtVersion(0, need)
+		data := nd.PageAtVersion(0, need)
 		if data[0] != want0 || data[8] != want8 || data[16] != want16 {
 			t.Fatalf("%s, need %v: bytes 0/8/16 = %d/%d/%d, want %d/%d/%d",
 				when, need, data[0], data[8], data[16], want0, want8, want16)

@@ -9,7 +9,6 @@ import (
 	"sdsm/internal/memory"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
-	"sdsm/internal/vclock"
 )
 
 const (
@@ -86,7 +85,7 @@ func (r *failoverRig) answer(peer int, m transport.Message, kind transport.Kind,
 func (r *failoverRig) servePage(peer int, m transport.Message, v int64) {
 	data := make([]byte, failPageLen)
 	binary.LittleEndian.PutUint64(data, uint64(v))
-	r.answer(peer, m, KindPageReply, &PageReply{Data: data, Ver: vclock.New(3)})
+	r.answer(peer, m, KindPageReply, &PageReply{Data: data})
 }
 
 // finish waits for node 0's op and returns its panic value.

@@ -41,8 +41,11 @@ type LogHooks interface {
 	// here. Returns the bytes flushed (0 when nothing was written); the
 	// engine charges full disk time on the critical path.
 	AtSyncEntry(op int32) int
-	// AtRelease is called at a release or barrier arrival right after the
-	// interval's diffs have been sent to their homes; CCL flushes here.
+	// AtRelease is called at a release or barrier arrival once the
+	// interval's diffs are made and before any of them leaves for its
+	// home; CCL flushes here. The flush comes first because a home must
+	// not apply a diff its writer has not logged: torn-tail recovery
+	// re-fetches lost home updates from the writers' logs.
 	// vtSum is the sum of the closing interval's vector time, logged with
 	// the interval's own diffs so recovery can apply re-fetched diffs from
 	// different writers in a linear extension of their causal order.
@@ -51,7 +54,7 @@ type LogHooks interface {
 	// only from handler-staged records that arrived by then (the engine
 	// has fenced those arrivals), deferring later ones to the next flush.
 	// Returns the bytes flushed (0 when nothing was written); the engine
-	// overlaps the disk time with the diff/ack round trip.
+	// overlaps the disk time with the diff/ack round trip that follows.
 	AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Time, created []memory.Diff) int
 	// DeterministicFlush reports whether AtRelease filters staged records
 	// by the arrival cutoff. The engine then fences message arrivals up to

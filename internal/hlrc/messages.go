@@ -216,13 +216,12 @@ func constPageReq(p memory.PageID, numPages int) *PageReq {
 	return sharedPageReq(p)
 }
 
-// PageReply carries the home copy and its version vector. Data is all a
-// requester reads (fetchPage and CCL-recovery's fetchPages install it):
-// Ver is sent and charged, but no receiver reads it. It answers a
-// PageReq (KindPageReply) and a RecPageReq (KindRecPageReply) alike.
+// PageReply carries the home copy's bytes and nothing else: fetchPage and
+// CCL-recovery's fetchPages install Data and read no version back. It
+// answers a PageReq (KindPageReply) and a RecPageReq (KindRecPageReply)
+// alike.
 type PageReply struct {
 	Data []byte
-	Ver  vclock.VC
 }
 
 // RecPageReq fetches a page during recovery at a version no newer than

@@ -30,12 +30,12 @@ type sentPayload struct {
 }
 
 // senderBytes encodes what the sender keeps of a payload: all of it but
-// a page reply's buffer, which the requester adopts as its frame
-// (DESIGN.md §2.8, "Who owns a fetched page buffer").
+// a page reply, which is nothing but the buffer the requester adopts as
+// its frame (DESIGN.md §2.8, "Who owns a fetched page buffer").
 func senderBytes(payload any) []byte {
 	switch p := payload.(type) {
 	case *PageReply:
-		return (&PageReply{Ver: p.Ver}).AppendWire(nil)
+		return nil
 	case interface{ AppendWire([]byte) []byte }:
 		return p.AppendWire(nil)
 	}
@@ -63,13 +63,13 @@ func (f *wireRecorder) Close() error { return nil }
 
 // TestSentPayloadsNeverChange holds the engine to the rule that a sent
 // payload is never written again (DESIGN.md §2.8): messages share the
-// node clock, the manager's clock and the home pages' version vectors
-// instead of copying them, so an owner that changed one in place after a
-// send would rewrite a message in flight or already kept by its receiver.
+// node clock and the manager's clock instead of copying them, so an owner
+// that changed one in place after a send would rewrite a message in
+// flight or already kept by its receiver.
 // Lock handoffs, barrier rounds and page fetches of pages whose homes
 // then take diffs run under lost and duplicated copies; afterwards every
 // recorded payload must encode to the bytes it had when it was sent
-// (a page reply's buffer aside: it is the requester's from then on).
+// (a page reply aside: its buffer is the requester's from then on).
 func TestSentPayloadsNeverChange(t *testing.T) {
 	const n, pages, psz, rounds = 4, 8, 256, 6
 	model := simtime.DefaultCostModel()

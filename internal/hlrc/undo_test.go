@@ -114,8 +114,8 @@ func (r *undoRef) withoutOpenWrites() []byte {
 	return data
 }
 
-func (r *undoRef) at(need vclock.VC) ([]byte, vclock.VC) {
-	data, ver := r.withoutOpenWrites(), r.ver.Clone()
+func (r *undoRef) at(need vclock.VC) []byte {
+	data := r.withoutOpenWrites()
 	for i := len(r.hist) - 1; i >= 0; i-- {
 		e := r.hist[i]
 		if e.seq <= need[e.writer] {
@@ -125,9 +125,8 @@ func (r *undoRef) at(need vclock.VC) ([]byte, vclock.VC) {
 			off := run.Off()
 			copy(data[off:], e.base[off:off+len(run.Data())])
 		}
-		ver[e.writer] = min(ver[e.writer], e.seq-1)
 	}
-	return data, ver
+	return data
 }
 
 // historySteps is the length of one random history.
@@ -136,8 +135,7 @@ const historySteps = 40
 // Random histories of remote and self-write intervals, with the home's
 // interval left open or closed and remote diffs landing inside it, and the
 // page first served at a random step: every versioned fetch from then on,
-// for random need vectors, equals the reference in bytes and in version
-// vector. Trial 0 serves the page before anything is written, so the
+// for random need vectors, equals the reference byte for byte. Trial 0 serves the page before anything is written, so the
 // whole history is kept and every rollback reaches need exactly.
 func TestPageAtVersionMatchesReference(t *testing.T) {
 	for _, pageSize := range []int{64, 512, 4096} {
@@ -175,11 +173,10 @@ func checkHistoryAgainstReference(t *testing.T, pageSize int, shape undoShape, s
 				need[w] = int32(rng.Intn(int(need[w]) + 1))
 			}
 		}
-		got, gotVer := nd.PageAtVersion(0, need)
-		want, wantVer := ref.at(need)
-		if !bytes.Equal(got, want) || !gotVer.Equal(wantVer) {
-			t.Fatalf("seed %d step %d, need %v: PageAtVersion differs from the reference\n got ver %v bytes %x\nwant ver %v bytes %x",
-				seed, step, need, gotVer, got[:min(32, pageSize)], wantVer, want[:min(32, pageSize)])
+		got, want := nd.PageAtVersion(0, need), ref.at(need)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d step %d, need %v: PageAtVersion differs from the reference\n got bytes %x\nwant bytes %x",
+				seed, step, need, got[:min(32, pageSize)], want[:min(32, pageSize)])
 		}
 	}
 	for step := 0; step < historySteps; step++ {
@@ -249,10 +246,9 @@ func hasWord(m map[int]uint32, w int) bool {
 	return ok
 }
 
-// A warm versioned fetch allocates only the arena page buffer it returns
-// and, when it rolls something back, the clone of the version vector: the
-// coverage bitmap is the node's, and a copy that needs no rollback
-// carries the page's own vector, shared.
+// A warm versioned fetch allocates only the arena page buffer it returns,
+// whether or not it rolls something back: the coverage bitmap is the
+// node's.
 func TestPageAtVersionAllocations(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -265,7 +261,7 @@ func TestPageAtVersionAllocations(t *testing.T) {
 		want float64
 		what string
 	}{
-		{"rollback", need, 2, "page buffer, version clone"},
+		{"rollback", need, 1, "page buffer"},
 		{"no rollback", current, 1, "page buffer"},
 	} {
 		nd.PageAtVersion(0, c.need)

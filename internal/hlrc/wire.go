@@ -168,9 +168,6 @@ func (w *wire) walk(p any) {
 			w.vc("VT", &m.VT)
 		}
 	case *PageReply:
-		// Ver goes first because it carries its own length and Data
-		// does not.
-		w.vc("Ver", &m.Ver)
 		w.rest(&m.Data)
 
 	// --- recovery service ---

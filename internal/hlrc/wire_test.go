@@ -187,7 +187,7 @@ func genPayload(r *rand.Rand, ex any) wirePayload {
 	case *PageReq:
 		return &PageReq{Page: memory.PageID(r.Int31()), VT: genVC(r)}
 	case *PageReply:
-		return &PageReply{Data: genData(r), Ver: genVC(r)}
+		return &PageReply{Data: genData(r)}
 	case *RecPageReq:
 		return &RecPageReq{Page: memory.PageID(r.Int31()), Need: genVC(r)}
 	case *RecDiffsReq:
@@ -325,7 +325,7 @@ func fullValues() []struct {
 		}},
 		{DiffAck{}, never},
 		{&PageReq{Page: 6, VT: vt}, func(n, _ int) bool { return n == 8 }},
-		{&PageReply{Data: []byte{1, 2, 3, 4, 5}, Ver: vt}, func(n, _ int) bool { return n >= vt.WireSize() }},
+		{&PageReply{Data: []byte{1, 2, 3, 4, 5}}, func(int, int) bool { return true }},
 		{&RecPageReq{Page: 6, Need: vt}, never},
 		{&RecDiffsReq{Page: 6, FromSeq: 1, ToSeq: 4}, never},
 		{&RecDiffsReply{Seqs: []int32{1, 2}, VTSums: []int64{10, 20}, Diffs: []memory.Diff{d1, d2}, DiskBytes: 512}, never},
@@ -465,12 +465,12 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	// KindRecPageReply carries a PageReply too, so the recovery page
 	// server's reply is seeded as a role of its own: empty, generated, and
-	// a whole page at a version vector.
+	// a whole page.
 	recReply := []wirePayload{&PageReply{}}
 	for i := 0; i < 3; i++ {
 		recReply = append(recReply, genPayload(r, &PageReply{}))
 	}
-	recReply = append(recReply, &PageReply{Data: make([]byte, 512), Ver: vclock.VC{1, 2, 3, 4}})
+	recReply = append(recReply, &PageReply{Data: make([]byte, 512)})
 	for _, p := range recReply {
 		f.Add(p.WireTag(), p.AppendWire(nil))
 	}

@@ -36,7 +36,7 @@ var (
 	lockGrant   = &hlrc.LockGrant{VT: kvVT, Notices: kvNotices}
 	lockRelease = &hlrc.LockRelease{Lock: 5, VT: kvVT, Notices: kvNotices}
 	diffUpdate  = &hlrc.DiffUpdate{Writer: 2, Seq: 4, Diffs: []memory.Diff{kvDiff()}}
-	pageReply   = &hlrc.PageReply{Data: make([]byte, 4096), Ver: kvVT}
+	pageReply   = &hlrc.PageReply{Data: make([]byte, 4096)}
 )
 
 func sized(p interface{ WireSize() int }) int32 { return int32(p.WireSize()) }
