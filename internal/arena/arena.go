@@ -1,7 +1,10 @@
-// Package arena provides a size-classed, sync.Pool-backed byte-buffer
-// arena for the hot coherence paths: twin creation, diff encoding and
-// stable-record framing. Steady-state releases recycle the same few
-// buffers instead of allocating per page, per record, per flush.
+// Package arena holds the two allocation schemes of the hot coherence
+// paths. Get and Put recycle byte buffers (twins, diff encodings,
+// stable-record framing) through size-classed sync.Pools, so
+// steady-state releases reuse the same few buffers instead of allocating
+// per page, per record, per flush. Slab cuts the protocol's sent
+// payloads, which are written once and never recycled, from 512-byte
+// blocks, one allocation per block instead of one per message.
 //
 // Buffers are handed out by power-of-two size class. Get returns a slice
 // of exactly the requested length (callers that append reslice to [:0];

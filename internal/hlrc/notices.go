@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"sdsm/internal/arena"
 	"sdsm/internal/memory"
 	"sdsm/internal/vclock"
 )
@@ -107,10 +108,12 @@ func NoticesWireSize(ns []Notice) int {
 // NoticeStore accumulates the write notices a node (or a manager) knows,
 // indexed by process and interval. Interval sequence numbers of each
 // process are contiguous (the protocol only extends knowledge from a
-// vector the peer declared), which the store enforces.
+// vector the peer declared), which the store enforces. Like its owner's
+// other state, a store is not safe for concurrent use.
 type NoticeStore struct {
 	n      int
 	byProc [][][]memory.PageID // byProc[p][seq-1] = pages of p's interval seq
+	deltas arena.Slab[Notice]  // Delta's results, which are sent
 }
 
 // NewNoticeStore returns an empty store for n processes.
@@ -166,8 +169,8 @@ func (s *NoticeStore) Pages(proc int, seq int32) []memory.PageID {
 }
 
 // Delta returns every stored notice not covered by since, ordered by
-// process and ascending interval, in one allocation of its exact size
-// (nil when nothing is missing).
+// process and ascending interval, cut from the store's slab at its exact
+// size (nil when nothing is missing).
 func (s *NoticeStore) Delta(since vclock.VC) []Notice {
 	from := func(p int) int {
 		if p < len(since) {
@@ -182,7 +185,7 @@ func (s *NoticeStore) Delta(since vclock.VC) []Notice {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Notice, 0, n)
+	out := s.deltas.Cut(n)[:0]
 	for p, ivs := range s.byProc {
 		for i := from(p); i < len(ivs); i++ {
 			out = append(out, Notice{Proc: int32(p), Seq: int32(i + 1), Pages: ivs[i]})

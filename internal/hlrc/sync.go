@@ -23,7 +23,8 @@ func (nd *Node) AcquireLock(lock int) {
 	t0 := nd.clock.Now()
 	nd.syncEntryFlush(op)
 	nd.mu.Lock()
-	req := &LockReq{Lock: l, VT: nd.vt.Share()}
+	req := nd.lockReqs.New()
+	req.Lock, req.VT = l, nd.vt.Share()
 	nd.mu.Unlock()
 	resp := nd.ep.Call(ManagerNode, KindLockReq, req.WireSize(), req)
 	if resp.Kind == KindFenced {
@@ -121,7 +122,8 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 		panic(fmt.Sprintf("hlrc: node %d releases lock %d it does not hold", nd.cfg.ID, l))
 	}
 	delete(nd.grantVT, l)
-	rel := &LockRelease{Lock: l, VT: nd.vt.Share(), Notices: nd.notices.Delta(gvt)}
+	rel := nd.lockRels.New()
+	rel.Lock, rel.VT, rel.Notices = l, nd.vt.Share(), nd.notices.Delta(gvt)
 	nd.opIndex++
 	nd.mu.Unlock()
 	nd.ep.Send(ManagerNode, KindLockRelease, rel.WireSize(), rel)
@@ -151,7 +153,8 @@ func (nd *Node) Barrier(barrier int) {
 // check-in, wait for the release, apply its notices.
 func (nd *Node) FinishBarrierLive(op int32, b int32) {
 	nd.mu.Lock()
-	ci := &BarrierCheckin{Barrier: b, VT: nd.vt.Share(), Notices: nd.notices.Delta(nd.lastBarrierVT)}
+	ci := nd.checkins.New()
+	ci.Barrier, ci.VT, ci.Notices = b, nd.vt.Share(), nd.notices.Delta(nd.lastBarrierVT)
 	nd.mu.Unlock()
 	resp := nd.ep.Call(ManagerNode, KindBarrierCheckin, ci.WireSize(), ci)
 	if resp.Kind == KindFenced {
@@ -366,10 +369,10 @@ func (nd *Node) closeAndPropagate(op int32) {
 	seq := nd.vt.Tick(nd.cfg.ID)
 	vtSum := nd.vt.Get().Sum()
 	created := nd.created[:0] // in page order, as CCL logs them
-	pages := make([]memory.PageID, 0, len(dirty))
+	pages := nd.pageLists.Cut(len(dirty))
+	copy(pages, dirty)
 	compareBytes := 0
 	for _, p := range dirty {
-		pages = append(pages, p)
 		if nd.OwnsHome(p) {
 			// Home writes need no diff to propagate (paper §2: "a
 			// read/write to a page on its home node ... requires no
@@ -427,9 +430,10 @@ func (nd *Node) closeAndPropagate(op int32) {
 	// Batches are keyed by static home (all pages of one batch share one
 	// effective home), ascending, each in page order, and addressed to
 	// whoever currently serves the home. Every batch is in flight before
-	// any ack is awaited. The grouped list is new per interval: in-flight
-	// copies of its batches may outlive the call.
-	byHome := slices.Clone(created)
+	// any ack is awaited. The grouped list is cut anew per interval:
+	// in-flight copies of its batches may outlive the call.
+	byHome := nd.batchDiff.Cut(len(created))
+	copy(byHome, created)
 	clear(created)
 	nd.created = created[:0]
 	slices.SortStableFunc(byHome, func(a, b memory.Diff) int {
@@ -443,7 +447,8 @@ func (nd *Node) closeAndPropagate(op int32) {
 		for n < len(byHome) && nd.HomeOf(byHome[n].Page) == h {
 			n++
 		}
-		du := &DiffUpdate{Writer: int32(nd.cfg.ID), Seq: seq, Diffs: byHome[:n:n]}
+		du := nd.batches.New()
+		du.Writer, du.Seq, du.Diffs = int32(nd.cfg.ID), seq, byHome[:n:n]
 		byHome = byHome[n:]
 		if nd.cfg.LeaseDuration > 0 {
 			// The custody-application ordering key, recorded by an adopter

@@ -31,6 +31,7 @@ import (
 	"math"
 	"slices"
 
+	"sdsm/internal/arena"
 	"sdsm/internal/hlrc"
 	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
@@ -149,6 +150,8 @@ type Replayer struct {
 	// scratch the page list prefetchable builds, reused every round.
 	marks   []pageMark
 	scratch []memory.PageID
+	// pageReqs cuts fetchPages' requests (DESIGN.md §2.8).
+	pageReqs arena.Slab[hlrc.RecPageReq]
 	// Misses counts CCL's on-demand fetches: pages the replay touched
 	// that the prefetch had left invalid.
 	Misses int
@@ -694,9 +697,9 @@ func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID, stage bool) 
 	start := nd.Clock().Now()
 	need := nd.VT()
 	pendings := make([]*transport.Pending, 0, len(pages))
-	// Every request of the round shares need, so the round's requests are
-	// cut from one slice; none is written after it is sent.
-	reqs := make([]hlrc.RecPageReq, len(pages))
+	// Every request of the round shares need, and the round's requests
+	// are cut at once; none is written after it is sent.
+	reqs := r.pageReqs.Cut(len(pages))
 	for i, p := range pages {
 		req := &reqs[i]
 		req.Page, req.Need = p, need
