@@ -17,6 +17,10 @@
 # CCL-recovery's prefetch marks and staged pages belong to the victim's
 # application goroutine while the homes serve its versioned fetches, in
 # the online shape too: its two tests run five times more.
+# The manager's service loop and the arrival fence wait on the bound
+# through one wake path (DESIGN.md §4); a lost wake-up there hangs a
+# waiter only under some interleavings, and the detector's scheduling
+# varies them, so the transport's fence and horizon tests run ten times.
 
 .PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke loc
 
@@ -44,6 +48,7 @@ tier2:
 	go test -race -count=10 -run '^TestRunWithChurn(Partition)?Deterministic$$' ./internal/core
 	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench
 	go test -race -count=5 -run '^(TestCCLPrefetchFollowsUse|TestLateFirstServeRecovery)$$' ./internal/core
+	go test -race -count=10 -run 'Fence|Horizon' ./internal/transport/...
 
 # The bulk accessors copy page bytes natively on little-endian hosts and
 # decode word by word elsewhere (internal/memory/f64s_{native,portable}.go).

@@ -423,13 +423,13 @@ func (nd *Node) serve(stop <-chan struct{}, done chan<- struct{}) {
 }
 
 // decideHeld decides the manager's held traffic up to the horizon, one
-// message at a time, sends the replies, and publishes how far it got to
-// the arrival fence. When the head is blocked by a running node's clock
-// it watches that clock, so the loop wakes when the clock moves and never
-// blocks on it. A pass runs only when something it reads may have
-// changed: a message was admitted, the last pass found the inbox not
-// drained, or the loop was woken (with nothing held, that is an arrival
-// fence asking for a fresh bound).
+// message at a time, sends the replies, and publishes how far it got for
+// the arrival fence (transport.Endpoint.PublishDecided). When the head is
+// blocked by a running node's clock it watches that clock, so the loop
+// wakes when the clock moves and never blocks on it. A pass runs only
+// when something it reads may have changed: a message was admitted, the
+// last pass found the inbox not drained, or the loop was woken (with
+// nothing held, that is mostly a fence asking for a fresh decided bound).
 func (nd *Node) decideHeld(woken bool) {
 	mg := nd.mgr
 	if !woken && !mg.due {

@@ -49,10 +49,11 @@ type LogHooks interface {
 	// vtSum is the sum of the closing interval's vector time, logged with
 	// the interval's own diffs so recovery can apply re-fetched diffs from
 	// different writers in a linear extension of their causal order.
-	// cutoff is the completion time of the node's previous synchronization
-	// operation: a protocol with DeterministicFlush composes this flush
-	// only from handler-staged records that arrived by then (the engine
-	// has fenced those arrivals), deferring later ones to the next flush.
+	// cutoff is the manager-side stamp of the grant or release that opened
+	// the closing interval: a protocol with DeterministicFlush composes
+	// this flush only from handler-staged records that arrived by then
+	// (the engine has fenced them: FenceArrivalsBefore), deferring later
+	// ones to the next flush.
 	// Returns the bytes flushed (0 when nothing was written); the engine
 	// overlaps the disk time with the diff/ack round trip that follows.
 	AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Time, created []memory.Diff) int

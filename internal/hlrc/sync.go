@@ -333,18 +333,17 @@ type flight struct {
 // update-event records under CCL).
 func (nd *Node) closeAndPropagate(op int32) {
 	// With a deterministic-flush protocol (CCL) the release flush is
-	// composed from handler-staged records that arrived by the previous
-	// synchronization point. Fence those arrivals first — a real-time-only
-	// wait — so the composition cannot depend on goroutine scheduling.
-	// The cutoff is the manager-side stamp of the grant/release that
-	// opened this interval (lastSyncStamp): the true causal cut — any
-	// handler-staged record belonging to this flush was sent before the
-	// manager let this node proceed. The locally observed resume time is
-	// NOT sound here: it carries retransmission-timeout charges, so under
-	// faults it drifts past peers' send stamps and the fence would wait
-	// for arrivals that belong to the *next* interval. Skipped while the
-	// service loop is down (the fail-stop crash path closes the interval
-	// after StopService: the inbox is frozen) and during recovery replay.
+	// composed from handler-staged records that arrived by the cutoff, the
+	// manager-side stamp of the grant or release that opened this interval
+	// (lastSyncStamp). The arrival fence first waits, in real time only,
+	// for this node's bound to pass the cutoff (DESIGN.md §4), so the
+	// composition cannot depend on goroutine scheduling. The locally
+	// observed resume time would not do: it carries retransmission-timeout
+	// charges, so under faults it drifts past peers' send stamps and the
+	// fence would wait for arrivals of the *next* interval. Skipped while
+	// the service loop is down (the fail-stop crash path closes the
+	// interval after StopService: the inbox is frozen) and during recovery
+	// replay.
 	cutoff := nd.lastSyncStamp
 	if nd.hooks.DeterministicFlush() && nd.stopSvc != nil && nd.delegate == nil {
 		nd.ep.FenceArrivalsBefore(cutoff)

@@ -8,10 +8,9 @@ import (
 )
 
 // TestFenceEmptyInbox exercises FenceArrivalsBefore on a node that has
-// never received a message: with zero deliveries the drain phase has
-// nothing to wait for, and the peer-clock phase must come back once
-// every peer is past the cutoff — an empty inbox must never turn the
-// fence into a hang.
+// never received a message: with zero deliveries the inbox is drained,
+// and in a cluster nobody marks running no clock bounds the fence — an
+// empty inbox must never turn the fence into a hang.
 func TestFenceEmptyInbox(t *testing.T) {
 	nw := NewNetwork(3, simtime.DefaultCostModel())
 	a := nw.NewEndpoint(0, simtime.NewClock(0))
@@ -36,8 +35,7 @@ func TestFenceEmptyInbox(t *testing.T) {
 	// before it, so the fence returns with all clocks still at zero.
 	fence(0)
 
-	// A future cutoff with peers beyond it: both clock phases satisfied,
-	// empty drain phase.
+	// A future cutoff with peers beyond it.
 	cutoff := simtime.Time(1_000_000)
 	b.Clock().Advance(simtime.Duration(cutoff) * 2)
 	c.Clock().Advance(simtime.Duration(cutoff) * 2)

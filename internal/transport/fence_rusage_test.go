@@ -23,6 +23,7 @@ func cpuTime(t *testing.T) time.Duration {
 // one burns a whole core (50 ms of it).
 func TestFenceParksWithoutSpinning(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
+	r.run(0, 1, 2)
 	done := r.fence()
 	r.blocked(done, "with a peer's clock at zero") // past the yield phase
 	cpu0, wall0 := cpuTime(t), time.Now()

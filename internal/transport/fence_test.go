@@ -1,16 +1,20 @@
 package transport
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"sdsm/internal/simtime"
 )
 
-// The fence parks instead of polling, so each input of its predicates
-// must wake it. One test per input: a fence blocked on exactly that
-// input is released by changing it (a lost wake-up hangs the test), and
-// is not released by a change that leaves the predicate false.
+// The fence parks instead of polling, so each input of the bound must
+// wake it. One test per input: a fence blocked on exactly that input is
+// released by changing it (a lost wake-up hangs the test), and is not
+// released by a change that leaves the bound at or below the cutoff.
+// Only running nodes bound anything, so the rigs mark their nodes
+// running, as core's runner does, unless a test is about nodes nobody
+// runs.
 
 const fenceCutoff = simtime.Time(10 * time.Millisecond)
 
@@ -80,6 +84,7 @@ func (r *fenceRig) released(done <-chan struct{}, by string) {
 
 func TestFenceWokenByPeerClock(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
+	r.run(0, 1, 2)
 	done := r.fence()
 	r.blocked(done, "with a peer's clock at zero")
 	// Exactly cutoff-transit is not past it: a send leaving now would
@@ -94,6 +99,8 @@ func TestFenceWokenByPeerClock(t *testing.T) {
 // published decided bound D puts its answer past the cutoff:
 // D + MsgHandling + transit > cutoff. The peer's clock never moves and
 // nothing else changes, so the wake can only come from PublishDecided.
+// While D falls short, each read of the bound asks the decider for a
+// fresh D through its horizon wake.
 func TestFenceWokenByDecidedBound(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
 	r.run(0, 1, 2)
@@ -104,8 +111,17 @@ func TestFenceWokenByDecidedBound(t *testing.T) {
 	r.blocked(done, "with a running peer's clock at zero")
 	decider.PublishDecided(threshold-r.transit(), awaiting)
 	r.blocked(done, "with the peer awaiting below the decided threshold")
+	select {
+	case <-decider.HorizonWake():
+	default:
+	}
 	decider.PublishDecided(threshold, awaiting)
 	r.blocked(done, "with the decided bound at the threshold, not past it")
+	select {
+	case <-decider.HorizonWake():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a fence held by a waiting peer with D short did not poke the decider")
+	}
 	decider.PublishDecided(threshold+1, awaiting)
 	r.released(done, "PublishDecided raising the bound past the threshold")
 }
@@ -150,6 +166,7 @@ func TestFenceSkipsFinishedPeer(t *testing.T) {
 
 func TestFenceWokenByCrashMark(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
+	r.run(0, 1, 2)
 	done := r.fence()
 	r.blocked(done, "with a live peer's clock at zero")
 	r.eps[1].MarkCrashed(0)
@@ -158,6 +175,7 @@ func TestFenceWokenByCrashMark(t *testing.T) {
 
 func TestFenceWokenByReincarnation(t *testing.T) {
 	r := newFenceRig(t, 3, 1)
+	r.run(0, 1, 2)
 	done := r.fence()
 	r.blocked(done, "watching the first incarnation's clock")
 	// The recovered incarnation attaches with a clock of its own; the old
@@ -182,4 +200,35 @@ func TestFenceWokenByMarkHandled(t *testing.T) {
 		r.eps[0].MarkHandled()
 	}
 	r.released(done, "MarkHandled draining the inbox")
+}
+
+// A fencer in a cluster nobody marks running (bare hlrc clusters, the
+// benchmark's probes) is bounded by no clock, however low: it returns
+// once its inbox has drained, and not before.
+func TestFenceBareClusterWaitsForDrainOnly(t *testing.T) {
+	r := newFenceRig(t, 3, 1, 2)
+	r.released(r.fence(), "nothing: an idle peer's clock held a bare fencer")
+	r.eps[1].Send(0, Kind(1), 8, nil)
+	done := r.fence()
+	r.blocked(done, "with a message unhandled")
+	<-r.eps[0].Inbox()
+	r.eps[0].MarkHandled()
+	r.released(done, "MarkHandled draining the inbox")
+}
+
+// The bound is below every arrival while the inbox is not drained, even
+// when every running node is quiet and so bounds nothing.
+func TestHorizonUndrainedWhenAllQuiet(t *testing.T) {
+	r := newFenceRig(t, 2)
+	r.run(0, 1)
+	all := func(int) bool { return true }
+	r.eps[1].Send(0, Kind(1), 8, nil)
+	if h, low := r.eps[0].Horizon(all); h != noHorizon || low != -1 {
+		t.Fatalf("undrained inbox: Horizon = %v, %d; want noHorizon, -1", h, low)
+	}
+	<-r.eps[0].Inbox()
+	r.eps[0].MarkHandled()
+	if h, low := r.eps[0].Horizon(all); h != math.MaxInt64 || low != -1 {
+		t.Fatalf("drained inbox, all quiet: Horizon = %v, %d; want MaxInt64, -1", h, low)
+	}
 }

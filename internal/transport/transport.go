@@ -33,7 +33,6 @@ package transport
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -103,35 +102,22 @@ type Network struct {
 	kindMsgs  [256]atomic.Int64 // per-kind copies on the wire
 	kindBytes [256]atomic.Int64 // per-kind bytes on the wire
 
-	// Arrival-fence state (see Endpoint.FenceArrivalsBefore): the nodes'
-	// virtual clocks as registered by NewEndpoint, and per-inbox delivery
-	// and handling counters.
+	// The bound's inputs (see horizon.go): the nodes' virtual clocks as
+	// registered by NewEndpoint, per-inbox delivery and handling counters,
+	// running[i], set while node i's application runs a program, and what
+	// the deciding node has published of its progress (PublishDecided):
+	// every message with an arrival below decided is decided, and
+	// awaiting[i] is set while node i's request waits there unanswered.
 	clocks    []atomic.Pointer[simtime.Clock]
 	delivered []atomic.Int64 // messages enqueued into each inbox
 	handled   []atomic.Int64 // inbox messages the service loop finished
-
-	// Fence wake-ups: fencing[i] is set while node i's application
-	// goroutine is inside FenceArrivalsBefore, and fenceWake[i] (capacity
-	// one) is where it parks. Every writer of state the fence's
-	// predicates read pokes the fencing nodes after its store (see
-	// wakeFencers); clock values reach the same channel through
-	// simtime.Clock.NotifyPast.
-	fencing   []atomic.Bool
-	fenceWake []chan struct{}
-
-	// Key-horizon state (see horizon.go): running[i] is set while node
-	// i's application runs a program (the arrival fence reads it too),
-	// and horizonWake[i] (capacity one)
-	// is where node i's service loop learns that its horizon may have
-	// risen.
-	running     []atomic.Bool
-	horizonWake []chan struct{}
-	// What the deciding node has published of its progress for the
-	// arrival fence (see PublishDecided): every message with an arrival
-	// below decided is decided, and awaiting[i] is set while node i's
-	// request waits there unanswered.
-	decided  atomic.Int64
-	awaiting []atomic.Bool
+	running   []atomic.Bool
+	decided   atomic.Int64
+	awaiting  []atomic.Bool
+	// wake holds the bound's waiters' channels, capacity one each: node
+	// id's service loop parks on wake[id], its application inside
+	// FenceArrivalsBefore on wake[n+id] (see poke).
+	wake []chan struct{}
 
 	// members is the cluster membership (see membership.go). The wire
 	// reads it for the epoch stamped on every copy, the partition cut,
@@ -172,20 +158,18 @@ func NewNetwork(n int, model simtime.CostModel) *Network {
 		clocks:    make([]atomic.Pointer[simtime.Clock], n),
 		delivered: make([]atomic.Int64, n),
 		handled:   make([]atomic.Int64, n),
-		fencing:   make([]atomic.Bool, n),
-		fenceWake: make([]chan struct{}, n),
+		running:   make([]atomic.Bool, n),
+		awaiting:  make([]atomic.Bool, n),
+		wake:      make([]chan struct{}, 2*n),
 		members:   newMembership(n),
 		replies:   make([]replyTable, n),
-
-		running:     make([]atomic.Bool, n),
-		horizonWake: make([]chan struct{}, n),
-		awaiting:    make([]atomic.Bool, n),
 	}
 	nw.decided.Store(int64(noHorizon))
 	for i := range nw.inboxes {
 		nw.inboxes[i].win = make(chan Message, inboxWindow)
-		nw.fenceWake[i] = make(chan struct{}, 1)
-		nw.horizonWake[i] = make(chan struct{}, 1)
+	}
+	for i := range nw.wake {
+		nw.wake[i] = make(chan struct{}, 1)
 	}
 	nw.fabric = procFabric{nw}
 	return nw
@@ -243,7 +227,7 @@ func (nw *Network) Members() *Membership { return nw.members }
 // incarnation drains its inbox, and parked arrival fences re-read.
 func (nw *Network) MarkCrashed(id int, at simtime.Time) {
 	nw.members.crash(id, at)
-	nw.wakeFencers()
+	nw.poke(0, len(nw.wake))
 }
 
 // nextSeq issues the next wire sequence number for the link from→to.
@@ -306,10 +290,9 @@ type Endpoint struct {
 	// touches it (via WireDup), so it needs no lock.
 	seen map[int]int64
 
-	// watched and watchedPast are the clock and threshold of the last
-	// WatchHorizon (service goroutine only).
-	watched     *simtime.Clock
-	watchedPast simtime.Time
+	// watched is the last WatchHorizon's clock watch (service goroutine
+	// only).
+	watched clockWatch
 }
 
 // NewEndpoint attaches node id with its clock to the network.
@@ -318,10 +301,8 @@ func (nw *Network) NewEndpoint(id int, clock *simtime.Clock) *Endpoint {
 		panic(fmt.Sprintf("transport: invalid endpoint id %d", id))
 	}
 	nw.clocks[id].Store(clock)
-	// A reincarnation replaces the clock a fence or a horizon watch may be
-	// watching.
-	nw.wakeFencers()
-	nw.wakeHorizons()
+	// A reincarnation replaces a clock a waiter may be watching.
+	nw.poke(0, len(nw.wake))
 	return &Endpoint{id: id, nw: nw, clock: clock, seen: make(map[int]int64)}
 }
 
@@ -362,152 +343,14 @@ func (e *Endpoint) WireDup(m Message) bool {
 // MarkHandled records that the service loop finished with one inbox
 // message (including wire-duplicate discards), and tops the inbox window
 // up from its spill. The counter pairs with the delivery counter to let
-// FenceArrivalsBefore detect a drained inbox; it lives in the network, so
+// the bound (Horizon) detect a drained inbox; it lives in the network, so
 // it survives a node's crash and reincarnation.
 func (e *Endpoint) MarkHandled() {
 	nw := e.nw
 	nw.inboxes[e.id].topUp()
 	if nw.handled[e.id].Add(1) >= nw.delivered[e.id].Load() {
-		nw.wakeFencer(e.id) // drained: the fence's second phase may end
-	}
-}
-
-// FenceArrivalsBefore blocks (in real time only — no virtual cost) until
-// every message whose virtual arrival at this node is <= cutoff has been
-// handled by this node's service loop. It makes any state derived from
-// incoming messages a deterministic function of virtual time: CCL's
-// release flush composes its record set from arrivals up to a cutoff, and
-// without the fence the set would depend on goroutine scheduling.
-//
-// The cutoff must be causally meaningful: callers pass the manager-side
-// stamp of the grant/release that opened the interval being closed (see
-// internal/hlrc), not the locally observed resume time, which carries
-// retransmission charges that exist only on this node's clock. Managers
-// replay cached grants/releases at their original stamps, so the stamp is
-// stable across retransmissions.
-//
-// Two phases. First, for every peer, wait until one of:
-//
-//   - it is marked crashed: a buried node's future traffic is fenced by
-//     the epoch layer before it can enter any flush set;
-//   - this node runs a program and the peer's has returned: the peer
-//     sends nothing more, and every copy it sent was counted into the
-//     delivery counter before its running flag dropped, so the second
-//     phase waits for them (the argument Horizon rests on);
-//   - it runs and its request waits unanswered at the node that decides
-//     in key order, which has decided every arrival below D with
-//     D + MsgHandling + NetLatency > cutoff (PublishDecided; D is read
-//     before the flag). The answer is decided at a key >= D and stamped
-//     a handling later, so the peer's next send arrives past the cutoff;
-//   - its clock plus NetLatency is past the cutoff: a send leaves at or
-//     after its sender's clock and arrives at least NetLatency later.
-//
-// Second, wait until the inbox is drained (handled catches up with
-// delivered).
-//
-// The wait terminates: a fencer waits only on a peer with a lower clock,
-// or on a decider that is not blocked by it. Its own clock is at or past
-// its cutoff, so a peer it waits on by clock is below it, and no cycle of
-// such waits can close. Its cutoff is the stamp of a decision at a key
-// <= D, a handling past it, so a waiting peer's D predicate normally holds
-// at once; when it does not (a regrant stamped at a lease expiry) the
-// fencer pokes the decider to publish a fresh D from the clocks, and its
-// own clock plus NetLatency, past its cutoff, never holds D below the
-// threshold.
-//
-// Waiting parks the goroutine (after fenceYields yields): a fence that
-// stayed runnable would keep its processor out of the scheduler's idle
-// path, and on the TCP backend that path is where socket readiness is
-// noticed. The park is woken by exactly the writers of what the
-// predicates read — MarkCrashed, SetRunning, PublishDecided, NewEndpoint
-// replacing a clock, MarkHandled, and the watched clock passing its
-// threshold (simtime.Clock.NotifyPast). Each stores first and pokes
-// second, the fence raises its fencing flag before it reads, and the wake
-// channel holds one token, so a change between the read and the park is
-// never lost; a stale token costs one re-read.
-func (e *Endpoint) FenceArrivalsBefore(cutoff simtime.Time) {
-	nw := e.nw
-	transit := simtime.Time(nw.model.NetLatency)
-	answered := cutoff - simtime.Time(nw.model.MsgHandling) - transit
-	running := nw.running[e.id].Load() // fixed while this node fences
-	nw.fencing[e.id].Store(true)
-	defer nw.fencing[e.id].Store(false)
-	for i := 0; i < nw.n; i++ {
-		if i == e.id {
-			continue
-		}
-		for tries := 0; ; tries++ {
-			if _, down := nw.members.Crashed(i); down {
-				break
-			}
-			decided := simtime.Time(nw.decided.Load())
-			peerRunning := nw.running[i].Load()
-			if running && !peerRunning {
-				break
-			}
-			if peerRunning && nw.awaiting[i].Load() {
-				if decided > answered {
-					break
-				}
-				nw.wakeHorizons() // have the decider publish a fresh D
-			}
-			c := nw.clocks[i].Load()
-			if c == nil || c.Now()+transit > cutoff {
-				break
-			}
-			e.fenceWait(tries, c, cutoff-transit)
-		}
-	}
-	for tries := 0; nw.handled[e.id].Load() < nw.delivered[e.id].Load(); tries++ {
-		e.fenceWait(tries, nil, 0)
-	}
-}
-
-// fenceYields is how many times a waiting fence yields the processor and
-// re-reads its predicate before it parks. Most waits are for a goroutine
-// that is runnable right now (this node's own service loop, a peer about
-// to advance its clock); yielding to it is cheaper than a park and a
-// wake-up.
-const fenceYields = 4
-
-// fenceWait is one wait step of FenceArrivalsBefore after a predicate
-// read came back false: yield for the first fenceYields tries, then park
-// until something the predicates read has changed. watch, when non-nil,
-// is the clock whose passing of past would satisfy the predicate.
-func (e *Endpoint) fenceWait(tries int, watch *simtime.Clock, past simtime.Time) {
-	if tries < fenceYields {
-		runtime.Gosched()
-		return
-	}
-	wake := e.nw.fenceWake[e.id]
-	if watch == nil {
-		<-wake
-		return
-	}
-	if !watch.NotifyPast(past, wake) {
-		return // passed since the predicate read it
-	}
-	<-wake
-	watch.StopNotify(wake)
-}
-
-// wakeFencers pokes every node currently inside FenceArrivalsBefore.
-// Writers of fence-visible network state call it after their store.
-func (nw *Network) wakeFencers() {
-	for id := range nw.fencing {
-		nw.wakeFencer(id)
-	}
-}
-
-// wakeFencer pokes node id if it is fencing. The send never blocks: a
-// full channel already holds the wake-up.
-func (nw *Network) wakeFencer(id int) {
-	if !nw.fencing[id].Load() {
-		return
-	}
-	select {
-	case nw.fenceWake[id] <- struct{}{}:
-	default:
+		w := nw.n + e.id
+		nw.poke(w, w+1) // drained: this node's fence may pass
 	}
 }
 
