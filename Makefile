@@ -21,6 +21,11 @@
 # through one wake path (DESIGN.md §4); a lost wake-up there hangs a
 # waiter only under some interleavings, and the detector's scheduling
 # varies them, so the transport's fence and horizon tests run ten times.
+# The home value (DESIGN.md §4, The home) holds every write the service
+# makes to a home frame, so the ownership rule (DESIGN.md §2.8: the
+# service writes only frame contents and twins, under nd.mu, beside the
+# application's unlocked reads) and the value's order test run ten times
+# more under the detector.
 
 .PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke loc
 
@@ -49,6 +54,7 @@ tier2:
 	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench
 	go test -race -count=5 -run '^(TestCCLPrefetchFollowsUse|TestLateFirstServeRecovery)$$' ./internal/core
 	go test -race -count=10 -run 'Fence|Horizon' ./internal/transport/...
+	go test -race -count=10 -run '^(TestUnlockedHomeReadsBesideIncomingDiffs|TestHomeArrivalOrders)$$' ./internal/hlrc
 
 # The bulk accessors copy page bytes natively on little-endian hosts and
 # decode word by word elsewhere (internal/memory/f64s_{native,portable}.go).

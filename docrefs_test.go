@@ -1,6 +1,9 @@
 package sdsm_test
 
 import (
+	"cmp"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -9,26 +12,36 @@ import (
 	"testing"
 )
 
-// A citation may wrap across a line break, inside a Go comment too.
+// A citation may wrap across a line break, inside a Go comment too. A Go
+// name in a code span is dotted identifiers, once a method's "(*T)" is
+// read as "T".
 var (
 	roadmapRef = regexp.MustCompile(`ROADMAP[\s/]+item[\s/]+(\d+)`)
 	designRef  = regexp.MustCompile(`DESIGN\.md[\s/]+§(\d+(?:\.\d+)?)`)
+	codeSpan   = regexp.MustCompile("`([^`\n]+)`")
+	goName     = regexp.MustCompile(`^\w+(\.\w+)*$`)
 )
 
 // TestDocReferences keeps the documents' citations from rotting: every
 // "ROADMAP item N" in a Go or Markdown file must name an item of
 // ROADMAP.md's open list, and every "DESIGN.md §N[.M]" a numbered
 // DESIGN.md heading. benchmark/ (a module of its own) and CHANGES.md (a
-// history, which cites items long done) are not scanned.
+// history, which cites items long done) are not scanned. And DESIGN.md
+// must not name code that is gone: every mixed-case name in a code span,
+// bare (`handle`), qualified by a package of the module
+// (`hlrc.Node.ApplyDiffAsHome`: the first name in that package) or a
+// method (`(*T).m`), must be an identifier of the module's Go code.
+// Lower-case names after a package are metrics (`tcp.frames`), and
+// selectors on values (`nd.mu`) are skipped.
 func TestDocReferences(t *testing.T) {
-	roadmap := readDoc(t, "ROADMAP.md")
+	roadmap, design := readDoc(t, "ROADMAP.md"), readDoc(t, "DESIGN.md")
 	_, open, ok := strings.Cut(roadmap, "\n## Open items\n")
 	if !ok {
 		t.Fatal("ROADMAP.md has no \"## Open items\" section")
 	}
 	open, _, _ = strings.Cut(open, "\n## ")
 	items := firstGroups(regexp.MustCompile(`(?m)^(\d+)\. \*\*`), open)
-	sections := firstGroups(regexp.MustCompile(`(?m)^#+ (\d+(?:\.\d+)?)[. ]`), readDoc(t, "DESIGN.md"))
+	sections := firstGroups(regexp.MustCompile(`(?m)^#+ (\d+(?:\.\d+)?)[. ]`), design)
 	if len(items) == 0 || len(sections) == 0 {
 		t.Fatalf("parsed %d open ROADMAP items and %d DESIGN.md sections", len(items), len(sections))
 	}
@@ -43,29 +56,75 @@ func TestDocReferences(t *testing.T) {
 			}
 		}
 	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	ids := map[string]bool{} // every identifier of the Go code, and as "pkg.ident"
+	repoFiles(t, func(path, text string) {
+		if strings.HasSuffix(path, ".go") {
+			goIdents(ids, path, text)
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "benchmark") {
-				return filepath.SkipDir
+		if path != "CHANGES.md" && !strings.HasPrefix(path, "benchmark/") {
+			check(path, text, roadmapRef, items, "ROADMAP.md's open list")
+			check(path, text, designRef, sections, "DESIGN.md's headings")
+		}
+	})
+	mixed := func(s string) bool { return strings.ToLower(s) != s && strings.ToUpper(s) != s }
+	for _, m := range codeSpan.FindAllStringSubmatch(design, -1) {
+		name := strings.NewReplacer("(*", "", ")", "").Replace(m[1])
+		parts := strings.Split(name, ".")
+		switch {
+		case !goName.MatchString(name):
+			continue
+		case len(parts) > 1 && ids[parts[0]+"."]:
+			if !mixed(parts[1]) {
+				continue
 			}
-			return nil
+			parts = append([]string{parts[0] + "." + parts[1]}, parts[2:]...)
+		case len(parts) > 1 && name == m[1], len(parts) == 1 && !mixed(name):
+			continue
 		}
-		if path == "CHANGES.md" || !(strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".md")) {
-			return nil
+		for _, n := range parts {
+			if cited++; !ids[n] {
+				t.Errorf("DESIGN.md names `%s`, but %q is in no Go code of the module", m[1], n)
+			}
 		}
-		text := readDoc(t, path)
-		check(path, text, roadmapRef, items, "ROADMAP.md's open list")
-		check(path, text, designRef, sections, "DESIGN.md's headings")
+	}
+	if cited == 0 {
+		t.Fatal("found no citation at all: the patterns are broken")
+	}
+}
+
+// goIdents adds to ids every identifier of a Go file's code (comments
+// left out), bare and as "pkg.ident", and "pkg." for its package (a _test
+// package counts as its package).
+func goIdents(ids map[string]bool, path, text string) {
+	var s scanner.Scanner
+	s.Init(token.NewFileSet().AddFile(path, -1, len(text)), []byte(text), nil, 0)
+	pkg := ""
+	for prev := token.ILLEGAL; prev != token.EOF; {
+		_, tok, lit := s.Scan()
+		if tok == token.IDENT && prev == token.PACKAGE {
+			pkg = strings.TrimSuffix(lit, "_test") + "."
+		}
+		if tok == token.IDENT {
+			ids[lit], ids[pkg+lit], ids[pkg] = true, true, true
+		}
+		prev = tok
+	}
+}
+
+// repoFiles calls fn with the path and text of every Go and Markdown file
+// of the repository outside dot directories.
+func repoFiles(t *testing.T, fn func(path, text string)) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		if strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".md") {
+			fn(path, readDoc(t, path))
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cited == 0 {
-		t.Fatal("found no citation at all: the patterns are broken")
 	}
 }
 

@@ -9,12 +9,17 @@ import (
 // TestBulkAccessorsZeroAllocs pins the access path's contract: once the
 // covered pages are valid (home pages, and cached pages already fetched
 // and twinned), a bulk read or write copies each word once and allocates
-// nothing.
+// nothing. testing.AllocsPerRun counts every goroutine's allocations, so
+// the other nodes send nothing until node 0 has measured: their barrier
+// check-ins would allocate on their goroutines and on the manager's.
 func TestBulkAccessorsZeroAllocs(t *testing.T) {
 	cfg := testCfg(wal.ProtocolNone)
 	var reads, writes float64
+	measured := make(chan struct{})
 	_, err := Run(cfg, func(p *Proc) {
-		if p.ID() == 0 {
+		if p.ID() != 0 {
+			<-measured
+		} else {
 			// Every page of the space: node 0's home pages and its cached
 			// copies of everyone else's.
 			buf := make([]float64, p.MemBytes()/8)
@@ -26,6 +31,7 @@ func TestBulkAccessorsZeroAllocs(t *testing.T) {
 			row := buf[:72]
 			reads += testing.AllocsPerRun(50, func() { p.ReadF64s(cfg.PageSize-12, row) })
 			writes += testing.AllocsPerRun(50, func() { p.WriteF64s(cfg.PageSize-12, row) })
+			close(measured)
 		}
 		p.Barrier(0)
 	})

@@ -111,7 +111,7 @@ func (nd *Node) writeFaultLocked(p memory.PageID) {
 				(nd.IsHome(p) && !isHome))
 		switch {
 		case isHome:
-			if nd.undoArmed(p) && !inRecovery && !nd.pt.HasTwin(p) {
+			if nd.home.armed(p) && !inRecovery && !nd.pt.HasTwin(p) {
 				nd.pt.MakeTwin(p)
 				nd.mu.Unlock()
 				t0, t1 := nd.clock.AdvanceSpan(nd.cfg.Model.CopyTime(nd.cfg.PageSize))

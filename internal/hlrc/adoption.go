@@ -5,26 +5,11 @@ package hlrc
 // partition onset (Config.LeaseDuration > 0) writes the cluster's
 // transport.Membership, so without a lease every home resolves to its
 // static owner, awaitHome is one plain wait, nothing answers
-// RedirectHome or Fenced, and the wire format stays byte-identical to
-// the offline protocol.
-//
-// The design avoids a custody-handback protocol entirely: once a node
-// has crashed, its statically-assigned home pages are served by its
-// successor for the rest of the run (Membership.Serving), keyed off the
-// never-cleared crash record. Home resolution is therefore a pure
-// function of the page id and that record, identical at every node and
-// stable over time — there is no handback window during which two nodes
-// could both claim a page.
-//
-// The successor keeps no materialized custody copies. It serves a page
-// request by rebuilding a scratch copy from the zero page plus the
-// writers' logged diffs (its own log read locally, live peers' logs read
-// over the wire, ever-crashed writers' diffs taken from the custody
-// record of directly-received DiffUpdates), bounded by the requester's
-// vector time. Both the content and the virtual-time cost of the reply
-// are pure functions of the request, which keeps same-seed churn runs
-// deterministic even though rebuilds race with the victim's concurrent
-// replay in real time.
+// RedirectHome or Fenced, and the wire format is the offline protocol's.
+// A crashed node's homes stay with its successor for the rest of the run
+// (no handback), which keeps no custody copy: it rebuilds each reply from
+// the writers' logs and its custody record, so a reply's content and
+// virtual cost are pure functions of the request.
 
 import (
 	"fmt"
@@ -36,16 +21,6 @@ import (
 	"sdsm/internal/transport"
 	"sdsm/internal/vclock"
 )
-
-// adoptedPage is the custody record of one adopted page: every diff the
-// adopter received directly for it, in arrival order, with the dedup
-// version vector (ver[w] = newest interval of writer w in the record).
-// Rebuilds and the post-run audit read the record; nothing is ever
-// applied to the adopter's own page table.
-type adoptedPage struct {
-	applied []AdoptedDiff
-	ver     vclock.VC
-}
 
 // EffectiveHome resolves the current home of a page under permanent
 // migration (see transport.Membership.Serving).
@@ -143,69 +118,6 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	}
 }
 
-// handleForeignPageReq serves a page request this node is not the static
-// owner of: a custody rebuild when it is the page's current effective
-// home, a redirect otherwise.
-func (nd *Node) handleForeignPageReq(m transport.Message, req *PageReq, at simtime.Time) {
-	if eff := nd.EffectiveHome(req.Page); eff != nd.cfg.ID {
-		rd := &RedirectHome{Page: req.Page, Home: int32(eff)}
-		nd.ep.ReplyAt(at, m, KindRedirectHome, rd.WireSize(), rd)
-		return
-	}
-	data, done := nd.RebuildCustody(req.Page, req.VT, at)
-	resp := &PageReply{Data: data}
-	nd.trc.SvcSpan(obsv.EvAdoptServe, obsv.CatCoherence,
-		at-simtime.Time(nd.cfg.Model.MsgHandling), done, m.From, m.SentAt,
-		int64(req.Page), int64(resp.WireSize()))
-	nd.ep.ReplyAt(done, m, KindPageReply, resp.WireSize(), resp)
-}
-
-// handleForeignDiffUpdate receives a writer interval's diffs for pages
-// this node is not the static owner of: recorded into the custody record
-// when it is their effective home, redirected otherwise. The diffs are
-// never applied to a page table — rebuilds replay the record on demand.
-func (nd *Node) handleForeignDiffUpdate(m transport.Message, du *DiffUpdate, at simtime.Time) {
-	p0 := du.Diffs[0].Page
-	if eff := nd.EffectiveHome(p0); eff != nd.cfg.ID {
-		rd := &RedirectHome{Page: p0, Home: int32(eff)}
-		nd.ep.ReplyAt(at, m, KindRedirectHome, rd.WireSize(), rd)
-		return
-	}
-	var copied, recorded int
-	nd.mu.Lock()
-	for _, d := range du.Diffs {
-		if err := d.Validate(nd.cfg.PageSize); err != nil {
-			nd.mu.Unlock()
-			panic(fmt.Sprintf("hlrc: node %d rejected custody diff: %v", nd.cfg.ID, err))
-		}
-		ap := nd.adopted[d.Page]
-		if ap == nil {
-			ap = &adoptedPage{ver: vclock.New(nd.cfg.N)}
-			nd.adopted[d.Page] = ap
-		}
-		if int(du.Writer) < len(ap.ver) && du.Seq <= ap.ver[du.Writer] {
-			continue // retransmitted interval, already recorded
-		}
-		ap.applied = append(ap.applied, AdoptedDiff{
-			Writer: du.Writer, Seq: du.Seq, VTSum: du.VTSum, Diff: d,
-		})
-		if int(du.Writer) < len(ap.ver) {
-			ap.ver[du.Writer] = du.Seq
-		}
-		copied += d.DataBytes()
-		recorded++
-	}
-	nd.mu.Unlock()
-	if recorded > 0 {
-		nd.stats.AdoptedDiffs.Add(int64(recorded))
-	}
-	arrival := at - simtime.Time(nd.cfg.Model.MsgHandling)
-	at += simtime.Time(nd.cfg.Model.CopyTime(copied))
-	nd.trc.SvcSpan(obsv.EvHomeUpdate, obsv.CatCoherence,
-		arrival, at, m.From, m.SentAt, int64(recorded), int64(copied))
-	nd.ep.ReplyAt(at, m, KindDiffAck, DiffAck{}.WireSize(), DiffAck{})
-}
-
 // RebuildCustody assembles a custody copy of page p covering every writer
 // interval need bounds (need[w] = newest interval of writer w the
 // requester must see; nil bounds nothing and yields the zero page). It
@@ -246,13 +158,7 @@ func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 	// the reply time depend on how much of the victim's replay has raced
 	// in.
 	nd.mu.Lock()
-	if ap := nd.adopted[p]; ap != nil {
-		for _, ad := range ap.applied {
-			if ad.Seq <= bound(int(ad.Writer)) {
-				entries = append(entries, ad)
-			}
-		}
-	}
+	entries = nd.home.custody(p, entries, bound)
 	nd.mu.Unlock()
 	// Live peers' logs, fanned out in parallel.
 	var pendings []*transport.Pending
@@ -292,16 +198,7 @@ func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time)
 func (nd *Node) AdoptedState() []AdoptedPageState {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	out := make([]AdoptedPageState, 0, len(nd.adopted))
-	for p, ap := range nd.adopted {
-		out = append(out, AdoptedPageState{
-			Page:    p,
-			Ver:     ap.ver.Clone(),
-			Applied: append([]AdoptedDiff(nil), ap.applied...),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
-	return out
+	return nd.home.adoptedState()
 }
 
 // RebuildAdoptedImage assembles the authoritative final content of one

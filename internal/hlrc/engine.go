@@ -89,12 +89,6 @@ type SyncDelegate interface {
 	Validate(nd *Node, page memory.PageID) bool
 }
 
-type undoEntry struct {
-	writer int32
-	seq    int32
-	undo   memory.Undo // restoring it removes (writer, seq)'s update
-}
-
 // Node is one process of the home-based SDSM: its page table, interval
 // state, home-side bookkeeping, and (on ManagerNode) the lock and barrier
 // manager. The application goroutine calls the public synchronization
@@ -122,18 +116,9 @@ type Node struct {
 	// lastBarrierVT is the knowledge horizon of the last barrier release
 	// (the release's own vector, kept, never written).
 	lastBarrierVT vclock.VC
-	// ver[p] is the version vector of home page p (nil for non-home
-	// pages): ver[p][w] = last interval of writer w applied to p. Only
-	// Freeze shares it, so a write copies it only after a checkpoint;
-	// the vectors are cut from one slab, their copies from vcs.
-	ver  []vclock.COW
-	undo map[memory.PageID][]undoEntry
-	// served[p] is set once a reply has been built from home frame p
-	// (HomeUndo only, nil otherwise): it arms p's undo history.
-	served []bool
-	// undoDone is PageAtVersion's word-coverage bitmap (HomeUndo only),
-	// cleared per fetch.
-	undoDone []byte
+	// home is the node's home side: version vectors, undo histories,
+	// served marks and custody records (home.go), called under mu.
+	home home
 	// opIndex counts synchronization operations, used to tag log records
 	// and to place crash points.
 	opIndex int32
@@ -164,7 +149,7 @@ type Node struct {
 	svcApplied []memory.Diff
 	// Sent payloads are cut from slabs, one allocation per block
 	// (DESIGN.md §2.8). Each slab is serialized with the state its call
-	// sites already hold: vt's and ver's copies, the sync payloads, page
+	// sites already hold: the clocks' copies, the sync payloads, page
 	// replies and interval page lists under mu; closeAndPropagate's diff
 	// batches on the application goroutine, like flights.
 	vcs       arena.Slab[int32]
@@ -197,11 +182,10 @@ type Node struct {
 	// recomputed and flushed at detach (-1: never, the default).
 	TwinsFromOp int32
 
-	// Online-recovery state (Config.LeaseDuration > 0), guarded by mu.
 	// adoptedFrom is the dead node whose home pages this node holds in
-	// custody (-1 outside custody); adopted is the per-page custody state.
+	// custody (-1 outside custody; Config.LeaseDuration > 0 only),
+	// guarded by mu.
 	adoptedFrom int
-	adopted     map[memory.PageID]*adoptedPage
 
 	// mgr is the lock and barrier manager: non-nil on ManagerNode only,
 	// and touched only by its service goroutine (no lock).
@@ -240,53 +224,25 @@ func NewNode(cfg Config, nw *transport.Network, clock *simtime.Clock, hooks LogH
 		notices:       NewNoticeStore(cfg.N),
 		grantVT:       make(map[int32]vclock.VC),
 		lastBarrierVT: vclock.New(cfg.N),
-		ver:           make([]vclock.COW, cfg.NumPages),
-		undo:          make(map[memory.PageID][]undoEntry),
 		CrashOp:       -1,
 		crashedAt:     -1,
 		TwinsFromOp:   -1,
 		adoptedFrom:   -1,
-		adopted:       make(map[memory.PageID]*adoptedPage),
 	}
 	nd.vt = vclock.Own(vclock.New(cfg.N), &nd.vcs)
+	nd.home = newHome(cfg, nd.pt, &nd.vcs)
 	if cfg.ID == ManagerNode {
 		nd.mgr = newManager(cfg, stats)
 	}
-	// Home version vectors are cut from one slab, as home frames are.
-	homes := 0
-	for _, h := range cfg.Homes {
-		if h == cfg.ID {
-			homes++
-		}
-	}
-	slab := vclock.New(homes * cfg.N)
-	var owned []memory.PageID
-	for p := range cfg.Homes {
-		if nd.cfg.Homes[p] == cfg.ID {
-			nd.ver[p] = vclock.Own(slab[:cfg.N:cfg.N], &nd.vcs)
-			slab = slab[cfg.N:]
-			if nd.OwnsHome(memory.PageID(p)) {
-				owned = append(owned, memory.PageID(p))
-			}
-		}
-	}
 	// Every home frame exists before the service starts, so the service
 	// never writes a frame slot (the ownership rule, DESIGN.md §2.8).
-	nd.pt.AllocFrames(owned)
-	if cfg.HomeUndo {
-		nd.undoDone = make([]byte, memory.BitmapLen(cfg.PageSize))
-		nd.served = make([]bool, cfg.NumPages)
-		if cfg.LeaseDuration > 0 {
-			// Under leases every page is armed from the start. This is
-			// coupling with home migration, not a knob: a home page can
-			// migrate mid-interval, and the close of a page the node no
-			// longer owns diffs it against its HomeUndo twin (MakeDiff), so
-			// the twin must exist whether or not the page was served.
-			for p := range nd.served {
-				nd.served[p] = true
-			}
+	var owned []memory.PageID
+	for p := range cfg.Homes {
+		if nd.OwnsHome(memory.PageID(p)) {
+			owned = append(owned, memory.PageID(p))
 		}
 	}
+	nd.pt.AllocFrames(owned)
 	nd.ep.SetTracer(cfg.Tracer)
 	return nd
 }
@@ -484,7 +440,7 @@ func (nd *Node) handle(m transport.Message) {
 		}
 	}
 	switch m.Kind {
-	case KindPageReq:
+	case KindPageReq, KindRecPageReq:
 		nd.handlePageReq(m, at)
 	case KindDiffUpdate:
 		nd.handleDiffUpdate(m, at)
@@ -494,8 +450,6 @@ func (nd *Node) handle(m transport.Message) {
 		nd.send(nd.manager(m).senderLog(m, at))
 	case KindObit:
 		nd.handleObit(m, at)
-	case KindRecPageReq:
-		nd.handleRecPageReq(m, at)
 	case KindRecDiffsReq:
 		resp := nd.cfg.LogDiffs(m.Payload.(*RecDiffsReq))
 		nd.ep.ReplyAt(at, m, KindRecDiffsReply, resp.WireSize(), resp)
@@ -536,135 +490,120 @@ func svcTrace(m transport.Message) obsv.TraceCtx {
 	return tc
 }
 
-// handlePageReq serves a remote miss: one round trip returns the current
-// home copy (HLRC's single-round-trip property).
+// redirect answers m, about page p, with eff, the node that serves p
+// now. Without a lease no home moves, so the message was misrouted.
+func (nd *Node) redirect(m transport.Message, p memory.PageID, eff int, at simtime.Time) {
+	if nd.cfg.LeaseDuration == 0 {
+		panic(fmt.Sprintf("hlrc: node %d got %s for page %d homed at %d",
+			nd.cfg.ID, obsv.KindName(uint8(m.Kind)), p, nd.HomeOf(p)))
+	}
+	rd := &RedirectHome{Page: p, Home: int32(eff)}
+	nd.ep.ReplyAt(at, m, KindRedirectHome, rd.WireSize(), rd)
+}
+
+// handlePageReq serves a page: for a KindPageReq the current copy, in one
+// round trip (HLRC's single-round-trip property); for a KindRecPageReq
+// the copy at the version VT a recovering peer's replay needs. An owned
+// page is served from its frame, an adopted one rebuilt from custody
+// (RebuildCustody); a current-copy request for a page another node
+// serves now is redirected, a versioned one never is.
 func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 	req := m.Payload.(*PageReq)
-	nd.mu.Lock()
-	if !nd.OwnsHome(req.Page) {
-		nd.mu.Unlock()
-		if nd.cfg.LeaseDuration > 0 {
-			nd.handleForeignPageReq(m, req, at)
-			return
-		}
-		panic(fmt.Sprintf("hlrc: node %d asked for page %d homed at %d", nd.cfg.ID, req.Page, nd.HomeOf(req.Page)))
-	}
-	resp := nd.replies.New()
-	resp.Data = nd.pt.CopyPage(req.Page)
-	nd.markServedLocked(req.Page)
-	nd.mu.Unlock()
-	nd.trc.SvcSpanT(svcTrace(m), obsv.EvPageServe, obsv.CatCoherence,
-		at-simtime.Time(nd.cfg.Model.MsgHandling), at, m.From, m.SentAt,
-		int64(req.Page), int64(resp.WireSize()))
-	nd.ep.ReplyAt(at, m, KindPageReply, resp.WireSize(), resp)
-}
-
-// handleRecPageReq serves a recovering peer's page fetch at the version
-// its replay needs: from the home copy, rolled back if it has advanced
-// (PageAtVersion), or — for a migrated page, whose adopter this node is
-// (the requester resolves homes through the same membership)
-// — rebuilt from custody.
-func (nd *Node) handleRecPageReq(m transport.Message, at simtime.Time) {
-	req := m.Payload.(*RecPageReq)
-	resp := &PageReply{}
+	versioned := m.Kind == KindRecPageReq
+	var resp *PageReply
+	tc, ev, done := svcTrace(m), obsv.EvPageServe, at
 	if nd.OwnsHome(req.Page) {
-		resp.Data = nd.PageAtVersion(req.Page, req.Need)
-	} else {
-		resp.Data, at = nd.RebuildCustody(req.Page, req.Need, at)
+		nd.mu.Lock()
+		resp = nd.replies.New()
+		if versioned {
+			resp.Data = nd.home.serveAt(req.Page, req.VT)
+		} else {
+			resp.Data = nd.home.serve(req.Page)
+		}
+		nd.mu.Unlock()
+	} else if eff := nd.EffectiveHome(req.Page); eff != nd.cfg.ID && !versioned {
+		nd.redirect(m, req.Page, eff, at)
+		return
+	} else { // a custody span carries no trace context
+		resp, tc, ev = &PageReply{}, obsv.TraceCtx{}, obsv.EvAdoptServe
+		resp.Data, done = nd.RebuildCustody(req.Page, req.VT, at)
 	}
-	nd.ep.ReplyAt(at, m, KindRecPageReply, resp.WireSize(), resp)
+	if !versioned {
+		nd.trc.SvcSpanT(tc, ev, obsv.CatCoherence, at-simtime.Time(nd.cfg.Model.MsgHandling), done,
+			m.From, m.SentAt, int64(req.Page), int64(resp.WireSize()))
+	}
+	// Each request kind's reply is the next kind: KindPageReply or
+	// KindRecPageReply.
+	nd.ep.ReplyAt(done, m, m.Kind+1, resp.WireSize(), resp)
 }
 
-// handleDiffUpdate applies a writer interval's diffs to the home copies,
-// records the update events, and acknowledges. This is the paper's
-// "Asynchronous Update Handler".
+// handleDiffUpdate takes a writer interval's diffs for the pages of one
+// static home, whose first page routes the whole message: applied, with
+// their update events, to owned pages (the paper's "Asynchronous Update
+// Handler"), recorded into custody for adopted ones, or redirected.
 func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 	du := m.Payload.(*DiffUpdate)
-	if nd.cfg.LeaseDuration > 0 && len(du.Diffs) > 0 && !nd.OwnsHome(du.Diffs[0].Page) {
-		// Diff batches are grouped per static home, so the first page
-		// decides the whole message's routing: custody record or redirect.
-		nd.handleForeignDiffUpdate(m, du, at)
-		return
+	adopted := len(du.Diffs) > 0 && !nd.OwnsHome(du.Diffs[0].Page)
+	if adopted {
+		p0 := du.Diffs[0].Page
+		if eff := nd.EffectiveHome(p0); eff != nd.cfg.ID {
+			nd.redirect(m, p0, eff, at)
+			return
+		}
 	}
-	var copied int
+	var copied, taken int
 	nd.mu.Lock()
 	events, applied := nd.svcEvents[:0], nd.svcApplied[:0]
 	for _, d := range du.Diffs {
-		if !nd.IsHome(d.Page) {
-			nd.mu.Unlock()
-			panic(fmt.Sprintf("hlrc: node %d got diff for page %d homed at %d", nd.cfg.ID, d.Page, nd.HomeOf(d.Page)))
-		}
-		if !nd.applyHomeDiffLocked(d, du.Writer, du.Seq) {
-			continue // retransmitted interval, already applied and logged
+		if adopted {
+			if !nd.home.record(d, du.Writer, du.Seq, du.VTSum) {
+				continue // retransmitted interval, already recorded
+			}
+		} else {
+			if !nd.IsHome(d.Page) {
+				nd.mu.Unlock()
+				panic(fmt.Sprintf("hlrc: node %d got diff for page %d homed at %d", nd.cfg.ID, d.Page, nd.HomeOf(d.Page)))
+			}
+			if !nd.home.apply(d, du.Writer, du.Seq) {
+				continue // retransmitted interval, already applied and logged
+			}
+			applied = append(applied, d)
+			events = append(events, UpdateEvent{Page: d.Page, Writer: du.Writer, Seq: du.Seq})
 		}
 		copied += d.DataBytes()
-		applied = append(applied, d)
-		events = append(events, UpdateEvent{Page: d.Page, Writer: du.Writer, Seq: du.Seq})
+		taken++
 	}
 	if len(applied) > 0 {
 		nd.hooks.OnIncomingDiffs(nd.opIndex, at-simtime.Time(nd.cfg.Model.MsgHandling), events, applied)
 		nd.stats.DiffsApplied.Add(int64(len(applied)))
 	}
 	nd.mu.Unlock()
-	// The ack leaves after the diffs are applied; the copy cost is the
-	// handler's, not the application's.
+	if adopted && taken > 0 {
+		nd.stats.AdoptedDiffs.Add(int64(taken))
+	}
+	// The ack leaves after the diffs are taken; the copy cost is the
+	// handler's, not the application's. A custody span carries no trace
+	// context.
 	arrival := at - simtime.Time(nd.cfg.Model.MsgHandling)
 	at += simtime.Time(nd.cfg.Model.CopyTime(copied))
-	nd.trc.SvcSpanT(svcTrace(m), obsv.EvHomeUpdate, obsv.CatCoherence,
-		arrival, at, m.From, m.SentAt, int64(len(applied)), int64(copied))
+	tc := svcTrace(m)
+	if adopted {
+		tc = obsv.TraceCtx{}
+	}
+	nd.trc.SvcSpanT(tc, obsv.EvHomeUpdate, obsv.CatCoherence,
+		arrival, at, m.From, m.SentAt, int64(taken), int64(copied))
 	for _, d := range applied {
-		nd.trc.SvcInstantT(svcTrace(m), obsv.EvDiffApply, at, int64(d.Page), int64(d.DataBytes()))
+		nd.trc.SvcInstantT(tc, obsv.EvDiffApply, at, int64(d.Page), int64(d.DataBytes()))
 	}
 	clear(applied) // hold no payload past its message
 	nd.svcEvents, nd.svcApplied = events[:0], applied[:0]
 	nd.ep.ReplyAt(at, m, KindDiffAck, DiffAck{}.WireSize(), DiffAck{})
 }
 
-// applyHomeDiffLocked applies one diff to a home copy, maintaining the
-// page's version vector and (when enabled) the undo history. A page with an
-// open twinned interval (a home self-write under HomeUndo, or a migrated
-// page in online replay) gets the diff in its twin too, so the twin lacks
-// only the home's own writes: the close-time undo entry and the replayed
-// self-diff (both page against twin) then hold exactly those. Data-race
-// freedom keeps the writers' word sets disjoint, so no self-write is
-// overwritten. The frame must exist: the service writes page contents,
-// never a frame slot. Callers hold nd.mu.
-func (nd *Node) applyHomeDiffLocked(d memory.Diff, writer, seq int32) bool {
-	v := nd.ver[d.Page].Get()
-	tracked := int(writer) >= 0 && int(writer) < len(v)
-	if tracked && seq <= v[writer] {
-		// The writer interval is already applied: this is a retransmitted
-		// or duplicated DiffUpdate (or a recovery re-fetch overlapping the
-		// live stream). Re-applying must be a no-op, keyed by the writer
-		// interval — and must not grow the undo history.
-		return false
-	}
-	page := nd.pt.Frame(d.Page)
-	if page == nil {
-		panic(fmt.Sprintf("hlrc: node %d: home page %d has no frame", nd.cfg.ID, d.Page))
-	}
-	if nd.undoArmed(d.Page) {
-		nd.undo[d.Page] = append(nd.undo[d.Page], undoEntry{
-			writer: writer, seq: seq, undo: memory.UndoOf(d, page),
-		})
-	}
-	d.Apply(page)
-	if twin := nd.pt.Twin(d.Page); twin != nil {
-		d.Apply(twin)
-	}
-	if tracked {
-		nd.ver[d.Page].SetAt(int(writer), seq)
-	}
-	return true
-}
-
-// ApplyDiffAsHome is the exported form of applyHomeDiffLocked for the
-// recovery engine (which runs while the service loop is stopped). It
-// reports whether the diff was new (false: the interval was already
-// applied, an idempotent re-delivery). The diff is bounds-checked first:
-// recovery feeds this with diffs decoded from disk logs and peers, and
-// Apply trusts run offsets, so a corrupt log must fail here rather than
-// scribble outside the page.
+// ApplyDiffAsHome applies a writer interval's diff as the home does, for
+// the recovery engine (its service loop stopped), and reports whether it
+// was new. The diff, decoded from a log or a peer, is bounds-checked
+// first: Apply trusts run offsets.
 func (nd *Node) ApplyDiffAsHome(d memory.Diff, writer, seq int32) bool {
 	if err := d.Validate(nd.cfg.PageSize); err != nil {
 		panic(fmt.Sprintf("hlrc: node %d rejected recovered diff: %v", nd.cfg.ID, err))
@@ -672,62 +611,13 @@ func (nd *Node) ApplyDiffAsHome(d memory.Diff, writer, seq int32) bool {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	nd.pt.Page(d.Page) // a migrated home of a recovered incarnation has no slab frame
-	return nd.applyHomeDiffLocked(d, writer, seq)
+	return nd.home.apply(d, writer, seq)
 }
 
-// markServedLocked records that a reply was built from home frame p,
-// arming its undo history. Callers hold nd.mu.
-func (nd *Node) markServedLocked(p memory.PageID) {
-	if nd.served != nil {
-		nd.served[p] = true
-	}
-}
-
-// undoArmed reports whether home page p keeps undo history: HomeUndo is
-// on and p has been served. Callers hold nd.mu.
-func (nd *Node) undoArmed(p memory.PageID) bool {
-	return nd.served != nil && nd.served[p]
-}
-
-// PageAtVersion returns a copy of home page p rolled back through every
-// writer interval beyond need applied since p was first served (this call
-// counts as a serve). Intervals applied before the first serve stay in
-// the copy: a recovering peer only reads p from a version it fetched,
-// which is no earlier than the first serve, and such an interval either
-// precedes that fetch (need covers it) or is concurrent with it (data-race
-// freedom keeps its words out of what the peer reads); see DESIGN.md.
-// With HomeUndo disabled, or when the current copy already satisfies
-// need, the current copy is returned.
+// PageAtVersion returns a copy of home page p at version need, as a
+// versioned fetch is served (this call counts as a serve).
 func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) []byte {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	data := nd.pt.CopyPage(p)
-	if !nd.cfg.HomeUndo {
-		return data // documented fallback: current copy
-	}
-	nd.markServedLocked(p)
-	// Strip the open interval's provisional self-writes: the home may be
-	// mid-interval (dirty with a twin), and those writes have no undo
-	// entry until the interval closes, so they must never leak into a
-	// versioned fetch. The twin has absorbed every remote update since it
-	// was taken, so it is the current copy without them. An interval that
-	// opened before the first serve has no twin and stays, like every
-	// interval before the first serve.
-	if nd.pt.IsDirty(p) && nd.pt.HasTwin(p) {
-		copy(data, nd.pt.Twin(p))
-	}
-	if need.Covers(nd.ver[p].Get()) {
-		return data
-	}
-	// Roll back every update beyond need, oldest first: each word ends at
-	// the pre-image of the oldest rolled-back entry that covers it, and is
-	// written once.
-	done := nd.undoDone
-	clear(done)
-	for _, e := range nd.undo[p] {
-		if int(e.writer) < len(need) && e.seq > need[e.writer] {
-			e.undo.Restore(data, done)
-		}
-	}
-	return data
+	return nd.home.serveAt(p, need)
 }

@@ -88,7 +88,6 @@ func WirePayloads() []any {
 		&BarrierCheckin{}, &BarrierRelease{},
 		&DiffUpdate{}, DiffAck{},
 		&PageReq{}, &PageReply{},
-		&RecPageReq{},
 		&RecDiffsReq{}, &RecDiffsReply{},
 		&RecSyncReq{}, &RecGrantReply{}, &RecBarrierReply{},
 		&Obituary{}, &RedirectHome{}, &Fenced{},
@@ -158,10 +157,12 @@ type DiffUpdate struct {
 // home and safely logged locally).
 type DiffAck struct{}
 
-// PageReq fetches the current home copy of one page. VT is the
-// requester's vector time; it is populated only under online recovery
-// (Config.LeaseDuration > 0), where an adopter uses it to bound the
-// deterministic backfill of a custody copy before serving.
+// PageReq fetches one page. As a KindPageReq it asks for the current
+// copy, and VT, the requester's vector time, is set only under online
+// recovery (Config.LeaseDuration > 0), to bound an adopter's custody
+// rebuild. As a KindRecPageReq a recovering node asks for the page at
+// version VT, rolled back from the home's undo history if it has advanced
+// (the paper's "home node must rollback ... to recreate its modification").
 type PageReq struct {
 	Page memory.PageID
 	VT   vclock.VC
@@ -218,19 +219,10 @@ func constPageReq(p memory.PageID, numPages int) *PageReq {
 
 // PageReply carries the home copy's bytes and nothing else: fetchPage and
 // CCL-recovery's fetchPages install Data and read no version back. It
-// answers a PageReq (KindPageReply) and a RecPageReq (KindRecPageReply)
-// alike.
+// answers a KindPageReq (KindPageReply) and a KindRecPageReq
+// (KindRecPageReply) alike.
 type PageReply struct {
 	Data []byte
-}
-
-// RecPageReq fetches a page during recovery at a version no newer than
-// Need. If the live home's copy has advanced past Need, the home rolls the
-// copy back using its volatile undo history (the paper's "home node must
-// rollback ... to recreate its modification" case).
-type RecPageReq struct {
-	Page memory.PageID
-	Need vclock.VC
 }
 
 // RecDiffsReq asks a live writer for the diffs it logged for one page,

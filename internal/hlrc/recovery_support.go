@@ -65,18 +65,15 @@ func (nd *Node) MergeVT(v vclock.VC) {
 // restore).
 func (nd *Node) SetVer(p memory.PageID, v vclock.VC) {
 	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.ver[p].Get() == nil {
-		return
-	}
-	nd.ver[p].Set(v.Clone())
+	nd.home.setVer(p, v)
+	nd.mu.Unlock()
 }
 
 // ResetUndo clears the home-side undo history (taken checkpoints bound
 // the history the same way they bound the log).
 func (nd *Node) ResetUndo() {
 	nd.mu.Lock()
-	nd.undo = make(map[memory.PageID][]undoEntry)
+	nd.home.resetUndo()
 	nd.mu.Unlock()
 }
 
@@ -95,31 +92,11 @@ func (nd *Node) ResetUndo() {
 // closed interval's sequence number, or 0 when the interval was empty.
 func (nd *Node) CloseIntervalLocal() int32 {
 	nd.mu.Lock()
-	dirty := nd.pt.DirtyPages()
-	if len(dirty) == 0 {
+	if len(nd.pt.DirtyPages()) == 0 {
 		nd.mu.Unlock()
 		return 0
 	}
-	seq := nd.vt.Tick(nd.cfg.ID)
-	vtSum := nd.vt.Get().Sum()
-	pages := make([]memory.PageID, 0, len(dirty))
-	var diffs []memory.Diff
-	compareBytes := 0
-	for _, p := range dirty {
-		pages = append(pages, p)
-		switch {
-		case nd.OwnsHome(p):
-			nd.ver[p].SetAt(nd.cfg.ID, seq)
-		case nd.IsHome(p) && nd.pt.HasTwin(p):
-			compareBytes += nd.cfg.PageSize
-			if d := nd.pt.MakeDiff(p); !d.Empty() {
-				diffs = append(diffs, d)
-			}
-		}
-	}
-	nd.notices.Add(Notice{Proc: int32(nd.cfg.ID), Seq: seq, Pages: pages})
-	nd.pt.EndInterval()
-	nd.stats.Intervals.Add(1)
+	seq, vtSum, diffs, compareBytes := nd.closeIntervalLocked(nil, false)
 	nd.mu.Unlock()
 	if len(diffs) == 0 {
 		return seq
@@ -181,12 +158,7 @@ func (nd *Node) Freeze(prev [][]byte) *FrozenState {
 		Notices: nd.notices.Delta(nil),
 	}
 	fs.Pages, fs.ChangedPages = nd.pt.Snapshot(prev)
-	for p := 0; p < nd.cfg.NumPages; p++ {
-		if nd.ver[p].Get() != nil {
-			fs.VerPages = append(fs.VerPages, memory.PageID(p))
-			fs.Vers = append(fs.Vers, nd.ver[p].Share())
-		}
-	}
+	fs.VerPages, fs.Vers = nd.home.freeze()
 	return fs
 }
 
@@ -247,10 +219,10 @@ func (nd *Node) NumPages() int { return nd.cfg.NumPages }
 func (nd *Node) HomeVersion(p memory.PageID) vclock.VC {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.ver[p].Get() == nil {
-		return nil
+	if v := nd.home.version(p); v != nil {
+		return v.Clone()
 	}
-	return nd.ver[p].Get().Clone()
+	return nil
 }
 
 // HomeVersionAt returns component w of home page p's version vector (0
@@ -258,7 +230,7 @@ func (nd *Node) HomeVersion(p memory.PageID) vclock.VC {
 func (nd *Node) HomeVersionAt(p memory.PageID, w int) int32 {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if v := nd.ver[p].Get(); v != nil {
+	if v := nd.home.version(p); v != nil {
 		return v[w]
 	}
 	return 0

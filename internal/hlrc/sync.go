@@ -324,6 +324,34 @@ type flight struct {
 	pd *transport.Pending
 }
 
+// closeIntervalLocked ends the open interval, whose dirty set is not
+// empty: it ticks vt, closes each owned page's home interval (closeSelf),
+// appends to diffs, in page order, the non-empty diff of every other
+// dirty page (live) or only of a twinned migrated one (replay), records
+// the write notice and ends the page table's interval. Callers hold mu.
+func (nd *Node) closeIntervalLocked(diffs []memory.Diff, live bool) (seq int32, vtSum int64, _ []memory.Diff, compareBytes int) {
+	dirty := nd.pt.DirtyPages()
+	seq = nd.vt.Tick(nd.cfg.ID)
+	vtSum = nd.vt.Get().Sum()
+	pages := nd.pageLists.Cut(len(dirty))
+	copy(pages, dirty)
+	for _, p := range dirty {
+		switch {
+		case nd.OwnsHome(p):
+			nd.home.closeSelf(p, seq)
+		case live || nd.IsHome(p) && nd.pt.HasTwin(p):
+			compareBytes += nd.cfg.PageSize
+			if d := nd.pt.MakeDiff(p); !d.Empty() { // else a silent rewrite: nothing to send
+				diffs = append(diffs, d)
+			}
+		}
+	}
+	nd.notices.Add(Notice{Proc: int32(nd.cfg.ID), Seq: seq, Pages: pages})
+	nd.pt.EndInterval()
+	nd.stats.Intervals.Add(1)
+	return seq, vtSum, diffs, compareBytes
+}
+
 // closeAndPropagate closes the current interval: diffs of dirty remote
 // pages are computed against their twins and sent to the pages' homes
 // (grouped per home, all in flight at once), the logging hook's release
@@ -365,41 +393,9 @@ func (nd *Node) closeAndPropagate(op int32) {
 		return
 	}
 
-	seq := nd.vt.Tick(nd.cfg.ID)
-	vtSum := nd.vt.Get().Sum()
-	created := nd.created[:0] // in page order, as CCL logs them
-	pages := nd.pageLists.Cut(len(dirty))
-	copy(pages, dirty)
-	compareBytes := 0
-	for _, p := range dirty {
-		if nd.OwnsHome(p) {
-			// Home writes need no diff to propagate (paper §2: "a
-			// read/write to a page on its home node ... requires no
-			// summary of write modifications"), but the write notice and
-			// the version vector still advance.
-			nd.ver[p].SetAt(nd.cfg.ID, seq)
-			if nd.cfg.HomeUndo && nd.pt.HasTwin(p) {
-				// The undo entry of a self-write interval is what turns
-				// the page back into its twin, which has absorbed every
-				// remote update since: exactly the self-written words.
-				if u := memory.UndoFromTwin(nd.pt.Page(p), nd.pt.Twin(p)); !u.Empty() {
-					nd.undo[p] = append(nd.undo[p], undoEntry{writer: int32(nd.cfg.ID), seq: seq, undo: u})
-				}
-			}
-			continue
-		}
-		d := nd.pt.MakeDiff(p)
-		compareBytes += nd.cfg.PageSize
-		if d.Empty() {
-			continue // silent rewrite of identical values: nothing to send
-		}
-		created = append(created, d)
-	}
-	nd.notices.Add(Notice{Proc: int32(nd.cfg.ID), Seq: seq, Pages: pages})
-	nd.pt.EndInterval()
+	seq, vtSum, created, compareBytes := nd.closeIntervalLocked(nd.created[:0], true)
 	nd.mu.Unlock()
 
-	nd.stats.Intervals.Add(1)
 	nd.stats.DiffsCreated.Add(int64(len(created)))
 	t0, t1 := nd.clock.AdvanceSpan(nd.cfg.Model.CopyTime(compareBytes))
 	nd.trc.Seg(obsv.EvDiffMake, obsv.CatCoherence, t0, t1, int64(compareBytes), int64(len(created)))

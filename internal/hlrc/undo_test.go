@@ -338,7 +338,7 @@ func TestHomeUndoIntervalCloseAllocatesWhatWasWritten(t *testing.T) {
 		t.Fatalf("undo-history close: %d allocs / %d B, without: %d / %d; want one more alloc of <= %d B",
 			mu, bu, mp, bp, limit)
 	}
-	if n := len(withUndo.undo[0]); n != 6 {
+	if n := len(withUndo.home.undo[0]); n != 6 {
 		t.Fatalf("undo history holds %d entries, want one per interval", n)
 	}
 }
@@ -365,7 +365,7 @@ func TestHomeUndoStartsAtFirstServe(t *testing.T) {
 			n.ApplyDiffAsHome(diffAt(0, 8, round), 1, int32(round))
 		}
 	}
-	if n := len(nd.undo[0]); n != 0 {
+	if n := len(nd.home.undo[0]); n != 0 {
 		t.Fatalf("never-served page holds %d undo entries, want none", n)
 	}
 	if !racedetect.Enabled {
@@ -384,11 +384,11 @@ func TestHomeUndoStartsAtFirstServe(t *testing.T) {
 		t.Fatal("first write after the first serve took no twin")
 	}
 	nd.closeAndPropagate(int32(round))
-	if n := len(nd.undo[0]); n != 1 {
+	if n := len(nd.home.undo[0]); n != 1 {
 		t.Fatalf("served page holds %d undo entries after one interval, want 1", n)
 	}
 	nd.ApplyDiffAsHome(diffAt(0, 8, round), 1, 99)
-	if n := len(nd.undo[0]); n != 2 {
+	if n := len(nd.home.undo[0]); n != 2 {
 		t.Fatalf("served page holds %d undo entries after a remote interval, want 2", n)
 	}
 

@@ -46,7 +46,6 @@ const (
 	tagDiffAck
 	tagPageReq
 	tagPageReply
-	tagRecPageReq
 	tagRecDiffsReq
 	tagRecDiffsReply
 	tagRecSyncReq
@@ -171,9 +170,6 @@ func (w *wire) walk(p any) {
 		w.rest(&m.Data)
 
 	// --- recovery service ---
-	case *RecPageReq:
-		w.page8(&m.Page)
-		w.vc("Need", &m.Need)
 	case *RecDiffsReq:
 		u32(w, "Page", &m.Page)
 		u32(w, "FromSeq", &m.FromSeq)
@@ -544,11 +540,6 @@ func (*PageReply) WireTag() uint8                   { return tagPageReply }
 func (m *PageReply) WireSize() int                  { return wireSize(m) }
 func (m *PageReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
 func (*PageReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &PageReply{}) }
-
-func (*RecPageReq) WireTag() uint8                   { return tagRecPageReq }
-func (m *RecPageReq) WireSize() int                  { return wireSize(m) }
-func (m *RecPageReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RecPageReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecPageReq{}) }
 
 func (*RecDiffsReq) WireTag() uint8                   { return tagRecDiffsReq }
 func (m RecDiffsReq) WireSize() int                   { return wireSize(&m) }

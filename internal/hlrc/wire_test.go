@@ -188,8 +188,6 @@ func genPayload(r *rand.Rand, ex any) wirePayload {
 		return &PageReq{Page: memory.PageID(r.Int31()), VT: genVC(r)}
 	case *PageReply:
 		return &PageReply{Data: genData(r)}
-	case *RecPageReq:
-		return &RecPageReq{Page: memory.PageID(r.Int31()), Need: genVC(r)}
 	case *RecDiffsReq:
 		return &RecDiffsReq{Page: memory.PageID(r.Int31()), FromSeq: r.Int31(), ToSeq: r.Int31()}
 	case *RecDiffsReply:
@@ -326,7 +324,6 @@ func fullValues() []struct {
 		{DiffAck{}, never},
 		{&PageReq{Page: 6, VT: vt}, func(n, _ int) bool { return n == 8 }},
 		{&PageReply{Data: []byte{1, 2, 3, 4, 5}}, func(int, int) bool { return true }},
-		{&RecPageReq{Page: 6, Need: vt}, never},
 		{&RecDiffsReq{Page: 6, FromSeq: 1, ToSeq: 4}, never},
 		{&RecDiffsReply{Seqs: []int32{1, 2}, VTSums: []int64{10, 20}, Diffs: []memory.Diff{d1, d2}, DiskBytes: 512}, never},
 		{&RecSyncReq{Node: 3, Idx: 17}, never},
@@ -422,7 +419,7 @@ func TestWireRejectsHostileCountsAndValues(t *testing.T) {
 		{"zero VTSum flagged", &DiffUpdate{}, cat(u32(1|vtSumBit, 1), zero8), ErrWireValue},
 		{"nonzero ack", DiffAck{}, []byte{0, 0, 0, 0, 0, 0, 0, 1}, ErrWireValue},
 		{"reserved page bytes", &PageReq{}, u32(6, 1), ErrWireValue},
-		{"reserved page bytes", &RecPageReq{}, cat(u32(6, 1), emptyVC), ErrWireValue},
+		{"reserved page bytes", &PageReq{}, cat(u32(6, 1), emptyVC), ErrWireValue},
 		{"reserved page bytes", &RedirectHome{}, u32(6, 1, 2), ErrWireValue},
 		{"reserved tail", &RecDiffsReq{}, u32(6, 1, 4, 9), ErrWireValue},
 		{"presence word", &RecGrantReply{}, u32(2), ErrWireValue},
@@ -477,6 +474,16 @@ func FuzzDecodePayload(f *testing.F) {
 	// A request with no VT for the largest page id: the decoder must not
 	// grow the constant request table to reach it.
 	f.Add(tagPageReq, (&PageReq{Page: 0x7fffffff}).AppendWire(nil))
+	// KindRecPageReq carries a PageReq too, so recovery's versioned fetch
+	// is seeded as a role of its own: with a VT, without one (the home
+	// serves it all the same), and generated.
+	recReq := []wirePayload{&PageReq{Page: 6, VT: vclock.VC{0, 3, 1}}, &PageReq{Page: 6}}
+	for i := 0; i < 3; i++ {
+		recReq = append(recReq, genPayload(r, &PageReq{}))
+	}
+	for _, p := range recReq {
+		f.Add(p.WireTag(), p.AppendWire(nil))
+	}
 	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
 		ex := byTag[tag]
 		if ex == nil {

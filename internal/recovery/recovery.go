@@ -151,7 +151,7 @@ type Replayer struct {
 	marks   []pageMark
 	scratch []memory.PageID
 	// pageReqs cuts fetchPages' requests (DESIGN.md §2.8).
-	pageReqs arena.Slab[hlrc.RecPageReq]
+	pageReqs arena.Slab[hlrc.PageReq]
 	// Misses counts CCL's on-demand fetches: pages the replay touched
 	// that the prefetch had left invalid.
 	Misses int
@@ -702,7 +702,7 @@ func (r *Replayer) fetchPages(nd *hlrc.Node, pages []memory.PageID, stage bool) 
 	reqs := r.pageReqs.Cut(len(pages))
 	for i, p := range pages {
 		req := &reqs[i]
-		req.Page, req.Need = p, need
+		req.Page, req.VT = p, need
 		// EffectiveHome routes pages whose static home has crashed to their
 		// adopter (it is HomeOf with leases disabled).
 		pendings = append(pendings, ep.CallAsync(nd.EffectiveHome(p), hlrc.KindRecPageReq, req.WireSize(), req))

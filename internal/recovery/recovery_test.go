@@ -189,18 +189,26 @@ func TestServiceVersionedFetch(t *testing.T) {
 
 	// Ask for the page at version <1:1> — the seq-2 update must be
 	// rolled back.
-	req := &hlrc.RecPageReq{Page: 0, Need: []int32{0, 1}}
+	req := &hlrc.PageReq{Page: 0, VT: []int32{0, 1}}
 	resp := requester.Call(0, hlrc.KindRecPageReq, req.WireSize(), req)
 	pr := resp.Payload.(*hlrc.PageReply)
 	if pr.Data[0] != 11 || pr.Data[4] != 0 {
 		t.Fatalf("versioned fetch: data[0]=%d data[4]=%d, want 11, 0", pr.Data[0], pr.Data[4])
 	}
 	// Current version request returns everything.
-	req = &hlrc.RecPageReq{Page: 0, Need: []int32{0, 2}}
+	req = &hlrc.PageReq{Page: 0, VT: []int32{0, 2}}
 	resp = requester.Call(0, hlrc.KindRecPageReq, req.WireSize(), req)
 	pr = resp.Payload.(*hlrc.PageReply)
 	if pr.Data[0] != 11 || pr.Data[4] != 22 {
 		t.Fatalf("current fetch: %d, %d", pr.Data[0], pr.Data[4])
+	}
+	// A versioned fetch with no VT (a hostile or truncated body decodes to
+	// one) bounds no writer: it is served the current copy.
+	req = &hlrc.PageReq{Page: 0}
+	resp = requester.Call(0, hlrc.KindRecPageReq, req.WireSize(), req)
+	pr = resp.Payload.(*hlrc.PageReply)
+	if resp.Kind != hlrc.KindRecPageReply || pr.Data[0] != 11 || pr.Data[4] != 22 {
+		t.Fatalf("fetch with no VT: kind %d, %d, %d", resp.Kind, pr.Data[0], pr.Data[4])
 	}
 }
 
