@@ -8,9 +8,11 @@
 # crash sweeps so the race run stays fast. Sent clocks are read by other
 # goroutines without a copy, and values cut from one slab block are
 # written by one goroutine and read by others (DESIGN.md §2.8), so the
-# test that no sent payload changes, the slab's own test and the one that
-# grows the shared page-request table from several goroutines at once
-# run ten times more under the detector,
+# test that no sent payload changes, the slab's own test, the tcp
+# reader's handoff test (a connection's reader cuts each decoded payload
+# and hands it to a node's service loop while it fills the next ones in
+# the same blocks) and the one that grows the shared page-request table
+# from several goroutines at once run ten times more under the detector,
 # and so do the same-seed determinism tests, whose replay rests on the
 # manager's key order and the arrival fence (DESIGN.md §4) holding under
 # any schedule.
@@ -50,6 +52,7 @@ tier2:
 	go test -race -short ./...
 	go test -race -count=10 -run '^(TestSentPayloadsNeverChange|TestPageReqConstants)$$' ./internal/hlrc
 	go test -race -count=10 -run '^TestSlab$$' ./internal/arena
+	go test -race -count=10 -run '^TestReaderHandoff$$' ./internal/transport/tcp
 	go test -race -count=10 -run '^TestRunWithChurn(Partition)?Deterministic$$' ./internal/core
 	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench
 	go test -race -count=5 -run '^(TestCCLPrefetchFollowsUse|TestLateFirstServeRecovery)$$' ./internal/core

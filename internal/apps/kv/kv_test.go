@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"sdsm/internal/core"
+	"sdsm/internal/hlrc"
 	"sdsm/internal/obsv"
 	"sdsm/internal/recovery"
 	"sdsm/internal/simtime"
+	"sdsm/internal/transport"
 	"sdsm/internal/wal"
 )
 
@@ -133,6 +135,66 @@ func TestKVCrashDuringTraffic(t *testing.T) {
 	}
 	if !bytes.Equal(base.MemoryImage(), rep.MemoryImage()) {
 		t.Fatal("churn run diverged from failure-free image")
+	}
+}
+
+// TestAdopterSpansJoinRequesterTrace: after the victim's crash its pages
+// are served by an adopter, from custody. The adopter's serve span
+// (EvAdoptServe) and its take of an adopted page's diffs (EvHomeUpdate)
+// join the trace of the op whose message they handle, as an owner's spans
+// do: each is the child of the sender's op span, derived through the
+// message's kind.
+func TestAdopterSpansJoinRequesterTrace(t *testing.T) {
+	const nodes = 4
+	cfg := Config{Keys: 32, Ops: 80, ZipfS: 1.2, Seed: 7}
+	cc := runCfg(cfg, nodes)
+	cc.Trace = obsv.NewCollector(nodes)
+	if _, err := core.RunWithChurn(cc, Prog(cfg), core.ChurnPlan{
+		Victim:        nodes - 1,
+		AtOp:          40,
+		Recovery:      recovery.CCLRecovery,
+		LeaseDuration: simtime.Duration(2 * time.Millisecond),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The op span of every traced op, by node and trace id.
+	type opKey struct {
+		node  int32
+		trace uint64
+	}
+	ops := map[opKey]obsv.TraceCtx{}
+	for i := range nodes {
+		for _, ev := range cc.Trace.Tracer(i).Events() {
+			if ev.Kind == obsv.EvOp && ev.Trace.Valid() {
+				ops[opKey{int32(i), ev.Trace.TraceID}] = ev.Trace
+			}
+		}
+	}
+	serves := 0
+	for i := range nodes {
+		for _, ev := range cc.Trace.Tracer(i).Events() {
+			var kind transport.Kind
+			switch ev.Kind {
+			case obsv.EvAdoptServe:
+				kind, serves = hlrc.KindPageReq, serves+1
+			case obsv.EvHomeUpdate:
+				kind = hlrc.KindDiffUpdate
+			default:
+				continue
+			}
+			op, ok := ops[opKey{ev.From, ev.Trace.TraceID}]
+			if !ev.Trace.Valid() || !ok {
+				t.Fatalf("node %d: %v from node %d at %d joins no op of the sender (trace %+v)",
+					i, ev.Kind, ev.From, ev.T0, ev.Trace)
+			}
+			if want := obsv.ChildSpanID(op.SpanID, uint8(kind)); ev.Trace.SpanID != want || ev.Trace.Tag != op.Tag {
+				t.Fatalf("node %d: %v from node %d: span %x tag %d, want the child %x of op span %x, tag %d",
+					i, ev.Kind, ev.From, ev.Trace.SpanID, ev.Trace.Tag, want, op.SpanID, op.Tag)
+			}
+		}
+	}
+	if serves == 0 {
+		t.Fatal("no custody serve: the run no longer exercises the adopter")
 	}
 }
 

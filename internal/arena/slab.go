@@ -14,9 +14,10 @@ const blockBytes = 512
 // they are sent and never after (DESIGN.md §2.8). Nothing clears a
 // block, so a value kept past its message keeps its whole block
 // reachable, and with it everything the block's other values point to: a slab of values that point to large buffers (PageReply's
-// page bytes) must have no kept value. The zero Slab is ready to use.
-// A Slab is not safe for concurrent use: its owner serializes every
-// call.
+// page bytes) must have no kept value. The zero Slab is ready to use,
+// and a nil *Slab makes every value and cut on its own, so one decoder
+// serves callers with a slab and callers without. A Slab is not safe
+// for concurrent use: its owner serializes every call.
 type Slab[T any] struct {
 	block []T
 	per   int // values per block, set at the first call
@@ -35,16 +36,16 @@ func (s *Slab[T]) New() *T { return &s.Cut(1)[0] }
 
 // Cut returns a fresh zeroed slice of n values whose capacity is n, so
 // appending to it reallocates instead of reaching a neighbour. A cut of
-// more than half a block is a plain make, and a cut of none is nil.
+// more than half a block, or from a nil slab, is a plain make, and a cut
+// of none is nil.
 func (s *Slab[T]) Cut(n int) []T {
-	per := s.perBlock()
 	switch {
 	case n == 0:
 		return nil
-	case n > per/2:
+	case s == nil || n > s.perBlock()/2:
 		return make([]T, n)
 	case len(s.block) < n:
-		s.block = make([]T, per)
+		s.block = make([]T, s.per)
 	}
 	c := s.block[:n:n]
 	s.block = s.block[n:]

@@ -18,8 +18,9 @@ type payload struct {
 
 // TestSlab checks the slab's contract: every value and cut is fresh and
 // zeroed, a cut cannot be appended into its neighbour, a block stays at
-// or under 512 bytes and costs one allocation, and a cut of more than
-// half a block is a plain make that leaves the block alone.
+// or under 512 bytes and costs one allocation, a cut of more than half a
+// block is a plain make that leaves the block alone, and a nil slab
+// makes everything it hands out.
 func TestSlab(t *testing.T) {
 	t.Run("payload", func(t *testing.T) { testSlab(t, func(p *payload) { p.n = 7 }) })
 	t.Run("int32", func(t *testing.T) { testSlab(t, func(x *int32) { *x = 7 }) })
@@ -97,6 +98,17 @@ func testSlab[T any](t *testing.T, mark func(*T)) {
 	}
 	if s.Cut(0) != nil {
 		t.Fatal("Cut(0) is not nil")
+	}
+
+	// A nil slab makes each value and cut on its own, with the same
+	// shapes: a cut of none is nil there too.
+	var none *Slab[T]
+	fresh(none.New(), "value of a nil slab")
+	if c := none.Cut(2); len(c) != 2 || cap(c) != 2 || !isZero(&c[1]) {
+		t.Fatalf("Cut(2) of a nil slab: len %d cap %d", len(c), cap(c))
+	}
+	if none.Cut(0) != nil {
+		t.Fatal("Cut(0) of a nil slab is not nil")
 	}
 
 	// Appending to a cut reallocates instead of reaching the value cut

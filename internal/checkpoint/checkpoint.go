@@ -54,10 +54,10 @@ func DecodeMeta(buf []byte) (*Meta, error) {
 	m.Op = int32(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
 	var err error
-	if m.VT, buf, err = vclock.DecodeVC(buf); err != nil {
+	if m.VT, buf, err = vclock.DecodeVC(buf, nil); err != nil {
 		return nil, err
 	}
-	if m.Notices, buf, err = hlrc.DecodeNotices(buf); err != nil {
+	if m.Notices, buf, err = hlrc.DecodeNotices(buf, nil, nil); err != nil {
 		return nil, err
 	}
 	if len(buf) < 4 {
@@ -78,7 +78,7 @@ func DecodeMeta(buf []byte) (*Meta, error) {
 		}
 		m.VerPages[i] = memory.PageID(binary.LittleEndian.Uint32(buf))
 		buf = buf[4:]
-		if m.Vers[i], buf, err = vclock.DecodeVC(buf); err != nil {
+		if m.Vers[i], buf, err = vclock.DecodeVC(buf, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // codec is the wire surface of a protocol payload (tcp.Payload's halves).
 type codec interface {
 	AppendWire(dst []byte) []byte
-	DecodeWire(b []byte) (any, error)
+	DecodeWire(b []byte, state *any) (any, error)
 }
 
 // TestSimTrafficRoundTripsThroughCodec runs every paper application on
@@ -45,7 +45,7 @@ func TestSimTrafficRoundTripsThroughCodec(t *testing.T) {
 					if len(enc) != m.Size {
 						t.Errorf("%T encodes to %d bytes, charged %d", p, len(enc), m.Size)
 					}
-					got, err := p.DecodeWire(enc)
+					got, err := p.DecodeWire(enc, nil)
 					if err != nil {
 						t.Errorf("%T: %v", p, err)
 						return

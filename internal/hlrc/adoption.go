@@ -137,12 +137,7 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 // next to each other and the second apply rewrites the same bytes.
 func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, simtime.Time) {
 	scratch := simtime.NewClock(at)
-	bound := func(w int) int32 {
-		if w < 0 || w >= len(need) {
-			return 0
-		}
-		return need[w]
-	}
+	bound := need.At // a writer need does not name is at 0, as in serveAt
 	var entries []AdoptedDiff
 	// Own log.
 	if b := bound(nd.cfg.ID); b > 0 {

@@ -1,8 +1,10 @@
 package hlrc
 
 import (
+	"bytes"
 	"testing"
 
+	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
@@ -58,6 +60,52 @@ func TestCustodyRebuildLeavesAppTracerAlone(t *testing.T) {
 	for _, ev := range trc.Events() {
 		if ev.Tid == obsv.TidApp {
 			t.Errorf("custody rebuild recorded %v on the application track (trace %+v)", ev.Kind, ev.Trace)
+		}
+	}
+}
+
+// TestShortVTServesAlike: a versioned fetch whose VT names fewer writers
+// than the cluster has reads each entry it lacks as 0, the vector-clock
+// convention, at an owner and at an adopter alike. The owner's rolled-back
+// copy (serveAt) and the adopter's custody rebuild (RebuildCustody) of the
+// arrival-order test's intervals are the same bytes: the zero page with
+// the intervals the VT, padded with zeros, admits applied.
+func TestShortVTServesAlike(t *testing.T) {
+	owner := orderHome([]int{evClose, 1, 2, 3, 4})
+	model := simtime.DefaultCostModel()
+	nw := transport.NewNetwork(4, model)
+	noLog := func(*RecDiffsReq) *RecDiffsReply { return &RecDiffsReply{} }
+	nodes := make([]*Node, 4)
+	for i := range nodes {
+		nodes[i] = NewNode(Config{
+			ID: i, N: 4, PageSize: orderPageSize, NumPages: 2,
+			Homes: []int{0, 0}, Model: model, LogDiffs: noLog,
+		}, nw, simtime.NewClock(0), nil, nil)
+		nodes[i].StartService()
+	}
+	defer stopAll(nodes)
+	adopter := nodes[1] // its custody record holds every interval; the logs none
+	adopter.mu.Lock()
+	for k, iv := range orderIntervals {
+		for _, d := range orderDiffs[k] {
+			if d != nil {
+				adopter.home.record(*d, iv.writer, iv.seq, iv.vt.Sum())
+			}
+		}
+	}
+	adopter.mu.Unlock()
+
+	for _, short := range []vclock.VC{nil, {}, {1}, {0, 1}, {1, 1}, {1, 1, 1}, {1, 1, 2}} {
+		padded := vclock.New(4)
+		copy(padded, short)
+		for p := memory.PageID(0); p < 2; p++ {
+			want, _ := orderCanonical(t, p, padded)
+			fromOwner := owner.serveAt(p, short)
+			fromAdopter, _ := adopter.RebuildCustody(p, short, 0)
+			if !bytes.Equal(fromOwner, want) || !bytes.Equal(fromAdopter, want) {
+				t.Errorf("page %d at VT %v: owner serves %x, adopter %x, want %x (VT %v)",
+					p, short, fromOwner, fromAdopter, want, padded)
+			}
 		}
 	}
 }

@@ -524,8 +524,8 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 	} else if eff := nd.EffectiveHome(req.Page); eff != nd.cfg.ID && !versioned {
 		nd.redirect(m, req.Page, eff, at)
 		return
-	} else { // a custody span carries no trace context
-		resp, tc, ev = &PageReply{}, obsv.TraceCtx{}, obsv.EvAdoptServe
+	} else {
+		resp, ev = &PageReply{}, obsv.EvAdoptServe
 		resp.Data, done = nd.RebuildCustody(req.Page, req.VT, at)
 	}
 	if !versioned {
@@ -582,14 +582,10 @@ func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 		nd.stats.AdoptedDiffs.Add(int64(taken))
 	}
 	// The ack leaves after the diffs are taken; the copy cost is the
-	// handler's, not the application's. A custody span carries no trace
-	// context.
+	// handler's, not the application's.
 	arrival := at - simtime.Time(nd.cfg.Model.MsgHandling)
 	at += simtime.Time(nd.cfg.Model.CopyTime(copied))
 	tc := svcTrace(m)
-	if adopted {
-		tc = obsv.TraceCtx{}
-	}
 	nd.trc.SvcSpanT(tc, obsv.EvHomeUpdate, obsv.CatCoherence,
 		arrival, at, m.From, m.SentAt, int64(taken), int64(copied))
 	for _, d := range applied {

@@ -157,8 +157,10 @@ func (h *home) serve(p memory.PageID) []byte {
 
 // serveAt is serve at version need (PageAtVersion): the copy rolled back
 // through every writer interval beyond need applied since p was first
-// served. Intervals applied before the first serve stay (DESIGN.md §2.8,
-// *Armed at the first serve*). With HomeUndo off it is the current copy.
+// served. A writer need does not name is at 0, as in RebuildCustody, so
+// every interval of it is beyond need. Intervals applied before the
+// first serve stay (DESIGN.md §2.8, *Armed at the first serve*). With
+// HomeUndo off it is the current copy.
 func (h *home) serveAt(p memory.PageID, need vclock.VC) []byte {
 	data := h.serve(p)
 	if h.served == nil {
@@ -181,7 +183,7 @@ func (h *home) serveAt(p memory.PageID, need vclock.VC) []byte {
 	done := h.undoDone
 	clear(done)
 	for _, e := range h.undo[p] {
-		if int(e.writer) < len(need) && e.seq > need[e.writer] {
+		if e.seq > need.At(int(e.writer)) {
 			e.undo.Restore(data, done)
 		}
 	}

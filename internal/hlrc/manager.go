@@ -405,6 +405,7 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 		mg.reply(w.m, KindBarrierRelease, rel, releaseAt, span)
 		span = mgrSpan{}
 	}
+	clear(bs.waiting) // hold no check-in past its round
 	bs.waiting = bs.waiting[:0]
 	return mg.out
 }

@@ -41,7 +41,9 @@ func (n Notice) Encode(buf []byte) []byte {
 }
 
 // DecodeNotice decodes one notice, returning it and the remaining bytes.
-func DecodeNotice(buf []byte) (Notice, []byte, error) {
+// Its page list is cut from pages (a nil slab makes it); an empty one is
+// non-nil, as in every decoder of this file.
+func DecodeNotice(buf []byte, pages *arena.Slab[memory.PageID]) (Notice, []byte, error) {
 	var n Notice
 	if len(buf) < 12 {
 		return n, buf, fmt.Errorf("hlrc: short notice header")
@@ -50,10 +52,13 @@ func DecodeNotice(buf []byte) (Notice, []byte, error) {
 	n.Seq = int32(binary.LittleEndian.Uint32(buf[4:]))
 	cnt := int(binary.LittleEndian.Uint32(buf[8:]))
 	buf = buf[12:]
-	if len(buf) < 4*cnt {
+	if len(buf)/4 < cnt {
 		return n, buf, fmt.Errorf("hlrc: truncated notice page list")
 	}
-	n.Pages = make([]memory.PageID, cnt)
+	n.Pages = []memory.PageID{}
+	if cnt > 0 {
+		n.Pages = pages.Cut(cnt)
+	}
 	for i := range n.Pages {
 		n.Pages[i] = memory.PageID(binary.LittleEndian.Uint32(buf))
 		buf = buf[4:]
@@ -70,30 +75,32 @@ func EncodeNotices(ns []Notice, buf []byte) []byte {
 	return buf
 }
 
-// DecodeNotices decodes a slice produced by EncodeNotices.
-func DecodeNotices(buf []byte) ([]Notice, []byte, error) {
+// DecodeNotices decodes a slice produced by EncodeNotices, cutting the
+// list from ns and each page list from pages (nil slabs make them). A
+// count the buffer cannot hold (12 bytes per notice at least) fails
+// before anything is sized by it.
+func DecodeNotices(buf []byte, ns *arena.Slab[Notice], pages *arena.Slab[memory.PageID]) ([]Notice, []byte, error) {
 	if len(buf) < 4 {
 		return nil, buf, fmt.Errorf("hlrc: short notice list")
 	}
 	cnt := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	// Cap the preallocation by what the buffer could possibly hold (12
-	// bytes per notice minimum): a corrupted count must produce a decode
-	// error, not a gigantic allocation.
-	capHint := cnt
-	if max := len(buf) / 12; capHint > max {
-		capHint = max
+	if len(buf)/12 < cnt {
+		return nil, buf, fmt.Errorf("hlrc: notice list of %d overruns its %d bytes", cnt, len(buf))
 	}
-	ns := make([]Notice, 0, capHint)
-	for i := 0; i < cnt; i++ {
-		n, rest, err := DecodeNotice(buf)
+	out := []Notice{}
+	if cnt > 0 {
+		out = ns.Cut(cnt)
+	}
+	for i := range out {
+		n, rest, err := DecodeNotice(buf, pages)
 		if err != nil {
 			return nil, rest, err
 		}
-		ns = append(ns, n)
+		out[i] = n
 		buf = rest
 	}
-	return ns, buf, nil
+	return out, buf, nil
 }
 
 // NoticesWireSize sums the wire sizes of a notice list (plus count).

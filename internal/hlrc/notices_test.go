@@ -14,7 +14,7 @@ func TestNoticeEncodeDecode(t *testing.T) {
 	if len(buf) != n.WireSize() {
 		t.Fatalf("wire size %d, encoded %d", n.WireSize(), len(buf))
 	}
-	got, rest, err := DecodeNotice(buf)
+	got, rest, err := DecodeNotice(buf, nil)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestNoticesListRoundTrip(t *testing.T) {
 		if len(buf) != NoticesWireSize(ns) {
 			return false
 		}
-		got, rest, err := DecodeNotices(buf)
+		got, rest, err := DecodeNotices(buf, nil, nil)
 		return err == nil && len(rest) == 0 && len(got) == len(ns)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -42,15 +42,15 @@ func TestNoticesListRoundTrip(t *testing.T) {
 }
 
 func TestDecodeNoticeErrors(t *testing.T) {
-	if _, _, err := DecodeNotice([]byte{1}); err == nil {
+	if _, _, err := DecodeNotice([]byte{1}, nil); err == nil {
 		t.Fatal("short header must fail")
 	}
 	n := Notice{Proc: 1, Seq: 1, Pages: []memory.PageID{4}}
 	buf := n.Encode(nil)
-	if _, _, err := DecodeNotice(buf[:13]); err == nil {
+	if _, _, err := DecodeNotice(buf[:13], nil); err == nil {
 		t.Fatal("truncated pages must fail")
 	}
-	if _, _, err := DecodeNotices([]byte{9}); err == nil {
+	if _, _, err := DecodeNotices([]byte{9}, nil, nil); err == nil {
 		t.Fatal("short list must fail")
 	}
 }

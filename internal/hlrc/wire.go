@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"sdsm/internal/arena"
 	"sdsm/internal/memory"
 	"sdsm/internal/simtime"
 	"sdsm/internal/vclock"
@@ -30,7 +31,9 @@ import (
 // Decoders treat the body as hostile: every failure is a *WireError,
 // never a panic, decoded values own their bytes (nothing aliases the
 // connection buffer the body was read into), and no allocation exceeds a
-// small multiple of the body's length.
+// small multiple of the body's length. A tcp reader decodes through
+// state of its own, the decodeSlabs its values are cut from; a decode
+// with none makes each value.
 
 // Payload type tags, carried in the frame header beside the message kind.
 // A tag names the Go type of the payload, which a kind does not (both
@@ -92,9 +95,91 @@ const (
 // discarded.
 type wire struct {
 	op  wireOp
-	n   int        // sizing: the bytes walked so far
-	b   []byte     // appending: the encoding so far; decoding: the body left
-	err *WireError // decoding: the first failure
+	n   int          // sizing: the bytes walked so far
+	b   []byte       // appending: the encoding so far; decoding: the body left
+	err *WireError   // decoding: the first failure
+	s   *decodeSlabs // decoding: where the value's parts are cut from
+}
+
+// decodeSlabs is the decode state of one tcp reader: a slab per kind of
+// value it decodes (DESIGN.md §2.8). The reader writes each value once,
+// before handing its message off, and never again. A block holds values
+// of one type, so a kept value pins only blocks of its own kind: the
+// notice store keeps page lists, the node keeps a grant's and a barrier
+// release's clock, custody keeps diffs, whose bodies are bytes. No slab
+// of a kind that points at a page has a kept value: nothing keeps a
+// decoded PageReply, and its page is made on its own (rest). The
+// payloads of the recovery and membership kinds, rare on the wire, are
+// made on their own. A nil slab makes every value, so noSlabs is the
+// state of a decode that has none.
+type decodeSlabs struct {
+	lockReqs *arena.Slab[LockReq]
+	grants   *arena.Slab[LockGrant]
+	releases *arena.Slab[LockRelease]
+	checkins *arena.Slab[BarrierCheckin]
+	barriers *arena.Slab[BarrierRelease]
+	updates  *arena.Slab[DiffUpdate]
+	pageReqs *arena.Slab[PageReq]
+	replies  *arena.Slab[PageReply]
+	notices  *arena.Slab[Notice]
+	pages    *arena.Slab[memory.PageID]
+	diffs    *arena.Slab[memory.Diff]
+	clocks   *arena.Slab[int32]
+	bodies   *arena.Slab[byte]
+}
+
+var noSlabs decodeSlabs
+
+// slabsOf returns the decode state in a reader's slot, made at its first
+// frame, or noSlabs for a decode with no slot.
+func slabsOf(state *any) *decodeSlabs {
+	if state == nil {
+		return &noSlabs
+	}
+	if *state == nil {
+		*state = &decodeSlabs{
+			lockReqs: new(arena.Slab[LockReq]),
+			grants:   new(arena.Slab[LockGrant]),
+			releases: new(arena.Slab[LockRelease]),
+			checkins: new(arena.Slab[BarrierCheckin]),
+			barriers: new(arena.Slab[BarrierRelease]),
+			updates:  new(arena.Slab[DiffUpdate]),
+			pageReqs: new(arena.Slab[PageReq]),
+			replies:  new(arena.Slab[PageReply]),
+			notices:  new(arena.Slab[Notice]),
+			pages:    new(arena.Slab[memory.PageID]),
+			diffs:    new(arena.Slab[memory.Diff]),
+			clocks:   new(arena.Slab[int32]),
+			bodies:   new(arena.Slab[byte]),
+		}
+	}
+	return (*state).(*decodeSlabs)
+}
+
+// fresh returns a zero value of the exemplar's type: cut from its slab,
+// or made on its own for a kind that has none.
+func (s *decodeSlabs) fresh(ex any) any {
+	switch ex.(type) {
+	case *LockReq:
+		return s.lockReqs.New()
+	case *LockGrant:
+		return s.grants.New()
+	case *LockRelease:
+		return s.releases.New()
+	case *BarrierCheckin:
+		return s.checkins.New()
+	case *BarrierRelease:
+		return s.barriers.New()
+	case *DiffUpdate:
+		return s.updates.New()
+	case *PageReq:
+		return s.pageReqs.New()
+	case *PageReply:
+		return s.replies.New()
+	case DiffAck:
+		return DiffAck{}
+	}
+	return reflect.New(reflect.TypeOf(ex).Elem()).Interface()
 }
 
 func wireSize(p any) int {
@@ -109,9 +194,12 @@ func appendWire(dst []byte, p any) []byte {
 	return w.b
 }
 
-// decodeWire fills p, a fresh value, from the whole body b.
-func decodeWire(b []byte, p any) (any, error) {
-	w := wire{op: wireDecoding, b: b}
+// decodeWire decodes the whole body b into a fresh value of the
+// exemplar's type, cut from the reader's slabs in state (nil: none).
+func decodeWire(b []byte, state *any, ex any) (any, error) {
+	s := slabsOf(state)
+	p := s.fresh(ex)
+	w := wire{op: wireDecoding, b: b, s: s}
 	w.walk(p)
 	if w.err == nil && len(w.b) != 0 {
 		w.fail("end", ErrWireTrailing)
@@ -318,13 +406,9 @@ func (w *wire) page8(p *memory.PageID) {
 	w.zero("Page", 4)
 }
 
-// decoded reads a field that carries its own length with its package's
-// decoder.
-func decoded[T any](w *wire, field string, v *T, dec func([]byte) (T, []byte, error)) {
-	if w.err != nil {
-		return
-	}
-	got, rest, err := dec(w.b)
+// decoded stores what its package's decoder read of a field that
+// carries its own length, or the decoder's failure.
+func decoded[T any](w *wire, field string, v *T, got T, rest []byte, err error) {
 	if err != nil {
 		w.fail(field, err)
 		return
@@ -339,7 +423,10 @@ func (w *wire) vc(field string, v *vclock.VC) {
 	case wireAppending:
 		w.b = v.Encode(w.b)
 	default:
-		decoded(w, field, v, vclock.DecodeVC)
+		if w.err == nil {
+			got, rest, err := vclock.DecodeVC(w.b, w.s.clocks)
+			decoded(w, field, v, got, rest, err)
+		}
 	}
 }
 
@@ -350,7 +437,10 @@ func (w *wire) notices(ns *[]Notice) {
 	case wireAppending:
 		w.b = EncodeNotices(*ns, w.b)
 	default:
-		decoded(w, "Notices", ns, DecodeNotices)
+		if w.err == nil {
+			got, rest, err := DecodeNotices(w.b, w.s.notices, w.s.pages)
+			decoded(w, "Notices", ns, got, rest, err)
+		}
 	}
 }
 
@@ -361,12 +451,17 @@ func (w *wire) diff(d *memory.Diff) {
 	case wireAppending:
 		w.b = d.Encode(w.b)
 	default:
-		decoded(w, "Diffs", d, memory.DecodeDiff)
+		if w.err == nil {
+			got, rest, err := memory.DecodeDiffFrom(w.b, w.s.bodies)
+			decoded(w, "Diffs", d, got, rest, err)
+		}
 	}
 }
 
 // diffsToEnd walks a diff list that runs to the end of the body (a diff
 // is at least its 8-byte header, so the list is bounded by the body).
+// Decoding counts the diffs first (PeekDiff allocates nothing) and cuts
+// the list at its exact size.
 func (w *wire) diffsToEnd(ds *[]memory.Diff) {
 	if w.op != wireDecoding {
 		for i := range *ds {
@@ -374,15 +469,23 @@ func (w *wire) diffsToEnd(ds *[]memory.Diff) {
 		}
 		return
 	}
-	var out []memory.Diff
-	for w.err == nil && len(w.b) > 0 {
-		var d memory.Diff
-		w.diff(&d)
-		out = append(out, d)
+	if w.err != nil {
+		return
 	}
-	if w.err == nil {
-		*ds = out
+	n := 0
+	for rest := w.b; len(rest) > 0; n++ {
+		_, size, err := memory.PeekDiff(rest)
+		if err != nil {
+			w.fail("Diffs", err)
+			return
+		}
+		rest = rest[size:]
 	}
+	out := w.s.diffs.Cut(n)
+	for i := range out {
+		w.diff(&out[i])
+	}
+	*ds = out
 }
 
 // rest walks a byte string that runs to the end of the body; decoded, it
@@ -476,107 +579,87 @@ func (w *wire) allocates(field string, n, min int) bool {
 // --- per type: WireTag, WireSize (the accounted message size),
 // AppendWire and DecodeWire, the last three a walk of its layout ---
 
-func (*LockReq) WireTag() uint8                   { return tagLockReq }
-func (m *LockReq) WireSize() int                  { return wireSize(m) }
-func (m *LockReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*LockReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &LockReq{}) }
+func (*LockReq) WireTag() uint8                              { return tagLockReq }
+func (m *LockReq) WireSize() int                             { return wireSize(m) }
+func (m *LockReq) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *LockReq) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*LockGrant) WireTag() uint8                   { return tagLockGrant }
-func (m *LockGrant) WireSize() int                  { return wireSize(m) }
-func (m *LockGrant) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*LockGrant) DecodeWire(b []byte) (any, error) { return decodeWire(b, &LockGrant{}) }
+func (*LockGrant) WireTag() uint8                              { return tagLockGrant }
+func (m *LockGrant) WireSize() int                             { return wireSize(m) }
+func (m *LockGrant) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *LockGrant) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*LockRelease) WireTag() uint8                   { return tagLockRelease }
-func (m *LockRelease) WireSize() int                  { return wireSize(m) }
-func (m *LockRelease) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*LockRelease) DecodeWire(b []byte) (any, error) { return decodeWire(b, &LockRelease{}) }
+func (*LockRelease) WireTag() uint8                              { return tagLockRelease }
+func (m *LockRelease) WireSize() int                             { return wireSize(m) }
+func (m *LockRelease) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *LockRelease) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*BarrierCheckin) WireTag() uint8                   { return tagBarrierCheckin }
-func (m *BarrierCheckin) WireSize() int                  { return wireSize(m) }
-func (m *BarrierCheckin) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*BarrierCheckin) DecodeWire(b []byte) (any, error) { return decodeWire(b, &BarrierCheckin{}) }
+func (*BarrierCheckin) WireTag() uint8                              { return tagBarrierCheckin }
+func (m *BarrierCheckin) WireSize() int                             { return wireSize(m) }
+func (m *BarrierCheckin) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *BarrierCheckin) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*BarrierRelease) WireTag() uint8                   { return tagBarrierRelease }
-func (m *BarrierRelease) WireSize() int                  { return wireSize(m) }
-func (m *BarrierRelease) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*BarrierRelease) DecodeWire(b []byte) (any, error) { return decodeWire(b, &BarrierRelease{}) }
+func (*BarrierRelease) WireTag() uint8                              { return tagBarrierRelease }
+func (m *BarrierRelease) WireSize() int                             { return wireSize(m) }
+func (m *BarrierRelease) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *BarrierRelease) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*DiffUpdate) WireTag() uint8                   { return tagDiffUpdate }
-func (m *DiffUpdate) WireSize() int                  { return wireSize(m) }
-func (m *DiffUpdate) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*DiffUpdate) DecodeWire(b []byte) (any, error) { return decodeWire(b, &DiffUpdate{}) }
+func (*DiffUpdate) WireTag() uint8                              { return tagDiffUpdate }
+func (m *DiffUpdate) WireSize() int                             { return wireSize(m) }
+func (m *DiffUpdate) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *DiffUpdate) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (DiffAck) WireTag() uint8                   { return tagDiffAck }
-func (m DiffAck) WireSize() int                  { return wireSize(m) }
-func (m DiffAck) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (DiffAck) DecodeWire(b []byte) (any, error) { return decodeWire(b, DiffAck{}) }
+func (DiffAck) WireTag() uint8                              { return tagDiffAck }
+func (m DiffAck) WireSize() int                             { return wireSize(m) }
+func (m DiffAck) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m DiffAck) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*PageReq) WireTag() uint8                 { return tagPageReq }
-func (m *PageReq) WireSize() int                { return wireSize(m) }
-func (m *PageReq) AppendWire(dst []byte) []byte { return appendWire(dst, m) }
+func (*PageReq) WireTag() uint8                              { return tagPageReq }
+func (m *PageReq) WireSize() int                             { return wireSize(m) }
+func (m *PageReq) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *PageReq) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-// DecodeWire hands out the page's constant request (sharedPageReq) for a
-// body with no VT whose page the table reaches, allocating nothing; any
-// other body decodes into a fresh value. It never grows the table, so a
-// hostile page id costs one request, not a table that reaches it.
-func (*PageReq) DecodeWire(b []byte) (any, error) {
-	if len(b) == pageReqNoVTSize {
-		var m PageReq
-		w := wire{op: wireDecoding, b: b}
-		w.walk(&m)
-		if w.err == nil && len(w.b) == 0 {
-			if req := sharedPageReq(m.Page); req != nil {
-				return req, nil
-			}
-		}
-	}
-	return decodeWire(b, &PageReq{})
-}
+func (*PageReply) WireTag() uint8                              { return tagPageReply }
+func (m *PageReply) WireSize() int                             { return wireSize(m) }
+func (m *PageReply) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *PageReply) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-// pageReqNoVTSize is the length of a PageReq with no VT.
-var pageReqNoVTSize = wireSize(&PageReq{})
+func (*RecDiffsReq) WireTag() uint8                              { return tagRecDiffsReq }
+func (m RecDiffsReq) WireSize() int                              { return wireSize(&m) }
+func (m *RecDiffsReq) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *RecDiffsReq) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*PageReply) WireTag() uint8                   { return tagPageReply }
-func (m *PageReply) WireSize() int                  { return wireSize(m) }
-func (m *PageReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*PageReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &PageReply{}) }
+func (*RecDiffsReply) WireTag() uint8                              { return tagRecDiffsReply }
+func (m *RecDiffsReply) WireSize() int                             { return wireSize(m) }
+func (m *RecDiffsReply) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *RecDiffsReply) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*RecDiffsReq) WireTag() uint8                   { return tagRecDiffsReq }
-func (m RecDiffsReq) WireSize() int                   { return wireSize(&m) }
-func (m *RecDiffsReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RecDiffsReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecDiffsReq{}) }
+func (*RecSyncReq) WireTag() uint8                              { return tagRecSyncReq }
+func (m RecSyncReq) WireSize() int                              { return wireSize(&m) }
+func (m *RecSyncReq) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *RecSyncReq) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*RecDiffsReply) WireTag() uint8                   { return tagRecDiffsReply }
-func (m *RecDiffsReply) WireSize() int                  { return wireSize(m) }
-func (m *RecDiffsReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RecDiffsReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecDiffsReply{}) }
+func (*RecGrantReply) WireTag() uint8                              { return tagRecGrantReply }
+func (m *RecGrantReply) WireSize() int                             { return wireSize(m) }
+func (m *RecGrantReply) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *RecGrantReply) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*RecSyncReq) WireTag() uint8                   { return tagRecSyncReq }
-func (m RecSyncReq) WireSize() int                   { return wireSize(&m) }
-func (m *RecSyncReq) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RecSyncReq) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecSyncReq{}) }
+func (*RecBarrierReply) WireTag() uint8                              { return tagRecBarrierReply }
+func (m *RecBarrierReply) WireSize() int                             { return wireSize(m) }
+func (m *RecBarrierReply) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *RecBarrierReply) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*RecGrantReply) WireTag() uint8                   { return tagRecGrantReply }
-func (m *RecGrantReply) WireSize() int                  { return wireSize(m) }
-func (m *RecGrantReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RecGrantReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecGrantReply{}) }
+func (*Obituary) WireTag() uint8                              { return tagObituary }
+func (m Obituary) WireSize() int                              { return wireSize(&m) }
+func (m *Obituary) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *Obituary) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*RecBarrierReply) WireTag() uint8                   { return tagRecBarrierReply }
-func (m *RecBarrierReply) WireSize() int                  { return wireSize(m) }
-func (m *RecBarrierReply) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RecBarrierReply) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RecBarrierReply{}) }
+func (*RedirectHome) WireTag() uint8                              { return tagRedirectHome }
+func (m RedirectHome) WireSize() int                              { return wireSize(&m) }
+func (m *RedirectHome) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *RedirectHome) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }
 
-func (*Obituary) WireTag() uint8                   { return tagObituary }
-func (m Obituary) WireSize() int                   { return wireSize(&m) }
-func (m *Obituary) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*Obituary) DecodeWire(b []byte) (any, error) { return decodeWire(b, &Obituary{}) }
-
-func (*RedirectHome) WireTag() uint8                   { return tagRedirectHome }
-func (m RedirectHome) WireSize() int                   { return wireSize(&m) }
-func (m *RedirectHome) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*RedirectHome) DecodeWire(b []byte) (any, error) { return decodeWire(b, &RedirectHome{}) }
-
-func (*Fenced) WireTag() uint8                   { return tagFenced }
-func (m Fenced) WireSize() int                   { return wireSize(&m) }
-func (m *Fenced) AppendWire(dst []byte) []byte   { return appendWire(dst, m) }
-func (*Fenced) DecodeWire(b []byte) (any, error) { return decodeWire(b, &Fenced{}) }
+func (*Fenced) WireTag() uint8                              { return tagFenced }
+func (m Fenced) WireSize() int                              { return wireSize(&m) }
+func (m *Fenced) AppendWire(dst []byte) []byte              { return appendWire(dst, m) }
+func (m *Fenced) DecodeWire(b []byte, st *any) (any, error) { return decodeWire(b, st, m) }

@@ -20,7 +20,7 @@ type wirePayload interface {
 	WireTag() uint8
 	WireSize() int
 	AppendWire(dst []byte) []byte
-	DecodeWire(b []byte) (any, error)
+	DecodeWire(b []byte, state *any) (any, error)
 }
 
 // exemplarByTag indexes WirePayloads by tag, as a fabric's decode table
@@ -250,9 +250,11 @@ func nilEmpty(v reflect.Value) {
 // 0..n notices with 0..n pages, 0..n diffs with 0..n runs, nil and
 // non-nil nested grants — the encoding is exactly WireSize bytes, and
 // decoding it gives the value back (up to nil-vs-empty) with bytes of its
-// own.
+// own: with no decode state, and through one state every decode of the
+// test shares, as a tcp reader's does.
 func TestWireRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
+	var shared any
 	for _, ex := range WirePayloads() {
 		for i := 0; i < 300; i++ {
 			v := genPayload(r, ex)
@@ -264,27 +266,29 @@ func TestWireRoundTrip(t *testing.T) {
 			if pre := v.AppendWire([]byte("pre")); !bytes.Equal(pre[:3], []byte("pre")) || !bytes.Equal(pre[3:], enc) {
 				t.Fatalf("%T #%d: AppendWire disturbed its prefix", v, i)
 			}
-			wire := append([]byte(nil), enc...)
-			got, err := ex.(wirePayload).DecodeWire(wire)
-			if err != nil {
-				t.Fatalf("%T #%d: DecodeWire: %v\nvalue %+v", v, i, err, v)
-			}
-			for j := range wire {
-				wire[j] ^= 0xff // the connection buffer is reused
-			}
-			if re := got.(wirePayload).AppendWire(nil); !bytes.Equal(re, enc) {
-				t.Fatalf("%T #%d: decoded value aliases its input or re-encodes differently", v, i)
-			}
-			if reflect.TypeOf(got) != reflect.TypeOf(ex) {
-				t.Fatalf("%T #%d: decoded as %T", v, i, got)
-			}
-			want := reflect.ValueOf(v)
-			have := reflect.ValueOf(got)
-			if want.Kind() == reflect.Pointer {
-				nilEmpty(want)
-				nilEmpty(have)
-				if !reflect.DeepEqual(v, got) {
-					t.Fatalf("%T #%d: round trip\n got %+v\nwant %+v", v, i, got, v)
+			for _, state := range []*any{nil, &shared} {
+				wire := append([]byte(nil), enc...)
+				got, err := ex.(wirePayload).DecodeWire(wire, state)
+				if err != nil {
+					t.Fatalf("%T #%d: DecodeWire: %v\nvalue %+v", v, i, err, v)
+				}
+				for j := range wire {
+					wire[j] ^= 0xff // the connection buffer is reused
+				}
+				if re := got.(wirePayload).AppendWire(nil); !bytes.Equal(re, enc) {
+					t.Fatalf("%T #%d: decoded value aliases its input or re-encodes differently", v, i)
+				}
+				if reflect.TypeOf(got) != reflect.TypeOf(ex) {
+					t.Fatalf("%T #%d: decoded as %T", v, i, got)
+				}
+				want := reflect.ValueOf(v)
+				have := reflect.ValueOf(got)
+				if want.Kind() == reflect.Pointer {
+					nilEmpty(want)
+					nilEmpty(have)
+					if !reflect.DeepEqual(v, got) {
+						t.Fatalf("%T #%d: round trip\n got %+v\nwant %+v", v, i, got, v)
+					}
 				}
 			}
 		}
@@ -346,7 +350,7 @@ func TestWireRejectsTruncationAndTrailing(t *testing.T) {
 	for _, tc := range full {
 		enc := tc.v.AppendWire(nil)
 		for n := 0; n < len(enc); n++ {
-			got, err := tc.v.DecodeWire(enc[:n])
+			got, err := tc.v.DecodeWire(enc[:n], nil)
 			if tc.valid(n, len(enc)) {
 				if err != nil {
 					t.Errorf("%T cut at %d of %d is a valid shorter value, got %v", tc.v, n, len(enc), err)
@@ -362,7 +366,7 @@ func TestWireRejectsTruncationAndTrailing(t *testing.T) {
 		case *PageReply:
 			continue // Data runs to the end of the body: more bytes are more data
 		}
-		if _, err := tc.v.DecodeWire(append(enc[:len(enc):len(enc)], 0)); err == nil {
+		if _, err := tc.v.DecodeWire(append(enc[:len(enc):len(enc)], 0), nil); err == nil {
 			t.Errorf("%T accepted a trailing byte", tc.v)
 		}
 	}
@@ -427,7 +431,7 @@ func TestWireRejectsHostileCountsAndValues(t *testing.T) {
 		{"absent grant with bytes", &RecGrantReply{}, cat(u32(0), emptyVC), ErrWireTrailing},
 	}
 	for _, tc := range cases {
-		got, err := tc.ex.DecodeWire(tc.body)
+		got, err := tc.ex.DecodeWire(tc.body, nil)
 		var we *WireError
 		if err == nil || got != nil || !errors.As(err, &we) {
 			t.Errorf("%T %s: value %v, error %v (want nil and a *WireError)", tc.ex, tc.name, got, err)
@@ -438,7 +442,7 @@ func TestWireRejectsHostileCountsAndValues(t *testing.T) {
 		}
 		// A hostile count must not size an allocation: a decode of a few
 		// bytes allocates a few objects.
-		if allocs := testing.AllocsPerRun(10, func() { tc.ex.DecodeWire(tc.body) }); allocs > 8 {
+		if allocs := testing.AllocsPerRun(10, func() { tc.ex.DecodeWire(tc.body, nil) }); allocs > 8 {
 			t.Errorf("%T %s: %v allocations decoding %d hostile bytes", tc.ex, tc.name, allocs, len(tc.body))
 		}
 	}
@@ -446,7 +450,10 @@ func TestWireRejectsHostileCountsAndValues(t *testing.T) {
 
 // FuzzDecodePayload: any body either fails with a *WireError or is the
 // canonical encoding of the value it decodes to — WireSize long, and
-// re-encoding to the same bytes.
+// re-encoding to the same bytes. Each body is decoded twice, with no
+// state and through one state the fuzz worker keeps across its inputs,
+// as a tcp reader keeps its slabs: both give the same value or the same
+// error.
 func FuzzDecodePayload(f *testing.F) {
 	byTag := exemplarByTag(f)
 	r := rand.New(rand.NewSource(61))
@@ -471,8 +478,7 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, p := range recReply {
 		f.Add(p.WireTag(), p.AppendWire(nil))
 	}
-	// A request with no VT for the largest page id: the decoder must not
-	// grow the constant request table to reach it.
+	// A request with no VT for the largest page id.
 	f.Add(tagPageReq, (&PageReq{Page: 0x7fffffff}).AppendWire(nil))
 	// KindRecPageReq carries a PageReq too, so recovery's versioned fetch
 	// is seeded as a role of its own: with a VT, without one (the home
@@ -484,15 +490,16 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, p := range recReq {
 		f.Add(p.WireTag(), p.AppendWire(nil))
 	}
+	var state any
 	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
 		ex := byTag[tag]
 		if ex == nil {
 			return
 		}
-		tab := pageReqTableLen()
-		got, err := ex.DecodeWire(body)
-		if l := pageReqTableLen(); l != tab {
-			t.Fatalf("%T: decoding %x moved the page request table from %d to %d entries", ex, body, tab, l)
+		got, err := ex.DecodeWire(body, nil)
+		slabbed, serr := ex.DecodeWire(body, &state)
+		if fmt.Sprint(err) != fmt.Sprint(serr) || !reflect.DeepEqual(got, slabbed) {
+			t.Fatalf("%T: %x decodes to %+v (%v) with no state but %+v (%v) through one", ex, body, got, err, slabbed, serr)
 		}
 		if err != nil {
 			var we *WireError

@@ -11,11 +11,12 @@
 package memory
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
+
+	"sdsm/internal/arena"
 )
 
 // WordSize is the diff granularity in bytes. TreadMarks diffs at 4-byte
@@ -261,7 +262,11 @@ func PeekDiff(buf []byte) (page PageID, size int, err error) {
 // DecodeDiff decodes a diff produced by Encode, returning the diff and the
 // remaining bytes: PeekDiff's bounds-checking walk, then one copy of the
 // run table, so the decoded diff does not alias buf.
-func DecodeDiff(buf []byte) (Diff, []byte, error) {
+func DecodeDiff(buf []byte) (Diff, []byte, error) { return DecodeDiffFrom(buf, nil) }
+
+// DecodeDiffFrom is DecodeDiff with the run table's copy cut from bodies
+// (a nil slab makes it).
+func DecodeDiffFrom(buf []byte, bodies *arena.Slab[byte]) (Diff, []byte, error) {
 	page, size, err := PeekDiff(buf)
 	if err != nil {
 		return Diff{Page: page}, buf, err
@@ -269,7 +274,8 @@ func DecodeDiff(buf []byte) (Diff, []byte, error) {
 	d := Diff{Page: page}
 	if size > 8 {
 		d.runs = int32(binary.LittleEndian.Uint32(buf[4:]))
-		d.body = bytes.Clone(buf[8:size])
+		d.body = bodies.Cut(size - 8)
+		copy(d.body, buf[8:size])
 	}
 	return d, buf[size:], nil
 }

@@ -538,7 +538,7 @@ func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
 	for _, rec := range recs {
 		switch rec.Kind {
 		case wal.RecNotices:
-			ns, rest, err := hlrc.DecodeNotices(rec.Data)
+			ns, rest, err := hlrc.DecodeNotices(rec.Data, nil, nil)
 			if err != nil || len(rest) != 0 {
 				panic(fmt.Sprintf("recovery: corrupt notices record: %v", err))
 			}

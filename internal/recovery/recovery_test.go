@@ -203,11 +203,12 @@ func TestServiceVersionedFetch(t *testing.T) {
 		t.Fatalf("current fetch: %d, %d", pr.Data[0], pr.Data[4])
 	}
 	// A versioned fetch with no VT (a hostile or truncated body decodes to
-	// one) bounds no writer: it is served the current copy.
+	// one) names no writer, so every writer is at 0, as at an adopter: it
+	// is served the copy of the first serve, both intervals rolled back.
 	req = &hlrc.PageReq{Page: 0}
 	resp = requester.Call(0, hlrc.KindRecPageReq, req.WireSize(), req)
 	pr = resp.Payload.(*hlrc.PageReply)
-	if resp.Kind != hlrc.KindRecPageReply || pr.Data[0] != 11 || pr.Data[4] != 22 {
+	if resp.Kind != hlrc.KindRecPageReply || pr.Data[0] != 0 || pr.Data[4] != 0 {
 		t.Fatalf("fetch with no VT: kind %d, %d, %d", resp.Kind, pr.Data[0], pr.Data[4])
 	}
 }

@@ -81,11 +81,16 @@ type Payload interface {
 	// message's accounted size: the protocol derives both from one layout,
 	// and the fabric checks on every send that the sender charged it.
 	AppendWire(dst []byte) []byte
-	// DecodeWire decodes b — one whole encoding — into a value of the
-	// receiver's type: a fresh one, or a shared constant nobody writes.
-	// The receiver is only an exemplar; the result never aliases b (a
-	// connection buffer about to be reused).
-	DecodeWire(b []byte) (any, error)
+	// DecodeWire decodes b — one whole encoding — into a fresh value of
+	// the receiver's type. The receiver is only an exemplar; the result
+	// never aliases b (a connection buffer about to be reused). state is
+	// the decoding reader's slot for state of the protocol's own, nil
+	// when there is none: a FrameReader keeps the one slot for its
+	// lifetime and decodes its frames one at a time, so the protocol may
+	// fill the slot at the first frame and cut every later value from
+	// it. Whatever state it keeps, a body decodes to the same value and
+	// the same error with it as without.
+	DecodeWire(b []byte, state *any) (any, error)
 }
 
 // ErrUnknownTag reports a frame whose payload tag no registered payload
@@ -199,13 +204,13 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBody parses one frame body (the bytes the length prefix covers,
-// CRC already verified) into f, overwriting every field. It rejects
-// malformed input with an error, never a panic: the body is
-// attacker-controlled from the decoder's point of view (a corrupted
-// stream must not take the process down). The decoded payload does not
-// alias body.
-func DecodeBody(f *Frame, body []byte) error {
+// decodeBody parses one frame body (the bytes the length prefix covers,
+// CRC already verified) into f, overwriting every field, decoding the
+// payload through state (see Payload.DecodeWire). It rejects malformed
+// input with an error, never a panic: the body is attacker-controlled
+// from the decoder's point of view (a corrupted stream must not take the
+// process down). The decoded payload does not alias body.
+func decodeBody(f *Frame, body []byte, state *any) error {
 	if len(body) < headerLen {
 		return fmt.Errorf("tcp: frame body %d bytes, header needs %d", len(body), headerLen)
 	}
@@ -251,7 +256,7 @@ func DecodeBody(f *Frame, body []byte) error {
 	if ex == nil {
 		return fmt.Errorf("%w %d on a frame of kind %d", ErrUnknownTag, tag, f.Kind)
 	}
-	p, err := ex.DecodeWire(rest)
+	p, err := ex.DecodeWire(rest, state)
 	if err != nil {
 		return fmt.Errorf("tcp: payload of kind %d: %w", f.Kind, err)
 	}
@@ -282,9 +287,13 @@ func checkCRC(prefix, body []byte) error {
 }
 
 // DecodeFrame parses one complete frame (prefix + body) from b,
-// returning the frame and the bytes consumed. Used by tests and the
-// fuzzer; the connection path streams through a FrameReader instead.
-func DecodeFrame(b []byte, maxFrame int) (*Frame, int, error) {
+// returning the frame and the bytes consumed. It keeps no decode state,
+// so every payload is made on its own. Used by tests and the fuzzer; the
+// connection path streams through a FrameReader instead.
+func DecodeFrame(b []byte, maxFrame int) (*Frame, int, error) { return decodeFrame(b, maxFrame, nil) }
+
+// decodeFrame is DecodeFrame decoding the payload through state.
+func decodeFrame(b []byte, maxFrame int, state *any) (*Frame, int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
@@ -303,7 +312,7 @@ func DecodeFrame(b []byte, maxFrame int) (*Frame, int, error) {
 		return nil, 0, err
 	}
 	f := new(Frame)
-	if err := DecodeBody(f, body); err != nil {
+	if err := decodeBody(f, body, state); err != nil {
 		return nil, 0, err
 	}
 	return f, prefixLen + n, nil
@@ -311,12 +320,15 @@ func DecodeFrame(b []byte, maxFrame int) (*Frame, int, error) {
 
 // FrameReader reads the frames of one connection stream through one body
 // buffer, grown to the largest frame the stream has carried (decoded
-// payloads never alias it, see Payload.DecodeWire).
+// payloads never alias it), and decodes their payloads through one state
+// slot it keeps for its lifetime (see Payload.DecodeWire). Like the
+// stream, it belongs to one goroutine.
 type FrameReader struct {
 	r        io.Reader
 	maxFrame int
 	prefix   [prefixLen]byte
 	body     []byte
+	state    any // the payloads' decode state, opaque here
 }
 
 // NewFrameReader returns a reader over r. maxFrame bounds a frame's body
@@ -351,5 +363,5 @@ func (fr *FrameReader) ReadFrame(f *Frame) error {
 	if err := checkCRC(prefix, body); err != nil {
 		return err
 	}
-	return DecodeBody(f, body)
+	return decodeBody(f, body, &fr.state)
 }

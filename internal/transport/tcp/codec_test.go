@@ -34,7 +34,7 @@ func (p *testPayload) AppendWire(dst []byte) []byte {
 	return append(dst, p.Data...)
 }
 
-func (*testPayload) DecodeWire(b []byte) (any, error) {
+func (*testPayload) DecodeWire(b []byte, _ *any) (any, error) {
 	if len(b) < 6 {
 		return nil, fmt.Errorf("testPayload: %d-byte body", len(b))
 	}
@@ -239,7 +239,9 @@ type tagZero struct{ testPayload }
 
 func (*tagZero) WireTag() uint8 { return 0 }
 
-// fuzzSeeds are valid v4 encodings plus the classic corruptions.
+// fuzzSeeds are valid v4 encodings plus the classic corruptions, and a
+// frame for the exemplar of every registered payload type (the
+// protocol's, which this package's external tests register).
 func fuzzSeeds() [][]byte {
 	valid, _ := AppendFrame(nil, &Frame{Type: frameMsg, From: 1, To: 0, Kind: 2, Seq: 3, Size: 12,
 		Payload: &testPayload{A: 1, B: "seed", Data: []byte{9, 9}}})
@@ -249,21 +251,36 @@ func fuzzSeeds() [][]byte {
 	binary.LittleEndian.PutUint32(huge, 0xfffffff0)
 	two, _ := AppendFrame(append([]byte(nil), valid...), &Frame{Type: frameReply, From: 0, To: 1, Kind: 4, Pending: 12})
 	bare, _ := AppendFrame(nil, &Frame{Type: frameReply, From: 0, To: 1, Kind: 4, Pending: 12, DropReply: true, Epoch: 7})
-	return [][]byte{valid, valid[:len(valid)/2], crcFlip, huge, two, bare}
+	seeds := [][]byte{valid, valid[:len(valid)/2], crcFlip, huge, two, bare}
+	for _, p := range payloadTypes.Load() {
+		if p != nil {
+			b, _ := AppendFrame(nil, &Frame{Type: frameMsg, From: 2, To: 3, Kind: p.WireTag(), Payload: p})
+			seeds = append(seeds, b)
+		}
+	}
+	return seeds
 }
 
 // FuzzDecodeFrame drives the two decode entry points with arbitrary
 // bytes: malformed input must come back as an error — never a panic, and
 // never an allocation sized by a corrupted length prefix (the maxFrame
 // bound is checked first). An accepted frame re-encodes to the bytes it
-// was decoded from.
+// was decoded from. Each input is decoded twice, with no decode state and
+// through one state the fuzz worker keeps across its inputs, as a
+// FrameReader keeps its own: both give the same frame or the same error.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
+	var state any
 	f.Fuzz(func(t *testing.T, b []byte) {
 		const maxFrame = 1 << 16
 		fr, n, err := DecodeFrame(b, maxFrame)
+		sfr, sn, serr := decodeFrame(b, maxFrame, &state)
+		if fmt.Sprint(err) != fmt.Sprint(serr) || n != sn || !reflect.DeepEqual(fr, sfr) {
+			t.Fatalf("%x decodes to %+v (%d bytes, %v) with no state but %+v (%d bytes, %v) through one",
+				b, fr, n, err, sfr, sn, serr)
+		}
 		if err == nil {
 			if fr == nil {
 				t.Fatal("nil frame without error")

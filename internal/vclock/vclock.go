@@ -62,6 +62,15 @@ func (v VC) CoversInterval(p int, seq int32) bool {
 	return p >= 0 && p < len(v) && v[p] >= seq
 }
 
+// At returns component p, or 0 when v does not name p: a vector knows
+// no interval of a process past its end.
+func (v VC) At(p int) int32 {
+	if p < 0 || p >= len(v) {
+		return 0
+	}
+	return v[p]
+}
+
 // Equal reports whether the two vectors are identical.
 func (v VC) Equal(o VC) bool {
 	if len(v) != len(o) {
@@ -123,8 +132,10 @@ func (v VC) Encode(buf []byte) []byte {
 }
 
 // DecodeVC decodes a vector produced by Encode, returning the vector and
-// the remaining bytes.
-func DecodeVC(buf []byte) (VC, []byte, error) {
+// the remaining bytes. The vector is cut from slab (a nil slab makes
+// it); an empty one is VC{}, not nil, since a nil vector encodes as no
+// field at all where a layout makes it optional.
+func DecodeVC(buf []byte, slab *arena.Slab[int32]) (VC, []byte, error) {
 	if len(buf) < 2 {
 		return nil, buf, fmt.Errorf("vclock: short buffer (%d bytes)", len(buf))
 	}
@@ -133,7 +144,10 @@ func DecodeVC(buf []byte) (VC, []byte, error) {
 	if len(buf) < 4*n {
 		return nil, buf, fmt.Errorf("vclock: truncated vector of %d entries", n)
 	}
-	v := make(VC, n)
+	if n == 0 {
+		return VC{}, buf, nil
+	}
+	v := VC(slab.Cut(n))
 	for i := range v {
 		v[i] = int32(binary.LittleEndian.Uint32(buf))
 		buf = buf[4:]

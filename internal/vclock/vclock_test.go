@@ -74,7 +74,11 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip decodes every vector twice, with no slab
+// and through one slab shared by every decode: both give the vector
+// back, an empty one as VC{}, and a cut vector's capacity is its length.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
+	var slab arena.Slab[int32]
 	f := func(raw []int32) bool {
 		if len(raw) > 64 {
 			raw = raw[:64]
@@ -84,14 +88,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(buf) != v.WireSize() {
 			return false
 		}
-		got, rest, err := DecodeVC(buf)
-		if err != nil || len(rest) != 0 {
-			return false
+		for _, s := range []*arena.Slab[int32]{nil, &slab} {
+			got, rest, err := DecodeVC(buf, s)
+			if err != nil || len(rest) != 0 || got == nil || cap(got) != len(got) {
+				return false
+			}
+			if len(got) != len(v) || (len(v) > 0 && !got.Equal(v)) {
+				return false
+			}
 		}
-		if len(v) == 0 {
-			return len(got) == 0
-		}
-		return got.Equal(v)
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -99,12 +105,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeVC(nil); err == nil {
+	if _, _, err := DecodeVC(nil, nil); err == nil {
 		t.Fatal("decode of empty buffer must fail")
 	}
 	// Header says 4 entries but payload is short.
 	buf := VC{1, 2, 3, 4}.Encode(nil)
-	if _, _, err := DecodeVC(buf[:6]); err == nil {
+	if _, _, err := DecodeVC(buf[:6], nil); err == nil {
 		t.Fatal("decode of truncated buffer must fail")
 	}
 }

@@ -81,7 +81,7 @@ func DissectRecord(r stable.Record) (*Dissected, error) {
 	d := &Dissected{Kind: r.Kind, Op: r.Op, Wire: r.WireSize()}
 	switch r.Kind {
 	case RecNotices:
-		ns, rest, err := hlrc.DecodeNotices(r.Data)
+		ns, rest, err := hlrc.DecodeNotices(r.Data, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%w: notices at op %d: %v", ErrCorruptPayload, r.Op, err)
 		}

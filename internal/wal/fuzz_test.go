@@ -53,7 +53,7 @@ func FuzzDecodeNotices(f *testing.F) {
 	f.Add(hlrc.EncodeNotices([]hlrc.Notice{{Proc: 1, Seq: 2, Pages: []memory.PageID{3, 4}}}, nil))
 	f.Add([]byte{9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = hlrc.DecodeNotices(data)
+		_, _, _ = hlrc.DecodeNotices(data, nil, nil)
 	})
 }
 
