@@ -8,14 +8,16 @@
 # crash sweeps so the race run stays fast. Sent clocks are read by other
 # goroutines without a copy, and values cut from one slab block are
 # written by one goroutine and read by others (DESIGN.md §2.8), so the
-# test that no sent payload changes, the slab's own test, the tcp
-# reader's handoff test (a connection's reader cuts each decoded payload
-# and hands it to a node's service loop while it fills the next ones in
-# the same blocks) and the one that grows the shared page-request table
-# from several goroutines at once run ten times more under the detector,
-# and so do the same-seed determinism tests, whose replay rests on the
-# manager's key order and the arrival fence (DESIGN.md §4) holding under
-# any schedule.
+# test that no sent payload changes, the slab's own test, the page
+# table's diff-body test (a writer cuts each diff body on its application
+# goroutine while a home's service loop reads earlier bodies of the same
+# block), the tcp reader's handoff test (a connection's reader cuts each
+# decoded payload and hands it to a node's service loop while it fills
+# the next ones in the same blocks) and the one that grows the shared
+# page-request table from several goroutines at once run ten times more
+# under the detector, and so do the same-seed determinism tests, whose
+# replay rests on the manager's key order and the arrival fence
+# (DESIGN.md §4) holding under any schedule.
 # CCL-recovery's prefetch marks and staged pages belong to the victim's
 # application goroutine while the homes serve its versioned fetches, in
 # the online shape too: its two tests run five times more.
@@ -52,6 +54,7 @@ tier2:
 	go test -race -short ./...
 	go test -race -count=10 -run '^(TestSentPayloadsNeverChange|TestPageReqConstants)$$' ./internal/hlrc
 	go test -race -count=10 -run '^TestSlab$$' ./internal/arena
+	go test -race -count=10 -run '^TestPageTableDiffBodies$$' ./internal/memory
 	go test -race -count=10 -run '^TestReaderHandoff$$' ./internal/transport/tcp
 	go test -race -count=10 -run '^TestRunWithChurn(Partition)?Deterministic$$' ./internal/core
 	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench

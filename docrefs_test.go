@@ -12,23 +12,24 @@ import (
 	"testing"
 )
 
-// A citation may wrap across a line break, inside a Go comment too. A Go
-// name in a code span is dotted identifiers, once a method's "(*T)" is
-// read as "T".
+// A citation may wrap across a line break, in a Go comment too.
 var (
 	roadmapRef = regexp.MustCompile(`ROADMAP[\s/]+item[\s/]+(\d+)`)
 	designRef  = regexp.MustCompile(`DESIGN\.md[\s/]+§(\d+(?:\.\d+)?)`)
+	lineRef    = regexp.MustCompile(`\b(\w+\.go:\d+)`)
+	ownDocs    = map[string]bool{"DESIGN.md": true, "ROADMAP.md": true, "README.md": true, "EXPERIMENTS.md": true}
 	codeSpan   = regexp.MustCompile("`([^`\n]+)`")
 	goName     = regexp.MustCompile(`^\w+(\.\w+)*$`)
 )
 
 // TestDocReferences keeps the documents' citations from rotting: every
 // "ROADMAP item N" in a Go or Markdown file must name an item of
-// ROADMAP.md's open list, and every "DESIGN.md §N[.M]" a numbered
-// DESIGN.md heading. benchmark/ (a module of its own) and CHANGES.md (a
-// history, which cites items long done) are not scanned. And DESIGN.md
-// must not name code that is gone: every mixed-case name in a code span,
-// bare (`handle`), qualified by a package of the module
+// ROADMAP.md's open list, and every "DESIGN.md §N[.M]" a numbered DESIGN.md
+// heading; Go files and ownDocs cite code by name, never by a line
+// (`file.go:NNN`) that the next edit moves. benchmark/ (a module of its
+// own) and CHANGES.md (a history) are not scanned. And DESIGN.md must not
+// name code that is gone: every mixed-case name in a code span, bare
+// (`handle`), qualified by a package of the module
 // (`hlrc.Node.ApplyDiffAsHome`: the first name in that package) or a
 // method (`(*T).m`), must be an identifier of the module's Go code.
 // Lower-case names after a package are metrics (`tcp.frames`), and
@@ -45,14 +46,12 @@ func TestDocReferences(t *testing.T) {
 	if len(items) == 0 || len(sections) == 0 {
 		t.Fatalf("parsed %d open ROADMAP items and %d DESIGN.md sections", len(items), len(sections))
 	}
-
 	cited := 0
-	check := func(path, text string, ref *regexp.Regexp, known map[string]bool, doc string) {
+	check := func(path, text string, ref *regexp.Regexp, known map[string]bool, why string) {
 		for _, m := range ref.FindAllStringSubmatchIndex(text, -1) {
 			cited++
 			if n := text[m[2]:m[3]]; !known[n] {
-				line := strings.Count(text[:m[0]], "\n") + 1
-				t.Errorf("%s:%d: %q names nothing in %s", path, line, text[m[0]:m[1]], doc)
+				t.Errorf("%s:%d: %q %s", path, strings.Count(text[:m[0]], "\n")+1, text[m[0]:m[1]], why)
 			}
 		}
 	}
@@ -62,8 +61,11 @@ func TestDocReferences(t *testing.T) {
 			goIdents(ids, path, text)
 		}
 		if path != "CHANGES.md" && !strings.HasPrefix(path, "benchmark/") {
-			check(path, text, roadmapRef, items, "ROADMAP.md's open list")
-			check(path, text, designRef, sections, "DESIGN.md's headings")
+			check(path, text, roadmapRef, items, "names nothing in ROADMAP.md's open list")
+			check(path, text, designRef, sections, "names nothing in DESIGN.md's headings")
+			if ownDocs[path] || strings.HasSuffix(path, ".go") {
+				check(path, text, lineRef, nil, "cites a line: name the symbol instead")
+			}
 		}
 	})
 	mixed := func(s string) bool { return strings.ToLower(s) != s && strings.ToUpper(s) != s }

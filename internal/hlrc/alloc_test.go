@@ -8,18 +8,18 @@ import (
 
 // TestSyncAllocations pins what the protocol's three round trips cost
 // the heap on the sim backend, counted across every goroutine they touch
-// (the manager's and the home's service loops included), warm and with
-// nothing written, so no notice, diff or merge is involved. A round trip
-// itself allocates nothing (transport.TestCallAllocations), the arrival
-// fence reads only clocks, counters and the manager's published bound,
-// and the manager's queue of held messages is a reused slice. What is
-// left are the payloads, and those are cut from 512-byte slab blocks
-// (DESIGN.md §2.8): a message costs a fraction of an allocation, so each
-// case counts a batch of 64 operations, not one, and the pins stay above
-// the integer rounding testing.AllocsPerRun applies. The last case
-// writes a home page another node has just fetched: a page reply
-// carries no version vector, so the release updates the page's vector
-// in place.
+// (the manager's and the home's service loops included), warm. A round
+// trip itself allocates nothing (transport.TestCallAllocations), the
+// arrival fence reads only clocks, counters and the manager's published
+// bound, and the manager's queue of held messages is a reused slice.
+// What is left are the payloads, and those are cut from 512-byte slab
+// blocks (DESIGN.md §2.8): a message costs a fraction of an allocation,
+// so each case counts a batch of 64 operations, not one, and the pins
+// stay above the integer rounding testing.AllocsPerRun applies. The
+// remote write sends one small diff per release, its body cut from the
+// writer's page table slab. The last case writes a home page another
+// node has just fetched: a page reply carries no version vector, so the
+// release updates the page's vector in place.
 func TestSyncAllocations(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -54,6 +54,11 @@ func TestSyncAllocations(t *testing.T) {
 			nd.AcquireLock(1)
 			nd.ReleaseLock(1)
 		}, 18, "a LockReq block holds 16, a LockGrant or LockRelease block 9: 4 + 7 + 7"},
+		{"remote write acquire+release", func() {
+			nd.AcquireLock(1)
+			nd.WriteI64(0, nd.ReadI64(0)+1) // one word of a page homed at the peer
+			nd.ReleaseLock(1)
+		}, 35, "the pair (18), then the interval's 12-byte diff bodies (a block holds 42), DiffUpdates, diff lists, page lists, notices and clock copies"},
 		{"barrier round", func() {
 			round <- struct{}{}
 			nd.Barrier(0)

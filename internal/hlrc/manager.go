@@ -67,11 +67,12 @@ type barrierReply struct {
 	at    simtime.Time
 }
 
+// barrierState is made with room for every node's check-in and reply.
 type barrierState struct {
 	waiting []pendingMsg // checkins collected so far
 	// lastReply[node] is the node's release from its most recent
-	// completed round.
-	lastReply map[int]barrierReply
+	// completed round (rel nil: none yet).
+	lastReply []barrierReply
 }
 
 // mgrSpan is the service span recorded just before a reply leaves. The
@@ -339,10 +340,10 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 	ci := m.Payload.(*BarrierCheckin)
 	bs := mg.barriers[ci.Barrier]
 	if bs == nil {
-		bs = &barrierState{lastReply: make(map[int]barrierReply)}
+		bs = &barrierState{waiting: make([]pendingMsg, 0, mg.n), lastReply: make([]barrierReply, mg.n)}
 		mg.barriers[ci.Barrier] = bs
 	}
-	if lr, ok := bs.lastReply[m.From]; ok && lr.reqID == m.ReqID {
+	if lr := bs.lastReply[m.From]; lr.rel != nil && lr.reqID == m.ReqID {
 		// Retransmission of a check-in from an already-released round: the
 		// release was lost on the wire. Re-send the identical cached
 		// release at the original release time (the check-in's own

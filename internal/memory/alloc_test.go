@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 
 // Allocation regression tests for the hot-path kernels. MakeDiff on a
 // clean page must not allocate at all (every release diffs every dirty
-// page, and unmodified rewrites are common), and Encode into a
-// sufficiently-sized pooled buffer must stay at zero with at most one
-// allocation tolerated for a cold pool.
+// page, and unmodified rewrites are common), a dirty page costs at most
+// its body, and Encode into a sufficiently-sized pooled buffer must stay
+// at zero with at most one allocation tolerated for a cold pool.
 
 // skipUnderRace skips an allocation pin when the race detector is on: it
 // allocates shadow state and makes sync.Pool drop items at random.
@@ -23,40 +24,67 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
+// twinnedTable returns a one-page table whose page reads cur against a
+// twin of twin, as a written page does at its release.
+func twinnedTable(twin, cur []byte) *PageTable {
+	pt := NewPageTable(1, len(cur))
+	copy(pt.Page(0), twin)
+	pt.MakeTwin(0)
+	copy(pt.Page(0), cur)
+	return pt
+}
+
 func TestMakeDiffCleanPageZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	twin := make([]byte, 4096)
-	cur := make([]byte, 4096)
 	for i := range twin {
 		twin[i] = byte(i)
-		cur[i] = byte(i)
 	}
-	// Warm the scratch pool, then measure.
-	MakeDiff(0, twin, cur)
-	allocs := testing.AllocsPerRun(100, func() {
-		d := MakeDiff(0, twin, cur)
-		if !d.Empty() {
-			t.Fatal("clean page produced runs")
+	pt := twinnedTable(twin, twin)
+	for name, diff := range map[string]func() Diff{
+		"MakeDiff":           func() Diff { return MakeDiff(0, twin, twin) },
+		"PageTable.MakeDiff": func() Diff { return pt.MakeDiff(0) },
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if !diff().Empty() {
+				t.Fatal("clean page produced runs")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s on clean page: %.1f allocs/op, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("MakeDiff on clean page: %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// A dirty page costs exactly its run table: one allocation however many
-// runs it has (Shallow's pages carry dozens of 16-byte runs), and the undo
+// A dirty page costs its run table and nothing else, however many runs
+// it has (Shallow's pages carry dozens of 16-byte runs): a page table
+// cuts a body of at most half a 512-byte slab block from a block it
+// shares with the next bodies, so a batch of 64 costs only the blocks
+// their bytes fill, and a larger body costs one allocation. The undo
 // entry derived from a diff costs one allocation of bitmap plus words.
 func TestMakeDiffAndInverseOneAllocation(t *testing.T) {
 	skipUnderRace(t)
+	const batch, block = 64, 512
 	for _, density := range []float64{0.001, 0.02, 0.5} {
 		twin, cur := benchPage(density)
-		d := MakeDiff(0, twin, cur) // warms the scratch pool
+		pt := twinnedTable(twin, cur)
+		d := pt.MakeDiff(0) // sizes the span scratch
 		if d.NumRuns() < 2 {
 			t.Fatalf("density %v: only %d runs", density, d.NumRuns())
 		}
-		if a := testing.AllocsPerRun(100, func() { MakeDiff(0, twin, cur) }); a != 1 {
-			t.Errorf("MakeDiff on a dirty page with %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)
+		size := len(d.body)
+		want := float64(batch)
+		if size <= block/2 {
+			want = math.Ceil(batch / float64(block/size))
+		}
+		a := testing.AllocsPerRun(100, func() {
+			for range batch {
+				pt.MakeDiff(0)
+			}
+		})
+		if a > want || a == 0 {
+			t.Errorf("MakeDiff on a dirty page with %d runs (%d-byte body): %.1f allocs per %d, want 0 < n <= %v",
+				d.NumRuns(), size, a, batch, want)
 		}
 		if a := testing.AllocsPerRun(100, func() { UndoOf(d, twin) }); a != 1 {
 			t.Errorf("UndoOf a diff of %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)

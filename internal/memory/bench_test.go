@@ -18,21 +18,22 @@ func benchPage(density float64) (twin, cur []byte) {
 	return twin, cur
 }
 
+// The release path diffs through the writer's page table.
 func BenchmarkMakeDiffSparse(b *testing.B) {
-	twin, cur := benchPage(0.02)
+	pt := twinnedTable(benchPage(0.02))
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MakeDiff(0, twin, cur)
+		_ = pt.MakeDiff(0)
 	}
 }
 
 func BenchmarkMakeDiffDense(b *testing.B) {
-	twin, cur := benchPage(0.5)
+	pt := twinnedTable(benchPage(0.5))
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MakeDiff(0, twin, cur)
+		_ = pt.MakeDiff(0)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"sdsm/internal/arena"
 )
@@ -32,11 +31,11 @@ type PageID int32
 // A diff is held as its own wire encoding: body is the run table exactly
 // as Encode lays it out — per run a little-endian u32 byte offset
 // (WordSize-aligned when MakeDiff produced it), a u32 length and that many
-// bytes of new contents — in one allocation the diff owns. It never
-// aliases the page it was made from or the buffer it was decoded from, so
-// it stays valid however long it is kept (custody records, in-flight
-// messages). Copying a Diff value shares the body; nothing writes to a
-// body after its constructor returns. Runs are read through
+// bytes of new contents — cut once, with cap == len, from its maker's
+// slab (or made alone). It never aliases a page or a decode buffer and is
+// never written after construction, so copies of the Diff value share it
+// and it stays valid however long it is kept (custody, in-flight
+// messages), keeping its slab block reachable. Runs are read through
 // Runs; the zero Diff is the empty diff of page 0.
 type Diff struct {
 	Page PageID
@@ -53,8 +52,16 @@ type span struct{ start, end int32 }
 // MakeDiff compares cur against twin and returns the diff, scanning at
 // word granularity and coalescing adjacent modified words into runs.
 // The two slices must have equal length. The diff owns a copy of the
-// modified bytes: one exact-size allocation when the page is dirty, none
-// when it is clean.
+// modified bytes, made on its own (PageTable.MakeDiff cuts it from a
+// slab); a clean page allocates nothing.
+func MakeDiff(page PageID, twin, cur []byte) Diff {
+	var stack [64]span // scratch for the usual few runs, on the stack
+	d, _ := makeDiff(page, twin, cur, stack[:0], nil)
+	return d
+}
+
+// makeDiff is MakeDiff with spans as the scan's scratch, returned emptied
+// for reuse, and the body cut from bodies (nil: made).
 //
 // The scan compares 8 bytes (two words) per load where it can: the skip
 // loop strides over clean regions until a 64-bit chunk differs, and the
@@ -62,18 +69,15 @@ type span struct{ start, end int32 }
 // chunk's words keep differing. Word-granularity boundaries are resolved
 // with single-word comparisons, so the produced runs are byte-identical
 // to a pure word-by-word scan.
-func MakeDiff(page PageID, twin, cur []byte) Diff {
+func makeDiff(page PageID, twin, cur []byte, spans []span, bodies *arena.Slab[byte]) (Diff, []span) {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("memory: twin/page size mismatch: %d vs %d", len(twin), len(cur)))
 	}
 	n := len(cur)
 	// Single-pass state machine over two-word chunks: each chunk is
 	// loaded once, XORed, and its two words classified. runStart tracks
-	// the open run (-1: none); a clean word closes it. Spans accumulate in
-	// a pooled scratch slice so repeated append-growth never allocates in
-	// steady state; the body is then built at its exact final size.
-	sp := spanScratch.Get().(*[]span)
-	spans := (*sp)[:0]
+	// the open run (-1: none); a clean word closes it. The body is then
+	// cut at its exact final size.
 	runStart := -1
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -125,24 +129,15 @@ func MakeDiff(page PageID, twin, cur []byte) Diff {
 			size += int(s.end - s.start)
 		}
 		d.runs = int32(len(spans))
-		d.body = make([]byte, 0, size)
+		d.body = bodies.Cut(size)[:0] // cap == size: the appends stay in it
 		for _, s := range spans {
 			d.body = binary.LittleEndian.AppendUint32(d.body, uint32(s.start))
 			d.body = binary.LittleEndian.AppendUint32(d.body, uint32(s.end-s.start))
 			d.body = append(d.body, cur[s.start:s.end]...)
 		}
 	}
-	*sp = spans[:0]
-	spanScratch.Put(sp)
-	return d
+	return d, spans[:0]
 }
-
-// spanScratch pools MakeDiff's scratch span slices across calls (and
-// goroutines: every node's handlers diff concurrently).
-var spanScratch = sync.Pool{New: func() any {
-	s := make([]span, 0, 64)
-	return &s
-}}
 
 func wordEqual(a, b []byte, off int) bool {
 	if off+WordSize <= len(a) {

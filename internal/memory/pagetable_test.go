@@ -2,6 +2,8 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -65,6 +67,66 @@ func TestTwinLifecycle(t *testing.T) {
 	pt.DropTwin(1)
 	if pt.HasTwin(1) {
 		t.Fatal("twin not dropped")
+	}
+}
+
+// TestPageTableDiffBodies checks the bodies a page table cuts from its
+// slab: each has cap == len, so appending to one reallocates instead of
+// reaching the next; writing one changes no other; and a reader handed
+// each diff as it is made reads it as made while the maker cuts the next
+// bodies from the same block, as a home's service loop reads a writer's
+// diffs (make tier2 runs this under -race).
+func TestPageTableDiffBodies(t *testing.T) {
+	const pages, rounds = 4, 64
+	word := func(r int, p PageID) (off int, v uint32) { return 4 * (r % 16), uint32(r<<8 | int(p) + 1) }
+	pt := NewPageTable(pages, 64)
+	ch := make(chan Diff, 8) // the maker runs ahead: reads overlap later cuts of a block
+	done := make(chan error)
+	go func() {
+		var err error
+		for i := 0; ; i++ {
+			d, ok := <-ch
+			if !ok {
+				done <- err
+				return
+			}
+			off, v := word(i/pages, PageID(i%pages))
+			if got := runsOf(d); err == nil && (len(got) != 1 || got[0].off != off || !bytes.Equal(got[0].data, binary.LittleEndian.AppendUint32(nil, v))) {
+				err = fmt.Errorf("diff %d read back as %+v, want %#x at %d", i, got, v, off)
+			}
+		}
+	}()
+	var made []Diff
+	for r := range rounds {
+		for p := range PageID(pages) {
+			pt.MakeTwin(p)
+			off, v := word(r, p)
+			binary.LittleEndian.PutUint32(pt.Page(p)[off:], v)
+			pt.MarkDirty(p)
+			d := pt.MakeDiff(p)
+			if len(d.body) != d.WireSize()-8 || cap(d.body) != len(d.body) {
+				t.Fatalf("body len %d cap %d, want both %d", len(d.body), cap(d.body), d.WireSize()-8)
+			}
+			made = append(made, d)
+			ch <- d
+		}
+		pt.EndInterval()
+	}
+	close(ch)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// Each body filled with its own mark, in order: one that shared a
+	// byte with a later one would lose part of its mark.
+	for i, d := range made {
+		for j := range d.body {
+			d.body[j] = byte(i)
+		}
+	}
+	for i, d := range made {
+		if bytes.Count(d.body, []byte{byte(i)}) != len(d.body) {
+			t.Fatalf("diff %d shares bytes with another: %v", i, d.body)
+		}
 	}
 }
 
