@@ -30,6 +30,13 @@
 # service writes only frame contents and twins, under nd.mu, beside the
 # application's unlocked reads) and the value's order test run ten times
 # more under the detector.
+# A node's service loop stages CCL records into its logger's buffer while
+# the application goroutine flushes and compacts it, so the wal handoff
+# test runs ten times under the detector.
+# Allocation pins must not depend on when the collector runs, on test
+# order or on the processor count (ROADMAP item 28), so the whole suite
+# runs once more under each of GOGC=5, -shuffle=on, GOMAXPROCS=1 and
+# GOMAXPROCS=8: 6 to 10 s each on a 2-core host with a warm build cache.
 
 .PHONY: all tier1 tier2 benchmark-test portable bench fuzz-smoke bench-faults trace-smoke inspect-volume churn-smoke rejoin-smoke kv-smoke wal-smoke loc
 
@@ -61,6 +68,11 @@ tier2:
 	go test -race -count=5 -run '^(TestCCLPrefetchFollowsUse|TestLateFirstServeRecovery)$$' ./internal/core
 	go test -race -count=10 -run 'Fence|Horizon' ./internal/transport/...
 	go test -race -count=10 -run '^(TestUnlockedHomeReadsBesideIncomingDiffs|TestHomeArrivalOrders)$$' ./internal/hlrc
+	go test -race -count=10 -run '^TestCCLStagingHandoff$$' ./internal/wal
+	GOGC=5 go test -count=1 ./...
+	go test -count=1 -shuffle=on ./...
+	GOMAXPROCS=1 go test -count=1 ./...
+	GOMAXPROCS=8 go test -count=1 ./...
 
 # The bulk accessors copy page bytes natively on little-endian hosts and
 # decode word by word elsewhere (internal/memory/f64s_{native,portable}.go).

@@ -1,8 +1,10 @@
 // Package arena holds the two allocation schemes of the hot coherence
-// paths. Get and Put recycle byte buffers (twins, diff encodings,
-// stable-record framing) through size-classed sync.Pools, so
-// steady-state releases reuse the same few buffers instead of allocating
-// per page, per record, per flush. Slab cuts the protocol's sent
+// paths. Get and Put recycle byte buffers (twins and page copies, the
+// own-diff log record of each release, and ML's log records) through
+// size-classed sync.Pools, so steady-state releases reuse the same few
+// buffers instead of allocating per page, per record, per flush. CCL's
+// staged notice and event records live in its logger's own buffer
+// instead (wal.CCLHooks). Slab cuts the protocol's sent
 // payloads, which are written once and never recycled, from 512-byte
 // blocks, one allocation per block instead of one per message.
 //

@@ -265,7 +265,7 @@ func TestPageAtVersionAllocations(t *testing.T) {
 		{"no rollback", current, 1, "page buffer"},
 	} {
 		nd.PageAtVersion(0, c.need)
-		if a := testing.AllocsPerRun(100, func() { nd.PageAtVersion(0, c.need) }); a > c.want {
+		if a := allocsWithoutGC(100, func() { nd.PageAtVersion(0, c.need) }); a > c.want {
 			t.Errorf("warm PageAtVersion, %s: %.1f allocs/op, want <= %v (%s)", c.name, a, c.want, c.what)
 		}
 	}
@@ -370,7 +370,7 @@ func TestHomeUndoStartsAtFirstServe(t *testing.T) {
 	}
 	if !racedetect.Enabled {
 		closes := func(n *Node) float64 {
-			return testing.AllocsPerRun(50, func() { round++; interval(n, 0) })
+			return allocsWithoutGC(50, func() { round++; interval(n, 0) })
 		}
 		if with, without := closes(nd), closes(off); with != without {
 			t.Fatalf("never-served close: %.1f allocs/op, %.1f with the history off", with, without)

@@ -71,7 +71,7 @@ func TestCCLReleaseFlushSteadyStateAllocs(t *testing.T) {
 		h.AtRelease(op, op, int64(op), simtime.Time(op), diffs)
 	}
 	for i := 0; i < 64; i++ {
-		release() // warm the arena classes
+		release() // grow the flush scratch, warm the own-diff record's arena class
 	}
 	allocs := testing.AllocsPerRun(200, release)
 	if allocs >= 1 {

@@ -255,12 +255,30 @@ func DecodeDiffBatchRecord(buf []byte) (writer, seq int32, vtSum int64, diffs []
 // regardless of the arrival cutoff.
 const ownRec = simtime.Time(-1)
 
-// stagedRec is one record waiting for a release flush, stamped with the
-// virtual arrival of the message that produced it (ownRec for records the
-// application goroutine itself staged).
+// The staging buffer's and record list's first capacities: a few dozen
+// notice or event records, so a node that stages at all skips the
+// smallest growth steps.
+const (
+	minStageBuf  = 1 << 10
+	minStageRecs = 64
+)
+
+// stagedRec is one record waiting for a release flush: its kind and op,
+// where its payload ends in CCLHooks.buf (it starts where the record
+// staged before it ends), and the virtual arrival of the message that
+// produced it (ownRec for records the application goroutine itself
+// staged).
 type stagedRec struct {
-	rec     stable.Record
+	kind    stable.RecordKind
+	op      int32
+	end     int
 	arrival simtime.Time
+}
+
+// due reports whether the record rides a release flush with this arrival
+// cutoff.
+func (s stagedRec) due(cutoff simtime.Time) bool {
+	return s.arrival == ownRec || s.arrival <= cutoff
 }
 
 // CCLHooks implements coherence-centric logging. Staged state accumulates
@@ -270,15 +288,34 @@ type stagedRec struct {
 // cutoff — so the flush composition (and its disk time) is a function of
 // virtual time, not of which goroutine ran first.
 type CCLHooks struct {
-	mu     sync.Mutex
-	store  *stable.Store
-	ctrs   *obsv.Counters
+	mu    sync.Mutex
+	store *stable.Store
+	ctrs  *obsv.Counters
+	// buf holds the staged records' payloads back to back in staging
+	// order, and staged describes them; mu guards both. The logger owns
+	// buf: a flush cuts its records from it, and AtRelease then moves what
+	// is still staged to the front. So buf grows only to its high-water
+	// mark, and a record staged after the node's last release, which
+	// never flushes, costs no allocation of its own.
+	buf    []byte
 	staged []stagedRec
 	// flushScratch is the reusable record slice AtRelease composes each
 	// flush into; only the application goroutine touches it (AtRelease is
-	// never concurrent with itself). Record payloads are arena buffers,
-	// returned to the arena once the flush has copied them to disk.
+	// never concurrent with itself). Staged records alias buf; the
+	// own-diff record is an arena buffer, returned to the arena once the
+	// flush has copied it to disk.
 	flushScratch []stable.Record
+}
+
+// grow returns s with room for n more elements. A slice that must move
+// at least doubles, to no fewer than least elements. A flush in progress
+// may still read buf's old array: moving only copies out of it, and
+// staging writes only past the records a flush reads.
+func grow[E any](s []E, n, least int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]E, 0, max(2*cap(s), len(s)+n, least)), s...)
 }
 
 // OnAcquireNotices stages the received write-invalidation notices for the
@@ -287,12 +324,9 @@ func (h *CCLHooks) OnAcquireNotices(op int32, notices []hlrc.Notice) {
 	if len(notices) == 0 {
 		return
 	}
-	data := hlrc.EncodeNotices(notices, arena.Get(hlrc.NoticesWireSize(notices))[:0])
 	h.mu.Lock()
-	h.staged = append(h.staged, stagedRec{
-		rec:     stable.Record{Kind: RecNotices, Op: op, Data: data},
-		arrival: ownRec,
-	})
+	h.buf = hlrc.EncodeNotices(notices, grow(h.buf, hlrc.NoticesWireSize(notices), minStageBuf))
+	h.staged = append(grow(h.staged, 1, minStageRecs), stagedRec{kind: RecNotices, op: op, end: len(h.buf), arrival: ownRec})
 	h.mu.Unlock()
 	countAppends(h.ctrs, 1)
 }
@@ -308,12 +342,9 @@ func (h *CCLHooks) OnIncomingDiffs(op int32, arrival simtime.Time, events []hlrc
 	if len(events) == 0 {
 		return
 	}
-	data := EncodeEventsRecord(arena.Get(EventsRecordSize(events))[:0], events)
 	h.mu.Lock()
-	h.staged = append(h.staged, stagedRec{
-		rec:     stable.Record{Kind: RecEvents, Op: op, Data: data},
-		arrival: arrival,
-	})
+	h.buf = EncodeEventsRecord(grow(h.buf, EventsRecordSize(events), minStageBuf), events)
+	h.staged = append(grow(h.staged, 1, minStageRecs), stagedRec{kind: RecEvents, op: op, end: len(h.buf), arrival: arrival})
 	h.mu.Unlock()
 	countAppends(h.ctrs, 1)
 }
@@ -330,16 +361,17 @@ func (h *CCLHooks) AtSyncEntry(int32) int { return 0 }
 func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Time, created []memory.Diff) int {
 	recs := h.flushScratch[:0]
 	h.mu.Lock()
-	kept := h.staged[:0]
+	// Records the service stages while this flush runs land past
+	// considered, and wait for the next release.
+	considered, start := len(h.staged), 0
 	for _, s := range h.staged {
-		if s.arrival == ownRec || s.arrival <= cutoff {
-			recs = append(recs, s.rec)
-		} else {
-			kept = append(kept, s)
+		if s.due(cutoff) {
+			recs = append(recs, stable.Record{Kind: s.kind, Op: s.op, Data: h.buf[start:s.end]})
 		}
+		start = s.end
 	}
-	h.staged = kept
 	h.mu.Unlock()
+	taken := len(recs)
 	if len(created) > 0 {
 		// writer -1: the log owner.
 		recs = appendDiffRecord(recs, op, -1, seq, vtSum, created)
@@ -348,10 +380,39 @@ func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Ti
 	if len(recs) == 0 {
 		return 0
 	}
+	// Flush copies every payload, so no record outlives this call.
 	n := h.store.Flush(recs)
-	releaseScratch(recs)
+	if len(created) > 0 {
+		arena.Put(recs[taken].Data)
+	}
+	clear(recs)
 	h.flushScratch = recs[:0]
+	if taken > 0 {
+		h.mu.Lock()
+		h.compact(considered, cutoff)
+		h.mu.Unlock()
+	}
 	return n
+}
+
+// compact drops the first n staged records that were due at cutoff, which
+// AtRelease has flushed, and moves the payloads of the rest (records kept
+// past the cutoff, and records staged during the flush) to the front of
+// buf in staging order. Each payload moves toward the front, so copy is
+// safe. Callers hold mu.
+func (h *CCLHooks) compact(n int, cutoff simtime.Time) {
+	kept, start, end := h.staged[:0], 0, 0
+	for i, s := range h.staged {
+		from := start
+		start = s.end
+		if i < n && s.due(cutoff) {
+			continue
+		}
+		end += copy(h.buf[end:], h.buf[from:s.end])
+		s.end = end
+		kept = append(kept, s)
+	}
+	h.staged, h.buf = kept, h.buf[:end]
 }
 
 // DeterministicFlush implements LogHooks: the engine must fence arrivals
@@ -359,8 +420,8 @@ func (h *CCLHooks) AtRelease(op int32, seq int32, vtSum int64, cutoff simtime.Ti
 func (h *CCLHooks) DeterministicFlush() bool { return true }
 
 // appendDiffRecord appends one (writer, seq) diff group to recs as a
-// single RecDiffBatch record. The payload is drawn from the arena;
-// releaseScratch returns it once flushed.
+// single RecDiffBatch record. The payload is drawn from the arena; the
+// caller returns it once flushed.
 func appendDiffRecord(recs []stable.Record, op, writer, seq int32, vtSum int64, diffs []memory.Diff) []stable.Record {
 	return append(recs, stable.Record{
 		Kind: RecDiffBatch, Op: op,
