@@ -29,7 +29,10 @@
 # makes to a home frame, so the ownership rule (DESIGN.md §2.8: the
 # service writes only frame contents and twins, under nd.mu, beside the
 # application's unlocked reads) and the value's order test run ten times
-# more under the detector.
+# more under the detector. The home's undo log is appended to by the
+# service's apply and by the application's closeSelf, both under nd.mu,
+# so its concurrent-append and reset tests run there too (they add about
+# 1.3 s to the line's 35 s on a 2-core host).
 # A node's service loop stages CCL records into its logger's buffer while
 # the application goroutine flushes and compacts it, so the wal handoff
 # test runs ten times under the detector.
@@ -67,7 +70,7 @@ tier2:
 	go test -race -count=10 -run '^TestTraceDeterministicUnderFaults$$' ./internal/bench
 	go test -race -count=5 -run '^(TestCCLPrefetchFollowsUse|TestLateFirstServeRecovery)$$' ./internal/core
 	go test -race -count=10 -run 'Fence|Horizon' ./internal/transport/...
-	go test -race -count=10 -run '^(TestUnlockedHomeReadsBesideIncomingDiffs|TestHomeArrivalOrders)$$' ./internal/hlrc
+	go test -race -count=10 -run '^(TestUnlockedHomeReadsBesideIncomingDiffs|TestHomeArrivalOrders|TestHomeUndoLogConcurrentAppends|TestHomeUndoResetDropsHistory)$$' ./internal/hlrc
 	go test -race -count=10 -run '^TestCCLStagingHandoff$$' ./internal/wal
 	GOGC=5 go test -count=1 ./...
 	go test -count=1 -shuffle=on ./...

@@ -191,8 +191,8 @@ func BenchmarkHomeUndoClose(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				nd.WriteAt(0, imgs[i%2])
 				nd.closeAndPropagate(int32(i))
-				if len(nd.home.undo[0]) == 64 {
-					nd.home.undo[0] = nd.home.undo[0][:0]
+				if i%64 == 63 {
+					nd.home.resetUndo()
 				}
 			}
 		})

@@ -12,18 +12,24 @@ import (
 // prog on every node concurrently, and returns the nodes for inspection.
 func testCluster(t *testing.T, n, numPages, pageSize int, prog func(nd *Node)) []*Node {
 	t.Helper()
+	return runCluster(t, Config{N: n, NumPages: numPages, PageSize: pageSize}, prog)
+}
+
+// runCluster is testCluster with the rest of base (HomeUndo) given too.
+func runCluster(t *testing.T, base Config, prog func(nd *Node)) []*Node {
+	t.Helper()
+	n := base.N
 	model := simtime.DefaultCostModel()
 	nw := transport.NewNetwork(n, model)
-	homes := make([]int, numPages)
+	homes := make([]int, base.NumPages)
 	for i := range homes {
 		homes[i] = i % n
 	}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = NewNode(Config{
-			ID: i, N: n, PageSize: pageSize, NumPages: numPages,
-			Homes: homes, Model: model,
-		}, nw, simtime.NewClock(0), nil, nil)
+		cfg := base
+		cfg.ID, cfg.Homes, cfg.Model = i, homes, model
+		nodes[i] = NewNode(cfg, nw, simtime.NewClock(0), nil, nil)
 		nodes[i].StartService()
 	}
 	var wg sync.WaitGroup

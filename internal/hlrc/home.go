@@ -24,19 +24,16 @@ type home struct {
 	// ver[p] is the version vector of home page p (nil for non-home
 	// pages): ver[p][w] = last interval of writer w applied to p. Only
 	// freeze shares it, so a write copies it only after a checkpoint.
-	ver  []vclock.COW
-	undo map[memory.PageID][]undoEntry
+	ver []vclock.COW
+	// undo is every armed page's undo history (HomeUndo only, nil
+	// otherwise): entry (writer, seq) restored removes that interval's
+	// update.
+	undo *memory.UndoLog
 	// served[p] is set once a reply has been built from home frame p
 	// (HomeUndo only, nil otherwise): it arms p's undo history.
 	served   []bool
 	undoDone []byte // serveAt's word-coverage bitmap (HomeUndo only)
 	adopted  map[memory.PageID]*adoptedPage
-}
-
-type undoEntry struct {
-	writer int32
-	seq    int32
-	undo   memory.Undo // restoring it removes (writer, seq)'s update
 }
 
 // adoptedPage is the custody record of one adopted page: every diff the
@@ -55,7 +52,6 @@ func newHome(cfg Config, pt *memory.PageTable, vcs *arena.Slab[int32]) home {
 	h := home{
 		id: cfg.ID, n: cfg.N, pageSize: cfg.PageSize, pt: pt,
 		ver:     make([]vclock.COW, cfg.NumPages),
-		undo:    make(map[memory.PageID][]undoEntry),
 		adopted: make(map[memory.PageID]*adoptedPage),
 	}
 	homes := 0
@@ -72,6 +68,7 @@ func newHome(cfg Config, pt *memory.PageTable, vcs *arena.Slab[int32]) home {
 		}
 	}
 	if cfg.HomeUndo {
+		h.undo = memory.NewUndoLog(cfg.NumPages)
 		h.undoDone = make([]byte, memory.BitmapLen(cfg.PageSize))
 		h.served = make([]bool, cfg.NumPages)
 		// Under leases every page is armed from the start: a home page can
@@ -108,9 +105,7 @@ func (h *home) apply(d memory.Diff, writer, seq int32) bool {
 		panic(fmt.Sprintf("hlrc: node %d: home page %d has no frame", h.id, d.Page))
 	}
 	if h.armed(d.Page) {
-		h.undo[d.Page] = append(h.undo[d.Page], undoEntry{
-			writer: writer, seq: seq, undo: memory.UndoOf(d, page),
-		})
+		h.undo.Add(d.Page, writer, seq, memory.UndoOf(d, page, h.undo))
 	}
 	d.Apply(page)
 	if twin := h.pt.Twin(d.Page); twin != nil {
@@ -182,9 +177,9 @@ func (h *home) serveAt(p memory.PageID, need vclock.VC) []byte {
 	// written once.
 	done := h.undoDone
 	clear(done)
-	for _, e := range h.undo[p] {
-		if e.seq > need.At(int(e.writer)) {
-			e.undo.Restore(data, done)
+	for e := h.undo.Entries(p); e.Valid(); e.Next() {
+		if e.Seq() > need.At(int(e.Writer())) {
+			e.Undo().Restore(data, done)
 		}
 	}
 	return data
@@ -198,9 +193,7 @@ func (h *home) serveAt(p memory.PageID, need vclock.VC) []byte {
 func (h *home) closeSelf(p memory.PageID, seq int32) {
 	h.ver[p].SetAt(h.id, seq)
 	if h.served != nil && h.pt.HasTwin(p) {
-		if u := memory.UndoFromTwin(h.pt.Page(p), h.pt.Twin(p)); !u.Empty() {
-			h.undo[p] = append(h.undo[p], undoEntry{writer: int32(h.id), seq: seq, undo: u})
-		}
+		h.undo.Add(p, int32(h.id), seq, memory.UndoFromTwin(h.pt.Page(p), h.pt.Twin(p), h.undo))
 	}
 }
 
@@ -243,9 +236,13 @@ func (h *home) setVer(p memory.PageID, v vclock.VC) {
 	}
 }
 
-// resetUndo clears every undo history (taken checkpoints bound the
+// resetUndo drops every undo history (taken checkpoints bound the
 // history the same way they bound the log).
-func (h *home) resetUndo() { h.undo = make(map[memory.PageID][]undoEntry) }
+func (h *home) resetUndo() {
+	if h.undo != nil {
+		h.undo.Reset()
+	}
+}
 
 // freeze shares every home page's version vector, in page order, for a
 // checkpoint: the next write to one copies it first.

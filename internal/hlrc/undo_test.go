@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"sdsm/internal/memory"
@@ -296,50 +298,202 @@ func pageAtVersionHistory(shape undoShape) (*Node, vclock.VC) {
 	return nd, vclock.VC{4, 4, 0}
 }
 
-// Closing a home interval costs one allocation, the entry, of at most the
-// bitmap plus a word per changed word (rounded up to Go's size class):
-// measured as the difference to a node without the undo history closing
-// the same interval.
+// undoHistory returns how many undo entries home page p of nd keeps and
+// how many bytes they hold.
+func undoHistory(nd *Node, p memory.PageID) (entries, size int) {
+	for e := nd.home.undo.Entries(p); e.Valid(); e.Next() {
+		entries, size = entries+1, size+e.Undo().Size()
+	}
+	return entries, size
+}
+
+// writeEveryLine writes 16 bytes of value round at the start of each
+// 64-byte line of a home page: one interval, changing pageSize/16 words.
+func writeEveryLine(nd *Node, pageSize int, round byte) {
+	var line [16]byte
+	for i := range line {
+		line[i] = round
+	}
+	for off := 0; off < pageSize; off += 64 {
+		nd.WriteAt(off, line[:])
+	}
+}
+
+// Closing a home interval appends its entry to the home's undo log: the
+// log grows by exactly the bitmap plus a word per changed word, cut from
+// the log's 32 KiB chunks. So 64 closes allocate, beyond what a node
+// without the history allocates closing the same intervals, at most the
+// chunks their entries fill (a chunk holds whole entries) and the entry
+// table's growth: one doubling, as the warm-up has already filled it to
+// 64 entries, and one more for the growth step's rounding.
 func TestHomeUndoIntervalCloseAllocatesWhatWasWritten(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const pageSize = 4096
+	const pageSize, closes, chunk = 4096, 64, 32 << 10
 	withUndo, without := undoNode(pageSize, true), undoNode(pageSize, false)
 	servePage(withUndo, 0)
-	write := func(nd *Node, round byte) {
-		for off := 0; off < pageSize; off += 64 {
-			nd.WriteAt(off, bytes.Repeat([]byte{round}, 16))
+	changed := pageSize / 16
+	entry := memory.BitmapLen(pageSize) + memory.WordSize*changed
+	round := 0
+	closeOne := func(nd *Node) {
+		round++
+		writeEveryLine(nd, pageSize, byte(round))
+		_, before := undoHistory(withUndo, 0)
+		nd.closeAndPropagate(int32(round))
+		if _, after := undoHistory(withUndo, 0); nd == withUndo && after-before != entry {
+			t.Fatalf("close %d grew the undo log by %d B, want bitmap + 4 B per changed word = %d",
+				round, after-before, entry)
 		}
 	}
-	// closeLeast returns the least mallocs and bytes of a few closes: a
-	// collection starting mid-measurement adds a few of its own.
-	closeLeast := func(nd *Node) (mallocs, alloc uint64) {
-		mallocs, alloc = ^uint64(0), ^uint64(0)
-		for round := byte(1); round < 7; round++ {
-			write(nd, round)
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			nd.closeAndPropagate(int32(round))
-			runtime.ReadMemStats(&m1)
-			if round > 1 { // the first close sizes the node's own lists
-				mallocs = min(mallocs, m1.Mallocs-m0.Mallocs)
-				alloc = min(alloc, m1.TotalAlloc-m0.TotalAlloc)
+	// closeAll counts the mallocs of 64 closes with the collector held off,
+	// after one close that refills arena's pools (the twin) the collection
+	// emptied.
+	closeAll := func(nd *Node) uint64 {
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		closeOne(nd)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range closes {
+			closeOne(nd)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	closeAll(withUndo) // warm: the node's own lists, the table's first rows
+	closeAll(without)
+	mu, mp := closeAll(withUndo), closeAll(without)
+	chunks := (closes + chunk/entry - 1) / (chunk / entry)
+	if limit := uint64(chunks + 2); mu > mp+limit {
+		t.Fatalf("%d undo-history closes: %d allocs, without: %d; want at most %d chunks + 2 table growths more",
+			closes, mu, mp, chunks)
+	}
+	if n, _ := undoHistory(withUndo, 0); n != 2*closes+2 {
+		t.Fatalf("undo history holds %d entries, want one per interval (%d)", n, 2*closes+2)
+	}
+}
+
+// A thousand armed home closes, each changing a quarter of a 4 KB page's
+// words, allocate far fewer than a thousand times: their entries share
+// the undo log's chunks and table instead of taking an allocation each
+// and growing a per-page slice. Measured 62: 36 chunks, 11 growths of
+// the entry table and the rest the node's own notice lists.
+func TestHomeUndoThousandClosesAllocations(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const pageSize, closes, limit = 4096, 1000, 75
+	nd := undoNode(pageSize, true)
+	servePage(nd, 0)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	writeEveryLine(nd, pageSize, 1) // refills arena's pools after the collection
+	nd.closeAndPropagate(1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 2; i <= closes+1; i++ {
+		writeEveryLine(nd, pageSize, byte(i))
+		nd.closeAndPropagate(int32(i))
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n > limit {
+		t.Fatalf("%d armed closes: %d allocs, want <= %d", closes, n, limit)
+	}
+}
+
+// resetUndo drops the history: a versioned fetch at a version older than
+// the reset serves the current copy, and the entries recorded afterwards,
+// the home's own and a remote writer's, chain from the reset on.
+func TestHomeUndoResetDropsHistory(t *testing.T) {
+	const pageSize = 512
+	nd := undoNode(pageSize, true)
+	servePage(nd, 0)
+	zero := vclock.New(3)
+	for round := byte(1); round <= 3; round++ {
+		writeEveryLine(nd, pageSize, round)
+		nd.closeAndPropagate(int32(round))
+		nd.ApplyDiffAsHome(diffAt(0, 8, round), 1, int32(round))
+	}
+	if got := nd.PageAtVersion(0, zero); !bytes.Equal(got, make([]byte, pageSize)) {
+		t.Fatalf("before the reset, version 0 is %x, want the zero page", got[:16])
+	}
+	nd.ResetUndo()
+	if n, _ := undoHistory(nd, 0); n != 0 {
+		t.Fatalf("%d undo entries after the reset, want none", n)
+	}
+	atReset, verAtReset := bytes.Clone(nd.PageTable().Page(0)), nd.HomeVersion(0).Clone()
+	if got := nd.PageAtVersion(0, zero); !bytes.Equal(got, atReset) {
+		t.Fatalf("after the reset, version 0 is %x, want the current copy %x", got[:16], atReset[:16])
+	}
+
+	writeEveryLine(nd, pageSize, 4)
+	nd.closeAndPropagate(4)
+	afterSelf, verAfterSelf := bytes.Clone(nd.PageTable().Page(0)), nd.HomeVersion(0).Clone()
+	nd.ApplyDiffAsHome(diffAt(0, 8, 4), 1, 4)
+	writeEveryLine(nd, pageSize, 5)
+	nd.closeAndPropagate(5)
+	var writers []int32
+	for e := nd.home.undo.Entries(0); e.Valid(); e.Next() {
+		writers = append(writers, e.Writer(), e.Seq())
+	}
+	if want := []int32{0, 4, 1, 4, 0, 5}; !slices.Equal(writers, want) {
+		t.Fatalf("entries after the reset chain as (writer, seq) %v, want %v", writers, want)
+	}
+	for _, c := range []struct {
+		name string
+		need vclock.VC
+		want []byte
+	}{
+		{"version 0", zero, atReset},
+		{"the reset's version", verAtReset, atReset},
+		{"the first close's version", verAfterSelf, afterSelf},
+	} {
+		if got := nd.PageAtVersion(0, c.need); !bytes.Equal(got, c.want) {
+			t.Fatalf("at %s %v: %x, want %x", c.name, c.need, got[:16], c.want[:16])
+		}
+	}
+}
+
+// The home's service loop appends a remote writer's entries to the undo
+// log while its application goroutine appends its own at each close, both
+// under nd.mu. Node 0 homes page 0, serves it once, which arms it, and
+// writes its even float64 slots in lock intervals; node 1 writes the odd
+// slots in intervals of another lock. Each writer's entries chain in
+// interval order, one per interval, and the page rolls back to the zero
+// page it was first served as.
+func TestHomeUndoLogConcurrentAppends(t *testing.T) {
+	const psz, slots, intervals = 256, 256 / 8, 100
+	nodes := runCluster(t, Config{N: 2, NumPages: 2, PageSize: psz, HomeUndo: true}, func(nd *Node) {
+		if nd.ID() == 0 {
+			nd.PageAtVersion(0, nd.HomeVersion(0)) // a serve: it arms page 0
+		}
+		nd.Barrier(0)
+		for i := 1; i <= intervals; i++ {
+			nd.AcquireLock(nd.ID())
+			for s := nd.ID(); s < slots; s += 2 {
+				nd.WriteF64(8*s, float64(i))
 			}
+			nd.ReleaseLock(nd.ID())
 		}
-		return mallocs, alloc
+		nd.Barrier(1)
+	})
+	var count [2]int
+	var last [2]int32
+	for e := nodes[0].home.undo.Entries(0); e.Valid(); e.Next() {
+		w := e.Writer()
+		if e.Seq() <= last[w] {
+			t.Fatalf("writer %d's entry %d chains after its entry %d", w, e.Seq(), last[w])
+		}
+		last[w] = e.Seq()
+		count[w]++
+
 	}
-	mu, bu := closeLeast(withUndo)
-	mp, bp := closeLeast(without)
-	changed := pageSize / 64 * 16 / memory.WordSize
-	limit := memory.BitmapLen(pageSize) + memory.WordSize*changed
-	limit = (limit + 255) &^ 255 // Go's size classes are at most 256 B apart up to 2 KB
-	if mu != mp+1 || bu > bp+uint64(limit) {
-		t.Fatalf("undo-history close: %d allocs / %d B, without: %d / %d; want one more alloc of <= %d B",
-			mu, bu, mp, bp, limit)
+	if count != [2]int{intervals, intervals} {
+		t.Fatalf("page 0 keeps %v entries per writer, want %d each", count, intervals)
 	}
-	if n := len(withUndo.home.undo[0]); n != 6 {
-		t.Fatalf("undo history holds %d entries, want one per interval", n)
+	if got := nodes[0].PageAtVersion(0, vclock.New(2)); !bytes.Equal(got, make([]byte, psz)) {
+		t.Fatalf("page 0 at version 0 is %x, want the zero page it was served as", got[:16])
 	}
 }
 
@@ -365,7 +519,7 @@ func TestHomeUndoStartsAtFirstServe(t *testing.T) {
 			n.ApplyDiffAsHome(diffAt(0, 8, round), 1, int32(round))
 		}
 	}
-	if n := len(nd.home.undo[0]); n != 0 {
+	if n, _ := undoHistory(nd, 0); n != 0 {
 		t.Fatalf("never-served page holds %d undo entries, want none", n)
 	}
 	if !racedetect.Enabled {
@@ -384,11 +538,11 @@ func TestHomeUndoStartsAtFirstServe(t *testing.T) {
 		t.Fatal("first write after the first serve took no twin")
 	}
 	nd.closeAndPropagate(int32(round))
-	if n := len(nd.home.undo[0]); n != 1 {
+	if n, _ := undoHistory(nd, 0); n != 1 {
 		t.Fatalf("served page holds %d undo entries after one interval, want 1", n)
 	}
 	nd.ApplyDiffAsHome(diffAt(0, 8, round), 1, 99)
-	if n := len(nd.home.undo[0]); n != 2 {
+	if n, _ := undoHistory(nd, 0); n != 2 {
 		t.Fatalf("served page holds %d undo entries after a remote interval, want 2", n)
 	}
 

@@ -86,10 +86,10 @@ func TestMakeDiffAndInverseOneAllocation(t *testing.T) {
 			t.Errorf("MakeDiff on a dirty page with %d runs (%d-byte body): %.1f allocs per %d, want 0 < n <= %v",
 				d.NumRuns(), size, a, batch, want)
 		}
-		if a := testing.AllocsPerRun(100, func() { UndoOf(d, twin) }); a != 1 {
+		if a := testing.AllocsPerRun(100, func() { UndoOf(d, twin, nil) }); a != 1 {
 			t.Errorf("UndoOf a diff of %d runs: %.1f allocs/op, want 1", d.NumRuns(), a)
 		}
-		if u, want := UndoOf(d, twin), BitmapLen(len(twin))+d.DataBytes(); u.Size() != want || cap(u.b) != want {
+		if u, want := UndoOf(d, twin, nil), BitmapLen(len(twin))+d.DataBytes(); u.Size() != want || cap(u.b) != want {
 			t.Errorf("UndoOf a diff of %d data bytes: len %d cap %d, want both %d", d.DataBytes(), u.Size(), cap(u.b), want)
 		}
 		if cap(d.body) != len(d.body) || len(d.body) != d.WireSize()-8 {

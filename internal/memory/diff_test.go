@@ -213,10 +213,10 @@ func TestBackwardDiffRestoresTwin(t *testing.T) {
 		if !bytes.Equal(work, twin) {
 			return false
 		}
-		u := UndoFromTwin(cur, twin)
+		u := UndoFromTwin(cur, twin, nil)
 		work = bytes.Clone(cur)
 		u.Restore(work, make([]byte, BitmapLen(size)))
-		return bytes.Equal(work, twin) && bytes.Equal(u.b, UndoOf(fwd, twin).b)
+		return bytes.Equal(work, twin) && bytes.Equal(u.b, UndoOf(fwd, twin, nil).b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -6,12 +6,14 @@ import (
 )
 
 // Undo is a home's undo entry for one applied interval on one page: what
-// turns the page back into its state before the interval. It is one
-// allocation holding a word bitmap — bit w%8 of byte w/8 set when the
-// interval wrote word w, BitmapLen(pageSize) bytes — followed by the prior
-// contents of the marked words, packed in word order. An entry therefore
-// never exceeds BitmapLen(pageSize) plus WordSize bytes per written word,
-// however the writes are scattered. The zero Undo restores nothing.
+// turns the page back into its state before the interval. Its bytes are a
+// word bitmap — bit w%8 of byte w/8 set when the interval wrote word w,
+// BitmapLen(pageSize) bytes — followed by the prior contents of the marked
+// words, packed in word order, cut back to back with other entries from
+// the UndoLog that keeps it (or made on their own, from a nil log). An
+// entry therefore never exceeds BitmapLen(pageSize) plus WordSize bytes
+// per written word, however the writes are scattered. The zero Undo
+// restores nothing.
 type Undo struct{ b []byte }
 
 // BitmapLen is the size in bytes of a word bitmap over a page of pageSize
@@ -22,12 +24,13 @@ func BitmapLen(pageSize int) int { return (pageSize/WordSize + 7) / 8 }
 const chunkBytes = 64 * WordSize
 
 // stackBitmap bounds the bitmap the constructors build on the stack
-// before the entry's one allocation (pages up to 16 KiB).
+// before the entry is cut (pages up to 16 KiB).
 const stackBitmap = 512
 
 // UndoOf returns the undo entry of diff d, to be taken before d is applied
 // to base (a full page): every word d's runs touch, with base's contents.
-func UndoOf(d Diff, base []byte) Undo {
+// Its bytes are cut from log, or made on their own when log is nil.
+func UndoOf(d Diff, base []byte, log *UndoLog) Undo {
 	if d.runs == 0 {
 		return Undo{}
 	}
@@ -39,16 +42,16 @@ func UndoOf(d Diff, base []byte) Undo {
 			bm[w>>3] |= 1 << (w & 7)
 		}
 	}
-	return gather(bm, base)
+	return gather(bm, base, log)
 }
 
 // UndoFromTwin returns the undo entry of the interval that turned twin
 // into cur: the words that differ, with twin's contents. The comparison is
 // one XOR pass, eight bytes per load, building the bitmap directly: clean
 // word pairs are skipped and the others classified without branches. The
-// entry is allocated once the count of changed words is known, and not at
-// all when the page is clean.
-func UndoFromTwin(cur, twin []byte) Undo {
+// entry is cut from log (made on its own when log is nil) once the count
+// of changed words is known, and not at all when the page is clean.
+func UndoFromTwin(cur, twin []byte, log *UndoLog) Undo {
 	if len(cur) != len(twin) {
 		panic("memory: twin/page size mismatch")
 	}
@@ -73,7 +76,7 @@ func UndoFromTwin(cur, twin []byte) Undo {
 		}
 		storeChunk(bm, c, acc)
 	}
-	return gather(bm, twin)
+	return gather(bm, twin, log)
 }
 
 // changedWords maps the XOR of two word pairs to two bits: bit 0 set when
@@ -95,9 +98,10 @@ func scratchBitmap(stack *[stackBitmap]byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// gather builds the entry for bitmap bm: one exact-size allocation holding
-// bm and the marked words of page, or the zero Undo when none is marked.
-func gather(bm, page []byte) Undo {
+// gather builds the entry for bitmap bm: bm and the marked words of page,
+// in exactly as many bytes cut from log, or the zero Undo when none is
+// marked.
+func gather(bm, page []byte, log *UndoLog) Undo {
 	n := 0
 	for c := 0; c*8 < len(bm); c++ {
 		n += bits.OnesCount64(loadChunk(bm, c))
@@ -105,7 +109,7 @@ func gather(bm, page []byte) Undo {
 	if n == 0 {
 		return Undo{}
 	}
-	b := make([]byte, len(bm)+n*WordSize)
+	b := log.cut(len(bm) + n*WordSize)
 	copy(b, bm)
 	words := b[len(bm):]
 	for c, k := 0, 0; k < n; c++ {

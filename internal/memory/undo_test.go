@@ -19,7 +19,7 @@ func TestUndoOfDiffRestoresBase(t *testing.T) {
 			cur[rng.Intn(size)] = byte(rng.Int())
 		}
 		d := MakeDiff(0, base, cur)
-		u := UndoOf(d, base)
+		u := UndoOf(d, base, nil)
 		work := bytes.Clone(base)
 		d.Apply(work)
 		u.Restore(work, make([]byte, BitmapLen(size)))
@@ -52,7 +52,7 @@ func TestUndoRestoreOldestFirstMatchesNewestFirst(t *testing.T) {
 					next[w*WordSize+rng.Intn(WordSize)] ^= byte(1 + rng.Intn(255))
 				}
 				d := MakeDiff(0, page, next)
-				hist = append(hist, step{bytes.Clone(page), d, UndoOf(d, page)})
+				hist = append(hist, step{bytes.Clone(page), d, UndoOf(d, page, nil)})
 				d.Apply(page)
 			}
 			want := bytes.Clone(page)
@@ -82,7 +82,7 @@ func TestUndoShallowShapeHalvesRunForm(t *testing.T) {
 		cur[off] = 1
 	}
 	runForm := MakeDiff(0, cur, twin).WireSize()
-	u := UndoFromTwin(cur, twin)
+	u := UndoFromTwin(cur, twin, nil)
 	if runForm < 6*1024 || u.Size() > 2300 {
 		t.Fatalf("every other word of a 4 KB page: undo %d bytes (want <= 2300), run form %d (want >= 6144)",
 			u.Size(), runForm)
@@ -92,14 +92,15 @@ func TestUndoShallowShapeHalvesRunForm(t *testing.T) {
 	}
 }
 
-// A clean page costs nothing; a dirty one its single exact allocation.
+// A clean page costs nothing; a dirty one, from a nil log, its single exact
+// allocation.
 func TestUndoFromTwinAllocations(t *testing.T) {
 	skipUnderRace(t)
 	twin, cur := benchPage(0.02)
-	if a := testing.AllocsPerRun(100, func() { UndoFromTwin(twin, twin) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { UndoFromTwin(twin, twin, nil) }); a != 0 {
 		t.Errorf("UndoFromTwin on a clean page: %.1f allocs/op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { UndoFromTwin(cur, twin) }); a != 1 {
+	if a := testing.AllocsPerRun(100, func() { UndoFromTwin(cur, twin, nil) }); a != 1 {
 		t.Errorf("UndoFromTwin on a dirty page: %.1f allocs/op, want 1", a)
 	}
 }

@@ -1,0 +1,105 @@
+package memory
+
+// undoChunk is the size of the chunks an UndoLog cuts entry bytes from:
+// Go's largest small size class. A larger chunk is a large object, which
+// the runtime gives pages of its own, and grows the resident set more;
+// arena.Slab's 512-byte blocks hold less than one entry of a 4 KB page.
+const undoChunk = 32 << 10
+
+// undoOwnAbove is the entry size above which an entry is made on its own,
+// so a chunk leaves at most this much unused at its end.
+const undoOwnAbove = undoChunk / 4
+
+// UndoLog is one home's undo history: every entry it keeps, in append
+// order, and each page's entries chained oldest first. It has three parts:
+// entry bytes cut back to back from chunks of undoChunk bytes, one entry
+// table, and per page the table indexes of its chain's ends. Nothing
+// leaves the log but by Reset, so no chunk is kept reachable by an entry
+// the log no longer holds. A nil *UndoLog cuts nothing: UndoOf and
+// UndoFromTwin then make each entry on its own. An UndoLog is not safe
+// for concurrent use: its owner serializes every call.
+type UndoLog struct {
+	free    []byte      // the unused tail of the current chunk
+	entries []undoEntry // in append order
+	chains  []undoChain // per page
+}
+
+// undoEntry is one table row: writer interval (writer, seq)'s entry, and
+// next, 1 + the index of its page's next newer entry (0 for the newest).
+type undoEntry struct {
+	writer, seq, next int32
+	u                 Undo
+}
+
+// undoChain holds 1 + the index of a page's oldest and newest entry, 0
+// for a page with none.
+type undoChain struct{ first, last int32 }
+
+// NewUndoLog returns an empty log over pages pages.
+func NewUndoLog(pages int) *UndoLog {
+	return &UndoLog{chains: make([]undoChain, pages)}
+}
+
+// cut returns n fresh bytes with capacity n, so appending to them
+// reallocates instead of reaching a neighbour: from the current chunk,
+// from a new one when it is short, or on their own above undoOwnAbove or
+// from a nil log.
+func (l *UndoLog) cut(n int) []byte {
+	if l == nil || n > undoOwnAbove {
+		return make([]byte, n)
+	}
+	if len(l.free) < n {
+		l.free = make([]byte, undoChunk)
+	}
+	b := l.free[:n:n]
+	l.free = l.free[n:]
+	return b
+}
+
+// Add appends writer interval (writer, seq)'s entry u as page p's newest.
+// An empty entry is not kept: it restores nothing.
+func (l *UndoLog) Add(p PageID, writer, seq int32, u Undo) {
+	if u.Empty() {
+		return
+	}
+	l.entries = append(l.entries, undoEntry{writer: writer, seq: seq, u: u})
+	i, c := int32(len(l.entries)), &l.chains[p]
+	if c.last == 0 {
+		c.first = i
+	} else {
+		l.entries[c.last-1].next = i
+	}
+	c.last = i
+}
+
+// Reset drops every entry, and with them the chunks and the table.
+func (l *UndoLog) Reset() {
+	clear(l.chains)
+	l.free, l.entries = nil, nil
+}
+
+// UndoIter is a cursor over one page's entries, oldest first:
+//
+//	for e := log.Entries(p); e.Valid(); e.Next() { e.Writer(), e.Seq(), e.Undo() }
+type UndoIter struct {
+	entries []undoEntry
+	i       int32 // 1 + the current entry's index, 0 past the newest
+}
+
+// Entries returns a cursor on page p's oldest entry.
+func (l *UndoLog) Entries(p PageID) UndoIter { return UndoIter{l.entries, l.chains[p].first} }
+
+// Valid reports whether the cursor is on an entry (false past the newest).
+func (it UndoIter) Valid() bool { return it.i != 0 }
+
+// Writer is the current entry's writer.
+func (it UndoIter) Writer() int32 { return it.entries[it.i-1].writer }
+
+// Seq is the current entry's interval.
+func (it UndoIter) Seq() int32 { return it.entries[it.i-1].seq }
+
+// Undo is the current entry: restoring it removes the interval's update.
+func (it UndoIter) Undo() Undo { return it.entries[it.i-1].u }
+
+// Next moves the cursor to the page's next newer entry.
+func (it *UndoIter) Next() { it.i = it.entries[it.i-1].next }
