@@ -93,8 +93,10 @@ portable:
 # Hot-path kernel benchmark smoke: a fixed low iteration count so CI
 # catches crashes and allocation regressions (ReportAllocs output),
 # not timing noise. Run manually with -benchtime=2s for real numbers.
-# The application kernels' BenchmarkSolo runs a whole ScaleMedium
-# problem per iteration (15-60 ms), hence their lower count.
+# Each of the four application kernels has a BenchmarkSolo that runs a
+# whole ScaleMedium problem per iteration (Water 4-7 ms, the others
+# 15-70 ms), hence their lower count; their allocs/op guard the kernels'
+# own buffers.
 bench:
 	go test ./internal/memory/ -run xxx -bench . -benchtime=100x -count=1
 	go test ./internal/hlrc/ -run xxx -bench . -benchtime=100x -count=1

@@ -360,12 +360,13 @@ func dumpMode(w *apps.Workload, opts options) error {
 		}
 		prefix, dropped := rep.Depot.Store(node).ValidPrefix()
 		fmt.Printf("node %d: %d records (%d torn)\n", node, len(prefix), dropped)
+		var dis wal.Dissector
 		for i, r := range prefix {
 			if opts.max > 0 && i >= opts.max {
 				fmt.Printf("  ... %d more\n", len(prefix)-i)
 				break
 			}
-			d, err := wal.DissectRecord(r)
+			d, err := dis.Dissect(r)
 			if err != nil {
 				return fmt.Errorf("node %d record %d: %w", node, i, err)
 			}

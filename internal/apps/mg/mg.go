@@ -69,6 +69,27 @@ func layout(n, cycles, nodes, pageSize, floor int) *params {
 	return pr
 }
 
+// rows is one node's kernel scratch: the row buffers that the sweeps,
+// the residual, the grid transfers and the initial norm read into and
+// write from. Each is as long as the finest level's edge and is resliced
+// to a level's edge per call. prog makes one per node and passes it
+// down; params is shared by every node's goroutine, so the rows cannot
+// live there.
+type rows struct {
+	c, zm, zp, ym, yp, f, out []float64
+	zero                      []float64 // restriction's source for zeroing, never written
+}
+
+func newRows(n int) *rows {
+	buf := make([]float64, 8*n)
+	cut := func() []float64 {
+		r := buf[:n:n]
+		buf = buf[n:]
+		return r
+	}
+	return &rows{c: cut(), zm: cut(), zp: cut(), ym: cut(), yp: cut(), f: cut(), out: cut(), zero: cut()}
+}
+
 // addr is the byte address of element (x,y,z) of the array based at base
 // on an edge-n grid.
 func addr(base, n, x, y, z int) int { return base + ((z*n+y)*n+x)*8 }
@@ -180,6 +201,7 @@ func (pr *params) prog(p *core.Proc) {
 	fine := pr.levels[0]
 	n := fine.n
 	zlo, zhi := id*n/P, (id+1)*n/P
+	rs := newRows(n)
 
 	// Initialize: u = 0 everywhere (already zero), f = source term.
 	plus, minus := sourceCells(n)
@@ -197,10 +219,10 @@ func (pr *params) prog(p *core.Proc) {
 	bar()
 
 	for cyc := 1; cyc <= pr.cycles; cyc++ {
-		pr.vcycle(p, 0, 0, &b)
+		pr.vcycle(p, rs, 0, 0, &b)
 		// Residual norm on the finest grid (partial per node, reduced by
 		// node 0) — the published convergence history.
-		norm2 := pr.residual(p, 0, 0, false)
+		norm2 := pr.residual(p, rs, 0, 0, false)
 		p.WriteF64(pr.baseC+id*8, norm2)
 		bar()
 		if id == 0 {
@@ -209,11 +231,9 @@ func (pr *params) prog(p *core.Proc) {
 				sum += p.ReadF64(pr.baseC + q*8)
 			}
 			if cyc == 1 {
-				// Also publish the initial norm: ||f|| (u=0 at start of
-				// cycle 1 is no longer true, so approximate with the norm
-				// before any cycle being ||f||²: store the first cycle's
-				// as baseline slot 0 on the first pass).
-				p.WriteF64(pr.baseR, pr.initialNorm(p))
+				// Slot 0 holds the norm before any cycle: ||f||_2, the
+				// residual norm with u = 0.
+				p.WriteF64(pr.baseR, pr.initialNorm(p, rs))
 			}
 			p.WriteF64(pr.baseR+cyc*8, math.Sqrt(sum))
 		}
@@ -223,11 +243,11 @@ func (pr *params) prog(p *core.Proc) {
 
 // initialNorm computes ||f||_2 on the finest grid (u=0 residual), read
 // directly by node 0.
-func (pr *params) initialNorm(p *core.Proc) float64 {
+func (pr *params) initialNorm(p *core.Proc, rs *rows) float64 {
 	fine := pr.levels[0]
 	n := fine.n
 	var sum float64
-	row := make([]float64, n)
+	row := rs.c[:n]
 	for z := 0; z < n; z++ {
 		for y := 0; y < n; y++ {
 			p.ReadF64s(addr(fine.f, n, 0, y, z), row)
@@ -253,31 +273,31 @@ func (pr *params) bases(l, parity int) (cur, nxt int) {
 // vcycle runs one V-cycle level. parity selects the current u buffer and
 // the final parity is returned implicitly by sweep count (callers track
 // it via the fixed nu1/nu2 constants).
-func (pr *params) vcycle(p *core.Proc, l, parity int, b *int) {
+func (pr *params) vcycle(p *core.Proc, rs *rows, l, parity int, b *int) {
 	if l == len(pr.levels)-1 {
-		pr.smooth(p, l, parity, nuCoars, b)
-		pr.copyBack(p, l, parity, nuCoars)
+		pr.smooth(p, rs, l, parity, nuCoars, b)
+		pr.copyBack(p, rs, l, parity, nuCoars)
 		return
 	}
-	pr.smooth(p, l, parity, nu1, b)
+	pr.smooth(p, rs, l, parity, nu1, b)
 	parity += nu1
-	pr.residualStore(p, l, parity, b)
-	pr.restrictAndZero(p, l, parity, b)
-	pr.vcycle(p, l+1, 0, b)
-	pr.prolongCorrect(p, l, parity)
+	pr.residualStore(p, rs, l, parity, b)
+	pr.restrictAndZero(p, rs, l, parity, b)
+	pr.vcycle(p, rs, l+1, 0, b)
+	pr.prolongCorrect(p, rs, l, parity)
 	// The corrected slabs must be visible before the post-smoothing
 	// sweeps read ghost planes.
 	p.Barrier(*b)
 	*b++
-	pr.smooth(p, l, parity, nu2, b)
+	pr.smooth(p, rs, l, parity, nu2, b)
 	parity += nu2
-	pr.copyBack(p, l, parity, nu1+nu2)
+	pr.copyBack(p, rs, l, parity, nu1+nu2)
 	_ = parity
 }
 
 // copyBack ensures the level's solution ends in u0 (so parity never
 // leaks across cycles): if sweeps is odd, copy cur into u0.
-func (pr *params) copyBack(p *core.Proc, l, parityEnd, sweeps int) {
+func (pr *params) copyBack(p *core.Proc, rs *rows, l, parityEnd, sweeps int) {
 	if sweeps%2 == 0 {
 		return
 	}
@@ -285,7 +305,7 @@ func (pr *params) copyBack(p *core.Proc, l, parityEnd, sweeps int) {
 	n := lv.n
 	id, P := p.ID(), p.N()
 	zlo, zhi := id*n/P, (id+1)*n/P
-	row := make([]float64, n)
+	row := rs.c[:n]
 	cur, _ := pr.bases(l, parityEnd)
 	if cur == lv.u0 {
 		return
@@ -301,18 +321,13 @@ func (pr *params) copyBack(p *core.Proc, l, parityEnd, sweeps int) {
 
 // smooth runs `sweeps` weighted-Jacobi sweeps with a barrier after each,
 // double-buffering between u0 and u1.
-func (pr *params) smooth(p *core.Proc, l, parity, sweeps int, b *int) {
+func (pr *params) smooth(p *core.Proc, rs *rows, l, parity, sweeps int, b *int) {
 	lv := pr.levels[l]
 	n := lv.n
 	id, P := p.ID(), p.N()
 	zlo, zhi := id*n/P, (id+1)*n/P
-	rowC := make([]float64, n)
-	rowZm := make([]float64, n)
-	rowZp := make([]float64, n)
-	rowYm := make([]float64, n)
-	rowYp := make([]float64, n)
-	rowF := make([]float64, n)
-	out := make([]float64, n)
+	rowC, rowZm, rowZp, rowYm, rowYp := rs.c[:n], rs.zm[:n], rs.zp[:n], rs.ym[:n], rs.yp[:n]
+	rowF, out := rs.f[:n], rs.out[:n]
 	for s := 0; s < sweeps; s++ {
 		cur, nxt := pr.bases(l, parity+s)
 		for z := zlo; z < zhi; z++ {
@@ -391,19 +406,14 @@ func residualCell(xm, cx, xp, ym, yp, zm, zp, f, h2 float64) float64 {
 // residual computes r = f - A u on level l (A = -∇² with the grid
 // scaling), optionally storing it into the level's r array; it returns
 // the local partial squared norm.
-func (pr *params) residual(p *core.Proc, l, parity int, store bool) float64 {
+func (pr *params) residual(p *core.Proc, rs *rows, l, parity int, store bool) float64 {
 	lv := pr.levels[l]
 	n := lv.n
 	id, P := p.ID(), p.N()
 	zlo, zhi := id*n/P, (id+1)*n/P
 	cur, _ := pr.bases(l, parity)
-	rowC := make([]float64, n)
-	rowZm := make([]float64, n)
-	rowZp := make([]float64, n)
-	rowYm := make([]float64, n)
-	rowYp := make([]float64, n)
-	rowF := make([]float64, n)
-	out := make([]float64, n)
+	rowC, rowZm, rowZp, rowYm, rowYp := rs.c[:n], rs.zm[:n], rs.zp[:n], rs.ym[:n], rs.yp[:n]
+	rowF, out := rs.f[:n], rs.out[:n]
 	var norm2 float64
 	for z := zlo; z < zhi; z++ {
 		zm, zp := (z+n-1)%n, (z+1)%n
@@ -427,8 +437,8 @@ func (pr *params) residual(p *core.Proc, l, parity int, store bool) float64 {
 
 // residualStore computes and publishes the residual, with a barrier so
 // restriction sees every slab.
-func (pr *params) residualStore(p *core.Proc, l, parity int, b *int) {
-	pr.residual(p, l, parity, true)
+func (pr *params) residualStore(p *core.Proc, rs *rows, l, parity int, b *int) {
+	pr.residual(p, rs, l, parity, true)
 	p.Barrier(*b)
 	*b++
 }
@@ -436,17 +446,13 @@ func (pr *params) residualStore(p *core.Proc, l, parity int, b *int) {
 // restrictAndZero averages 2x2x2 fine residual cells into the coarse
 // right-hand side and zeroes the coarse solution buffers. The nested
 // partition keeps this slab-local.
-func (pr *params) restrictAndZero(p *core.Proc, l, parity int, b *int) {
+func (pr *params) restrictAndZero(p *core.Proc, rs *rows, l, parity int, b *int) {
 	fineLv, coarse := pr.levels[l], pr.levels[l+1]
 	nf, nc := fineLv.n, coarse.n
 	id, P := p.ID(), p.N()
 	zlo, zhi := id*nc/P, (id+1)*nc/P
-	rowA := make([]float64, nf)
-	rowB := make([]float64, nf)
-	rowA2 := make([]float64, nf)
-	rowB2 := make([]float64, nf)
-	out := make([]float64, nc)
-	zero := make([]float64, nc)
+	rowA, rowB, rowA2, rowB2 := rs.c[:nf], rs.zm[:nf], rs.zp[:nf], rs.ym[:nf]
+	out, zero := rs.out[:nc], rs.zero[:nc]
 	for z := zlo; z < zhi; z++ {
 		for y := 0; y < nc; y++ {
 			p.ReadF64s(addr(fineLv.r, nf, 0, 2*y, 2*z), rowA)
@@ -470,14 +476,13 @@ func (pr *params) restrictAndZero(p *core.Proc, l, parity int, b *int) {
 // prolongCorrect injects each coarse correction cell into its eight fine
 // children: u_fine += e_coarse. Slab-local by the nested partition; the
 // coarse solution was left in u0 by copyBack.
-func (pr *params) prolongCorrect(p *core.Proc, l, parity int) {
+func (pr *params) prolongCorrect(p *core.Proc, rs *rows, l, parity int) {
 	fineLv, coarse := pr.levels[l], pr.levels[l+1]
 	nf, nc := fineLv.n, coarse.n
 	id, P := p.ID(), p.N()
 	zlo, zhi := id*nf/P, (id+1)*nf/P
 	cur, _ := pr.bases(l, parity)
-	rowE := make([]float64, nc)
-	rowU := make([]float64, nf)
+	rowE, rowU := rs.c[:nc], rs.zm[:nf]
 	for z := zlo; z < zhi; z++ {
 		for y := 0; y < nf; y++ {
 			p.ReadF64s(addr(coarse.u0, nc, 0, y/2, z/2), rowE)

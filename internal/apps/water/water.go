@@ -110,6 +110,25 @@ func New(n, steps, nodes, pageSize int) *apps.Workload {
 	}
 }
 
+// forceRows is one node's scratch for forcePhase: the position array it
+// reads, the contributions it accumulates per molecule, which partitions
+// they touch, and the force block it scatters under a lock. prog makes
+// one per node and passes it down; params is shared by every node's
+// goroutine, so the scratch cannot live there.
+type forceRows struct {
+	pos, acc, block []float64
+	touched         []bool
+}
+
+func (pr *params) newForceRows() *forceRows {
+	return &forceRows{
+		pos:     make([]float64, pr.n*3),
+		acc:     make([]float64, pr.n*3),
+		block:   make([]float64, pr.n/pr.nodes*3),
+		touched: make([]bool, pr.nodes),
+	}
+}
+
 // initPos places molecule i on a jittered cubic lattice (deterministic).
 func (pr *params) initPos(i int) (x, y, z float64) {
 	side := int(math.Ceil(math.Cbrt(float64(pr.n))))
@@ -144,7 +163,8 @@ func (pr *params) prog(p *core.Proc) {
 	bar()
 
 	// Initial force evaluation so the first kick has forces.
-	pot := pr.forcePhase(p, mlo, mhi)
+	fr := pr.newForceRows()
+	pot := pr.forcePhase(p, fr, mlo, mhi)
 	bar()
 
 	vels := make([]float64, own*3)
@@ -179,7 +199,7 @@ func (pr *params) prog(p *core.Proc) {
 
 		// --- Phase 2: O(n²) half-shell force computation with
 		// lock-protected scatter (the SPLASH Water pattern).
-		pot = pr.forcePhase(p, mlo, mhi)
+		pot = pr.forcePhase(p, fr, mlo, mhi)
 		bar()
 
 		// --- Phase 3 (own): second kick and energy partials.
@@ -214,16 +234,17 @@ func (pr *params) prog(p *core.Proc) {
 // scatters the accumulated contributions into the shared force array
 // under the per-partition locks. Returns the node's potential-energy
 // partial.
-func (pr *params) forcePhase(p *core.Proc, mlo, mhi int) float64 {
+func (pr *params) forcePhase(p *core.Proc, fr *forceRows, mlo, mhi int) float64 {
 	n := pr.n
 	P := pr.nodes
 	// Read the full position array once (everyone reads everything: the
 	// O(n²) all-pairs pattern).
-	pos := make([]float64, n*3)
+	pos := fr.pos
 	p.ReadF64s(pr.pos, pos)
 
-	acc := make([]float64, n*3)
-	touched := make([]bool, P)
+	acc, touched := fr.acc, fr.touched
+	clear(acc)
+	clear(touched)
 	rc2 := pr.cutoff * pr.cutoff
 	// Shift the potential so it is continuous at the cutoff (keeps the
 	// energy-conservation check meaningful).
@@ -278,7 +299,7 @@ func (pr *params) forcePhase(p *core.Proc, mlo, mhi int) float64 {
 	// different partition per node (SPLASH's staggering: without it every
 	// node would convoy on lock 0).
 	per := n / P
-	block := make([]float64, per*3)
+	block := fr.block
 	for k := 0; k < P; k++ {
 		q := (mlo/per + k) % P
 		if !touched[q] {

@@ -122,3 +122,20 @@ func TestWorkloadMetadata(t *testing.T) {
 		t.Fatal("CrashOp missing")
 	}
 }
+
+// BenchmarkSolo runs the ScaleMedium Water problem (bench.Workloads'
+// parameters) on one node under protocol None: the kernel's host cost
+// without coherence traffic, which the benchmark reports as
+// apps.solo_pass_s.
+func BenchmarkSolo(b *testing.B) {
+	w := New(256, 6, 1, 4096)
+	cfg := w.BaseConfig(1)
+	cfg.Protocol = wal.ProtocolNone
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(cfg, w.Prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -112,6 +112,9 @@ func NoticesWireSize(ns []Notice) int {
 	return n
 }
 
+// minIntervals is the first capacity of a process's interval list.
+const minIntervals = 64
+
 // NoticeStore accumulates the write notices a node (or a manager) knows,
 // indexed by process and interval. Interval sequence numbers of each
 // process are contiguous (the protocol only extends knowledge from a
@@ -150,7 +153,15 @@ func (s *NoticeStore) Add(n Notice) {
 	case n.Seq <= have:
 		return // duplicate
 	case n.Seq == have+1:
-		s.byProc[p] = append(s.byProc[p], n.Pages)
+		ivs := s.byProc[p]
+		if len(ivs) == cap(ivs) {
+			// Double, from minIntervals: append alone would start a list
+			// at one interval, and grows long ones by less than double.
+			grown := make([][]memory.PageID, len(ivs), max(minIntervals, 2*cap(ivs)))
+			copy(grown, ivs)
+			ivs = grown
+		}
+		s.byProc[p] = append(ivs, n.Pages)
 	default:
 		panic(fmt.Sprintf("hlrc: notice gap for proc %d: have %d, got seq %d", p, have, n.Seq))
 	}

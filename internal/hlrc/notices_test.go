@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"sdsm/internal/memory"
+	"sdsm/internal/racedetect"
 	"sdsm/internal/vclock"
 )
 
@@ -116,5 +117,27 @@ func TestNoticeStorePagesOutOfRange(t *testing.T) {
 	s := NewNoticeStore(2)
 	if s.Pages(-1, 1) != nil || s.Pages(0, 0) != nil || s.Pages(0, 5) != nil {
 		t.Fatal("out-of-range Pages must be nil")
+	}
+}
+
+// A store doubles each process's interval list from minIntervals: 1 000
+// intervals from each of 8 processes cost 41 allocations, the store and
+// five growths a process (to 64, 128, 256, 512 and 1 024 intervals).
+// Appending from an empty list cost 89.
+func TestNoticeStoreGrowthAllocations(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	pages := []memory.PageID{1}
+	allocs := testing.AllocsPerRun(5, func() {
+		s := NewNoticeStore(8)
+		for seq := int32(1); seq <= 1000; seq++ {
+			for p := range int32(8) {
+				s.Add(Notice{Proc: p, Seq: seq, Pages: pages})
+			}
+		}
+	})
+	if allocs > 41 {
+		t.Fatalf("1 000 intervals from each of 8 processes: %v allocs, want <= 41", allocs)
 	}
 }

@@ -104,11 +104,12 @@ func auditStore(node int, s *stable.Store, opts AuditOptions, rep *AuditReport) 
 		bytes   int64
 	)
 	lastWriterSeq := make(map[int32]int32) // update events, per writer
+	var dis wal.Dissector
 	for i, r := range prefix {
 		if !r.Verify() {
 			return fmt.Errorf("%w: node %d record %d", ErrChecksum, node, i)
 		}
-		d, err := wal.DissectRecord(r)
+		d, err := dis.Dissect(r)
 		if err != nil {
 			return fmt.Errorf("logview: node %d record %d: %w", node, i, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"sdsm/internal/hlrc"
 	"sdsm/internal/logview"
 	"sdsm/internal/memory"
+	"sdsm/internal/racedetect"
 	"sdsm/internal/stable"
 	"sdsm/internal/wal"
 )
@@ -154,5 +155,40 @@ func TestAuditReconcilesAfterTruncateAcrossSegments(t *testing.T) {
 	}
 	if rep.Records != 200 {
 		t.Fatalf("audited %d records, want 200", rep.Records)
+	}
+}
+
+// The auditor walks each store with one decode state: a record's value
+// and payload structs are reused, and its notice and page lists are cut
+// from the state's slabs. 1 000 notice records of four two-page notices
+// and 1 000 page records cost 316 allocations: 250 notice blocks (16
+// notices each), 63 page-list blocks (128 pages each), the valid prefix,
+// the per-writer map and the state itself. A fresh value per record,
+// payload and list cost 8 002.
+func TestAuditAllocations(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ns := make([]hlrc.Notice, 4)
+	for i := range ns {
+		ns[i] = hlrc.Notice{Proc: int32(i), Seq: 1, Pages: []memory.PageID{1, 2}}
+	}
+	notices := hlrc.EncodeNotices(ns, nil)
+	page := wal.EncodePageRecord(nil, 3, make([]byte, 64))
+	recs := make([]stable.Record, 0, 2000)
+	for op := range int32(1000) {
+		recs = append(recs,
+			stable.Record{Kind: wal.RecNotices, Op: op, Data: notices},
+			stable.Record{Kind: wal.RecPage, Op: op, Data: page})
+	}
+	depot := stable.NewDepot(1)
+	depot.Store(0).Flush(recs)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := logview.Audit(depot, logview.AuditOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 316 {
+		t.Fatalf("auditing 2 000 records: %v allocs, want <= 316", allocs)
 	}
 }

@@ -75,8 +75,9 @@ func DissectStore(node int, s *stable.Store) (NodeVolume, error) {
 	nv := NodeVolume{Node: node}
 	prefix, dropped := s.ValidPrefix()
 	var kinds kindTally
+	var dis wal.Dissector
 	for i, r := range prefix {
-		d, err := wal.DissectRecord(r)
+		d, err := dis.Dissect(r)
 		if err != nil {
 			return nv, fmt.Errorf("logview: node %d record %d: %w", node, i, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdsm/internal/arena"
 	"sdsm/internal/hlrc"
 	"sdsm/internal/memory"
 	"sdsm/internal/stable"
@@ -73,15 +74,32 @@ type Dissected struct {
 	DiffBatch *DiffBatchPayload  // RecDiffBatch
 }
 
-// DissectRecord decodes one record by its kind byte. It does not check
-// the record's checksum (use stable.Record.Verify for that): a torn
-// record usually fails both, but the two failures mean different things
-// and the auditor reports them separately.
-func DissectRecord(r stable.Record) (*Dissected, error) {
-	d := &Dissected{Kind: r.Kind, Op: r.Op, Wire: r.WireSize()}
+// A Dissector decodes the records of one log in turn and reuses its
+// decode state across them: the Dissected it returns, with its Page and
+// DiffBatch, is overwritten by its next call, and it cuts notice and page
+// lists from slabs it owns. A reader that walks a whole log (the
+// auditor, the volume dissection) keeps one per store, so a record costs
+// a fraction of an allocation, not one for its value and one for each
+// list in it.
+// The zero Dissector is ready to use. It is not safe for concurrent use.
+type Dissector struct {
+	d       Dissected
+	page    PagePayload
+	batch   DiffBatchPayload
+	notices arena.Slab[hlrc.Notice]
+	pages   arena.Slab[memory.PageID]
+}
+
+// Dissect decodes one record by its kind byte. It does not check the
+// record's checksum (use stable.Record.Verify for that): a torn record
+// usually fails both, but the two failures mean different things and the
+// auditor reports them separately.
+func (x *Dissector) Dissect(r stable.Record) (*Dissected, error) {
+	x.d = Dissected{Kind: r.Kind, Op: r.Op, Wire: r.WireSize()}
+	d := &x.d
 	switch r.Kind {
 	case RecNotices:
-		ns, rest, err := hlrc.DecodeNotices(r.Data, nil, nil)
+		ns, rest, err := hlrc.DecodeNotices(r.Data, &x.notices, &x.pages)
 		if err != nil {
 			return nil, fmt.Errorf("%w: notices at op %d: %v", ErrCorruptPayload, r.Op, err)
 		}
@@ -100,13 +118,15 @@ func DissectRecord(r stable.Record) (*Dissected, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: page at op %d: %v", ErrCorruptPayload, r.Op, err)
 		}
-		d.Page = &PagePayload{Page: page, Data: data}
+		x.page = PagePayload{Page: page, Data: data}
+		d.Page = &x.page
 	case RecDiffBatch:
 		writer, seq, vtSum, diffs, err := DecodeDiffBatchRecord(r.Data)
 		if err != nil {
 			return nil, fmt.Errorf("%w: diff batch at op %d: %v", ErrCorruptPayload, r.Op, err)
 		}
-		d.DiffBatch = &DiffBatchPayload{Writer: writer, Seq: seq, VTSum: vtSum, Diffs: diffs}
+		x.batch = DiffBatchPayload{Writer: writer, Seq: seq, VTSum: vtSum, Diffs: diffs}
+		d.DiffBatch = &x.batch
 	default:
 		return nil, fmt.Errorf("%w: %d at op %d", ErrUnknownKind, int(r.Kind), r.Op)
 	}

@@ -49,19 +49,34 @@ func TestDissectRecordRoundTrips(t *testing.T) {
 					x.DiffBatch.VTSum == 23 && len(x.DiffBatch.Diffs) == 2 && x.DiffBatch.Diffs[1].Page == 5
 			}},
 	}
+	// Each case dissects with a fresh Dissector and with one kept across
+	// all of them, as a log reader keeps it: the reused state must leave
+	// no earlier record's payload behind.
+	var kept Dissector
 	for _, tc := range cases {
-		x, err := DissectRecord(tc.rec)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if x.Kind != tc.rec.Kind || x.Op != tc.rec.Op || x.Wire != tc.rec.WireSize() {
-			t.Errorf("%s: header mismatch: %+v", tc.name, x)
-		}
-		if !tc.want(x) {
-			t.Errorf("%s: payload mismatch: %+v", tc.name, x)
-		}
-		if x.Summary() == "?" {
-			t.Errorf("%s: no summary", tc.name)
+		for _, dissect := range []func(stable.Record) (*Dissected, error){new(Dissector).Dissect, kept.Dissect} {
+			x, err := dissect(tc.rec)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if x.Kind != tc.rec.Kind || x.Op != tc.rec.Op || x.Wire != tc.rec.WireSize() {
+				t.Errorf("%s: header mismatch: %+v", tc.name, x)
+			}
+			if !tc.want(x) {
+				t.Errorf("%s: payload mismatch: %+v", tc.name, x)
+			}
+			set := 0
+			for _, ok := range []bool{x.Notices != nil, x.Events != nil, x.Page != nil, x.DiffBatch != nil} {
+				if ok {
+					set++
+				}
+			}
+			if set != 1 {
+				t.Errorf("%s: %d payload fields set, want 1: %+v", tc.name, set, x)
+			}
+			if x.Summary() == "?" {
+				t.Errorf("%s: no summary", tc.name)
+			}
 		}
 	}
 }
@@ -85,8 +100,9 @@ func TestDissectRecordTypedErrors(t *testing.T) {
 		{"diff-batch-trailing", stable.Record{Kind: RecDiffBatch,
 			Data: append(EncodeDiffBatchRecord(nil, -1, 1, 1, nil), 0xee)}, ErrCorruptPayload},
 	}
+	var dis Dissector
 	for _, tc := range cases {
-		x, err := DissectRecord(tc.rec)
+		x, err := dis.Dissect(tc.rec)
 		if err == nil {
 			t.Fatalf("%s: dissected corrupt record: %+v", tc.name, x)
 		}
@@ -111,7 +127,7 @@ func TestDissectTornRecord(t *testing.T) {
 	if recs[0].Verify() {
 		t.Fatal("torn record passes Verify")
 	}
-	if _, err := DissectRecord(recs[0]); err != nil &&
+	if _, err := new(Dissector).Dissect(recs[0]); err != nil &&
 		!errors.Is(err, ErrCorruptPayload) && !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("untyped dissect error on torn record: %v", err)
 	}

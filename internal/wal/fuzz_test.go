@@ -76,7 +76,7 @@ func FuzzDissectRecord(f *testing.F) {
 	f.Add(byte(200), int32(-1), []byte{0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, kind byte, op int32, data []byte) {
 		rec := stable.Record{Kind: stable.RecordKind(kind), Op: op, Data: data}
-		dis, err := DissectRecord(rec)
+		dis, err := new(Dissector).Dissect(rec)
 		if err != nil {
 			if !errors.Is(err, ErrUnknownKind) && !errors.Is(err, ErrCorruptPayload) {
 				t.Fatalf("untyped dissect error: %v", err)
