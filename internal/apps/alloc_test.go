@@ -36,14 +36,16 @@ func soloRun(t *testing.T, w *apps.Workload) (allocs uint64, barriers int64) {
 }
 
 // A kernel's buffers belong to its node's program, made once per run:
-// what a longer run adds is the barriers' own cost (the manager's
-// per-barrier state, 3 allocations, and slab blocks), not rows made per
-// sweep or per force phase. Each kernel runs at ScaleSmall on one node at
+// what a longer run adds is the barriers' own cost (a fraction of a slab
+// block each), not rows made per sweep or per force phase, nor manager
+// state per barrier number. Each kernel runs at ScaleSmall on one node at
 // 2 and at 4 iterations (cycles or steps), three times each, and the
 // fewest allocations the longer run adds are pinned per barrier it adds.
-// Measured on a 2-core host: 3D-FFT 3.5, MG 3.4, Shallow 3.6, Water 3.4
-// (up to 3.9 at GOMAXPROCS=8). With MG's rows made per call MG adds 7.0,
-// and with Water's force arrays made per phase Water adds 4.4.
+// Measured on a 2-core host at GOMAXPROCS 1, 2 and 8: 3D-FFT 0.17, MG
+// 0.35, Shallow 0.38, Water 0.12, single runs up to 0.5. With a manager
+// round state made per barrier number every kernel adds about 3.5, with
+// MG's rows made per call MG adds 7.0, and with Water's force arrays made
+// per phase Water adds 4.4. The test takes about 0.05 s.
 func TestKernelAllocationsPerBarrier(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -53,10 +55,10 @@ func TestKernelAllocationsPerBarrier(t *testing.T) {
 		build func(iters int) *apps.Workload
 		want  float64
 	}{
-		{func(i int) *apps.Workload { return fft.New(16, 16, 16, i, 1, ps) }, 4.25},
-		{func(i int) *apps.Workload { return mg.New(16, i, 1, ps) }, 4},
-		{func(i int) *apps.Workload { return shallow.New(16, 16, i, 1, ps) }, 4.25},
-		{func(i int) *apps.Workload { return water.New(32, i, 1, ps) }, 4},
+		{func(i int) *apps.Workload { return fft.New(16, 16, 16, i, 1, ps) }, 0.75},
+		{func(i int) *apps.Workload { return mg.New(16, i, 1, ps) }, 0.5},
+		{func(i int) *apps.Workload { return shallow.New(16, 16, i, 1, ps) }, 0.75},
+		{func(i int) *apps.Workload { return water.New(32, i, 1, ps) }, 0.75},
 	} {
 		short, long := tc.build(2), tc.build(4)
 		soloRun(t, short) // warm the arena's pools
@@ -69,6 +71,7 @@ func TestKernelAllocationsPerBarrier(t *testing.T) {
 			a4 = min(a4, a)
 		}
 		perBarrier := (float64(a4) - float64(a2)) / float64(b4-b2)
+		t.Logf("%s: %.2f allocations per added barrier", short.Name, perBarrier)
 		if perBarrier > tc.want {
 			t.Errorf("%s: %.2f allocations per added barrier, want <= %v (%d allocs at %d barriers, %d at %d)",
 				short.Name, perBarrier, tc.want, a2, b2, a4, b4)

@@ -67,14 +67,6 @@ type barrierReply struct {
 	at    simtime.Time
 }
 
-// barrierState is made with room for every node's check-in and reply.
-type barrierState struct {
-	waiting []pendingMsg // checkins collected so far
-	// lastReply[node] is the node's release from its most recent
-	// completed round (rel nil: none yet).
-	lastReply []barrierReply
-}
-
 // mgrSpan is the service span recorded just before a reply leaves. The
 // zero span records nothing (the tracer drops spans with t1 <= t0).
 type mgrSpan struct {
@@ -105,11 +97,22 @@ type manager struct {
 
 	// vt is the manager's knowledge horizon. Grants and barrier releases
 	// carry it shared: the next merge that raises it copies it.
-	vt       vclock.COW
-	vcs      arena.Slab[int32] // vt's copies
-	notices  *NoticeStore
-	locks    map[int32]*lockState
-	barriers map[int32]*barrierState
+	vt      vclock.COW
+	vcs     arena.Slab[int32] // vt's copies
+	notices *NoticeStore
+	locks   map[int32]*lockState
+	// The barrier round that is filling (one at a time: every node takes
+	// part in every barrier): its barrier id and the check-ins collected
+	// so far, a slice reused across rounds. No round fills while waiting
+	// is empty.
+	round   int32
+	waiting []pendingMsg
+	// lastReply[node] is the node's release from its most recent
+	// completed round (rel nil: none yet). A link delivers in order and
+	// the manager decides in key order, so a late copy of a check-in the
+	// manager answered always finds its reply here, even while the next
+	// round fills: its sender checks in again only once it has the reply.
+	lastReply []barrierReply
 	// revoked[l] is the dead holder this manager reclaimed lock l from, so
 	// the holder's replayed release is absorbed instead of panicking as a
 	// double free.
@@ -154,7 +157,8 @@ func newManager(cfg Config, stats *Stats) *manager {
 		stats:      stats,
 		notices:    NewNoticeStore(cfg.N),
 		locks:      make(map[int32]*lockState),
-		barriers:   make(map[int32]*barrierState),
+		waiting:    make([]pendingMsg, 0, cfg.N),
+		lastReply:  make([]barrierReply, cfg.N),
 		revoked:    make(map[int32]int),
 		grantLog:   make(map[int][]*LockGrant),
 		releaseLog: make(map[int][]*BarrierRelease),
@@ -338,12 +342,7 @@ func (mg *manager) handOff(l int32, ls *lockState, cause transport.Message, at, 
 func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 	mg.out = mg.out[:0]
 	ci := m.Payload.(*BarrierCheckin)
-	bs := mg.barriers[ci.Barrier]
-	if bs == nil {
-		bs = &barrierState{waiting: make([]pendingMsg, 0, mg.n), lastReply: make([]barrierReply, mg.n)}
-		mg.barriers[ci.Barrier] = bs
-	}
-	if lr := bs.lastReply[m.From]; lr.rel != nil && lr.reqID == m.ReqID {
+	if lr := mg.lastReply[m.From]; lr.rel != nil && lr.reqID == m.ReqID {
 		// Retransmission of a check-in from an already-released round: the
 		// release was lost on the wire. Re-send the identical cached
 		// release at the original release time (the check-in's own
@@ -353,7 +352,12 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 		mg.reply(m, KindBarrierRelease, lr.rel, lr.at, mgrSpan{})
 		return mg.out
 	}
-	for i, w := range bs.waiting {
+	if len(mg.waiting) == 0 {
+		mg.round = ci.Barrier
+	} else if ci.Barrier != mg.round {
+		panic(fmt.Sprintf("hlrc: manager: node %d checked into barrier %d while barrier %d fills", m.From, ci.Barrier, mg.round))
+	}
+	for i, w := range mg.waiting {
 		if w.m.From == m.From {
 			if w.m.ReqID != m.ReqID {
 				panic(fmt.Sprintf("hlrc: manager: node %d checked into barrier %d twice", m.From, ci.Barrier))
@@ -362,24 +366,32 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 			// newest copy (its reply fate is the live one) but the first
 			// copy's arrival time, which is what the barrier opening is
 			// measured from.
-			bs.waiting[i].m = m
+			mg.waiting[i].m = m
 			return mg.out
 		}
 	}
 	mg.notices.AddAll(ci.Notices)
 	mg.vt.Merge(ci.VT)
-	bs.waiting = append(bs.waiting, pendingMsg{m: m, arrival: at})
+	mg.waiting = append(mg.waiting, pendingMsg{m: m, arrival: at})
 	mg.asks[m.From]++
-	if len(bs.waiting) < mg.n {
+	if len(mg.waiting) < mg.n {
 		return mg.out
 	}
-	// The barrier opens when the last check-in has arrived. The last
-	// arriver (ties broken by lowest node id, so the choice is
-	// deterministic) is the release span's edge: it is the message the
-	// critical path runs through, and the span joins its trace.
+	mg.release(ci.Barrier)
+	clear(mg.waiting) // hold no check-in past its round
+	mg.waiting = mg.waiting[:0]
+	return mg.out
+}
+
+// release opens the full round of barrier b. The barrier opens when the
+// last check-in has arrived. The last arriver (ties broken by lowest node
+// id, so the choice is deterministic) is the release span's edge: it is
+// the message the critical path runs through, and the span joins its
+// trace.
+func (mg *manager) release(b int32) {
 	var releaseAt simtime.Time
-	last := bs.waiting[0]
-	for _, w := range bs.waiting {
+	last := mg.waiting[0]
+	for _, w := range mg.waiting {
 		releaseAt = max(releaseAt, w.arrival)
 		if w.arrival > last.arrival || (w.arrival == last.arrival && w.m.From < last.m.From) {
 			last = w
@@ -387,18 +399,29 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 	}
 	span := mgrSpan{tc: svcTrace(last.m), ev: obsv.EvBarrierRelease,
 		t0: releaseAt - simtime.Time(mg.handling), t1: releaseAt,
-		from: last.m.From, sentAt: last.m.SentAt, a1: int64(ci.Barrier), a2: int64(len(bs.waiting))}
-	// One clock snapshot per round, and the round's releases cut at once.
+		from: last.m.From, sentAt: last.m.SentAt, a1: int64(b), a2: int64(len(mg.waiting))}
+	// One clock snapshot per round, and the round's releases and notice
+	// lists each cut at once: every node's delta is sized first, then cut
+	// from one allocation, each list with cap == len.
 	vt := mg.vt.Share()
-	rels := mg.rels.Cut(len(bs.waiting))
-	for i, w := range bs.waiting {
+	rels := mg.rels.Cut(len(mg.waiting))
+	total := 0
+	for _, w := range mg.waiting {
+		total += mg.notices.deltaLen(checkinVT(w))
+	}
+	notices := mg.notices.deltas.Cut(total)
+	for i, w := range mg.waiting {
 		rel := &rels[i]
 		rel.VT = vt
-		rel.Notices = mg.notices.Delta(w.m.Payload.(*BarrierCheckin).VT)
+		since := checkinVT(w)
+		if n := mg.notices.deltaLen(since); n > 0 {
+			rel.Notices = mg.notices.appendDelta(notices[:0:n], since)
+			notices = notices[n:]
+		}
 		if mg.lease > 0 {
 			rel.LeaseUntil = releaseAt + simtime.Time(mg.lease)
 		}
-		bs.lastReply[w.m.From] = barrierReply{reqID: w.m.ReqID, rel: rel, at: releaseAt}
+		mg.lastReply[w.m.From] = barrierReply{reqID: w.m.ReqID, rel: rel, at: releaseAt}
 		mg.asks[w.m.From]--
 		if mg.senderLogs {
 			mg.releaseLog[w.m.From] = append(mg.releaseLog[w.m.From], rel)
@@ -406,10 +429,10 @@ func (mg *manager) checkin(m transport.Message, at simtime.Time) []mgrReply {
 		mg.reply(w.m, KindBarrierRelease, rel, releaseAt, span)
 		span = mgrSpan{}
 	}
-	clear(bs.waiting) // hold no check-in past its round
-	bs.waiting = bs.waiting[:0]
-	return mg.out
 }
+
+// checkinVT is the clock a waiting check-in declared.
+func checkinVT(w pendingMsg) vclock.VC { return w.m.Payload.(*BarrierCheckin).VT }
 
 // obit sweeps the manager state after a death declaration: queued
 // requests from the dead node are dropped, and locks it held are revoked

@@ -666,6 +666,89 @@ func TestManagerCheckinRetransmission(t *testing.T) {
 	}
 }
 
+// The manager fills one round at a time. A late copy of a check-in it
+// answered, arriving while the next barrier's round fills, is answered
+// from its sender's last reply and joins nothing; a check-in for another
+// barrier id while a round fills is a program error and panics naming
+// both ids. Under 0.01 s.
+func TestManagerOneLiveRound(t *testing.T) {
+	mg := testManager(0)
+	var first []mgrReply
+	for node := 0; node < mgrTestN; node++ {
+		first = mg.checkin(checkinMsg(node, 5, 7, vclock.New(mgrTestN)), simtime.Time(10*(node+1)))
+	}
+	if len(first) != mgrTestN {
+		t.Fatalf("barrier 7 did not release: %d replies", len(first))
+	}
+	rel := first[2].payload
+	if out := mg.checkin(checkinMsg(0, 6, 8, vclock.New(mgrTestN)), 50); len(out) != 0 {
+		t.Fatalf("first check-in of barrier 8 answered: %+v", out)
+	}
+	out := mg.checkin(checkinMsg(2, 5, 7, vclock.New(mgrTestN)), 60)
+	if len(out) != 1 || out[0].payload != rel || out[0].at != 40 || out[0].req.From != 2 {
+		t.Fatalf("late copy of a barrier 7 check-in: %+v, want node 2's cached release at 40", out)
+	}
+	if len(mg.waiting) != 1 || mg.round != 8 {
+		t.Fatalf("round after the late copy: barrier %d with %d check-ins, want barrier 8 with 1", mg.round, len(mg.waiting))
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "barrier 9") || !strings.Contains(msg, "barrier 8") {
+			t.Fatalf("panic %q does not name both barriers", msg)
+		}
+	}()
+	mg.checkin(checkinMsg(1, 6, 9, vclock.New(mgrTestN)), 70)
+}
+
+// A run's barriers use fresh ids (the kernels count them up), and the
+// manager keeps nothing per id: after 1 000 rounds it holds no check-in,
+// its round slice has not grown, and each node's cached reply is its
+// release from the last round. Under 0.01 s.
+func TestManagerFreshBarrierIDsKeepNoState(t *testing.T) {
+	mg := newManager(Config{N: mgrTestN}, &Stats{})
+	const rounds = 1000
+	var last []mgrReply
+	for b := range int32(rounds) {
+		for node := 0; node < mgrTestN; node++ {
+			vt := vclock.New(mgrTestN) // everything up to the last round, and its own interval
+			for i := range vt {
+				vt[i] = b
+			}
+			vt[node] = b + 1
+			m := checkinMsg(node, int64(b+1), b, vt)
+			m.Payload.(*BarrierCheckin).Notices = []Notice{{Proc: int32(node), Seq: b + 1}}
+			last = mg.checkin(m, simtime.Time(100*int(b)+node))
+		}
+		if len(last) != mgrTestN {
+			t.Fatalf("barrier %d: %d releases, want %d", b, len(last), mgrTestN)
+		}
+	}
+	if len(mg.waiting) != 0 || cap(mg.waiting) != mgrTestN {
+		t.Fatalf("after %d rounds the manager holds %d check-ins in a slice of %d, want none in %d",
+			rounds, len(mg.waiting), cap(mg.waiting), mgrTestN)
+	}
+	for _, rp := range last {
+		if lr := mg.lastReply[rp.req.From]; lr.rel != rp.payload || lr.reqID != rounds {
+			t.Fatalf("node %d's cached reply is request %d, want the last round's %d", rp.req.From, lr.reqID, rounds)
+		}
+		// The round's lists are cut from one allocation, each with cap ==
+		// len, holding what Delta would: the other nodes' last intervals.
+		ns := rp.payload.(*BarrierRelease).Notices
+		if len(ns) != mgrTestN-1 || cap(ns) != len(ns) {
+			t.Fatalf("last release to %d carries %d notices (cap %d), want the other %d nodes'", rp.req.From, len(ns), cap(ns), mgrTestN-1)
+		}
+		for i, n := range ns {
+			proc := i
+			if proc >= rp.req.From {
+				proc++
+			}
+			if n.Proc != int32(proc) || n.Seq != rounds {
+				t.Fatalf("last release to %d: notice %d is %d/%d, want %d/%d", rp.req.From, i, n.Proc, n.Seq, proc, rounds)
+			}
+		}
+	}
+}
+
 // The sender log serves both kinds by index; past its end the reply
 // carries nil.
 func TestManagerSenderLog(t *testing.T) {

@@ -123,7 +123,7 @@ const minIntervals = 64
 type NoticeStore struct {
 	n      int
 	byProc [][][]memory.PageID // byProc[p][seq-1] = pages of p's interval seq
-	deltas arena.Slab[Notice]  // Delta's results, which are sent
+	deltas arena.Slab[Notice]  // Delta's results and the manager's round cuts, which are sent
 }
 
 // NewNoticeStore returns an empty store for n processes.
@@ -190,22 +190,34 @@ func (s *NoticeStore) Pages(proc int, seq int32) []memory.PageID {
 // process and ascending interval, cut from the store's slab at its exact
 // size (nil when nothing is missing).
 func (s *NoticeStore) Delta(since vclock.VC) []Notice {
-	from := func(p int) int {
-		if p < len(since) {
-			return max(int(since[p]), 0)
-		}
-		return 0
-	}
-	n := 0
-	for p, ivs := range s.byProc {
-		n += max(len(ivs)-from(p), 0)
-	}
+	n := s.deltaLen(since)
 	if n == 0 {
 		return nil
 	}
-	out := s.deltas.Cut(n)[:0]
+	return s.appendDelta(s.deltas.Cut(n)[:0], since)
+}
+
+// deltaFrom is the number of process p's intervals since covers.
+func deltaFrom(since vclock.VC, p int) int {
+	if p < len(since) {
+		return max(int(since[p]), 0)
+	}
+	return 0
+}
+
+// deltaLen is len(Delta(since)).
+func (s *NoticeStore) deltaLen(since vclock.VC) int {
+	n := 0
 	for p, ivs := range s.byProc {
-		for i := from(p); i < len(ivs); i++ {
+		n += max(len(ivs)-deltaFrom(since, p), 0)
+	}
+	return n
+}
+
+// appendDelta appends Delta(since)'s notices to out.
+func (s *NoticeStore) appendDelta(out []Notice, since vclock.VC) []Notice {
+	for p, ivs := range s.byProc {
+		for i := deltaFrom(since, p); i < len(ivs); i++ {
 			out = append(out, Notice{Proc: int32(p), Seq: int32(i + 1), Pages: ivs[i]})
 		}
 	}

@@ -106,7 +106,8 @@ type wire struct {
 // before handing its message off, and never again. A block holds values
 // of one type, so a kept value pins only blocks of its own kind: the
 // notice store keeps page lists, the node keeps a grant's and a barrier
-// release's clock, custody keeps diffs, whose bodies are bytes. No slab
+// release's clock, custody keeps diffs, whose bodies are bytes (one
+// above 256 bytes pins its whole 32 KiB chunk, memory.Bodies). No slab
 // of a kind that points at a page has a kept value: nothing keeps a
 // decoded PageReply, and its page is made on its own (rest). The
 // payloads of the recovery and membership kinds, rare on the wire, are
@@ -125,7 +126,7 @@ type decodeSlabs struct {
 	pages    *arena.Slab[memory.PageID]
 	diffs    *arena.Slab[memory.Diff]
 	clocks   *arena.Slab[int32]
-	bodies   *arena.Slab[byte]
+	bodies   *memory.Bodies
 }
 
 var noSlabs decodeSlabs
@@ -150,7 +151,7 @@ func slabsOf(state *any) *decodeSlabs {
 			pages:    new(arena.Slab[memory.PageID]),
 			diffs:    new(arena.Slab[memory.Diff]),
 			clocks:   new(arena.Slab[int32]),
-			bodies:   new(arena.Slab[byte]),
+			bodies:   new(memory.Bodies),
 		}
 	}
 	return (*state).(*decodeSlabs)

@@ -14,8 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"sdsm/internal/arena"
 )
 
 // WordSize is the diff granularity in bytes. TreadMarks diffs at 4-byte
@@ -32,11 +30,11 @@ type PageID int32
 // as Encode lays it out — per run a little-endian u32 byte offset
 // (WordSize-aligned when MakeDiff produced it), a u32 length and that many
 // bytes of new contents — cut once, with cap == len, from its maker's
-// slab (or made alone). It never aliases a page or a decode buffer and is
-// never written after construction, so copies of the Diff value share it
-// and it stays valid however long it is kept (custody, in-flight
-// messages), keeping its slab block reachable. Runs are read through
-// Runs; the zero Diff is the empty diff of page 0.
+// Bodies (or made alone). It never aliases a page or a decode buffer and
+// is never written after construction, so copies of the Diff value share
+// it and it stays valid however long it is kept (custody, in-flight
+// messages), keeping the block or chunk it was cut from reachable. Runs
+// are read through Runs; the zero Diff is the empty diff of page 0.
 type Diff struct {
 	Page PageID
 	runs int32  // number of runs in body
@@ -52,8 +50,8 @@ type span struct{ start, end int32 }
 // MakeDiff compares cur against twin and returns the diff, scanning at
 // word granularity and coalescing adjacent modified words into runs.
 // The two slices must have equal length. The diff owns a copy of the
-// modified bytes, made on its own (PageTable.MakeDiff cuts it from a
-// slab); a clean page allocates nothing.
+// modified bytes, made on its own (PageTable.MakeDiff cuts it from the
+// table's Bodies); a clean page allocates nothing.
 func MakeDiff(page PageID, twin, cur []byte) Diff {
 	var stack [64]span // scratch for the usual few runs, on the stack
 	d, _ := makeDiff(page, twin, cur, stack[:0], nil)
@@ -69,7 +67,7 @@ func MakeDiff(page PageID, twin, cur []byte) Diff {
 // chunk's words keep differing. Word-granularity boundaries are resolved
 // with single-word comparisons, so the produced runs are byte-identical
 // to a pure word-by-word scan.
-func makeDiff(page PageID, twin, cur []byte, spans []span, bodies *arena.Slab[byte]) (Diff, []span) {
+func makeDiff(page PageID, twin, cur []byte, spans []span, bodies *Bodies) (Diff, []span) {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("memory: twin/page size mismatch: %d vs %d", len(twin), len(cur)))
 	}
@@ -260,8 +258,8 @@ func PeekDiff(buf []byte) (page PageID, size int, err error) {
 func DecodeDiff(buf []byte) (Diff, []byte, error) { return DecodeDiffFrom(buf, nil) }
 
 // DecodeDiffFrom is DecodeDiff with the run table's copy cut from bodies
-// (a nil slab makes it).
-func DecodeDiffFrom(buf []byte, bodies *arena.Slab[byte]) (Diff, []byte, error) {
+// (a nil Bodies makes it).
+func DecodeDiffFrom(buf []byte, bodies *Bodies) (Diff, []byte, error) {
 	page, size, err := PeekDiff(buf)
 	if err != nil {
 		return Diff{Page: page}, buf, err

@@ -52,12 +52,12 @@ type PageTable struct {
 	numPages int
 	frames   [][]byte // nil until first touch or AllocFrames (the page is all zeros)
 	state    []State
-	twin     [][]byte         // nil when no twin exists
-	twins    int              // live twins, so EndInterval knows when it has dropped them all
-	dirty    []bool           // written during the current interval
-	dirtyIDs []PageID         // the pages whose dirty bit is set; DirtyPages sorts it
-	spans    []span           // MakeDiff's scan scratch
-	bodies   arena.Slab[byte] // MakeDiff's diff bodies
+	twin     [][]byte // nil when no twin exists
+	twins    int      // live twins, so EndInterval knows when it has dropped them all
+	dirty    []bool   // written during the current interval
+	dirtyIDs []PageID // the pages whose dirty bit is set; DirtyPages sorts it
+	spans    []span   // MakeDiff's scan scratch
+	bodies   Bodies   // MakeDiff's diff bodies
 }
 
 // NewPageTable returns a table of numPages pages of pageSize bytes each,
@@ -202,7 +202,7 @@ func (pt *PageTable) EndInterval() {
 }
 
 // MakeDiff computes the diff of page id against its twin with the table's
-// scratch and body slab (DESIGN.md §2.8), so its owner serializes calls.
+// scratch and bodies (DESIGN.md §2.8), so its owner serializes calls.
 func (pt *PageTable) MakeDiff(id PageID) Diff {
 	t := pt.twin[id]
 	if t == nil {

@@ -1,25 +1,15 @@
 package memory
 
-// undoChunk is the size of the chunks an UndoLog cuts entry bytes from:
-// Go's largest small size class. A larger chunk is a large object, which
-// the runtime gives pages of its own, and grows the resident set more;
-// arena.Slab's 512-byte blocks hold less than one entry of a 4 KB page.
-const undoChunk = 32 << 10
-
-// undoOwnAbove is the entry size above which an entry is made on its own,
-// so a chunk leaves at most this much unused at its end.
-const undoOwnAbove = undoChunk / 4
-
 // UndoLog is one home's undo history: every entry it keeps, in append
 // order, and each page's entries chained oldest first. It has three parts:
-// entry bytes cut back to back from chunks of undoChunk bytes, one entry
+// entry bytes cut back to back from 32 KiB chunks (bigChunk), one entry
 // table, and per page the table indexes of its chain's ends. Nothing
 // leaves the log but by Reset, so no chunk is kept reachable by an entry
 // the log no longer holds. A nil *UndoLog cuts nothing: UndoOf and
 // UndoFromTwin then make each entry on its own. An UndoLog is not safe
 // for concurrent use: its owner serializes every call.
 type UndoLog struct {
-	free    []byte      // the unused tail of the current chunk
+	bytes   chunks      // the entries' bytes
 	entries []undoEntry // in append order
 	chains  []undoChain // per page
 }
@@ -40,20 +30,13 @@ func NewUndoLog(pages int) *UndoLog {
 	return &UndoLog{chains: make([]undoChain, pages)}
 }
 
-// cut returns n fresh bytes with capacity n, so appending to them
-// reallocates instead of reaching a neighbour: from the current chunk,
-// from a new one when it is short, or on their own above undoOwnAbove or
-// from a nil log.
+// cut returns n fresh bytes with capacity n, cut from the log's chunks
+// (chunks.cut), or made on their own for a nil log.
 func (l *UndoLog) cut(n int) []byte {
-	if l == nil || n > undoOwnAbove {
+	if l == nil {
 		return make([]byte, n)
 	}
-	if len(l.free) < n {
-		l.free = make([]byte, undoChunk)
-	}
-	b := l.free[:n:n]
-	l.free = l.free[n:]
-	return b
+	return l.bytes.cut(n)
 }
 
 // Add appends writer interval (writer, seq)'s entry u as page p's newest.
@@ -75,7 +58,7 @@ func (l *UndoLog) Add(p PageID, writer, seq int32, u Undo) {
 // Reset drops every entry, and with them the chunks and the table.
 func (l *UndoLog) Reset() {
 	clear(l.chains)
-	l.free, l.entries = nil, nil
+	l.bytes, l.entries = chunks{}, nil
 }
 
 // UndoIter is a cursor over one page's entries, oldest first:

@@ -64,14 +64,14 @@ func TestUndoLogEntriesAreDisjointAndClipped(t *testing.T) {
 
 // Entries share chunks: 64 scattered entries of a 4 KB page cost one
 // allocation per chunk they fill from a log, and one each from a nil one.
-// An entry above undoOwnAbove is made on its own and leaves the chunk's
+// An entry above ownAbove is made on its own and leaves the chunk's
 // tail to the next entry.
 func TestUndoLogAllocations(t *testing.T) {
 	skipUnderRace(t)
 	twin, cur := benchPage(0.02)
 	size := UndoFromTwin(cur, twin, nil).Size()
 	const batch = 64
-	perChunk := undoChunk / size
+	perChunk := bigChunk / size
 	chunks := float64((batch + perChunk - 1) / perChunk)
 	var log *UndoLog
 	if a := testing.AllocsPerRun(20, func() {
@@ -92,17 +92,17 @@ func TestUndoLogAllocations(t *testing.T) {
 
 	big := make([]byte, 16384)
 	whole := bytes.Repeat([]byte{1}, len(big))
-	if n := UndoFromTwin(whole, big, nil).Size(); n <= undoOwnAbove {
-		t.Fatalf("a rewritten 16 KB page's entry is %d B, not above undoOwnAbove (%d)", n, undoOwnAbove)
+	if n := UndoFromTwin(whole, big, nil).Size(); n <= ownAbove {
+		t.Fatalf("a rewritten 16 KB page's entry is %d B, not above ownAbove (%d)", n, ownAbove)
 	}
 	log = NewUndoLog(1)
 	UndoFromTwin(cur, twin, log)
-	tail := len(log.free)
+	tail := len(log.bytes.free)
 	if a := testing.AllocsPerRun(20, func() { UndoFromTwin(whole, big, log) }); a != 1 {
-		t.Errorf("an entry above undoOwnAbove: %.1f allocs, want its own one", a)
+		t.Errorf("an entry above ownAbove: %.1f allocs, want its own one", a)
 	}
-	if len(log.free) != tail {
-		t.Errorf("an entry above undoOwnAbove took %d B of the chunk", tail-len(log.free))
+	if len(log.bytes.free) != tail {
+		t.Errorf("an entry above ownAbove took %d B of the chunk", tail-len(log.bytes.free))
 	}
 }
 

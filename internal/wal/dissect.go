@@ -76,11 +76,11 @@ type Dissected struct {
 
 // A Dissector decodes the records of one log in turn and reuses its
 // decode state across them: the Dissected it returns, with its Page and
-// DiffBatch, is overwritten by its next call, and it cuts notice and page
-// lists from slabs it owns. A reader that walks a whole log (the
-// auditor, the volume dissection) keeps one per store, so a record costs
-// a fraction of an allocation, not one for its value and one for each
-// list in it.
+// DiffBatch, is overwritten by its next call, and it cuts notice, page,
+// event and diff lists and diff bodies from slabs it owns. A reader that
+// walks a whole log (the auditor, the volume dissection) keeps one per
+// store, so a record costs a fraction of an allocation, not one for its
+// value and one for each list and body in it.
 // The zero Dissector is ready to use. It is not safe for concurrent use.
 type Dissector struct {
 	d       Dissected
@@ -88,6 +88,9 @@ type Dissector struct {
 	batch   DiffBatchPayload
 	notices arena.Slab[hlrc.Notice]
 	pages   arena.Slab[memory.PageID]
+	events  arena.Slab[hlrc.UpdateEvent]
+	diffs   arena.Slab[memory.Diff]
+	bodies  memory.Bodies
 }
 
 // Dissect decodes one record by its kind byte. It does not check the
@@ -108,7 +111,7 @@ func (x *Dissector) Dissect(r stable.Record) (*Dissected, error) {
 		}
 		d.Notices = ns
 	case RecEvents:
-		evs, err := DecodeEventsRecord(r.Data)
+		evs, err := decodeEvents(r.Data, &x.events)
 		if err != nil {
 			return nil, fmt.Errorf("%w: events at op %d: %v", ErrCorruptPayload, r.Op, err)
 		}
@@ -121,7 +124,7 @@ func (x *Dissector) Dissect(r stable.Record) (*Dissected, error) {
 		x.page = PagePayload{Page: page, Data: data}
 		d.Page = &x.page
 	case RecDiffBatch:
-		writer, seq, vtSum, diffs, err := DecodeDiffBatchRecord(r.Data)
+		writer, seq, vtSum, diffs, err := decodeDiffBatch(r.Data, &x.diffs, &x.bodies)
 		if err != nil {
 			return nil, fmt.Errorf("%w: diff batch at op %d: %v", ErrCorruptPayload, r.Op, err)
 		}

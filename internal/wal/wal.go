@@ -151,7 +151,11 @@ func EncodeEventsRecord(buf []byte, events []hlrc.UpdateEvent) []byte {
 func EventsRecordSize(events []hlrc.UpdateEvent) int { return 4 + 12*len(events) }
 
 // DecodeEventsRecord unpacks a RecEvents payload.
-func DecodeEventsRecord(buf []byte) ([]hlrc.UpdateEvent, error) {
+func DecodeEventsRecord(buf []byte) ([]hlrc.UpdateEvent, error) { return decodeEvents(buf, nil) }
+
+// decodeEvents is DecodeEventsRecord with the event list cut from evs (a
+// nil slab makes it); an empty list is non-nil either way.
+func decodeEvents(buf []byte, evs *arena.Slab[hlrc.UpdateEvent]) ([]hlrc.UpdateEvent, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("wal: short events record")
 	}
@@ -160,7 +164,10 @@ func DecodeEventsRecord(buf []byte) ([]hlrc.UpdateEvent, error) {
 	if len(buf) != 12*n {
 		return nil, fmt.Errorf("wal: events record wants %d bytes, has %d", 12*n, len(buf))
 	}
-	events := make([]hlrc.UpdateEvent, n)
+	events := []hlrc.UpdateEvent{}
+	if n > 0 {
+		events = evs.Cut(n)
+	}
 	for i := range events {
 		events[i] = hlrc.UpdateEvent{
 			Page:   memory.PageID(binary.LittleEndian.Uint32(buf)),
@@ -225,22 +232,31 @@ func DiffBatchRecordSize(diffs []memory.Diff) int {
 // caller's (memory.Diff.Validate — the wire format does not know the
 // page size).
 func DecodeDiffBatchRecord(buf []byte) (writer, seq int32, vtSum int64, diffs []memory.Diff, err error) {
+	return decodeDiffBatch(buf, nil, nil)
+}
+
+// decodeDiffBatch is DecodeDiffBatchRecord with the diff list cut from
+// list and each body from bodies (nil makes them); an empty list is
+// non-nil either way.
+func decodeDiffBatch(buf []byte, list *arena.Slab[memory.Diff], bodies *memory.Bodies) (writer, seq int32, vtSum int64, diffs []memory.Diff, err error) {
 	writer, seq, vtSum, n, buf, err := SplitDiffRecord(buf)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	capHint := n
-	if max := len(buf) / 8; capHint > max {
-		capHint = max // each diff is at least 8 bytes on the wire
+	if n > len(buf)/8 { // each diff is at least 8 bytes on the wire
+		return writer, seq, vtSum, nil, fmt.Errorf("wal: batch of %d diffs overruns its %d bytes", n, len(buf))
 	}
-	diffs = make([]memory.Diff, 0, capHint)
-	for i := 0; i < n; i++ {
-		d, rest, derr := memory.DecodeDiff(buf)
+	diffs = []memory.Diff{}
+	if n > 0 {
+		diffs = list.Cut(n)
+	}
+	for i := range diffs {
+		d, rest, derr := memory.DecodeDiffFrom(buf, bodies)
 		if derr != nil {
 			return writer, seq, vtSum, nil, fmt.Errorf("wal: diff %d of batch: %w", i, derr)
 		}
 		buf = rest
-		diffs = append(diffs, d)
+		diffs[i] = d
 	}
 	if len(buf) != 0 {
 		return writer, seq, vtSum, nil, fmt.Errorf("wal: %d trailing bytes in diff-batch record", len(buf))
