@@ -141,3 +141,71 @@ func TestOneRecoveryDriver(t *testing.T) {
 		t.Errorf("checkpoint.RestoreInitial is called from %d non-test sites under internal/core, want exactly 1: %v", len(sites), sites)
 	}
 }
+
+// TestOneLogReader: internal/wal is the one package that parses a
+// stable-record payload (DESIGN.md §2.7), so a change to what the log
+// holds or how it is read has one place to go. Outside internal/wal no
+// non-test file names a wal Decode* or Split* function, and the decoders
+// a record payload is built from (hlrc.DecodeNotices, memory.PeekDiff,
+// memory.DecodeDiff*) are named only by wal, by hlrc's wire walk and by
+// checkpoint's meta block. A name counts whether it is called or passed
+// as a value. benchmark/, a module of its own, is exempt. It parses every
+// non-test file of the module: 30 to 50 ms on a 2-core host.
+func TestOneLogReader(t *testing.T) {
+	payloadCodecs := []string{"internal/wal", "internal/hlrc", "internal/checkpoint"}
+	allowed := func(pkg, name, dir string) bool {
+		switch {
+		case pkg == "sdsm/internal/wal" && (strings.HasPrefix(name, "Decode") || strings.HasPrefix(name, "Split")):
+			return dir == "internal/wal"
+		case pkg == "sdsm/internal/hlrc" && name == "DecodeNotices",
+			pkg == "sdsm/internal/memory" && (name == "PeekDiff" || strings.HasPrefix(name, "DecodeDiff")):
+			return slices.Contains(payloadCodecs, dir)
+		}
+		return true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		imports := map[string]string{} // local name → import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			// An unresolved identifier on the left is a package name; a
+			// local variable of the same name resolves to its declaration.
+			if id, ok := sel.X.(*ast.Ident); ok && id.Obj == nil && !allowed(imports[id.Name], sel.Sel.Name, dir) {
+				t.Errorf("%s names %s.%s: only internal/wal parses a stable-record payload", fset.Position(sel.Pos()), id.Name, sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -237,7 +237,7 @@ func checkCustody(rep *core.Report) (int, error) {
 			continue
 		}
 		for w := range rep.NodeOps {
-			for _, d := range recovery.LoggedDiffs(rep.Depot.Store(w), int32(w), memory.PageID(p), 0, math.MaxInt32) {
+			for _, d := range wal.LoggedDiffs(rep.Depot.Store(w), int32(w), memory.PageID(p), 0, math.MaxInt32) {
 				logged[key{d.Writer, d.Seq, memory.PageID(p)}] = d.Diff.Encode(nil)
 			}
 		}

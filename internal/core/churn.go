@@ -132,7 +132,7 @@ func (c *cluster) assembleMigratedImage(rep *Report) error {
 		pg := memory.PageID(p)
 		var diffs []hlrc.AdoptedDiff
 		for w := 0; w < c.cfg.Nodes; w++ {
-			diffs = append(diffs, recovery.LoggedDiffs(c.depot.Store(w), int32(w), pg, 0, math.MaxInt32)...)
+			diffs = append(diffs, wal.LoggedDiffs(c.depot.Store(w), int32(w), pg, 0, math.MaxInt32)...)
 		}
 		diffs = append(diffs, adopted[pg]...)
 		data, err := hlrc.RebuildAdoptedImage(c.cfg.PageSize, diffs)

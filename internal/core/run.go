@@ -97,7 +97,7 @@ func (c *cluster) newIncarnation(id int, stats *hlrc.Stats, clock *simtime.Clock
 		NoFlushOverlap: c.cfg.NoFlushOverlap,
 		SenderLogs:     hardened,
 		LeaseDuration:  c.lease,
-		LogDiffs:       func(req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply { return recovery.ReadLoggedDiffs(store, req) },
+		LogDiffs:       func(req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply { return wal.ReadLoggedDiffs(store, req) },
 		Tracer:         trc,
 	}, c.nw, clock, hooks, stats)
 	c.installCheckpointing(nd)

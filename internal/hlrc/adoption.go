@@ -98,7 +98,7 @@ func (nd *Node) awaitHome(pd *transport.Pending, to int, kind transport.Kind, re
 func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	ob := m.Payload.(*Obituary)
 	dead := int(ob.Node)
-	nd.trc.SvcInstant(obsv.EvObit, at, int64(dead), int64(ob.At))
+	nd.trc.SvcInstant(obsv.TraceCtx{}, obsv.EvObit, at, int64(dead), int64(ob.At))
 	if ob.Epoch > 0 && nd.members.Adopt(nd.cfg.ID, ob.Epoch) {
 		// Partition-flow obituary: carries the membership epoch the
 		// death declaration bumped the cluster to. Adopting it makes

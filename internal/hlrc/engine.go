@@ -69,8 +69,8 @@ type Config struct {
 	// LogDiffs reads this node's own logged diffs for a recovering peer
 	// (a KindRecDiffsReq, answered in handle) and for the node's own
 	// custody rebuilds (RebuildCustody). It is a function because the log
-	// format lives above this package: the cluster binds it to the node's
-	// stable store.
+	// format lives above this package: the cluster binds it to
+	// wal.ReadLoggedDiffs over the node's stable store.
 	LogDiffs func(*RecDiffsReq) *RecDiffsReply
 	// Tracer records the node's coherence events; nil disables tracing at
 	// zero cost.
@@ -473,7 +473,7 @@ func (nd *Node) send(rs []mgrReply) {
 	for i := range rs {
 		r := &rs[i]
 		s := &r.span
-		nd.trc.SvcSpanT(s.tc, s.ev, obsv.CatCoherence, s.t0, s.t1, s.from, s.sentAt, s.a1, s.a2)
+		nd.trc.SvcSpan(s.tc, s.ev, obsv.CatCoherence, s.t0, s.t1, s.from, s.sentAt, s.a1, s.a2)
 		nd.ep.ReplyAt(r.at, r.req, r.kind, r.payload.WireSize(), r.payload)
 	}
 }
@@ -529,7 +529,7 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 		resp.Data, done = nd.RebuildCustody(req.Page, req.VT, at)
 	}
 	if !versioned {
-		nd.trc.SvcSpanT(tc, ev, obsv.CatCoherence, at-simtime.Time(nd.cfg.Model.MsgHandling), done,
+		nd.trc.SvcSpan(tc, ev, obsv.CatCoherence, at-simtime.Time(nd.cfg.Model.MsgHandling), done,
 			m.From, m.SentAt, int64(req.Page), int64(resp.WireSize()))
 	}
 	// Each request kind's reply is the next kind: KindPageReply or
@@ -586,10 +586,10 @@ func (nd *Node) handleDiffUpdate(m transport.Message, at simtime.Time) {
 	arrival := at - simtime.Time(nd.cfg.Model.MsgHandling)
 	at += simtime.Time(nd.cfg.Model.CopyTime(copied))
 	tc := svcTrace(m)
-	nd.trc.SvcSpanT(tc, obsv.EvHomeUpdate, obsv.CatCoherence,
+	nd.trc.SvcSpan(tc, obsv.EvHomeUpdate, obsv.CatCoherence,
 		arrival, at, m.From, m.SentAt, int64(taken), int64(copied))
 	for _, d := range applied {
-		nd.trc.SvcInstantT(tc, obsv.EvDiffApply, at, int64(d.Page), int64(d.DataBytes()))
+		nd.trc.SvcInstant(tc, obsv.EvDiffApply, at, int64(d.Page), int64(d.DataBytes()))
 	}
 	clear(applied) // hold no payload past its message
 	nd.svcEvents, nd.svcApplied = events[:0], applied[:0]

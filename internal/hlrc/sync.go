@@ -272,11 +272,26 @@ func (nd *Node) crashingAt(op int32) bool {
 // flush opportunity (ML). The disk time lands fully on the critical path.
 func (nd *Node) syncEntryFlush(op int32) {
 	if n := nd.hooks.AtSyncEntry(op); n > 0 {
-		d := nd.cfg.Model.DiskTime(n)
-		t0, t1 := nd.clock.AdvanceSpan(d)
-		nd.trc.Seg(obsv.EvLogFlush, obsv.CatLogging, t0, t1, int64(n), 0)
-		nd.trc.Observe(obsv.HistFlushDisk, int64(d))
+		nd.chargeFlush(n, false)
 	}
+}
+
+// chargeFlush charges a log flush of n bytes issued now: its disk time d
+// goes into the flush histogram, and the flush either stalls the clock by
+// d, as a logging segment on the critical path, or runs beside the
+// coherence traffic (overlapped), as a span on the disk track. It returns
+// d and the virtual time the flush completes.
+func (nd *Node) chargeFlush(n int, overlapped bool) (simtime.Duration, simtime.Time) {
+	d := nd.cfg.Model.DiskTime(n)
+	nd.trc.Observe(obsv.HistFlushDisk, int64(d))
+	if overlapped {
+		t0 := nd.clock.Now()
+		nd.trc.DiskSpan(obsv.EvLogFlush, t0, t0+simtime.Time(d), int64(n), 0)
+		return d, t0 + simtime.Time(d)
+	}
+	t0, t1 := nd.clock.AdvanceSpan(d)
+	nd.trc.Seg(obsv.EvLogFlush, obsv.CatLogging, t0, t1, int64(n), 0)
+	return d, t1
 }
 
 // anyDirtyLocked reports whether any incoming notice (not yet covered by
@@ -382,10 +397,7 @@ func (nd *Node) closeAndPropagate(op int32) {
 		vtSum := nd.vt.Get().Sum()
 		nd.mu.Unlock()
 		if n := nd.hooks.AtRelease(op, 0, vtSum, cutoff, nil); n > 0 {
-			d := nd.cfg.Model.DiskTime(n)
-			t0, t1 := nd.clock.AdvanceSpan(d)
-			nd.trc.Seg(obsv.EvLogFlush, obsv.CatLogging, t0, t1, int64(n), 0)
-			nd.trc.Observe(obsv.HistFlushDisk, int64(d))
+			d, _ := nd.chargeFlush(n, false)
 			// With no diffs to send there is no round trip to hide behind:
 			// the whole flush is release-path stall.
 			nd.trc.Observe(obsv.HistFlushStall, int64(d))
@@ -411,16 +423,8 @@ func (nd *Node) closeAndPropagate(op int32) {
 	var flushDone simtime.Time
 	var flushBytes int64
 	if n := nd.hooks.AtRelease(op, seq, vtSum, cutoff, created); n > 0 {
-		d := nd.cfg.Model.DiskTime(n)
-		nd.trc.Observe(obsv.HistFlushDisk, int64(d))
 		flushBytes = int64(n)
-		if nd.cfg.NoFlushOverlap {
-			ft0, ft1 := nd.clock.AdvanceSpan(d)
-			nd.trc.Seg(obsv.EvLogFlush, obsv.CatLogging, ft0, ft1, flushBytes, 0)
-		} else {
-			flushDone = nd.clock.Now() + simtime.Time(d)
-			nd.trc.DiskSpan(obsv.EvLogFlush, flushDone-simtime.Time(d), flushDone, flushBytes, 0)
-		}
+		_, flushDone = nd.chargeFlush(n, !nd.cfg.NoFlushOverlap)
 	}
 	// Batches are keyed by static home (all pages of one batch share one
 	// effective home), ascending, each in page order, and addressed to

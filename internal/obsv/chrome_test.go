@@ -21,8 +21,8 @@ func goldenCollector() *Collector {
 	n0.Recv(1500, 3200, 1, 2400, 7, 4160)
 	n0.DiskSpan(EvLogFlush, 3200, 4200, 512, 0)
 	n1.Seg(EvTwinCreate, CatCoherence, 0, 20480, 3, 4096)
-	n1.SvcSpan(EvPageServe, CatCoherence, 2350, 2400, 0, 1500, 3, 4160)
-	n1.SvcInstant(EvDiffApply, 2400, 3, 128)
+	n1.SvcSpan(TraceCtx{}, EvPageServe, CatCoherence, 2350, 2400, 0, 1500, 3, 4160)
+	n1.SvcInstant(TraceCtx{}, EvDiffApply, 2400, 3, 128)
 	return c
 }
 

@@ -22,7 +22,7 @@ func TestCriticalPathTwoNodeAttribution(t *testing.T) {
 	n1.Seg(EvCompute, CatCompute, 0, 260, 0, 0)
 	// The handler span that produced the reply: request from node 0 sent
 	// at 100, handled [240, 250], reply stamped 250.
-	n1.SvcSpan(EvPageServe, CatCoherence, 240, 250, 0, 100, 3, 64)
+	n1.SvcSpan(TraceCtx{}, EvPageServe, CatCoherence, 240, 250, 0, 100, 3, 64)
 
 	rep, err := c.CriticalPath([]simtime.Time{300, 260})
 	if err != nil {

@@ -265,31 +265,22 @@ func (t *Tracer) DiskSpan(kind EventKind, t0, t1 simtime.Time, a1, a2 int64) {
 }
 
 // SvcSpan records a service-side handler span ending at a reply stamp,
-// carrying the Lamport edge of the request that produced it.
-func (t *Tracer) SvcSpan(kind EventKind, cat Cat, t0, t1 simtime.Time, from int, sentAt simtime.Time, a1, a2 int64) {
-	t.SvcSpanT(TraceCtx{}, kind, cat, t0, t1, from, sentAt, a1, a2)
-}
-
-// SvcSpanT is SvcSpan with an explicit trace context: handlers pass the
-// context piggybacked on the request they are serving, which is what
+// carrying the Lamport edge of the request that produced it. tc is the
+// trace context piggybacked on the request being served, which is what
 // joins the manager's grant span or the home's update span to the
-// requesting op's cross-node span tree. (Service handlers run off the
-// app goroutine, so they must not read the tracer's current context.)
-func (t *Tracer) SvcSpanT(tc TraceCtx, kind EventKind, cat Cat, t0, t1 simtime.Time, from int, sentAt simtime.Time, a1, a2 int64) {
+// requesting op's cross-node span tree; work no request carries a context
+// for passes the zero one. (Service handlers run off the app goroutine, so
+// they must not read the tracer's current context.)
+func (t *Tracer) SvcSpan(tc TraceCtx, kind EventKind, cat Cat, t0, t1 simtime.Time, from int, sentAt simtime.Time, a1, a2 int64) {
 	if t == nil || t1 <= t0 {
 		return
 	}
 	t.append(Event{T0: t0, T1: t1, SentAt: sentAt, Arg1: a1, Arg2: a2, Trace: tc, From: int32(from), Kind: kind, Cat: cat, Tid: TidService, Flags: FlagSvc})
 }
 
-// SvcInstant records a zero-duration service-track marker.
-func (t *Tracer) SvcInstant(kind EventKind, at simtime.Time, a1, a2 int64) {
-	t.SvcInstantT(TraceCtx{}, kind, at, a1, a2)
-}
-
-// SvcInstantT is SvcInstant with an explicit trace context (see
-// SvcSpanT).
-func (t *Tracer) SvcInstantT(tc TraceCtx, kind EventKind, at simtime.Time, a1, a2 int64) {
+// SvcInstant records a zero-duration service-track marker under trace
+// context tc (see SvcSpan).
+func (t *Tracer) SvcInstant(tc TraceCtx, kind EventKind, at simtime.Time, a1, a2 int64) {
 	if t == nil {
 		return
 	}

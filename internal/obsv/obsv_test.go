@@ -15,8 +15,8 @@ func TestNilTracerZeroCost(t *testing.T) {
 		trc.DiskSpan(EvLogFlush, 0, 10, 1, 2)
 		trc.Recv(0, 10, 1, 5, 3, 64)
 		trc.RecvDetached(0, 10, 1, 5, 3, 64)
-		trc.SvcSpan(EvPageServe, CatCoherence, 0, 10, 1, 5, 3, 64)
-		trc.SvcInstant(EvDiffApply, 10, 1, 2)
+		trc.SvcSpan(TraceCtx{}, EvPageServe, CatCoherence, 0, 10, 1, 5, 3, 64)
+		trc.SvcInstant(TraceCtx{}, EvDiffApply, 10, 1, 2)
 		trc.Observe(HistFetchLatency, 123)
 		if trc.Hist(HistFlushBytes) != nil {
 			t.Fatal("nil tracer must expose nil histograms")
@@ -49,8 +49,8 @@ func TestTracerRecordsAndFiltersDegenerate(t *testing.T) {
 		t.Fatal("collector tracer wiring")
 	}
 	trc.Seg(EvCompute, CatCompute, 0, 10, 0, 0)
-	trc.Seg(EvCompute, CatCompute, 10, 10, 0, 0) // zero width: dropped
-	trc.SvcInstant(EvDiffApply, 5, 1, 2)         // zero width but kept (instant)
+	trc.Seg(EvCompute, CatCompute, 10, 10, 0, 0)     // zero width: dropped
+	trc.SvcInstant(TraceCtx{}, EvDiffApply, 5, 1, 2) // zero width but kept (instant)
 	if trc.EventCount() != 2 || c.EventCount() != 2 {
 		t.Fatalf("event count = %d/%d, want 2/2", trc.EventCount(), c.EventCount())
 	}

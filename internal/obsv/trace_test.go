@@ -128,7 +128,7 @@ func tracedCollector() (*Collector, TraceCtx) {
 	n0.Span(EvOp, 0, 3000, 9, 1)
 	n0.SetTrace(TraceCtx{})
 	n0.Seg(EvCompute, CatCompute, 3000, 3500, 0, 0) // untraced tail
-	c.Tracer(1).SvcSpanT(child, EvPageServe, CatCoherence, 2400, 2500, 0, 1000, 3, 4096)
+	c.Tracer(1).SvcSpan(child, EvPageServe, CatCoherence, 2400, 2500, 0, 1000, 3, 4096)
 	return c, tc
 }
 

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"sdsm/internal/hlrc"
@@ -106,34 +105,6 @@ func TestReplayOrderingLinearExtension(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLoggedDiffsStampsWriter checks the offline log reader the churn
-// runner and the churn sweep's custody check share: it must return the
-// store's own diffs for the page, stamped with the caller's writer id,
-// over the full seq range.
-func TestLoggedDiffsStampsWriter(t *testing.T) {
-	store := stable.NewStore()
-	store.Flush([]stable.Record{
-		{Kind: wal.RecDiffBatch, Op: 1, Data: wal.EncodeDiffBatchRecord(nil, -1, 1, 2, []memory.Diff{mkDiff(4, 0, 9)})},
-		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 5, []memory.Diff{mkDiff(4, 8, 8)})},
-		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 5, []memory.Diff{mkDiff(6, 0, 7)})},
-	})
-	got := LoggedDiffs(store, 3, 4, 0, math.MaxInt32)
-	if len(got) != 2 {
-		t.Fatalf("got %d diffs for page 4, want 2", len(got))
-	}
-	for i, d := range got {
-		if d.Writer != 3 {
-			t.Errorf("diff %d stamped writer %d, want 3", i, d.Writer)
-		}
-		if d.Diff.Page != memory.PageID(4) {
-			t.Errorf("diff %d is for page %d", i, d.Diff.Page)
-		}
-	}
-	if got[0].Seq != 1 || got[1].Seq != 2 || got[0].VTSum != 2 || got[1].VTSum != 5 {
-		t.Fatalf("keys = (%d,%d) (%d,%d)", got[0].Seq, got[0].VTSum, got[1].Seq, got[1].VTSum)
 	}
 }
 

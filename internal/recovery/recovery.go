@@ -22,7 +22,7 @@
 //
 // Surviving nodes answer the recovery's versioned page fetches and logged
 // diff reads in hlrc.Node.handle; a node's log is read for the latter by
-// ReadLoggedDiffs, which the cluster binds to hlrc.Config.LogDiffs.
+// wal.ReadLoggedDiffs, which the cluster binds to hlrc.Config.LogDiffs.
 package recovery
 
 import (
@@ -69,67 +69,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ReadLoggedDiffs scans a writer's log for its own diffs of one page in
-// the interval range (FromSeq, ToSeq]. DiskBytes accounts the log bytes
-// read on the writer's disk; the recovering node charges that time.
-// A record outside the window is passed over on its prefix alone, and
-// inside the window only the wanted page's diffs are copied out.
-func ReadLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
-	resp := &hlrc.RecDiffsReply{}
-	for _, rec := range store.Records() {
-		if rec.Kind != wal.RecDiffBatch {
-			continue
-		}
-		writer, seq, vtSum, n, enc, err := wal.SplitDiffRecord(rec.Data)
-		if err != nil {
-			panic(fmt.Sprintf("recovery: corrupt diff record: %v", err))
-		}
-		// Only diffs this node created itself (CCL log), in the window.
-		if writer != -1 || seq <= req.FromSeq || seq > req.ToSeq {
-			continue
-		}
-		matched := false
-		for i := 0; i < n; i++ {
-			page, size, err := memory.PeekDiff(enc)
-			if err != nil {
-				panic(fmt.Sprintf("recovery: corrupt diff record: diff %d: %v", i, err))
-			}
-			if page == req.Page {
-				d, _, _ := memory.DecodeDiff(enc[:size]) // PeekDiff accepted these bytes
-				resp.Seqs = append(resp.Seqs, seq)
-				resp.VTSums = append(resp.VTSums, vtSum)
-				resp.Diffs = append(resp.Diffs, d)
-				matched = true
-			}
-			enc = enc[size:]
-		}
-		if len(enc) != 0 {
-			panic(fmt.Sprintf("recovery: corrupt diff record: %d trailing bytes", len(enc)))
-		}
-		if matched {
-			// The whole record is read off the writer's disk even when only
-			// one of a batch's diffs is wanted.
-			resp.DiskBytes += rec.WireSize()
-		}
-	}
-	store.NoteRead(resp.DiskBytes)
-	return resp
-}
-
-// LoggedDiffs reads writer's own logged diffs of one page for the
-// interval range (fromSeq, toSeq], as custody-record entries. The churn
-// runner uses it to assemble the authoritative content of migrated pages
-// offline (hlrc.RebuildAdoptedImage), and the churn sweep's custody check
-// to compare custody records with the writers' logs.
-func LoggedDiffs(store *stable.Store, writer int32, page memory.PageID, fromSeq, toSeq int32) []hlrc.AdoptedDiff {
-	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: page, FromSeq: fromSeq, ToSeq: toSeq})
-	out := make([]hlrc.AdoptedDiff, 0, len(resp.Seqs))
-	for i := range resp.Seqs {
-		out = append(out, hlrc.AdoptedDiff{Writer: writer, Seq: resp.Seqs[i], VTSum: resp.VTSums[i], Diff: resp.Diffs[i]})
-	}
-	return out
-}
-
 // Replayer drives a recovering node through its logged execution. It
 // implements hlrc.SyncDelegate: while installed, synchronization
 // operations replay from the log instead of communicating, and page
@@ -145,6 +84,7 @@ type Replayer struct {
 
 	byOp      map[int32][]stable.Record
 	pagesByOp map[int32]map[memory.PageID]loggedPage // ML page copies
+	dis       wal.Dissector                          // decodes every record the replay reads
 
 	// marks holds CCL's prefetch state per page (nil under ML), and
 	// scratch the page list prefetchable builds, reused every round.
@@ -286,21 +226,27 @@ func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, r
 			continue
 		}
 		if kind == MLRecovery && rec.Kind == wal.RecPage {
-			page, data, err := wal.DecodePageRecord(rec.Data)
-			if err != nil {
-				panic(fmt.Sprintf("recovery: corrupt page record: %v", err))
+			if r.pagesByOp[rec.Op] == nil {
+				r.pagesByOp[rec.Op] = make(map[memory.PageID]loggedPage)
 			}
-			m := r.pagesByOp[rec.Op]
-			if m == nil {
-				m = make(map[memory.PageID]loggedPage)
-				r.pagesByOp[rec.Op] = m
-			}
-			m[page] = loggedPage{data: data, size: rec.WireSize()}
+			p := r.dissect(rec).Page
+			r.pagesByOp[rec.Op][p.Page] = loggedPage{data: p.Data, size: rec.WireSize()}
 			continue
 		}
 		r.byOp[rec.Op] = append(r.byOp[rec.Op], rec)
 	}
 	return r
+}
+
+// dissect decodes one of the victim's log records. The replay reads only
+// the CRC-valid prefix of a log its own predecessor wrote, so a record
+// that does not decode is damage it cannot explain.
+func (r *Replayer) dissect(rec stable.Record) *wal.Dissected {
+	d, err := r.dis.Dissect(rec)
+	if err != nil {
+		panic(fmt.Sprintf("recovery: %v", err))
+	}
+	return d
 }
 
 // closeInterval closes the replayed interval. The close also re-flushes
@@ -536,36 +482,24 @@ func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
 	var notices []hlrc.Notice
 	var events []hlrc.UpdateEvent
 	for _, rec := range recs {
+		d := r.dissect(rec)
 		switch rec.Kind {
 		case wal.RecNotices:
-			ns, rest, err := hlrc.DecodeNotices(rec.Data, nil, nil)
-			if err != nil || len(rest) != 0 {
-				panic(fmt.Sprintf("recovery: corrupt notices record: %v", err))
-			}
-			notices = append(notices, ns...)
+			notices = append(notices, d.Notices...)
 		case wal.RecEvents:
-			evs, err := wal.DecodeEventsRecord(rec.Data)
-			if err != nil {
-				panic(fmt.Sprintf("recovery: corrupt events record: %v", err))
-			}
-			events = append(events, evs...)
+			events = append(events, d.Events...)
 		case wal.RecDiffBatch:
-			writer, seq, _, diffs, err := wal.DecodeDiffBatchRecord(rec.Data)
-			if err != nil {
-				panic(fmt.Sprintf("recovery: corrupt diff-batch record: %v", err))
-			}
-			if writer == -1 {
-				// The victim's own outgoing diffs (CCL): the homes already
-				// have them, and replay recomputes the writes; skip.
-				continue
-			}
 			// ML: one incoming writer interval's diffs, applied to the
-			// victim's home copies.
-			for _, d := range diffs {
-				nd.ApplyDiffAsHome(d, writer, seq)
+			// victim's home copies. The victim's own outgoing diffs (CCL,
+			// writer -1) are skipped: the homes already have them, and
+			// replay recomputes the writes.
+			if b := d.DiffBatch; b.Writer != -1 {
+				for _, df := range b.Diffs {
+					nd.ApplyDiffAsHome(df, b.Writer, b.Seq)
+				}
 			}
 		default:
-			panic(fmt.Sprintf("recovery: unexpected record kind %d", rec.Kind))
+			panic(fmt.Sprintf("recovery: unexpected %s record at op %d", wal.KindName(rec.Kind), op))
 		}
 	}
 

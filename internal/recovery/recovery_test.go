@@ -37,36 +37,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestReadLoggedDiffs(t *testing.T) {
-	store := stable.NewStore()
-	// A CCL log: own diffs (writer -1) for pages 1 and 2 over three
-	// intervals, plus an incoming diff under ML conventions (writer 3)
-	// that must be ignored.
-	store.Flush([]stable.Record{
-		{Kind: wal.RecDiffBatch, Op: 1, Data: wal.EncodeDiffBatchRecord(nil, -1, 1, 1, []memory.Diff{mkDiff(1, 0, 9)})},
-		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 4, []memory.Diff{mkDiff(1, 4, 8)})},
-		{Kind: wal.RecDiffBatch, Op: 2, Data: wal.EncodeDiffBatchRecord(nil, -1, 2, 4, []memory.Diff{mkDiff(2, 0, 7)})},
-		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, -1, 3, 9, []memory.Diff{mkDiff(1, 8, 6)})},
-		{Kind: wal.RecDiffBatch, Op: 3, Data: wal.EncodeDiffBatchRecord(nil, 3, 5, 0, []memory.Diff{mkDiff(1, 12, 5)})},
-	})
-	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 3})
-	if len(resp.Diffs) != 2 { // seqs 2 and 3 for page 1, own only
-		t.Fatalf("got %d diffs, want 2 (seqs %v)", len(resp.Diffs), resp.Seqs)
-	}
-	if resp.Seqs[0] != 2 || resp.Seqs[1] != 3 {
-		t.Fatalf("seqs = %v", resp.Seqs)
-	}
-	if len(resp.VTSums) != 2 || resp.VTSums[0] != 4 || resp.VTSums[1] != 9 {
-		t.Fatalf("vt sums = %v", resp.VTSums)
-	}
-	if resp.DiskBytes <= 0 {
-		t.Fatal("no disk bytes accounted")
-	}
-	if store.Stats().Reads != 1 {
-		t.Fatal("read not accounted")
-	}
-}
-
 // victimNode builds the node a replayer is constructed for: node 1 of 2,
 // managers at node 0, its clock at start.
 func victimNode(senderLogs bool, start simtime.Time) *hlrc.Node {
@@ -213,59 +183,9 @@ func TestServiceVersionedFetch(t *testing.T) {
 	}
 }
 
-// A batch record is walked in place: only the wanted page's diffs are
-// copied out, the record is charged once however many of its diffs match,
-// the reply owns its bytes, and records outside the window or written for
-// another node's diffs are passed over on their prefix.
-func TestReadLoggedDiffsFromBatches(t *testing.T) {
-	store := stable.NewStore()
-	batch := func(writer, seq int32, vtSum int64, diffs ...memory.Diff) []byte {
-		return wal.EncodeDiffBatchRecord(nil, writer, seq, vtSum, diffs)
-	}
-	recs := []stable.Record{
-		{Kind: wal.RecDiffBatch, Op: 1, Data: batch(-1, 1, 1, mkDiff(1, 0, 9), mkDiff(2, 0, 9))},
-		{Kind: wal.RecDiffBatch, Op: 2, Data: batch(-1, 2, 4, mkDiff(0, 0, 1), mkDiff(1, 4, 8), mkDiff(2, 0, 7))},
-		{Kind: wal.RecDiffBatch, Op: 3, Data: batch(-1, 3, 9, mkDiff(0, 8, 6), mkDiff(2, 8, 6))},
-		{Kind: wal.RecDiffBatch, Op: 3, Data: batch(4, 3, 0, mkDiff(1, 12, 5))},
-		{Kind: wal.RecDiffBatch, Op: 4, Data: batch(-1, 4, 12, mkDiff(1, 16, 3), mkDiff(1, 20, 2))},
-		{Kind: wal.RecDiffBatch, Op: 5, Data: []byte{1, 2, 3}},
-	}
-	store.Flush(recs[:5])
-	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 4})
-	if len(resp.Diffs) != 3 || resp.Seqs[0] != 2 || resp.Seqs[1] != 4 || resp.Seqs[2] != 4 ||
-		resp.VTSums[0] != 4 || resp.VTSums[1] != 12 {
-		t.Fatalf("got seqs %v vt sums %v, want [2 4 4] / [4 12 12]", resp.Seqs, resp.VTSums)
-	}
-	if want := recs[1].WireSize() + recs[4].WireSize(); resp.DiskBytes != want {
-		t.Fatalf("disk bytes = %d, want the two matching records = %d", resp.DiskBytes, want)
-	}
-	// Scribble over the log image: the reply must not change.
-	for _, rec := range store.Records() {
-		for i := range rec.Data {
-			rec.Data[i] = 0xff
-		}
-	}
-	if p := pageAfter(resp.Diffs[0], 128); p[4] != 8 {
-		t.Fatal("reply diff aliases the log")
-	}
-	if p := pageAfter(resp.Diffs[2], 128); p[20] != 2 {
-		t.Fatal("second diff of one batch for the same page is wrong")
-	}
-
-	// A record too short for its prefix is corrupt wherever it sits.
-	bad := stable.NewStore()
-	bad.Flush(recs[5:])
-	defer func() {
-		if recover() == nil {
-			t.Fatal("corrupt batch prefix must panic")
-		}
-	}()
-	ReadLoggedDiffs(bad, &hlrc.RecDiffsReq{Page: 1, FromSeq: 0, ToSeq: 9})
-}
-
 // storeLogDiffs binds hlrc.Config.LogDiffs to store, as the cluster does.
 func storeLogDiffs(store *stable.Store) func(*hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
-	return func(req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply { return ReadLoggedDiffs(store, req) }
+	return func(req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply { return wal.ReadLoggedDiffs(store, req) }
 }
 
 // TestServiceLoggedDiffs drives the RecDiffsReq path end to end.

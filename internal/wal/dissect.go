@@ -11,10 +11,11 @@ import (
 )
 
 // The dissector turns raw stable.Records back into typed protocol
-// objects. Recovery replays records it wrote itself and may panic on
-// damage it cannot explain, but the introspection tools (internal/logview,
-// cmd/sdsminspect) read logs that crashes, torn writes or plain bugs may
-// have mangled, so every failure here is a typed error, never a panic.
+// objects, for every reader of a record payload but ReadLoggedDiffs.
+// Recovery replays records it wrote itself and panics on damage it cannot
+// explain, but the introspection tools (internal/logview, cmd/sdsminspect)
+// read logs that crashes, torn writes or plain bugs may have mangled, so
+// every failure here is a typed error, never a panic.
 
 // Typed dissection errors. Callers branch with errors.Is.
 var (
@@ -78,10 +79,12 @@ type Dissected struct {
 // decode state across them: the Dissected it returns, with its Page and
 // DiffBatch, is overwritten by its next call, and it cuts notice, page,
 // event and diff lists and diff bodies from slabs it owns. A reader that
-// walks a whole log (the auditor, the volume dissection) keeps one per
-// store, so a record costs a fraction of an allocation, not one for its
-// value and one for each list and body in it.
-// The zero Dissector is ready to use. It is not safe for concurrent use.
+// walks a whole log (the replayer, the auditor, the volume dissection)
+// keeps one per store, so a record costs a fraction of an allocation, not
+// one for its value and one for each list and body in it. Each list and
+// body is handed out once, so a reader may keep one (the replayer's
+// notice store keeps the page lists). The zero Dissector is ready to
+// use. It is not safe for concurrent use.
 type Dissector struct {
 	d       Dissected
 	page    PagePayload
@@ -117,7 +120,7 @@ func (x *Dissector) Dissect(r stable.Record) (*Dissected, error) {
 		}
 		d.Events = evs
 	case RecPage:
-		page, data, err := DecodePageRecord(r.Data)
+		page, data, err := decodePageRecord(r.Data)
 		if err != nil {
 			return nil, fmt.Errorf("%w: page at op %d: %v", ErrCorruptPayload, r.Op, err)
 		}

@@ -37,7 +37,7 @@ func FuzzDecodeEventsRecord(f *testing.F) {
 	f.Add(EncodeEventsRecord(nil, []hlrc.UpdateEvent{{Page: 1, Writer: 2, Seq: 3}}))
 	f.Add([]byte{255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeEventsRecord(data)
+		_, _ = decodeEvents(data, nil)
 	})
 }
 
@@ -45,7 +45,7 @@ func FuzzDecodePageRecord(f *testing.F) {
 	f.Add(EncodePageRecord(nil, 9, make([]byte, 128)))
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = DecodePageRecord(data)
+		_, _, _ = decodePageRecord(data)
 	})
 }
 

@@ -111,7 +111,7 @@ func TestCCLStagingHandoff(t *testing.T) {
 			h.AtRelease(op, 0, 0, n, nil)
 			seen := make([]bool, n)
 			for _, r := range s.Records() {
-				evs, err := DecodeEventsRecord(r.Data)
+				evs, err := decodeEvents(r.Data, nil)
 				if err != nil {
 					t.Fatalf("record of op %d: %v", r.Op, err)
 				}

@@ -12,8 +12,9 @@
 //     updates applied to its home pages. The flush happens at the
 //     release, overlapped with the diff/ack round trip.
 //
-// Both implement hlrc.LogHooks. The record encodings here are also what
-// the recovery engines decode.
+// Both implement hlrc.LogHooks, and this package is the one reader of
+// what they log: the Dissector and ReadLoggedDiffs parse every record
+// payload that any other package reads.
 package wal
 
 import (
@@ -118,13 +119,13 @@ func countAppends(ctrs *obsv.Counters, n int) {
 
 // --- record payload encodings ------------------------------------------
 
-// SplitDiffRecord splits a RecDiffBatch payload, without decoding or
+// splitDiffRecord splits a RecDiffBatch payload, without decoding or
 // copying any diff, into the (writer, seq, vtSum) prefix its diffs share,
 // their claimed count n and their encodings back to back. A reader after
 // one page steps through diffs with memory.PeekDiff and decodes only what
 // it wants; n comes off the disk, so loop on it only while diffs has
 // bytes left to consume.
-func SplitDiffRecord(buf []byte) (writer, seq int32, vtSum int64, n int, diffs []byte, err error) {
+func splitDiffRecord(buf []byte) (writer, seq int32, vtSum int64, n int, diffs []byte, err error) {
 	if len(buf) < 20 {
 		return 0, 0, 0, 0, nil, fmt.Errorf("wal: short diff-batch record")
 	}
@@ -150,11 +151,8 @@ func EncodeEventsRecord(buf []byte, events []hlrc.UpdateEvent) []byte {
 // EventsRecordSize is the encoded size of a RecEvents payload.
 func EventsRecordSize(events []hlrc.UpdateEvent) int { return 4 + 12*len(events) }
 
-// DecodeEventsRecord unpacks a RecEvents payload.
-func DecodeEventsRecord(buf []byte) ([]hlrc.UpdateEvent, error) { return decodeEvents(buf, nil) }
-
-// decodeEvents is DecodeEventsRecord with the event list cut from evs (a
-// nil slab makes it); an empty list is non-nil either way.
+// decodeEvents unpacks a RecEvents payload, the event list cut from evs
+// (a nil slab makes it); an empty list is non-nil either way.
 func decodeEvents(buf []byte, evs *arena.Slab[hlrc.UpdateEvent]) ([]hlrc.UpdateEvent, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("wal: short events record")
@@ -189,8 +187,8 @@ func EncodePageRecord(buf []byte, page memory.PageID, data []byte) []byte {
 // PageRecordSize is the encoded size of a RecPage payload.
 func PageRecordSize(data []byte) int { return 4 + len(data) }
 
-// DecodePageRecord unpacks a RecPage payload.
-func DecodePageRecord(buf []byte) (memory.PageID, []byte, error) {
+// decodePageRecord unpacks a RecPage payload.
+func decodePageRecord(buf []byte) (memory.PageID, []byte, error) {
 	if len(buf) < 4 {
 		return 0, nil, fmt.Errorf("wal: short page record")
 	}
@@ -230,7 +228,7 @@ func DiffBatchRecordSize(diffs []memory.Diff) int {
 // never from the claimed count alone, so corrupt counts produce errors
 // instead of huge allocations. Per-run page-bounds validation is the
 // caller's (memory.Diff.Validate — the wire format does not know the
-// page size).
+// page size). Outside wal, only the benchmark's codec probes call it.
 func DecodeDiffBatchRecord(buf []byte) (writer, seq int32, vtSum int64, diffs []memory.Diff, err error) {
 	return decodeDiffBatch(buf, nil, nil)
 }
@@ -239,7 +237,7 @@ func DecodeDiffBatchRecord(buf []byte) (writer, seq int32, vtSum int64, diffs []
 // list and each body from bodies (nil makes them); an empty list is
 // non-nil either way.
 func decodeDiffBatch(buf []byte, list *arena.Slab[memory.Diff], bodies *memory.Bodies) (writer, seq int32, vtSum int64, diffs []memory.Diff, err error) {
-	writer, seq, vtSum, n, buf, err := SplitDiffRecord(buf)
+	writer, seq, vtSum, n, buf, err := splitDiffRecord(buf)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
@@ -262,6 +260,68 @@ func decodeDiffBatch(buf []byte, list *arena.Slab[memory.Diff], bodies *memory.B
 		return writer, seq, vtSum, nil, fmt.Errorf("wal: %d trailing bytes in diff-batch record", len(buf))
 	}
 	return writer, seq, vtSum, diffs, nil
+}
+
+// --- logged-diff reads ---------------------------------------------------
+
+// ReadLoggedDiffs scans a writer's log for its own diffs of one page in
+// the interval range (FromSeq, ToSeq]. DiskBytes accounts the log bytes
+// read on the writer's disk; the recovering node charges that time.
+// A record outside the window is passed over on its prefix alone, and
+// inside the window only the wanted page's diffs are copied out.
+func ReadLoggedDiffs(store *stable.Store, req *hlrc.RecDiffsReq) *hlrc.RecDiffsReply {
+	resp := &hlrc.RecDiffsReply{}
+	for _, rec := range store.Records() {
+		if rec.Kind != RecDiffBatch {
+			continue
+		}
+		writer, seq, vtSum, n, enc, err := splitDiffRecord(rec.Data)
+		if err != nil {
+			panic(fmt.Sprintf("wal: corrupt diff record: %v", err))
+		}
+		// Only diffs this node created itself (CCL log), in the window.
+		if writer != -1 || seq <= req.FromSeq || seq > req.ToSeq {
+			continue
+		}
+		found := len(resp.Diffs)
+		for i := 0; i < n; i++ {
+			page, size, err := memory.PeekDiff(enc)
+			if err != nil {
+				panic(fmt.Sprintf("wal: corrupt diff record: diff %d: %v", i, err))
+			}
+			if page == req.Page {
+				d, _, _ := memory.DecodeDiff(enc[:size]) // PeekDiff accepted these bytes
+				resp.Seqs = append(resp.Seqs, seq)
+				resp.VTSums = append(resp.VTSums, vtSum)
+				resp.Diffs = append(resp.Diffs, d)
+			}
+			enc = enc[size:]
+		}
+		if len(enc) != 0 {
+			panic(fmt.Sprintf("wal: corrupt diff record: %d trailing bytes", len(enc)))
+		}
+		if len(resp.Diffs) > found {
+			// The whole record is read off the writer's disk even when only
+			// one of a batch's diffs is wanted.
+			resp.DiskBytes += rec.WireSize()
+		}
+	}
+	store.NoteRead(resp.DiskBytes)
+	return resp
+}
+
+// LoggedDiffs reads writer's own logged diffs of one page for the
+// interval range (fromSeq, toSeq], as custody-record entries. The churn
+// runner uses it to assemble the authoritative content of migrated pages
+// offline (hlrc.RebuildAdoptedImage), and the churn sweep's custody check
+// to compare custody records with the writers' logs.
+func LoggedDiffs(store *stable.Store, writer int32, page memory.PageID, fromSeq, toSeq int32) []hlrc.AdoptedDiff {
+	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: page, FromSeq: fromSeq, ToSeq: toSeq})
+	out := make([]hlrc.AdoptedDiff, 0, len(resp.Seqs))
+	for i := range resp.Seqs {
+		out = append(out, hlrc.AdoptedDiff{Writer: writer, Seq: resp.Seqs[i], VTSum: resp.VTSums[i], Diff: resp.Diffs[i]})
+	}
+	return out
 }
 
 // --- CCL ------------------------------------------------------------------

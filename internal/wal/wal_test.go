@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -104,7 +105,7 @@ func TestEventsRecordRoundTrip(t *testing.T) {
 			evs[i] = hlrc.UpdateEvent{Page: memory.PageID(r), Writer: int32(i % 8), Seq: int32(i + 1)}
 		}
 		buf := EncodeEventsRecord(nil, evs)
-		got, err := DecodeEventsRecord(buf)
+		got, err := decodeEvents(buf, nil)
 		if err != nil || len(got) != len(evs) {
 			return false
 		}
@@ -118,21 +119,21 @@ func TestEventsRecordRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEventsRecord([]byte{1}); err == nil {
+	if _, err := decodeEvents([]byte{1}, nil); err == nil {
 		t.Fatal("short events record must fail")
 	}
-	if _, err := DecodeEventsRecord([]byte{1, 0, 0, 0, 9}); err == nil {
+	if _, err := decodeEvents([]byte{1, 0, 0, 0, 9}, nil); err == nil {
 		t.Fatal("bad length must fail")
 	}
 }
 
 func TestPageRecordRoundTrip(t *testing.T) {
 	data := []byte{9, 8, 7}
-	p, got, err := DecodePageRecord(EncodePageRecord(nil, 5, data))
+	p, got, err := decodePageRecord(EncodePageRecord(nil, 5, data))
 	if err != nil || p != 5 || string(got) != string(data) {
 		t.Fatalf("page record: %v %v %v", p, got, err)
 	}
-	if _, _, err := DecodePageRecord([]byte{1}); err == nil {
+	if _, _, err := decodePageRecord([]byte{1}); err == nil {
 		t.Fatal("short page record must fail")
 	}
 }
@@ -290,7 +291,7 @@ func TestConcurrentHookCalls(t *testing.T) {
 	for _, r := range s.Records() {
 		switch r.Kind {
 		case RecEvents:
-			evs, err := DecodeEventsRecord(r.Data)
+			evs, err := decodeEvents(r.Data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,5 +306,128 @@ func TestConcurrentHookCalls(t *testing.T) {
 	}
 	if events != 500 || diffs != 500 {
 		t.Fatalf("events=%d diffs=%d, want 500/500", events, diffs)
+	}
+}
+
+// diffAt is a diff of one run of vals at offset off of a 128-byte page.
+func diffAt(page memory.PageID, off int, vals ...byte) memory.Diff {
+	twin := make([]byte, 128)
+	cur := make([]byte, 128)
+	copy(cur[off:], vals)
+	return memory.MakeDiff(page, twin, cur)
+}
+
+// pageAfter applies d to a zero page of the given size.
+func pageAfter(d memory.Diff, size int) []byte {
+	page := make([]byte, size)
+	d.Apply(page)
+	return page
+}
+
+func TestReadLoggedDiffs(t *testing.T) {
+	store := stable.NewStore()
+	// A CCL log: own diffs (writer -1) for pages 1 and 2 over three
+	// intervals, plus an incoming diff under ML conventions (writer 3)
+	// that must be ignored.
+	store.Flush([]stable.Record{
+		{Kind: RecDiffBatch, Op: 1, Data: EncodeDiffBatchRecord(nil, -1, 1, 1, []memory.Diff{diffAt(1, 0, 9)})},
+		{Kind: RecDiffBatch, Op: 2, Data: EncodeDiffBatchRecord(nil, -1, 2, 4, []memory.Diff{diffAt(1, 4, 8)})},
+		{Kind: RecDiffBatch, Op: 2, Data: EncodeDiffBatchRecord(nil, -1, 2, 4, []memory.Diff{diffAt(2, 0, 7)})},
+		{Kind: RecDiffBatch, Op: 3, Data: EncodeDiffBatchRecord(nil, -1, 3, 9, []memory.Diff{diffAt(1, 8, 6)})},
+		{Kind: RecDiffBatch, Op: 3, Data: EncodeDiffBatchRecord(nil, 3, 5, 0, []memory.Diff{diffAt(1, 12, 5)})},
+	})
+	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 3})
+	if len(resp.Diffs) != 2 { // seqs 2 and 3 for page 1, own only
+		t.Fatalf("got %d diffs, want 2 (seqs %v)", len(resp.Diffs), resp.Seqs)
+	}
+	if resp.Seqs[0] != 2 || resp.Seqs[1] != 3 {
+		t.Fatalf("seqs = %v", resp.Seqs)
+	}
+	if len(resp.VTSums) != 2 || resp.VTSums[0] != 4 || resp.VTSums[1] != 9 {
+		t.Fatalf("vt sums = %v", resp.VTSums)
+	}
+	if resp.DiskBytes <= 0 {
+		t.Fatal("no disk bytes accounted")
+	}
+	if store.Stats().Reads != 1 {
+		t.Fatal("read not accounted")
+	}
+}
+
+// A batch record is walked in place: only the wanted page's diffs are
+// copied out, the record is charged once however many of its diffs match,
+// the reply owns its bytes, and records outside the window or written for
+// another node's diffs are passed over on their prefix.
+func TestReadLoggedDiffsFromBatches(t *testing.T) {
+	store := stable.NewStore()
+	batch := func(writer, seq int32, vtSum int64, diffs ...memory.Diff) []byte {
+		return EncodeDiffBatchRecord(nil, writer, seq, vtSum, diffs)
+	}
+	recs := []stable.Record{
+		{Kind: RecDiffBatch, Op: 1, Data: batch(-1, 1, 1, diffAt(1, 0, 9), diffAt(2, 0, 9))},
+		{Kind: RecDiffBatch, Op: 2, Data: batch(-1, 2, 4, diffAt(0, 0, 1), diffAt(1, 4, 8), diffAt(2, 0, 7))},
+		{Kind: RecDiffBatch, Op: 3, Data: batch(-1, 3, 9, diffAt(0, 8, 6), diffAt(2, 8, 6))},
+		{Kind: RecDiffBatch, Op: 3, Data: batch(4, 3, 0, diffAt(1, 12, 5))},
+		{Kind: RecDiffBatch, Op: 4, Data: batch(-1, 4, 12, diffAt(1, 16, 3), diffAt(1, 20, 2))},
+		{Kind: RecDiffBatch, Op: 5, Data: []byte{1, 2, 3}},
+	}
+	store.Flush(recs[:5])
+	resp := ReadLoggedDiffs(store, &hlrc.RecDiffsReq{Page: 1, FromSeq: 1, ToSeq: 4})
+	if len(resp.Diffs) != 3 || resp.Seqs[0] != 2 || resp.Seqs[1] != 4 || resp.Seqs[2] != 4 ||
+		resp.VTSums[0] != 4 || resp.VTSums[1] != 12 {
+		t.Fatalf("got seqs %v vt sums %v, want [2 4 4] / [4 12 12]", resp.Seqs, resp.VTSums)
+	}
+	if want := recs[1].WireSize() + recs[4].WireSize(); resp.DiskBytes != want {
+		t.Fatalf("disk bytes = %d, want the two matching records = %d", resp.DiskBytes, want)
+	}
+	// Scribble over the log image: the reply must not change.
+	for _, rec := range store.Records() {
+		for i := range rec.Data {
+			rec.Data[i] = 0xff
+		}
+	}
+	if p := pageAfter(resp.Diffs[0], 128); p[4] != 8 {
+		t.Fatal("reply diff aliases the log")
+	}
+	if p := pageAfter(resp.Diffs[2], 128); p[20] != 2 {
+		t.Fatal("second diff of one batch for the same page is wrong")
+	}
+
+	// A record too short for its prefix is corrupt wherever it sits.
+	bad := stable.NewStore()
+	bad.Flush(recs[5:])
+	defer func() {
+		if recover() == nil {
+			t.Fatal("corrupt batch prefix must panic")
+		}
+	}()
+	ReadLoggedDiffs(bad, &hlrc.RecDiffsReq{Page: 1, FromSeq: 0, ToSeq: 9})
+}
+
+// TestLoggedDiffsStampsWriter checks the offline log reader the churn
+// runner and the churn sweep's custody check share: it must return the
+// store's own diffs for the page, stamped with the caller's writer id,
+// over the full seq range.
+func TestLoggedDiffsStampsWriter(t *testing.T) {
+	store := stable.NewStore()
+	store.Flush([]stable.Record{
+		{Kind: RecDiffBatch, Op: 1, Data: EncodeDiffBatchRecord(nil, -1, 1, 2, []memory.Diff{diffAt(4, 0, 9)})},
+		{Kind: RecDiffBatch, Op: 2, Data: EncodeDiffBatchRecord(nil, -1, 2, 5, []memory.Diff{diffAt(4, 8, 8)})},
+		{Kind: RecDiffBatch, Op: 2, Data: EncodeDiffBatchRecord(nil, -1, 2, 5, []memory.Diff{diffAt(6, 0, 7)})},
+	})
+	got := LoggedDiffs(store, 3, 4, 0, math.MaxInt32)
+	if len(got) != 2 {
+		t.Fatalf("got %d diffs for page 4, want 2", len(got))
+	}
+	for i, d := range got {
+		if d.Writer != 3 {
+			t.Errorf("diff %d stamped writer %d, want 3", i, d.Writer)
+		}
+		if d.Diff.Page != memory.PageID(4) {
+			t.Errorf("diff %d is for page %d", i, d.Diff.Page)
+		}
+	}
+	if got[0].Seq != 1 || got[1].Seq != 2 || got[0].VTSum != 2 || got[1].VTSum != 5 {
+		t.Fatalf("keys = (%d,%d) (%d,%d)", got[0].Seq, got[0].VTSum, got[1].Seq, got[1].VTSum)
 	}
 }
