@@ -36,6 +36,7 @@
 # A node's service loop stages CCL records into its logger's buffer while
 # the application goroutine flushes and compacts it, so the wal handoff
 # test runs ten times under the detector.
+# The crash sweep, the replay's regression net, runs 20 times without the detector (-race -short skips it, and -race stays off it: ROADMAP item 2).
 # Allocation pins must not depend on when the collector runs, on test
 # order or on the processor count (ROADMAP item 28), so the whole suite
 # runs once more under each of GOGC=5, -shuffle=on, GOMAXPROCS=1 and
@@ -72,6 +73,7 @@ tier2:
 	go test -race -count=10 -run 'Fence|Horizon' ./internal/transport/...
 	go test -race -count=10 -run '^(TestUnlockedHomeReadsBesideIncomingDiffs|TestHomeArrivalOrders|TestHomeUndoLogConcurrentAppends|TestHomeUndoResetDropsHistory)$$' ./internal/hlrc
 	go test -race -count=10 -run '^TestCCLStagingHandoff$$' ./internal/wal
+	go test -count=20 -run '^TestFuzzCrashSweep$$' ./internal/core
 	GOGC=5 go test -count=1 ./...
 	go test -count=1 -shuffle=on ./...
 	GOMAXPROCS=1 go test -count=1 ./...

@@ -143,14 +143,13 @@ func restoreFrom(nd *hlrc.Node, cp stable.Checkpoint) (int32, bool) {
 	if err != nil {
 		panic(fmt.Sprintf("checkpoint: corrupt meta: %v", err))
 	}
-	nd.PageTable().Restore(cp.Pages)
-	nd.SetVT(meta.VT)
-	nd.SetOpIndex(meta.Op)
-	nd.SetLastBarrierVT(vclock.New(nd.N())) // conservatively reset
-	nd.Notices().AddAll(meta.Notices)
-	for i, p := range meta.VerPages {
-		nd.SetVer(p, meta.Vers[i])
-	}
-	nd.ResetUndo()
+	nd.Restore(&hlrc.FrozenState{
+		Pages:    cp.Pages,
+		VT:       meta.VT,
+		Op:       meta.Op,
+		Notices:  meta.Notices,
+		VerPages: meta.VerPages,
+		Vers:     meta.Vers,
+	})
 	return meta.Op, true
 }

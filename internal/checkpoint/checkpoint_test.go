@@ -63,14 +63,19 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("first checkpoint accounted %d bytes, want full image", n0)
 	}
 
-	// Mutate state: dirty one home page directly, advance vt.
-	nd.PageTable().Page(0)[5] = 99
-	nd.SetVT(vclock.VC{2, 1})
-	nd.SetOpIndex(6)
-	nd.Notices().Add(hlrc.Notice{Proc: 0, Seq: 1, Pages: []memory.PageID{1}})
-	nd.Notices().Add(hlrc.Notice{Proc: 0, Seq: 2, Pages: []memory.PageID{1}})
-	nd.Notices().Add(hlrc.Notice{Proc: 1, Seq: 1, Pages: []memory.PageID{0}})
-	nd.SetVer(0, vclock.VC{0, 1})
+	// Advance the state: one home page written, vt, op counter, notices
+	// and the home version, all loaded as a restore would.
+	fs := nd.Freeze(nil)
+	fs.Pages[0] = make([]byte, 64)
+	fs.Pages[0][5] = 99
+	fs.VT, fs.Op = vclock.VC{2, 1}, 6
+	fs.Notices = []hlrc.Notice{
+		{Proc: 0, Seq: 1, Pages: []memory.PageID{1}},
+		{Proc: 0, Seq: 2, Pages: []memory.PageID{1}},
+		{Proc: 1, Seq: 1, Pages: []memory.PageID{0}},
+	}
+	fs.VerPages, fs.Vers = []memory.PageID{0}, []vclock.VC{{0, 1}}
+	nd.Restore(fs)
 
 	// Incremental checkpoint: only page 0 changed.
 	n1 := Take(nd, store)
@@ -78,10 +83,8 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("incremental checkpoint (%d) not smaller than full (%d)", n1, n0)
 	}
 
-	// Clobber everything, then restore.
-	nd.PageTable().Page(0)[5] = 0
-	nd.SetVT(vclock.VC{0, 0})
-	nd.SetOpIndex(0)
+	// Clobber the image, vt and op counter, then restore.
+	nd.Restore(&hlrc.FrozenState{Pages: make([][]byte, 4), VT: vclock.VC{0, 0}})
 
 	op, ok := Restore(nd, store)
 	if !ok || op != 6 {
@@ -95,6 +98,9 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 	}
 	if v := nd.HomeVersion(0); !v.Equal(vclock.VC{0, 1}) {
 		t.Fatalf("restored ver = %v", v)
+	}
+	if got := nd.Freeze(nil).Notices; len(got) != 3 {
+		t.Fatalf("restored %d notices, want 3", len(got))
 	}
 }
 
@@ -110,9 +116,12 @@ func TestRestoreIntoFreshNode(t *testing.T) {
 	// node attached to the same id.
 	nd := newNode(t)
 	store := stable.NewStore()
-	nd.PageTable().Page(2)[0] = 7
-	nd.SetVT(vclock.VC{1, 0})
-	nd.Notices().Add(hlrc.Notice{Proc: 0, Seq: 1, Pages: []memory.PageID{2}})
+	fs := nd.Freeze(nil)
+	fs.Pages[2] = make([]byte, 64)
+	fs.Pages[2][0] = 7
+	fs.VT = vclock.VC{1, 0}
+	fs.Notices = []hlrc.Notice{{Proc: 0, Seq: 1, Pages: []memory.PageID{2}}}
+	nd.Restore(fs)
 	Take(nd, store)
 
 	fresh := newNode(t)
@@ -123,8 +132,8 @@ func TestRestoreIntoFreshNode(t *testing.T) {
 	if fresh.PageTable().Page(2)[0] != 7 {
 		t.Fatal("fresh restore lost data")
 	}
-	if fresh.Notices().Know()[0] != 1 {
-		t.Fatal("fresh restore lost knowledge")
+	if fs := fresh.Freeze(nil); len(fs.Notices) != 1 || !fs.VT.Equal(vclock.VC{1, 0}) {
+		t.Fatalf("fresh restore kept %d notices at vt %v, want the interval's one at <1,0>", len(fs.Notices), fs.VT)
 	}
 }
 

@@ -583,7 +583,7 @@ func (c *cluster) recover(prog Program, plan ChurnPlan) (*RecoveryReport, error)
 		rejoinPhase() // catch-up done, serving live
 		nd.StartService()
 	}
-	nd.SetDelegate(rep)
+	nd.ReplayFrom(rep)
 	rejoinPhase() // replay phase entered
 
 	crashed, fenced, err := runNode(nd, prog)

@@ -263,6 +263,76 @@ func TestRunWithCrashLockApp(t *testing.T) {
 	}
 }
 
+// falseSharingProg takes the victim, node 1, through an early close: it
+// dirties the low half of page 0 (homed at node 0) under lock 1, while
+// node 0 writes the high half under lock 2. The manager decides in
+// virtual-arrival order, and the computes place node 0's interval after
+// node 1's grant of lock 1 and before its request for lock 2: that grant
+// names page 0 while it is still dirty at node 1. Barrier rounds follow,
+// each node writing a word of its own page, so a crash can come later.
+func falseSharingProg(rounds int) Program {
+	return func(p *Proc) {
+		if p.ID() == 0 {
+			p.Compute(1e6) // after node 1's grant of lock 1
+			p.AcquireLock(2)
+			p.WriteI64(256, 7)
+			p.ReleaseLock(2)
+		} else {
+			p.AcquireLock(1)
+			p.WriteI64(0, 3)
+			p.Compute(1e8)
+			p.AcquireLock(2) // the grant names dirty page 0: early close
+			if p.ReadI64(256) != 7 || p.ReadI64(0) != 3 {
+				panic("early close lost an update")
+			}
+			p.ReleaseLock(2)
+			p.ReleaseLock(1)
+		}
+		for b := 0; b < rounds; b++ {
+			p.Barrier(b)
+			p.WriteI64((4+p.ID())*p.PageSize()+8*b, int64(b+1))
+		}
+		p.Barrier(rounds)
+	}
+}
+
+// TestReplayedEarlyClose: a victim that took an early close at an acquire
+// and crashed later replays the close from its log, under ML- and
+// CCL-recovery, and ends with the failure-free image.
+func TestReplayedEarlyClose(t *testing.T) {
+	prog := falseSharingProg(4)
+	for _, tc := range []struct {
+		proto wal.Protocol
+		kind  recovery.Kind
+	}{
+		{wal.ProtocolCCL, recovery.CCLRecovery},
+		{wal.ProtocolML, recovery.MLRecovery},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			cfg := Config{Nodes: 2, PageSize: 512, NumPages: 8, Protocol: tc.proto}
+			golden, err := Run(cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := golden.Stats[1].EarlyCloses; n != 1 {
+				t.Fatalf("node 1 took %d early closes, want 1: the program misses the path", n)
+			}
+			// Ops of node 1: acquires 0 and 1, releases 2 and 3, then the
+			// barriers from op 4: the crash strikes at barrier 2.
+			rep, err := RunWithCrash(cfg, prog, CrashPlan{Victim: 1, AtOp: 6, Recovery: tc.kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Recovery == nil || rep.Recovery.CrashOp != 6 {
+				t.Fatalf("recovery report: %+v", rep.Recovery)
+			}
+			if !bytes.Equal(golden.MemoryImage(), rep.MemoryImage()) {
+				t.Fatal("post-recovery memory differs from failure-free run")
+			}
+		})
+	}
+}
+
 func TestCrashAtEveryBarrier(t *testing.T) {
 	// Sweep the crash point across the run: recovery must be correct at
 	// any release/barrier, not only a hand-picked one.

@@ -27,13 +27,11 @@ func (nd *Node) readable(p memory.PageID) []byte {
 	return nd.pt.Page(p)
 }
 
-// validate resolves an Invalid page: through the recovery delegate during
+// validate resolves an Invalid page: through the recovery source during
 // replay, by a fetch from the home otherwise.
 func (nd *Node) validate(p memory.PageID) {
-	if d := nd.delegate; d != nil {
-		if !d.Validate(nd, p) {
-			panic(fmt.Sprintf("hlrc: node %d: recovery delegate left page %d invalid", nd.cfg.ID, p))
-		}
+	if src := nd.source; src != nil {
+		src.Validate(nd, p)
 		return
 	}
 	nd.fetchPage(p)
@@ -97,7 +95,7 @@ func (nd *Node) writeFaultLocked(p memory.PageID) {
 		nd.mu.Lock()
 	}
 
-	inRecovery := nd.delegate != nil
+	inRecovery := nd.source != nil
 	if !nd.pt.IsDirty(p) {
 		// Most replayed writes need no twin (the homes already have the
 		// diffs), but two cases must recompute and re-flush them: the
@@ -105,7 +103,7 @@ func (nd *Node) writeFaultLocked(p memory.PageID) {
 		// left the node), and writes to this node's own migrated pages
 		// under online recovery (their pre-crash self-writes reached no
 		// other node, so the replay re-creates them in the successor's
-		// custody; see CloseIntervalLocal).
+		// custody; see closeReplayed).
 		replayTwin := inRecovery &&
 			((nd.TwinsFromOp >= 0 && nd.opIndex >= nd.TwinsFromOp) ||
 				(nd.IsHome(p) && !isHome))

@@ -118,7 +118,7 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 	}
 }
 
-// RebuildCustody assembles a custody copy of page p covering every writer
+// rebuildCustody assembles a custody copy of page p covering every writer
 // interval need bounds (need[w] = newest interval of writer w the
 // requester must see; nil bounds nothing and yields the zero page). It
 // runs on the service goroutine; at anchors the sub-requests, and the
@@ -135,7 +135,7 @@ func (nd *Node) handleObit(m transport.Message, at simtime.Time) {
 // once from the writer's log. The two copies have equal keys and equal
 // bytes (the churn sweep's custody check compares them), so they sort
 // next to each other and the second apply rewrites the same bytes.
-func (nd *Node) RebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, simtime.Time) {
+func (nd *Node) rebuildCustody(p memory.PageID, need vclock.VC, at simtime.Time) ([]byte, simtime.Time) {
 	scratch := simtime.NewClock(at)
 	bound := need.At // a writer need does not name is at 0, as in serveAt
 	var entries []AdoptedDiff

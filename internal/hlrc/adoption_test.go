@@ -51,7 +51,7 @@ func TestCustodyRebuildLeavesAppTracerAlone(t *testing.T) {
 		defer close(rebuilt)
 		need := vclock.New(2)
 		need[1] = 1 // node 1's first interval: one log read over the wire
-		nd.RebuildCustody(1, need, 0)
+		nd.rebuildCustody(1, need, 0)
 	}()
 	<-replied
 	trc.SetTrace(obsv.TraceCtx{}) // the op ends
@@ -67,7 +67,7 @@ func TestCustodyRebuildLeavesAppTracerAlone(t *testing.T) {
 // TestShortVTServesAlike: a versioned fetch whose VT names fewer writers
 // than the cluster has reads each entry it lacks as 0, the vector-clock
 // convention, at an owner and at an adopter alike. The owner's rolled-back
-// copy (serveAt) and the adopter's custody rebuild (RebuildCustody) of the
+// copy (serveAt) and the adopter's custody rebuild (rebuildCustody) of the
 // arrival-order test's intervals are the same bytes: the zero page with
 // the intervals the VT, padded with zeros, admits applied.
 func TestShortVTServesAlike(t *testing.T) {
@@ -101,7 +101,7 @@ func TestShortVTServesAlike(t *testing.T) {
 		for p := memory.PageID(0); p < 2; p++ {
 			want, _ := orderCanonical(t, p, padded)
 			fromOwner := owner.serveAt(p, short)
-			fromAdopter, _ := adopter.RebuildCustody(p, short, 0)
+			fromAdopter, _ := adopter.rebuildCustody(p, short, 0)
 			if !bytes.Equal(fromOwner, want) || !bytes.Equal(fromAdopter, want) {
 				t.Errorf("page %d at VT %v: owner serves %x, adopter %x, want %x (VT %v)",
 					p, short, fromOwner, fromAdopter, want, padded)

@@ -166,7 +166,7 @@ func BenchmarkPageAtVersion(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				data := nd.PageAtVersion(0, need)
+				data := nd.pageAtVersion(0, need)
 				arena.Put(data) // as the fetching node's Install does
 			}
 		})

@@ -124,7 +124,7 @@ func TestVTMatchesNoticeKnowledge(t *testing.T) {
 	})
 	for i, nd := range nodes {
 		vt := nd.VT()
-		know := nd.Notices().Know()
+		know := nd.notices.Know()
 		if !vt.Equal(know) {
 			t.Fatalf("node %d: vt %v != notice knowledge %v", i, vt, know)
 		}

@@ -68,25 +68,13 @@ type Config struct {
 	LeaseDuration simtime.Duration
 	// LogDiffs reads this node's own logged diffs for a recovering peer
 	// (a KindRecDiffsReq, answered in handle) and for the node's own
-	// custody rebuilds (RebuildCustody). It is a function because the log
+	// custody rebuilds (rebuildCustody). It is a function because the log
 	// format lives above this package: the cluster binds it to
 	// wal.ReadLoggedDiffs over the node's stable store.
 	LogDiffs func(*RecDiffsReq) *RecDiffsReply
 	// Tracer records the node's coherence events; nil disables tracing at
 	// zero cost.
 	Tracer *obsv.Tracer
-}
-
-// SyncDelegate intercepts synchronization operations and page validation
-// during recovery replay. A nil delegate means normal operation.
-// Each method returns true when it fully handled the operation.
-type SyncDelegate interface {
-	Acquire(nd *Node, op int32, lock int32) bool
-	Release(nd *Node, op int32, lock int32) bool
-	Barrier(nd *Node, op int32, barrier int32) bool
-	// Validate is consulted when an access hits an Invalid page during
-	// replay; it must make the page readable.
-	Validate(nd *Node, page memory.PageID) bool
 }
 
 // Node is one process of the home-based SDSM: its page table, interval
@@ -116,6 +104,11 @@ type Node struct {
 	// lastBarrierVT is the knowledge horizon of the last barrier release
 	// (the release's own vector, kept, never written).
 	lastBarrierVT vclock.VC
+	// reportedSelf is the node's own interval count as it last reported
+	// it to the managers, at a release or a barrier check-in: all the
+	// manager can know of the node's own intervals, and so the own
+	// component of the next grant's horizon.
+	reportedSelf int32
 	// home is the node's home side: version vectors, undo histories,
 	// served marks and custody records (home.go), called under mu.
 	home home
@@ -161,7 +154,10 @@ type Node struct {
 	batches   arena.Slab[DiffUpdate]
 	batchDiff arena.Slab[memory.Diff]
 
-	delegate SyncDelegate
+	// source, while the node replays after a crash, supplies its
+	// synchronization operations from the logs (ReplayFrom; application
+	// goroutine only).
+	source SyncSource
 	// CrashOp: the node fail-stops at the first release/barrier whose op
 	// index is >= CrashOp, after its diffs are flushed and acknowledged
 	// but before it communicates with the managers (the paper's Fig. 1(b)
@@ -288,32 +284,12 @@ func (nd *Node) VT() vclock.VC {
 	return nd.vt.Get().Clone()
 }
 
-// VTAt returns component proc of the node's vector time.
-func (nd *Node) VTAt(proc int) int32 {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.vt.Get()[proc]
-}
-
-// SetVT overwrites the node's vector time (recovery restore).
-func (nd *Node) SetVT(v vclock.VC) {
-	nd.mu.Lock()
-	nd.vt.Set(v.Clone())
-	nd.mu.Unlock()
-}
-
-// Notices exposes the node's write-notice store (recovery replay only).
-func (nd *Node) Notices() *NoticeStore { return nd.notices }
-
 // OpIndex returns the current synchronization-operation index.
 func (nd *Node) OpIndex() int32 {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	return nd.opIndex
 }
-
-// SetDelegate installs (or, with nil, removes) the recovery delegate.
-func (nd *Node) SetDelegate(d SyncDelegate) { nd.delegate = d }
 
 // StartService launches the protocol service goroutine.
 func (nd *Node) StartService() {
@@ -505,7 +481,7 @@ func (nd *Node) redirect(m transport.Message, p memory.PageID, eff int, at simti
 // round trip (HLRC's single-round-trip property); for a KindRecPageReq
 // the copy at the version VT a recovering peer's replay needs. An owned
 // page is served from its frame, an adopted one rebuilt from custody
-// (RebuildCustody); a current-copy request for a page another node
+// (rebuildCustody); a current-copy request for a page another node
 // serves now is redirected, a versioned one never is.
 func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 	req := m.Payload.(*PageReq)
@@ -526,7 +502,7 @@ func (nd *Node) handlePageReq(m transport.Message, at simtime.Time) {
 		return
 	} else {
 		resp, ev = &PageReply{}, obsv.EvAdoptServe
-		resp.Data, done = nd.RebuildCustody(req.Page, req.VT, at)
+		resp.Data, done = nd.rebuildCustody(req.Page, req.VT, at)
 	}
 	if !versioned {
 		nd.trc.SvcSpan(tc, ev, obsv.CatCoherence, at-simtime.Time(nd.cfg.Model.MsgHandling), done,
@@ -610,9 +586,9 @@ func (nd *Node) ApplyDiffAsHome(d memory.Diff, writer, seq int32) bool {
 	return nd.home.apply(d, writer, seq)
 }
 
-// PageAtVersion returns a copy of home page p at version need, as a
+// pageAtVersion returns a copy of home page p at version need, as a
 // versioned fetch is served (this call counts as a serve).
-func (nd *Node) PageAtVersion(p memory.PageID, need vclock.VC) []byte {
+func (nd *Node) pageAtVersion(p memory.PageID, need vclock.VC) []byte {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	return nd.home.serveAt(p, need)

@@ -53,17 +53,17 @@ func TestPageAtVersionRollback(t *testing.T) {
 	nd.ApplyDiffAsHome(diffAt(0, 16, 3), 1, 3)
 
 	// Full version: everything present.
-	data := nd.PageAtVersion(0, vclock.VC{0, 3})
+	data := nd.pageAtVersion(0, vclock.VC{0, 3})
 	if data[0] != 1 || data[8] != 2 || data[16] != 3 {
 		t.Fatalf("full version wrong: %v", data[:20])
 	}
 	// Mid version: interval 3 rolled back.
-	data = nd.PageAtVersion(0, vclock.VC{0, 2})
+	data = nd.pageAtVersion(0, vclock.VC{0, 2})
 	if data[0] != 1 || data[8] != 2 || data[16] != 0 {
 		t.Fatalf("rollback to 2 wrong: %v", data[:20])
 	}
 	// Oldest version: everything rolled back.
-	data = nd.PageAtVersion(0, vclock.VC{0, 0})
+	data = nd.pageAtVersion(0, vclock.VC{0, 0})
 	if data[0] != 0 || data[8] != 0 || data[16] != 0 {
 		t.Fatalf("rollback to 0 wrong: %v", data[:20])
 	}
@@ -78,7 +78,7 @@ func TestPageAtVersionWithoutUndo(t *testing.T) {
 	nd.ApplyDiffAsHome(diffAt(0, 0, 9), 1, 5)
 	// Without undo history the current copy is returned even when newer
 	// than requested (documented fallback).
-	if data := nd.PageAtVersion(0, vclock.VC{0, 1}); data[0] != 9 {
+	if data := nd.pageAtVersion(0, vclock.VC{0, 1}); data[0] != 9 {
 		t.Fatalf("fallback fetch: %v", data[0])
 	}
 }
@@ -86,9 +86,9 @@ func TestPageAtVersionWithoutUndo(t *testing.T) {
 func TestFreezeSnapshotsAtomically(t *testing.T) {
 	nd := soloNode(t, false)
 	nd.PageTable().Page(1)[3] = 77
-	nd.SetVT(vclock.VC{2, 1})
-	nd.SetOpIndex(9)
-	nd.Notices().Add(Notice{Proc: 0, Seq: 1, Pages: []memory.PageID{2}})
+	nd.vt.Set(vclock.VC{2, 1})
+	nd.opIndex = 9
+	nd.notices.Add(Notice{Proc: 0, Seq: 1, Pages: []memory.PageID{2}})
 	fs := nd.Freeze(nil)
 	if fs.Op != 9 || !fs.VT.Equal(vclock.VC{2, 1}) {
 		t.Fatalf("frozen meta: op=%d vt=%v", fs.Op, fs.VT)
@@ -111,32 +111,32 @@ func TestHoldsLocks(t *testing.T) {
 	if nd.HoldsLocks() {
 		t.Fatal("fresh node holds locks")
 	}
-	nd.SetGrantVT(3, vclock.VC{0, 0})
+	nd.grantVT[3] = vclock.VC{0, 0}
 	if !nd.HoldsLocks() {
 		t.Fatal("grant not tracked")
 	}
 }
 
-func TestCloseIntervalLocal(t *testing.T) {
+// TestCloseReplayed: the replay's interval close ticks the vector time,
+// closes the home pages' intervals and records the write notice, and
+// closes nothing when nothing is dirty.
+func TestCloseReplayed(t *testing.T) {
 	nd := soloNode(t, false)
 	// Nothing dirty: no interval.
-	if seq := nd.CloseIntervalLocal(); seq != 0 {
-		t.Fatalf("empty close ticked to %d", seq)
+	if nd.closeReplayed(); nd.VT()[0] != 0 {
+		t.Fatalf("empty close ticked to %v", nd.VT())
 	}
 	// Dirty one home page and one remote page.
 	nd.PageTable().MarkDirty(0)
 	nd.PageTable().MarkDirty(2)
-	seq := nd.CloseIntervalLocal()
-	if seq != 1 {
-		t.Fatalf("seq = %d", seq)
-	}
+	nd.closeReplayed()
 	if got := nd.VT(); got[0] != 1 {
 		t.Fatalf("vt = %v", got)
 	}
 	if v := nd.HomeVersion(0); v[0] != 1 {
 		t.Fatalf("home ver = %v", v)
 	}
-	if pages := nd.Notices().Pages(0, 1); len(pages) != 2 {
+	if pages := nd.notices.Pages(0, 1); len(pages) != 2 {
 		t.Fatalf("own notice pages = %v", pages)
 	}
 	if nd.PageTable().IsDirty(0) {
@@ -171,7 +171,7 @@ func TestPageAtVersionAcrossSelfWrites(t *testing.T) {
 	servePage(nd, 0)
 	check := func(when string, need vclock.VC, want0, want8, want16 byte) {
 		t.Helper()
-		data := nd.PageAtVersion(0, need)
+		data := nd.pageAtVersion(0, need)
 		if data[0] != want0 || data[8] != want8 || data[16] != want16 {
 			t.Fatalf("%s, need %v: bytes 0/8/16 = %d/%d/%d, want %d/%d/%d",
 				when, need, data[0], data[8], data[16], want0, want8, want16)

@@ -156,7 +156,9 @@ func TestHomeFailoverOutcomes(t *testing.T) {
 			r := newFailoverRig(t)
 			var got int64
 			done := r.start(func() {
-				r.nd.InvalidatePage(0) // every page starts valid and zero
+				r.nd.mu.Lock()
+				r.nd.pt.Invalidate(0) // every page starts valid and zero
+				r.nd.mu.Unlock()
 				got = r.nd.ReadI64(0)
 			})
 			crashAt := strike(r, r.next(1, KindPageReq), oc.o)

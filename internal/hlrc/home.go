@@ -150,9 +150,9 @@ func (h *home) serve(p memory.PageID) []byte {
 	return data
 }
 
-// serveAt is serve at version need (PageAtVersion): the copy rolled back
+// serveAt is serve at version need (pageAtVersion): the copy rolled back
 // through every writer interval beyond need applied since p was first
-// served. A writer need does not name is at 0, as in RebuildCustody, so
+// served. A writer need does not name is at 0, as in rebuildCustody, so
 // every interval of it is beyond need. Intervals applied before the
 // first serve stay (DESIGN.md §2.8, *Armed at the first serve*). With
 // HomeUndo off it is the current copy.

@@ -3,14 +3,13 @@ package hlrc
 import (
 	"sdsm/internal/memory"
 	"sdsm/internal/obsv"
+	"sdsm/internal/transport"
 	"sdsm/internal/vclock"
 )
 
 // This file holds the narrow interface the recovery engine
 // (internal/recovery) and the checkpointer (internal/checkpoint) use to
-// drive a Node outside normal operation. All of it runs on the victim's
-// application goroutine while the victim's service loop is stopped, so
-// the internal mutex is uncontended; it is still taken for consistency.
+// drive a Node outside normal operation, on its application goroutine.
 
 // CrashedAtOp returns the op index at which the injected crash fired, or
 // -1 if the node has not crashed. It is set just before the ErrCrashed
@@ -21,85 +20,114 @@ func (nd *Node) CrashedAtOp() int32 {
 	return nd.crashedAt
 }
 
-// BumpOp advances the synchronization-operation counter; the recovery
-// delegate calls it once per fully replayed op.
-func (nd *Node) BumpOp() {
-	nd.mu.Lock()
-	nd.opIndex++
-	nd.mu.Unlock()
+// LoggedSync is what a replayed acquire or barrier received before the
+// crash, read back by recovery: the grant's or release's write notices
+// and a vector time covering them (a release receives nothing).
+type LoggedSync struct {
+	Notices []Notice
+	VT      vclock.VC
 }
 
-// SetOpIndex overwrites the op counter (checkpoint restore).
-func (nd *Node) SetOpIndex(op int32) {
-	nd.mu.Lock()
-	nd.opIndex = op
-	nd.mu.Unlock()
+// Replay says how much of a synchronization operation a SyncSource
+// replays.
+type Replay uint8
+
+const (
+	ReplayNone  Replay = iota // all of it runs live: the source has detached
+	ReplayWhole               // all of it replays, without communicating
+	ReplayLocal               // the crash op: its local half replays, its message goes live
+)
+
+// A SyncSource feeds a recovering node's synchronization operations from
+// its logs in place of the managers (recovery.Replayer). While one is
+// installed (ReplayFrom), every acquire, release and barrier runs the
+// same sync step as the live protocol on the inputs the source supplies,
+// and page misses resolve through it. All of it runs on the node's
+// application goroutine.
+type SyncSource interface {
+	// Fate says how much of sync op op, of kind KindLockReq,
+	// KindLockRelease or KindBarrierCheckin, replays.
+	Fate(nd *Node, op int32, kind transport.Kind) Replay
+	// Logged consumes the logged records of op and returns what the op
+	// received. A release or a barrier has closed its interval first.
+	Logged(nd *Node, op int32, kind transport.Kind) LoggedSync
+	// Applied runs after the node has applied ls (a release applies
+	// nothing): the source's own work at op, such as fetching the diffs
+	// its home copies lack and prefetching pages. At the crash op it
+	// detaches.
+	Applied(nd *Node, op int32, ls LoggedSync)
+	// Validate makes an Invalid page readable during replay.
+	Validate(nd *Node, page memory.PageID)
 }
 
-// SetGrantVT records the knowledge horizon associated with a held lock,
-// reconstructed during replay, so the eventual live release computes the
-// right delta. The node keeps vt: nobody may write it afterwards.
-func (nd *Node) SetGrantVT(lock int32, vt vclock.VC) {
-	nd.mu.Lock()
-	nd.grantVT[lock] = vt
-	nd.mu.Unlock()
+// ReplayFrom installs src: the node replays its synchronization
+// operations from src until src detaches.
+func (nd *Node) ReplayFrom(src SyncSource) { nd.source = src }
+
+// replay runs the part of sync op op (kind KindLockReq, KindLockRelease
+// or KindBarrierCheckin; id names the lock or the barrier) that the
+// installed source replays, and reports how much that was: the replay
+// close of a release or barrier, the live step (learn) on what an
+// acquire or barrier received, the source's own work.
+func (nd *Node) replay(op int32, kind transport.Kind, id int32) Replay {
+	src := nd.source
+	if src == nil {
+		return ReplayNone
+	}
+	how := src.Fate(nd, op, kind)
+	if how == ReplayNone {
+		nd.source = nil
+		return how
+	}
+	if kind != KindLockReq {
+		nd.closeReplayed()
+		nd.mu.Lock()
+		nd.reportedSelf = nd.vt.Get()[nd.cfg.ID]
+		nd.mu.Unlock()
+	}
+	ls := src.Logged(nd, op, kind)
+	if how == ReplayWhole && kind != KindLockRelease {
+		nd.learn(op, kind, id, ls.Notices, ls.VT)
+	}
+	src.Applied(nd, op, ls)
+	switch {
+	case how == ReplayLocal:
+		nd.source = nil
+	case kind == KindLockRelease:
+		nd.mu.Lock()
+		nd.opIndex++
+		nd.mu.Unlock()
+	}
+	return how
 }
 
-// SetLastBarrierVT overwrites the last-barrier knowledge horizon
-// (replay bookkeeping for the first live check-in after recovery). The
-// node keeps vt: nobody may write it afterwards.
-func (nd *Node) SetLastBarrierVT(vt vclock.VC) {
+// closeReplayed is the replay's interval close: the dirty set becomes
+// this node's next write notice, home-page version vectors advance, the
+// page table ends the interval. Diffs of pages homed elsewhere are
+// neither computed nor sent (the homes received them before the failure,
+// and the log already holds them). The dirty migrated pages (statically
+// homed here, but in a successor's custody since the crash) are the
+// exception: their self-writes never reached another node, so they are
+// diffed before the close drops their twins and flushed to their
+// effective home under the interval's (writer, seq, vtSum) key, the one
+// the live run would have used. The ack is awaited with a detached
+// fixed-round-trip charge so a successor clock far ahead of the replay
+// cannot catapult the replay clock forward.
+func (nd *Node) closeReplayed() {
 	nd.mu.Lock()
-	nd.lastBarrierVT = vt
-	nd.mu.Unlock()
-}
-
-// MergeVT merges v into the node's vector time.
-func (nd *Node) MergeVT(v vclock.VC) {
-	nd.mu.Lock()
-	nd.vt.Merge(v)
-	nd.mu.Unlock()
-}
-
-// SetVer overwrites the version vector of a home page (checkpoint
-// restore).
-func (nd *Node) SetVer(p memory.PageID, v vclock.VC) {
-	nd.mu.Lock()
-	nd.home.setVer(p, v)
-	nd.mu.Unlock()
-}
-
-// ResetUndo clears the home-side undo history (taken checkpoints bound
-// the history the same way they bound the log).
-func (nd *Node) ResetUndo() {
-	nd.mu.Lock()
-	nd.home.resetUndo()
-	nd.mu.Unlock()
-}
-
-// CloseIntervalLocal closes an interval during recovery replay: the
-// dirty set becomes this node's next write notice, home-page version
-// vectors advance, the page table ends the interval. Diffs of pages homed
-// elsewhere are neither computed nor sent (the homes received them
-// before the failure, and the log already holds them). The dirty
-// migrated pages (statically homed here, but in a successor's custody
-// since the crash) are the exception: their self-writes never reached
-// another node, so they are diffed before the close drops their twins and
-// flushed to their effective home under the interval's (writer, seq,
-// vtSum) key, the one the live run would have used. The ack is awaited
-// with a detached fixed-round-trip charge so a successor clock far ahead
-// of the replay cannot catapult the replay clock forward. Returns the
-// closed interval's sequence number, or 0 when the interval was empty.
-func (nd *Node) CloseIntervalLocal() int32 {
-	nd.mu.Lock()
+	if nd.TwinsFromOp >= 0 {
+		// The crashed interval, re-diffed live at the crash op, restarts
+		// here: only writes from the next op on can belong to it.
+		nd.TwinsFromOp = nd.opIndex + 1
+	}
 	if len(nd.pt.DirtyPages()) == 0 {
 		nd.mu.Unlock()
-		return 0
+		return
 	}
 	seq, vtSum, diffs, compareBytes := nd.closeIntervalLocked(nil, false)
 	nd.mu.Unlock()
 	if len(diffs) == 0 {
-		return seq
+		return
 	}
 	t0, t1 := nd.clock.AdvanceSpan(nd.cfg.Model.CopyTime(compareBytes))
 	nd.trc.Seg(obsv.EvDiffMake, obsv.CatRecovery, t0, t1, int64(compareBytes), int64(len(diffs)))
@@ -114,7 +142,7 @@ func (nd *Node) CloseIntervalLocal() int32 {
 			panic(ErrFenced)
 		}
 		if resp.Kind != KindRedirectHome {
-			return seq
+			return
 		}
 		nd.stats.RedirectedCalls.Add(1)
 		to = int(resp.Payload.(*RedirectHome).Home)
@@ -162,13 +190,24 @@ func (nd *Node) Freeze(prev [][]byte) *FrozenState {
 	return fs
 }
 
-// AnyDirty reports whether any of the notices (not yet covered by vt)
-// names a locally dirty page — the recovery replay's mirror of the live
-// protocol's early-close condition.
-func (nd *Node) AnyDirty(ns []Notice) bool {
+// Restore loads a checkpoint's state into the node, the counterpart of
+// Freeze: fs.Pages as the whole memory image, the vector time, the op
+// counter, the notices and the home pages' version vectors, with the undo
+// history cleared and the last-barrier horizon reset (conservatively).
+// The node keeps fs's notice page lists.
+func (nd *Node) Restore(fs *FrozenState) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.anyDirtyLocked(ns)
+	nd.pt.Restore(fs.Pages)
+	nd.vt.Set(fs.VT.Clone())
+	nd.reportedSelf = fs.VT.At(nd.cfg.ID) // taken at a lock-free barrier exit or at op 0
+	nd.opIndex = fs.Op
+	nd.lastBarrierVT = vclock.New(nd.cfg.N)
+	nd.notices.AddAll(fs.Notices)
+	for i, p := range fs.VerPages {
+		nd.home.setVer(p, fs.Vers[i])
+	}
+	nd.home.resetUndo()
 }
 
 // InstallPage makes fetched or logged contents the local copy of page p
@@ -182,7 +221,7 @@ func (nd *Node) InstallPage(p memory.PageID, data []byte) {
 
 // StagePage makes fetched contents the local copy of page p but leaves the
 // page Invalid (CCL-recovery's prefetch): the replay's first access then
-// reaches the recovery delegate, which reveals the copy with RevealPage.
+// reaches the recovery source, which reveals the copy with RevealPage.
 // The node takes ownership of data, as InstallPage does.
 func (nd *Node) StagePage(p memory.PageID, data []byte) {
 	nd.mu.Lock()
@@ -195,18 +234,6 @@ func (nd *Node) StagePage(p memory.PageID, data []byte) {
 func (nd *Node) RevealPage(p memory.PageID) {
 	nd.mu.Lock()
 	nd.pt.SetState(p, memory.ReadOnly)
-	nd.mu.Unlock()
-}
-
-// InvalidatePage invalidates a local (non-home) copy (ML replay applies
-// logged notices this way, CCL replay the notices of pages it does not
-// prefetch). A recovered incarnation's migrated pages are
-// non-home for this purpose: their stale copies must not be read.
-func (nd *Node) InvalidatePage(p memory.PageID) {
-	nd.mu.Lock()
-	if !nd.OwnsHome(p) {
-		nd.pt.Invalidate(p)
-	}
 	nd.mu.Unlock()
 }
 

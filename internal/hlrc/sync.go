@@ -10,6 +10,7 @@ import (
 	"sdsm/internal/obsv"
 	"sdsm/internal/simtime"
 	"sdsm/internal/transport"
+	"sdsm/internal/vclock"
 )
 
 // AcquireLock acquires a lock: one request to the lock manager, whose
@@ -17,7 +18,7 @@ import (
 func (nd *Node) AcquireLock(lock int) {
 	l := int32(lock)
 	op := nd.OpIndex()
-	if d := nd.delegate; d != nil && d.Acquire(nd, op, l) {
+	if nd.replay(op, KindLockReq, l) != ReplayNone {
 		return
 	}
 	t0 := nd.clock.Now()
@@ -31,25 +32,7 @@ func (nd *Node) AcquireLock(lock int) {
 		panic(ErrFenced)
 	}
 	g := resp.Payload.(*LockGrant)
-
-	nd.mu.Lock()
-	nd.hooks.OnAcquireNotices(op, g.Notices)
-	conflict := nd.anyDirtyLocked(g.Notices)
-	nd.mu.Unlock()
-	if conflict {
-		// False-sharing path: an incoming notice names a page this node
-		// has dirtied in the still-open interval. Close the interval
-		// (flushing its diffs home) before invalidating, so the local
-		// modifications are not lost.
-		nd.stats.EarlyCloses.Add(1)
-		nd.closeAndPropagate(op)
-	}
-	nd.mu.Lock()
-	nd.applyNoticesLocked(g.Notices)
-	nd.vt.Merge(g.VT)
-	nd.grantVT[l] = g.VT
-	nd.opIndex++
-	nd.mu.Unlock()
+	nd.learn(op, KindLockReq, l, g.Notices, g.VT)
 	nd.stats.LockAcquires.Add(1)
 	end := nd.clock.Now()
 	// The grant's manager-side stamp is the causal cut separating the
@@ -63,6 +46,56 @@ func (nd *Node) AcquireLock(lock int) {
 	nd.trc.Observe(obsv.HistLockStall, int64(end-t0))
 }
 
+// learn is the sync step of an acquire or a barrier (kind KindLockReq or
+// KindBarrierCheckin; id names the lock or the barrier): it applies what
+// the lock grant or the barrier release carried, the write notices ns
+// and the manager's vector time vt. Live they come from the manager; in
+// replay, from the recovery source (LoggedSync), and the step neither
+// logs them nor closes an interval the live way. In order: the early
+// close, the notice store and the invalidation of the copies they name,
+// the vector-time merge, the horizon the next release or check-in is
+// relative to, and the op count.
+func (nd *Node) learn(op int32, kind transport.Kind, id int32, ns []Notice, vt vclock.VC) {
+	replay := nd.source != nil
+	nd.mu.Lock()
+	if !replay {
+		nd.hooks.OnAcquireNotices(op, ns)
+	}
+	if nd.anyDirtyLocked(ns) {
+		// False-sharing path: an incoming notice names a page this node
+		// has dirtied in the still-open interval. Close the interval
+		// (live, flushing its diffs home) before invalidating, so the
+		// local modifications are not lost.
+		nd.mu.Unlock()
+		if replay {
+			nd.closeReplayed()
+		} else {
+			nd.stats.EarlyCloses.Add(1)
+			nd.closeAndPropagate(op)
+		}
+		nd.mu.Lock()
+	}
+	nd.applyNoticesLocked(ns)
+	nd.vt.Merge(vt)
+	if replay {
+		// The logs keep the grant's notices, not its vector. The merged
+		// vector time is the manager's horizon on every foreign component
+		// (all knowledge routes through the centralized manager); of the
+		// node's own intervals the manager knows only what it reported.
+		h := vclock.VC(nd.vcs.Cut(nd.cfg.N))
+		copy(h, nd.vt.Get())
+		h[nd.cfg.ID] = nd.reportedSelf
+		vt = h
+	}
+	if kind == KindLockReq {
+		nd.grantVT[id] = vt
+	} else {
+		nd.lastBarrierVT = vt
+	}
+	nd.opIndex++
+	nd.mu.Unlock()
+}
+
 // ReleaseLock ends the current interval: diffs of dirty remote pages are
 // flushed to their homes (and, under CCL, to the local disk, overlapped),
 // then lock ownership returns to the manager together with the releaser's
@@ -70,11 +103,15 @@ func (nd *Node) AcquireLock(lock int) {
 func (nd *Node) ReleaseLock(lock int) {
 	l := int32(lock)
 	op := nd.OpIndex()
-	if d := nd.delegate; d != nil && d.Release(nd, op, l) {
+	switch nd.replay(op, KindLockRelease, l) {
+	case ReplayWhole:
+		return
+	case ReplayLocal:
+		nd.finishRelease(op, l)
 		return
 	}
 	t0 := nd.syncClose(op)
-	nd.FinishReleaseLive(op, l)
+	nd.finishRelease(op, l)
 	nd.trc.Span(obsv.EvLockRelease, t0, nd.clock.Now(), int64(l), int64(op))
 }
 
@@ -110,11 +147,10 @@ func (nd *Node) syncClose(op int32) simtime.Time {
 	return t0
 }
 
-// FinishReleaseLive performs the post-crash-point part of a release: the
-// LockRelease message to the manager. The recovery engine calls it
-// directly when replay reaches the crash op (whose first half was already
-// executed and logged before the failure).
-func (nd *Node) FinishReleaseLive(op int32, l int32) {
+// finishRelease is the half of a release after the crash point: the
+// LockRelease message to the manager. At the crash op of a replay it
+// follows the replayed half.
+func (nd *Node) finishRelease(op int32, l int32) {
 	nd.mu.Lock()
 	gvt, ok := nd.grantVT[l]
 	if !ok {
@@ -124,6 +160,7 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 	delete(nd.grantVT, l)
 	rel := nd.lockRels.New()
 	rel.Lock, rel.VT, rel.Notices = l, nd.vt.Share(), nd.notices.Delta(gvt)
+	nd.reportedSelf = rel.VT[nd.cfg.ID]
 	nd.opIndex++
 	nd.mu.Unlock()
 	nd.ep.Send(ManagerNode, KindLockRelease, rel.WireSize(), rel)
@@ -139,35 +176,35 @@ func (nd *Node) FinishReleaseLive(op int32, l int32) {
 func (nd *Node) Barrier(barrier int) {
 	b := int32(barrier)
 	op := nd.OpIndex()
-	if d := nd.delegate; d != nil && d.Barrier(nd, op, b) {
+	switch nd.replay(op, KindBarrierCheckin, b) {
+	case ReplayWhole:
+		return
+	case ReplayLocal:
+		nd.finishBarrier(op, b)
 		return
 	}
 	t0 := nd.syncClose(op)
-	nd.FinishBarrierLive(op, b)
+	nd.finishBarrier(op, b)
 	end := nd.clock.Now()
 	nd.trc.Span(obsv.EvBarrierWait, t0, end, int64(b), int64(op))
 	nd.trc.Observe(obsv.HistBarrierStall, int64(end-t0))
 }
 
-// FinishBarrierLive performs the post-crash-point part of a barrier:
-// check-in, wait for the release, apply its notices.
-func (nd *Node) FinishBarrierLive(op int32, b int32) {
+// finishBarrier is the half of a barrier after the crash point: check-in,
+// wait for the release, learn what it carried. At the crash op of a
+// replay it follows the replayed half.
+func (nd *Node) finishBarrier(op int32, b int32) {
 	nd.mu.Lock()
 	ci := nd.checkins.New()
 	ci.Barrier, ci.VT, ci.Notices = b, nd.vt.Share(), nd.notices.Delta(nd.lastBarrierVT)
+	nd.reportedSelf = ci.VT[nd.cfg.ID]
 	nd.mu.Unlock()
 	resp := nd.ep.Call(ManagerNode, KindBarrierCheckin, ci.WireSize(), ci)
 	if resp.Kind == KindFenced {
 		panic(ErrFenced)
 	}
 	rel := resp.Payload.(*BarrierRelease)
-	nd.mu.Lock()
-	nd.hooks.OnAcquireNotices(op, rel.Notices)
-	nd.applyNoticesLocked(rel.Notices)
-	nd.vt.Merge(rel.VT)
-	nd.lastBarrierVT = rel.VT
-	nd.opIndex++
-	nd.mu.Unlock()
+	nd.learn(op, KindBarrierCheckin, b, rel.Notices, rel.VT)
 	nd.stats.Barriers.Add(1)
 	if nd.PostBarrier != nil {
 		nd.PostBarrier(op)
@@ -297,6 +334,9 @@ func (nd *Node) chargeFlush(n int, overlapped bool) (simtime.Duration, simtime.T
 // anyDirtyLocked reports whether any incoming notice (not yet covered by
 // vt) names a page that is dirty in the open interval.
 func (nd *Node) anyDirtyLocked(ns []Notice) bool {
+	if len(nd.pt.DirtyPages()) == 0 {
+		return false // a barrier's release: its check-in closed the interval
+	}
 	for _, n := range ns {
 		if nd.vt.Get().CoversInterval(int(n.Proc), n.Seq) {
 			continue
@@ -321,6 +361,15 @@ func (nd *Node) applyNoticesLocked(ns []Notice) {
 		}
 		for _, p := range n.Pages {
 			if nd.OwnsHome(p) {
+				continue
+			}
+			if nd.source != nil && nd.IsHome(p) {
+				// Replay re-runs the crashed incarnation, which owned its
+				// static homes: a page migrated since stays a home copy,
+				// rolled forward by the logged update events' diffs, and
+				// is not invalidated. (Invalidated, the replay fetches it
+				// from the adopter instead, and the kv churn cell's
+				// message count drifts between same-seed runs.)
 				continue
 			}
 			if nd.pt.IsDirty(p) {
@@ -385,10 +434,9 @@ func (nd *Node) closeAndPropagate(op int32) {
 	// charges, so under faults it drifts past peers' send stamps and the
 	// fence would wait for arrivals of the *next* interval. Skipped while
 	// the service loop is down (the fail-stop crash path closes the
-	// interval after StopService: the inbox is frozen) and during recovery
-	// replay.
+	// interval after StopService: the inbox is frozen).
 	cutoff := nd.lastSyncStamp
-	if nd.hooks.DeterministicFlush() && nd.stopSvc != nil && nd.delegate == nil {
+	if nd.hooks.DeterministicFlush() && nd.stopSvc != nil {
 		nd.ep.FenceArrivalsBefore(cutoff)
 	}
 	nd.mu.Lock()

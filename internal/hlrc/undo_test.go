@@ -82,7 +82,7 @@ type refEntry struct {
 	base        []byte
 }
 
-// undoRef is the reference PageAtVersion is checked against. It keeps
+// undoRef is the reference pageAtVersion is checked against. It keeps
 // forward diffs and rolls back by applying their run-form inverses (the
 // runs with the base page's bytes) newest first; the open interval's
 // self-writes are reverted word by word from the values they overwrote.
@@ -175,9 +175,9 @@ func checkHistoryAgainstReference(t *testing.T, pageSize int, shape undoShape, s
 				need[w] = int32(rng.Intn(int(need[w]) + 1))
 			}
 		}
-		got, want := nd.PageAtVersion(0, need), ref.at(need)
+		got, want := nd.pageAtVersion(0, need), ref.at(need)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("seed %d step %d, need %v: PageAtVersion differs from the reference\n got bytes %x\nwant bytes %x",
+			t.Fatalf("seed %d step %d, need %v: pageAtVersion differs from the reference\n got bytes %x\nwant bytes %x",
 				seed, step, need, got[:min(32, pageSize)], want[:min(32, pageSize)])
 		}
 	}
@@ -266,9 +266,9 @@ func TestPageAtVersionAllocations(t *testing.T) {
 		{"rollback", need, 1, "page buffer"},
 		{"no rollback", current, 1, "page buffer"},
 	} {
-		nd.PageAtVersion(0, c.need)
-		if a := allocsWithoutGC(100, func() { nd.PageAtVersion(0, c.need) }); a > c.want {
-			t.Errorf("warm PageAtVersion, %s: %.1f allocs/op, want <= %v (%s)", c.name, a, c.want, c.what)
+		nd.pageAtVersion(0, c.need)
+		if a := allocsWithoutGC(100, func() { nd.pageAtVersion(0, c.need) }); a > c.want {
+			t.Errorf("warm pageAtVersion, %s: %.1f allocs/op, want <= %v (%s)", c.name, a, c.want, c.what)
 		}
 	}
 }
@@ -415,15 +415,17 @@ func TestHomeUndoResetDropsHistory(t *testing.T) {
 		nd.closeAndPropagate(int32(round))
 		nd.ApplyDiffAsHome(diffAt(0, 8, round), 1, int32(round))
 	}
-	if got := nd.PageAtVersion(0, zero); !bytes.Equal(got, make([]byte, pageSize)) {
+	if got := nd.pageAtVersion(0, zero); !bytes.Equal(got, make([]byte, pageSize)) {
 		t.Fatalf("before the reset, version 0 is %x, want the zero page", got[:16])
 	}
-	nd.ResetUndo()
+	nd.mu.Lock()
+	nd.home.resetUndo()
+	nd.mu.Unlock()
 	if n, _ := undoHistory(nd, 0); n != 0 {
 		t.Fatalf("%d undo entries after the reset, want none", n)
 	}
 	atReset, verAtReset := bytes.Clone(nd.PageTable().Page(0)), nd.HomeVersion(0).Clone()
-	if got := nd.PageAtVersion(0, zero); !bytes.Equal(got, atReset) {
+	if got := nd.pageAtVersion(0, zero); !bytes.Equal(got, atReset) {
 		t.Fatalf("after the reset, version 0 is %x, want the current copy %x", got[:16], atReset[:16])
 	}
 
@@ -449,7 +451,7 @@ func TestHomeUndoResetDropsHistory(t *testing.T) {
 		{"the reset's version", verAtReset, atReset},
 		{"the first close's version", verAfterSelf, afterSelf},
 	} {
-		if got := nd.PageAtVersion(0, c.need); !bytes.Equal(got, c.want) {
+		if got := nd.pageAtVersion(0, c.need); !bytes.Equal(got, c.want) {
 			t.Fatalf("at %s %v: %x, want %x", c.name, c.need, got[:16], c.want[:16])
 		}
 	}
@@ -466,7 +468,7 @@ func TestHomeUndoLogConcurrentAppends(t *testing.T) {
 	const psz, slots, intervals = 256, 256 / 8, 100
 	nodes := runCluster(t, Config{N: 2, NumPages: 2, PageSize: psz, HomeUndo: true}, func(nd *Node) {
 		if nd.ID() == 0 {
-			nd.PageAtVersion(0, nd.HomeVersion(0)) // a serve: it arms page 0
+			nd.pageAtVersion(0, nd.HomeVersion(0)) // a serve: it arms page 0
 		}
 		nd.Barrier(0)
 		for i := 1; i <= intervals; i++ {
@@ -492,7 +494,7 @@ func TestHomeUndoLogConcurrentAppends(t *testing.T) {
 	if count != [2]int{intervals, intervals} {
 		t.Fatalf("page 0 keeps %v entries per writer, want %d each", count, intervals)
 	}
-	if got := nodes[0].PageAtVersion(0, vclock.New(2)); !bytes.Equal(got, make([]byte, psz)) {
+	if got := nodes[0].pageAtVersion(0, vclock.New(2)); !bytes.Equal(got, make([]byte, psz)) {
 		t.Fatalf("page 0 at version 0 is %x, want the zero page it was served as", got[:16])
 	}
 }
@@ -547,7 +549,7 @@ func TestHomeUndoStartsAtFirstServe(t *testing.T) {
 	}
 
 	interval(nd, 1)
-	nd.PageAtVersion(1, nd.HomeVersion(1))
+	nd.pageAtVersion(1, nd.HomeVersion(1))
 	nd.WriteAt(64, []byte{round})
 	if !nd.pt.HasTwin(1) {
 		t.Fatal("first write after a versioned fetch took no twin")

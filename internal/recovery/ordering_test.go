@@ -137,8 +137,9 @@ func TestFetchedDiffsApplyInCausalOrder(t *testing.T) {
 		ID: 0, N: 3, PageSize: 128, NumPages: 2, Homes: homes, Model: model,
 	}, nw, simtime.NewClock(0), nil, nil)
 	r := NewReplayer(CCLRecovery, victim, log, 9, false)
+	victim.ReplayFrom(r)
 
-	r.Acquire(victim, 0, 1)
+	victim.AcquireLock(1)
 	first := victim.PageTable().CopyPage(0)
 	if first[0] != 20 {
 		t.Fatalf("home word = %d after the fetch, want the later writer's 20", first[0])
@@ -146,7 +147,7 @@ func TestFetchedDiffsApplyInCausalOrder(t *testing.T) {
 	if ver := victim.HomeVersion(0); ver[1] != 1 || ver[2] != 1 {
 		t.Fatalf("home version = %v, want both writers' first intervals", ver)
 	}
-	r.Acquire(victim, 1, 2)
+	victim.AcquireLock(2)
 	if again := victim.PageTable().CopyPage(0); !bytes.Equal(again, first) {
 		t.Fatalf("fetching the same events again changed the home copy: word %d", again[0])
 	}

@@ -5,7 +5,7 @@
 //     from the initial state; it costs the original execution time.
 //
 //   - ML-recovery: the victim replays alone from its local disk log. The
-//     logged write notices are applied at each synchronization point, the
+//     logged write notices are learned at each synchronization point, the
 //     logged incoming diffs are applied to its home copies, and every
 //     memory miss is served by reading the logged page copy from disk —
 //     the per-miss disk stall is the "memory miss idle time" the paper
@@ -19,6 +19,17 @@
 //     its first notice — directly from the live homes, at exactly the
 //     version the replay needs. A noticed page left out is invalidated and
 //     fetched at that same version if the replay touches it after all.
+//
+// The Replayer does not re-implement the protocol's synchronization: it
+// is the node's hlrc.SyncSource. At each replayed acquire or barrier it
+// supplies what the op received before the crash (hlrc.LoggedSync, read
+// from the disk log or, past a torn tail, from a manager's sender log),
+// and the node runs the live sync step on it: early close, notice store
+// and invalidation, vector-time merge, horizon, op count. The Replayer
+// keeps what is recovery's own: which records each op consumes and the
+// charge for reading them, the home-copy diffs and prefetches around the
+// step, page misses, the torn-tail home rebuild, the phase report and the
+// detach at the crash op.
 //
 // Surviving nodes answer the recovery's versioned page fetches and logged
 // diff reads in hlrc.Node.handle; a node's log is read for the latter by
@@ -69,11 +80,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Replayer drives a recovering node through its logged execution. It
-// implements hlrc.SyncDelegate: while installed, synchronization
-// operations replay from the log instead of communicating, and page
-// misses are resolved from the log (ML) or reveal a prefetched copy (CCL).
-// It is used on the victim's application goroutine only.
+// Replayer is a recovering node's hlrc.SyncSource: while installed, the
+// node's synchronization operations run the live sync step on the inputs
+// the replayer reads back from the log (or, past a torn tail, from the
+// managers' sender logs) instead of communicating, and page misses are
+// resolved from the log (ML) or reveal a prefetched copy (CCL). It is
+// used on the victim's application goroutine only.
 type Replayer struct {
 	kind    Kind
 	store   *stable.Store
@@ -90,6 +102,14 @@ type Replayer struct {
 	// scratch the page list prefetchable builds, reused every round.
 	marks   []pageMark
 	scratch []memory.PageID
+	// The op in hand, from Logged to Applied: its notices, the vector
+	// they reach and its update events, each reused every op (the node
+	// keeps neither list nor vector), and whether a sender log supplied
+	// the op.
+	notices []hlrc.Notice
+	vt      vclock.VC
+	events  []hlrc.UpdateEvent
+	tail    bool
 	// pageReqs cuts fetchPages' requests (DESIGN.md §2.8).
 	pageReqs arena.Slab[hlrc.PageReq]
 	// Misses counts CCL's on-demand fetches: pages the replay touched
@@ -98,13 +118,6 @@ type Replayer struct {
 
 	replayTime simtime.Time
 	detached   bool
-	// reportedSelf is the victim's own interval count as last reported
-	// to the managers (at its releases and barrier check-ins). A lock
-	// grant's knowledge horizon can never exceed it on the victim's own
-	// component, so the replayed grantVT must use it — using the
-	// victim's full vector time would make post-recovery release deltas
-	// skip own intervals the manager never learned.
-	reportedSelf int32
 	// seeked: the replay reads the log as one forward sequential stream,
 	// so only the first batch read pays the positioning latency; later
 	// batches are bandwidth-only. (ML's per-miss page reads are random
@@ -177,8 +190,8 @@ type loggedPage struct {
 // no records for it. Replay stops just short of the op and returns control
 // to the live protocol, which re-executes it whole — recomputing the open
 // interval's diffs from twins, which are re-enabled over every replayed
-// write since the last interval close (closeInterval keeps nd.TwinsFromOp
-// tracking it).
+// write since the last interval close (the node's replay close keeps
+// nd.TwinsFromOp tracking it).
 func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, reexec bool) *Replayer {
 	if kind != MLRecovery && kind != CCLRecovery {
 		panic(fmt.Sprintf("recovery: no replayer for %v", kind))
@@ -192,6 +205,7 @@ func NewReplayer(kind Kind, nd *hlrc.Node, store *stable.Store, crashOp int32, r
 		reexec:    reexec,
 		byOp:      make(map[int32][]stable.Record),
 		pagesByOp: make(map[int32]map[memory.PageID]loggedPage),
+		vt:        vclock.New(nd.N()),
 	}
 	if kind == CCLRecovery {
 		r.marks = make([]pageMark, nd.NumPages())
@@ -249,18 +263,6 @@ func (r *Replayer) dissect(rec stable.Record) *wal.Dissected {
 	return d
 }
 
-// closeInterval closes the replayed interval. The close also re-flushes
-// the victim's dirty migrated pages (there are none unless the cluster ran
-// on without it) to their adopter.
-func (r *Replayer) closeInterval(nd *hlrc.Node) {
-	nd.CloseIntervalLocal()
-	if r.reexec {
-		// The open interval restarts here: only writes from the next op on
-		// can belong to the crashed interval that must be re-diffed live.
-		nd.TwinsFromOp = nd.OpIndex() + 1
-	}
-}
-
 // Torn reports whether the log had a torn tail.
 func (r *Replayer) Torn() bool { return r.torn }
 
@@ -286,103 +288,91 @@ func (r *Replayer) Phases() PhaseReport { return r.phases }
 // Detached reports whether replay has completed.
 func (r *Replayer) Detached() bool { return r.detached }
 
-// Acquire implements hlrc.SyncDelegate.
-func (r *Replayer) Acquire(nd *hlrc.Node, op int32, lock int32) bool {
-	if op >= r.crashOp {
+// Fate implements hlrc.SyncSource: every op before the crash op replays
+// whole, and an acquire can never reach it.
+func (r *Replayer) Fate(nd *hlrc.Node, op int32, kind transport.Kind) hlrc.Replay {
+	switch {
+	case op < r.crashOp:
+		return hlrc.ReplayWhole
+	case kind == hlrc.KindLockReq:
 		panic(fmt.Sprintf("recovery: replay reached acquire op %d beyond crash op %d", op, r.crashOp))
-	}
-	idx := r.acquireIdx
-	r.acquireIdx++
-	if r.tailActive(op) {
-		// The live acquire records the grant's own horizon, and here we
-		// hold the very grant the pre-crash acquire received.
-		nd.SetGrantVT(lock, r.tailSync(nd, hlrc.KindRecGrantReq, idx))
-	} else {
-		r.enterPhase(nd, op, true)
-		// The merged vector time equals the grant's knowledge horizon on
-		// every foreign component (all knowledge routes through the
-		// centralized manager); on the victim's own component the manager
-		// only knows what the victim last reported. VT is a copy, which
-		// the node keeps.
-		gvt := nd.VT()
-		gvt[nd.ID()] = r.reportedSelf
-		nd.SetGrantVT(lock, gvt)
-	}
-	nd.BumpOp()
-	return true
-}
-
-// Release implements hlrc.SyncDelegate. Per the paper's Figure 2, a
-// release during recovery performs no communication.
-func (r *Replayer) Release(nd *hlrc.Node, op int32, lock int32) bool {
-	if r.reexec && op >= r.crashOp {
+	case r.reexec:
 		// The victim died at this op's entry (non-quiescent crash point):
-		// nothing of it was flushed, logged, or sent. Detach and decline —
-		// the live protocol re-executes the whole release, flushing the
+		// nothing of it was flushed, logged, or sent. Detach: the live
+		// protocol re-executes the whole release or barrier, flushing the
 		// crashed interval's diffs (recomputed from the replay twins) to
 		// the effective homes.
 		r.detach(nd)
-		return false
+		return hlrc.ReplayNone
+	default:
+		// The failure struck after this op's local half: its message never
+		// reached the manager, and goes now, live.
+		return hlrc.ReplayLocal
 	}
-	r.closeInterval(nd)
-	r.reportedSelf = nd.VTAt(nd.ID())
-	if r.tailActive(op) {
-		// A release receives nothing from the managers; the disk records
-		// this op lost were asynchronous home updates, which the tail
-		// acquires' notice-bounded re-fetches and the detach catch-up
-		// reconstruct (sync-ordered visibility is all a data-race-free
-		// replay can observe).
+}
+
+// Logged implements hlrc.SyncSource: it consumes op's records from the
+// disk log, or past a torn tail the grant or barrier release a manager's
+// sender log kept. Per the paper's Figure 2, a release performs no
+// communication: a torn-tail release has nothing to read, and the
+// asynchronous home updates the tail lost are rebuilt at the later
+// acquires' notices and at detach (sync-ordered visibility is all a
+// data-race-free replay can observe).
+func (r *Replayer) Logged(nd *hlrc.Node, op int32, kind transport.Kind) hlrc.LoggedSync {
+	r.tail = r.tailActive(op)
+	idx := 0
+	switch {
+	case kind == hlrc.KindLockReq:
+		idx = r.acquireIdx
+		r.acquireIdx++
+	case kind == hlrc.KindBarrierCheckin && op < r.crashOp:
+		idx = r.barrierIdx
+		r.barrierIdx++
+	case r.tail && kind == hlrc.KindLockRelease:
 		r.TailOps++
-	} else {
-		r.enterPhase(nd, op, false)
+		return hlrc.LoggedSync{}
+	case r.tail:
+		// The victim never checked in to this crash-op barrier (so the
+		// manager issued no release for it): no sender-log entry to
+		// consume.
+		return hlrc.LoggedSync{}
 	}
-	if op >= r.crashOp {
-		r.detach(nd)
-		// The failure struck after this op's local half: the release
-		// message never reached the manager. Send it now, live.
-		nd.FinishReleaseLive(op, lock)
-		return true
+	if r.tail {
+		return r.tailSync(nd, kind, idx)
 	}
-	nd.BumpOp()
-	return true
+	return r.enterPhase(nd, op)
 }
 
-// Barrier implements hlrc.SyncDelegate.
-func (r *Replayer) Barrier(nd *hlrc.Node, op int32, barrier int32) bool {
-	if r.reexec && op >= r.crashOp {
-		// Non-quiescent crash point at a barrier: detach and let the live
-		// protocol execute the whole check-in (see Release).
-		r.detach(nd)
-		return false
+// Applied implements hlrc.SyncSource. After a sender-log op it rebuilds
+// the home updates the notices bound (reconstructHomeDiffs). CCL then
+// fetches the logged update events' diffs for the victim's home copies
+// and prefetches the remote pages the notices name that the replay will
+// need (prefetchable), eliminating the memory-miss idle time during the
+// coming interval; ML's misses will read logged copies from disk. At the
+// crash op the replay detaches.
+func (r *Replayer) Applied(nd *hlrc.Node, op int32, ls hlrc.LoggedSync) {
+	if r.tail {
+		r.reconstructHomeDiffs(nd, ls.Notices)
 	}
-	r.closeInterval(nd)
-	r.reportedSelf = nd.VTAt(nd.ID())
-	if op >= r.crashOp {
-		// The victim never checked in to this barrier before the crash
-		// (so the manager issued no release for it): no sender-log entry
-		// to consume. Replay whatever the disk still has and go live.
-		if !r.tailActive(op) {
-			r.enterPhase(nd, op, false)
+	if r.kind == CCLRecovery {
+		// "The recovery process fetches the corresponding logs of updates
+		// (i.e., diffs) for its home copy from the writer process(es)."
+		reqs := make([]diffReq, 0, len(r.events))
+		for _, ev := range r.events {
+			reqs = append(reqs, diffReq{ev.Writer, &hlrc.RecDiffsReq{Page: ev.Page, FromSeq: ev.Seq - 1, ToSeq: ev.Seq}})
 		}
+		r.fetchDiffs(nd, reqs, obsv.EvDiffFetch, PhaseDiffFetch)
+		r.fetchPages(nd, r.prefetchable(nd, ls.Notices), true)
+	}
+	r.events = r.events[:0]
+	if op >= r.crashOp {
 		r.detach(nd)
-		nd.FinishBarrierLive(op, barrier)
-		return true
 	}
-	idx := r.barrierIdx
-	r.barrierIdx++
-	if r.tailActive(op) {
-		nd.SetLastBarrierVT(r.tailSync(nd, hlrc.KindRecBarrierReq, idx))
-	} else {
-		r.enterPhase(nd, op, false)
-		nd.SetLastBarrierVT(nd.VT())
-	}
-	nd.BumpOp()
-	return true
 }
 
-// Validate implements hlrc.SyncDelegate: resolve an invalid page during
+// Validate implements hlrc.SyncSource: resolve an invalid page during
 // replay.
-func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
+func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) {
 	switch r.kind {
 	case MLRecovery:
 		// The logged copy fetched at this point of the original run is
@@ -396,7 +386,7 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 				// versioned fetch from the live home (which needs the homes'
 				// undo histories, enabled for hardened ML runs).
 				r.fetchPages(nd, []memory.PageID{page}, false)
-				return true
+				return
 			}
 			panic(fmt.Sprintf("recovery: ML replay diverged: no logged copy of page %d at op %d", page, op))
 		}
@@ -407,7 +397,6 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 		// The data aliases the log record, which later reads and audits of
 		// the store still need: the node gets its own copy.
 		nd.InstallPage(page, bytes.Clone(lp.data))
-		return true
 	case CCLRecovery:
 		m := r.marks[page]
 		r.marks[page] = m&^markStaged | markUsed
@@ -415,15 +404,13 @@ func (r *Replayer) Validate(nd *hlrc.Node, page memory.PageID) bool {
 			// The prefetch fetched this copy at the version the replay
 			// still needs: reveal it, at no virtual cost.
 			nd.RevealPage(page)
-			return true
+			return
 		}
 		// A page the prefetch left invalid: fetch it at the replay's
 		// current version.
 		r.Misses++
 		r.fetchPages(nd, []memory.PageID{page}, false)
-		return true
 	}
-	return false
 }
 
 // detach ends replay: the node returns to live operation. After a torn
@@ -446,16 +433,15 @@ func (r *Replayer) detach(nd *hlrc.Node) {
 	r.replayTime = nd.Clock().Now() - r.base
 	r.phases.close(r.replayTime)
 	r.detached = true
-	nd.SetDelegate(nil)
 	if r.OnDetach != nil {
 		r.OnDetach()
 	}
 }
 
 // enterPhase consumes the log records tagged with op: write notices,
-// update events, and (ML) incoming home diffs. isAcquire selects the
-// dirty-conflict check that mirrors the live protocol's early close.
-func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
+// update events, and (ML) incoming home diffs, which it applies. It
+// returns the notices and the vector they reach.
+func (r *Replayer) enterPhase(nd *hlrc.Node, op int32) hlrc.LoggedSync {
 	recs := r.byOp[op]
 	delete(r.byOp, op)
 
@@ -479,112 +465,71 @@ func (r *Replayer) enterPhase(nd *hlrc.Node, op int32, isAcquire bool) {
 		r.phases.note(PhaseLogRead, t0, t1, int64(batch))
 	}
 
-	var notices []hlrc.Notice
-	var events []hlrc.UpdateEvent
+	notices := r.notices[:0]
 	for _, rec := range recs {
+		if wal.OwnDiffBatch(rec) {
+			// The victim's own outgoing diffs (CCL): the homes already have
+			// them, and replay recomputes the writes.
+			continue
+		}
 		d := r.dissect(rec)
 		switch rec.Kind {
 		case wal.RecNotices:
 			notices = append(notices, d.Notices...)
 		case wal.RecEvents:
-			events = append(events, d.Events...)
+			r.events = append(r.events, d.Events...)
 		case wal.RecDiffBatch:
 			// ML: one incoming writer interval's diffs, applied to the
-			// victim's home copies. The victim's own outgoing diffs (CCL,
-			// writer -1) are skipped: the homes already have them, and
-			// replay recomputes the writes.
-			if b := d.DiffBatch; b.Writer != -1 {
-				for _, df := range b.Diffs {
-					nd.ApplyDiffAsHome(df, b.Writer, b.Seq)
-				}
+			// victim's home copies.
+			b := d.DiffBatch
+			for _, df := range b.Diffs {
+				nd.ApplyDiffAsHome(df, b.Writer, b.Seq)
 			}
 		default:
 			panic(fmt.Sprintf("recovery: unexpected %s record at op %d", wal.KindName(rec.Kind), op))
 		}
 	}
-
-	if isAcquire && nd.AnyDirty(notices) {
-		// Mirror the live protocol's early close on the false-sharing
-		// path so the interval numbering stays aligned.
-		r.closeInterval(nd)
-	}
-	vt := vclock.New(nd.N())
+	r.notices = notices
+	clear(r.vt)
 	for _, n := range notices {
-		if n.Seq > vt[int(n.Proc)] {
-			vt[int(n.Proc)] = n.Seq
-		}
+		r.vt[n.Proc] = max(r.vt[n.Proc], n.Seq)
 	}
-	r.learn(nd, notices, vt, events)
+	return hlrc.LoggedSync{Notices: notices, VT: r.vt}
 }
 
-// tailSync replays an acquire (kind KindRecGrantReq) or a barrier
-// (KindRecBarrierReq) whose disk records were lost to the torn tail: the
+// tailSync reads back an acquire (kind KindLockReq) or a barrier
+// (KindBarrierCheckin) whose disk records were lost to the torn tail: the
 // idx-th grant or release the manager issued to this node before the
-// crash is re-fetched from its sender log and handled like the live
-// protocol handled it. It returns the grant's or release's vector time.
-func (r *Replayer) tailSync(nd *hlrc.Node, kind transport.Kind, idx int) vclock.VC {
+// crash, from its sender log.
+func (r *Replayer) tailSync(nd *hlrc.Node, kind transport.Kind, idx int) hlrc.LoggedSync {
 	r.TailOps++
 	start := nd.Clock().Now()
 	req := &hlrc.RecSyncReq{Node: int32(nd.ID()), Idx: int32(idx)}
-	m := nd.Endpoint().CallAsync(hlrc.ManagerNode, kind, req.WireSize(), req).WaitDetached(nd.Clock())
-	var notices []hlrc.Notice
-	var vt vclock.VC
+	reqKind := hlrc.KindRecGrantReq
+	if kind == hlrc.KindBarrierCheckin {
+		reqKind = hlrc.KindRecBarrierReq
+	}
+	m := nd.Endpoint().CallAsync(hlrc.ManagerNode, reqKind, req.WireSize(), req).WaitDetached(nd.Clock())
+	var ls hlrc.LoggedSync
 	logged := false
 	switch p := m.Payload.(type) {
 	case *hlrc.RecGrantReply:
 		if logged = p.Grant != nil; logged {
-			notices, vt = p.Grant.Notices, p.Grant.VT
+			ls = hlrc.LoggedSync{Notices: p.Grant.Notices, VT: p.Grant.VT}
 		}
 	case *hlrc.RecBarrierReply:
 		if logged = p.Rel != nil; logged {
-			notices, vt = p.Rel.Notices, p.Rel.VT
+			ls = hlrc.LoggedSync{Notices: p.Rel.Notices, VT: p.Rel.VT}
 		}
 	}
 	if !logged {
 		panic(fmt.Sprintf("recovery: manager %d has no sender-logged reply %d to %s for node %d",
-			hlrc.ManagerNode, idx, obsv.KindName(uint8(kind)), nd.ID()))
+			hlrc.ManagerNode, idx, obsv.KindName(uint8(reqKind)), nd.ID()))
 	}
 	end := nd.Clock().Now()
 	nd.Tracer().Span(obsv.EvTailFetch, start, end, int64(idx), 0)
 	r.phases.note(PhaseTailSync, start, end, 0)
-
-	if kind == hlrc.KindRecGrantReq && nd.AnyDirty(notices) {
-		// The early close of the live acquire (see enterPhase).
-		r.closeInterval(nd)
-	}
-	r.reconstructHomeDiffs(nd, notices)
-	r.learn(nd, notices, vt, nil)
-	return vt
-}
-
-// learn applies the knowledge a replayed sync op received — its write
-// notices and their vector time vt, read from the disk log or re-fetched
-// from a sender log — and validates pages per scheme: CCL fetches the
-// logged update events' diffs for the victim's home copies and prefetches
-// the remote pages the notices name that the replay will need
-// (prefetchable), eliminating the memory-miss idle time during the coming
-// interval; ML invalidates as the original run did, and its misses will
-// read logged copies from disk.
-func (r *Replayer) learn(nd *hlrc.Node, notices []hlrc.Notice, vt vclock.VC, events []hlrc.UpdateEvent) {
-	nd.Notices().AddAll(notices)
-	nd.MergeVT(vt)
-	switch r.kind {
-	case CCLRecovery:
-		// "The recovery process fetches the corresponding logs of updates
-		// (i.e., diffs) for its home copy from the writer process(es)."
-		reqs := make([]diffReq, 0, len(events))
-		for _, ev := range events {
-			reqs = append(reqs, diffReq{ev.Writer, &hlrc.RecDiffsReq{Page: ev.Page, FromSeq: ev.Seq - 1, ToSeq: ev.Seq}})
-		}
-		r.fetchDiffs(nd, reqs, obsv.EvDiffFetch, PhaseDiffFetch)
-		r.fetchPages(nd, r.prefetchable(nd, notices), true)
-	case MLRecovery:
-		for _, n := range notices {
-			for _, p := range n.Pages {
-				nd.InvalidatePage(p)
-			}
-		}
-	}
+	return ls
 }
 
 // prefetchable returns, in page order, the distinct non-home pages named
@@ -612,8 +557,7 @@ func (r *Replayer) prefetchable(nd *hlrc.Node, notices []hlrc.Notice) []memory.P
 		if m&markUsed != 0 || m&markNoticed == 0 {
 			out = append(out, p)
 		} else {
-			nd.InvalidatePage(p)
-			m &^= markStaged
+			m &^= markStaged // the node has invalidated the page
 		}
 		r.marks[p] = m | markNoticed
 	}

@@ -111,7 +111,7 @@ func TestTornLogWithoutSenderLogsPanics(t *testing.T) {
 			t.Fatalf("panic %q, want the torn-tail-without-sender-logs diagnostic", msg)
 		}
 	}()
-	r.Acquire(nd, r.tailFromOp, 1)
+	r.Logged(nd, r.tailFromOp, hlrc.KindLockReq)
 }
 
 func TestReplayerIndexesByOp(t *testing.T) {

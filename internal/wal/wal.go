@@ -136,6 +136,18 @@ func splitDiffRecord(buf []byte) (writer, seq int32, vtSum int64, n int, diffs [
 	return writer, seq, vtSum, n, buf[20:], nil
 }
 
+// OwnDiffBatch reports, from the record's (writer, seq, vtSum) prefix
+// alone, whether rec is a diff batch of the log owner's own diffs (writer
+// -1). The owner's replay skips those without decoding them: the homes
+// already hold them, and the replay recomputes the writes.
+func OwnDiffBatch(rec stable.Record) bool {
+	if rec.Kind != RecDiffBatch {
+		return false
+	}
+	writer, _, _, _, _, err := splitDiffRecord(rec.Data)
+	return err == nil && writer == -1
+}
+
 // EncodeEventsRecord appends a RecEvents payload packing the
 // update-event triples to buf (caller-supplied, like Diff.Encode).
 func EncodeEventsRecord(buf []byte, events []hlrc.UpdateEvent) []byte {
